@@ -1,9 +1,9 @@
-//! Criterion benchmarks for iteration pricing: the cold analytic path
-//! (attention + FC + interconnect + dispatch models per call) versus
-//! the fleet-shared direct-mapped memo the parallel cluster loop
-//! installs. The gap between these two is most of the parallel loop's
-//! wall-clock win, so a regression here is a regression in fleet
-//! simulation throughput.
+//! Criterion benchmarks for iteration pricing: a pricer's own path (its
+//! `(placement, rlp, tlp)` shape table plus the planned attention
+//! kernel run at each KV length) versus the same pricer behind a warm
+//! `SharedIterationCache`. Every session in every step mode prices
+//! through the first path, so a regression there is a regression in
+//! simulation throughput; the memo is only a reference point.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use papi_core::pricer::SharedIterationCache;

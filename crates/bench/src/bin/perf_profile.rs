@@ -81,9 +81,8 @@ fn main() {
     )
     .with_step_mode(StepMode::Parallel);
 
-    // Warm (JIT-free in Rust, but it pages in the binary and fills the
-    // pricing memo exactly as a long-running server would), then
-    // profile one clean episode.
+    // Warm (JIT-free in Rust, but it pages in the binary and warms the
+    // allocator), then profile one clean episode.
     let engine = ClusterEngine::new(spec).expect("valid fleet");
     engine.run(&workload);
     papi_perf::enable();

@@ -40,7 +40,6 @@ use crate::autoscale::{
 };
 use crate::config::{DesignKind, SystemConfig};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport};
-use crate::pricer::SharedIterationCache;
 use crate::serving::{PrefillHandoff, ServingEngine, ServingSession, SessionTuning};
 use crate::slo::SloSpec;
 use papi_interconnect::{
@@ -80,8 +79,9 @@ pub enum StepMode {
     /// step at a time under a tightening bound (each export they emit
     /// can schedule a delivery earlier than the horizon, capping how
     /// far anyone may step), which preserves the sequential path's
-    /// event order exactly. Replica snapshots are dirty-tracked and
-    /// iteration pricing is memoized fleet-wide per design.
+    /// event order exactly. Replica snapshots are dirty-tracked. Both
+    /// modes price iterations through the same per-session pricer, so
+    /// the two differ only in how replicas are scheduled.
     #[default]
     Parallel,
 }
@@ -1041,9 +1041,9 @@ impl ClusterEngine {
     /// same order the sequential loop would queue them, preserving
     /// delivery tie-breaks; snapshots at events are served from a
     /// dirty-tracked cache (a session not stepped or pushed since the
-    /// last event snapshots identically), and iteration pricing is
-    /// memoized fleet-wide per replica design (a pure function of the
-    /// memo key — see [`SharedIterationCache`]).
+    /// last event snapshots identically). Sessions price iterations
+    /// exactly as they do under the sequential loop, each through its
+    /// own pricer.
     fn run_parallel(
         &self,
         workload: &ServingWorkload,
@@ -1055,11 +1055,6 @@ impl ClusterEngine {
         let mut sessions = self.open_sessions(workload, &roles);
         let mut shared = self.open_shared_tier(&mut sessions);
         let mut next_sync = shared.as_ref().map_or(f64::INFINITY, |c| c.sync_s);
-        let mut caches: HashMap<DesignKind, Arc<SharedIterationCache>> = HashMap::new();
-        for (idx, session) in sessions.iter_mut().enumerate() {
-            let cache = caches.entry(self.spec.design_for(roles[idx])).or_default();
-            session.install_pricer_cache(Arc::clone(cache));
-        }
         let exporters: Vec<usize> = roles
             .iter()
             .enumerate()

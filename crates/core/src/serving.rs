@@ -38,7 +38,7 @@ use crate::admission::{AdmissionCandidate, AdmissionPolicy, AdmissionSpec, Admis
 use crate::config::SystemConfig;
 use crate::metrics::{PhaseBreakdown, RequestRecord, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
-use crate::pricer::{IterationPricer, SharedIterationCache};
+use crate::pricer::IterationPricer;
 use papi_interconnect::{TierCost, TierPricing};
 use papi_kv::{
     FetchCandidate, FetchPolicy, FetchSpec, GlobalKvTier, KvBlockPool, KvCacheStats, KvPoolStats,
@@ -896,16 +896,6 @@ impl ServingSession<'_> {
     /// with their index.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5851_f42d_4c95_7f2d));
-    }
-
-    /// Installs a fleet-shared full-iteration pricing memo (see
-    /// [`SharedIterationCache`]): identical iteration shapes priced by
-    /// *any* session sharing the cache are computed once. The caller
-    /// must share a cache only between sessions of identical
-    /// [`SystemConfig`]s — the cluster engine keeps one per distinct
-    /// replica design.
-    pub fn install_pricer_cache(&mut self, cache: Arc<SharedIterationCache>) {
-        self.pricer.set_shared_cache(cache);
     }
 
     /// Joins this session to a fleet-shared prefix tier as replica

@@ -206,8 +206,7 @@ impl PrefixTree {
         }
         node.last_use = tick;
         node.hits += 1;
-        let blocks: Vec<BlockId> = node.blocks[..usable].to_vec();
-        Some(pool.fork_prefix(&blocks))
+        Some(pool.fork_prefix(&node.blocks[..usable]))
     }
 
     /// Publishes the first `tokens` of a completed context under `key`:

@@ -507,11 +507,20 @@ impl ProfileDiff {
 mod tests {
     use super::*;
 
-    /// The profiler is process-global, so every assertion about
-    /// recorded state lives in this one test (Rust runs tests in
-    /// parallel threads; separate tests would race on enable/reset).
+    /// The profiler is process-global and Rust runs tests on parallel
+    /// threads, so every test that enables, resets, or reads it holds
+    /// this lock for its whole body.
+    static PROFILER: Mutex<()> = Mutex::new(());
+
+    fn exclusive_profiler() -> std::sync::MutexGuard<'static, ()> {
+        PROFILER
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn phases_record_nest_serialize_and_compare() {
+        let _profiler = exclusive_profiler();
         enable();
         reset();
         {
@@ -571,7 +580,9 @@ mod tests {
     /// Samples from rayon-style helper threads merge into the report.
     #[test]
     fn cross_thread_samples_merge() {
+        let _profiler = exclusive_profiler();
         enable();
+        reset();
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 std::thread::spawn(|| {

@@ -10,6 +10,7 @@
 //! speculation length and ignoring batch size).
 
 use crate::device::PimDevice;
+use crate::energy::PimEnergyModel;
 use crate::gemv::{Bottleneck, PimKernelResult};
 use crate::partition::plan_attention_heads;
 use papi_types::{Bytes, DataType, Flops, Time};
@@ -91,6 +92,91 @@ impl AttentionSpec {
     }
 }
 
+/// One attention batch shape planned on a device pool: every constant of
+/// the kernel that does not depend on the KV length. Heads are spread
+/// per the §6.4 mapping and the MAC rate is fixed by the reuse level
+/// (TLP), so a decode whose batch shape holds still re-plans nothing and
+/// only [`execute`](Self::execute)s at each new KV length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttentionPlan {
+    shape: AttentionSpec,
+    units_per_device: f64,
+    mac_rate: f64,
+    vector_rate: f64,
+    dram_pj_per_byte: f64,
+    energy_model: PimEnergyModel,
+}
+
+impl AttentionPlan {
+    /// Plans `requests × heads` units of `queries` speculative tokens
+    /// each over `n_devices` copies of `device`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_devices` or any dimension is zero.
+    #[track_caller]
+    pub fn new(
+        device: &PimDevice,
+        n_devices: usize,
+        requests: u64,
+        heads: u64,
+        head_dim: u64,
+        queries: u64,
+        dtype: DataType,
+    ) -> Self {
+        assert!(n_devices > 0, "need at least one PIM device");
+        // `execute` replaces the placeholder KV length of 1.
+        let shape = AttentionSpec::new(requests, heads, head_dim, 1, queries, dtype);
+        Self {
+            shape,
+            units_per_device: plan_attention_heads(requests, heads, n_devices).units_per_device
+                as f64,
+            mac_rate: device.mac_rate(shape.reuse(), dtype),
+            vector_rate: device.vector_op_rate(),
+            dram_pj_per_byte: device.dram_access_pj_per_byte(),
+            energy_model: device.energy_model,
+        }
+    }
+
+    /// Executes the planned kernel with every request attending over
+    /// `kv_len` cached tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kv_len` is zero.
+    #[track_caller]
+    pub fn execute(&self, kv_len: u64) -> PimKernelResult {
+        assert!(kv_len > 0, "attention dimensions must be positive");
+        let spec = AttentionSpec {
+            kv_len,
+            ..self.shape
+        };
+        // GEMV phase: busiest device streams its share of KV.
+        let macs_per_unit = (2 * spec.queries * kv_len * spec.head_dim) as f64;
+        let gemv_time = Time::new(self.units_per_device * macs_per_unit / self.mac_rate);
+        // Softmax phase: runs on the same FPUs, so halved FPU counts
+        // (1P2B) pay double here too.
+        let softmax_per_unit = (spec.queries * kv_len) as f64 * 5.0;
+        let softmax_time = Time::new(self.units_per_device * softmax_per_unit / self.vector_rate);
+        let fetch_bytes = spec.kv_bytes();
+        let macs = spec.macs();
+        let mut energy = self
+            .energy_model
+            .breakdown(fetch_bytes, self.dram_pj_per_byte, macs);
+        // Softmax ops cost compute energy like MACs.
+        energy.compute += papi_types::Energy::from_picojoules(
+            spec.softmax_ops() * self.energy_model.compute_pj_per_mac,
+        );
+        PimKernelResult {
+            time: gemv_time + softmax_time,
+            energy,
+            fetch_bytes,
+            macs,
+            bottleneck: Bottleneck::WeightStream,
+        }
+    }
+}
+
 /// Executes one attention kernel over `n_devices` Attn-PIM (or AttAcc /
 /// HBM-PIM) devices, heads distributed per the §6.4 mapping.
 ///
@@ -103,33 +189,16 @@ pub fn execute_attention(
     n_devices: usize,
     spec: &AttentionSpec,
 ) -> PimKernelResult {
-    assert!(n_devices > 0, "need at least one PIM device");
-    let plan = plan_attention_heads(spec.requests, spec.heads, n_devices);
-    let mac_rate = device.mac_rate(spec.reuse(), spec.dtype);
-    // GEMV phase: busiest device streams its share of KV.
-    let macs_per_unit = (2 * spec.queries * spec.kv_len * spec.head_dim) as f64;
-    let gemv_time = Time::new(plan.units_per_device as f64 * macs_per_unit / mac_rate);
-    // Softmax phase: runs on the same FPUs, so halved FPU counts (1P2B)
-    // pay double here too.
-    let softmax_per_unit = (spec.queries * spec.kv_len) as f64 * 5.0;
-    let softmax_time =
-        Time::new(plan.units_per_device as f64 * softmax_per_unit / device.vector_op_rate());
-    let fetch_bytes = spec.kv_bytes();
-    let mut energy =
-        device
-            .energy_model
-            .breakdown(fetch_bytes, device.dram_access_pj_per_byte(), spec.macs());
-    // Softmax ops cost compute energy like MACs.
-    energy.compute += papi_types::Energy::from_picojoules(
-        spec.softmax_ops() * device.energy_model.compute_pj_per_mac,
-    );
-    PimKernelResult {
-        time: gemv_time + softmax_time,
-        energy,
-        fetch_bytes,
-        macs: spec.macs(),
-        bottleneck: Bottleneck::WeightStream,
-    }
+    AttentionPlan::new(
+        device,
+        n_devices,
+        spec.requests,
+        spec.heads,
+        spec.head_dim,
+        spec.queries,
+        spec.dtype,
+    )
+    .execute(spec.kv_len)
 }
 
 #[cfg(test)]

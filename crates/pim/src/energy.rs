@@ -16,7 +16,7 @@ use papi_types::{Bytes, Energy};
 use serde::{Deserialize, Serialize};
 
 /// Transfer/compute energy constants for near-bank execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PimEnergyModel {
     /// Energy to move one MAC's operands through the on-die network
     /// (buffer die, TSV, controllers), in picojoules.

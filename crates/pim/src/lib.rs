@@ -55,7 +55,7 @@ pub mod partition;
 pub mod power;
 
 pub use area::AreaParams;
-pub use attention::AttentionSpec;
+pub use attention::{AttentionPlan, AttentionSpec};
 pub use config::PimConfig;
 pub use device::PimDevice;
 pub use energy::{PimEnergyBreakdown, PimEnergyModel};
