@@ -371,12 +371,11 @@ impl Default for SharedTierSpec {
 }
 
 /// The shared tier's control-plane state during one episode: the
-/// authoritative fleet directory, the frozen [`Arc`] view sessions
-/// read between barriers, and the fleet-level fetch accounting.
+/// authoritative fleet directory — one [`Arc`] that sessions read,
+/// frozen, between barriers — and the fleet-level fetch accounting.
 #[derive(Debug)]
 struct SharedTierControl {
-    directory: GlobalKvTier,
-    view: Arc<GlobalKvTier>,
+    directory: Arc<GlobalKvTier>,
     pricing: String,
     sync_s: f64,
     fetches: u64,
@@ -391,14 +390,18 @@ impl SharedTierControl {
     /// fetch egress in replica-index order (the same deterministic
     /// discipline as handoff harvesting — both step modes reach each
     /// barrier with identical per-session egress, so merging in a
-    /// fixed order keeps them bit-for-bit equal), merges registrations
-    /// into the fleet directory, and — only if the directory changed —
-    /// freezes a new view into every session.
+    /// fixed order keeps them bit-for-bit equal), and merges
+    /// registrations into the fleet directory — in place: sessions drop
+    /// their views first and get the same `Arc` re-installed.
     fn harvest(&mut self, sessions: &mut [ServingSession<'_>]) {
-        let mut changed = false;
+        for session in sessions.iter_mut() {
+            session.release_global_view();
+        }
+        debug_assert_eq!(Arc::strong_count(&self.directory), 1, "a view was kept");
+        let directory = Arc::make_mut(&mut self.directory);
         for (idx, session) in sessions.iter_mut().enumerate() {
             for (key, tokens) in session.drain_global_publishes() {
-                changed |= self.directory.publish(key, idx, tokens).changed();
+                directory.publish(key, idx, tokens);
             }
             for fetch in session.drain_global_fetches() {
                 self.fetches += 1;
@@ -408,11 +411,8 @@ impl SharedTierControl {
                 self.latencies.push(fetch.cost.time);
             }
         }
-        if changed {
-            self.view = Arc::new(self.directory.clone());
-            for session in sessions.iter_mut() {
-                session.install_global_view(Arc::clone(&self.view));
-            }
+        for session in sessions.iter_mut() {
+            session.install_global_view(Arc::clone(&self.directory));
         }
     }
 
@@ -750,14 +750,12 @@ impl ClusterEngine {
             .pricing
             .clone()
             .unwrap_or_else(|| TierPricing::Link(self.spec.inter_node.clone()));
-        let directory = GlobalKvTier::new(self.spec.tuning.kv_block_size);
-        let view = Arc::new(directory.clone());
+        let directory = Arc::new(GlobalKvTier::new(self.spec.tuning.kv_block_size));
         for (idx, session) in sessions.iter_mut().enumerate() {
-            session.enable_global_tier(idx, &spec.fetch, pricing.clone(), Arc::clone(&view));
+            session.enable_global_tier(idx, &spec.fetch, pricing.clone(), Arc::clone(&directory));
         }
         Some(SharedTierControl {
             directory,
-            view,
             pricing: pricing.label(),
             sync_s: spec.sync_s,
             fetches: 0,

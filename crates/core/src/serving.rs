@@ -603,8 +603,8 @@ struct GlobalTierState {
     /// This replica's index in the fleet (its identity in the
     /// directory; a record it owns is never remote-fetched).
     replica: usize,
-    /// Frozen directory snapshot.
-    view: Arc<GlobalKvTier>,
+    /// Frozen directory snapshot (handed back during barriers).
+    view: Option<Arc<GlobalKvTier>>,
     fetch: Box<dyn FetchPolicy>,
     pricing: TierPricing,
     /// Bytes one KV block carries across the fabric.
@@ -927,7 +927,7 @@ impl ServingSession<'_> {
         );
         self.global = Some(GlobalTierState {
             replica,
-            view,
+            view: Some(view),
             fetch: fetch.build(),
             pricing,
             block_bytes: self.engine.config.model.kv_bytes_per_token()
@@ -945,7 +945,16 @@ impl ServingSession<'_> {
     /// stepping bit-for-bit equal.
     pub fn install_global_view(&mut self, view: Arc<GlobalKvTier>) {
         if let Some(state) = self.global.as_mut() {
-            state.view = view;
+            state.view = Some(view);
+        }
+    }
+
+    /// Drops this session's reference to the frozen fleet-directory
+    /// snapshot, so a barrier can merge into it in place; re-install a
+    /// view before stepping again.
+    pub fn release_global_view(&mut self) {
+        if let Some(state) = self.global.as_mut() {
+            state.view = None;
         }
     }
 
@@ -1010,6 +1019,17 @@ impl ServingSession<'_> {
         Some(evicted.freed)
     }
 
+    /// Evicts (and spills) cold prefixes until `blocks` are free;
+    /// returns whether they are.
+    fn make_room(&mut self, blocks: u64) -> bool {
+        while self.pool.free_blocks() < blocks {
+            if self.relieve_prefix_cache().is_none() {
+                return false;
+            }
+        }
+        true
+    }
+
     /// On a prefix-cache fork miss, tries to restore the key's spilled
     /// context from the capacity tier: re-materializes the usable
     /// (block-aligned) overlap in the hot pool, republishes it into
@@ -1037,16 +1057,8 @@ impl ServingSession<'_> {
         if !state.fetch.should_fetch(&candidate) {
             return None;
         }
-        // Make room in the hot pool, evicting (and spilling) colder
-        // prefixes; if it stays too tight, skip the fetch and
-        // re-prefill instead.
-        let needed = self.pool.blocks_for(usable);
-        while self.pool.free_blocks() < needed {
-            if self.relieve_prefix_cache().is_none() {
-                break;
-            }
-        }
-        if self.pool.free_blocks() < needed {
+        // If the hot pool stays too tight, skip the fetch and re-prefill.
+        if !self.make_room(self.pool.blocks_for(usable)) {
             return None;
         }
         // The relief above may itself have spilled into the tier and
@@ -1060,7 +1072,7 @@ impl ServingSession<'_> {
             "tier fetch allocation failed despite the room check"
         );
         if let Some(tree) = self.prefix_tree.as_mut() {
-            if tree.publish(hint.key, seq.blocks(), usable, &mut self.pool) {
+            if tree.publish(hint.key, &seq, usable, &mut self.pool) {
                 self.kv_stats.prefix_insertions += 1;
             }
         }
@@ -1094,7 +1106,7 @@ impl ServingSession<'_> {
     fn try_global_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
         let block_size = self.pool.block_size();
         let state = self.global.as_mut()?;
-        let entry = state.view.lookup(hint.key)?;
+        let entry = state.view.as_deref()?.lookup(hint.key)?;
         if entry.owner == state.replica {
             return None;
         }
@@ -1113,15 +1125,8 @@ impl ServingSession<'_> {
         if !state.fetch.should_fetch(&candidate) {
             return None;
         }
-        // Make room in the hot pool exactly as a local tier fetch
-        // would; if it stays too tight, re-prefill instead.
-        let needed = self.pool.blocks_for(usable);
-        while self.pool.free_blocks() < needed {
-            if self.relieve_prefix_cache().is_none() {
-                break;
-            }
-        }
-        if self.pool.free_blocks() < needed {
+        // Exactly as a local tier fetch: too tight, re-prefill instead.
+        if !self.make_room(self.pool.blocks_for(usable)) {
             return None;
         }
         let mut seq = self.pool.new_seq();
@@ -1132,7 +1137,7 @@ impl ServingSession<'_> {
         // Republish locally so successor turns fork it for free — the
         // remote copy crossed the fabric once, not per turn.
         if let Some(tree) = self.prefix_tree.as_mut() {
-            if tree.publish(hint.key, seq.blocks(), usable, &mut self.pool) {
+            if tree.publish(hint.key, &seq, usable, &mut self.pool) {
                 self.kv_stats.prefix_insertions += 1;
             }
         }
@@ -1185,7 +1190,7 @@ impl ServingSession<'_> {
         {
             if hint.publish_tokens > 0 {
                 let publish = hint.publish_tokens.min(self.requests[idx].kv_len());
-                if tree.publish(hint.key, seq.blocks(), publish, &mut self.pool) {
+                if tree.publish(hint.key, seq, publish, &mut self.pool) {
                     self.kv_stats.prefix_insertions += 1;
                 }
             }
@@ -1349,15 +1354,10 @@ impl ServingSession<'_> {
             }
             let mut seq = fork.unwrap_or_else(|| self.pool.new_seq());
             // Reserve capacity for the whole (uncached) prompt now,
-            // evicting cold prefixes if the free list runs short; the
+            // evicting cold prefixes if the pool runs short; the
             // prefill *work* is metered separately below.
             let suffix = prefill_len - seq.tokens();
-            let growth = self.pool.growth_blocks(seq.tokens(), suffix);
-            while self.pool.free_blocks() < growth {
-                if self.relieve_prefix_cache().is_none() {
-                    break;
-                }
-            }
+            self.make_room(self.pool.growth_blocks(seq.tokens(), suffix));
             match premigrated {
                 Some(export) => {
                     // Prefill was paid at the source: re-materialize
@@ -1980,11 +1980,11 @@ mod tests {
                 );
                 // Pool-side view: live sequences plus the prefix cache
                 // account for every held block (shared counted once).
-                let seq_blocks: std::collections::BTreeSet<u32> = session
+                let seq_blocks: std::collections::BTreeSet<_> = session
                     .live
                     .iter()
                     .filter_map(|&i| session.seqs[i].as_ref())
-                    .flat_map(|s| s.blocks().iter().copied())
+                    .flat_map(|s| s.block_ids())
                     .collect();
                 assert!(session.pool.blocks_in_use() >= seq_blocks.len() as u64);
             }

@@ -65,13 +65,6 @@ pub enum PublishOutcome {
     Unchanged,
 }
 
-impl PublishOutcome {
-    /// Whether the publish changed the directory at all.
-    pub fn changed(&self) -> bool {
-        !matches!(self, PublishOutcome::Unchanged)
-    }
-}
-
 /// The fleet-wide directory of spilled prefixes.
 ///
 /// Append-only within a serving episode: entries register and extend,

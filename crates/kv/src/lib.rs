@@ -7,21 +7,27 @@
 //! serving engine allocates through, vLLM-style:
 //!
 //! - [`KvBlockPool`] — a fixed-size pool of KV-cache *blocks* (each
-//!   holding `block_size` token slots), with per-block reference counts
-//!   so blocks can be shared between sequences. Allocation and release
-//!   are O(1) off a free list; the pool is pure bookkeeping — no tensor
-//!   data exists in the simulator, only occupancy.
-//! - [`KvSeq`] — one request's block list plus its logical token
-//!   count. Sequences grow by appending tokens ([`KvBlockPool::append`],
-//!   which allocates blocks on demand and transparently copies a shared
-//!   tail block on write), and can be forked from cached prefix blocks
-//!   without copying ([`KvBlockPool::fork_prefix`]).
+//!   holding `block_size` token slots) that blocks can be shared from.
+//!   Blocks are handed out in allocation segments, and each segment
+//!   counts its holders per run of equally-held blocks (almost always
+//!   one run), so fork, publish, release, evict and export cost per
+//!   span a holder has, not per block. The free count is
+//!   `total − in use`; the pool is pure bookkeeping — no tensor data
+//!   exists in the simulator, only occupancy, and no report carries a
+//!   block identity.
+//! - [`KvSeq`] — one request's spans of segments plus its block and
+//!   logical token counts. Sequences grow by appending tokens
+//!   ([`KvBlockPool::append`], which extends the tail segment in place
+//!   when the sequence holds its end and transparently copies a shared
+//!   tail block on write), and can be forked from another holder's
+//!   leading blocks without copying ([`KvBlockPool::fork`]).
 //! - [`PrefixTree`] — a prefix cache keyed by workload-level prefix
 //!   ids (a shared system prompt, a multi-turn conversation's context).
 //!   Entries hold references on *full* blocks of a completed context;
 //!   later requests carrying the same key fork those blocks instead of
-//!   re-prefilling, and an LRU eviction path returns cold prefixes to
-//!   the pool under pressure.
+//!   re-prefilling, and an LRU eviction path (the first entry of an
+//!   ordered `(last_use, key)` index) returns cold prefixes to the pool
+//!   under pressure.
 //! - [`KvTier`] — a host-DRAM / DIMM-PIM *capacity tier* below the
 //!   pool. When configured, eviction becomes a spill: the cold prefix's
 //!   hot blocks are freed but the tier remembers its logical length, so

@@ -5,8 +5,8 @@
 //! not each hold (nor each re-prefill) a private copy of it. The
 //! [`PrefixTree`] caches the *full blocks* of completed contexts under
 //! a workload-level key; an arriving request carrying the same key
-//! forks those blocks (refcount sharing, no copy) and prefills only
-//! its unshared suffix.
+//! forks those blocks (one more holder per span, no copy) and prefills
+//! only its unshared suffix.
 //!
 //! Structurally this is a radix tree specialized to the linear chains
 //! the workload generates: each conversation extends one path, so every
@@ -16,9 +16,9 @@
 //! forked sequence's appends land in fresh tail blocks (the pool's
 //! copy-on-write guard covers the remaining corner).
 
-use crate::pool::{BlockId, KvBlockPool, KvSeq};
+use crate::pool::{KvBlockPool, KvSeq};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// The workload's description of a request's shareable prompt prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -39,7 +39,8 @@ pub struct PrefixHint {
 
 #[derive(Debug, Clone)]
 struct PrefixNode {
-    blocks: Vec<BlockId>,
+    /// The cache's own hold on the entry's full blocks.
+    seq: KvSeq,
     last_use: u64,
     hits: u64,
 }
@@ -140,6 +141,8 @@ impl KvCacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct PrefixTree {
     nodes: HashMap<u64, PrefixNode>,
+    /// `(last_use, key)` of every entry: the LRU victim is the first.
+    lru: BTreeSet<(u64, u64)>,
     tick: u64,
 }
 
@@ -161,21 +164,21 @@ impl PrefixTree {
 
     /// Blocks the cache holds references on (shared blocks included).
     pub fn cached_blocks(&self) -> u64 {
-        self.nodes.values().map(|n| n.blocks.len() as u64).sum()
+        self.nodes.values().map(|n| n.seq.block_count()).sum()
     }
 
     /// Blocks only the cache holds (refcount 1) — what eviction could
-    /// return to the free list right now. O(1): the pool maintains the
-    /// count incrementally for the blocks this tree
-    /// [`track`](KvBlockPool::track)s (one tree per pool).
+    /// return to the free pool right now. O(1): the pool maintains the
+    /// count incrementally for the blocks this tree holds (one tree per
+    /// pool).
     pub fn evictable_blocks(&self, pool: &KvBlockPool) -> u64 {
         let evictable = pool.tracked_exclusive_blocks();
         debug_assert_eq!(
             evictable,
             self.nodes
                 .values()
-                .flat_map(|n| n.blocks.iter())
-                .filter(|&&b| pool.refcount(b) == 1)
+                .flat_map(|n| n.seq.block_ids())
+                .filter(|&b| pool.refcount(b) == 1)
                 .count() as u64,
             "incremental evictable counter drifted from the node scan"
         );
@@ -188,7 +191,7 @@ impl PrefixTree {
     /// commits).
     pub fn peek(&self, key: u64, want_tokens: u64, pool: &KvBlockPool) -> u64 {
         self.nodes.get(&key).map_or(0, |node| {
-            (node.blocks.len() as u64).min(want_tokens / pool.block_size()) * pool.block_size()
+            node.seq.block_count().min(want_tokens / pool.block_size()) * pool.block_size()
         })
     }
 
@@ -200,13 +203,15 @@ impl PrefixTree {
         self.tick += 1;
         let tick = self.tick;
         let node = self.nodes.get_mut(&key)?;
-        let usable = (node.blocks.len() as u64).min(want_tokens / pool.block_size()) as usize;
+        let usable = node.seq.block_count().min(want_tokens / pool.block_size());
         if usable == 0 {
             return None;
         }
+        self.lru.remove(&(node.last_use, key));
+        self.lru.insert((tick, key));
         node.last_use = tick;
         node.hits += 1;
-        Some(pool.fork_prefix(&node.blocks[..usable]))
+        Some(pool.fork(&node.seq, usable))
     }
 
     /// Publishes the first `tokens` of a completed context under `key`:
@@ -214,32 +219,25 @@ impl PrefixTree {
     /// context is longer. Returns `true` if anything was inserted or
     /// extended.
     ///
-    /// `blocks` must cover at least `tokens` token slots; only the
+    /// `seq` must cover at least `tokens` token slots; only its
     /// leading full blocks are cached.
-    pub fn publish(
-        &mut self,
-        key: u64,
-        blocks: &[BlockId],
-        tokens: u64,
-        pool: &mut KvBlockPool,
-    ) -> bool {
-        let full = (tokens / pool.block_size()) as usize;
-        debug_assert!(blocks.len() >= full, "publish beyond the held blocks");
+    pub fn publish(&mut self, key: u64, seq: &KvSeq, tokens: u64, pool: &mut KvBlockPool) -> bool {
+        let full = tokens / pool.block_size();
+        debug_assert!(seq.block_count() >= full, "publish beyond the held blocks");
         self.tick += 1;
         let node = self.nodes.entry(key).or_insert_with(|| PrefixNode {
-            blocks: Vec::new(),
+            seq: KvSeq::default(),
             last_use: 0,
             hits: 0,
         });
+        self.lru.remove(&(node.last_use, key));
+        self.lru.insert((self.tick, key));
         node.last_use = self.tick;
-        if full <= node.blocks.len() {
+        let cached = node.seq.block_count();
+        if full <= cached {
             return false;
         }
-        for &b in &blocks[node.blocks.len()..full] {
-            pool.retain(b);
-            pool.track(b);
-            node.blocks.push(b);
-        }
+        pool.cache_range(seq, cached, full, &mut node.seq);
         true
     }
 
@@ -256,21 +254,14 @@ impl PrefixTree {
     /// prefix instead of forgetting it.
     pub fn evict_lru_entry(&mut self, pool: &mut KvBlockPool) -> Option<EvictedPrefix> {
         // Ties break on the key so eviction order is deterministic.
-        let victim = self
-            .nodes
-            .iter()
-            .min_by_key(|(key, node)| (node.last_use, **key))
-            .map(|(key, _)| *key)?;
+        let (_, victim) = self.lru.pop_first()?;
         let node = self.nodes.remove(&victim).expect("victim exists");
-        for &b in &node.blocks {
-            pool.untrack(b);
-        }
-        let blocks = node.blocks.len() as u64;
+        let blocks = node.seq.block_count();
         Some(EvictedPrefix {
             key: victim,
             tokens: blocks * pool.block_size(),
             blocks,
-            freed: pool.release_blocks(&node.blocks),
+            freed: pool.release_cached(node.seq),
         })
     }
 
@@ -295,7 +286,7 @@ mod tests {
         let mut pool = KvBlockPool::new(16, 32);
         let mut tree = PrefixTree::new();
         let seq = seq_of(&mut pool, 50); // 4 blocks, 3 full
-        assert!(tree.publish(7, seq.blocks(), 50, &mut pool));
+        assert!(tree.publish(7, &seq, 50, &mut pool));
         assert_eq!(tree.cached_blocks(), 3);
         pool.release_seq(seq);
         assert_eq!(pool.blocks_in_use(), 3); // cache keeps the full blocks
@@ -315,7 +306,7 @@ mod tests {
         let mut tree = PrefixTree::new();
         assert!(tree.fork(1, 64, &mut pool).is_none());
         let seq = seq_of(&mut pool, 32);
-        tree.publish(1, seq.blocks(), 32, &mut pool);
+        tree.publish(1, &seq, 32, &mut pool);
         assert!(tree.fork(1, 15, &mut pool).is_none()); // under one block
         pool.release_seq(seq);
     }
@@ -325,13 +316,13 @@ mod tests {
         let mut pool = KvBlockPool::new(8, 32);
         let mut tree = PrefixTree::new();
         let short = seq_of(&mut pool, 16);
-        assert!(tree.publish(3, short.blocks(), 16, &mut pool));
+        assert!(tree.publish(3, &short, 16, &mut pool));
         // A longer context under the same key extends the entry…
         let long = seq_of(&mut pool, 40);
-        assert!(tree.publish(3, long.blocks(), 40, &mut pool));
+        assert!(tree.publish(3, &long, 40, &mut pool));
         assert_eq!(tree.cached_blocks(), 2 + 3);
         // …while a shorter republish is a no-op.
-        assert!(!tree.publish(3, short.blocks(), 16, &mut pool));
+        assert!(!tree.publish(3, &short, 16, &mut pool));
         pool.release_seq(short);
         pool.release_seq(long);
         assert_eq!(tree.evictable_blocks(&pool), 5);
@@ -343,7 +334,7 @@ mod tests {
         let mut tree = PrefixTree::new();
         for key in [1u64, 2, 3] {
             let seq = seq_of(&mut pool, 16);
-            tree.publish(key, seq.blocks(), 16, &mut pool);
+            tree.publish(key, &seq, 16, &mut pool);
             pool.release_seq(seq);
         }
         // Touch 1 so 2 becomes the coldest.
@@ -364,7 +355,7 @@ mod tests {
         let mut pool = KvBlockPool::new(8, 16);
         let mut tree = PrefixTree::new();
         let seq = seq_of(&mut pool, 16);
-        tree.publish(9, seq.blocks(), 16, &mut pool);
+        tree.publish(9, &seq, 16, &mut pool);
         let live = tree.fork(9, 64, &mut pool).expect("hit");
         pool.release_seq(seq);
         assert_eq!(tree.evictable_blocks(&pool), 0); // live fork holds them

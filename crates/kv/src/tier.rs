@@ -26,7 +26,7 @@
 //! [`SpillSpec`]/[`FetchSpec`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One spilled prefix: the logical record the tier keeps in place of
 /// the freed hot blocks.
@@ -78,6 +78,8 @@ pub struct KvTier {
     block_size: u64,
     budget_blocks: u64,
     entries: HashMap<u64, TierEntry>,
+    /// `(last_use, key)` of every entry, coldest first.
+    lru: BTreeSet<(u64, u64)>,
     blocks_in_use: u64,
     tick: u64,
 }
@@ -97,6 +99,7 @@ impl KvTier {
             block_size,
             budget_blocks,
             entries: HashMap::new(),
+            lru: BTreeSet::new(),
             blocks_in_use: 0,
             tick: 0,
         }
@@ -173,14 +176,13 @@ impl KvTier {
         while self.free_blocks() < need {
             // The incoming key must not be its own victim: skip it when
             // extending an existing record.
-            let victim = self
-                .entries
+            let victim = *self
+                .lru
                 .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(k, e)| (e.last_use, **k))
-                .map(|(k, _)| *k)
+                .find(|&&(_, k)| k != key)
                 .expect("budget check guarantees a victim exists");
-            let dropped = self.entries.remove(&victim).expect("victim exists");
+            self.lru.remove(&victim);
+            let dropped = self.entries.remove(&victim.1).expect("victim exists");
             let freed = self.blocks_for(dropped.tokens);
             self.blocks_in_use -= freed;
             outcome.evicted_entries += 1;
@@ -192,6 +194,8 @@ impl KvTier {
             last_use: 0,
         });
         entry.tokens = entry.tokens.max(tokens);
+        self.lru.remove(&(entry.last_use, key));
+        self.lru.insert((self.tick, key));
         entry.last_use = self.tick;
         self.blocks_in_use += need;
         outcome.accepted = true;
@@ -204,6 +208,7 @@ impl KvTier {
     /// one tier at a time.
     pub fn fetch(&mut self, key: u64) -> Option<u64> {
         let entry = self.entries.remove(&key)?;
+        self.lru.remove(&(entry.last_use, key));
         self.blocks_in_use -= self.blocks_for(entry.tokens);
         Some(entry.tokens)
     }
@@ -213,6 +218,7 @@ impl KvTier {
     /// re-provisioning).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.lru.clear();
         self.blocks_in_use = 0;
         self.tick = 0;
     }

@@ -1,48 +1,88 @@
 //! Model-based property test for [`KvBlockPool`]: arbitrary
-//! alloc / append / fork / release sequences never leak blocks, never
+//! alloc / append / fork / release sequences — and prefix-cache
+//! publish / fork / evict traffic — never leak blocks, never
 //! double-free, and every block's refcount always equals the number of
 //! live holders.
 //!
-//! The model is the set of live [`KvSeq`]s itself: after every
-//! operation the pool's counters are re-derived from the sequences'
-//! block lists and compared against the pool's own bookkeeping.
+//! The model is the set of live [`KvSeq`]s plus a mirror of every
+//! [`PrefixTree`] entry's block list: after every operation the pool's
+//! counters are re-derived from those holders and compared against the
+//! pool's own bookkeeping.
 
-use papi_kv::{BlockId, KvBlockPool, KvSeq, KvTier};
+use papi_kv::{BlockId, KvBlockPool, KvSeq, KvTier, PrefixTree};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-fn check_against_model(pool: &KvBlockPool, seqs: &[KvSeq]) {
-    // Re-derive per-block holder counts from the live sequences.
-    let mut holders: HashMap<BlockId, u32> = HashMap::new();
+/// Mirror of a [`PrefixTree`]: each key's cached block ids.
+type TreeModel = HashMap<u64, Vec<BlockId>>;
+
+fn check_against_model(pool: &KvBlockPool, seqs: &[KvSeq], seen: &mut HashSet<BlockId>) {
+    check_with_cache(pool, seqs, &TreeModel::new(), None, seen);
+}
+
+/// `seen` accumulates every block id ever held, so a block no holder
+/// keeps any more is checked to have dropped to refcount zero.
+fn check_with_cache(
+    pool: &KvBlockPool,
+    seqs: &[KvSeq],
+    cache: &TreeModel,
+    tree: Option<&PrefixTree>,
+    seen: &mut HashSet<BlockId>,
+) {
+    // Re-derive per-block holder counts from the live sequences and
+    // the cache entries: `(holders, cache holders)`.
+    let mut holders: HashMap<BlockId, (u32, u32)> = HashMap::new();
     for seq in seqs {
-        for &b in seq.blocks() {
-            *holders.entry(b).or_insert(0) += 1;
+        for b in seq.block_ids() {
+            holders.entry(b).or_default().0 += 1;
         }
     }
+    for &b in cache.values().flatten() {
+        let h = holders.entry(b).or_default();
+        h.0 += 1;
+        h.1 += 1;
+    }
     // No leaks, no phantom blocks: in-use is exactly the held set, and
-    // the free list is its complement.
+    // the free blocks are its complement.
     assert_eq!(pool.blocks_in_use(), holders.len() as u64);
     assert_eq!(
         pool.free_blocks() + pool.blocks_in_use(),
         pool.total_blocks()
     );
     // Refcounts match live holders, block by block.
-    for b in 0..pool.total_blocks() as BlockId {
+    for (&b, &(rc, _)) in &holders {
         assert_eq!(
             pool.refcount(b),
-            holders.get(&b).copied().unwrap_or(0),
+            rc,
             "block {b}: pool refcount disagrees with live holders"
         );
     }
+    seen.extend(holders.keys());
+    for &b in seen.iter().filter(|b| !holders.contains_key(b)) {
+        assert_eq!(pool.refcount(b), 0, "block {b}: released but still counted");
+    }
+    // Evictable blocks: those whose one holder is a cache entry.
+    let exclusive = holders.values().filter(|&&h| h == (1, 1)).count() as u64;
+    assert_eq!(pool.tracked_exclusive_blocks(), exclusive);
+    if let Some(tree) = tree {
+        assert_eq!(tree.evictable_blocks(pool), exclusive);
+        assert_eq!(tree.len(), cache.len());
+        let cached: usize = cache.values().map(Vec::len).sum();
+        assert_eq!(tree.cached_blocks(), cached as u64);
+    }
     // Every sequence keeps the capacity invariant.
     for seq in seqs {
-        assert_eq!(seq.blocks().len() as u64, pool.blocks_for(seq.tokens()));
+        assert_eq!(seq.block_count(), pool.blocks_for(seq.tokens()));
+        assert_eq!(seq.block_ids().count() as u64, seq.block_count());
     }
 }
 
 fn run_ops(block_size: u64, total_blocks: u64, ops: &[(u8, u64)]) {
     let mut pool = KvBlockPool::new(block_size, total_blocks);
+    let mut tree = PrefixTree::new();
+    let mut cache = TreeModel::new();
     let mut seqs: Vec<KvSeq> = Vec::new();
+    let mut seen = HashSet::new();
     for &(op, arg) in ops {
         match op {
             // Open a fresh sequence and append up to `arg` tokens.
@@ -70,11 +110,8 @@ fn run_ops(block_size: u64, total_blocks: u64, ops: &[(u8, u64)]) {
             // Fork the full-block prefix of an existing sequence.
             2 if !seqs.is_empty() => {
                 let idx = arg as usize % seqs.len();
-                let full = (seqs[idx].tokens() / block_size) as usize;
-                let prefix: Vec<BlockId> = seqs[idx].blocks()[..full].to_vec();
-                let forked = pool.fork_prefix(&prefix);
-                assert_eq!(forked.tokens(), full as u64 * block_size);
-                seqs.push(forked);
+                let full = seqs[idx].tokens() / block_size;
+                fork_and_check(&mut pool, &mut seqs, idx, full);
             }
             // Release a sequence.
             3 if !seqs.is_empty() => {
@@ -95,22 +132,87 @@ fn run_ops(block_size: u64, total_blocks: u64, ops: &[(u8, u64)]) {
                 let export = pool.export_seq(seq);
                 assert_eq!(export.tokens, tokens);
                 assert_eq!(export.blocks, pool.blocks_for(tokens));
-                check_against_model(&pool, &seqs); // in flight: holds nothing
+                check_with_cache(&pool, &seqs, &cache, Some(&tree), &mut seen); // in flight: holds nothing
                 if let Some(imported) = pool.import_seq(export) {
                     assert_eq!(imported.tokens(), tokens);
                     seqs.push(imported);
                 }
             }
+            // Publish a sequence's leading tokens into the prefix cache
+            // under a small key space, so extensions, no-op republishes
+            // and one block cached under two keys all happen.
+            5 if !seqs.is_empty() => {
+                let seq = &seqs[arg as usize % seqs.len()];
+                let key = arg % 3;
+                let full = (arg / 3 % 9).min(seq.tokens() / block_size);
+                let entry = cache.entry(key).or_default();
+                let grows = full as usize > entry.len();
+                if grows {
+                    let have = entry.len();
+                    entry.extend(seq.block_ids().skip(have).take(full as usize - have));
+                }
+                assert_eq!(tree.publish(key, seq, full * block_size, &mut pool), grows);
+            }
+            // Fork a cached prefix: the fork shares the entry's blocks.
+            6 => {
+                let key = arg % 3;
+                let want = arg / 3 % 9 * block_size;
+                let usable = cache
+                    .get(&key)
+                    .map_or(0, |e| (e.len() as u64).min(want / block_size));
+                assert_eq!(tree.peek(key, want, &pool), usable * block_size);
+                match tree.fork(key, want, &mut pool) {
+                    Some(fork) => {
+                        assert!(fork
+                            .block_ids()
+                            .eq(cache[&key][..usable as usize].iter().copied()));
+                        seqs.push(fork);
+                    }
+                    None => assert_eq!(usable, 0),
+                }
+            }
+            // Evict the coldest entry; it frees exactly the blocks no
+            // one else holds.
+            7 => {
+                let in_use = pool.blocks_in_use();
+                match tree.evict_lru_entry(&mut pool) {
+                    Some(evicted) => {
+                        let blocks = cache.remove(&evicted.key).expect("evicted a cached key");
+                        assert_eq!(evicted.blocks, blocks.len() as u64);
+                        assert_eq!(evicted.tokens, evicted.blocks * block_size);
+                        assert_eq!(pool.blocks_in_use(), in_use - evicted.freed);
+                    }
+                    None => assert!(cache.is_empty()),
+                }
+            }
+            // Fork any number of full blocks, from none to all of them
+            // (a partial fork splits the holder runs).
+            8 if !seqs.is_empty() => {
+                let idx = arg as usize % seqs.len();
+                let full = arg % (seqs[idx].tokens() / block_size + 1);
+                fork_and_check(&mut pool, &mut seqs, idx, full);
+            }
             _ => {}
         }
-        check_against_model(&pool, &seqs);
+        check_with_cache(&pool, &seqs, &cache, Some(&tree), &mut seen);
     }
     // Draining everything returns the pool to pristine.
     for seq in seqs.drain(..) {
         pool.release_seq(seq);
     }
+    tree.clear(&mut pool);
     assert_eq!(pool.blocks_in_use(), 0);
     assert_eq!(pool.free_blocks(), pool.total_blocks());
+}
+
+/// Forks the first `full` blocks of `seqs[idx]`; the fork must share
+/// exactly those blocks.
+fn fork_and_check(pool: &mut KvBlockPool, seqs: &mut Vec<KvSeq>, idx: usize, full: u64) {
+    let forked = pool.fork(&seqs[idx], full);
+    assert_eq!(forked.tokens(), full * pool.block_size());
+    let prefix: Vec<BlockId> = seqs[idx].block_ids().take(full as usize).collect();
+    assert!(forked.block_ids().eq(prefix));
+    seqs.push(forked);
 }
 
 /// Mirrors the tier against a model map, tolerating the tier's own LRU
@@ -143,6 +245,7 @@ fn run_tier_ops(block_size: u64, total_blocks: u64, budget_blocks: u64, ops: &[(
     let mut tier = KvTier::new(block_size, budget_blocks);
     let mut seqs: Vec<KvSeq> = Vec::new();
     let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut seen = HashSet::new();
     for &(op, arg) in ops {
         match op {
             // Open a fresh sequence and append up to `arg` tokens (a
@@ -198,7 +301,7 @@ fn run_tier_ops(block_size: u64, total_blocks: u64, budget_blocks: u64, ops: &[(
             }
             _ => {}
         }
-        check_against_model(&pool, &seqs);
+        check_against_model(&pool, &seqs, &mut seen);
         sync_tier_model(&tier, &mut model);
     }
     // Draining both tiers returns everything to pristine.
@@ -212,6 +315,28 @@ fn run_tier_ops(block_size: u64, total_blocks: u64, budget_blocks: u64, ops: &[(
     assert_eq!(pool.blocks_in_use(), 0);
     assert_eq!(tier.blocks_in_use(), 0);
     assert!(tier.is_empty());
+}
+
+/// A cache entry extended from a second sequence holds that
+/// sequence's later blocks while a fork holds its first: the two runs
+/// have equal refcounts but different cache holders, and must stay
+/// apart, or eviction accounting drifts once the sequence is released.
+#[test]
+fn cache_extension_beside_a_fork_keeps_runs_apart() {
+    let mut pool = KvBlockPool::new(8, 16);
+    let mut tree = PrefixTree::new();
+    let (mut a, mut b) = (pool.new_seq(), pool.new_seq());
+    assert!(pool.append(&mut a, 8) && pool.append(&mut b, 24));
+    let fork = pool.fork(&b, 1);
+    assert!(tree.publish(7, &a, 8, &mut pool));
+    assert!(tree.publish(7, &b, 24, &mut pool)); // caches b's blocks 1..3
+    let mut cache = TreeModel::new();
+    cache.insert(7, a.block_ids().chain(b.block_ids().skip(1)).collect());
+    let mut seen = HashSet::new();
+    pool.release_seq(b);
+    let seqs = [a, fork];
+    check_with_cache(&pool, &seqs, &cache, Some(&tree), &mut seen);
+    assert_eq!(pool.tracked_exclusive_blocks(), 2);
 }
 
 proptest! {
@@ -233,6 +358,26 @@ proptest! {
         // Tier budget of 24 blocks at block 16 — small enough that
         // LRU drops and whole-record rejections both fire.
         run_tier_ops(16, 48, 24, &ops);
+    }
+
+    /// Prefix-cache traffic and partial forks on top of sequence
+    /// traffic: cache entries count as holders, and the pool's
+    /// evictable count always equals the blocks whose only holder is a
+    /// cache entry.
+    #[test]
+    fn prefix_cache_holds_match_the_model(
+        ops in proptest::collection::vec((0u8..9, 0u64..64), 1..160),
+    ) {
+        run_ops(8, 96, &ops);
+    }
+
+    /// The same traffic at block size 1, where sequences hold dozens of
+    /// blocks and forks cut anywhere inside a segment.
+    #[test]
+    fn scalar_prefix_cache_holds_match_the_model(
+        ops in proptest::collection::vec((0u8..9, 0u64..64), 1..160),
+    ) {
+        run_ops(1, 400, &ops);
     }
 
     #[test]
@@ -263,7 +408,8 @@ proptest! {
             seqs.push(seq);
         }
         let before = pool.stats();
-        check_against_model(&pool, &seqs);
+        let mut seen = HashSet::new();
+        check_against_model(&pool, &seqs, &mut seen);
 
         let exports: Vec<_> = seqs.drain(..).map(|s| pool.export_seq(s)).collect();
         prop_assert_eq!(pool.blocks_in_use(), 0);
@@ -275,7 +421,7 @@ proptest! {
             seqs.push(imported);
         }
         prop_assert_eq!(pool.stats(), before);
-        check_against_model(&pool, &seqs);
+        check_against_model(&pool, &seqs, &mut seen);
 
         for seq in seqs {
             pool.release_seq(seq);
