@@ -392,17 +392,26 @@ impl SharedTierControl {
     /// barrier with identical per-session egress, so merging in a
     /// fixed order keeps them bit-for-bit equal), and merges
     /// registrations into the fleet directory — in place: sessions drop
-    /// their views first and get the same `Arc` re-installed.
+    /// their views first and get the same `Arc` re-installed. A barrier
+    /// with nothing to register leaves the directory and the views
+    /// alone.
     fn harvest(&mut self, sessions: &mut [ServingSession<'_>]) {
-        for session in sessions.iter_mut() {
-            session.release_global_view();
-        }
-        debug_assert_eq!(Arc::strong_count(&self.directory), 1, "a view was kept");
-        let directory = Arc::make_mut(&mut self.directory);
-        for (idx, session) in sessions.iter_mut().enumerate() {
-            for (key, tokens) in session.drain_global_publishes() {
-                directory.publish(key, idx, tokens);
+        if sessions.iter().any(ServingSession::has_global_publishes) {
+            for session in sessions.iter_mut() {
+                session.release_global_view();
             }
+            debug_assert_eq!(Arc::strong_count(&self.directory), 1, "a view was kept");
+            let directory = Arc::make_mut(&mut self.directory);
+            for (idx, session) in sessions.iter_mut().enumerate() {
+                for (key, tokens) in session.drain_global_publishes() {
+                    directory.publish(key, idx, tokens);
+                }
+            }
+            for session in sessions.iter_mut() {
+                session.install_global_view(Arc::clone(&self.directory));
+            }
+        }
+        for session in sessions.iter_mut() {
             for fetch in session.drain_global_fetches() {
                 self.fetches += 1;
                 self.fetched_tokens += fetch.tokens;
@@ -410,9 +419,6 @@ impl SharedTierControl {
                 self.energy += fetch.cost.energy;
                 self.latencies.push(fetch.cost.time);
             }
-        }
-        for session in sessions.iter_mut() {
-            session.install_global_view(Arc::clone(&self.directory));
         }
     }
 

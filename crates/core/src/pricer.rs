@@ -263,12 +263,15 @@ type ShapeKey = (Placement, u64, u64);
 /// per-pricer table keyed by `(placement, rlp, tlp)` holds the FC and
 /// communication cost and the planned attention kernel, and only the
 /// attention kernel runs at each iteration's KV length. Decode batches
-/// hold their shape for many iterations, so the table almost always
-/// hits.
+/// hold their shape for many iterations, so the pricer keeps the last
+/// shape's row at hand and probes the table only when the shape
+/// changes.
 #[derive(Debug, Clone)]
 pub struct IterationPricer<'a> {
     config: &'a SystemConfig,
     shapes: FxMap<ShapeKey, ShapeCost>,
+    /// The row of the shape priced last.
+    last: Option<(ShapeKey, ShapeCost)>,
     other_time: Time,
     static_power: Power,
     shared: Option<Arc<SharedIterationCache>>,
@@ -286,6 +289,7 @@ impl<'a> IterationPricer<'a> {
         Self {
             config,
             shapes: FxMap::default(),
+            last: None,
             other_time: config.dispatch_per_layer * layers + config.dispatch_per_iteration,
             static_power,
             shared: None,
@@ -330,11 +334,15 @@ impl<'a> IterationPricer<'a> {
         kv_per_request: u64,
     ) -> IterationCost {
         let key = (placement, it.rlp, it.tlp);
-        let config = self.config;
-        let shape = *self
-            .shapes
-            .entry(key)
-            .or_insert_with(|| shape_cost(config, key));
+        if self.last.as_ref().is_none_or(|(last, _)| *last != key) {
+            let config = self.config;
+            let shape = *self
+                .shapes
+                .entry(key)
+                .or_insert_with(|| shape_cost(config, key));
+            self.last = Some((key, shape));
+        }
+        let (_, shape) = self.last.as_ref().expect("the last shape was just set");
 
         let layers = self.config.model.layers as f64;
         let attn = shape.attention.execute(kv_per_request);

@@ -522,6 +522,7 @@ impl ServingEngine {
             queue: VecDeque::new(),
             live: Vec::new(),
             scratch_idx: Vec::new(),
+            scratch_lanes: Vec::new(),
             phases: PhaseBreakdown::default(),
             energy: Energy::ZERO,
             prefill_time: Time::ZERO,
@@ -629,6 +630,19 @@ struct TierState {
     block_bytes: Bytes,
 }
 
+/// One decoding request's state during a decode leap, whose pool
+/// appends wait for the leap's end.
+#[derive(Debug, Clone, Copy)]
+struct DecodeLane {
+    /// Tokens banked during the leap, not yet appended.
+    banked: u64,
+    /// Unwritten slots left in the tail block, counting the banked
+    /// tokens as written.
+    slack: u64,
+    /// Whether the first append copies a shared tail block on write.
+    copy_on_write: bool,
+}
+
 /// One serving engine's in-flight state, steppable round by round.
 ///
 /// [`ServingEngine::run`] is `open_session` + push everything + step to
@@ -697,6 +711,9 @@ pub struct ServingSession<'a> {
     /// the fleet simulator's hot loop, and a fresh heap allocation per
     /// iteration is measurable at 64-replica scale.
     scratch_idx: Vec<usize>,
+    /// Reused per-request state of a decode leap, parallel to the
+    /// decode batch.
+    scratch_lanes: Vec<DecodeLane>,
     phases: PhaseBreakdown,
     energy: Energy,
     prefill_time: Time,
@@ -958,6 +975,15 @@ impl ServingSession<'_> {
         }
     }
 
+    /// Whether accepted spills are waiting for fleet-wide registration
+    /// (what [`drain_global_publishes`](Self::drain_global_publishes)
+    /// would return is non-empty).
+    pub(crate) fn has_global_publishes(&self) -> bool {
+        self.global
+            .as_ref()
+            .is_some_and(|s| !s.publish_egress.is_empty())
+    }
+
     /// Takes the `(key, tokens)` records this session's accepted spills
     /// queued for fleet-wide registration since the last drain. Empty
     /// unless the shared tier is enabled.
@@ -1204,7 +1230,37 @@ impl ServingSession<'_> {
             .collect()
     }
 
-    fn track_kv_peaks(&mut self) {
+    /// Allocated-but-unwritten token slots across the live sequences,
+    /// when they could still raise the peak fragmentation with `in_use`
+    /// blocks in use or more: `None` at block size 1 (no slot is ever
+    /// unwritten), with an empty pool, or when even the largest possible
+    /// slack — `block_size - 1` per sequence — cannot beat the recorded
+    /// peak.
+    fn fragmentation_slack(&self, in_use: u64) -> Option<u64> {
+        let block_size = self.pool.block_size();
+        if block_size == 1 || in_use == 0 {
+            return None;
+        }
+        let bound =
+            (self.live.len() as u64 * (block_size - 1)) as f64 / (in_use * block_size) as f64;
+        if bound <= self.kv_stats.peak_fragmentation {
+            return None;
+        }
+        Some(
+            self.live
+                .iter()
+                .filter_map(|&i| self.seqs[i].as_ref())
+                .map(|seq| seq.slack(block_size))
+                .sum(),
+        )
+    }
+
+    /// Folds the current footprint into the peak statistics: `in_use`
+    /// pool blocks and, from
+    /// [`fragmentation_slack`](Self::fragmentation_slack), the unwritten
+    /// slots across the live sequences. A decode leap passes its running
+    /// counts, since its appends reach the pool only when it ends.
+    fn track_kv_peaks(&mut self, in_use: u64, slack: Option<u64>) {
         // Resident logical tokens: every decoded context plus what
         // mid-prefill requests have actually written so far (their
         // cached prefix counts — those blocks are resident). With
@@ -1224,25 +1280,11 @@ impl ServingSession<'_> {
             self.kv_tokens - self.prefilling_kv_tokens + written_prefilling
         };
         self.peak_kv_tokens = self.peak_kv_tokens.max(resident);
-        let in_use = self.pool.blocks_in_use();
         self.kv_stats.peak_blocks_in_use = self.kv_stats.peak_blocks_in_use.max(in_use);
-        let block_size = self.pool.block_size();
-        if block_size > 1 && in_use > 0 {
-            // Per-sequence slack tops out at `block_size - 1`; when even
-            // that bound cannot beat the recorded peak, skip the scan.
-            let bound =
-                (self.live.len() as u64 * (block_size - 1)) as f64 / (in_use * block_size) as f64;
-            if bound > self.kv_stats.peak_fragmentation {
-                let slack: u64 = self
-                    .live
-                    .iter()
-                    .filter_map(|&i| self.seqs[i].as_ref())
-                    .map(|seq| seq.slack(block_size))
-                    .sum();
-                let fraction = slack as f64 / (in_use * block_size) as f64;
-                if fraction > self.kv_stats.peak_fragmentation {
-                    self.kv_stats.peak_fragmentation = fraction;
-                }
+        if let Some(slack) = slack {
+            let fraction = slack as f64 / (in_use * self.pool.block_size()) as f64;
+            if fraction > self.kv_stats.peak_fragmentation {
+                self.kv_stats.peak_fragmentation = fraction;
             }
         }
     }
@@ -1251,16 +1293,75 @@ impl ServingSession<'_> {
     /// by its priced cost. Returns [`SessionStatus::Idle`] when every
     /// pushed request has finished.
     ///
+    /// A steady batch — every live request decoding, nothing queued,
+    /// mid-prefill or due to arrive yet, no export duty — has no
+    /// admission, prefill or export work to do, so its round is a
+    /// one-iteration decode leap; the leap's pool-growth guard hands
+    /// back to the full round when KV growth would need eviction or
+    /// preemption.
+    ///
     /// # Panics
     ///
     /// Panics if a single request's KV cache cannot fit the attention
     /// pool, or if the episode exceeds the engine's iteration safety
     /// valve.
     pub fn step(&mut self) -> SessionStatus {
-        papi_perf::phase!("step");
         if !self.has_pending_work() {
             return SessionStatus::Idle;
         }
+        self.advance(1, f64::INFINITY);
+        SessionStatus::Advanced
+    }
+
+    /// Runs this session forward until its clock reaches `bound` or it
+    /// runs out of work. Exactly equivalent to calling
+    /// [`step`](Self::step) in a loop while
+    /// [`has_pending_work`](Self::has_pending_work) holds and the clock
+    /// is below `bound`, but a steady batch leaps: it decodes iteration
+    /// after iteration in one call until a request finishes, the clock
+    /// reaches `bound` or the next arrival, or KV growth needs the full
+    /// round's eviction and preemption. The parallel cluster loop uses
+    /// this to burst replicas between control-plane events.
+    pub fn run_until(&mut self, bound: f64) {
+        while self.has_pending_work() && self.clock < bound {
+            self.advance(u64::MAX, bound);
+        }
+    }
+
+    /// Advances like one [`step`](Self::step), or — with `limit` above
+    /// one — like that many steady steps while the clock stays below
+    /// `bound`: a decode leap when the batch is steady, else one full
+    /// round.
+    fn advance(&mut self, limit: u64, bound: f64) {
+        papi_perf::phase!("step");
+        // The next un-ingested arrival (for a migrated entry, its
+        // delivery instant); the round ingests it once the clock
+        // reaches it.
+        let upcoming = self
+            .available_s
+            .get(self.next_arrival)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        let steady = !self.live.is_empty()
+            && upcoming > self.clock
+            && self.queue.is_empty()
+            && self.prefilling_kv_tokens == 0
+            && !self.export_prefills;
+        if steady {
+            let mut decoding = std::mem::take(&mut self.scratch_idx);
+            decoding.clear();
+            decoding.extend_from_slice(&self.live);
+            if self.decode(decoding, limit, bound.min(upcoming), true) > 0 {
+                return;
+            }
+        }
+        self.round();
+    }
+
+    /// The full round: ingest, admission, prefill, export, eviction and
+    /// preemption, then one decode iteration over the decode-ready
+    /// batch.
+    fn round(&mut self) {
         // --- ingest arrivals up to the current clock ---
         self.ingest();
         // Idle system: jump to the next arrival (for a migrated entry,
@@ -1276,10 +1377,10 @@ impl ServingSession<'_> {
         //     single-request capacity assert), the admission policy the
         //     decision. An empty batch always admits, so no policy can
         //     stall the episode. ---
-        // One footprint list per step, built lazily on the first policy
-        // consult (the steady-state decode step admits nobody and must
-        // not allocate) and extended as candidates join, so the
-        // per-candidate policy call allocates nothing.
+        // One footprint list per round, built lazily on the first policy
+        // consult (a round that admits nobody must not allocate) and
+        // extended as candidates join, so the per-candidate policy call
+        // allocates nothing.
         let mut live_kv: Option<Vec<u64>> = None;
         while (self.live.len() as u64) < self.engine.tuning.max_batch {
             let Some(&candidate) = self.queue.front() else {
@@ -1398,8 +1499,8 @@ impl ServingSession<'_> {
         //     remaining first, interleaved with decode) ---
         let mut wave = PromptStats::default();
         let mut budget = self.engine.tuning.prefill_chunk.unwrap_or(u64::MAX);
-        // Steady-state decode steps have nothing mid-prefill; the scan
-        // below is a handful of state reads and skips the list build.
+        // Decode-only rounds have nothing mid-prefill; the scan below is
+        // a handful of state reads and skips the list build.
         let any_prefilling = self
             .live
             .iter()
@@ -1556,172 +1657,198 @@ impl ServingSession<'_> {
                 "a step must advance prefill, export, or decode"
             );
             self.scratch_idx = decoding;
-            self.track_kv_peaks();
-            return SessionStatus::Advanced;
+            let in_use = self.pool.blocks_in_use();
+            self.track_kv_peaks(in_use, self.fragmentation_slack(in_use));
+            return;
         }
-        let total_kv_len = self.kv_tokens - self.prefilling_kv_tokens;
-        let max_kv_len = decoding
-            .iter()
-            .map(|&i| self.requests[i].kv_len())
-            .max()
-            .unwrap_or(1);
-        self.decode_round(decoding, total_kv_len, max_kv_len);
-        SessionStatus::Advanced
+        // The guard above already cleared (or relieved) this iteration.
+        self.decode(decoding, 1, f64::INFINITY, false);
     }
 
-    /// Runs this session forward until its clock reaches `bound` or it
-    /// runs out of work. Exactly equivalent to calling
-    /// [`step`](Self::step) in a loop while
-    /// [`has_pending_work`](Self::has_pending_work) holds and the clock
-    /// is below `bound`, but steady-state decode steps — no pending
-    /// arrivals, an empty admission queue, nothing mid-prefill — take a
-    /// fast path that skips the ingest/admission/prefill machinery the
-    /// full step would discover to be no-ops. The parallel cluster loop
-    /// uses this to burst replicas between control-plane events.
-    pub fn run_until(&mut self, bound: f64) {
-        while self.has_pending_work() && self.clock < bound {
-            // Anything that could feed the batch this step — an
-            // un-ingested arrival, a queued request, a mid-prefill
-            // prompt, or prefill-export duty — takes the full step.
-            let steady = self.next_arrival == self.requests.len()
-                && self.queue.is_empty()
-                && self.prefilling_kv_tokens == 0
-                && !self.export_prefills;
-            if !steady || !self.fast_decode_step() {
-                self.step();
-            }
-        }
-    }
-
-    /// The steady-state decode step: every live request is decoding and
-    /// nothing can join the batch, so the step is guard + decode round.
-    /// Returns `false` without side effects when this iteration's KV
-    /// growth would overflow the pool — the caller falls back to
-    /// [`step`](Self::step), which owns eviction and preemption.
-    fn fast_decode_step(&mut self) -> bool {
-        // `has_pending_work` plus drained arrivals/queue means the
-        // remaining work is all live — and with nothing mid-prefill,
-        // all decoding.
-        debug_assert!(!self.live.is_empty());
-        let rlp = self.live.len() as u64;
-        let tlp = self.tlp_policy.length_at(rlp, self.speculation.length);
-        let mut growth = 0u64;
-        let mut max_kv_len = 0u64;
-        for pos in 0..self.live.len() {
-            let i = self.live[pos];
-            let kv = self.requests[i].kv_len();
-            growth += self.pool.growth_blocks(kv, tlp);
-            max_kv_len = max_kv_len.max(kv);
-        }
-        if self.pool.blocks_in_use() + growth > self.pool.total_blocks() {
-            return false;
-        }
-        papi_perf::phase!("step");
-        let mut decoding = std::mem::take(&mut self.scratch_idx);
-        decoding.clear();
-        decoding.extend_from_slice(&self.live);
-        let total_kv_len = self.kv_tokens;
-        self.decode_round(decoding, total_kv_len, max_kv_len);
-        true
-    }
-
-    /// One decoding iteration over `decoding` (which the caller
-    /// guarantees fits the pool): sample acceptance, bank tokens, price
-    /// the batch, advance the clock, retire finishers. Takes the scratch
-    /// index buffer by value and hands it back to `self.scratch_idx`.
-    fn decode_round(&mut self, decoding: Vec<usize>, total_kv_len: u64, max_kv_len: u64) {
+    /// Runs decode iterations over `decoding` back to back — a decode
+    /// leap — and returns how many ran. Each iteration samples
+    /// acceptance per request in `decoding` order, asks the scheduler
+    /// for a placement, prices the batch at that iteration's KV length
+    /// and advances the clock, exactly as consecutive steps would; the
+    /// leap ends after `limit` iterations, after the first iteration in
+    /// which a request finishes, once the clock reaches `stop_s`, or
+    /// before an iteration whose worst-case KV growth would overflow
+    /// the pool (the full round owns eviction and preemption). With
+    /// `guarded` off, the caller has already run that guard for the
+    /// first iteration.
+    ///
+    /// What the batch does not change between iterations is hoisted:
+    /// pool appends are deferred to one per sequence at the end (and
+    /// the pricer probes its shape table only when the placement
+    /// changes). Until then the guard and the peak
+    /// statistics read running block counts that include the deferred
+    /// tokens (and a copy-on-write tail's extra block), so every value
+    /// matches what per-iteration appends would have produced.
+    fn decode(&mut self, decoding: Vec<usize>, limit: u64, stop_s: f64, guarded: bool) -> u64 {
         let rlp = decoding.len() as u64;
         let tlp = self.tlp_policy.length_at(rlp, self.speculation.length);
-        self.peak_rlp = self.peak_rlp.max(rlp);
-
-        let placement = self.scheduler.decide(rlp, tlp);
-
-        let mut new_tokens = 0u64;
-        let mut finished = 0u64;
-        let mut finishers: Vec<usize> = Vec::new();
-        let mut first_timers: Vec<usize> = Vec::new();
+        let block_size = self.pool.block_size();
+        let total_blocks = self.pool.total_blocks();
+        // Growing by `tlp` tokens takes a sequence at most
+        // `ceil(tlp / block_size)` blocks, so while that much is free
+        // the exact guard below cannot fail.
+        let worst_growth = rlp * tlp.div_ceil(block_size);
+        let mut in_use = self.pool.blocks_in_use();
+        // Blocks in use only grow during a leap, so a slack that cannot
+        // raise the peak fragmentation now never will before it ends.
+        let mut slack = self.fragmentation_slack(in_use);
+        let mut max_kv_len = 0;
+        let mut lanes = std::mem::take(&mut self.scratch_lanes);
+        lanes.clear();
         for &i in &decoding {
-            let banked = self
-                .speculation
-                .acceptance
-                .sample(tlp, &mut self.rng)
-                .min(self.requests[i].remaining());
-            if self.requests[i].generated == 0 && banked > 0 {
-                first_timers.push(i);
+            debug_assert_eq!(self.requests[i].state, RequestState::Decoding);
+            let seq = self.seqs[i]
+                .as_ref()
+                .expect("decoding request holds a sequence");
+            lanes.push(DecodeLane {
+                banked: 0,
+                slack: seq.slack(block_size),
+                copy_on_write: self.pool.tail_shared(seq),
+            });
+            max_kv_len = max_kv_len.max(self.requests[i].kv_len());
+        }
+        let mut iterations = 0;
+        let mut finished = 0;
+        while iterations < limit && finished == 0 && self.clock < stop_s {
+            if (guarded || iterations > 0) && in_use + worst_growth > total_blocks {
+                let growth: u64 = decoding
+                    .iter()
+                    .map(|&i| self.pool.growth_blocks(self.requests[i].kv_len(), tlp))
+                    .sum();
+                if in_use + growth > total_blocks {
+                    break;
+                }
             }
-            self.requests[i].generated += banked;
+            self.peak_rlp = self.peak_rlp.max(rlp);
+            let placement = self.scheduler.decide(rlp, tlp);
+            let total_kv_len = self.kv_tokens - self.prefilling_kv_tokens;
+            let iteration_max_kv = max_kv_len;
+            let mut new_tokens = 0u64;
+            let mut first_timers: Vec<usize> = Vec::new();
+            for (lane, &i) in lanes.iter_mut().zip(&decoding) {
+                let request = &mut self.requests[i];
+                let banked = self
+                    .speculation
+                    .acceptance
+                    .sample(tlp, &mut self.rng)
+                    .min(request.remaining());
+                if request.generated == 0 && banked > 0 {
+                    first_timers.push(i);
+                }
+                request.generated += banked;
+                if banked > 0 {
+                    // What `append` would allocate: the copied tail on
+                    // the first write, then blocks past the tail's slack.
+                    in_use += u64::from(std::mem::take(&mut lane.copy_on_write));
+                    let before = lane.slack;
+                    if banked <= lane.slack {
+                        lane.slack -= banked;
+                    } else {
+                        let over = banked - lane.slack;
+                        let grown = over.div_ceil(block_size);
+                        in_use += grown;
+                        lane.slack = grown * block_size - over;
+                    }
+                    if let Some(total) = slack.as_mut() {
+                        *total = *total + lane.slack - before;
+                    }
+                    lane.banked += banked;
+                }
+                new_tokens += banked;
+                if request.remaining() == 0 {
+                    finished += 1;
+                }
+                max_kv_len = max_kv_len.max(request.kv_len());
+            }
+            self.kv_tokens += new_tokens;
+
+            let record = IterationRecord {
+                rlp,
+                tlp,
+                total_kv_len,
+                max_kv_len: iteration_max_kv,
+                new_tokens,
+                finished,
+            };
+            let cost = self.pricer.price_iteration(placement, &record);
+            self.clock += cost.total_time().value();
+            self.phases.fc += cost.fc_time;
+            self.phases.attention += cost.attn_time;
+            self.phases.communication += cost.comm_time;
+            self.phases.other += cost.other_time;
+            self.energy += cost.total_energy();
+            self.placements.push(placement);
+            self.rlp_series.push(rlp);
+            self.tokens += new_tokens;
+            // The resident footprint peaks at iteration end, once this
+            // iteration's banked tokens have landed in the cache.
+            self.track_kv_peaks(in_use, slack);
+            // Tokens become visible when the iteration completes.
+            for &i in &first_timers {
+                self.first_token_s[i] = Some(self.clock);
+            }
+            iterations += 1;
+            self.iterations += 1;
+            assert!(
+                self.iterations <= self.engine.max_iterations,
+                "serving episode exceeded {} iterations — runaway workload?",
+                self.engine.max_iterations
+            );
+        }
+
+        // Land the leap's tokens: one append per sequence.
+        for (lane, &i) in lanes.iter().zip(&decoding) {
             let seq = self.seqs[i]
                 .as_mut()
                 .expect("decoding request holds a sequence");
             assert!(
-                self.pool.append(seq, banked),
+                self.pool.append(seq, lane.banked),
                 "decode KV growth failed despite the preemption guard"
             );
-            self.kv_tokens += banked;
-            new_tokens += banked;
-            if self.requests[i].remaining() == 0 {
-                finished += 1;
-                finishers.push(i);
-            }
         }
-
-        let record = IterationRecord {
-            rlp,
-            tlp,
-            total_kv_len,
-            max_kv_len,
-            new_tokens,
-            finished,
-        };
-        let cost = self.pricer.price_iteration(placement, &record);
-        self.clock += cost.total_time().value();
-        self.phases.fc += cost.fc_time;
-        self.phases.attention += cost.attn_time;
-        self.phases.communication += cost.comm_time;
-        self.phases.other += cost.other_time;
-        self.energy += cost.total_energy();
-        self.placements.push(placement);
-        self.rlp_series.push(rlp);
-        self.tokens += new_tokens;
-        // The resident footprint peaks at iteration end, once this
-        // iteration's banked tokens have landed in the cache.
-        self.track_kv_peaks();
-
-        // Tokens become visible when the iteration completes.
-        for &i in &first_timers {
-            self.first_token_s[i] = Some(self.clock);
-        }
-        for &i in &finishers {
-            self.requests[i].state = RequestState::Finished;
-            let seq = self.seqs[i]
-                .take()
-                .expect("finished request holds a sequence");
-            self.publish_context(i, &seq);
-            self.pool.release_seq(seq);
-            self.kv_tokens -= self.requests[i].kv_len();
-            let request = &self.requests[i];
-            self.records.push(RequestRecord {
-                id: request.request.id,
-                arrival: Time::new(request.arrival_s),
-                admitted: Time::new(self.admitted_s[i].expect("finished request was admitted")),
-                first_token: Time::new(
-                    self.first_token_s[i].expect("finished request emitted tokens"),
-                ),
-                finished: Time::new(self.clock),
-                prompt_tokens: request.request.input_len,
-                output_tokens: request.generated,
-                preemptions: request.preemptions,
-            });
-        }
-        self.live.retain(|i| !finishers.contains(i));
-        self.scratch_idx = decoding;
-
-        self.iterations += 1;
-        assert!(
-            self.iterations <= self.engine.max_iterations,
-            "serving episode exceeded {} iterations — runaway workload?",
-            self.engine.max_iterations
+        debug_assert_eq!(
+            self.pool.blocks_in_use(),
+            in_use,
+            "leap block count drifted"
         );
+        if finished > 0 {
+            for &i in &decoding {
+                if self.requests[i].remaining() > 0 {
+                    continue;
+                }
+                self.requests[i].state = RequestState::Finished;
+                let seq = self.seqs[i]
+                    .take()
+                    .expect("finished request holds a sequence");
+                self.publish_context(i, &seq);
+                self.pool.release_seq(seq);
+                self.kv_tokens -= self.requests[i].kv_len();
+                let request = &self.requests[i];
+                self.records.push(RequestRecord {
+                    id: request.request.id,
+                    arrival: Time::new(request.arrival_s),
+                    admitted: Time::new(self.admitted_s[i].expect("finished request was admitted")),
+                    first_token: Time::new(
+                        self.first_token_s[i].expect("finished request emitted tokens"),
+                    ),
+                    finished: Time::new(self.clock),
+                    prompt_tokens: request.request.input_len,
+                    output_tokens: request.generated,
+                    preemptions: request.preemptions,
+                });
+            }
+            let requests = &self.requests;
+            self.live
+                .retain(|&i| requests[i].state != RequestState::Finished);
+        }
+        self.scratch_lanes = lanes;
+        self.scratch_idx = decoding;
+        iterations
     }
 
     fn ingest(&mut self) {
@@ -1990,6 +2117,99 @@ mod tests {
             }
             let report = session.into_report();
             assert_eq!(report.records.len(), 36);
+        }
+    }
+
+    /// `run_until` leaps while `step` advances one round at a time:
+    /// stopped at the same ladder of bounds, both must leave the session
+    /// in the same state at every rung — clock, counters, KV peaks,
+    /// pool occupancy and scheduler statistics — and close into the
+    /// same report. The shapes cover leaps ending at arrivals, at
+    /// finishes, at a failed growth guard (a pool small enough to
+    /// preempt), at placement switches under adaptive TLP, and on
+    /// 16-token blocks with sharing, chunked prefill and a tier.
+    #[test]
+    fn run_until_matches_a_step_loop_at_every_bound() {
+        let conversations = ServingWorkload::poisson(
+            ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 3),
+            6.0,
+            36,
+        )
+        .with_seed(7);
+        let adaptive = small_workload(6.0, 40)
+            .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+            .with_adaptive_tlp(32, 8);
+        let mut tight = SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config());
+        tight.attn_pim.1 = 1;
+        let shapes = [
+            (
+                ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
+                    .with_max_batch(16),
+                adaptive,
+            ),
+            (
+                ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
+                    .with_max_batch(8)
+                    .with_kv_block_size(16)
+                    .with_prefix_sharing(true)
+                    .with_prefill_chunk(256)
+                    .with_kv_tier(KvTierSpec::new(64)),
+                conversations,
+            ),
+            (
+                ServingEngine::new(tight)
+                    .with_max_batch(32)
+                    .with_kv_headroom(1.0)
+                    .with_kv_block_size(16),
+                ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 24)
+                    .with_seed(3),
+            ),
+        ];
+        for (shape, (engine, workload)) in shapes.iter().enumerate() {
+            let mut leaping = engine.open_session(workload);
+            let mut stepping = engine.open_session(workload);
+            for request in workload.requests() {
+                leaping.push(request.clone());
+                stepping.push(request);
+            }
+            let mut bound = 0.0;
+            while leaping.has_pending_work() || stepping.has_pending_work() {
+                bound += 0.05;
+                leaping.run_until(bound);
+                while stepping.has_pending_work() && stepping.clock() < bound {
+                    stepping.step();
+                }
+                let state = |s: &ServingSession<'_>| {
+                    (
+                        s.clock.to_bits(),
+                        s.iterations,
+                        s.tokens,
+                        s.preemptions,
+                        s.peak_rlp,
+                        s.peak_kv_tokens,
+                        s.kv_stats,
+                        s.pool.stats(),
+                        s.scheduler.stats(),
+                        s.records.len(),
+                        s.energy.value().to_bits(),
+                    )
+                };
+                assert_eq!(
+                    state(&leaping),
+                    state(&stepping),
+                    "shape {shape} at {bound}"
+                );
+            }
+            let (leaped, stepped) = (leaping.into_report(), stepping.into_report());
+            assert!(leaped.iterations > 0);
+            if shape == 2 {
+                assert!(leaped.preemptions > 0, "the tight pool never preempted");
+            }
+            assert_eq!(
+                serde_json::to_string(&leaped).expect("report serializes"),
+                serde_json::to_string(&stepped).expect("report serializes"),
+                "shape {shape}"
+            );
         }
     }
 

@@ -332,12 +332,8 @@ impl KvBlockPool {
         if tokens == 0 {
             return true;
         }
-        let tail_shared = !seq.tokens.is_multiple_of(self.block_size)
-            && seq
-                .spans
-                .last()
-                .is_some_and(|t| self.refcount(u64::from(t.seg) << 32 | u64::from(t.hi - 1)) > 1);
-        let new_blocks = self.growth_blocks(seq.tokens, tokens) + u64::from(tail_shared);
+        let tail_shared = self.tail_shared(seq);
+        let new_blocks = self.blocks_for(seq.tokens + tokens) - seq.blocks + u64::from(tail_shared);
         if self.free_blocks() < new_blocks {
             return false;
         }
@@ -351,6 +347,18 @@ impl KvBlockPool {
         seq.tokens += tokens;
         debug_assert_eq!(seq.blocks, self.blocks_for(seq.tokens));
         true
+    }
+
+    /// Whether the next [`append`](Self::append) to `seq` copies on
+    /// write: its partially-filled tail block has another holder, so
+    /// the append takes one block more than
+    /// [`growth_blocks`](Self::growth_blocks) counts.
+    pub fn tail_shared(&self, seq: &KvSeq) -> bool {
+        seq.slack(self.block_size) > 0
+            && seq
+                .spans
+                .last()
+                .is_some_and(|t| self.refcount(u64::from(t.seg) << 32 | u64::from(t.hi - 1)) > 1)
     }
 
     /// Releases every block `seq` holds. Blocks shared with other
@@ -574,7 +582,10 @@ mod tests {
         let mut b = pool.fork(&a, 2);
         let tail_before = a.block_ids().last().unwrap();
         assert_eq!(pool.refcount(tail_before), 2);
+        assert!(pool.tail_shared(&a));
+        assert!(!pool.tail_shared(&b), "b's 16 tokens fill its tail block");
         assert!(pool.append(&mut a, 2));
+        assert!(!pool.tail_shared(&a), "the copy is private");
         let tail_after = a.block_ids().last().unwrap();
         assert_ne!(tail_before, tail_after, "divergent tail was not copied");
         assert_eq!(pool.refcount(tail_before), 1); // b keeps the original

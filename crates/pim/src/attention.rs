@@ -64,11 +64,13 @@ impl AttentionSpec {
     }
 
     /// KV-cache bytes read (K and V, every request and head).
+    #[inline]
     pub fn kv_bytes(&self) -> Bytes {
         (2 * self.requests * self.heads * self.kv_len * self.head_dim) as f64 * self.dtype.size()
     }
 
     /// Multiply-accumulates of the score + context GEMVs.
+    #[inline]
     pub fn macs(&self) -> f64 {
         // Q·Kᵀ: kv_len × head_dim per query; P·V: the same.
         (2 * self.requests * self.heads * self.queries * self.kv_len * self.head_dim) as f64
@@ -81,6 +83,7 @@ impl AttentionSpec {
 
     /// Softmax scalar operations (exp, running max/sum, scale ≈ 5 ops per
     /// score element).
+    #[inline]
     pub fn softmax_ops(&self) -> f64 {
         (self.requests * self.heads * self.queries * self.kv_len) as f64 * 5.0
     }
@@ -145,6 +148,7 @@ impl AttentionPlan {
     ///
     /// Panics if `kv_len` is zero.
     #[track_caller]
+    #[inline]
     pub fn execute(&self, kv_len: u64) -> PimKernelResult {
         assert!(kv_len > 0, "attention dimensions must be positive");
         let spec = AttentionSpec {

@@ -42,6 +42,7 @@ impl PimEnergyModel {
     /// Builds the three-way energy breakdown for a kernel that fetched
     /// `fetch_bytes` of weights at `dram_pj_per_byte` and executed `macs`
     /// multiply-accumulates.
+    #[inline]
     pub fn breakdown(
         &self,
         fetch_bytes: Bytes,
@@ -75,6 +76,7 @@ pub struct PimEnergyBreakdown {
 
 impl PimEnergyBreakdown {
     /// Total energy.
+    #[inline]
     pub fn total(&self) -> Energy {
         self.dram_access + self.transfer + self.compute
     }

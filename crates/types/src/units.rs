@@ -34,6 +34,7 @@ macro_rules! quantity {
             ///
             /// Panics if `value` is NaN, or negative for quantities where a
             /// negative magnitude is physically meaningless.
+            #[inline]
             #[track_caller]
             pub fn new(value: f64) -> Self {
                 assert!(!value.is_nan(), concat!(stringify!($name), " must not be NaN"));
@@ -62,6 +63,7 @@ macro_rules! quantity {
             }
 
             /// Raw magnitude in base units.
+            #[inline]
             pub const fn value(self) -> f64 {
                 self.0
             }
@@ -90,12 +92,14 @@ macro_rules! quantity {
 
         impl Add for $name {
             type Output = Self;
+            #[inline]
             fn add(self, rhs: Self) -> Self {
                 Self(self.0 + rhs.0)
             }
         }
 
         impl AddAssign for $name {
+            #[inline]
             fn add_assign(&mut self, rhs: Self) {
                 self.0 += rhs.0;
             }
@@ -118,6 +122,7 @@ macro_rules! quantity {
 
         impl Mul<f64> for $name {
             type Output = Self;
+            #[inline]
             #[track_caller]
             fn mul(self, rhs: f64) -> Self {
                 Self::new(self.0 * rhs)
@@ -126,6 +131,7 @@ macro_rules! quantity {
 
         impl Mul<$name> for f64 {
             type Output = $name;
+            #[inline]
             #[track_caller]
             fn mul(self, rhs: $name) -> $name {
                 $name::new(self * rhs.0)
@@ -283,6 +289,7 @@ impl Bytes {
 
 impl Energy {
     /// From picojoules.
+    #[inline]
     pub fn from_picojoules(pj: f64) -> Self {
         Self::new(pj * 1e-12)
     }
@@ -523,6 +530,7 @@ impl Div<Time> for Energy {
 
 impl Mul<Time> for Power {
     type Output = Energy;
+    #[inline]
     #[track_caller]
     fn mul(self, rhs: Time) -> Energy {
         Energy::new(self.0 * rhs.0)

@@ -19,6 +19,7 @@ use papi::interconnect::{MigrationPricing, TierPricing};
 use papi::llm::ModelPreset;
 use papi::workload::{
     ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload,
+    SpeculativeConfig,
 };
 use proptest::prelude::*;
 
@@ -136,8 +137,9 @@ proptest! {
 
 /// The paged, prefix-shared, affinity-routed shape the
 /// `cluster_fleet_64` perf scenario uses (shrunk to a 16-replica fleet
-/// so the suite stays fast): the configuration where the parallel
-/// loop's fast decode path does nearly all the stepping.
+/// so the suite stays fast): the configuration where decode leaps —
+/// `run_until` running a steady batch to its next event in one call —
+/// do nearly all of the parallel loop's stepping.
 #[test]
 fn parallel_matches_sequential_prefix_affinity_fleet() {
     let workload = ServingWorkload::new(
@@ -306,5 +308,102 @@ proptest! {
                  decide={decide_s} diurnal={diurnal}"
             ),
         );
+    }
+}
+
+/// A fleet whose replicas run out of KV pool mid-window: bursts of
+/// 3k-token prompts fill a pool admission may plan into whole
+/// (headroom 1.0), and their long outputs then outgrow it between
+/// arrivals, so a leap's growth guard fails and the full round has to
+/// preempt.
+fn kv_tight_fleet(seed: u64, dp: usize) -> (ClusterSpec, ServingWorkload) {
+    let workload = ServingWorkload::new(
+        ConversationDataset::multi_turn(DatasetKind::CreativeWriting, 3072, 2),
+        ArrivalProcess::Bursty {
+            burst_size: 32,
+            interval_sec: 2.0,
+        },
+        64 * dp,
+    )
+    .with_seed(seed)
+    .with_adaptive_tlp(64, 4);
+    let spec = ClusterSpec::new(
+        DesignKind::PimOnlyPapi,
+        ModelPreset::Gpt3_175B.config(),
+        1,
+        dp,
+    )
+    .with_tuning(
+        SessionTuning::default()
+            .with_max_batch(64)
+            .with_kv_headroom(1.0),
+    );
+    (spec, workload)
+}
+
+/// The KV-tight shape really does preempt, so the leap-boundary
+/// proptest below exercises a guard that fails inside a window.
+#[test]
+fn kv_tight_fleet_preempts_identically_in_both_modes() {
+    let (spec, workload) = kv_tight_fleet(3, 2);
+    let report = ClusterEngine::new(spec.clone().with_step_mode(StepMode::Sequential))
+        .expect("valid fleet")
+        .run(&workload);
+    assert!(
+        report.replicas.iter().any(|r| r.preemptions > 0),
+        "the KV-tight fleet never preempted"
+    );
+    assert_modes_agree(spec, &workload, "kv-tight fleet");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Decode-leap boundaries. The parallel loop advances replicas with
+    /// `run_until`, which runs a steady batch through many iterations
+    /// per call; the sequential loop steps one round at a time. Every
+    /// place a leap can end must give the same reports:
+    /// - geometric acceptance with adaptive TLP on PAPI, where each
+    ///   iteration draws acceptance and the scheduler switches
+    ///   placement as the batch drains;
+    /// - a KV-tight pool, where the growth guard fails mid-window and
+    ///   the full round preempts;
+    /// - 16-token blocks with prefix sharing and a small private tier,
+    ///   where finishes publish, evict and spill.
+    #[test]
+    fn parallel_matches_sequential_across_leap_boundaries(
+        seed in 0u64..1_000_000,
+        dp in 1usize..4,
+        shape in 0usize..3,
+    ) {
+        let (spec, workload) = match shape {
+            0 => (
+                ClusterSpec::new(DesignKind::Papi, ModelPreset::Llama65B.config(), 1, dp)
+                    .with_tuning(SessionTuning::default().with_max_batch(16)),
+                ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 48)
+                    .with_seed(seed)
+                    .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+                    .with_adaptive_tlp(32, 8),
+            ),
+            1 => kv_tight_fleet(seed, dp),
+            _ => (
+                ClusterSpec::new(DesignKind::PimOnlyPapi, ModelPreset::Llama65B.config(), 1, dp)
+                    .with_routing(PolicySpec::prefix_affinity())
+                    .with_tuning(
+                        SessionTuning::default()
+                            .with_max_batch(8)
+                            .with_kv_block_size(16)
+                            .with_prefix_sharing(true)
+                            .with_kv_tier(KvTierSpec::new(2_000)),
+                    ),
+                ServingWorkload::poisson(
+                    ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
+                    8.0,
+                    48,
+                )
+                .with_seed(seed),
+            ),
+        };
+        assert_modes_agree(spec, &workload, &format!("leap shape={shape} dp={dp}"));
     }
 }
