@@ -30,11 +30,12 @@
 //! only accrues *energy* for work performed), energy per SLO-good
 //! token, and the full scale-event log.
 //!
-//! Both [`StepMode`](crate::cluster::StepMode)s evaluate decisions on
-//! the same tick schedule (the same latching discipline as the shared
-//! tier's gossip ticks), so parallel fleets stay bit-for-bit equal to
-//! sequential with autoscaling on.
+//! Decisions run at decide-tick barriers of the one fleet event loop,
+//! latched like the shared tier's gossip ticks, so both
+//! [`StepMode`](crate::cluster::StepMode)s decide on the same schedule
+//! and stay bit-for-bit equal with autoscaling on.
 
+use crate::cluster::{min_pending_clock, next_sync_tick, stamped_snapshot};
 use crate::metrics::{RequestRecord, ServingReport};
 use crate::serving::ServingSession;
 use crate::slo::SloSpec;
@@ -521,9 +522,9 @@ impl FleetCostReport {
 
 /// The engine-side autoscale runtime: lifecycle vector, warm-up
 /// timers, per-state hour accumulators, the consistent-hash ring over
-/// the active membership, and the decision-tick latch. Both step-mode
-/// loops drive one of these through the same call sequence, so their
-/// decisions — and reports — are bit-for-bit identical.
+/// the active membership, and the decision-tick latch. The fleet event
+/// loop drives one of these through the same call sequence in either
+/// step mode, so decisions — and reports — are bit-for-bit identical.
 #[derive(Debug)]
 pub(crate) struct AutoscaleControl<'a> {
     policy: Box<dyn AutoscalePolicy + 'a>,
@@ -688,12 +689,7 @@ impl<'a> AutoscaleControl<'a> {
         let snapshots: Vec<ReplicaSnapshot> = sessions
             .iter()
             .enumerate()
-            .map(|(idx, s)| {
-                let mut snapshot = s.snapshot();
-                snapshot.role = roles[idx];
-                snapshot.lifecycle = self.lifecycle[idx];
-                snapshot
-            })
+            .map(|(idx, s)| stamped_snapshot(s, roles[idx], self.lifecycle[idx]))
             .collect();
         let mut recent: Vec<RequestRecord> = Vec::new();
         for (idx, session) in sessions.iter().enumerate() {
@@ -752,13 +748,9 @@ impl<'a> AutoscaleControl<'a> {
         if membership_changed {
             self.rebuild_ring();
         }
-        let min_clock = sessions
-            .iter()
-            .filter(|s| s.has_pending_work())
-            .map(|s| s.clock())
-            .fold(f64::INFINITY, f64::min);
+        let min_clock = min_pending_clock(sessions);
         self.next_decide = if min_clock.is_finite() {
-            crate::cluster::next_sync_tick(min_clock.max(now), self.decide_interval_s)
+            next_sync_tick(min_clock.max(now), self.decide_interval_s)
         } else {
             f64::INFINITY
         };

@@ -60,28 +60,21 @@ use std::sync::Arc;
 /// How [`ClusterEngine::run_with_policies`] advances replicas between
 /// control-plane events.
 ///
-/// Both modes produce **bit-for-bit identical** [`ClusterReport`]s —
-/// `Parallel` is a pure wall-clock optimization, pinned against
-/// `Sequential` by `tests/parallel_equality.rs` and the golden
-/// fingerprints in `tests/routing_equality.rs`.
+/// Both modes drive the same event loop and produce **bit-for-bit
+/// identical** [`ClusterReport`]s. They differ only in how the replicas
+/// that cannot move a window's bound (every replica but the
+/// prefill-role exporters) reach it. `tests/parallel_equality.rs` pins
+/// the modes against each other and against goldens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StepMode {
-    /// The reference event loop: one global scan per simulator step,
-    /// always advancing the minimum-clock replica. Simple, obviously
-    /// correct, and linearly slow in fleet size — kept as the escape
-    /// hatch and as the equality oracle for `Parallel`.
+    /// Like the exporters: one [`ServingSession::step`] round at a
+    /// time, always the minimum-clock replica in the fleet. This is the
+    /// discrete-event reference schedule, with no threads, no decode
+    /// leaps and no windowing argument to trust.
     Sequential,
-    /// Window-at-a-time: between consecutive global events (an arrival
-    /// being routed, or a migration delivery) every replica with
-    /// pending work below the event horizon steps to the horizon
-    /// independently — fanned out via rayon — because replicas only
-    /// interact *at* events. Prefill-role replicas still advance one
-    /// step at a time under a tightening bound (each export they emit
-    /// can schedule a delivery earlier than the horizon, capping how
-    /// far anyone may step), which preserves the sequential path's
-    /// event order exactly. Replica snapshots are dirty-tracked. Both
-    /// modes price iterations through the same per-session pricer, so
-    /// the two differ only in how replicas are scheduled.
+    /// Fanned out via rayon, each replica running to the bound with
+    /// [`ServingSession::run_until`], which leaps a steady batch through
+    /// many decode iterations per call.
     #[default]
     Parallel,
 }
@@ -128,7 +121,7 @@ pub struct ClusterSpec {
     /// fabric by default; `Free` is the zero-cost ablation).
     pub migration_pricing: MigrationPricing,
     /// How replicas advance between control-plane events. Both modes
-    /// produce identical reports; `Parallel` (the default) is faster.
+    /// produce identical reports; `Parallel` is the default.
     pub step_mode: StepMode,
     /// The fleet-shared prefix tier: one directory registering every
     /// replica's spilled records, so a conversation that re-lands on
@@ -263,37 +256,6 @@ impl ClusterSpec {
         self.tuning = tuning;
         self
     }
-
-    /// Overrides each replica's batch cap.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_max_batch(mut self, max_batch: u64) -> Self {
-        self.tuning = self.tuning.with_max_batch(max_batch);
-        self
-    }
-
-    /// Overrides each replica's KV paging granularity.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_kv_block_size(mut self, block_size: u64) -> Self {
-        self.tuning = self.tuning.with_kv_block_size(block_size);
-        self
-    }
-
-    /// Enables copy-on-write prefix sharing on every replica. Pair it
-    /// with [`PolicySpec::prefix_affinity`] routing so multi-turn
-    /// conversations keep hitting the (private, per-replica) caches a
-    /// single node would.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
-        self.tuning = self.tuning.with_prefix_sharing(enabled);
-        self
-    }
-
-    /// Enables chunked prefill on every replica.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_prefill_chunk(mut self, chunk_tokens: u64) -> Self {
-        self.tuning = self.tuning.with_prefill_chunk(chunk_tokens);
-        self
-    }
 }
 
 /// Declarative configuration of the fleet-shared prefix tier: one
@@ -321,9 +283,9 @@ pub struct SharedTierSpec {
     /// Control-plane gossip period (seconds of simulated time): the
     /// fleet merges spill registrations and refreshes every replica's
     /// directory view at each tick, in addition to every arrival and
-    /// migration-delivery barrier. Both [`StepMode`]s observe the
-    /// same tick schedule, so parallel stays bit-identical to
-    /// sequential.
+    /// migration-delivery barrier. The one fleet event loop latches
+    /// ticks the same way in both [`StepMode`]s, so they stay
+    /// bit-identical.
     pub sync_s: f64,
 }
 
@@ -378,6 +340,8 @@ struct SharedTierControl {
     directory: Arc<GlobalKvTier>,
     pricing: String,
     sync_s: f64,
+    /// The next gossip tick.
+    next_sync: f64,
     fetches: u64,
     fetched_tokens: u64,
     bytes: f64,
@@ -388,9 +352,9 @@ struct SharedTierControl {
 impl SharedTierControl {
     /// The control-plane barrier: drains every session's publish and
     /// fetch egress in replica-index order (the same deterministic
-    /// discipline as handoff harvesting — both step modes reach each
-    /// barrier with identical per-session egress, so merging in a
-    /// fixed order keeps them bit-for-bit equal), and merges
+    /// discipline as handoff harvesting — each barrier sees identical
+    /// per-session egress in either step mode, so merging in a fixed
+    /// order keeps them bit-for-bit equal), and merges
     /// registrations into the fleet directory — in place: sessions drop
     /// their views first and get the same `Arc` re-installed. A barrier
     /// with nothing to register leaves the directory and the views
@@ -671,10 +635,7 @@ impl ClusterEngine {
             .autoscale
             .as_ref()
             .map(|spec| AutoscaleControl::new(spec, self.spec.dp_replicas, None));
-        match self.spec.step_mode {
-            StepMode::Sequential => self.run_sequential(workload, policy, migration, autoscale),
-            StepMode::Parallel => self.run_parallel(workload, policy, migration, autoscale),
-        }
+        self.run_fleet(workload, policy, migration, autoscale)
     }
 
     /// Serves one episode with a caller-supplied [`AutoscalePolicy`]
@@ -710,14 +671,7 @@ impl ClusterEngine {
         );
         let mut router = Router::new(self.spec.routing);
         let mut migration = self.spec.migration.build();
-        match self.spec.step_mode {
-            StepMode::Sequential => {
-                self.run_sequential(workload, &mut router, migration.as_mut(), Some(control))
-            }
-            StepMode::Parallel => {
-                self.run_parallel(workload, &mut router, migration.as_mut(), Some(control))
-            }
-        }
+        self.run_fleet(workload, &mut router, migration.as_mut(), Some(control))
     }
 
     /// Opens one session per replica: replica 0 keeps the workload's
@@ -764,6 +718,7 @@ impl ClusterEngine {
             directory,
             pricing: pricing.label(),
             sync_s: spec.sync_s,
+            next_sync: spec.sync_s,
             fetches: 0,
             fetched_tokens: 0,
             bytes: 0.0,
@@ -772,9 +727,25 @@ impl ClusterEngine {
         })
     }
 
-    /// The [`StepMode::Sequential`] reference loop: one global
-    /// minimum-clock scan per simulator step.
-    fn run_sequential(
+    /// The fleet event loop, shared by both [`StepMode`]s.
+    ///
+    /// Replicas interact only *at* control-plane events (a routed
+    /// arrival, a delivered migration, a gossip or decide tick); between
+    /// events each session's trajectory is a function of its own state
+    /// alone. Each window advances every replica with pending work to
+    /// the next event, then handles the event. A global minimum-clock
+    /// scan would run a round with pre-round clock `c` exactly when `c`
+    /// is below both the event and every delivery exported by an
+    /// earlier round. Only prefill-role replicas export, and a delivery
+    /// lands strictly after the round that exported it, so exporters
+    /// advance first, one round at a time, minimum clock first, under a
+    /// bound that tightens with every export. The bound is then final,
+    /// and every other replica runs freely up to it: any interleaving
+    /// gives the same per-replica result, which is why the step modes
+    /// may differ in that phase alone. `Sequential` folds it into the
+    /// exporters' scan, which then covers the whole fleet. Exports queue
+    /// in export order, which breaks delivery ties.
+    fn run_fleet(
         &self,
         workload: &ServingWorkload,
         policy: &mut dyn RoutePolicy,
@@ -784,7 +755,12 @@ impl ClusterEngine {
         let roles = self.roles();
         let mut sessions = self.open_sessions(workload, &roles);
         let mut shared = self.open_shared_tier(&mut sessions);
-        let mut next_sync = shared.as_ref().map_or(f64::INFINITY, |c| c.sync_s);
+        // Replicas stepped one round at a time, minimum clock first.
+        let scanned: Vec<usize> = (0..roles.len())
+            .filter(|&idx| {
+                self.spec.step_mode == StepMode::Sequential || roles[idx] == ReplicaRole::Prefill
+            })
+            .collect();
         let arrivals = workload.requests();
         let mut next_arrival = 0usize;
         let mut in_flight: Vec<InFlightMigration> = Vec::new();
@@ -795,394 +771,55 @@ impl ClusterEngine {
             ..MigrationReport::default()
         };
         let mut transfer_times: Vec<Time> = Vec::new();
-
-        // Stamp each replica's snapshot with its configured role (and,
-        // for an elastic fleet, its lifecycle), so policies can honor
-        // the disaggregation and lifecycle contracts.
-        let observe = |sessions: &[ServingSession<'_>],
-                       lifecycles: Option<&[ReplicaState]>|
-         -> Vec<ReplicaSnapshot> {
-            papi_perf::phase!("snapshot");
-            sessions
-                .iter()
-                .enumerate()
-                .map(|(idx, s)| {
-                    let mut snapshot = s.snapshot();
-                    snapshot.role = roles[idx];
-                    if let Some(lifecycles) = lifecycles {
-                        snapshot.lifecycle = lifecycles[idx];
-                    }
-                    snapshot
-                })
-                .collect()
+        let mut cache = SnapshotCache {
+            snapshots: vec![ReplicaSnapshot::default(); sessions.len()],
+            dirty: vec![true; sessions.len()],
         };
 
         loop {
-            // The next global event: the earliest pending arrival or
-            // migration delivery (delivery first on an exact tie, so
-            // the router sees the landed sequence).
-            let arrival_t = arrivals.get(next_arrival).map(|r| r.arrival_s);
-            let delivery = in_flight
+            let delivery = first_delivery(&in_flight);
+            let (event, at) = next_event(
+                arrivals.get(next_arrival).map(|r| r.arrival_s),
+                delivery.map(|(_, deliver_s)| deliver_s),
+                shared.as_ref().map_or(f64::INFINITY, |c| c.next_sync),
+                autoscale
+                    .as_ref()
+                    .map_or(f64::INFINITY, AutoscaleControl::next_decide),
+                sessions.iter().any(ServingSession::has_pending_work),
+            );
+            // Scanned replicas advance one round at a time under a
+            // bound that tightens with every export: an export can
+            // schedule a delivery earlier than the window's event.
+            let mut advanced = false;
+            let mut bound = at;
+            while let Some(idx) = scanned
                 .iter()
-                .enumerate()
-                .min_by(|(ia, a), (ib, b)| a.deliver_s.total_cmp(&b.deliver_s).then(ia.cmp(ib)))
-                .map(|(i, m)| (i, m.deliver_s));
-            let (horizon, deliver_now) = match (arrival_t, delivery) {
-                (Some(at), Some((di, dt))) => {
-                    if dt <= at {
-                        (Some(dt), Some(di))
-                    } else {
-                        (Some(at), None)
-                    }
-                }
-                (Some(at), None) => (Some(at), None),
-                (None, Some((di, dt))) => (Some(dt), Some(di)),
-                (None, None) => (None, None),
-            };
-            // Shared-tier fleets also close the window at the next
-            // control-plane gossip tick, so spill registrations become
-            // fleet-visible mid-episode — not only at arrival and
-            // delivery events (under load, most spills and reuses
-            // happen long after the last arrival). A tick-bounded
-            // window delivers nothing: its barrier exists purely to
-            // merge the directory.
-            let sync_window = sessions.iter().any(|s| s.has_pending_work())
-                && horizon.is_none_or(|t| next_sync < t);
-            let (horizon, deliver_now) = if sync_window {
-                (Some(next_sync), None)
-            } else {
-                (horizon, deliver_now)
-            };
-            // Elastic fleets also close the window at the next
-            // autoscale decision tick (same latch discipline as the
-            // gossip tick, so both step modes decide on the same
-            // schedule). A decide tick that beats a gossip tick
-            // preempts it — the gossip window relatches next
-            // iteration, not here.
-            let decide_t = autoscale
-                .as_ref()
-                .map_or(f64::INFINITY, AutoscaleControl::next_decide);
-            let decide_window = autoscale.is_some()
-                && sessions.iter().any(|s| s.has_pending_work())
-                && horizon.is_none_or(|t| decide_t < t);
-            let (horizon, deliver_now) = if decide_window {
-                (Some(decide_t), None)
-            } else {
-                (horizon, deliver_now)
-            };
-            let sync_window = sync_window && !decide_window;
-
-            // Advance the fleet toward the event one step at a time,
-            // harvesting any handoffs each step exports — a fresh
-            // export can schedule a delivery *earlier* than the event
-            // we were heading for, so re-evaluate after every step.
-            if let Some(idx) = sessions
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.has_pending_work() && horizon.is_none_or(|t| s.clock() < t))
-                .min_by(|(_, a), (_, b)| a.clock().total_cmp(&b.clock()))
-                .map(|(i, _)| i)
+                .copied()
+                .filter(|&i| sessions[i].has_pending_work() && sessions[i].clock() < bound)
+                .min_by(|&a, &b| sessions[a].clock().total_cmp(&sessions[b].clock()))
             {
                 sessions[idx].step();
+                cache.dirty[idx] = true;
+                advanced = true;
                 for handoff in sessions[idx].drain_egress() {
                     let cost = self.price_migration(idx, &handoff);
+                    let deliver_s = handoff.ready_s + cost.time.value();
+                    bound = bound.min(deliver_s);
                     in_flight.push(InFlightMigration {
-                        deliver_s: handoff.ready_s + cost.time.value(),
+                        deliver_s,
                         source: idx,
                         handoff,
                         cost,
                     });
                 }
-                continue;
             }
-
-            // Control-plane barrier: no session can advance below the
-            // horizon. Merge the fleet directory here, in replica
-            // order — the parallel loop reaches the same barriers with
-            // the same per-session egress.
-            if let Some(control) = shared.as_mut() {
-                control.harvest(&mut sessions);
-                if sync_window {
-                    // Everyone still running has reached the tick;
-                    // latch the next one past the slowest of them.
-                    let min_clock = sessions
-                        .iter()
-                        .filter(|s| s.has_pending_work())
-                        .map(|s| s.clock())
-                        .fold(f64::INFINITY, f64::min);
-                    if min_clock.is_finite() {
-                        next_sync = next_sync_tick(min_clock, control.sync_s);
-                    }
-                    continue;
-                }
-            }
-            // Autoscale decision barrier: every pending session has
-            // reached the decide tick. Promote due warm-ups, retire
-            // idle drainers, consult the policy, apply its actions,
-            // and latch the next tick.
-            if decide_window {
-                let control = autoscale.as_mut().expect("decide window without autoscale");
-                control.barrier(&mut sessions, &roles);
-                continue;
-            }
-
-            match deliver_now {
-                Some(pos) => {
-                    let migrated = in_flight.remove(pos);
-                    if let Some(control) = autoscale.as_mut() {
-                        control.promote_due(migrated.deliver_s);
-                    }
-                    let snapshots = observe(&sessions, autoscale.as_ref().map(|a| a.lifecycle()));
-                    let target = {
-                        papi_perf::phase!("migrate");
-                        migration.place(&MigrationContext {
-                            request: &migrated.handoff.request,
-                            kv_tokens: migrated.handoff.kv.tokens,
-                            source: migrated.source,
-                            replicas: &snapshots,
-                        })
-                    };
-                    assert!(
-                        target < sessions.len(),
-                        "migration policy {} picked replica {target} in a {}-replica fleet",
-                        migration.label(),
-                        sessions.len()
-                    );
-                    assert!(
-                        roles[target].can_decode(),
-                        "migration policy {} placed a sequence on prefill-only replica {target}",
-                        migration.label()
-                    );
-                    stats.migrations += 1;
-                    stats.bytes += migrated.cost.bytes.value();
-                    stats.energy += migrated.cost.energy;
-                    transfer_times.push(migrated.cost.time);
-                    sessions[target].push_migrated(migrated.handoff, migrated.deliver_s);
-                }
-                None => match next_arrival < arrivals.len() {
-                    true => {
-                        let request = arrivals[next_arrival].clone();
-                        next_arrival += 1;
-                        if let Some(control) = autoscale.as_mut() {
-                            control.promote_due(request.arrival_s);
-                        }
-                        let snapshots =
-                            observe(&sessions, autoscale.as_ref().map(|a| a.lifecycle()));
-                        let target = {
-                            papi_perf::phase!("route");
-                            let ctx = RouteContext::new(&request, &snapshots);
-                            let ctx = match shared.as_ref() {
-                                Some(control) => ctx.with_shared_prefixes(&control.directory),
-                                None => ctx,
-                            };
-                            let ctx = match autoscale.as_ref() {
-                                Some(control) => ctx.with_ring(control.ring()),
-                                None => ctx,
-                            };
-                            policy.route(&ctx)
-                        };
-                        assert!(
-                            target < sessions.len(),
-                            "routing policy {} picked replica {target} in a {}-replica fleet",
-                            policy.label(),
-                            sessions.len()
-                        );
-                        assert!(
-                            roles[target].accepts_arrivals(),
-                            "routing policy {} sent an arrival to decode-only replica {target}",
-                            policy.label()
-                        );
-                        if let Some(control) = autoscale.as_ref() {
-                            let state = control.lifecycle()[target];
-                            assert!(
-                                state.serves_traffic(),
-                                "routing policy {} sent an arrival to {} replica {target}",
-                                policy.label(),
-                                state.label()
-                            );
-                        }
-                        decisions += 1;
-                        sessions[target].push(request);
-                    }
-                    // No event, nothing steppable: the episode is done.
-                    false => break,
-                },
-            }
-        }
-        debug_assert!(in_flight.is_empty(), "a migration was never delivered");
-        stats.latency = LatencySummary::from_times(&transfer_times);
-        let global_tier = shared.map(SharedTierControl::into_report);
-        self.finish_report(
-            policy.label(),
-            decisions,
-            roles,
-            stats,
-            global_tier,
-            sessions,
-            autoscale,
-        )
-    }
-
-    /// The [`StepMode::Parallel`] window-at-a-time loop.
-    ///
-    /// Why this is bit-identical to [`run_sequential`](Self::run_sequential):
-    /// replicas interact only *at* global events (a routed arrival, a
-    /// delivered migration) — between events each session's trajectory
-    /// is a function of its own state alone. The sequential loop steps
-    /// the minimum-clock session and re-derives the horizon after every
-    /// step because a fresh prefill export can schedule a delivery
-    /// earlier than the event it was heading for; unrolling that rule,
-    /// a step with pre-step clock `c` executes exactly when `c` is
-    /// below `min(horizon, deliveries of exports from steps with
-    /// pre-step clock < c)`. Only prefill-role sessions export, and a
-    /// delivery always lands strictly after the clock of the step that
-    /// exported it, so: exporters are advanced first, one step at a
-    /// time under that tightening bound (exactly the sequential order
-    /// among themselves — non-exporter steps never affect them); the
-    /// bound is then final, and every other session can run freely to
-    /// it — any interleaving gives the same per-session result, so
-    /// they fan out in parallel. Exports are priced and queued in the
-    /// same order the sequential loop would queue them, preserving
-    /// delivery tie-breaks; snapshots at events are served from a
-    /// dirty-tracked cache (a session not stepped or pushed since the
-    /// last event snapshots identically). Sessions price iterations
-    /// exactly as they do under the sequential loop, each through its
-    /// own pricer.
-    fn run_parallel(
-        &self,
-        workload: &ServingWorkload,
-        policy: &mut dyn RoutePolicy,
-        migration: &mut dyn MigrationPolicy,
-        mut autoscale: Option<AutoscaleControl<'_>>,
-    ) -> ClusterReport {
-        let roles = self.roles();
-        let mut sessions = self.open_sessions(workload, &roles);
-        let mut shared = self.open_shared_tier(&mut sessions);
-        let mut next_sync = shared.as_ref().map_or(f64::INFINITY, |c| c.sync_s);
-        let exporters: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, &role)| role == ReplicaRole::Prefill)
-            .map(|(idx, _)| idx)
-            .collect();
-
-        let arrivals = workload.requests();
-        let mut next_arrival = 0usize;
-        let mut in_flight: Vec<InFlightMigration> = Vec::new();
-        let mut decisions = 0u64;
-        let mut stats = MigrationReport {
-            policy: migration.label(),
-            pricing: self.spec.migration_pricing.label(),
-            ..MigrationReport::default()
-        };
-        let mut transfer_times: Vec<Time> = Vec::new();
-
-        // Dirty-tracked snapshot cache: an event re-snapshots only the
-        // replicas that stepped or were pushed to since the last one,
-        // not the whole fleet.
-        let mut snaps: Vec<ReplicaSnapshot> = sessions
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| {
-                let mut snapshot = s.snapshot();
-                snapshot.role = roles[idx];
-                if let Some(control) = autoscale.as_ref() {
-                    snapshot.lifecycle = control.lifecycle()[idx];
-                }
-                snapshot
-            })
-            .collect();
-        let mut dirty = vec![false; sessions.len()];
-
-        loop {
-            // The next global event, exactly as the sequential loop
-            // derives it (delivery first on an exact tie).
-            let arrival_t = arrivals.get(next_arrival).map(|r| r.arrival_s);
-            let delivery = in_flight
-                .iter()
-                .enumerate()
-                .min_by(|(ia, a), (ib, b)| a.deliver_s.total_cmp(&b.deliver_s).then(ia.cmp(ib)))
-                .map(|(i, m)| (i, m.deliver_s));
-            let (horizon, deliver_now) = match (arrival_t, delivery) {
-                (Some(at), Some((di, dt))) => {
-                    if dt <= at {
-                        (Some(dt), Some(di))
-                    } else {
-                        (Some(at), None)
-                    }
-                }
-                (Some(at), None) => (Some(at), None),
-                (None, Some((di, dt))) => (Some(dt), Some(di)),
-                (None, None) => (None, None),
-            };
-            // Shared-tier gossip ticks bound the window exactly as in
-            // the sequential loop (same latch, same schedule).
-            let sync_window = sessions.iter().any(|s| s.has_pending_work())
-                && horizon.is_none_or(|t| next_sync < t);
-            let (horizon, deliver_now) = if sync_window {
-                (Some(next_sync), None)
-            } else {
-                (horizon, deliver_now)
-            };
-            // Autoscale decision ticks bound the window exactly as in
-            // the sequential loop (same latch, same schedule, same
-            // preemption of a tied-or-later gossip tick).
-            let decide_t = autoscale
-                .as_ref()
-                .map_or(f64::INFINITY, AutoscaleControl::next_decide);
-            let decide_window = autoscale.is_some()
-                && sessions.iter().any(|s| s.has_pending_work())
-                && horizon.is_none_or(|t| decide_t < t);
-            let (horizon, deliver_now) = if decide_window {
-                (Some(decide_t), None)
-            } else {
-                (horizon, deliver_now)
-            };
-            let sync_window = sync_window && !decide_window;
-            let h = horizon.unwrap_or(f64::INFINITY);
-            let mut advanced = false;
-
-            // Exporters advance one step at a time under the
-            // tightening bound: each export can schedule a delivery
-            // earlier than the window's event, capping how far anyone
-            // may step afterwards.
-            if !exporters.is_empty() {
-                loop {
-                    let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
-                    let Some(idx) = exporters
-                        .iter()
-                        .copied()
-                        .filter(|&i| sessions[i].has_pending_work() && sessions[i].clock() < bound)
-                        .min_by(|&a, &b| sessions[a].clock().total_cmp(&sessions[b].clock()))
-                    else {
-                        break;
-                    };
-                    sessions[idx].step();
-                    dirty[idx] = true;
-                    advanced = true;
-                    for handoff in sessions[idx].drain_egress() {
-                        let cost = self.price_migration(idx, &handoff);
-                        in_flight.push(InFlightMigration {
-                            deliver_s: handoff.ready_s + cost.time.value(),
-                            source: idx,
-                            handoff,
-                            cost,
-                        });
-                    }
-                }
-            }
-
-            // The bound is now final for this window: the remaining
-            // sessions cannot move it, so each one steps to it
-            // independently — in parallel, no per-step global scan.
-            let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
+            // The bound is now final: every replica still below it
+            // (none under `Sequential`) runs to it, fanned out in decode
+            // leaps.
             let mut runnable: Vec<&mut ServingSession<'_>> = Vec::new();
             for (idx, session) in sessions.iter_mut().enumerate() {
-                if roles[idx] != ReplicaRole::Prefill
-                    && session.has_pending_work()
-                    && session.clock() < bound
-                {
-                    dirty[idx] = true;
+                if session.has_pending_work() && session.clock() < bound {
+                    cache.dirty[idx] = true;
                     runnable.push(session);
                 }
             }
@@ -1195,59 +832,53 @@ impl ClusterEngine {
             }
             if advanced {
                 // Fresh exports may have scheduled an earlier event —
-                // re-derive the horizon before handling one.
+                // re-derive it before handling one.
                 continue;
             }
 
-            // Control-plane barrier — the same point the sequential
-            // loop harvests at (no session can advance below the
-            // horizon), with identical per-session egress contents.
+            // Control-plane barrier: no session can advance below the
+            // event. Every barrier merges the fleet directory.
             if let Some(control) = shared.as_mut() {
                 control.harvest(&mut sessions);
-                if sync_window {
-                    let min_clock = sessions
-                        .iter()
-                        .filter(|s| s.has_pending_work())
-                        .map(|s| s.clock())
-                        .fold(f64::INFINITY, f64::min);
+            }
+            // A routed or placed sequence sees every warm-up due by now.
+            // `Sequential` re-snapshots the whole fleet at every event,
+            // so the mode pins check the cache too.
+            if matches!(event, FleetEvent::Deliver | FleetEvent::Arrive)
+                && (autoscale
+                    .as_mut()
+                    .is_some_and(|control| control.promote_due(at))
+                    || self.spec.step_mode == StepMode::Sequential)
+            {
+                cache.dirty.fill(true);
+            }
+            let lifecycles = autoscale.as_ref().map(AutoscaleControl::lifecycle);
+            match event {
+                FleetEvent::GossipTick => {
+                    // Latch the next tick past the slowest running replica.
+                    let control = shared.as_mut().expect("gossip tick without a shared tier");
+                    let min_clock = min_pending_clock(&sessions);
                     if min_clock.is_finite() {
-                        next_sync = next_sync_tick(min_clock, control.sync_s);
+                        control.next_sync = next_sync_tick(min_clock, control.sync_s);
                     }
-                    continue;
                 }
-            }
-            // Autoscale decision barrier — same point, same call as
-            // the sequential loop. Lifecycle may have changed, so the
-            // whole snapshot cache is stale.
-            if decide_window {
-                let control = autoscale.as_mut().expect("decide window without autoscale");
-                control.barrier(&mut sessions, &roles);
-                dirty.iter_mut().for_each(|flag| *flag = true);
-                continue;
-            }
-
-            match deliver_now {
-                Some(pos) => {
+                FleetEvent::DecideTick => {
+                    // Lifecycles may change: every cached snapshot is stale.
+                    let control = autoscale.as_mut().expect("decide tick without autoscale");
+                    control.barrier(&mut sessions, &roles);
+                    cache.dirty.fill(true);
+                }
+                FleetEvent::Deliver => {
+                    let (pos, _) = delivery.expect("a delivery is in flight");
                     let migrated = in_flight.remove(pos);
-                    if let Some(control) = autoscale.as_mut() {
-                        if control.promote_due(migrated.deliver_s) {
-                            dirty.iter_mut().for_each(|flag| *flag = true);
-                        }
-                    }
-                    refresh_snapshots(
-                        &sessions,
-                        &roles,
-                        autoscale.as_ref().map(|a| a.lifecycle()),
-                        &mut snaps,
-                        &mut dirty,
-                    );
+                    let snapshots = cache.observe(&sessions, &roles, lifecycles);
                     let target = {
                         papi_perf::phase!("migrate");
                         migration.place(&MigrationContext {
                             request: &migrated.handoff.request,
                             kv_tokens: migrated.handoff.kv.tokens,
                             source: migrated.source,
-                            replicas: &snaps,
+                            replicas: snapshots,
                         })
                     };
                     assert!(
@@ -1266,115 +897,132 @@ impl ClusterEngine {
                     stats.energy += migrated.cost.energy;
                     transfer_times.push(migrated.cost.time);
                     sessions[target].push_migrated(migrated.handoff, migrated.deliver_s);
-                    dirty[target] = true;
+                    cache.dirty[target] = true;
                 }
-                None => match next_arrival < arrivals.len() {
-                    true => {
-                        let request = arrivals[next_arrival].clone();
-                        next_arrival += 1;
-                        if let Some(control) = autoscale.as_mut() {
-                            if control.promote_due(request.arrival_s) {
-                                dirty.iter_mut().for_each(|flag| *flag = true);
-                            }
+                FleetEvent::Arrive => {
+                    let request = arrivals[next_arrival].clone();
+                    next_arrival += 1;
+                    let snapshots = cache.observe(&sessions, &roles, lifecycles);
+                    let target = {
+                        papi_perf::phase!("route");
+                        let mut ctx = RouteContext::new(&request, snapshots);
+                        if let Some(control) = shared.as_ref() {
+                            ctx = ctx.with_shared_prefixes(&control.directory);
                         }
-                        refresh_snapshots(
-                            &sessions,
-                            &roles,
-                            autoscale.as_ref().map(|a| a.lifecycle()),
-                            &mut snaps,
-                            &mut dirty,
-                        );
-                        let target = {
-                            papi_perf::phase!("route");
-                            let ctx = RouteContext::new(&request, &snaps);
-                            let ctx = match shared.as_ref() {
-                                Some(control) => ctx.with_shared_prefixes(&control.directory),
-                                None => ctx,
-                            };
-                            let ctx = match autoscale.as_ref() {
-                                Some(control) => ctx.with_ring(control.ring()),
-                                None => ctx,
-                            };
-                            policy.route(&ctx)
-                        };
-                        assert!(
-                            target < sessions.len(),
-                            "routing policy {} picked replica {target} in a {}-replica fleet",
-                            policy.label(),
-                            sessions.len()
-                        );
-                        assert!(
-                            roles[target].accepts_arrivals(),
-                            "routing policy {} sent an arrival to decode-only replica {target}",
-                            policy.label()
-                        );
                         if let Some(control) = autoscale.as_ref() {
-                            let state = control.lifecycle()[target];
-                            assert!(
-                                state.serves_traffic(),
-                                "routing policy {} sent an arrival to {} replica {target}",
-                                policy.label(),
-                                state.label()
-                            );
+                            ctx = ctx.with_ring(control.ring());
                         }
-                        decisions += 1;
-                        sessions[target].push(request);
-                        dirty[target] = true;
+                        policy.route(&ctx)
+                    };
+                    assert!(
+                        target < sessions.len(),
+                        "routing policy {} picked replica {target} in a {}-replica fleet",
+                        policy.label(),
+                        sessions.len()
+                    );
+                    assert!(
+                        roles[target].accepts_arrivals(),
+                        "routing policy {} sent an arrival to decode-only replica {target}",
+                        policy.label()
+                    );
+                    if let Some(control) = autoscale.as_ref() {
+                        let state = control.lifecycle()[target];
+                        assert!(
+                            state.serves_traffic(),
+                            "routing policy {} sent an arrival to {} replica {target}",
+                            policy.label(),
+                            state.label()
+                        );
                     }
-                    // No event, nothing steppable: the episode is done.
-                    false => break,
-                },
+                    decisions += 1;
+                    sessions[target].push(request);
+                    cache.dirty[target] = true;
+                }
+                FleetEvent::Done => break,
             }
         }
         debug_assert!(in_flight.is_empty(), "a migration was never delivered");
         stats.latency = LatencySummary::from_times(&transfer_times);
-        let global_tier = shared.map(SharedTierControl::into_report);
-        self.finish_report(
-            policy.label(),
-            decisions,
-            roles,
-            stats,
-            global_tier,
-            sessions,
-            autoscale,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_report(
-        &self,
-        routing: String,
-        decisions: u64,
-        roles: Vec<ReplicaRole>,
-        migration: MigrationReport,
-        global_tier: Option<GlobalTierReport>,
-        sessions: Vec<ServingSession<'_>>,
-        autoscale: Option<AutoscaleControl<'_>>,
-    ) -> ClusterReport {
         // The episode's end instant — the latest replica clock — must
         // be captured before the sessions are consumed: still-
         // provisioned replicas accrue replica-hours up to it.
         let end_s = sessions.iter().map(|s| s.clock()).fold(0.0, f64::max);
         let replicas: Vec<ServingReport> = sessions.into_iter().map(|s| s.into_report()).collect();
         let fleet_cost = autoscale.map(|control| {
-            let fleet_energy = replicas
-                .iter()
-                .fold(migration.energy, |acc, r| acc + r.energy);
+            let fleet_energy = replicas.iter().fold(stats.energy, |acc, r| acc + r.energy);
             control.into_report(&replicas, end_s, fleet_energy, self.spec.dp_replicas)
         });
         ClusterReport {
             design: self.replicas[0].config().design.label().to_owned(),
             model: self.spec.model.name.clone(),
             tp_degree: self.spec.tp_degree,
-            routing,
+            routing: policy.label(),
             routing_decisions: decisions,
             roles,
-            migration,
-            global_tier,
+            migration: stats,
+            global_tier: shared.map(SharedTierControl::into_report),
             fleet_cost,
             replicas,
         }
     }
+}
+
+/// A control-plane event: what the fleet loop handles once every
+/// replica has reached its instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FleetEvent {
+    /// The earliest in-flight migration lands on its decode replica.
+    Deliver,
+    /// The next request arrives and is routed.
+    Arrive,
+    /// A shared-tier gossip tick: the barrier merges the directory.
+    GossipTick,
+    /// An autoscale decision tick.
+    DecideTick,
+    /// No arrival or delivery is left: replicas drain, then the
+    /// episode ends.
+    Done,
+}
+
+/// The next event and its instant, given the next arrival, the
+/// earliest delivery, the next gossip and decide ticks (`INFINITY`
+/// when the fleet has no shared tier or no autoscaler) and whether
+/// any replica has pending work. A delivery wins an exact tie with an
+/// arrival, so the router sees the landed sequence. Ticks bound the
+/// window only while some replica has work, and only when strictly
+/// earlier: gossip against the event, then decide against both (a
+/// preempted gossip tick comes back on the next call).
+fn next_event(
+    arrival: Option<f64>,
+    delivery: Option<f64>,
+    gossip: f64,
+    decide: f64,
+    pending: bool,
+) -> (FleetEvent, f64) {
+    let (mut event, mut at) = match (delivery, arrival) {
+        (Some(d), Some(a)) if a < d => (FleetEvent::Arrive, a),
+        (Some(d), _) => (FleetEvent::Deliver, d),
+        (None, Some(a)) => (FleetEvent::Arrive, a),
+        (None, None) => (FleetEvent::Done, f64::INFINITY),
+    };
+    if pending && gossip < at {
+        (event, at) = (FleetEvent::GossipTick, gossip);
+    }
+    if pending && decide < at {
+        (event, at) = (FleetEvent::DecideTick, decide);
+    }
+    (event, at)
+}
+
+/// The in-flight migration that lands first and its instant: the
+/// earliest `deliver_s`, export order (index order, as `Vec::remove`
+/// keeps it) breaking ties.
+fn first_delivery(in_flight: &[InFlightMigration]) -> Option<(usize, f64)> {
+    in_flight
+        .iter()
+        .enumerate()
+        .min_by(|(ia, a), (ib, b)| a.deliver_s.total_cmp(&b.deliver_s).then(ia.cmp(ib)))
+        .map(|(idx, m)| (idx, m.deliver_s))
 }
 
 /// The first control-plane tick strictly after `clock` on the
@@ -1390,29 +1038,60 @@ pub(crate) fn next_sync_tick(clock: f64, sync: f64) -> f64 {
     }
 }
 
-/// Refreshes the dirty entries of the cluster's snapshot cache (and
-/// re-stamps their roles and — for elastic fleets — lifecycles). Clean
-/// entries are untouched — a session that neither stepped nor received
-/// a push snapshots identically (the event loops mark the whole cache
-/// dirty whenever a lifecycle changes).
-fn refresh_snapshots(
-    sessions: &[ServingSession<'_>],
-    roles: &[ReplicaRole],
-    lifecycles: Option<&[ReplicaState]>,
-    snaps: &mut [ReplicaSnapshot],
-    dirty: &mut [bool],
-) {
-    papi_perf::phase!("snapshot");
-    for (idx, flag) in dirty.iter_mut().enumerate() {
-        if *flag {
-            let mut snapshot = sessions[idx].snapshot();
-            snapshot.role = roles[idx];
-            if let Some(lifecycles) = lifecycles {
-                snapshot.lifecycle = lifecycles[idx];
+/// The slowest clock among sessions with pending work (`INFINITY` when
+/// none has any): the point past which gossip and decide ticks relatch.
+pub(crate) fn min_pending_clock(sessions: &[ServingSession<'_>]) -> f64 {
+    sessions
+        .iter()
+        .filter(|s| s.has_pending_work())
+        .map(ServingSession::clock)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `session`'s snapshot stamped with its replica's configured role and
+/// lifecycle, so policies can honor the disaggregation and lifecycle
+/// contracts.
+pub(crate) fn stamped_snapshot(
+    session: &ServingSession<'_>,
+    role: ReplicaRole,
+    lifecycle: ReplicaState,
+) -> ReplicaSnapshot {
+    ReplicaSnapshot {
+        role,
+        lifecycle,
+        ..session.snapshot()
+    }
+}
+
+/// The fleet's snapshot cache: an event re-snapshots only the replicas
+/// that stepped or were pushed to since the last one. A clean entry is
+/// exact, because a session that neither stepped nor received a push
+/// snapshots identically; the loop marks every entry dirty whenever a
+/// lifecycle changes.
+#[derive(Debug)]
+struct SnapshotCache {
+    snapshots: Vec<ReplicaSnapshot>,
+    dirty: Vec<bool>,
+}
+
+impl SnapshotCache {
+    /// The fleet as a policy sees it: re-snapshots every dirty replica,
+    /// stamped with its lifecycle (`None` for a fixed fleet).
+    fn observe(
+        &mut self,
+        sessions: &[ServingSession<'_>],
+        roles: &[ReplicaRole],
+        lifecycles: Option<&[ReplicaState]>,
+    ) -> &[ReplicaSnapshot] {
+        papi_perf::phase!("snapshot");
+        for (idx, dirty) in self.dirty.iter_mut().enumerate() {
+            if std::mem::take(dirty) {
+                // A fixed fleet keeps every replica `Active`.
+                let lifecycle = lifecycles.map_or(ReplicaState::Active, |l| l[idx]);
+                self.snapshots[idx] = stamped_snapshot(&sessions[idx], roles[idx], lifecycle);
             }
-            snaps[idx] = snapshot;
-            *flag = false;
         }
+        &self.snapshots
     }
 }
 
@@ -1762,6 +1441,30 @@ mod tests {
         assert!(t4 < t1, "TP4 p50 TPOT {t4} should beat TP1 {t1}");
     }
 
+    /// A delivery wins an exact tie with an arrival, a tick takes the
+    /// window only when strictly earlier (gossip against the event,
+    /// then decide against both), and ticks bound the window only while
+    /// some replica has work.
+    #[test]
+    fn next_event_keeps_the_tie_rules() {
+        use FleetEvent::*;
+        let inf = f64::INFINITY;
+        // (arrival, delivery, gossip, decide, pending) → (event, at)
+        let cases = [
+            ((Some(1.0), Some(1.0), inf, inf, true), (Deliver, 1.0)),
+            ((Some(1.0), Some(2.0), inf, inf, true), (Arrive, 1.0)),
+            ((Some(2.0), None, 0.5, 0.4, true), (DecideTick, 0.4)),
+            ((Some(2.0), None, 0.5, 0.5, true), (GossipTick, 0.5)),
+            ((Some(2.0), None, 2.0, 2.0, true), (Arrive, 2.0)),
+            ((Some(2.0), None, 0.5, 0.5, false), (Arrive, 2.0)),
+            ((None, None, 0.5, inf, true), (GossipTick, 0.5)),
+            ((None, None, inf, inf, true), (Done, inf)),
+        ];
+        for ((arrival, delivery, gossip, decide, pending), want) in cases {
+            assert_eq!(next_event(arrival, delivery, gossip, decide, pending), want);
+        }
+    }
+
     /// The fleet shape validates through the cluster topology.
     #[test]
     fn degenerate_fleet_rejected() {
@@ -2089,27 +1792,6 @@ mod tests {
         assert!(ClusterEngine::new(base(vec![ReplicaRole::Decode, ReplicaRole::Decode])).is_err());
         // A valid split passes.
         assert!(ClusterEngine::new(base(vec![ReplicaRole::Prefill, ReplicaRole::Decode])).is_ok());
-    }
-
-    /// The deprecated per-knob shims still forward into the shared
-    /// tuning, so pre-`SessionTuning` call sites behave identically.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knob_shims_forward_to_tuning() {
-        let model = ModelPreset::Llama65B.config();
-        let spec = ClusterSpec::new(DesignKind::PimOnlyPapi, model, 1, 2)
-            .with_max_batch(12)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true)
-            .with_prefill_chunk(256);
-        assert_eq!(
-            spec.tuning,
-            SessionTuning::default()
-                .with_max_batch(12)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true)
-                .with_prefill_chunk(256)
-        );
     }
 
     /// A multi-turn long-context workload that thrashes each replica's

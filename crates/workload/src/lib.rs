@@ -58,8 +58,6 @@ pub use conversation::ConversationDataset;
 pub use dataset::DatasetKind;
 pub use replay::{ReplayError, TraceRecord, TraceReplay};
 pub use request::Request;
-#[allow(deprecated)]
-pub use routing::RoutingPolicy;
 pub use routing::{
     AdaptiveAffinity, BuiltinRoutePolicy, DecodeJsq, DecodeKvPressure, HashRing, JoinShortestQueue,
     KvPressureAware, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, PrefixAffinity,

@@ -1156,14 +1156,6 @@ impl FromStr for PolicySpec {
     }
 }
 
-/// Deprecated name for [`PolicySpec`], kept so pre-trait call sites
-/// still compile.
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to PolicySpec; routing is now the open RoutePolicy trait"
-)]
-pub type RoutingPolicy = PolicySpec;
-
 /// The stateful router: a built-in policy plus its decision counter,
 /// resumable by construction — every routing-relevant bit (the spec,
 /// the policy's cursor/spill state, the decision count) round-trips

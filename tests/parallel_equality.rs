@@ -1,15 +1,21 @@
-//! Equivalence pin for the parallel fleet event loop:
-//! [`StepMode::Parallel`] must reproduce the sequential reference
-//! loop's `ClusterReport` bit for bit, across fleet shapes the
-//! built-in policies can produce — colocated and disaggregated roles,
-//! every migration pricing, prefix-affinity routing, paged KV.
+//! Step-mode pins for the fleet event loop. Both [`StepMode`]s drive
+//! one loop and differ only in how replicas that cannot move a
+//! window's bound reach it: `Sequential` steps the whole fleet one
+//! `step()` round at a time, minimum clock first, and re-snapshots
+//! every replica at every event; `Parallel` fans them out with rayon,
+//! leaping steady batches with `run_until`, and re-snapshots only
+//! replicas that changed. Every `ClusterReport` field, RNG consumption
+//! order included, must come out identical across colocated and
+//! disaggregated roles, every migration pricing, prefix-affinity
+//! routing, paged KV, the shared tier and autoscaling. Any divergence
+//! is a bug in the windowing, the snapshot cache or the decode leap,
+//! not noise.
 //!
-//! The parallel loop only ever reorders *wall-clock* execution: the
-//! simulated event order (arrivals, migration deliveries, per-replica
-//! iteration boundaries) is derived from the same horizon arithmetic
-//! the sequential loop uses, so every report field — including RNG
-//! consumption order — must come out identical. Any divergence is a
-//! correctness bug in the windowing, not noise.
+//! The whole-report goldens below were captured from the two-loop
+//! engine, where the sequential mode was a separate loop. They pin
+//! disaggregated, shared-tier, autoscaled and KV-tight fleets, which
+//! the colocated routing goldens do not cover, against code the one
+//! loop does not share.
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
@@ -97,36 +103,11 @@ proptest! {
         // A fleet needs at least one decode-capable replica; cap the
         // prefill pool below the fleet size.
         let prefill = prefill_share.min(dp.saturating_sub(1));
-        let roles: Vec<ReplicaRole> = (0..dp)
-            .map(|i| {
-                if i < prefill {
-                    ReplicaRole::Prefill
-                } else {
-                    ReplicaRole::Decode
-                }
-            })
-            .collect();
-        let disaggregated = prefill > 0;
         let pricing = match pricing_pick {
             0 => MigrationPricing::Fabric,
             _ => MigrationPricing::Free,
         };
-        let workload = if bursty {
-            ServingWorkload::new(
-                ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 2),
-                ArrivalProcess::Bursty { burst_size: 4, interval_sec: 1.0 },
-                32,
-            )
-            .with_seed(seed)
-        } else {
-            ServingWorkload::poisson(DatasetKind::GeneralQa, 12.0, 32).with_seed(seed)
-        };
-        let mut spec =
-            ClusterSpec::new(DesignKind::PimOnlyPapi, ModelPreset::Llama65B.config(), 1, dp)
-                .with_tuning(SessionTuning::default().with_max_batch(8));
-        if disaggregated {
-            spec = spec.with_roles(roles).with_migration_pricing(pricing);
-        }
+        let (spec, workload) = disaggregated_fleet(seed, dp, prefill, pricing, bursty);
         assert_modes_agree(
             spec,
             &workload,
@@ -135,11 +116,57 @@ proptest! {
     }
 }
 
+/// A PIM-only Llama-65B fleet of `dp` replicas: the first `prefill`
+/// are prefill-role and the rest decode-role (`prefill == 0` leaves
+/// every replica colocated), under Poisson or bursty multi-turn
+/// traffic.
+fn disaggregated_fleet(
+    seed: u64,
+    dp: usize,
+    prefill: usize,
+    pricing: MigrationPricing,
+    bursty: bool,
+) -> (ClusterSpec, ServingWorkload) {
+    let workload = if bursty {
+        ServingWorkload::new(
+            ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 2),
+            ArrivalProcess::Bursty {
+                burst_size: 4,
+                interval_sec: 1.0,
+            },
+            32,
+        )
+        .with_seed(seed)
+    } else {
+        ServingWorkload::poisson(DatasetKind::GeneralQa, 12.0, 32).with_seed(seed)
+    };
+    let mut spec = ClusterSpec::new(
+        DesignKind::PimOnlyPapi,
+        ModelPreset::Llama65B.config(),
+        1,
+        dp,
+    )
+    .with_tuning(SessionTuning::default().with_max_batch(8));
+    if prefill > 0 {
+        let roles = (0..dp)
+            .map(|i| {
+                if i < prefill {
+                    ReplicaRole::Prefill
+                } else {
+                    ReplicaRole::Decode
+                }
+            })
+            .collect();
+        spec = spec.with_roles(roles).with_migration_pricing(pricing);
+    }
+    (spec, workload)
+}
+
 /// The paged, prefix-shared, affinity-routed shape the
 /// `cluster_fleet_64` perf scenario uses (shrunk to a 16-replica fleet
 /// so the suite stays fast): the configuration where decode leaps —
 /// `run_until` running a steady batch to its next event in one call —
-/// do nearly all of the parallel loop's stepping.
+/// do nearly all of `Parallel`'s stepping.
 #[test]
 fn parallel_matches_sequential_prefix_affinity_fleet() {
     let workload = ServingWorkload::new(
@@ -171,14 +198,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Shared-tier fleets: the global directory adds cross-replica
-    /// fetch traffic and control-plane sync ticks to both loops, and
-    /// the parallel loop must still reproduce the sequential reference
-    /// bit for bit — including the `GlobalTierReport` — across replica
-    /// counts, routing policies, fabric pricings, and sync intervals.
-    /// The workload is the thrash-prone long-context scatter shape
-    /// (odd conversation count, so turns change replicas), which makes
-    /// remote fetches actually occur rather than testing a quiet
-    /// directory.
+    /// fetch traffic and control-plane sync ticks, and `Parallel` must
+    /// still reproduce `Sequential` bit for bit — including the
+    /// `GlobalTierReport` — across replica counts, routing policies,
+    /// fabric pricings, and sync intervals. The workload is the
+    /// long-context scatter shape (odd conversation count, so turns
+    /// change replicas). At 51 requests most cases spill nothing; the
+    /// shared-tier golden runs 153, where remote fetches do occur.
     #[test]
     fn parallel_matches_sequential_shared_tier(
         seed in 0u64..1_000_000,
@@ -193,36 +219,7 @@ proptest! {
             _ => PolicySpec::prefix_affinity(),
         };
         let sync_s = [0.01, 0.05, 0.5][sync_pick];
-        let workload = ServingWorkload::poisson(
-            ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
-            4.0,
-            51,
-        )
-        .with_seed(seed);
-        let spec = ClusterSpec::new(
-            DesignKind::PimOnlyPapi,
-            papi::llm::ModelPreset::Gpt3_175B.config(),
-            1,
-            dp,
-        )
-        .with_routing(policy)
-        .with_tuning(
-            SessionTuning::default()
-                .with_max_batch(16)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true)
-                .with_kv_tier(KvTierSpec::new(60_000)),
-        )
-        .with_shared_tier({
-            // Default pricing rides the cluster's inter-node fabric;
-            // `Free` is the zero-cost ablation.
-            let shared = SharedTierSpec::new().with_sync_interval(sync_s);
-            if free_fabric {
-                shared.with_pricing(TierPricing::Free)
-            } else {
-                shared
-            }
-        });
+        let (spec, workload) = shared_tier_fleet(seed, 51, dp, policy, free_fabric, sync_s);
         assert_modes_agree(
             spec,
             &workload,
@@ -231,13 +228,56 @@ proptest! {
     }
 }
 
+/// A PIM-only GPT-3 fleet with a fleet-shared tier, serving the
+/// thrash-prone long-context scatter shape.
+fn shared_tier_fleet(
+    seed: u64,
+    requests: usize,
+    dp: usize,
+    policy: PolicySpec,
+    free_fabric: bool,
+    sync_s: f64,
+) -> (ClusterSpec, ServingWorkload) {
+    let workload = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
+        4.0,
+        requests,
+    )
+    .with_seed(seed);
+    let spec = ClusterSpec::new(
+        DesignKind::PimOnlyPapi,
+        ModelPreset::Gpt3_175B.config(),
+        1,
+        dp,
+    )
+    .with_routing(policy)
+    .with_tuning(
+        SessionTuning::default()
+            .with_max_batch(16)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true)
+            .with_kv_tier(KvTierSpec::new(60_000)),
+    )
+    .with_shared_tier({
+        // Default pricing rides the cluster's inter-node fabric;
+        // `Free` is the zero-cost ablation.
+        let shared = SharedTierSpec::new().with_sync_interval(sync_s);
+        if free_fabric {
+            shared.with_pricing(TierPricing::Free)
+        } else {
+            shared
+        }
+    });
+    (spec, workload)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Autoscaled fleets: lifecycle transitions, decision ticks,
     /// warm-up promotions, and ring-affinity routing all ride the
-    /// control-plane barrier machinery, and the parallel loop must
-    /// still reproduce the sequential reference bit for bit —
+    /// control-plane barrier machinery, and `Parallel` must still
+    /// reproduce `Sequential` bit for bit —
     /// including the `FleetCostReport` (replica-hours, scale-event
     /// log, energy per good token) — across fleet sizes, built-in
     /// scaling policies, initial fleet fractions, decision intervals,
@@ -251,55 +291,14 @@ proptest! {
         decide_pick in 0usize..3,
         diurnal in proptest::bool::ANY,
     ) {
-        let slo = SloSpec::interactive(2_000.0, 100.0);
         let policy = match policy_pick {
             0 => AutoscalePolicySpec::queue_depth(),
             1 => AutoscalePolicySpec::kv_pressure(),
-            _ => AutoscalePolicySpec::slo_burn(slo),
+            _ => AutoscalePolicySpec::slo_burn(autoscale_slo()),
         };
         let decide_s = [0.5, 2.0, 5.0][decide_pick];
         let initial = initial.min(dp);
-        let arrivals = if diurnal {
-            ArrivalProcess::Diurnal {
-                base_rate_per_sec: 2.0,
-                peak_rate_per_sec: 16.0,
-                period_s: 20.0,
-                noise: 0.2,
-            }
-        } else {
-            ArrivalProcess::FlashCrowd {
-                base_rate_per_sec: 2.0,
-                spike_rate_per_sec: 24.0,
-                spike_every_s: 8.0,
-                spike_duration_s: 2.0,
-            }
-        };
-        let workload = ServingWorkload::new(
-            ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 2),
-            arrivals,
-            48,
-        )
-        .with_seed(seed);
-        let spec = ClusterSpec::new(
-            DesignKind::PimOnlyPapi,
-            ModelPreset::Llama65B.config(),
-            1,
-            dp,
-        )
-        .with_routing(PolicySpec::prefix_affinity())
-        .with_tuning(
-            SessionTuning::default()
-                .with_max_batch(8)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true),
-        )
-        .with_autoscale(
-            AutoscaleSpec::new(policy, slo)
-                .with_min_replicas(1)
-                .with_initial_replicas(initial)
-                .with_spin_up(3.0)
-                .with_decide_interval(decide_s),
-        );
+        let (spec, workload) = autoscaled_fleet(seed, dp, policy, initial, decide_s, diurnal);
         assert_modes_agree(
             spec,
             &workload,
@@ -309,6 +308,65 @@ proptest! {
             ),
         );
     }
+}
+
+/// The SLO the autoscaled fleets are judged (and SLO-burn scaled) by.
+fn autoscale_slo() -> SloSpec {
+    SloSpec::interactive(2_000.0, 100.0)
+}
+
+/// An elastic PIM-only Llama-65B fleet under diurnal or flash-crowd
+/// multi-turn traffic, affinity-routed over 16-token shared blocks.
+fn autoscaled_fleet(
+    seed: u64,
+    dp: usize,
+    policy: AutoscalePolicySpec,
+    initial: usize,
+    decide_s: f64,
+    diurnal: bool,
+) -> (ClusterSpec, ServingWorkload) {
+    let arrivals = if diurnal {
+        ArrivalProcess::Diurnal {
+            base_rate_per_sec: 2.0,
+            peak_rate_per_sec: 16.0,
+            period_s: 20.0,
+            noise: 0.2,
+        }
+    } else {
+        ArrivalProcess::FlashCrowd {
+            base_rate_per_sec: 2.0,
+            spike_rate_per_sec: 24.0,
+            spike_every_s: 8.0,
+            spike_duration_s: 2.0,
+        }
+    };
+    let workload = ServingWorkload::new(
+        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 2),
+        arrivals,
+        48,
+    )
+    .with_seed(seed);
+    let spec = ClusterSpec::new(
+        DesignKind::PimOnlyPapi,
+        ModelPreset::Llama65B.config(),
+        1,
+        dp,
+    )
+    .with_routing(PolicySpec::prefix_affinity())
+    .with_tuning(
+        SessionTuning::default()
+            .with_max_batch(8)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true),
+    )
+    .with_autoscale(
+        AutoscaleSpec::new(policy, autoscale_slo())
+            .with_min_replicas(1)
+            .with_initial_replicas(initial)
+            .with_spin_up(3.0)
+            .with_decide_interval(decide_s),
+    );
+    (spec, workload)
 }
 
 /// A fleet whose replicas run out of KV pool mid-window: bursts of
@@ -342,26 +400,101 @@ fn kv_tight_fleet(seed: u64, dp: usize) -> (ClusterSpec, ServingWorkload) {
 }
 
 /// The KV-tight shape really does preempt, so the leap-boundary
-/// proptest below exercises a guard that fails inside a window.
+/// proptest below exercises a guard that fails inside a window; both
+/// modes match its golden.
 #[test]
 fn kv_tight_fleet_preempts_identically_in_both_modes() {
     let (spec, workload) = kv_tight_fleet(3, 2);
-    let report = ClusterEngine::new(spec.clone().with_step_mode(StepMode::Sequential))
-        .expect("valid fleet")
-        .run(&workload);
+    let report = assert_golden(spec, &workload, 0x4a44_b6fd_01d9_0ffd, "kv-tight fleet");
     assert!(
         report.replicas.iter().any(|r| r.preemptions > 0),
         "the KV-tight fleet never preempted"
     );
-    assert_modes_agree(spec, &workload, "kv-tight fleet");
+}
+
+/// FNV-1a over the serialized report: every field, including the
+/// `MigrationReport`, `GlobalTierReport` and `FleetCostReport`.
+fn report_hash(report: &ClusterReport) -> u64 {
+    serde_json::to_string(report)
+        .expect("report serializes")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Runs `spec` under both step modes, asserts each report hashes to
+/// `golden`, and returns the report for shape checks.
+fn assert_golden(
+    spec: ClusterSpec,
+    workload: &ServingWorkload,
+    golden: u64,
+    label: &str,
+) -> ClusterReport {
+    let run = |mode: StepMode| {
+        ClusterEngine::new(spec.clone().with_step_mode(mode))
+            .expect("valid fleet")
+            .run(workload)
+    };
+    let sequential = run(StepMode::Sequential);
+    let parallel = run(StepMode::Parallel);
+    assert_eq!(
+        report_hash(&sequential),
+        golden,
+        "{label}: the sequential report moved off its golden"
+    );
+    assert_eq!(
+        report_hash(&parallel),
+        golden,
+        "{label}: the parallel report moved off its golden"
+    );
+    parallel
+}
+
+/// Fabric pricing, and the `Free` ablation: its exports from one
+/// prefill batch land at the same instant, so it also pins the
+/// export-order tie-break of the in-flight queue.
+#[test]
+fn disaggregated_fleets_match_their_goldens() {
+    for (pricing, golden) in [
+        (MigrationPricing::Fabric, 0xd52f_7635_4fcf_c5bd),
+        (MigrationPricing::Free, 0xc341_c6b9_d12b_d725),
+    ] {
+        let label = format!("disaggregated {pricing:?} fleet");
+        let (spec, workload) = disaggregated_fleet(7, 6, 2, pricing, false);
+        let report = assert_golden(spec, &workload, golden, &label);
+        assert!(report.migration.migrations > 0, "{label}: nothing migrated");
+    }
+}
+
+#[test]
+fn shared_tier_fleet_matches_its_golden() {
+    let (spec, workload) = shared_tier_fleet(23, 153, 2, PolicySpec::RoundRobin, false, 0.05);
+    let report = assert_golden(spec, &workload, 0x4d14_7955_a13c_4444, "shared-tier fleet");
+    let tier = report.global_tier.expect("shared-tier report");
+    assert!(tier.fetches > 0, "no cross-replica fetch");
+}
+
+#[test]
+fn autoscaled_flash_crowd_matches_its_golden() {
+    let (spec, workload) =
+        autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false);
+    let report = assert_golden(
+        spec,
+        &workload,
+        0xd8f1_969e_f303_eb21,
+        "autoscaled flash crowd",
+    );
+    let cost = report.fleet_cost.expect("elastic report");
+    assert!(!cost.scale_events.is_empty(), "the fleet never scaled");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Decode-leap boundaries. The parallel loop advances replicas with
+    /// Decode-leap boundaries. `Parallel` advances replicas with
     /// `run_until`, which runs a steady batch through many iterations
-    /// per call; the sequential loop steps one round at a time. Every
+    /// per call; `Sequential` steps one round at a time. Every
     /// place a leap can end must give the same reports:
     /// - geometric acceptance with adaptive TLP on PAPI, where each
     ///   iteration draws acceptance and the scheduler switches
