@@ -40,7 +40,7 @@ use crate::metrics::{RequestRecord, ServingReport};
 use crate::serving::ServingSession;
 use crate::slo::SloSpec;
 use papi_types::Energy;
-use papi_workload::{HashRing, ReplicaRole, ReplicaSnapshot, ReplicaState};
+use papi_workload::{HashRing, ReplicaRole, ReplicaSnapshot, ReplicaState, RingPoints};
 use serde::{Deserialize, Serialize};
 
 /// The fleet state an [`AutoscalePolicy`] decides over: one
@@ -541,6 +541,9 @@ pub(crate) struct AutoscaleControl<'a> {
     state_seconds: Vec<[f64; 3]>,
     /// Completion records already consumed from each session.
     cursors: Vec<usize>,
+    /// Every replica's ring points, filtered into `ring` on each
+    /// membership change.
+    points: RingPoints,
     ring: HashRing,
     events: Vec<ScaleEvent>,
     decisions: u64,
@@ -575,7 +578,8 @@ impl<'a> AutoscaleControl<'a> {
                 }
             })
             .collect();
-        let members: Vec<usize> = (0..initial).collect();
+        let all: Vec<usize> = (0..dp).collect();
+        let points = RingPoints::new(&all);
         Self {
             policy: policy.unwrap_or_else(|| spec.policy.build()),
             slo: spec.slo,
@@ -587,7 +591,8 @@ impl<'a> AutoscaleControl<'a> {
             state_since: vec![0.0; dp],
             state_seconds: vec![[0.0; 3]; dp],
             cursors: vec![0; dp],
-            ring: HashRing::new(&members),
+            ring: points.ring(|idx| idx < initial),
+            points,
             events: Vec::new(),
             decisions: 0,
             peak_active: initial,
@@ -635,15 +640,9 @@ impl<'a> AutoscaleControl<'a> {
     }
 
     fn rebuild_ring(&mut self) {
-        let members: Vec<usize> = self
-            .lifecycle
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.serves_traffic())
-            .map(|(i, _)| i)
-            .collect();
-        self.ring = HashRing::new(&members);
-        self.peak_active = self.peak_active.max(members.len());
+        let lifecycle = &self.lifecycle;
+        self.ring = self.points.ring(|idx| lifecycle[idx].serves_traffic());
+        self.peak_active = self.peak_active.max(self.active_count());
     }
 
     /// Promotes every `Warming` replica whose spin-up has elapsed by

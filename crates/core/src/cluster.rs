@@ -49,12 +49,13 @@ use papi_kv::{FetchSpec, GlobalKvTier};
 use papi_llm::ModelConfig;
 use papi_types::{Energy, Time};
 use papi_workload::{
-    MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, ReplicaRole, ReplicaSnapshot,
-    ReplicaState, RouteContext, RoutePolicy, Router, ServingWorkload,
+    HashRing, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, Reads, ReplicaRole,
+    ReplicaSnapshot, ReplicaState, RouteContext, RoutePolicy, Router, ServingRequest,
+    ServingWorkload,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How [`ClusterEngine::run_with_policies`] advances replicas between
@@ -63,18 +64,25 @@ use std::sync::Arc;
 /// Both modes drive the same event loop and produce **bit-for-bit
 /// identical** [`ClusterReport`]s. They differ only in how the replicas
 /// that cannot move a window's bound (every replica but the
-/// prefill-role exporters) reach it. `tests/parallel_equality.rs` pins
-/// the modes against each other and against goldens.
+/// prefill-role exporters) reach it, and in which of them an arrival
+/// advances. `tests/parallel_equality.rs` pins the modes against each
+/// other and against goldens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StepMode {
     /// Like the exporters: one [`ServingSession::step`] round at a
-    /// time, always the minimum-clock replica in the fleet. This is the
-    /// discrete-event reference schedule, with no threads, no decode
-    /// leaps and no windowing argument to trust.
+    /// time, always the minimum-clock replica in the fleet, and every
+    /// replica up to every event. This is the discrete-event reference
+    /// schedule, with no threads, no decode leaps, no lagging replicas
+    /// and no windowing argument to trust.
     Sequential,
-    /// Fanned out via rayon, each replica running to the bound with
+    /// Each replica runs to the bound with
     /// [`ServingSession::run_until`], which leaps a steady batch through
-    /// many decode iterations per call.
+    /// many decode iterations per call. The replicas run inline, in
+    /// replica order: no window on the benchmarked fleets carries
+    /// enough work to repay spawning threads. An arrival in a
+    /// private-tier fleet runs only the replicas its router
+    /// [reads](RoutePolicy::reads); the rest lag until an event reads
+    /// them.
     #[default]
     Parallel,
 }
@@ -580,9 +588,9 @@ impl ClusterEngine {
     ///
     /// Replicas advance on a shared simulated clock: before each
     /// global event — an arrival being routed, or a migrated sequence
-    /// landing on its decode replica — every replica with pending work
-    /// is stepped up to the event instant, so policies see the fleet
-    /// as it would exist right then — not a stale or clairvoyant view.
+    /// landing on its decode replica — every replica the event reads is
+    /// stepped up to the event instant, so policies see the fleet as it
+    /// would exist right then — not a stale or clairvoyant view.
     ///
     /// # Panics
     ///
@@ -732,19 +740,42 @@ impl ClusterEngine {
     /// Replicas interact only *at* control-plane events (a routed
     /// arrival, a delivered migration, a gossip or decide tick); between
     /// events each session's trajectory is a function of its own state
-    /// alone. Each window advances every replica with pending work to
-    /// the next event, then handles the event. A global minimum-clock
-    /// scan would run a round with pre-round clock `c` exactly when `c`
-    /// is below both the event and every delivery exported by an
-    /// earlier round. Only prefill-role replicas export, and a delivery
-    /// lands strictly after the round that exported it, so exporters
-    /// advance first, one round at a time, minimum clock first, under a
-    /// bound that tightens with every export. The bound is then final,
-    /// and every other replica runs freely up to it: any interleaving
-    /// gives the same per-replica result, which is why the step modes
-    /// may differ in that phase alone. `Sequential` folds it into the
+    /// alone. Each window advances replicas with pending work to the
+    /// next event, then handles the event. A global minimum-clock scan
+    /// would run a round with pre-round clock `c` exactly when `c` is
+    /// below both the event and every delivery exported by an earlier
+    /// round. Only prefill-role replicas export, and a delivery lands
+    /// strictly after the round that exported it, so exporters advance
+    /// first, one round at a time, minimum clock first, under a bound
+    /// that tightens with every export. The bound is then final, and
+    /// every other replica runs freely up to it: any interleaving gives
+    /// the same per-replica result, which is why the step modes may
+    /// differ in that phase alone. `Sequential` folds it into the
     /// exporters' scan, which then covers the whole fleet. Exports queue
     /// in export order, which breaks delivery ties.
+    ///
+    /// Under `Parallel`, an arrival in a private-tier fleet goes
+    /// further: it advances only the replicas the router
+    /// [reads](RoutePolicy::reads), and the rest lag behind. This stays
+    /// exact because [`ServingSession::run_until`] is a step loop, so
+    /// skipping a replica's runs to some arrivals and running it to a
+    /// later instant takes the same rounds. A push onto a lagging
+    /// replica leaves those rounds alone too: below its arrival the
+    /// request is invisible, and a replica that would have drained
+    /// first jumps to the arrival instead, as the eager loop does on its
+    /// next run. The rules:
+    /// - a lagging replica never passes the current event, and a
+    ///   snapshot shows only its stamps until something reads it;
+    /// - a route's target takes its push wherever its clock stands;
+    /// - every other event reads the whole fleet, and its window runs
+    ///   the laggards to it with everyone else.
+    ///
+    /// A laggard can show pending work the eager loop would already have
+    /// finished, so a tick may bound a window the eager loop would skip.
+    /// That tick is never below the last event handled: a tick below it
+    /// means that event found no pending work, and then nothing lags.
+    /// So the window runs the laggard past its last round, nothing else
+    /// moves, and the loop re-derives the event as the eager loop would.
     fn run_fleet(
         &self,
         workload: &ServingWorkload,
@@ -761,6 +792,10 @@ impl ClusterEngine {
                 self.spec.step_mode == StepMode::Sequential || roles[idx] == ReplicaRole::Prefill
             })
             .collect();
+        // Whether arrivals may leave unread replicas behind. A shared
+        // tier's barriers merge every replica's publishes, so its fleet
+        // reads everything at every event.
+        let lazy_reads = self.spec.step_mode == StepMode::Parallel && shared.is_none();
         let arrivals = workload.requests();
         let mut next_arrival = 0usize;
         let mut in_flight: Vec<InFlightMigration> = Vec::new();
@@ -771,10 +806,8 @@ impl ClusterEngine {
             ..MigrationReport::default()
         };
         let mut transfer_times: Vec<Time> = Vec::new();
-        let mut cache = SnapshotCache {
-            snapshots: vec![ReplicaSnapshot::default(); sessions.len()],
-            dirty: vec![true; sessions.len()],
-        };
+        let mut cache =
+            SnapshotCache::new(&roles, autoscale.as_ref().map(AutoscaleControl::lifecycle));
 
         loop {
             let delivery = first_delivery(&in_flight);
@@ -787,6 +820,7 @@ impl ClusterEngine {
                     .map_or(f64::INFINITY, AutoscaleControl::next_decide),
                 sessions.iter().any(ServingSession::has_pending_work),
             );
+            let lazy = lazy_reads && event == FleetEvent::Arrive;
             // Scanned replicas advance one round at a time under a
             // bound that tightens with every export: an export can
             // schedule a delivery earlier than the window's event.
@@ -795,7 +829,7 @@ impl ClusterEngine {
             while let Some(idx) = scanned
                 .iter()
                 .copied()
-                .filter(|&i| sessions[i].has_pending_work() && sessions[i].clock() < bound)
+                .filter(|&i| behind(&sessions[i], bound))
                 .min_by(|&a, &b| sessions[a].clock().total_cmp(&sessions[b].clock()))
             {
                 sessions[idx].step();
@@ -814,21 +848,10 @@ impl ClusterEngine {
                 }
             }
             // The bound is now final: every replica still below it
-            // (none under `Sequential`) runs to it, fanned out in decode
-            // leaps.
-            let mut runnable: Vec<&mut ServingSession<'_>> = Vec::new();
-            for (idx, session) in sessions.iter_mut().enumerate() {
-                if session.has_pending_work() && session.clock() < bound {
-                    cache.dirty[idx] = true;
-                    runnable.push(session);
-                }
-            }
-            if !runnable.is_empty() {
-                advanced = true;
-                let _: Vec<()> = runnable
-                    .into_par_iter()
-                    .map(|session| session.run_until(bound))
-                    .collect();
+            // (none under `Sequential`) runs to it, unless this is an
+            // arrival that advances only what the router reads.
+            if !lazy {
+                advanced |= advance(&mut sessions, &mut cache.dirty, bound, Reads::Fleet);
             }
             if advanced {
                 // Fresh exports may have scheduled an earlier event —
@@ -836,8 +859,8 @@ impl ClusterEngine {
                 continue;
             }
 
-            // Control-plane barrier: no session can advance below the
-            // event. Every barrier merges the fleet directory.
+            // Control-plane barrier: no session the event reads can
+            // advance below it. Every barrier merges the fleet directory.
             if let Some(control) = shared.as_mut() {
                 control.harvest(&mut sessions);
             }
@@ -850,9 +873,8 @@ impl ClusterEngine {
                     .is_some_and(|control| control.promote_due(at))
                     || self.spec.step_mode == StepMode::Sequential)
             {
-                cache.dirty.fill(true);
+                cache.invalidate(&roles, autoscale.as_ref().map(AutoscaleControl::lifecycle));
             }
-            let lifecycles = autoscale.as_ref().map(AutoscaleControl::lifecycle);
             match event {
                 FleetEvent::GossipTick => {
                     // Latch the next tick past the slowest running replica.
@@ -866,12 +888,12 @@ impl ClusterEngine {
                     // Lifecycles may change: every cached snapshot is stale.
                     let control = autoscale.as_mut().expect("decide tick without autoscale");
                     control.barrier(&mut sessions, &roles);
-                    cache.dirty.fill(true);
+                    cache.invalidate(&roles, Some(control.lifecycle()));
                 }
                 FleetEvent::Deliver => {
                     let (pos, _) = delivery.expect("a delivery is in flight");
                     let migrated = in_flight.remove(pos);
-                    let snapshots = cache.observe(&sessions, &roles, lifecycles);
+                    let snapshots = cache.observe(&sessions, Reads::Fleet);
                     let target = {
                         papi_perf::phase!("migrate");
                         migration.place(&MigrationContext {
@@ -902,17 +924,37 @@ impl ClusterEngine {
                 FleetEvent::Arrive => {
                     let request = arrivals[next_arrival].clone();
                     next_arrival += 1;
-                    let snapshots = cache.observe(&sessions, &roles, lifecycles);
+                    let directory = shared.as_ref().map(|control| &*control.directory);
+                    let ring = autoscale.as_ref().map(AutoscaleControl::ring);
+                    // A lazy arrival asks the router what it reads, brings
+                    // that up to the arrival, and asks again. A second
+                    // answer that names anything new widens to the whole
+                    // fleet.
+                    let mut read = if lazy { Reads::Nothing } else { Reads::Fleet };
+                    while read != Reads::Fleet {
+                        let snapshots = cache.observe(&sessions, read);
+                        let next =
+                            policy.reads(&route_context(&request, snapshots, directory, ring));
+                        assert!(
+                            !matches!(next, Reads::One(idx) if idx >= sessions.len()),
+                            "routing policy {} read {next:?} in a {}-replica fleet",
+                            policy.label(),
+                            sessions.len()
+                        );
+                        if next == Reads::Nothing || next == read {
+                            break;
+                        }
+                        read = if read == Reads::Nothing {
+                            next
+                        } else {
+                            Reads::Fleet
+                        };
+                        advance(&mut sessions, &mut cache.dirty, at, read);
+                    }
                     let target = {
+                        let snapshots = cache.observe(&sessions, read);
                         papi_perf::phase!("route");
-                        let mut ctx = RouteContext::new(&request, snapshots);
-                        if let Some(control) = shared.as_ref() {
-                            ctx = ctx.with_shared_prefixes(&control.directory);
-                        }
-                        if let Some(control) = autoscale.as_ref() {
-                            ctx = ctx.with_ring(control.ring());
-                        }
-                        policy.route(&ctx)
+                        policy.route(&route_context(&request, snapshots, directory, ring))
                     };
                     assert!(
                         target < sessions.len(),
@@ -934,6 +976,8 @@ impl ClusterEngine {
                             state.label()
                         );
                     }
+                    // The target may still lag: the push waits in its
+                    // queue until its clock reaches the arrival.
                     decisions += 1;
                     sessions[target].push(request);
                     cache.dirty[target] = true;
@@ -1063,11 +1107,68 @@ pub(crate) fn stamped_snapshot(
     }
 }
 
+/// What the router sees of an arrival: the request, the snapshots, and
+/// the shared-tier directory and membership ring when the fleet has
+/// them.
+fn route_context<'a>(
+    request: &'a ServingRequest,
+    snapshots: &'a [ReplicaSnapshot],
+    directory: Option<&'a GlobalKvTier>,
+    ring: Option<&'a HashRing>,
+) -> RouteContext<'a> {
+    let mut ctx = RouteContext::new(request, snapshots);
+    if let Some(directory) = directory {
+        ctx = ctx.with_shared_prefixes(directory);
+    }
+    if let Some(ring) = ring {
+        ctx = ctx.with_ring(ring);
+    }
+    ctx
+}
+
+/// Whether `session` has work left below `bound`: the replicas a
+/// window running to `bound` advances.
+fn behind(session: &ServingSession<'_>, bound: f64) -> bool {
+    session.has_pending_work() && session.clock() < bound
+}
+
+/// The replicas `read` names, as a range of replica indices.
+fn named(read: Reads, replicas: usize) -> Range<usize> {
+    match read {
+        Reads::Fleet => 0..replicas,
+        Reads::One(idx) => idx..idx + 1,
+        Reads::Nothing => 0..0,
+    }
+}
+
+/// Runs every session `read` names that is [`behind`] `bound` up to
+/// it, in replica order, marking each one's snapshot dirty. Returns
+/// whether any ran.
+fn advance(
+    sessions: &mut [ServingSession<'_>],
+    dirty: &mut [bool],
+    bound: f64,
+    read: Reads,
+) -> bool {
+    let range = named(read, sessions.len());
+    let mut advanced = false;
+    for (session, dirty) in sessions[range.clone()].iter_mut().zip(&mut dirty[range]) {
+        if behind(session, bound) {
+            *dirty = true;
+            session.run_until(bound);
+            advanced = true;
+        }
+    }
+    advanced
+}
+
 /// The fleet's snapshot cache: an event re-snapshots only the replicas
-/// that stepped or were pushed to since the last one. A clean entry is
-/// exact, because a session that neither stepped nor received a push
-/// snapshots identically; the loop marks every entry dirty whenever a
-/// lifecycle changes.
+/// that stepped or were pushed to since the last one, and a lazy
+/// arrival only those its router reads. A clean entry is exact, because
+/// a session that neither stepped nor received a push snapshots
+/// identically. Every entry's role and lifecycle stamps are exact, dirty
+/// or not: the loop re-stamps the whole cache whenever a lifecycle
+/// changes.
 #[derive(Debug)]
 struct SnapshotCache {
     snapshots: Vec<ReplicaSnapshot>,
@@ -1075,20 +1176,37 @@ struct SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// The fleet as a policy sees it: re-snapshots every dirty replica,
-    /// stamped with its lifecycle (`None` for a fixed fleet).
-    fn observe(
-        &mut self,
-        sessions: &[ServingSession<'_>],
-        roles: &[ReplicaRole],
-        lifecycles: Option<&[ReplicaState]>,
-    ) -> &[ReplicaSnapshot] {
+    /// A cache with every entry dirty and stamped.
+    fn new(roles: &[ReplicaRole], lifecycles: Option<&[ReplicaState]>) -> Self {
+        let mut cache = Self {
+            snapshots: vec![ReplicaSnapshot::default(); roles.len()],
+            dirty: vec![true; roles.len()],
+        };
+        cache.invalidate(roles, lifecycles);
+        cache
+    }
+
+    /// Marks every entry dirty and stamps it with its replica's role
+    /// and lifecycle (`None` for a fixed fleet, which keeps every
+    /// replica `Active`).
+    fn invalidate(&mut self, roles: &[ReplicaRole], lifecycles: Option<&[ReplicaState]>) {
+        self.dirty.fill(true);
+        for (idx, snapshot) in self.snapshots.iter_mut().enumerate() {
+            snapshot.role = roles[idx];
+            snapshot.lifecycle = lifecycles.map_or(ReplicaState::Active, |l| l[idx]);
+        }
+    }
+
+    /// The fleet as a policy sees it: re-snapshots every dirty replica
+    /// `read` names, each of which must have reached the event.
+    fn observe(&mut self, sessions: &[ServingSession<'_>], read: Reads) -> &[ReplicaSnapshot] {
         papi_perf::phase!("snapshot");
-        for (idx, dirty) in self.dirty.iter_mut().enumerate() {
-            if std::mem::take(dirty) {
-                // A fixed fleet keeps every replica `Active`.
-                let lifecycle = lifecycles.map_or(ReplicaState::Active, |l| l[idx]);
-                self.snapshots[idx] = stamped_snapshot(&sessions[idx], roles[idx], lifecycle);
+        for idx in named(read, sessions.len()) {
+            if std::mem::take(&mut self.dirty[idx]) {
+                let ReplicaSnapshot {
+                    role, lifecycle, ..
+                } = self.snapshots[idx];
+                self.snapshots[idx] = stamped_snapshot(&sessions[idx], role, lifecycle);
             }
         }
         &self.snapshots

@@ -58,20 +58,26 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 
 /// Whether phase timing is currently on. The first call (per process)
 /// consults the `PAPI_PROFILE` environment variable (`1` / `true` /
-/// `on` enable); afterwards this is one relaxed atomic load.
-#[inline]
+/// `on` enable); afterwards this is one relaxed atomic load, inlined
+/// into every instrumented call site.
+#[inline(always)]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         2 => true,
         1 => false,
-        _ => {
-            let on = std::env::var("PAPI_PROFILE")
-                .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-                .unwrap_or(false);
-            STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
+        _ => enabled_from_env(),
     }
+}
+
+/// The first call's path: reads `PAPI_PROFILE` and latches the answer.
+#[cold]
+#[inline(never)]
+fn enabled_from_env() -> bool {
+    let on = std::env::var("PAPI_PROFILE")
+        .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
+        .unwrap_or(false);
+    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    on
 }
 
 /// Turns phase timing on for the whole process.

@@ -61,8 +61,8 @@ pub use request::Request;
 pub use routing::{
     AdaptiveAffinity, BuiltinRoutePolicy, DecodeJsq, DecodeKvPressure, HashRing, JoinShortestQueue,
     KvPressureAware, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, PrefixAffinity,
-    ReplicaRole, ReplicaSnapshot, ReplicaState, RoundRobin, RouteContext, RoutePolicy, Router,
-    SharedTierAffinity,
+    Reads, ReplicaRole, ReplicaSnapshot, ReplicaState, RingPoints, RoundRobin, RouteContext,
+    RoutePolicy, Router, SharedTierAffinity,
 };
 pub use speculative::{AcceptanceModel, SpeculativeConfig, TlpPolicy};
 pub use trace::{DecodeTrace, IterationRecord};

@@ -212,6 +212,12 @@ pub struct ReplicaSnapshot {
 }
 
 impl ReplicaSnapshot {
+    /// Whether the replica takes new arrivals: its role accepts them
+    /// and its lifecycle serves traffic. Read from the stamps alone.
+    pub fn takes_arrivals(&self) -> bool {
+        self.role.accepts_arrivals() && self.lifecycle.serves_traffic()
+    }
+
     /// Total requests the replica is responsible for right now.
     pub fn load(&self) -> usize {
         self.queued + self.live
@@ -346,9 +352,11 @@ impl RouteContext<'_> {
         }
     }
 
-    /// The replica indices a new arrival may legally land on: role
-    /// accepts arrivals *and* lifecycle is [`ReplicaState::Active`]
-    /// (warming, draining, and retired replicas take no new work).
+    /// The replica indices a new arrival may legally land on: those
+    /// that [take arrivals](ReplicaSnapshot::takes_arrivals), whose role
+    /// accepts arrivals *and* whose lifecycle is
+    /// [`ReplicaState::Active`] (warming, draining, and retired replicas
+    /// take no new work).
     /// Falls back to the role-capable subset when nothing is active,
     /// then to *every* index — a policy must stay total even over a
     /// malformed fleet (the cluster engine validates shape
@@ -358,7 +366,7 @@ impl RouteContext<'_> {
             .replicas
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.role.accepts_arrivals() && s.lifecycle.serves_traffic())
+            .filter(|(_, s)| s.takes_arrivals())
             .map(|(i, _)| i)
             .collect();
         if !serving.is_empty() {
@@ -379,6 +387,22 @@ impl RouteContext<'_> {
     }
 }
 
+/// Which replicas' snapshots a routing decision reads: its read set.
+/// The cluster engine brings only these replicas up to the arrival
+/// instant before it routes; the rest may lag behind until an event
+/// reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Reads {
+    /// Any snapshot (the safe default).
+    #[default]
+    Fleet,
+    /// The snapshot of the replica with this index, plus the role and
+    /// lifecycle stamps of every replica.
+    One(usize),
+    /// No snapshot: only the role and lifecycle stamps.
+    Nothing,
+}
+
 /// How a fleet router picks the replica that admits each arriving
 /// request.
 ///
@@ -389,6 +413,24 @@ impl RouteContext<'_> {
 pub trait RoutePolicy: core::fmt::Debug {
     /// Picks the replica index that admits `ctx.request`.
     fn route(&mut self, ctx: &RouteContext<'_>) -> usize;
+
+    /// The snapshots [`route`](Self::route) will read for this
+    /// context. The default, [`Reads::Fleet`], is always correct; a
+    /// narrower answer lets the cluster engine leave unread replicas
+    /// behind the arrival instant.
+    ///
+    /// The contract: `reads` may look only at the role and lifecycle
+    /// stamps of `ctx.replicas`, the ring, the request, and the
+    /// snapshots of the replicas it names. `route`, called with the
+    /// same context, must read no more than the answer names. The
+    /// engine brings the named replicas up to date and asks again
+    /// until every replica named is current, so an answer drawn from a
+    /// stale snapshot is only ever provisional. Unnamed snapshots may
+    /// be stale apart from their stamps.
+    fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
+        let _ = ctx;
+        Reads::Fleet
+    }
 
     /// Display label for reports and sweeps.
     fn label(&self) -> String {
@@ -431,7 +473,9 @@ fn splitmix64(mut x: u64) -> u64 {
 /// every other conversation keeps its warm home.
 ///
 /// Construction is a pure function of the member set, so both cluster
-/// step modes (and any two runs) build identical rings.
+/// step modes (and any two runs) build identical rings. A fleet that
+/// rebuilds its ring on every scale event filters one [`RingPoints`]
+/// instead of calling [`new`](Self::new).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HashRing {
     /// `(point, member)` pairs sorted by point; keys home to the first
@@ -442,29 +486,15 @@ pub struct HashRing {
 impl HashRing {
     /// Virtual nodes per member: enough that per-member load imbalance
     /// and single-event remap fractions concentrate near their ideal
-    /// 1/N, cheap enough that rebuilding on a scale event is free at
-    /// fleet scale.
+    /// 1/N. [`RingPoints`] makes a rebuild one filtering pass over the
+    /// fleet's points, with no hashing or sorting.
     pub const VNODES: usize = 64;
 
     /// The ring over `members` (replica indices; order is irrelevant,
     /// duplicates collapse). An empty member set builds an empty ring —
     /// [`home`](Self::home) then returns `None`.
     pub fn new(members: &[usize]) -> Self {
-        let mut points: Vec<(u64, usize)> = members
-            .iter()
-            .flat_map(|&m| {
-                (0..Self::VNODES).map(move |v| {
-                    let point = splitmix64((m as u64) ^ ((v as u64) << 32) ^ 0xA076_1D64_78BD_642F);
-                    (point, m)
-                })
-            })
-            .collect();
-        // Sort by point, tie-breaking by member index, then keep the
-        // first owner of any colliding point — deterministic no matter
-        // the input order.
-        points.sort_unstable();
-        points.dedup_by_key(|&mut (point, _)| point);
-        Self { points }
+        RingPoints::new(members).ring(|_| true)
     }
 
     /// Whether the ring has no members.
@@ -493,20 +523,71 @@ impl HashRing {
     }
 }
 
-/// The affinity home for `key` over the legal `targets`: the ring's
+/// The ring points of a whole fleet, hashed and sorted once, from which
+/// [`ring`](Self::ring) builds the ring over any membership.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RingPoints {
+    /// Every candidate's points, sorted by point and then member, with
+    /// colliding points kept: a point's lowest owner may leave the
+    /// membership while the next one stays.
+    points: Vec<(u64, usize)>,
+}
+
+impl RingPoints {
+    /// The points of every replica in `candidates`.
+    pub fn new(candidates: &[usize]) -> Self {
+        let mut points: Vec<(u64, usize)> = candidates
+            .iter()
+            .flat_map(|&m| {
+                (0..HashRing::VNODES).map(move |v| {
+                    let point = splitmix64((m as u64) ^ ((v as u64) << 32) ^ 0xA076_1D64_78BD_642F);
+                    (point, m)
+                })
+            })
+            .collect();
+        points.sort_unstable();
+        Self { points }
+    }
+
+    /// The ring over the candidates `member` keeps. Filtering keeps the
+    /// sort order, so the first point kept on a collision belongs to
+    /// its lowest kept member — deterministic no matter the input
+    /// order, and the same ring [`HashRing::new`] builds over them.
+    pub fn ring(&self, member: impl Fn(usize) -> bool) -> HashRing {
+        let mut points: Vec<(u64, usize)> = self
+            .points
+            .iter()
+            .copied()
+            .filter(|&(_, m)| member(m))
+            .collect();
+        points.dedup_by_key(|&mut (point, _)| point);
+        HashRing { points }
+    }
+}
+
+/// The affinity home for `key` over the legal
+/// [`arrival_targets`](RouteContext::arrival_targets): the ring's
 /// assignment when an elastic membership ring is attached (and names a
 /// legal target), otherwise the classic stateless modulo hash over the
 /// target subset. The modulo path is what every fixed-size fleet takes
-/// — bit-for-bit the pre-elasticity behavior.
-fn affinity_home(ctx: &RouteContext<'_>, targets: &[usize], key: u64) -> usize {
-    if let Some(ring) = ctx.ring {
-        if let Some(home) = ring.home(key) {
-            if targets.contains(&home) {
-                return home;
-            }
+/// — bit-for-bit the pre-elasticity behavior. A ring home whose stamps
+/// take arrivals is a legal target, so it needs no target list.
+fn affinity_home(ctx: &RouteContext<'_>, key: u64) -> usize {
+    let ring_home = ctx.ring.and_then(|ring| ring.home(key));
+    if let Some(home) = ring_home {
+        if ctx
+            .replicas
+            .get(home)
+            .is_some_and(ReplicaSnapshot::takes_arrivals)
+        {
+            return home;
         }
     }
-    targets[PrefixAffinity::home_replica(key, targets.len())]
+    let targets = ctx.arrival_targets();
+    match ring_home {
+        Some(home) if targets.contains(&home) => home,
+        _ => targets[PrefixAffinity::home_replica(key, targets.len())],
+    }
 }
 
 /// Cycle through replicas in order, ignoring state — the classic
@@ -532,6 +613,11 @@ impl RoutePolicy for RoundRobin {
         let pick = targets[self.next % targets.len()];
         self.next = (self.next + 1) % targets.len();
         pick
+    }
+
+    /// The cursor and the stamps pick the replica; no snapshot counts.
+    fn reads(&self, _: &RouteContext<'_>) -> Reads {
+        Reads::Nothing
     }
 
     fn label(&self) -> String {
@@ -654,6 +740,13 @@ impl PrefixAffinity {
         self.spills
     }
 
+    /// Whether the home replica, as `snapshot` shows it, keeps a request
+    /// needing `incoming` KV tokens: it is not saturated for them and
+    /// its utilization is below the spill point.
+    fn keeps_home(&self, snapshot: &ReplicaSnapshot, incoming: u64) -> bool {
+        !snapshot.kv_saturated_for(incoming) && snapshot.kv_utilization() < self.spill_utilization
+    }
+
     /// The least-pressured arrival-capable replica with headroom for
     /// `incoming` tokens, preferring anywhere but `home` (a "spill"
     /// that lands back home is no spill at all). If only the home
@@ -707,21 +800,32 @@ impl RoutePolicy for PrefixAffinity {
         // homes and decode-only replicas are never picked. Elastic
         // fleets attach a membership ring, which bounds how many homes
         // a scale event moves.
-        let targets = ctx.arrival_targets();
-        let home = affinity_home(ctx, &targets, hint.key);
-        let snapshot = &ctx.replicas[home];
-        if !snapshot.kv_saturated_for(incoming)
-            && snapshot.kv_utilization() < self.spill_utilization
-        {
+        let home = affinity_home(ctx, hint.key);
+        if self.keeps_home(&ctx.replicas[home], incoming) {
             home
         } else {
-            let pick = Self::spill_target(home, incoming, &targets, ctx.replicas);
+            let pick = Self::spill_target(home, incoming, &ctx.arrival_targets(), ctx.replicas);
             // A degenerate fleet (or one where only home has headroom)
             // keeps the request — that is not a spill.
             if pick != home {
                 self.spills += 1;
             }
             pick
+        }
+    }
+
+    /// The home alone while it keeps the request; the whole fleet once
+    /// it would spill, and for prefix-free requests (which balance like
+    /// join-shortest-queue).
+    fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
+        let Some(hint) = ctx.prefix() else {
+            return Reads::Fleet;
+        };
+        let home = affinity_home(ctx, hint.key);
+        if self.keeps_home(&ctx.replicas[home], ctx.incoming_kv_tokens()) {
+            Reads::One(home)
+        } else {
+            Reads::Fleet
         }
     }
 
@@ -925,9 +1029,8 @@ impl Default for SharedTierAffinity {
 impl RoutePolicy for SharedTierAffinity {
     fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
         if ctx.prefix().is_some() && ctx.shared_resident() {
-            let targets = ctx.arrival_targets();
             let hint = ctx.prefix().expect("checked above");
-            let home = affinity_home(ctx, &targets, hint.key);
+            let home = affinity_home(ctx, hint.key);
             let snapshot = &ctx.replicas[home];
             let pressured =
                 snapshot.queued as f64 >= self.queue_pressure || snapshot.tier_pressure() >= 1.0;
@@ -973,6 +1076,17 @@ impl RoutePolicy for BuiltinRoutePolicy {
             BuiltinRoutePolicy::PrefixAffinity(p) => p.route(ctx),
             BuiltinRoutePolicy::AdaptiveAffinity(p) => p.route(ctx),
             BuiltinRoutePolicy::SharedTierAffinity(p) => p.route(ctx),
+        }
+    }
+
+    fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
+        match self {
+            BuiltinRoutePolicy::RoundRobin(p) => p.reads(ctx),
+            BuiltinRoutePolicy::JoinShortestQueue(p) => p.reads(ctx),
+            BuiltinRoutePolicy::KvPressureAware(p) => p.reads(ctx),
+            BuiltinRoutePolicy::PrefixAffinity(p) => p.reads(ctx),
+            BuiltinRoutePolicy::AdaptiveAffinity(p) => p.reads(ctx),
+            BuiltinRoutePolicy::SharedTierAffinity(p) => p.reads(ctx),
         }
     }
 
@@ -1222,6 +1336,10 @@ impl RoutePolicy for Router {
         let pick = self.policy.route(ctx);
         debug_assert!(pick < ctx.replicas.len(), "built-in policy out of range");
         pick
+    }
+
+    fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
+        self.policy.reads(ctx)
     }
 
     fn label(&self) -> String {
@@ -1616,6 +1734,62 @@ mod tests {
         assert_ne!(pick, home, "saturated home must spill");
         assert!(!strained[pick].kv_saturated_for(200));
         assert_eq!(policy.spills(), 1);
+    }
+
+    /// Affinity reads its home while the home keeps the turn, the whole
+    /// fleet once it would spill or for a prefix-free request; round
+    /// robin reads no snapshot. The built-in wrappers forward.
+    #[test]
+    fn reads_name_what_route_looks_at() {
+        let key = 42;
+        let roomy = vec![snap(0, 2, 1_000, 10_000); 4];
+        let home = PrefixAffinity::home_replica(key, roomy.len());
+        let affinity = PrefixAffinity::new();
+        let reads = |fleet: &[ReplicaSnapshot], request: &ServingRequest| {
+            affinity.reads(&RouteContext::new(request, fleet))
+        };
+        assert_eq!(reads(&roomy, &turn(key, 200)), Reads::One(home));
+        let mut saturated = roomy.clone();
+        saturated[home] = snap(0, 8, 9_990, 10_000);
+        assert_eq!(reads(&saturated, &turn(key, 200)), Reads::Fleet);
+        assert_eq!(reads(&roomy, &req(200)), Reads::Fleet);
+        // The answer matches what route does with the same context.
+        let mut routed = PrefixAffinity::new();
+        assert_eq!(
+            routed.route(&RouteContext::new(&turn(key, 200), &roomy)),
+            home
+        );
+
+        assert_eq!(
+            RoundRobin::new().reads(&RouteContext::new(&turn(key, 200), &saturated)),
+            Reads::Nothing
+        );
+        assert_eq!(
+            JoinShortestQueue.reads(&RouteContext::new(&turn(key, 200), &roomy)),
+            Reads::Fleet
+        );
+        let router = Router::new(PolicySpec::prefix_affinity());
+        assert_eq!(
+            router.reads(&RouteContext::new(&turn(key, 200), &roomy)),
+            Reads::One(home)
+        );
+        let router = Router::new(PolicySpec::RoundRobin);
+        assert_eq!(
+            router.reads(&RouteContext::new(&turn(key, 200), &roomy)),
+            Reads::Nothing
+        );
+    }
+
+    /// On a colliding point the ring keeps the lowest member that is in
+    /// the membership, so filtering must come before deduplication.
+    #[test]
+    fn ring_points_filter_before_deduplicating() {
+        let points = RingPoints {
+            points: vec![(5, 0), (5, 1), (9, 1)],
+        };
+        assert_eq!(points.ring(|_| true).points, vec![(5, 0), (9, 1)]);
+        assert_eq!(points.ring(|m| m == 1).points, vec![(5, 1), (9, 1)]);
+        assert!(points.ring(|_| false).is_empty());
     }
 
     #[test]

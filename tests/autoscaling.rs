@@ -14,7 +14,9 @@
 //! - **Consistent-hash remap bounds**: adding or removing one member
 //!   of a [`HashRing`] re-homes only a bounded fraction of the key
 //!   space — the property that keeps prefix caches warm across scale
-//!   events — and rings over fixed membership are deterministic.
+//!   events — and rings over fixed membership are deterministic. A
+//!   ring filtered from the fleet's presorted [`RingPoints`] equals a
+//!   fresh one.
 
 use papi::core::{
     AutoscalePolicy, AutoscalePolicySpec, AutoscaleSpec, AutoscaleView, ClusterEngine, ClusterSpec,
@@ -23,7 +25,7 @@ use papi::core::{
 use papi::llm::ModelPreset;
 use papi::workload::{
     ArrivalProcess, ConversationDataset, DatasetKind, HashRing, PolicySpec, ReplicaState,
-    ServingWorkload,
+    RingPoints, ServingWorkload,
 };
 use proptest::prelude::*;
 
@@ -167,6 +169,20 @@ proptest! {
             prop_assert_eq!(a.home(key), b.home(key));
             prop_assert!(set.contains(&a.home(key).unwrap()));
         }
+    }
+
+    /// Filtering the fleet's presorted points builds exactly the ring
+    /// `HashRing::new` builds over the kept members.
+    #[test]
+    fn filtered_ring_points_match_a_fresh_ring(fleet in 1usize..65, mask in 0u64..u64::MAX) {
+        let candidates: Vec<usize> = (0..fleet).collect();
+        let members: Vec<usize> = candidates
+            .iter()
+            .copied()
+            .filter(|&m| mask >> m & 1 == 1)
+            .collect();
+        let filtered = RingPoints::new(&candidates).ring(|m| mask >> m & 1 == 1);
+        prop_assert_eq!(filtered, HashRing::new(&members));
     }
 
     /// Scale events re-home only a bounded fraction of the key space:

@@ -24,8 +24,8 @@ use papi::core::{
 use papi::interconnect::{MigrationPricing, TierPricing};
 use papi::llm::ModelPreset;
 use papi::workload::{
-    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload,
-    SpeculativeConfig,
+    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, PrefixAffinity, ReplicaRole,
+    RouteContext, RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
 };
 use proptest::prelude::*;
 
@@ -538,5 +538,113 @@ proptest! {
             ),
         };
         assert_modes_agree(spec, &workload, &format!("leap shape={shape} dp={dp}"));
+    }
+}
+
+/// The spill point of [`spilling_affinity_fleet`].
+const SPILL_UTILIZATION: f64 = 0.5;
+
+/// A KV-tight long-context fleet routed by prefix affinity: busy homes
+/// cross the spill point, so about one turn in five reads the whole
+/// fleet instead of its home, and pools still preempt.
+fn spilling_affinity_fleet() -> (ClusterSpec, ServingWorkload) {
+    let workload = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
+        8.0,
+        96,
+    )
+    .with_seed(11);
+    let spec = ClusterSpec::new(
+        DesignKind::PimOnlyPapi,
+        ModelPreset::Gpt3_175B.config(),
+        1,
+        3,
+    )
+    .with_routing(PolicySpec::PrefixAffinity {
+        spill_utilization: SPILL_UTILIZATION,
+    })
+    .with_tuning(
+        SessionTuning::default()
+            .with_max_batch(64)
+            .with_kv_headroom(1.0),
+    );
+    (spec, workload)
+}
+
+/// Affinity reads only its home until the home would spill, then the
+/// whole fleet. Here homes do spill, and both modes match the golden
+/// recorded from the eager loop.
+#[test]
+fn spilling_affinity_fleet_matches_its_golden() {
+    let (spec, workload) = spilling_affinity_fleet();
+    let mut spills = Vec::new();
+    for mode in [StepMode::Sequential, StepMode::Parallel] {
+        let mut policy = PrefixAffinity::with_spill_utilization(SPILL_UTILIZATION);
+        let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
+            .expect("valid fleet")
+            .run_with_policy(&workload, &mut policy);
+        assert_eq!(
+            report_hash(&report),
+            0x8d61_f6f8_85d1_d0da,
+            "spilling affinity fleet ({mode:?}) moved off its golden"
+        );
+        assert!(report.preemptions() > 0, "the fleet never ran out of KV");
+        spills.push(policy.spills());
+    }
+    assert!(spills[0] > 0, "no home ever spilled");
+    assert_eq!(spills[0], spills[1]);
+}
+
+/// Round robin reads no snapshot, so under `Parallel` each arrival
+/// advances only its target, and decide ticks catch the rest up.
+#[test]
+fn round_robin_autoscaled_fleet_matches_its_golden() {
+    let (spec, workload) =
+        autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false);
+    let spec = spec.with_routing(PolicySpec::RoundRobin);
+    let report = assert_golden(
+        spec,
+        &workload,
+        0x3f05_f7c4_45ad_5682,
+        "round-robin autoscaled fleet",
+    );
+    let cost = report.fleet_cost.expect("elastic report");
+    assert!(!cost.scale_events.is_empty(), "the fleet never scaled");
+}
+
+/// A policy behind a wrapper that keeps the default `reads` makes
+/// every arrival read the whole fleet, as the eager loop does. The
+/// report must not change.
+#[test]
+fn wrapped_policies_keep_their_reports() {
+    #[derive(Debug)]
+    struct Wrapped(Router);
+    impl RoutePolicy for Wrapped {
+        fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
+            RoutePolicy::route(&mut self.0, ctx)
+        }
+        fn label(&self) -> String {
+            self.0.label()
+        }
+    }
+    let fleets = [
+        spilling_affinity_fleet(),
+        autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false),
+        {
+            let (spec, workload) =
+                autoscaled_fleet(9, 4, AutoscalePolicySpec::kv_pressure(), 1, 0.5, true);
+            (spec.with_routing(PolicySpec::RoundRobin), workload)
+        },
+    ];
+    for (spec, workload) in fleets {
+        let engine = ClusterEngine::new(spec.clone()).expect("valid fleet");
+        let direct = engine.run(&workload);
+        let wrapped = engine.run_with_policy(&workload, &mut Wrapped(Router::new(spec.routing)));
+        assert_eq!(
+            serde_json::to_string(&direct).expect("report serializes"),
+            serde_json::to_string(&wrapped).expect("report serializes"),
+            "{}: narrower reads changed the report",
+            spec.routing
+        );
     }
 }
