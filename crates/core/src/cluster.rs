@@ -434,11 +434,13 @@ impl ClusterEngine {
     /// replica (arrivals or migrations would have nowhere to go),
     /// enables a shared tier without a private `tuning.kv_tier` (the
     /// directory registers spilled records — nothing would ever be
-    /// published), or configures autoscaling on a disaggregated or
-    /// shared-tier fleet or with degenerate bounds
+    /// published), names a routing policy whose threshold fails
+    /// [`PolicySpec::validate`], or configures autoscaling on a
+    /// disaggregated or shared-tier fleet or with degenerate bounds
     /// (`1 <= min <= initial <= dp_replicas`, non-negative spin-up,
     /// positive decision interval).
     pub fn new(spec: ClusterSpec) -> Result<Self, TopologyError> {
+        spec.routing.validate().map_err(TopologyError::new)?;
         if !spec.roles.is_empty() && spec.roles.len() != spec.dp_replicas {
             return Err(TopologyError::new(format!(
                 "{} roles assigned to a {}-replica fleet",
@@ -1597,6 +1599,34 @@ mod tests {
         assert!(
             ClusterEngine::new(ClusterSpec::new(DesignKind::PimOnlyPapi, model, 1, 0)).is_err()
         );
+    }
+
+    /// An out-of-range routing threshold fails at construction with the
+    /// [`PolicySpec::validate`] message, not later inside `run()`.
+    #[test]
+    fn out_of_range_routing_specs_rejected() {
+        let fleet = ClusterSpec::new(
+            DesignKind::PimOnlyPapi,
+            ModelPreset::Llama65B.config(),
+            1,
+            2,
+        );
+        for routing in [
+            PolicySpec::PrefixAffinity {
+                spill_utilization: 1.5,
+            },
+            PolicySpec::AdaptiveAffinity {
+                queue_pressure: f64::NAN,
+            },
+            PolicySpec::SharedTierAffinity {
+                queue_pressure: 0.0,
+            },
+        ] {
+            let message = routing.validate().expect_err("out of range");
+            let err = ClusterEngine::new(fleet.clone().with_routing(routing))
+                .expect_err("an out-of-range routing spec must not build");
+            assert_eq!(err.to_string(), format!("invalid topology: {message}"));
+        }
     }
 
     /// Empty-fleet aggregation stays well-defined.

@@ -30,10 +30,10 @@
 //! - [`routing`] — cluster-level request routing: replica snapshots
 //!   (now carrying a [`ReplicaRole`] for disaggregated fleets), the
 //!   open [`RoutePolicy`] trait a fleet router picks admission targets
-//!   through, the built-in policies (round-robin, join-shortest-queue,
-//!   KV-pressure-aware, prefix-affinity, adaptive-affinity,
-//!   shared-tier-affinity), the declarative [`PolicySpec`] naming
-//!   them, and the decode-side
+//!   through, the declarative [`PolicySpec`] naming the built-in
+//!   policies (round-robin, join-shortest-queue, KV-pressure-aware,
+//!   prefix-affinity, adaptive-affinity, shared-tier-affinity), the
+//!   [`Router`] that runs them, and the decode-side
 //!   [`MigrationPolicy`] seam that places migrated prefill→decode
 //!   handoffs.
 //! - [`trace`] — per-iteration decode traces: the RLP/TLP/KV state the
@@ -59,10 +59,8 @@ pub use dataset::DatasetKind;
 pub use replay::{ReplayError, TraceRecord, TraceReplay};
 pub use request::Request;
 pub use routing::{
-    AdaptiveAffinity, BuiltinRoutePolicy, DecodeJsq, DecodeKvPressure, HashRing, JoinShortestQueue,
-    KvPressureAware, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, PrefixAffinity,
-    Reads, ReplicaRole, ReplicaSnapshot, ReplicaState, RingPoints, RoundRobin, RouteContext,
-    RoutePolicy, Router, SharedTierAffinity,
+    HashRing, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, Reads, ReplicaRole,
+    ReplicaSnapshot, ReplicaState, RingPoints, RouteContext, RoutePolicy, Router,
 };
 pub use speculative::{AcceptanceModel, SpeculativeConfig, TlpPolicy};
 pub use trace::{DecodeTrace, IterationRecord};

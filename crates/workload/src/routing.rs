@@ -8,13 +8,13 @@
 //! occupancy — *as of that simulated instant*, and a [`RoutePolicy`]
 //! turns the context into a replica index.
 //!
-//! Routing is an open trait, not a closed enum: the bundled policies
-//! ([`RoundRobin`], [`JoinShortestQueue`], [`KvPressureAware`],
-//! [`PrefixAffinity`], [`AdaptiveAffinity`], [`SharedTierAffinity`])
-//! are ordinary `RoutePolicy` implementations, and
-//! user code can plug its own. Declarative surfaces (cluster specs,
-//! sweeps, JSON bins) name built-ins through the serde-able
-//! [`PolicySpec`], which also parses from strings
+//! Routing is an open trait, not a closed enum: the built-in policies
+//! (`round-robin`, `join-shortest-queue`, `kv-pressure-aware`,
+//! `prefix-affinity`, `adaptive-affinity`, `shared-tier-affinity`) all
+//! run through one [`Router`], an ordinary `RoutePolicy`
+//! implementation, and user code can plug its own. Declarative
+//! surfaces (cluster specs, sweeps, JSON bins) name built-ins through
+//! the serde-able [`PolicySpec`], which also parses from strings
 //! (`"prefix-affinity:0.85".parse()`). Policies are deliberately
 //! simulator-agnostic: they consume snapshots, not engines, so they
 //! unit-test without a cluster.
@@ -288,8 +288,8 @@ pub struct RouteContext<'a> {
     /// The fleet-wide directory of spilled prefixes, when the cluster
     /// runs a shared tier (`None` otherwise). Entries record which
     /// replica owns each spilled prefix and how many tokens it holds;
-    /// [`SharedTierAffinity`] consults residency here to decide when
-    /// stickiness is safe to relax.
+    /// [`PolicySpec::SharedTierAffinity`] consults residency here to
+    /// decide when stickiness is safe to relax.
     pub shared_prefixes: Option<&'a GlobalKvTier>,
     /// The consistent-hash ring over the currently-active membership,
     /// when the cluster is elastic (`None` for a fixed-size fleet).
@@ -362,28 +362,33 @@ impl RouteContext<'_> {
     /// malformed fleet (the cluster engine validates shape
     /// separately).
     pub fn arrival_targets(&self) -> Vec<usize> {
-        let serving: Vec<usize> = self
-            .replicas
+        targets(self.replicas, ReplicaRole::accepts_arrivals)
+    }
+}
+
+/// The indices of `replicas` whose role is `capable` and whose
+/// lifecycle serves traffic. Falls back to the role-capable subset
+/// when nothing is active, then to *every* index, so a policy stays
+/// total even over a malformed fleet (the cluster engine validates
+/// shape separately).
+fn targets(replicas: &[ReplicaSnapshot], capable: impl Fn(&ReplicaRole) -> bool) -> Vec<usize> {
+    let pick = |serving_only: bool| -> Vec<usize> {
+        replicas
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.takes_arrivals())
+            .filter(|(_, s)| capable(&s.role) && (!serving_only || s.lifecycle.serves_traffic()))
             .map(|(i, _)| i)
-            .collect();
-        if !serving.is_empty() {
-            return serving;
-        }
-        let capable: Vec<usize> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.role.accepts_arrivals())
-            .map(|(i, _)| i)
-            .collect();
-        if capable.is_empty() {
-            (0..self.replicas.len()).collect()
-        } else {
-            capable
-        }
+            .collect()
+    };
+    let serving = pick(true);
+    if !serving.is_empty() {
+        return serving;
+    }
+    let capable = pick(false);
+    if capable.is_empty() {
+        (0..replicas.len()).collect()
+    } else {
+        capable
     }
 }
 
@@ -438,26 +443,22 @@ pub trait RoutePolicy: core::fmt::Debug {
     }
 }
 
-/// Label for a prefix-affinity policy: the spill threshold rides along
-/// whenever it differs from the default, so `Display` → [`FromStr`]
-/// round-trips losslessly and sweep rows over different thresholds stay
-/// distinguishable.
-fn affinity_label(spill_utilization: f64) -> String {
-    if spill_utilization == PrefixAffinity::DEFAULT_SPILL_UTILIZATION {
-        "prefix-affinity".to_owned()
-    } else {
-        format!("prefix-affinity:{spill_utilization}")
-    }
-}
-
-/// SplitMix64: the stateless hash [`PrefixAffinity`] maps prefix keys
-/// to home replicas with — deterministic across runs and platforms.
+/// SplitMix64: the stateless hash the affinity policies map prefix
+/// keys to home replicas with — deterministic across runs and
+/// platforms.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The classic modulo home for `key` in a fleet of `replicas`
+/// replicas.
+fn home_replica(key: u64, replicas: usize) -> usize {
+    debug_assert!(replicas > 0);
+    (splitmix64(key) % replicas as u64) as usize
 }
 
 /// A consistent-hash ring over an elastic fleet's active membership.
@@ -586,543 +587,88 @@ fn affinity_home(ctx: &RouteContext<'_>, key: u64) -> usize {
     let targets = ctx.arrival_targets();
     match ring_home {
         Some(home) if targets.contains(&home) => home,
-        _ => targets[PrefixAffinity::home_replica(key, targets.len())],
+        _ => targets[home_replica(key, targets.len())],
     }
 }
 
-/// Cycle through replicas in order, ignoring state — the classic
-/// stateless baseline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoundRobin {
-    next: usize,
+/// The least-loaded of `candidates` (fewest queued plus live requests,
+/// ties to the lowest index), skipping replicas whose KV budget cannot
+/// take `incoming` tokens while any candidate still has headroom:
+/// join-shortest-queue.
+fn least_loaded(candidates: &[usize], replicas: &[ReplicaSnapshot], incoming: u64) -> usize {
+    let pick = |saturated_ok: bool| {
+        candidates
+            .iter()
+            .copied()
+            .filter(|&i| saturated_ok || !replicas[i].kv_saturated_for(incoming))
+            .min_by_key(|&i| (replicas[i].load(), i))
+    };
+    pick(false)
+        .or_else(|| pick(true))
+        .expect("fleet is non-empty")
 }
 
-impl RoundRobin {
-    /// A fresh cursor at replica 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl RoutePolicy for RoundRobin {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        // Cycle over the arrival-capable subset only; in an
-        // all-colocated fleet that subset is the whole fleet, so the
-        // classic behavior is unchanged.
-        let targets = ctx.arrival_targets();
-        let pick = targets[self.next % targets.len()];
-        self.next = (self.next + 1) % targets.len();
-        pick
-    }
-
-    /// The cursor and the stamps pick the replica; no snapshot counts.
-    fn reads(&self, _: &RouteContext<'_>) -> Reads {
-        Reads::Nothing
-    }
-
-    fn label(&self) -> String {
-        "round-robin".to_owned()
-    }
-}
-
-/// Join the replica with the fewest responsible requests
-/// (queued + live). Replicas whose KV budget cannot take the request
-/// are skipped while any replica still has headroom.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JoinShortestQueue;
-
-impl RoutePolicy for JoinShortestQueue {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        let incoming = ctx.incoming_kv_tokens();
-        let targets = ctx.arrival_targets();
-        let least_loaded = |saturated_ok: bool| {
-            targets
-                .iter()
-                .map(|&i| (i, &ctx.replicas[i]))
-                .filter(|(_, s)| saturated_ok || !s.kv_saturated_for(incoming))
-                .min_by_key(|&(i, s)| (s.load(), i))
-                .map(|(i, _)| i)
-        };
-        least_loaded(false)
-            .or_else(|| least_loaded(true))
-            .expect("fleet is non-empty")
-    }
-
-    fn label(&self) -> String {
-        "join-shortest-queue".to_owned()
-    }
-}
-
-/// Join the replica with the lowest KV-budget utilization, breaking
-/// ties by queue length — the policy that tracks the *actual*
-/// admission bottleneck (the paper's KV-capacity pressure) rather than
-/// a proxy count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KvPressureAware;
-
-impl RoutePolicy for KvPressureAware {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        ctx.arrival_targets()
-            .into_iter()
-            .map(|i| (i, &ctx.replicas[i]))
-            .min_by(|(ia, a), (ib, b)| {
-                a.kv_utilization()
-                    .total_cmp(&b.kv_utilization())
-                    .then_with(|| a.load().cmp(&b.load()))
-                    .then_with(|| ia.cmp(ib))
-            })
-            .map(|(i, _)| i)
-            .expect("fleet is non-empty")
-    }
-
-    fn label(&self) -> String {
-        "kv-pressure-aware".to_owned()
-    }
-}
-
-/// Session-sticky, prefix-aware routing: hash the request's prefix key
-/// (its conversation id, or the fleet-wide shared-system-prompt key) to
-/// a *home* replica, so every turn of a conversation lands on the
-/// replica whose private prefix cache holds its accumulated context.
-/// When the home replica is KV-saturated for the incoming prompt — or
-/// its budget utilization has crossed `spill_utilization` — the request
-/// spills to the least-pressured replica with headroom instead of
-/// queueing behind a full pool.
-///
-/// Requests without a prefix hint fall back to join-shortest-queue.
-/// This is the policy the closed `RoutingPolicy` enum could not
-/// express: it needs the *request* (its prefix key), not just the
-/// replica snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PrefixAffinity {
-    spill_utilization: f64,
-    spills: u64,
-}
-
-impl PrefixAffinity {
-    /// Default KV-utilization fraction above which the home replica
-    /// spills (1.0 = spill only on hard saturation).
-    pub const DEFAULT_SPILL_UTILIZATION: f64 = 1.0;
-
-    /// Affinity routing that spills only when the home replica's KV
-    /// budget cannot take the request.
-    pub fn new() -> Self {
-        Self::with_spill_utilization(Self::DEFAULT_SPILL_UTILIZATION)
-    }
-
-    /// Affinity routing that additionally spills once the home
-    /// replica's KV-budget utilization reaches `spill_utilization`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spill_utilization` is not in `(0, 1]`.
-    #[track_caller]
-    pub fn with_spill_utilization(spill_utilization: f64) -> Self {
-        assert!(
-            spill_utilization > 0.0 && spill_utilization <= 1.0,
-            "spill utilization must be in (0, 1], got {spill_utilization}"
-        );
-        Self {
-            spill_utilization,
-            spills: 0,
-        }
-    }
-
-    /// The home replica for `key` in a fleet of `replicas` replicas.
-    pub fn home_replica(key: u64, replicas: usize) -> usize {
-        debug_assert!(replicas > 0);
-        (splitmix64(key) % replicas as u64) as usize
-    }
-
-    /// Requests routed away from their home replica because it was
-    /// saturated.
-    pub fn spills(&self) -> u64 {
-        self.spills
-    }
-
-    /// Whether the home replica, as `snapshot` shows it, keeps a request
-    /// needing `incoming` KV tokens: it is not saturated for them and
-    /// its utilization is below the spill point.
-    fn keeps_home(&self, snapshot: &ReplicaSnapshot, incoming: u64) -> bool {
-        !snapshot.kv_saturated_for(incoming) && snapshot.kv_utilization() < self.spill_utilization
-    }
-
-    /// The least-pressured arrival-capable replica with headroom for
-    /// `incoming` tokens, preferring anywhere but `home` (a "spill"
-    /// that lands back home is no spill at all). If only the home
-    /// replica has headroom it keeps the request; an all-saturated
-    /// fleet falls back to the least-pressured replica overall. Ties
-    /// break by load, then index, so spills are deterministic.
-    fn spill_target(
-        home: usize,
-        incoming: u64,
-        targets: &[usize],
-        replicas: &[ReplicaSnapshot],
-    ) -> usize {
-        let best = |saturated_ok: bool, home_ok: bool| {
-            targets
-                .iter()
-                .map(|&i| (i, &replicas[i]))
-                .filter(|(i, _)| home_ok || *i != home)
-                .filter(|(_, s)| saturated_ok || !s.kv_saturated_for(incoming))
-                .min_by(|(ia, a), (ib, b)| {
-                    a.kv_utilization()
-                        .total_cmp(&b.kv_utilization())
-                        .then_with(|| a.load().cmp(&b.load()))
-                        .then_with(|| ia.cmp(ib))
-                })
-                .map(|(i, _)| i)
-        };
-        best(false, false)
-            .or_else(|| best(false, true))
-            .or_else(|| best(true, true))
-            .expect("fleet is non-empty")
-    }
-}
-
-impl Default for PrefixAffinity {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RoutePolicy for PrefixAffinity {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        let incoming = ctx.incoming_kv_tokens();
-        let Some(hint) = ctx.prefix() else {
-            // Prefix-free requests have no cache to protect: balance
-            // them like join-shortest-queue.
-            return JoinShortestQueue.route(ctx);
-        };
-        // Hash over the arrival-capable subset (in an all-colocated
-        // fleet: every replica, i.e. the classic behavior), so a
-        // disaggregated fleet's conversations stay sticky to prefill
-        // homes and decode-only replicas are never picked. Elastic
-        // fleets attach a membership ring, which bounds how many homes
-        // a scale event moves.
-        let home = affinity_home(ctx, hint.key);
-        if self.keeps_home(&ctx.replicas[home], incoming) {
-            home
-        } else {
-            let pick = Self::spill_target(home, incoming, &ctx.arrival_targets(), ctx.replicas);
-            // A degenerate fleet (or one where only home has headroom)
-            // keeps the request — that is not a spill.
-            if pick != home {
-                self.spills += 1;
-            }
-            pick
-        }
-    }
-
-    /// The home alone while it keeps the request; the whole fleet once
-    /// it would spill, and for prefix-free requests (which balance like
-    /// join-shortest-queue).
-    fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
-        let Some(hint) = ctx.prefix() else {
-            return Reads::Fleet;
-        };
-        let home = affinity_home(ctx, hint.key);
-        if self.keeps_home(&ctx.replicas[home], ctx.incoming_kv_tokens()) {
-            Reads::One(home)
-        } else {
-            Reads::Fleet
-        }
-    }
-
-    fn label(&self) -> String {
-        affinity_label(self.spill_utilization)
-    }
-}
-
-/// Label for an adaptive-affinity policy; like [`affinity_label`], the
-/// queue threshold rides along when non-default so `Display` →
-/// [`FromStr`] round-trips losslessly.
-fn adaptive_label(queue_pressure: f64) -> String {
-    if queue_pressure == AdaptiveAffinity::DEFAULT_QUEUE_PRESSURE {
-        "adaptive-affinity".to_owned()
-    } else {
-        format!("adaptive-affinity:{queue_pressure}")
-    }
-}
-
-/// The affinity/balance hybrid: [`PrefixAffinity`] while the fleet has
-/// slack, [`JoinShortestQueue`] once it saturates.
-///
-/// Pure affinity has a known failure mode past saturation: stickiness
-/// stacks conversations onto hot replicas whose queues are already
-/// deep, and prefix-oblivious JSQ re-wins goodput (the residual trade
-/// the PR 4 `RoutingSweep` table shows). This policy watches the
-/// fleet-wide *queue pressure* — mean queued requests per
-/// arrival-capable replica — at every decision: below
-/// `queue_pressure` it routes exactly like `PrefixAffinity`
-/// (conversations stay home, caches stay hot); at or above it, queues
-/// have grown past what cache hits can buy back, and it degrades to
-/// JSQ until the backlog drains. The switch is per-decision and
-/// hysteresis-free, so bursts degrade and recover automatically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveAffinity {
-    affinity: PrefixAffinity,
-    queue_pressure: f64,
-    balanced: u64,
-}
-
-impl AdaptiveAffinity {
-    /// Default mean-queued-per-replica threshold above which affinity
-    /// yields to load balancing. Below saturation, queues hover near
-    /// zero; a sustained backlog of a few requests per replica means
-    /// arrivals outpace service and stickiness is stacking hot queues.
-    pub const DEFAULT_QUEUE_PRESSURE: f64 = 2.0;
-
-    /// The hybrid at the default queue-pressure threshold.
-    pub fn new() -> Self {
-        Self::with_queue_pressure(Self::DEFAULT_QUEUE_PRESSURE)
-    }
-
-    /// The hybrid switching to JSQ once mean queued requests per
-    /// arrival-capable replica reaches `queue_pressure`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_pressure` is not positive and finite.
-    #[track_caller]
-    pub fn with_queue_pressure(queue_pressure: f64) -> Self {
-        assert!(
-            queue_pressure.is_finite() && queue_pressure > 0.0,
-            "queue pressure must be positive, got {queue_pressure}"
-        );
-        Self {
-            affinity: PrefixAffinity::new(),
-            queue_pressure,
-            balanced: 0,
-        }
-    }
-
-    /// Decisions routed in the degraded (JSQ) regime so far.
-    pub fn balanced_decisions(&self) -> u64 {
-        self.balanced
-    }
-
-    /// Requests routed away from a saturated home replica while in the
-    /// affinity regime.
-    pub fn spills(&self) -> u64 {
-        self.affinity.spills()
-    }
-}
-
-impl Default for AdaptiveAffinity {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RoutePolicy for AdaptiveAffinity {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        let targets = ctx.arrival_targets();
-        let queued: usize = targets.iter().map(|&i| ctx.replicas[i].queued).sum();
-        let pressure = queued as f64 / targets.len() as f64;
-        if pressure >= self.queue_pressure {
-            self.balanced += 1;
-            JoinShortestQueue.route(ctx)
-        } else {
-            self.affinity.route(ctx)
-        }
-    }
-
-    fn label(&self) -> String {
-        adaptive_label(self.queue_pressure)
-    }
-}
-
-/// Label for a shared-tier-affinity policy; like [`affinity_label`],
-/// the queue threshold rides along when non-default so `Display` →
-/// [`FromStr`] round-trips losslessly.
-fn shared_tier_label(queue_pressure: f64) -> String {
-    if queue_pressure == SharedTierAffinity::DEFAULT_QUEUE_PRESSURE {
-        "shared-tier-affinity".to_owned()
-    } else {
-        format!("shared-tier-affinity:{queue_pressure}")
-    }
-}
-
-/// Affinity that relaxes stickiness exactly when the fleet-shared KV
-/// tier has made it redundant.
-///
-/// [`PrefixAffinity`]'s stickiness buys cache hits at the price of
-/// queueing: a hot home replica keeps winning its conversations even
-/// when its queue is deep, because no other replica holds their
-/// context. A fleet-shared tier changes that calculus — once a
-/// conversation's prefix is registered in the global directory, *any*
-/// replica can re-materialize it at one fabric hop, so waiting behind
-/// the home's queue no longer protects anything. This policy routes
-/// like `PrefixAffinity` while the home is healthy, but when the home
-/// is **pressured** (its queue has reached `queue_pressure`, or its
-/// private capacity tier is full per
-/// [`ReplicaSnapshot::tier_pressure`]) *and* the request's prefix is
-/// [resident](RouteContext::shared_resident) in the shared tier, it
-/// relaxes to [`JoinShortestQueue`] — the fetch path recovers the
-/// context wherever the request lands.
-///
-/// Unlike [`AdaptiveAffinity`], which degrades on fleet-wide pressure
-/// regardless of what the move costs in cache hits, this policy only
-/// relaxes when the remote-fetch escape hatch actually exists; a
-/// pressured home whose conversation is *not* in the directory stays
-/// sticky (moving it would cold-start the prefix). Without a shared
-/// tier (`ctx.shared_prefixes == None`) it is exactly
-/// `PrefixAffinity`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SharedTierAffinity {
-    affinity: PrefixAffinity,
-    queue_pressure: f64,
-    relaxed: u64,
-}
-
-impl SharedTierAffinity {
-    /// Default home-queue depth at which stickiness yields to load
-    /// balancing for tier-resident prefixes. A couple of queued
-    /// requests at the home means a remote fetch (microseconds of
-    /// fabric time) beats the wait.
-    pub const DEFAULT_QUEUE_PRESSURE: f64 = 2.0;
-
-    /// The policy at the default queue-pressure threshold.
-    pub fn new() -> Self {
-        Self::with_queue_pressure(Self::DEFAULT_QUEUE_PRESSURE)
-    }
-
-    /// The policy relaxing once the home replica's queue reaches
-    /// `queue_pressure` (tier-resident prefixes only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_pressure` is not positive and finite.
-    #[track_caller]
-    pub fn with_queue_pressure(queue_pressure: f64) -> Self {
-        assert!(
-            queue_pressure.is_finite() && queue_pressure > 0.0,
-            "queue pressure must be positive, got {queue_pressure}"
-        );
-        Self {
-            affinity: PrefixAffinity::new(),
-            queue_pressure,
-            relaxed: 0,
-        }
-    }
-
-    /// Decisions where stickiness was relaxed because the prefix was
-    /// fleet-resident and the home was pressured.
-    pub fn relaxed_decisions(&self) -> u64 {
-        self.relaxed
-    }
-
-    /// Requests routed away from a saturated home replica while in the
-    /// sticky regime.
-    pub fn spills(&self) -> u64 {
-        self.affinity.spills()
-    }
-}
-
-impl Default for SharedTierAffinity {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RoutePolicy for SharedTierAffinity {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        if ctx.prefix().is_some() && ctx.shared_resident() {
-            let hint = ctx.prefix().expect("checked above");
-            let home = affinity_home(ctx, hint.key);
-            let snapshot = &ctx.replicas[home];
-            let pressured =
-                snapshot.queued as f64 >= self.queue_pressure || snapshot.tier_pressure() >= 1.0;
-            if pressured {
-                self.relaxed += 1;
-                return JoinShortestQueue.route(ctx);
-            }
-        }
-        self.affinity.route(ctx)
-    }
-
-    fn label(&self) -> String {
-        shared_tier_label(self.queue_pressure)
-    }
-}
-
-/// The built-in policies as a closed, serde-able value — the concrete
-/// state a [`Router`] snapshots and restores. Custom [`RoutePolicy`]
-/// implementations live outside this enum and drive the cluster engine
-/// directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum BuiltinRoutePolicy {
-    /// See [`RoundRobin`].
-    RoundRobin(RoundRobin),
-    /// See [`JoinShortestQueue`].
-    JoinShortestQueue(JoinShortestQueue),
-    /// See [`KvPressureAware`].
-    KvPressureAware(KvPressureAware),
-    /// See [`PrefixAffinity`].
-    PrefixAffinity(PrefixAffinity),
-    /// See [`AdaptiveAffinity`].
-    AdaptiveAffinity(AdaptiveAffinity),
-    /// See [`SharedTierAffinity`].
-    SharedTierAffinity(SharedTierAffinity),
-}
-
-impl RoutePolicy for BuiltinRoutePolicy {
-    fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
-        match self {
-            BuiltinRoutePolicy::RoundRobin(p) => p.route(ctx),
-            BuiltinRoutePolicy::JoinShortestQueue(p) => p.route(ctx),
-            BuiltinRoutePolicy::KvPressureAware(p) => p.route(ctx),
-            BuiltinRoutePolicy::PrefixAffinity(p) => p.route(ctx),
-            BuiltinRoutePolicy::AdaptiveAffinity(p) => p.route(ctx),
-            BuiltinRoutePolicy::SharedTierAffinity(p) => p.route(ctx),
-        }
-    }
-
-    fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
-        match self {
-            BuiltinRoutePolicy::RoundRobin(p) => p.reads(ctx),
-            BuiltinRoutePolicy::JoinShortestQueue(p) => p.reads(ctx),
-            BuiltinRoutePolicy::KvPressureAware(p) => p.reads(ctx),
-            BuiltinRoutePolicy::PrefixAffinity(p) => p.reads(ctx),
-            BuiltinRoutePolicy::AdaptiveAffinity(p) => p.reads(ctx),
-            BuiltinRoutePolicy::SharedTierAffinity(p) => p.reads(ctx),
-        }
-    }
-
-    fn label(&self) -> String {
-        match self {
-            BuiltinRoutePolicy::RoundRobin(p) => p.label(),
-            BuiltinRoutePolicy::JoinShortestQueue(p) => p.label(),
-            BuiltinRoutePolicy::KvPressureAware(p) => p.label(),
-            BuiltinRoutePolicy::PrefixAffinity(p) => p.label(),
-            BuiltinRoutePolicy::AdaptiveAffinity(p) => p.label(),
-            BuiltinRoutePolicy::SharedTierAffinity(p) => p.label(),
-        }
-    }
+/// The least-pressured of `candidates`: lowest KV-budget utilization,
+/// then load, then index, so the pick is deterministic. `None` when
+/// there are no candidates.
+fn least_pressured(
+    candidates: impl IntoIterator<Item = usize>,
+    replicas: &[ReplicaSnapshot],
+) -> Option<usize> {
+    candidates.into_iter().min_by(|&a, &b| {
+        let (sa, sb) = (&replicas[a], &replicas[b]);
+        sa.kv_utilization()
+            .total_cmp(&sb.kv_utilization())
+            .then_with(|| sa.load().cmp(&sb.load()))
+            .then_with(|| a.cmp(&b))
+    })
 }
 
 /// Declarative name of a built-in routing policy: what cluster specs,
-/// sweeps, and JSON bins carry. `build()` turns it into the live
-/// [`BuiltinRoutePolicy`]; [`FromStr`] parses the same labels
-/// [`PolicySpec::label`] prints (plus `prefix-affinity:<threshold>` for
-/// a custom spill point), so command-line and config surfaces stay
-/// declarative.
+/// sweeps, and JSON bins carry, and what a [`Router`] runs.
+/// [`FromStr`] parses the same labels [`PolicySpec::label`] prints,
+/// plus `<affinity>:<threshold>` for a non-default threshold, so
+/// command-line and config surfaces stay declarative.
+///
+/// The three affinity policies share one rule: hash the request's
+/// prefix key (its conversation id, or the fleet-wide
+/// shared-system-prompt key) to a *home* replica, so every turn of a
+/// conversation lands where its private prefix cache holds the
+/// accumulated context. The home keeps the request while it is not
+/// KV-saturated for the prompt and its budget utilization is below the
+/// spill point; otherwise the request spills to the least-pressured
+/// replica with headroom. Prefix-free requests balance like
+/// join-shortest-queue. The three differ only in when stickiness
+/// *relaxes* to join-shortest-queue before the home is consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicySpec {
-    /// Cycle through replicas, ignoring state.
+    /// Cycle through the arrival-capable replicas, ignoring state: the
+    /// classic stateless baseline.
     RoundRobin,
-    /// Fewest responsible requests, skipping KV-saturated replicas.
+    /// Fewest responsible requests (queued + live), skipping replicas
+    /// whose KV budget cannot take the request while any has headroom.
     JoinShortestQueue,
-    /// Lowest KV-budget utilization, then shortest queue.
+    /// Lowest KV-budget utilization, then shortest queue: the policy
+    /// that tracks the actual admission bottleneck (the paper's
+    /// KV-capacity pressure) rather than a proxy count.
     KvPressureAware,
-    /// Conversation-sticky routing with KV-pressure spill.
+    /// Conversation-sticky routing with KV-pressure spill. Never
+    /// relaxes.
     PrefixAffinity {
-        /// KV-utilization fraction above which the home replica spills.
+        /// KV-utilization fraction at which the home replica spills
+        /// (1.0 = spill only on hard saturation).
         spill_utilization: f64,
     },
     /// Conversation-sticky below the queue-pressure threshold,
-    /// join-shortest-queue above it.
+    /// join-shortest-queue at or above it.
+    ///
+    /// Pure affinity has a known failure mode past saturation:
+    /// stickiness stacks conversations onto hot replicas whose queues
+    /// are already deep, and prefix-oblivious join-shortest-queue
+    /// re-wins goodput. This policy relaxes while the fleet-wide queue
+    /// pressure (mean queued requests per arrival-capable replica) is
+    /// at or above `queue_pressure`. The switch is per decision and
+    /// hysteresis-free, so bursts degrade and recover automatically.
     AdaptiveAffinity {
         /// Mean queued requests per arrival-capable replica at which
         /// affinity yields to load balancing.
@@ -1131,6 +677,18 @@ pub enum PolicySpec {
     /// Conversation-sticky, relaxing to join-shortest-queue only for
     /// prefixes resident in the fleet-shared KV tier whose home replica
     /// is pressured.
+    ///
+    /// Once a conversation's prefix is registered in the global
+    /// directory, *any* replica can re-materialize it at one fabric
+    /// hop, so waiting behind the home's queue no longer protects
+    /// anything. The policy relaxes when the prefix is
+    /// [resident](RouteContext::shared_resident) and the home is
+    /// pressured: its queue has reached `queue_pressure`, or its
+    /// private capacity tier is full per
+    /// [`ReplicaSnapshot::tier_pressure`]. A pressured home whose
+    /// conversation is *not* in the directory stays sticky (moving it
+    /// would cold-start the prefix). Without a shared tier it routes
+    /// exactly like `prefix-affinity` at the default spill point.
     SharedTierAffinity {
         /// Home-replica queue depth at which stickiness yields for
         /// tier-resident prefixes.
@@ -1139,11 +697,22 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
+    /// Default KV-utilization fraction at which a prefix-affinity home
+    /// spills (1.0 = spill only on hard saturation). The adaptive and
+    /// shared-tier affinities always spill here.
+    pub const DEFAULT_SPILL_UTILIZATION: f64 = 1.0;
+
+    /// Default queue-pressure threshold of the adaptive and shared-tier
+    /// affinities. Below saturation, queues hover near zero; a backlog
+    /// of a couple of requests means arrivals outpace service, and a
+    /// remote fetch (microseconds of fabric time) beats the wait.
+    pub const DEFAULT_QUEUE_PRESSURE: f64 = 2.0;
+
     /// Prefix-affinity with the default spill point (hard saturation
     /// only).
     pub fn prefix_affinity() -> Self {
         PolicySpec::PrefixAffinity {
-            spill_utilization: PrefixAffinity::DEFAULT_SPILL_UTILIZATION,
+            spill_utilization: Self::DEFAULT_SPILL_UTILIZATION,
         }
     }
 
@@ -1151,7 +720,7 @@ impl PolicySpec {
     /// threshold.
     pub fn adaptive_affinity() -> Self {
         PolicySpec::AdaptiveAffinity {
-            queue_pressure: AdaptiveAffinity::DEFAULT_QUEUE_PRESSURE,
+            queue_pressure: Self::DEFAULT_QUEUE_PRESSURE,
         }
     }
 
@@ -1159,53 +728,67 @@ impl PolicySpec {
     /// threshold.
     pub fn shared_tier_affinity() -> Self {
         PolicySpec::SharedTierAffinity {
-            queue_pressure: SharedTierAffinity::DEFAULT_QUEUE_PRESSURE,
+            queue_pressure: Self::DEFAULT_QUEUE_PRESSURE,
         }
     }
 
-    /// Instantiates the policy this spec names, with fresh state.
+    /// Checks the spec's threshold: a spill utilization must be in
+    /// `(0, 1]`, a queue pressure positive and finite.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a `PrefixAffinity` spec carries a `spill_utilization`
-    /// outside `(0, 1]` — possible only for values that bypassed
-    /// [`FromStr`]'s validation, e.g. hand-built or deserialized specs.
-    #[track_caller]
-    pub fn build(&self) -> BuiltinRoutePolicy {
+    /// Returns the message naming the out-of-range threshold.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            PolicySpec::RoundRobin => BuiltinRoutePolicy::RoundRobin(RoundRobin::new()),
-            PolicySpec::JoinShortestQueue => {
-                BuiltinRoutePolicy::JoinShortestQueue(JoinShortestQueue)
-            }
-            PolicySpec::KvPressureAware => BuiltinRoutePolicy::KvPressureAware(KvPressureAware),
-            PolicySpec::PrefixAffinity { spill_utilization } => BuiltinRoutePolicy::PrefixAffinity(
-                PrefixAffinity::with_spill_utilization(spill_utilization),
-            ),
-            PolicySpec::AdaptiveAffinity { queue_pressure } => {
-                BuiltinRoutePolicy::AdaptiveAffinity(AdaptiveAffinity::with_queue_pressure(
-                    queue_pressure,
+            PolicySpec::PrefixAffinity { spill_utilization }
+                if !(spill_utilization > 0.0 && spill_utilization <= 1.0) =>
+            {
+                Err(format!(
+                    "spill utilization must be in (0, 1], got {spill_utilization}"
                 ))
             }
-            PolicySpec::SharedTierAffinity { queue_pressure } => {
-                BuiltinRoutePolicy::SharedTierAffinity(SharedTierAffinity::with_queue_pressure(
-                    queue_pressure,
+            PolicySpec::AdaptiveAffinity { queue_pressure }
+            | PolicySpec::SharedTierAffinity { queue_pressure }
+                if !(queue_pressure.is_finite() && queue_pressure > 0.0) =>
+            {
+                Err(format!(
+                    "queue pressure must be positive, got {queue_pressure}"
                 ))
             }
+            _ => Ok(()),
         }
     }
 
-    /// Display label for reports and sweeps. Never instantiates the
-    /// policy (and so never panics, even for an out-of-range
-    /// deserialized spec); a non-default spill threshold is part of
-    /// the label, so `Display` → [`FromStr`] round-trips losslessly.
+    /// Display label for reports and sweeps. Never validates (and so
+    /// never panics, even for an out-of-range deserialized spec); a
+    /// non-default threshold is part of the label, so `Display` →
+    /// [`FromStr`] round-trips losslessly and sweep rows over different
+    /// thresholds stay distinguishable.
     pub fn label(&self) -> String {
-        match *self {
-            PolicySpec::RoundRobin => "round-robin".to_owned(),
-            PolicySpec::JoinShortestQueue => "join-shortest-queue".to_owned(),
-            PolicySpec::KvPressureAware => "kv-pressure-aware".to_owned(),
-            PolicySpec::PrefixAffinity { spill_utilization } => affinity_label(spill_utilization),
-            PolicySpec::AdaptiveAffinity { queue_pressure } => adaptive_label(queue_pressure),
-            PolicySpec::SharedTierAffinity { queue_pressure } => shared_tier_label(queue_pressure),
+        let (name, threshold, default) = match *self {
+            PolicySpec::RoundRobin => return "round-robin".to_owned(),
+            PolicySpec::JoinShortestQueue => return "join-shortest-queue".to_owned(),
+            PolicySpec::KvPressureAware => return "kv-pressure-aware".to_owned(),
+            PolicySpec::PrefixAffinity { spill_utilization } => (
+                "prefix-affinity",
+                spill_utilization,
+                Self::DEFAULT_SPILL_UTILIZATION,
+            ),
+            PolicySpec::AdaptiveAffinity { queue_pressure } => (
+                "adaptive-affinity",
+                queue_pressure,
+                Self::DEFAULT_QUEUE_PRESSURE,
+            ),
+            PolicySpec::SharedTierAffinity { queue_pressure } => (
+                "shared-tier-affinity",
+                queue_pressure,
+                Self::DEFAULT_QUEUE_PRESSURE,
+            ),
+        };
+        if threshold == default {
+            name.to_owned()
+        } else {
+            format!("{name}:{threshold}")
         }
     }
 }
@@ -1220,77 +803,74 @@ impl FromStr for PolicySpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "round-robin" => return Ok(PolicySpec::RoundRobin),
-            "join-shortest-queue" => return Ok(PolicySpec::JoinShortestQueue),
-            "kv-pressure-aware" => return Ok(PolicySpec::KvPressureAware),
-            "prefix-affinity" => return Ok(PolicySpec::prefix_affinity()),
-            "adaptive-affinity" => return Ok(PolicySpec::adaptive_affinity()),
-            "shared-tier-affinity" => return Ok(PolicySpec::shared_tier_affinity()),
-            _ => {}
-        }
-        if let Some(threshold) = s.strip_prefix("prefix-affinity:") {
-            let spill_utilization: f64 = threshold
-                .parse()
-                .map_err(|_| format!("invalid spill utilization {threshold:?}"))?;
-            if !(spill_utilization > 0.0 && spill_utilization <= 1.0) {
+        let (name, threshold) = match s.split_once(':') {
+            Some((name, threshold)) => (name, Some(threshold)),
+            None => (s, None),
+        };
+        let parse = |what: &str, default: f64| match threshold {
+            None => Ok(default),
+            Some(t) => t.parse().map_err(|_| format!("invalid {what} {t:?}")),
+        };
+        let spec = match (name, threshold) {
+            ("round-robin", None) => PolicySpec::RoundRobin,
+            ("join-shortest-queue", None) => PolicySpec::JoinShortestQueue,
+            ("kv-pressure-aware", None) => PolicySpec::KvPressureAware,
+            ("prefix-affinity", _) => PolicySpec::PrefixAffinity {
+                spill_utilization: parse("spill utilization", Self::DEFAULT_SPILL_UTILIZATION)?,
+            },
+            ("adaptive-affinity", _) => PolicySpec::AdaptiveAffinity {
+                queue_pressure: parse("queue pressure", Self::DEFAULT_QUEUE_PRESSURE)?,
+            },
+            ("shared-tier-affinity", _) => PolicySpec::SharedTierAffinity {
+                queue_pressure: parse("queue pressure", Self::DEFAULT_QUEUE_PRESSURE)?,
+            },
+            _ => {
                 return Err(format!(
-                    "spill utilization must be in (0, 1], got {spill_utilization}"
-                ));
+                    "unknown routing policy {s:?} (expected round-robin, join-shortest-queue, \
+                     kv-pressure-aware, prefix-affinity[:<spill>], adaptive-affinity[:<pressure>], \
+                     or shared-tier-affinity[:<pressure>])"
+                ))
             }
-            return Ok(PolicySpec::PrefixAffinity { spill_utilization });
-        }
-        if let Some(threshold) = s.strip_prefix("adaptive-affinity:") {
-            let queue_pressure: f64 = threshold
-                .parse()
-                .map_err(|_| format!("invalid queue pressure {threshold:?}"))?;
-            if !(queue_pressure.is_finite() && queue_pressure > 0.0) {
-                return Err(format!(
-                    "queue pressure must be positive, got {queue_pressure}"
-                ));
-            }
-            return Ok(PolicySpec::AdaptiveAffinity { queue_pressure });
-        }
-        if let Some(threshold) = s.strip_prefix("shared-tier-affinity:") {
-            let queue_pressure: f64 = threshold
-                .parse()
-                .map_err(|_| format!("invalid queue pressure {threshold:?}"))?;
-            if !(queue_pressure.is_finite() && queue_pressure > 0.0) {
-                return Err(format!(
-                    "queue pressure must be positive, got {queue_pressure}"
-                ));
-            }
-            return Ok(PolicySpec::SharedTierAffinity { queue_pressure });
-        }
-        Err(format!(
-            "unknown routing policy {s:?} (expected round-robin, join-shortest-queue, \
-             kv-pressure-aware, prefix-affinity[:<spill>], adaptive-affinity[:<pressure>], \
-             or shared-tier-affinity[:<pressure>])"
-        ))
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
-/// The stateful router: a built-in policy plus its decision counter,
-/// resumable by construction — every routing-relevant bit (the spec,
-/// the policy's cursor/spill state, the decision count) round-trips
-/// through serde, so a serialized mid-run router resumes exactly where
-/// it stopped.
+/// The built-in router: the policy a [`PolicySpec`] names, with its
+/// state — the round-robin cursor and the spill, relax, and decision
+/// counters. Resumable by construction: every routing-relevant bit
+/// round-trips through serde, so a serialized mid-run router resumes
+/// exactly where it stopped.
 ///
-/// `Router` itself implements [`RoutePolicy`], so the cluster engine
-/// drives built-ins and custom policies through the same trait seam.
+/// `Router` implements [`RoutePolicy`], so the cluster engine drives
+/// built-ins and custom policies through the same trait seam.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Router {
     spec: PolicySpec,
-    policy: BuiltinRoutePolicy,
+    cursor: usize,
+    spills: u64,
+    relaxed: u64,
     decisions: u64,
 }
 
 impl Router {
     /// A fresh router running the policy `spec` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PolicySpec::validate`] message if the spec's
+    /// threshold is out of range.
+    #[track_caller]
     pub fn new(spec: PolicySpec) -> Self {
+        if let Err(message) = spec.validate() {
+            panic!("{message}");
+        }
         Self {
             spec,
-            policy: spec.build(),
+            cursor: 0,
+            spills: 0,
+            relaxed: 0,
             decisions: 0,
         }
     }
@@ -1300,14 +880,22 @@ impl Router {
         self.spec
     }
 
-    /// The live policy state (cursor, spill counters, …).
-    pub fn state(&self) -> &BuiltinRoutePolicy {
-        &self.policy
-    }
-
     /// Routing decisions made so far.
     pub fn decisions(&self) -> u64 {
         self.decisions
+    }
+
+    /// Affinity requests routed away from their home replica because
+    /// it was saturated or past the spill point. A request that lands
+    /// back home (only the home had headroom) is no spill.
+    pub fn spills(&self) -> u64 {
+        self.spills
+    }
+
+    /// Affinity decisions where stickiness relaxed to
+    /// join-shortest-queue.
+    pub fn relaxed(&self) -> u64 {
+        self.relaxed
     }
 
     /// Picks the replica that admits `request`, given one snapshot per
@@ -1323,6 +911,73 @@ impl Router {
     pub fn route(&mut self, request: &ServingRequest, replicas: &[ReplicaSnapshot]) -> usize {
         RoutePolicy::route(self, &RouteContext::new(request, replicas))
     }
+
+    /// Whether an affinity policy relaxes to join-shortest-queue for
+    /// this arrival, before its home is consulted.
+    fn relaxes(&self, ctx: &RouteContext<'_>) -> bool {
+        match self.spec {
+            PolicySpec::AdaptiveAffinity { queue_pressure } => {
+                let targets = ctx.arrival_targets();
+                let queued: usize = targets.iter().map(|&i| ctx.replicas[i].queued).sum();
+                queued as f64 / targets.len() as f64 >= queue_pressure
+            }
+            PolicySpec::SharedTierAffinity { queue_pressure } => ctx.prefix().is_some_and(|hint| {
+                ctx.shared_resident() && {
+                    let home = &ctx.replicas[affinity_home(ctx, hint.key)];
+                    home.queued as f64 >= queue_pressure || home.tier_pressure() >= 1.0
+                }
+            }),
+            _ => false,
+        }
+    }
+
+    /// The affinity home of the request's prefix, and whether it keeps
+    /// the request: it is not saturated for the prompt and its
+    /// utilization is below the spill point. `None` for a prefix-free
+    /// request.
+    fn home(&self, ctx: &RouteContext<'_>) -> Option<(usize, bool)> {
+        let hint = ctx.prefix()?;
+        let spill_utilization = match self.spec {
+            PolicySpec::PrefixAffinity { spill_utilization } => spill_utilization,
+            _ => PolicySpec::DEFAULT_SPILL_UTILIZATION,
+        };
+        let home = affinity_home(ctx, hint.key);
+        let snapshot = &ctx.replicas[home];
+        let keeps = !snapshot.kv_saturated_for(ctx.incoming_kv_tokens())
+            && snapshot.kv_utilization() < spill_utilization;
+        Some((home, keeps))
+    }
+
+    /// The affinity rule. A relaxed decision, or a prefix-free request,
+    /// balances like join-shortest-queue. Otherwise the request stays
+    /// home while the home keeps it, and else spills to the
+    /// least-pressured other replica with headroom. If only the home
+    /// has headroom it keeps the request; an all-saturated fleet falls
+    /// back to the least-pressured replica overall.
+    fn affinity(&mut self, ctx: &RouteContext<'_>) -> usize {
+        let incoming = ctx.incoming_kv_tokens();
+        if self.relaxes(ctx) {
+            self.relaxed += 1;
+            return least_loaded(&ctx.arrival_targets(), ctx.replicas, incoming);
+        }
+        let Some((home, keeps)) = self.home(ctx) else {
+            return least_loaded(&ctx.arrival_targets(), ctx.replicas, incoming);
+        };
+        if keeps {
+            return home;
+        }
+        let targets = ctx.arrival_targets();
+        let headroom = |i: &usize| !ctx.replicas[*i].kv_saturated_for(incoming);
+        let others = targets.iter().copied().filter(|&i| i != home);
+        let pick = least_pressured(others.filter(headroom), ctx.replicas)
+            .or_else(|| headroom(&home).then_some(home))
+            .or_else(|| least_pressured(targets.iter().copied(), ctx.replicas))
+            .expect("fleet is non-empty");
+        if pick != home {
+            self.spills += 1;
+        }
+        pick
+    }
 }
 
 impl RoutePolicy for Router {
@@ -1333,13 +988,42 @@ impl RoutePolicy for Router {
     fn route(&mut self, ctx: &RouteContext<'_>) -> usize {
         assert!(!ctx.replicas.is_empty(), "cannot route to an empty fleet");
         self.decisions += 1;
-        let pick = self.policy.route(ctx);
-        debug_assert!(pick < ctx.replicas.len(), "built-in policy out of range");
-        pick
+        match self.spec {
+            PolicySpec::RoundRobin => {
+                let targets = ctx.arrival_targets();
+                let pick = targets[self.cursor % targets.len()];
+                self.cursor = (self.cursor + 1) % targets.len();
+                pick
+            }
+            PolicySpec::JoinShortestQueue => least_loaded(
+                &ctx.arrival_targets(),
+                ctx.replicas,
+                ctx.incoming_kv_tokens(),
+            ),
+            PolicySpec::KvPressureAware => {
+                least_pressured(ctx.arrival_targets(), ctx.replicas).expect("fleet is non-empty")
+            }
+            _ => self.affinity(ctx),
+        }
     }
 
+    /// Round robin reads no snapshot: its cursor and the stamps pick.
+    /// Prefix affinity, and shared-tier affinity while it does not
+    /// relax, read the home alone while it keeps the request. Every
+    /// other decision reads the whole fleet.
     fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
-        self.policy.reads(ctx)
+        match self.spec {
+            PolicySpec::RoundRobin => Reads::Nothing,
+            PolicySpec::PrefixAffinity { .. } | PolicySpec::SharedTierAffinity { .. }
+                if !self.relaxes(ctx) =>
+            {
+                match self.home(ctx) {
+                    Some((home, true)) => Reads::One(home),
+                    _ => Reads::Fleet,
+                }
+            }
+            _ => Reads::Fleet,
+        }
     }
 
     fn label(&self) -> String {
@@ -1379,28 +1063,7 @@ impl MigrationContext<'_> {
     /// every index, so policies stay total; the cluster engine
     /// validates fleet shape separately.
     pub fn decode_targets(&self) -> Vec<usize> {
-        let serving: Vec<usize> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.role.can_decode() && s.lifecycle.serves_traffic())
-            .map(|(i, _)| i)
-            .collect();
-        if !serving.is_empty() {
-            return serving;
-        }
-        let capable: Vec<usize> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.role.can_decode())
-            .map(|(i, _)| i)
-            .collect();
-        if capable.is_empty() {
-            (0..self.replicas.len()).collect()
-        } else {
-            capable
-        }
+        targets(self.replicas, ReplicaRole::can_decode)
     }
 }
 
@@ -1420,78 +1083,26 @@ pub trait MigrationPolicy: core::fmt::Debug {
     }
 }
 
-/// Join the decode-capable replica with the fewest responsible
-/// requests, skipping replicas whose KV budget cannot take the
-/// sequence while any has headroom — JSQ over the decode pool, the
-/// default [`MigrationPolicy`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecodeJsq;
-
-impl MigrationPolicy for DecodeJsq {
-    fn place(&mut self, ctx: &MigrationContext<'_>) -> usize {
-        let targets = ctx.decode_targets();
-        let least_loaded = |saturated_ok: bool| {
-            targets
-                .iter()
-                .map(|&i| (i, &ctx.replicas[i]))
-                .filter(|(_, s)| saturated_ok || !s.kv_saturated_for(ctx.kv_tokens))
-                .min_by_key(|&(i, s)| (s.load(), i))
-                .map(|(i, _)| i)
-        };
-        least_loaded(false)
-            .or_else(|| least_loaded(true))
-            .expect("fleet is non-empty")
-    }
-
-    fn label(&self) -> String {
-        "decode-jsq".to_owned()
-    }
-}
-
-/// Place on the decode-capable replica with the lowest KV-budget
-/// utilization (ties by load, then index) — the placement that tracks
-/// the decode pool's actual bottleneck, its KV capacity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecodeKvPressure;
-
-impl MigrationPolicy for DecodeKvPressure {
-    fn place(&mut self, ctx: &MigrationContext<'_>) -> usize {
-        ctx.decode_targets()
-            .into_iter()
-            .map(|i| (i, &ctx.replicas[i]))
-            .min_by(|(ia, a), (ib, b)| {
-                a.kv_utilization()
-                    .total_cmp(&b.kv_utilization())
-                    .then_with(|| a.load().cmp(&b.load()))
-                    .then_with(|| ia.cmp(ib))
-            })
-            .map(|(i, _)| i)
-            .expect("fleet is non-empty")
-    }
-
-    fn label(&self) -> String {
-        "decode-kv-pressure".to_owned()
-    }
-}
-
 /// Declarative name of a built-in [`MigrationPolicy`] — what cluster
-/// specs and sweeps carry, mirroring [`PolicySpec`] for routing.
+/// specs and sweeps carry, mirroring [`PolicySpec`] for routing. The
+/// built-ins are stateless, so the spec is itself the policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MigrationSpec {
-    /// JSQ over the decode pool (the default).
+    /// Join the decode-capable replica with the fewest responsible
+    /// requests, skipping replicas whose KV budget cannot take the
+    /// sequence while any has headroom (the default).
     #[default]
     JoinShortestQueue,
-    /// Lowest KV-budget utilization over the decode pool.
+    /// Place on the decode-capable replica with the lowest KV-budget
+    /// utilization (ties by load, then index): the placement that
+    /// tracks the decode pool's actual bottleneck, its KV capacity.
     KvPressureAware,
 }
 
 impl MigrationSpec {
     /// Instantiates the policy this spec names, with fresh state.
     pub fn build(&self) -> Box<dyn MigrationPolicy> {
-        match self {
-            MigrationSpec::JoinShortestQueue => Box::new(DecodeJsq),
-            MigrationSpec::KvPressureAware => Box::new(DecodeKvPressure),
-        }
+        Box::new(*self)
     }
 
     /// Display label for reports and sweeps.
@@ -1506,6 +1117,22 @@ impl MigrationSpec {
 impl core::fmt::Display for MigrationSpec {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(&self.label())
+    }
+}
+
+impl MigrationPolicy for MigrationSpec {
+    fn place(&mut self, ctx: &MigrationContext<'_>) -> usize {
+        let targets = ctx.decode_targets();
+        match self {
+            MigrationSpec::JoinShortestQueue => least_loaded(&targets, ctx.replicas, ctx.kv_tokens),
+            MigrationSpec::KvPressureAware => {
+                least_pressured(targets, ctx.replicas).expect("fleet is non-empty")
+            }
+        }
+    }
+
+    fn label(&self) -> String {
+        MigrationSpec::label(self)
     }
 }
 
@@ -1693,8 +1320,8 @@ mod tests {
         };
         assert_eq!(tuned.to_string(), "prefix-affinity:0.85");
         assert_eq!(tuned.to_string().parse::<PolicySpec>().unwrap(), tuned);
-        // Labelling never instantiates the policy, so even an invalid
-        // hand-built spec formats instead of panicking.
+        // Labelling never validates, so even an invalid hand-built spec
+        // formats instead of panicking.
         assert_eq!(
             PolicySpec::PrefixAffinity {
                 spill_utilization: 1.5
@@ -1710,19 +1337,60 @@ mod tests {
         );
     }
 
+    /// One range check serves `FromStr`, `Router::new` and the cluster
+    /// engine: each rejects the same specs with the same message.
+    #[test]
+    fn validate_rejects_out_of_range_thresholds() {
+        for (spec, message) in [
+            (
+                PolicySpec::PrefixAffinity {
+                    spill_utilization: 1.5,
+                },
+                "spill utilization must be in (0, 1], got 1.5",
+            ),
+            (
+                PolicySpec::AdaptiveAffinity {
+                    queue_pressure: f64::NAN,
+                },
+                "queue pressure must be positive, got NaN",
+            ),
+            (
+                PolicySpec::SharedTierAffinity {
+                    queue_pressure: 0.0,
+                },
+                "queue pressure must be positive, got 0",
+            ),
+        ] {
+            assert_eq!(spec.validate(), Err(message.to_owned()));
+            assert_eq!(spec.label().parse::<PolicySpec>(), Err(message.to_owned()));
+            let panic = std::panic::catch_unwind(|| Router::new(spec)).expect_err("must panic");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(message)
+            );
+        }
+        for spec in [
+            PolicySpec::RoundRobin,
+            PolicySpec::JoinShortestQueue,
+            PolicySpec::KvPressureAware,
+            PolicySpec::prefix_affinity(),
+            PolicySpec::adaptive_affinity(),
+            PolicySpec::shared_tier_affinity(),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{spec}");
+        }
+    }
+
     #[test]
     fn prefix_affinity_keeps_a_conversation_home_until_saturation() {
-        let mut policy = PrefixAffinity::new();
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
         let roomy = vec![snap(0, 2, 1_000, 10_000); 4];
         let key = 42;
-        let home = PrefixAffinity::home_replica(key, roomy.len());
+        let home = home_replica(key, roomy.len());
         // Every turn of the conversation lands on the home replica,
         // regardless of how busy the others are.
         for tokens in [100, 400, 900, 2_000] {
-            assert_eq!(
-                policy.route(&RouteContext::new(&turn(key, tokens), &roomy)),
-                home
-            );
+            assert_eq!(policy.route(&turn(key, tokens), &roomy), home);
         }
         assert_eq!(policy.spills(), 0);
 
@@ -1730,7 +1398,7 @@ mod tests {
         // spill target has headroom.
         let mut strained = roomy.clone();
         strained[home] = snap(0, 8, 9_990, 10_000);
-        let pick = policy.route(&RouteContext::new(&turn(key, 200), &strained));
+        let pick = policy.route(&turn(key, 200), &strained);
         assert_ne!(pick, home, "saturated home must spill");
         assert!(!strained[pick].kv_saturated_for(200));
         assert_eq!(policy.spills(), 1);
@@ -1738,46 +1406,51 @@ mod tests {
 
     /// Affinity reads its home while the home keeps the turn, the whole
     /// fleet once it would spill or for a prefix-free request; round
-    /// robin reads no snapshot. The built-in wrappers forward.
+    /// robin reads no snapshot. Shared-tier affinity reads like prefix
+    /// affinity until it relaxes; adaptive affinity always reads the
+    /// whole fleet, since its relax check sums every queue.
     #[test]
     fn reads_name_what_route_looks_at() {
         let key = 42;
         let roomy = vec![snap(0, 2, 1_000, 10_000); 4];
-        let home = PrefixAffinity::home_replica(key, roomy.len());
-        let affinity = PrefixAffinity::new();
-        let reads = |fleet: &[ReplicaSnapshot], request: &ServingRequest| {
-            affinity.reads(&RouteContext::new(request, fleet))
-        };
-        assert_eq!(reads(&roomy, &turn(key, 200)), Reads::One(home));
+        let home = home_replica(key, roomy.len());
         let mut saturated = roomy.clone();
         saturated[home] = snap(0, 8, 9_990, 10_000);
-        assert_eq!(reads(&saturated, &turn(key, 200)), Reads::Fleet);
-        assert_eq!(reads(&roomy, &req(200)), Reads::Fleet);
-        // The answer matches what route does with the same context.
-        let mut routed = PrefixAffinity::new();
-        assert_eq!(
-            routed.route(&RouteContext::new(&turn(key, 200), &roomy)),
-            home
-        );
+        let reads = |spec: PolicySpec, fleet: &[ReplicaSnapshot], request: &ServingRequest| {
+            Router::new(spec).reads(&RouteContext::new(request, fleet))
+        };
+        for spec in [
+            PolicySpec::prefix_affinity(),
+            PolicySpec::shared_tier_affinity(),
+        ] {
+            assert_eq!(reads(spec, &roomy, &turn(key, 200)), Reads::One(home));
+            assert_eq!(reads(spec, &saturated, &turn(key, 200)), Reads::Fleet);
+            assert_eq!(reads(spec, &roomy, &req(200)), Reads::Fleet);
+            // The answer matches what route does with the same context.
+            assert_eq!(Router::new(spec).route(&turn(key, 200), &roomy), home);
+        }
+        for (spec, expected) in [
+            (PolicySpec::RoundRobin, Reads::Nothing),
+            (PolicySpec::JoinShortestQueue, Reads::Fleet),
+            (PolicySpec::KvPressureAware, Reads::Fleet),
+            (PolicySpec::adaptive_affinity(), Reads::Fleet),
+        ] {
+            assert_eq!(reads(spec, &roomy, &turn(key, 200)), expected, "{spec}");
+            assert_eq!(reads(spec, &saturated, &turn(key, 200)), expected, "{spec}");
+        }
 
-        assert_eq!(
-            RoundRobin::new().reads(&RouteContext::new(&turn(key, 200), &saturated)),
-            Reads::Nothing
-        );
-        assert_eq!(
-            JoinShortestQueue.reads(&RouteContext::new(&turn(key, 200), &roomy)),
-            Reads::Fleet
-        );
-        let router = Router::new(PolicySpec::prefix_affinity());
-        assert_eq!(
-            router.reads(&RouteContext::new(&turn(key, 200), &roomy)),
-            Reads::One(home)
-        );
-        let router = Router::new(PolicySpec::RoundRobin);
-        assert_eq!(
-            router.reads(&RouteContext::new(&turn(key, 200), &roomy)),
-            Reads::Nothing
-        );
+        // A resident prefix whose home is pressured relaxes shared-tier
+        // affinity, which then reads the whole fleet; an idle home still
+        // reads itself alone.
+        let mut directory = GlobalKvTier::new(16);
+        directory.publish(key, home, 256);
+        let mut hot = roomy.clone();
+        hot[home] = snap(3, 2, 1_000, 10_000);
+        let request = turn(key, 200);
+        let router = Router::new(PolicySpec::shared_tier_affinity());
+        let shared = |fleet| RouteContext::new(&request, fleet).with_shared_prefixes(&directory);
+        assert_eq!(router.reads(&shared(&roomy)), Reads::One(home));
+        assert_eq!(router.reads(&shared(&hot)), Reads::Fleet);
     }
 
     /// On a colliding point the ring keeps the lowest member that is in
@@ -1797,8 +1470,8 @@ mod tests {
         let fleet = vec![snap(0, 0, 0, 10_000); 8];
         let homes: std::collections::BTreeSet<usize> = (0..64)
             .map(|key| {
-                let mut policy = PrefixAffinity::new();
-                policy.route(&RouteContext::new(&turn(key, 100), &fleet))
+                let mut policy = Router::new(PolicySpec::prefix_affinity());
+                policy.route(&turn(key, 100), &fleet)
             })
             .collect();
         assert!(
@@ -1809,49 +1482,53 @@ mod tests {
 
     #[test]
     fn prefix_affinity_soft_spill_threshold() {
-        let mut policy = PrefixAffinity::with_spill_utilization(0.5);
+        let mut policy = Router::new(PolicySpec::PrefixAffinity {
+            spill_utilization: 0.5,
+        });
         let key = 7;
         let mut fleet = vec![snap(0, 0, 1_000, 10_000); 3];
-        let home = PrefixAffinity::home_replica(key, fleet.len());
+        let home = home_replica(key, fleet.len());
         // 60% utilization: above the soft threshold even though the
         // prompt would still fit.
         fleet[home] = snap(0, 1, 6_000, 10_000);
-        let pick = policy.route(&RouteContext::new(&turn(key, 10), &fleet));
+        let pick = policy.route(&turn(key, 10), &fleet);
         assert_ne!(pick, home);
         assert_eq!(policy.spills(), 1);
     }
 
     #[test]
     fn spill_never_relands_home_silently() {
-        let mut policy = PrefixAffinity::with_spill_utilization(0.5);
+        let mut policy = Router::new(PolicySpec::PrefixAffinity {
+            spill_utilization: 0.5,
+        });
         let key = 7;
         // Home is past the soft threshold, but every other replica is
         // hard-saturated: the request stays home and that is NOT a
         // spill.
         let mut fleet = vec![snap(0, 0, 9_990, 10_000); 3];
-        let home = PrefixAffinity::home_replica(key, fleet.len());
+        let home = home_replica(key, fleet.len());
         fleet[home] = snap(0, 1, 6_000, 10_000);
-        let pick = policy.route(&RouteContext::new(&turn(key, 200), &fleet));
+        let pick = policy.route(&turn(key, 200), &fleet);
         assert_eq!(pick, home, "only home has headroom");
         assert_eq!(policy.spills(), 0, "staying home is not a spill");
         // Give another replica headroom: now the same request spills,
         // and the counter moves.
         let other = (home + 1) % fleet.len();
         fleet[other] = snap(0, 0, 1_000, 10_000);
-        let pick = policy.route(&RouteContext::new(&turn(key, 200), &fleet));
+        let pick = policy.route(&turn(key, 200), &fleet);
         assert_eq!(pick, other);
         assert_eq!(policy.spills(), 1);
     }
 
     #[test]
     fn prefix_free_requests_fall_back_to_jsq() {
-        let mut policy = PrefixAffinity::new();
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
         let fleet = vec![
             snap(4, 8, 100, 10_000),
             snap(1, 3, 100, 10_000),
             snap(2, 8, 100, 10_000),
         ];
-        let pick = policy.route(&RouteContext::new(&req(50), &fleet));
+        let pick = policy.route(&req(50), &fleet);
         assert_eq!(pick, 1, "no hint: least-loaded replica");
     }
 
@@ -1880,10 +1557,10 @@ mod tests {
             PolicySpec::adaptive_affinity(),
             PolicySpec::shared_tier_affinity(),
         ] {
-            let mut policy = spec.build();
+            let mut policy = Router::new(spec);
             for key in 0..16u64 {
                 let request = turn(key, 100);
-                let pick = policy.route(&RouteContext::new(&request, &fleet));
+                let pick = policy.route(&request, &fleet);
                 assert_ne!(pick, 1, "{spec:?} routed an arrival to a decode replica");
             }
         }
@@ -1891,16 +1568,14 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_over_the_prefill_capable_subset() {
-        let mut r = RoundRobin::new();
+        let mut r = Router::new(PolicySpec::RoundRobin);
         let fleet = vec![
             role_snap(ReplicaRole::Prefill, 0, 0),
             role_snap(ReplicaRole::Decode, 0, 0),
             role_snap(ReplicaRole::Prefill, 0, 0),
             role_snap(ReplicaRole::Decode, 0, 0),
         ];
-        let picks: Vec<usize> = (0..5)
-            .map(|_| r.route(&RouteContext::new(&req(10), &fleet)))
-            .collect();
+        let picks: Vec<usize> = (0..5).map(|_| r.route(&req(10), &fleet)).collect();
         assert_eq!(picks, vec![0, 2, 0, 2, 0]);
     }
 
@@ -1918,35 +1593,31 @@ mod tests {
 
     #[test]
     fn adaptive_affinity_sticks_below_pressure_and_balances_above() {
-        let mut policy = AdaptiveAffinity::with_queue_pressure(2.0);
+        let mut policy = Router::new(PolicySpec::AdaptiveAffinity {
+            queue_pressure: 2.0,
+        });
         let key = 42;
         // Idle fleet: behaves exactly like prefix-affinity.
         let idle = vec![snap(0, 2, 1_000, 10_000); 4];
         let home = {
-            let mut pure = PrefixAffinity::new();
-            pure.route(&RouteContext::new(&turn(key, 100), &idle))
+            let mut pure = Router::new(PolicySpec::prefix_affinity());
+            pure.route(&turn(key, 100), &idle)
         };
-        assert_eq!(
-            policy.route(&RouteContext::new(&turn(key, 100), &idle)),
-            home
-        );
-        assert_eq!(policy.balanced_decisions(), 0);
+        assert_eq!(policy.route(&turn(key, 100), &idle), home);
+        assert_eq!(policy.relaxed(), 0);
 
         // Saturated fleet (mean queued ≥ 2): degrade to JSQ — the pick
         // is the least-loaded replica even though home has KV headroom.
         let mut hot = vec![snap(4, 8, 1_000, 10_000); 4];
         let other = (home + 1) % 4;
         hot[other] = snap(0, 1, 1_000, 10_000);
-        let pick = policy.route(&RouteContext::new(&turn(key, 100), &hot));
+        let pick = policy.route(&turn(key, 100), &hot);
         assert_eq!(pick, other, "under pressure the hybrid must balance");
-        assert_eq!(policy.balanced_decisions(), 1);
+        assert_eq!(policy.relaxed(), 1);
 
         // Pressure drains: affinity resumes.
-        assert_eq!(
-            policy.route(&RouteContext::new(&turn(key, 100), &idle)),
-            home
-        );
-        assert_eq!(policy.balanced_decisions(), 1);
+        assert_eq!(policy.route(&turn(key, 100), &idle), home);
+        assert_eq!(policy.relaxed(), 1);
     }
 
     #[test]
@@ -1965,23 +1636,22 @@ mod tests {
         let key = 42;
         let fleet_size = 4;
         let idle = vec![snap(0, 2, 1_000, 10_000); fleet_size];
-        let home = PrefixAffinity::home_replica(key, fleet_size);
+        let home = home_replica(key, fleet_size);
         let mut directory = GlobalKvTier::new(16);
         directory.publish(key, home, 256);
 
         // No directory attached: identical to prefix-affinity.
-        let mut policy = SharedTierAffinity::with_queue_pressure(2.0);
-        assert_eq!(
-            policy.route(&RouteContext::new(&turn(key, 100), &idle)),
-            home
-        );
-        assert_eq!(policy.relaxed_decisions(), 0);
+        let mut policy = Router::new(PolicySpec::SharedTierAffinity {
+            queue_pressure: 2.0,
+        });
+        assert_eq!(policy.route(&turn(key, 100), &idle), home);
+        assert_eq!(policy.relaxed(), 0);
 
         // Resident prefix, idle home: stickiness still wins.
         let request = turn(key, 100);
         let ctx = RouteContext::new(&request, &idle).with_shared_prefixes(&directory);
-        assert_eq!(policy.route(&ctx), home);
-        assert_eq!(policy.relaxed_decisions(), 0);
+        assert_eq!(RoutePolicy::route(&mut policy, &ctx), home);
+        assert_eq!(policy.relaxed(), 0);
 
         // Pressured home + resident prefix: relax to JSQ.
         let mut hot = idle.clone();
@@ -1990,34 +1660,30 @@ mod tests {
         hot[other] = snap(0, 0, 1_000, 10_000);
         let ctx = RouteContext::new(&request, &hot).with_shared_prefixes(&directory);
         assert_eq!(
-            policy.route(&ctx),
+            RoutePolicy::route(&mut policy, &ctx),
             other,
             "remote fetch beats the hot queue"
         );
-        assert_eq!(policy.relaxed_decisions(), 1);
+        assert_eq!(policy.relaxed(), 1);
 
         // Pressured home, prefix NOT in the directory: stay sticky —
         // moving would cold-start the conversation.
         let absent = key + 1;
-        let stranger_home = PrefixAffinity::home_replica(absent, fleet_size);
+        let stranger_home = home_replica(absent, fleet_size);
         let mut hot = idle.clone();
         hot[stranger_home] = snap(3, 8, 1_000, 10_000);
         let stranger = turn(absent, 100);
         let ctx = RouteContext::new(&stranger, &hot).with_shared_prefixes(&directory);
-        assert_eq!(policy.route(&ctx), stranger_home);
-        assert_eq!(policy.relaxed_decisions(), 1, "non-resident never relaxes");
+        assert_eq!(RoutePolicy::route(&mut policy, &ctx), stranger_home);
+        assert_eq!(policy.relaxed(), 1, "non-resident never relaxes");
 
         // A full private tier at the home also counts as pressure.
         let mut churning = idle.clone();
         churning[home].kv_tier_budget_blocks = 100;
         churning[home].kv_tier_blocks_in_use = 100;
         let ctx = RouteContext::new(&request, &churning).with_shared_prefixes(&directory);
-        let pick = policy.route(&ctx);
-        assert_eq!(
-            policy.relaxed_decisions(),
-            2,
-            "full tier relaxes stickiness"
-        );
+        let pick = RoutePolicy::route(&mut policy, &ctx);
+        assert_eq!(policy.relaxed(), 2, "full tier relaxes stickiness");
         assert!(pick < fleet_size);
     }
 
@@ -2038,7 +1704,7 @@ mod tests {
         assert_eq!(tuned.to_string().parse::<PolicySpec>().unwrap(), tuned);
         assert!("shared-tier-affinity:-2".parse::<PolicySpec>().is_err());
         assert!("shared-tier-affinity:soon".parse::<PolicySpec>().is_err());
-        assert_eq!(tuned.build().label(), tuned.label());
+        assert_eq!(Router::new(tuned).label(), tuned.label());
     }
 
     #[test]
@@ -2073,8 +1739,16 @@ mod tests {
             source: 0,
             replicas: &fleet,
         };
-        assert_eq!(DecodeJsq.place(&ctx), 1, "fewest responsible requests");
-        assert_eq!(DecodeKvPressure.place(&ctx), 2, "emptiest pool");
+        assert_eq!(
+            MigrationSpec::JoinShortestQueue.place(&ctx),
+            1,
+            "fewest responsible requests"
+        );
+        assert_eq!(
+            MigrationSpec::KvPressureAware.place(&ctx),
+            2,
+            "emptiest pool"
+        );
         // JSQ skips a KV-saturated decode replica while another has
         // headroom.
         let strained = vec![
@@ -2088,7 +1762,7 @@ mod tests {
             source: 0,
             replicas: &strained,
         };
-        assert_eq!(DecodeJsq.place(&ctx), 2);
+        assert_eq!(MigrationSpec::JoinShortestQueue.place(&ctx), 2);
     }
 
     /// A replica snapshot with an explicit lifecycle state.
@@ -2133,10 +1807,10 @@ mod tests {
             PolicySpec::adaptive_affinity(),
             PolicySpec::shared_tier_affinity(),
         ] {
-            let mut policy = spec.build();
+            let mut policy = Router::new(spec);
             for key in 0..16u64 {
                 let request = turn(key, 100);
-                let pick = policy.route(&RouteContext::new(&request, &fleet));
+                let pick = policy.route(&request, &fleet);
                 assert!(
                     matches!(pick, 0 | 2),
                     "{spec:?} routed an arrival to non-active replica {pick}"
@@ -2159,8 +1833,8 @@ mod tests {
             source: 0,
             replicas: &fleet,
         };
-        assert_eq!(DecodeJsq.place(&ctx), 1);
-        assert_eq!(DecodeKvPressure.place(&ctx), 1);
+        assert_eq!(MigrationSpec::JoinShortestQueue.place(&ctx), 1);
+        assert_eq!(MigrationSpec::KvPressureAware.place(&ctx), 1);
     }
 
     #[test]
@@ -2212,21 +1886,21 @@ mod tests {
         let key = 42;
         let request = turn(key, 100);
         let ctx = RouteContext::new(&request, &fleet).with_ring(&ring);
-        let mut policy = PrefixAffinity::new();
-        assert_eq!(policy.route(&ctx), ring.home(key).unwrap());
-        // Without the ring: the classic modulo home.
-        let mut policy = PrefixAffinity::new();
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
         assert_eq!(
-            policy.route(&RouteContext::new(&request, &fleet)),
-            PrefixAffinity::home_replica(key, 4)
+            RoutePolicy::route(&mut policy, &ctx),
+            ring.home(key).unwrap()
         );
+        // Without the ring: the classic modulo home.
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
+        assert_eq!(policy.route(&request, &fleet), home_replica(key, 4));
         // A ring over drained membership (member absent from the
         // active target set) falls back to the modulo home rather
         // than routing to a non-target.
         let stale = HashRing::new(&[17]);
         let ctx = RouteContext::new(&request, &fleet).with_ring(&stale);
-        let mut policy = PrefixAffinity::new();
-        assert_eq!(policy.route(&ctx), PrefixAffinity::home_replica(key, 4));
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
+        assert_eq!(RoutePolicy::route(&mut policy, &ctx), home_replica(key, 4));
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! the wire energy in its replica's report, and both are attributed
 //! fleet-wide in `GlobalTierReport`.
 //!
-//! `SharedTierAffinity` closes the loop in the control plane: it
-//! routes like `PrefixAffinity` until the arriving conversation's
-//! prefix is directory-resident *and* the home replica is pressured —
-//! then stickiness buys nothing the fabric can't, so it relaxes to
-//! join-shortest-queue. The `TierPricing::Free` ablation shows how
+//! `shared-tier-affinity` routing closes the loop in the control
+//! plane: it routes like `prefix-affinity` until the arriving
+//! conversation's prefix is directory-resident *and* the home replica
+//! is pressured — then stickiness buys nothing the fabric can't, so it
+//! relaxes to join-shortest-queue. The `TierPricing::Free` ablation shows how
 //! much of the remaining gap is the wire itself.
 //!
 //! ```sh

@@ -6,7 +6,7 @@
 //! conversation only hits if its turns keep landing on the same
 //! replica. Join-shortest-queue is prefix-oblivious: it scatters turns
 //! wherever the queue is short, and the fleet re-prefills contexts some
-//! other replica already cached. `PrefixAffinity` — a policy only the
+//! other replica already cached. `prefix-affinity` — a policy only the
 //! trait-based `RoutePolicy` API can express, because it reads the
 //! *request's* conversation key from the `RouteContext` — hashes each
 //! conversation to a sticky home replica and spills only under KV

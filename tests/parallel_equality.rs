@@ -15,7 +15,9 @@
 //! engine, where the sequential mode was a separate loop. They pin
 //! disaggregated, shared-tier, autoscaled and KV-tight fleets, which
 //! the colocated routing goldens do not cover, against code the one
-//! loop does not share.
+//! loop does not share. The relaxing-affinity goldens were captured
+//! while each affinity policy was still its own type, so they pin the
+//! one `Router` rule against all three.
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
@@ -24,8 +26,8 @@ use papi::core::{
 use papi::interconnect::{MigrationPricing, TierPricing};
 use papi::llm::ModelPreset;
 use papi::workload::{
-    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, PrefixAffinity, ReplicaRole,
-    RouteContext, RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
+    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, RouteContext,
+    RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
 };
 use proptest::prelude::*;
 
@@ -579,7 +581,7 @@ fn spilling_affinity_fleet_matches_its_golden() {
     let (spec, workload) = spilling_affinity_fleet();
     let mut spills = Vec::new();
     for mode in [StepMode::Sequential, StepMode::Parallel] {
-        let mut policy = PrefixAffinity::with_spill_utilization(SPILL_UTILIZATION);
+        let mut policy = Router::new(spec.routing);
         let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
             .expect("valid fleet")
             .run_with_policy(&workload, &mut policy);
@@ -629,6 +631,7 @@ fn wrapped_policies_keep_their_reports() {
     }
     let fleets = [
         spilling_affinity_fleet(),
+        global_prefix_fleet(PolicySpec::shared_tier_affinity(), false),
         autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false),
         {
             let (spec, workload) =
@@ -646,5 +649,85 @@ fn wrapped_policies_keep_their_reports() {
             "{}: narrower reads changed the report",
             spec.routing
         );
+    }
+}
+
+/// The `global_prefix` example's fleet at 0.1 req/s.
+fn global_prefix_fleet(policy: PolicySpec, shared: bool) -> (ClusterSpec, ServingWorkload) {
+    let workload = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::LongContext, 8192, 12),
+        0.1,
+        120,
+    )
+    .with_seed(23);
+    let spec = ClusterSpec::new(
+        DesignKind::PimOnlyPapi,
+        ModelPreset::Gpt3_175B.config(),
+        1,
+        2,
+    )
+    .with_routing(policy)
+    .with_tuning(
+        SessionTuning::default()
+            .with_max_batch(16)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true)
+            .with_kv_tier(KvTierSpec::new(60_000)),
+    );
+    let spec = if shared {
+        spec.with_shared_tier(SharedTierSpec::new())
+    } else {
+        spec
+    };
+    (spec, workload)
+}
+
+/// The two affinities that relax, pinned on the `global_prefix` fleet
+/// with and without the shared tier. With it, shared-tier affinity
+/// relaxes for resident prefixes; without it, shared-tier affinity
+/// routes like prefix affinity and reads only the home. Adaptive
+/// affinity relaxes on fleet-wide queue pressure either way.
+#[test]
+fn relaxing_affinity_fleets_match_their_goldens() {
+    for (policy, shared, golden) in [
+        (
+            PolicySpec::shared_tier_affinity(),
+            true,
+            0x9551_89a0_fc36_666a,
+        ),
+        (PolicySpec::adaptive_affinity(), true, 0xdb1d_7960_974f_aa24),
+        (
+            PolicySpec::shared_tier_affinity(),
+            false,
+            0x0be7_2aba_3d70_7faf,
+        ),
+        (
+            PolicySpec::adaptive_affinity(),
+            false,
+            0x9aee_e4d9_8271_d777,
+        ),
+    ] {
+        let label = format!("{policy} fleet, shared tier {shared}");
+        let (spec, workload) = global_prefix_fleet(policy, shared);
+        let mut counts = Vec::new();
+        for mode in [StepMode::Sequential, StepMode::Parallel] {
+            let mut router = Router::new(policy);
+            let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
+                .expect("valid fleet")
+                .run_with_policy(&workload, &mut router);
+            assert_eq!(
+                report_hash(&report),
+                golden,
+                "{label} ({mode:?}) moved off its golden"
+            );
+            counts.push((router.spills(), router.relaxed()));
+        }
+        assert_eq!(counts[0], counts[1], "{label}: step modes routed apart");
+        let (spills, relaxed) = counts[0];
+        assert!(spills > 0, "{label}: no home ever spilled");
+        // Without a directory no prefix is resident, so shared-tier
+        // affinity never relaxes.
+        let relaxes = shared || policy == PolicySpec::adaptive_affinity();
+        assert_eq!(relaxed > 0, relaxes, "{label}: relaxed {relaxed} times");
     }
 }
