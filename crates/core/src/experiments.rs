@@ -1,28 +1,26 @@
-//! One function per paper figure.
+//! One function per paper figure, plus one sweep for the online regime.
 //!
-//! Every function returns plain row structs so the bench harness (and
-//! the `fig*` binaries in `papi-bench`) can print the same series the
-//! paper plots. EXPERIMENTS.md records the paper-vs-measured comparison
-//! for each.
+//! Every figure function returns plain row structs so the bench harness
+//! (and the `fig*` binaries in `papi-bench`) can print the same series
+//! the paper plots. EXPERIMENTS.md records the paper-vs-measured
+//! comparison for each. Serving and fleet comparisons go through
+//! [`sweep`], which serves `(ClusterSpec, ServingWorkload)` points, and
+//! [`SweepRow`], which reads one point's headline numbers off its
+//! report.
 
-use crate::autoscale::AutoscaleSpec;
-use crate::cluster::{ClusterEngine, ClusterSpec, SharedTierSpec};
+use crate::cluster::{ClusterEngine, ClusterReport, ClusterSpec};
 use crate::config::{DesignKind, SystemConfig};
 use crate::engine::DecodingSimulator;
-use crate::metrics::ExecutionReport;
-use crate::serving::{KvTierSpec, ServingEngine, SessionTuning};
+use crate::metrics::{ExecutionReport, LatencySummary};
 use crate::slo::SloSpec;
 use papi_gpu::{GpuEnergyModel, GpuSpec, MultiGpu};
-use papi_interconnect::TierPricing;
+use papi_interconnect::TopologyError;
 use papi_llm::{ModelPreset, RooflinePoint};
 use papi_pim::power::power_draw;
 use papi_pim::{PimConfig, PimDevice, PimEnergyBreakdown, PimEnergyModel};
 use papi_sched::estimator::AiComparison;
-use papi_types::{DataType, Power};
-use papi_workload::{
-    ArrivalProcess, ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, ReplicaRole,
-    ServingWorkload, WorkloadSpec,
-};
+use papi_types::{DataType, Power, Time};
+use papi_workload::{DatasetKind, ServingWorkload, WorkloadSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -476,17 +474,41 @@ pub fn fig12_breakdown(seed: u64) -> Vec<BreakdownRow> {
 }
 
 // ---------------------------------------------------------------------
-// Serving load sweeps (beyond the paper: the online regime)
+// Online sweeps (beyond the paper: the serving and fleet regimes)
 // ---------------------------------------------------------------------
 
-/// One `(design, arrival rate)` point of a serving load sweep.
+/// Serves every `(fleet, workload)` point and returns one report per
+/// point, in point order.
+///
+/// A single-node comparison is a sweep over
+/// `ClusterSpec::new(design, model, 1, 1)` points: a 1×TP1 fleet
+/// reproduces [`ServingEngine::run`](crate::serving::ServingEngine::run)
+/// bit for bit. Points are independent simulator runs and fan out
+/// across cores; the reports are deterministic.
+///
+/// # Panics
+///
+/// Panics with the point's index and the [`TopologyError`] message if
+/// [`ClusterEngine::new`] rejects a point's spec.
+pub fn sweep(points: &[(ClusterSpec, ServingWorkload)]) -> Vec<ClusterReport> {
+    let reports: Vec<Result<ClusterReport, TopologyError>> = points
+        .par_iter()
+        .map(|(spec, workload)| ClusterEngine::new(spec.clone()).map(|fleet| fleet.run(workload)))
+        .collect();
+    reports
+        .into_iter()
+        .enumerate()
+        .map(|(idx, report)| report.unwrap_or_else(|err| panic!("sweep point {idx}: {err}")))
+        .collect()
+}
+
+/// The headline numbers of one swept point, read off its
+/// [`ClusterReport`]. Callers zip rows with their own point keys and
+/// read sub-reports (`migration`, `global_tier`, `fleet_cost`, the
+/// per-replica `kv`) off the report itself.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServingSweepRow {
-    /// Design label.
-    pub design: String,
-    /// Offered load, requests per second.
-    pub rate_per_sec: f64,
-    /// Requests served.
+pub struct SweepRow {
+    /// Requests served fleet-wide.
     pub requests: u64,
     /// Median time-to-first-token, ms.
     pub ttft_p50_ms: f64,
@@ -498,1055 +520,81 @@ pub struct ServingSweepRow {
     pub tpot_p99_ms: f64,
     /// 99th-percentile queueing delay, ms.
     pub queue_p99_ms: f64,
-    /// Requests completed within the SLO, per second.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Output-token throughput.
-    pub tokens_per_sec: f64,
-    /// Online rescheduling events (PU ↔ FC-PIM migrations).
-    pub scheduler_switches: u64,
-    /// KV-pressure preemption events.
-    pub preemptions: u64,
-}
-
-/// A serving load-sweep specification: which designs serve which
-/// Poisson loads, scored against which SLO.
-#[derive(Debug, Clone)]
-pub struct LoadSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// Dataset category requests are drawn from.
-    pub dataset: DatasetKind,
-    /// Offered loads, requests per second.
-    pub rates: Vec<f64>,
-    /// Requests per `(design, rate)` point.
-    pub num_requests: usize,
-    /// Designs compared.
-    pub designs: Vec<DesignKind>,
-    /// Batch cap (scheduler window) for every engine.
-    pub max_batch: u64,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point, so the curves differ only by
-    /// hardware and scheduling.
-    pub seed: u64,
-}
-
-impl LoadSweep {
-    /// Serves every `(rate, design)` point and collects one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// the results are deterministic and ordered rate-major,
-    /// design-minor.
-    pub fn run(&self) -> Vec<ServingSweepRow> {
-        let points: Vec<(f64, DesignKind)> = self
-            .rates
-            .iter()
-            .flat_map(|&rate| self.designs.iter().map(move |&design| (rate, design)))
-            .collect();
-        points
-            .par_iter()
-            .map(|&(rate, design)| {
-                let workload = ServingWorkload::poisson(self.dataset, rate, self.num_requests)
-                    .with_seed(self.seed);
-                let engine = ServingEngine::new(SystemConfig::build(design, self.model.config()))
-                    .with_max_batch(self.max_batch);
-                let report = engine.run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                let tpot = report.tpot_summary().expect("non-empty episode");
-                let queue = report.queueing_summary().expect("non-empty episode");
-                ServingSweepRow {
-                    design: design.label().to_owned(),
-                    rate_per_sec: rate,
-                    requests: report.records.len() as u64,
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    tpot_p50_ms: tpot.p50.as_millis(),
-                    tpot_p99_ms: tpot.p99.as_millis(),
-                    queue_p99_ms: queue.p99.as_millis(),
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    tokens_per_sec: report.tokens_per_second(),
-                    scheduler_switches: report.scheduler.switches,
-                    preemptions: report.preemptions,
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Prefix-cache sweeps (beyond the paper: paged KV with prefix sharing)
-// ---------------------------------------------------------------------
-
-/// One `(KV mode, arrival rate)` point of a prefix-cache sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrefixCacheRow {
-    /// KV accounting mode: `"scalar"` (block 1, no sharing, monolithic
-    /// prefill) or `"paged+prefix"` (block-granular, shared prefixes,
-    /// optionally chunked prefill).
-    pub mode: String,
-    /// Offered load, requests per second.
-    pub rate_per_sec: f64,
-    /// Requests served.
-    pub requests: u64,
-    /// Requests completed within the SLO, per second.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Median time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile time-to-first-token, ms.
-    pub ttft_p99_ms: f64,
-    /// Fraction of prefill demand served from the prefix cache.
-    pub cache_hit_rate: f64,
-    /// Largest number of KV blocks ever simultaneously held.
-    pub peak_blocks_in_use: u64,
-    /// Prefill waves priced over the episode.
-    pub prefill_chunks: u64,
-    /// KV-pressure preemption events.
-    pub preemptions: u64,
-}
-
-/// A prefix-cache sweep: the same conversation-structured load served
-/// with scalar KV accounting vs the paged pool with prefix sharing —
-/// equal DRAM, equal admission headroom, so any gap is purely the
-/// cache subsystem.
-#[derive(Debug, Clone)]
-pub struct PrefixCacheSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// Design serving it.
-    pub design: DesignKind,
-    /// Prefix-structured request population.
-    pub conversations: ConversationDataset,
-    /// Offered loads, requests per second.
-    pub rates: Vec<f64>,
-    /// Requests per `(mode, rate)` point.
-    pub num_requests: usize,
-    /// Batch cap (scheduler window) for every engine.
-    pub max_batch: u64,
-    /// Admission-planning fraction of the KV pool (both modes).
-    pub kv_headroom: f64,
-    /// Paged mode's tokens per block.
-    pub block_size: u64,
-    /// Paged mode's chunked-prefill budget (`None` = monolithic).
-    pub prefill_chunk: Option<u64>,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point.
-    pub seed: u64,
-}
-
-impl PrefixCacheSweep {
-    fn engine(&self, paged: bool) -> ServingEngine {
-        let mut engine = ServingEngine::new(SystemConfig::build(self.design, self.model.config()))
-            .with_max_batch(self.max_batch)
-            .with_kv_headroom(self.kv_headroom);
-        if paged {
-            engine = engine
-                .with_kv_block_size(self.block_size)
-                .with_prefix_sharing(true);
-            if let Some(chunk) = self.prefill_chunk {
-                engine = engine.with_prefill_chunk(chunk);
-            }
-        }
-        engine
-    }
-
-    /// Serves every `(rate, mode)` point and collects one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// results are deterministic and ordered rate-major with the scalar
-    /// baseline first at each rate.
-    pub fn run(&self) -> Vec<PrefixCacheRow> {
-        let points: Vec<(f64, bool)> = self
-            .rates
-            .iter()
-            .flat_map(|&rate| [(rate, false), (rate, true)])
-            .collect();
-        points
-            .par_iter()
-            .map(|&(rate, paged)| {
-                let workload =
-                    ServingWorkload::poisson(self.conversations, rate, self.num_requests)
-                        .with_seed(self.seed);
-                let report = self.engine(paged).run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                PrefixCacheRow {
-                    mode: if paged { "paged+prefix" } else { "scalar" }.to_owned(),
-                    rate_per_sec: rate,
-                    requests: report.records.len() as u64,
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    cache_hit_rate: report.kv.hit_rate(),
-                    peak_blocks_in_use: report.kv.peak_blocks_in_use,
-                    prefill_chunks: report.kv.prefill_chunks,
-                    preemptions: report.preemptions,
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tiered-KV sweeps (beyond the paper: spill-to-host offload, after L3)
-// ---------------------------------------------------------------------
-
-/// One tier configuration's row of a [`TieredKvSweep`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TieredKvRow {
-    /// Configuration label: `"evict"` for the tierless baseline, or
-    /// `"tier:{budget}@{pricing}"` for a tiered point.
-    pub mode: String,
-    /// The tier's block budget (zero for the baseline).
-    pub tier_budget_blocks: u64,
-    /// Requests served.
-    pub requests: u64,
-    /// Requests completed within the SLO, per second.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Median time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile time-to-first-token, ms (priced fetches land
-    /// here).
-    pub ttft_p99_ms: f64,
-    /// Fraction of prefill demand served from cache (tier fetches
-    /// included).
-    pub cache_hit_rate: f64,
-    /// Prefix-cache evictions (each becomes a spill candidate).
-    pub prefix_evictions: u64,
-    /// Evicted prefixes the tier kept.
-    pub tier_spills: u64,
-    /// Spilled prefixes fetched back on reuse.
-    pub tier_fetches: u64,
-    /// Total priced fetch transfer time, ms.
-    pub tier_fetch_time_ms: f64,
-    /// KV-pressure preemption events.
-    pub preemptions: u64,
-}
-
-/// A tiered-KV sweep: one thrashing conversation workload served with
-/// plain eviction and then with a KV capacity tier at each budget in
-/// [`tier_budgets`](Self::tier_budgets) — same hot pool, same
-/// admission headroom, so any gap is purely what surviving an eviction
-/// is worth at the configured transfer pricing.
-#[derive(Debug, Clone)]
-pub struct TieredKvSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// Design serving it.
-    pub design: DesignKind,
-    /// Prefix-structured request population (long contexts thrash
-    /// best).
-    pub conversations: ConversationDataset,
-    /// Offered load, requests per second.
-    pub rate_per_sec: f64,
-    /// Requests per point.
-    pub num_requests: usize,
-    /// Batch cap (scheduler window) for every engine.
-    pub max_batch: u64,
-    /// Admission-planning fraction of the KV pool.
-    pub kv_headroom: f64,
-    /// Tokens per block (hot pool and tier).
-    pub block_size: u64,
-    /// Tier block budgets swept (the tierless baseline is always run
-    /// first).
-    pub tier_budgets: Vec<u64>,
-    /// Transfer pricing at the tier boundary.
-    pub pricing: TierPricing,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point.
-    pub seed: u64,
-}
-
-impl TieredKvSweep {
-    fn engine(&self, tier: Option<KvTierSpec>) -> ServingEngine {
-        let mut engine = ServingEngine::new(SystemConfig::build(self.design, self.model.config()))
-            .with_max_batch(self.max_batch)
-            .with_kv_headroom(self.kv_headroom)
-            .with_kv_block_size(self.block_size)
-            .with_prefix_sharing(true);
-        if let Some(spec) = tier {
-            engine = engine.with_kv_tier(spec);
-        }
-        engine
-    }
-
-    /// Serves the baseline and every tier budget, one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// results are deterministic, baseline first, then budgets in the
-    /// given order.
-    pub fn run(&self) -> Vec<TieredKvRow> {
-        let points: Vec<Option<u64>> = std::iter::once(None)
-            .chain(self.tier_budgets.iter().copied().map(Some))
-            .collect();
-        points
-            .par_iter()
-            .map(|&budget| {
-                let workload = ServingWorkload::poisson(
-                    self.conversations,
-                    self.rate_per_sec,
-                    self.num_requests,
-                )
-                .with_seed(self.seed);
-                let tier = budget.map(|b| KvTierSpec::new(b).with_pricing(self.pricing.clone()));
-                let report = self.engine(tier).run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                TieredKvRow {
-                    mode: match budget {
-                        None => "evict".to_owned(),
-                        Some(b) => format!("tier:{b}@{}", self.pricing.label()),
-                    },
-                    tier_budget_blocks: budget.unwrap_or(0),
-                    requests: report.records.len() as u64,
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    cache_hit_rate: report.kv.hit_rate(),
-                    prefix_evictions: report.kv.prefix_evictions,
-                    tier_spills: report.kv.tier_spills,
-                    tier_fetches: report.kv.tier_fetches,
-                    tier_fetch_time_ms: report.kv.tier_fetch_time_s * 1e3,
-                    preemptions: report.preemptions,
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cluster sweeps (beyond the paper: the fleet regime)
-// ---------------------------------------------------------------------
-
-/// One `(fleet shape, arrival rate)` point of a cluster sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClusterSweepRow {
-    /// Fleet shape label, `"{dp}x TP{tp}"`.
-    pub shape: String,
-    /// Nodes per tensor-parallel group.
-    pub tp_degree: usize,
-    /// Data-parallel replicas.
-    pub dp_replicas: usize,
-    /// Routing policy label.
-    pub routing: String,
-    /// Offered load, requests per second.
-    pub rate_per_sec: f64,
-    /// Requests served fleet-wide.
-    pub requests: u64,
-    /// Median fleet time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile fleet time-to-first-token, ms.
-    pub ttft_p99_ms: f64,
-    /// Median fleet time-per-output-token, ms.
-    pub tpot_p50_ms: f64,
-    /// 99th-percentile fleet time-per-output-token, ms.
-    pub tpot_p99_ms: f64,
     /// Requests completed within the SLO, per second of fleet makespan.
     pub goodput_rps: f64,
     /// Fraction of requests meeting the SLO.
     pub slo_attainment: f64,
     /// Fleet output-token throughput.
     pub tokens_per_sec: f64,
-    /// Replicas that served at least one request.
-    pub replicas_used: usize,
-}
-
-/// A cluster-sweep specification: which fleet shapes (TP degree ×
-/// DP replicas, same total node count or not) serve which Poisson
-/// loads, scored against which SLO.
-#[derive(Debug, Clone)]
-pub struct ClusterSweep {
-    /// Model served (sharded across each TP group).
-    pub model: ModelPreset,
-    /// Per-node design replicated across the fleet.
-    pub design: DesignKind,
-    /// Dataset category requests are drawn from.
-    pub dataset: DatasetKind,
-    /// Offered loads, requests per second.
-    pub rates: Vec<f64>,
-    /// Requests per `(shape, rate)` point.
-    pub num_requests: usize,
-    /// Fleet shapes compared, as `(tp_degree, dp_replicas)` pairs.
-    pub shapes: Vec<(usize, usize)>,
-    /// How each fleet's router picks replicas.
-    pub routing: PolicySpec,
-    /// Session knobs of every replica (the same struct every serving
-    /// surface tunes through).
-    pub tuning: SessionTuning,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point.
-    pub seed: u64,
-}
-
-impl ClusterSweep {
-    /// Serves every `(rate, shape)` point and collects one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// results are deterministic and ordered rate-major, shape-minor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shape is degenerate or exceeds the inter-node
-    /// fabric's fan-out.
-    pub fn run(&self) -> Vec<ClusterSweepRow> {
-        let points: Vec<(f64, (usize, usize))> = self
-            .rates
-            .iter()
-            .flat_map(|&rate| self.shapes.iter().map(move |&shape| (rate, shape)))
-            .collect();
-        points
-            .par_iter()
-            .map(|&(rate, (tp, dp))| {
-                let workload = ServingWorkload::poisson(self.dataset, rate, self.num_requests)
-                    .with_seed(self.seed);
-                let engine = ClusterEngine::new(
-                    ClusterSpec::new(self.design, self.model.config(), tp, dp)
-                        .with_routing(self.routing)
-                        .with_tuning(self.tuning.clone()),
-                )
-                .expect("sweep shape is a valid fleet");
-                let report = engine.run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                let tpot = report.tpot_summary().expect("non-empty episode");
-                ClusterSweepRow {
-                    shape: format!("{dp}x TP{tp}"),
-                    tp_degree: tp,
-                    dp_replicas: dp,
-                    routing: self.routing.label().to_owned(),
-                    rate_per_sec: rate,
-                    requests: report.requests(),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    tpot_p50_ms: tpot.p50.as_millis(),
-                    tpot_p99_ms: tpot.p99.as_millis(),
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    tokens_per_sec: report.tokens_per_second(),
-                    replicas_used: report
-                        .replicas
-                        .iter()
-                        .filter(|r| !r.records.is_empty())
-                        .count(),
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Routing sweeps (beyond the paper: control-plane policy comparison)
-// ---------------------------------------------------------------------
-
-/// One `(routing policy, arrival rate)` point of a routing sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RoutingSweepRow {
-    /// Routing policy label.
-    pub routing: String,
-    /// Offered load, requests per second.
-    pub rate_per_sec: f64,
-    /// Requests served fleet-wide.
-    pub requests: u64,
-    /// Fleet-wide prefix-cache hit rate (fraction of prefill demand
-    /// served from the replicas' caches).
-    pub cache_hit_rate: f64,
-    /// Requests completed within the SLO, per second of fleet makespan.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Median fleet time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile fleet time-to-first-token, ms.
-    pub ttft_p99_ms: f64,
-    /// Fleet output-token throughput.
-    pub tokens_per_sec: f64,
-    /// KV-pressure preemptions across the fleet.
-    pub preemptions: u64,
-    /// Replicas that served at least one request.
-    pub replicas_used: usize,
-}
-
-/// A routing-policy sweep: the same prefix-structured load, the same
-/// fleet, the same DRAM — only the control-plane policy differs, so any
-/// gap in fleet hit rate or goodput is purely the router. This is the
-/// experiment the closed routing enum could not express: policies like
-/// [`PolicySpec::prefix_affinity`] need the arriving request's
-/// conversation key, which only the trait-based [`RouteContext`]
-/// carries.
-///
-/// [`RouteContext`]: papi_workload::RouteContext
-#[derive(Debug, Clone)]
-pub struct RoutingSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// Per-node design replicated across the fleet.
-    pub design: DesignKind,
-    /// Prefix-structured request population (multi-turn conversations).
-    pub conversations: ConversationDataset,
-    /// Offered loads, requests per second.
-    pub rates: Vec<f64>,
-    /// Requests per `(policy, rate)` point.
-    pub num_requests: usize,
-    /// Nodes per tensor-parallel group.
-    pub tp_degree: usize,
-    /// Data-parallel replicas behind the router.
-    pub dp_replicas: usize,
-    /// Routing policies compared.
-    pub policies: Vec<PolicySpec>,
-    /// Session knobs of every replica (prefix sharing should be on —
-    /// otherwise there is no cache for routing to protect).
-    pub tuning: SessionTuning,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point.
-    pub seed: u64,
-}
-
-impl RoutingSweep {
-    /// Serves every `(rate, policy)` point and collects one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// results are deterministic and ordered rate-major, policy-minor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet shape is degenerate or exceeds the
-    /// inter-node fabric's fan-out.
-    pub fn run(&self) -> Vec<RoutingSweepRow> {
-        let points: Vec<(f64, PolicySpec)> = self
-            .rates
-            .iter()
-            .flat_map(|&rate| self.policies.iter().map(move |&policy| (rate, policy)))
-            .collect();
-        points
-            .par_iter()
-            .map(|&(rate, policy)| {
-                let workload =
-                    ServingWorkload::poisson(self.conversations, rate, self.num_requests)
-                        .with_seed(self.seed);
-                let engine = ClusterEngine::new(
-                    ClusterSpec::new(
-                        self.design,
-                        self.model.config(),
-                        self.tp_degree,
-                        self.dp_replicas,
-                    )
-                    .with_routing(policy)
-                    .with_tuning(self.tuning.clone()),
-                )
-                .expect("sweep shape is a valid fleet");
-                let report = engine.run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                RoutingSweepRow {
-                    routing: report.routing.clone(),
-                    rate_per_sec: rate,
-                    requests: report.requests(),
-                    cache_hit_rate: report.cache_hit_rate(),
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    tokens_per_sec: report.tokens_per_second(),
-                    preemptions: report.preemptions(),
-                    replicas_used: report
-                        .replicas
-                        .iter()
-                        .filter(|r| !r.records.is_empty())
-                        .count(),
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fleet-wide prefix sharing (beyond the paper: global KV tier)
-// ---------------------------------------------------------------------
-
-/// One `(routing policy, shared-tier config, rate)` point of a
-/// [`GlobalPrefixSweep`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GlobalPrefixRow {
-    /// Routing policy label.
-    pub routing: String,
-    /// Shared-tier configuration: `"off"` for a private-tier fleet,
-    /// otherwise the fabric pricing label (`"InfiniBand-NDR"`,
-    /// `"free"`, …).
-    pub shared_tier: String,
-    /// Offered load, requests per second.
-    pub rate_per_sec: f64,
-    /// Requests served fleet-wide.
-    pub requests: u64,
-    /// Fleet-wide prefix hit rate (fraction of prefill demand served
-    /// from cache, local tier, or remote fetch).
-    pub cache_hit_rate: f64,
-    /// Requests completed within the SLO, per second of fleet makespan.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Median fleet time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile fleet time-to-first-token, ms.
-    pub ttft_p99_ms: f64,
-    /// Fleet output-token throughput.
-    pub tokens_per_sec: f64,
-    /// Cross-replica re-materializations out of the fleet directory.
-    pub remote_fetches: u64,
-    /// Logical tokens restored across the inter-node fabric.
-    pub remote_fetched_tokens: u64,
-    /// Fetched payload crossing the fabric, GB.
-    pub remote_fetch_gb: f64,
-    /// Total wire time of those fetches (lands in TTFT), seconds.
-    pub remote_fetch_time_s: f64,
-    /// Total wire energy of those fetches, J.
-    pub remote_fetch_energy_j: f64,
-    /// Prefixes registered in the fleet directory at episode end.
-    pub directory_entries: u64,
-    /// Replicas that served at least one request.
-    pub replicas_used: usize,
-}
-
-/// A fleet-wide prefix-sharing sweep: the same membership-skewed
-/// multi-turn load, the same fleet — only the routing policy and the
-/// shared-tier configuration differ. Private-tier fleets
-/// (`shared_tiers` entry `None`) can only reuse a conversation's
-/// context on its home replica; shared-tier fleets re-materialize it
-/// from the owning replica at inter-node fabric cost, and the
-/// [`TierPricing::Free`] ablation isolates how much of the remaining
-/// gap is the wire.
-#[derive(Debug, Clone)]
-pub struct GlobalPrefixSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// Per-node design replicated across the fleet.
-    pub design: DesignKind,
-    /// Prefix-structured request population (multi-turn conversations).
-    pub conversations: ConversationDataset,
-    /// Offered loads, requests per second.
-    pub rates: Vec<f64>,
-    /// Requests per point.
-    pub num_requests: usize,
-    /// Nodes per tensor-parallel group.
-    pub tp_degree: usize,
-    /// Data-parallel replicas behind the router.
-    pub dp_replicas: usize,
-    /// Routing policies compared.
-    pub policies: Vec<PolicySpec>,
-    /// Shared-tier configurations compared (`None` = private tiers
-    /// only).
-    pub shared_tiers: Vec<Option<SharedTierSpec>>,
-    /// Session knobs of every replica; must carry a `kv_tier` (the
-    /// directory registers spilled records).
-    pub tuning: SessionTuning,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point.
-    pub seed: u64,
-}
-
-impl GlobalPrefixSweep {
-    /// Serves every `(rate, shared-tier, policy)` point and collects
-    /// one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// results are deterministic and ordered rate-major, then
-    /// shared-tier, then policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet shape is degenerate, exceeds the fabric's
-    /// fan-out, or enables a shared tier without a private `kv_tier`.
-    pub fn run(&self) -> Vec<GlobalPrefixRow> {
-        let points: Vec<(f64, Option<SharedTierSpec>, PolicySpec)> = self
-            .rates
-            .iter()
-            .flat_map(|&rate| {
-                self.shared_tiers.iter().flat_map(move |tier| {
-                    self.policies
-                        .iter()
-                        .map(move |&policy| (rate, tier.clone(), policy))
-                })
-            })
-            .collect();
-        points
-            .par_iter()
-            .map(|(rate, tier, policy)| {
-                let workload =
-                    ServingWorkload::poisson(self.conversations, *rate, self.num_requests)
-                        .with_seed(self.seed);
-                let mut spec = ClusterSpec::new(
-                    self.design,
-                    self.model.config(),
-                    self.tp_degree,
-                    self.dp_replicas,
-                )
-                .with_routing(*policy)
-                .with_tuning(self.tuning.clone());
-                if let Some(shared) = tier {
-                    spec = spec.with_shared_tier(shared.clone());
-                }
-                let engine = ClusterEngine::new(spec).expect("sweep shape is a valid fleet");
-                let report = engine.run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                let global = report.global_tier.as_ref();
-                GlobalPrefixRow {
-                    routing: report.routing.clone(),
-                    shared_tier: global.map_or_else(|| "off".to_owned(), |g| g.pricing.clone()),
-                    rate_per_sec: *rate,
-                    requests: report.requests(),
-                    cache_hit_rate: report.cache_hit_rate(),
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    tokens_per_sec: report.tokens_per_second(),
-                    remote_fetches: global.map_or(0, |g| g.fetches),
-                    remote_fetched_tokens: global.map_or(0, |g| g.fetched_tokens),
-                    remote_fetch_gb: global.map_or(0.0, |g| g.bytes / 1e9),
-                    remote_fetch_time_s: report
-                        .replicas
-                        .iter()
-                        .map(|r| r.kv.remote_fetch_time_s)
-                        .sum(),
-                    remote_fetch_energy_j: global.map_or(0.0, |g| g.energy.value()),
-                    directory_entries: global.map_or(0, |g| g.entries),
-                    replicas_used: report
-                        .replicas
-                        .iter()
-                        .filter(|r| !r.records.is_empty())
-                        .count(),
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Autoscaling sweeps (beyond the paper: elastic fleet provisioning)
-// ---------------------------------------------------------------------
-
-/// One provisioning configuration's row of an [`AutoscaleSweep`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AutoscaleRow {
-    /// Provisioning label: `"fixed"` for the peak-sized baseline,
-    /// otherwise the autoscale policy's label.
-    pub provisioning: String,
-    /// Requests served fleet-wide.
-    pub requests: u64,
-    /// Requests completed within the SLO, per second of fleet makespan.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Median fleet time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile fleet time-to-first-token, ms.
-    pub ttft_p99_ms: f64,
-    /// Fleet output-token throughput.
-    pub tokens_per_sec: f64,
-    /// Total fleet energy, kJ.
-    pub energy_kj: f64,
-    /// Replica-hours the configuration provisioned (rented). For the
-    /// fixed baseline this is `dp_replicas` × the episode length.
-    pub provisioned_hours: f64,
-    /// What the peak-sized fixed fleet rents over the same episode —
-    /// the savings denominator (equal to `provisioned_hours` on the
-    /// fixed row).
-    pub fixed_fleet_hours: f64,
-    /// Most replicas simultaneously active.
-    pub peak_active: usize,
-    /// Lifecycle transitions over the episode (0 for fixed).
-    pub scale_events: usize,
-    /// Fleet energy per SLO-good output token, J.
+    /// Total fleet energy, migration wire energy included, J.
+    pub energy_j: f64,
+    /// Fleet energy per SLO-good output token, J (zero when no token
+    /// met the SLO).
     pub energy_per_good_token_j: f64,
-}
-
-/// An elastic-provisioning sweep: the same workload (typically a
-/// multi-hour [`ArrivalProcess::Diurnal`] or
-/// [`ArrivalProcess::FlashCrowd`] arrival pattern), the same
-/// peak-sized fleet — only the provisioning strategy differs. A `None`
-/// entry is the fixed peak-sized baseline; each `Some(spec)` entry
-/// lets the named [`AutoscalePolicy`](crate::autoscale::AutoscalePolicy)
-/// resize the fleet, trading warm-up lag against replica-hours and
-/// energy per good token.
-#[derive(Debug, Clone)]
-pub struct AutoscaleSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// Per-node design replicated across the fleet.
-    pub design: DesignKind,
-    /// The workload every configuration serves (seed included).
-    pub workload: ServingWorkload,
-    /// Nodes per tensor-parallel group.
-    pub tp_degree: usize,
-    /// Data-parallel replicas provisioned at peak.
-    pub dp_replicas: usize,
-    /// How the router picks replicas.
-    pub routing: PolicySpec,
-    /// Session knobs of every replica.
-    pub tuning: SessionTuning,
-    /// Latency objective goodput and "good tokens" are scored against.
-    pub slo: SloSpec,
-    /// Provisioning configurations compared (`None` = fixed fleet).
-    pub autoscalers: Vec<Option<AutoscaleSpec>>,
-}
-
-impl AutoscaleSweep {
-    /// Serves the workload under every provisioning configuration and
-    /// collects one row each, in configuration order.
-    ///
-    /// Points are independent simulator runs and fan out across cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet shape is degenerate or an autoscale spec
-    /// fails [`ClusterEngine::new`] validation.
-    pub fn run(&self) -> Vec<AutoscaleRow> {
-        self.autoscalers
-            .par_iter()
-            .map(|autoscale| {
-                let mut spec = ClusterSpec::new(
-                    self.design,
-                    self.model.config(),
-                    self.tp_degree,
-                    self.dp_replicas,
-                )
-                .with_routing(self.routing)
-                .with_tuning(self.tuning.clone());
-                if let Some(autoscale) = autoscale {
-                    spec = spec.with_autoscale(autoscale.clone());
-                }
-                let engine = ClusterEngine::new(spec).expect("sweep shape is a valid fleet");
-                let report = engine.run(&self.workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                let energy = report.energy();
-                let good_tokens: u64 = report
-                    .records()
-                    .filter(|r| r.meets(&self.slo))
-                    .map(|r| r.output_tokens)
-                    .sum();
-                let cost = report.fleet_cost.as_ref();
-                // The fixed baseline rents the whole fleet for the
-                // whole episode.
-                let fixed_hours = self.dp_replicas as f64 * report.makespan().value() / 3600.0;
-                AutoscaleRow {
-                    provisioning: cost.map_or_else(|| "fixed".to_owned(), |c| c.policy.clone()),
-                    requests: report.requests(),
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    tokens_per_sec: report.tokens_per_second(),
-                    energy_kj: energy.value() / 1e3,
-                    provisioned_hours: cost.map_or(fixed_hours, |c| c.provisioned_hours),
-                    fixed_fleet_hours: cost.map_or(fixed_hours, |c| c.fixed_fleet_hours),
-                    peak_active: cost.map_or(self.dp_replicas, |c| c.peak_active),
-                    scale_events: cost.map_or(0, |c| c.scale_events.len()),
-                    energy_per_good_token_j: cost.map_or_else(
-                        || {
-                            if good_tokens > 0 {
-                                energy.value() / good_tokens as f64
-                            } else {
-                                0.0
-                            }
-                        },
-                        |c| c.energy_per_good_token_j,
-                    ),
-                }
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Disaggregation sweeps (beyond the paper: prefill/decode pools)
-// ---------------------------------------------------------------------
-
-/// One `(fleet, burst shape)` point of a disaggregation sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DisaggregationRow {
-    /// Fleet label (`"4x PIM-only PAPI colocated"` or
-    /// `"2x A100+AttAcc prefill + 2x PIM-only PAPI decode"`).
-    pub fleet: String,
-    /// Requests per synchronized burst.
-    pub burst_size: usize,
-    /// Gap between bursts, seconds.
-    pub burst_interval_s: f64,
-    /// Requests served fleet-wide.
-    pub requests: u64,
-    /// Requests completed within the SLO, per second of fleet makespan.
-    pub goodput_rps: f64,
-    /// Fraction of requests meeting the SLO.
-    pub slo_attainment: f64,
-    /// Median fleet time-to-first-token, ms.
-    pub ttft_p50_ms: f64,
-    /// 99th-percentile fleet time-to-first-token, ms.
-    pub ttft_p99_ms: f64,
-    /// Median fleet time-per-output-token, ms.
-    pub tpot_p50_ms: f64,
-    /// 99th-percentile fleet time-per-output-token, ms.
-    pub tpot_p99_ms: f64,
-    /// Fleet output-token throughput.
-    pub tokens_per_sec: f64,
-    /// Prefill→decode KV migrations.
-    pub migrations: u64,
-    /// KV payload moved over the fabric, GB.
-    pub migrated_gb: f64,
-    /// 99th-percentile migration transfer latency, ms (0 when nothing
-    /// migrated).
-    pub migration_p99_ms: f64,
-    /// KV-pressure preemptions across the fleet.
+    /// Fleet-wide prefix-cache hit rate (fraction of prefill demand
+    /// served from cache, local tier or remote fetch).
+    pub cache_hit_rate: f64,
+    /// KV-pressure preemption events across the fleet.
     pub preemptions: u64,
+    /// Online rescheduling events (PU ↔ FC-PIM), summed over replicas.
+    pub scheduler_switches: u64,
+    /// Replicas that served at least one request.
+    pub replicas_used: usize,
 }
 
-/// A disaggregation sweep: the same bursty long-context load served by
-/// a homogeneous co-located fleet vs a role-split fleet (GPU-heavy
-/// prefill pool + PIM-heavy decode pool) of the *same node count and
-/// the same per-node attention-pool DRAM* — so the gap is purely the
-/// phase/hardware match plus the priced migration cost the split pays
-/// for it. This is the cluster-scale mirror of PAPI's intra-node
-/// thesis: prefill/FC is compute-bound, decode attention is
-/// memory-bound, and the fleet should route each phase to the pool
-/// built for it.
-#[derive(Debug, Clone)]
-pub struct DisaggregationSweep {
-    /// Model served.
-    pub model: ModelPreset,
-    /// The homogeneous baseline's per-node design.
-    pub colocated_design: DesignKind,
-    /// The split fleet's prefill-pool design (compute-heavy).
-    pub prefill_design: DesignKind,
-    /// The split fleet's decode-pool design (memory-heavy).
-    pub decode_design: DesignKind,
-    /// Total replicas in both fleets.
-    pub replicas: usize,
-    /// How many of the split fleet's replicas prefill (the rest
-    /// decode).
-    pub prefill_replicas: usize,
-    /// Request population (long-context for the prefill-heavy regime).
-    pub dataset: DatasetKind,
-    /// Burst shapes swept, as `(burst_size, interval_sec)` pairs.
-    pub bursts: Vec<(usize, f64)>,
-    /// Requests per `(fleet, burst)` point.
-    pub num_requests: usize,
-    /// Session knobs of every replica in both fleets.
-    pub tuning: SessionTuning,
-    /// Latency objective goodput is scored against.
-    pub slo: SloSpec,
-    /// Seed shared by every point.
-    pub seed: u64,
-}
-
-impl DisaggregationSweep {
-    /// The homogeneous and role-split fleet specs this sweep compares.
-    fn specs(&self) -> [(String, ClusterSpec); 2] {
-        let colocated =
-            ClusterSpec::new(self.colocated_design, self.model.config(), 1, self.replicas)
-                .with_tuning(self.tuning.clone());
-        let roles: Vec<ReplicaRole> = (0..self.replicas)
-            .map(|i| {
-                if i < self.prefill_replicas {
-                    ReplicaRole::Prefill
-                } else {
-                    ReplicaRole::Decode
-                }
-            })
-            .collect();
-        let split = ClusterSpec::new(self.decode_design, self.model.config(), 1, self.replicas)
-            .with_roles(roles)
-            .with_prefill_design(self.prefill_design)
-            .with_migration(MigrationSpec::JoinShortestQueue)
-            .with_tuning(self.tuning.clone());
-        [
-            (
-                format!(
-                    "{}x {} colocated",
-                    self.replicas,
-                    self.colocated_design.label()
-                ),
-                colocated,
-            ),
-            (
-                format!(
-                    "{}x {} prefill + {}x {} decode",
-                    self.prefill_replicas,
-                    self.prefill_design.label(),
-                    self.replicas - self.prefill_replicas,
-                    self.decode_design.label()
-                ),
-                split,
-            ),
-        ]
-    }
-
-    /// Serves every `(burst, fleet)` point and collects one row each.
-    ///
-    /// Points are independent simulator runs and fan out across cores;
-    /// results are deterministic and ordered burst-major with the
-    /// co-located baseline first at each point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet shape is invalid (e.g. `prefill_replicas`
-    /// not strictly between 0 and `replicas`).
-    pub fn run(&self) -> Vec<DisaggregationRow> {
-        let points: Vec<((usize, f64), usize)> = self
-            .bursts
-            .iter()
-            .flat_map(|&burst| [(burst, 0usize), (burst, 1usize)])
-            .collect();
-        points
-            .par_iter()
-            .map(|&((burst_size, interval_sec), which)| {
-                let (label, spec) = self.specs()[which].clone();
-                let workload = ServingWorkload::new(
-                    self.dataset,
-                    ArrivalProcess::Bursty {
-                        burst_size,
-                        interval_sec,
-                    },
-                    self.num_requests,
-                )
-                .with_seed(self.seed);
-                let report = ClusterEngine::new(spec)
-                    .expect("sweep shape is a valid fleet")
-                    .run(&workload);
-                let ttft = report.ttft_summary().expect("non-empty episode");
-                let tpot = report.tpot_summary().expect("non-empty episode");
-                DisaggregationRow {
-                    fleet: label,
-                    burst_size,
-                    burst_interval_s: interval_sec,
-                    requests: report.requests(),
-                    goodput_rps: report.goodput(&self.slo),
-                    slo_attainment: report.slo_attainment(&self.slo),
-                    ttft_p50_ms: ttft.p50.as_millis(),
-                    ttft_p99_ms: ttft.p99.as_millis(),
-                    tpot_p50_ms: tpot.p50.as_millis(),
-                    tpot_p99_ms: tpot.p99.as_millis(),
-                    tokens_per_sec: report.tokens_per_second(),
-                    migrations: report.migration.migrations,
-                    migrated_gb: report.migration.bytes / 1e9,
-                    migration_p99_ms: report.migration.latency.map_or(0.0, |l| l.p99.as_millis()),
-                    preemptions: report.preemptions(),
-                }
-            })
-            .collect()
+impl SweepRow {
+    /// Summarizes `report`, scoring goodput and good tokens against
+    /// `slo`. Latencies read zero when nothing completed.
+    pub fn new(report: &ClusterReport, slo: &SloSpec) -> Self {
+        let ms = |summary: Option<LatencySummary>, pick: fn(&LatencySummary) -> Time| {
+            summary.map_or(0.0, |s| pick(&s).as_millis())
+        };
+        let ttft = report.ttft_summary();
+        let tpot = report.tpot_summary();
+        let energy_j = report.energy().value();
+        let good_tokens: u64 = report
+            .records()
+            .filter(|r| r.meets(slo))
+            .map(|r| r.output_tokens)
+            .sum();
+        Self {
+            requests: report.requests(),
+            ttft_p50_ms: ms(ttft, |s| s.p50),
+            ttft_p99_ms: ms(ttft, |s| s.p99),
+            tpot_p50_ms: ms(tpot, |s| s.p50),
+            tpot_p99_ms: ms(tpot, |s| s.p99),
+            queue_p99_ms: ms(report.queueing_summary(), |s| s.p99),
+            goodput_rps: report.goodput(slo),
+            slo_attainment: report.slo_attainment(slo),
+            tokens_per_sec: report.tokens_per_second(),
+            energy_j,
+            energy_per_good_token_j: if good_tokens > 0 {
+                energy_j / good_tokens as f64
+            } else {
+                0.0
+            },
+            cache_hit_rate: report.cache_hit_rate(),
+            preemptions: report.preemptions(),
+            scheduler_switches: report.replicas.iter().map(|r| r.scheduler.switches).sum(),
+            replicas_used: report
+                .replicas
+                .iter()
+                .filter(|r| !r.records.is_empty())
+                .count(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::SharedTierSpec;
+    use crate::serving::{KvTierSpec, SessionTuning};
     use papi_llm::Boundedness;
     use papi_types::geometric_mean;
+    use papi_workload::{
+        ArrivalProcess, ConversationDataset, MigrationSpec, PolicySpec, ReplicaRole,
+    };
 
     #[test]
     fn fig2_shapes() {
@@ -1680,24 +728,88 @@ mod tests {
         }
     }
 
+    /// A fleet of `dp` TP1 replicas of `design` serving `model`.
+    fn fleet(
+        design: DesignKind,
+        model: ModelPreset,
+        dp: usize,
+        tuning: &SessionTuning,
+    ) -> ClusterSpec {
+        ClusterSpec::new(design, model.config(), 1, dp).with_tuning(tuning.clone())
+    }
+
+    /// Batch cap 16 over a 16-token paged pool with prefix sharing.
+    fn paged() -> SessionTuning {
+        SessionTuning::default()
+            .with_max_batch(16)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true)
+    }
+
+    /// Multi-turn chat: `turns` turns over `prompt`-token system prompts.
+    fn chat(
+        kind: DatasetKind,
+        prompt: u64,
+        turns: usize,
+        rate: f64,
+        n: usize,
+        seed: u64,
+    ) -> ServingWorkload {
+        ServingWorkload::poisson(
+            ConversationDataset::multi_turn(kind, prompt, turns),
+            rate,
+            n,
+        )
+        .with_seed(seed)
+    }
+
+    /// Sweeps `points` and reads one row per report.
+    fn run(
+        points: &[(ClusterSpec, ServingWorkload)],
+        slo: &SloSpec,
+    ) -> (Vec<ClusterReport>, Vec<SweepRow>) {
+        let reports = sweep(points);
+        let rows = reports.iter().map(|r| SweepRow::new(r, slo)).collect();
+        (reports, rows)
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point 1: invalid topology")]
+    fn sweep_names_the_rejected_point() {
+        let pair = fleet(
+            DesignKind::PimOnlyPapi,
+            ModelPreset::Llama65B,
+            2,
+            &SessionTuning::default(),
+        );
+        let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 1.0, 2).with_seed(1);
+        sweep(&[
+            (pair.clone(), workload.clone()),
+            (pair.with_roles(vec![ReplicaRole::Prefill; 2]), workload),
+        ]);
+    }
+
     #[test]
     fn load_sweep_goodput_degrades_with_rate() {
-        let rows = LoadSweep {
-            model: ModelPreset::Llama65B,
-            dataset: DatasetKind::GeneralQa,
-            rates: vec![0.5, 4.0, 32.0],
-            num_requests: 48,
-            designs: vec![DesignKind::Papi, DesignKind::A100AttAcc],
-            max_batch: 32,
-            slo: SloSpec::interactive(2_000.0, 60.0),
-            seed: 7,
+        let tuning = SessionTuning::default().with_max_batch(32);
+        let (mut keys, mut points) = (Vec::new(), Vec::new());
+        for rate in [0.5, 4.0, 32.0] {
+            for design in [DesignKind::Papi, DesignKind::A100AttAcc] {
+                let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, rate, 48);
+                keys.push((rate, design));
+                points.push((
+                    fleet(design, ModelPreset::Llama65B, 1, &tuning),
+                    workload.with_seed(7),
+                ));
+            }
         }
-        .run();
+        let (_, rows) = run(&points, &SloSpec::interactive(2_000.0, 60.0));
         assert_eq!(rows.len(), 6);
         let papi_at = |rate: f64| {
-            rows.iter()
-                .find(|r| r.design == "PAPI" && r.rate_per_sec == rate)
-                .unwrap()
+            &rows[keys
+                .iter()
+                .position(|&k| k == (rate, DesignKind::Papi))
+                .unwrap()]
         };
         // Tail latency grows with offered load; attainment falls.
         assert!(papi_at(32.0).ttft_p99_ms > papi_at(0.5).ttft_p99_ms);
@@ -1706,25 +818,25 @@ mod tests {
 
     #[test]
     fn prefix_cache_sweep_beats_scalar_at_equal_dram() {
-        let rows = PrefixCacheSweep {
-            model: ModelPreset::Llama65B,
-            design: DesignKind::PimOnlyPapi,
-            conversations: ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
-            rates: vec![4.0],
-            num_requests: 48,
-            max_batch: 16,
-            kv_headroom: 0.05,
-            block_size: 16,
-            prefill_chunk: None,
-            slo: SloSpec::interactive(4_000.0, 80.0),
-            seed: 7,
-        }
-        .run();
+        // Equal DRAM, equal admission headroom: scalar KV accounting vs
+        // the paged pool with prefix sharing.
+        let scalar = SessionTuning::default()
+            .with_max_batch(16)
+            .with_kv_headroom(0.05);
+        let workload = chat(DatasetKind::GeneralQa, 512, 4, 4.0, 48, 7);
+        let (reports, rows) = run(
+            &[scalar, paged().with_kv_headroom(0.05)].map(|t| {
+                (
+                    fleet(DesignKind::PimOnlyPapi, ModelPreset::Llama65B, 1, &t),
+                    workload.clone(),
+                )
+            }),
+            &SloSpec::interactive(4_000.0, 80.0),
+        );
         assert_eq!(rows.len(), 2);
-        let scalar = &rows[0];
-        let paged = &rows[1];
-        assert_eq!(scalar.mode, "scalar");
-        assert_eq!(paged.mode, "paged+prefix");
+        let (scalar, paged) = (&rows[0], &rows[1]);
+        assert_eq!(reports[0].replicas[0].kv.block_size, 1);
+        assert_eq!(reports[1].replicas[0].kv.block_size, 16);
         assert_eq!(scalar.requests, 48);
         assert_eq!(paged.requests, 48);
         assert_eq!(scalar.cache_hit_rate, 0.0);
@@ -1743,65 +855,63 @@ mod tests {
 
     #[test]
     fn tiered_kv_sweep_rows_are_ordered_and_tier_points_spill() {
-        let rows = TieredKvSweep {
-            model: ModelPreset::Gpt3_175B,
-            design: DesignKind::PimOnlyPapi,
-            conversations: ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
-            rate_per_sec: 1.0,
-            num_requests: 120,
-            max_batch: 16,
-            kv_headroom: crate::serving::DEFAULT_KV_HEADROOM,
-            block_size: 16,
-            tier_budgets: vec![60_000],
-            pricing: TierPricing::default(),
-            slo: SloSpec::interactive(600_000.0, 400.0),
-            seed: 23,
-        }
-        .run();
+        // One thrashing conversation load, plain eviction first, then a
+        // 60k-block tier at the default host-DIMM pricing.
+        let workload = chat(DatasetKind::LongContext, 4096, 3, 1.0, 120, 23);
+        let (reports, rows) = run(
+            &[paged(), paged().with_kv_tier(KvTierSpec::new(60_000))].map(|t| {
+                (
+                    fleet(DesignKind::PimOnlyPapi, ModelPreset::Gpt3_175B, 1, &t),
+                    workload.clone(),
+                )
+            }),
+            &SloSpec::interactive(600_000.0, 400.0),
+        );
         assert_eq!(rows.len(), 2);
-        let evict = &rows[0];
-        let tiered = &rows[1];
-        assert_eq!(evict.mode, "evict");
+        let (evict, tiered) = (&reports[0].replicas[0].kv, &reports[1].replicas[0].kv);
         assert_eq!(evict.tier_budget_blocks, 0);
         assert_eq!(evict.tier_spills, 0);
-        assert_eq!(tiered.mode, "tier:60000@host-dimm");
+        assert_eq!(tiered.tier_budget_blocks, 60_000);
         assert!(tiered.tier_spills > 0, "the tier point should spill");
         assert!(tiered.tier_fetches > 0, "the tier point should fetch");
-        assert!(tiered.tier_fetch_time_ms > 0.0);
+        assert!(tiered.tier_fetch_time_s > 0.0);
         assert!(
-            tiered.cache_hit_rate > evict.cache_hit_rate,
+            rows[1].cache_hit_rate > rows[0].cache_hit_rate,
             "fetches should lift the hit rate: {} vs {}",
-            tiered.cache_hit_rate,
-            evict.cache_hit_rate
+            rows[1].cache_hit_rate,
+            rows[0].cache_hit_rate
         );
     }
 
     #[test]
     fn cluster_sweep_exposes_the_tp_dp_trade() {
-        let rows = ClusterSweep {
-            model: ModelPreset::Llama65B,
-            design: DesignKind::PimOnlyPapi,
-            dataset: DatasetKind::GeneralQa,
-            rates: vec![0.5, 24.0],
-            num_requests: 48,
-            shapes: vec![(4, 1), (1, 4)],
-            routing: PolicySpec::JoinShortestQueue,
-            tuning: SessionTuning::default().with_max_batch(16),
-            slo: SloSpec::interactive(2_000.0, 60.0),
-            seed: 11,
+        let tuning = SessionTuning::default().with_max_batch(16);
+        let (mut keys, mut points) = (Vec::new(), Vec::new());
+        for rate in [0.5, 24.0] {
+            for (tp, dp) in [(4, 1), (1, 4)] {
+                let spec = ClusterSpec::new(
+                    DesignKind::PimOnlyPapi,
+                    ModelPreset::Llama65B.config(),
+                    tp,
+                    dp,
+                )
+                .with_routing(PolicySpec::JoinShortestQueue)
+                .with_tuning(tuning.clone());
+                keys.push((rate, tp, dp));
+                points.push((
+                    spec,
+                    ServingWorkload::poisson(DatasetKind::GeneralQa, rate, 48).with_seed(11),
+                ));
+            }
         }
-        .run();
+        let (_, rows) = run(&points, &SloSpec::interactive(2_000.0, 60.0));
         assert_eq!(rows.len(), 4);
-        let at = |shape: &str, rate: f64| {
-            rows.iter()
-                .find(|r| r.shape == shape && r.rate_per_sec == rate)
-                .unwrap()
-        };
+        let at = |tp, dp, rate| &rows[keys.iter().position(|&k| k == (rate, tp, dp)).unwrap()];
         // TP wins single-request latency at light load…
-        assert!(at("1x TP4", 0.5).tpot_p50_ms < at("4x TP1", 0.5).tpot_p50_ms);
+        assert!(at(4, 1, 0.5).tpot_p50_ms < at(1, 4, 0.5).tpot_p50_ms);
         // …DP wins goodput once the offered load saturates one queue.
-        assert!(at("4x TP1", 24.0).goodput_rps > at("1x TP4", 24.0).goodput_rps);
-        assert_eq!(at("4x TP1", 24.0).requests, 48);
+        assert!(at(1, 4, 24.0).goodput_rps > at(4, 1, 24.0).goodput_rps);
+        assert_eq!(at(1, 4, 24.0).requests, 48);
     }
 
     /// The ROADMAP headline: on a multi-turn conversation fleet at
@@ -1810,28 +920,17 @@ mod tests {
     /// goodput.
     #[test]
     fn routing_sweep_prefix_affinity_beats_jsq_on_conversations() {
-        let rows = RoutingSweep {
-            model: ModelPreset::Llama65B,
-            design: DesignKind::PimOnlyPapi,
-            conversations: ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
-            rates: vec![6.0],
-            num_requests: 64,
-            tp_degree: 1,
-            dp_replicas: 4,
-            policies: vec![PolicySpec::JoinShortestQueue, PolicySpec::prefix_affinity()],
-            tuning: SessionTuning::default()
-                .with_max_batch(16)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true),
-            slo: SloSpec::interactive(4_000.0, 80.0),
-            seed: 7,
-        }
-        .run();
+        let four = fleet(DesignKind::PimOnlyPapi, ModelPreset::Llama65B, 4, &paged());
+        let workload = chat(DatasetKind::GeneralQa, 512, 4, 6.0, 64, 7);
+        let (reports, rows) = run(
+            &[PolicySpec::JoinShortestQueue, PolicySpec::prefix_affinity()]
+                .map(|policy| (four.clone().with_routing(policy), workload.clone())),
+            &SloSpec::interactive(4_000.0, 80.0),
+        );
         assert_eq!(rows.len(), 2);
-        let jsq = &rows[0];
-        let affinity = &rows[1];
-        assert_eq!(jsq.routing, "join-shortest-queue");
-        assert_eq!(affinity.routing, "prefix-affinity");
+        let (jsq, affinity) = (&rows[0], &rows[1]);
+        assert_eq!(reports[0].routing, "join-shortest-queue");
+        assert_eq!(reports[1].routing, "prefix-affinity");
         assert_eq!(jsq.requests, 64);
         assert_eq!(affinity.requests, 64);
         assert!(
@@ -1848,64 +947,64 @@ mod tests {
         );
     }
 
-    /// The global-prefix sweep's grid discipline: rate-major, then
-    /// shared-tier configuration, then policy, with the tier column
-    /// labeled by its pricing — and the shared-tier rows actually use
-    /// the fabric on the membership-skewed workload while the
-    /// private-tier rows cannot.
+    /// The global-prefix grid: shared-tier configuration, then policy,
+    /// with the tier labeled by its pricing — and the shared-tier
+    /// points actually use the fabric on the membership-skewed workload
+    /// while the private-tier points cannot.
     #[test]
     fn global_prefix_sweep_orders_rows_and_uses_the_fabric() {
-        let rows = GlobalPrefixSweep {
-            model: ModelPreset::Gpt3_175B,
-            design: DesignKind::PimOnlyPapi,
-            conversations: ConversationDataset::multi_turn(DatasetKind::LongContext, 8192, 12),
-            rates: vec![0.15],
-            num_requests: 120,
-            tp_degree: 1,
-            dp_replicas: 2,
-            policies: vec![
+        let tiered = paged().with_kv_tier(KvTierSpec::new(60_000));
+        let pair = fleet(DesignKind::PimOnlyPapi, ModelPreset::Gpt3_175B, 2, &tiered);
+        let workload = chat(DatasetKind::LongContext, 8192, 12, 0.15, 120, 23);
+        let mut points = Vec::new();
+        for shared in [false, true] {
+            for policy in [
                 PolicySpec::prefix_affinity(),
                 PolicySpec::shared_tier_affinity(),
-            ],
-            shared_tiers: vec![None, Some(SharedTierSpec::new())],
-            tuning: SessionTuning::default()
-                .with_max_batch(16)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true)
-                .with_kv_tier(crate::KvTierSpec::new(60_000)),
-            slo: SloSpec::interactive(8_000.0, 80.0),
-            seed: 23,
+            ] {
+                let spec = pair.clone().with_routing(policy);
+                let spec = if shared {
+                    spec.with_shared_tier(SharedTierSpec::new())
+                } else {
+                    spec
+                };
+                points.push((spec, workload.clone()));
+            }
         }
-        .run();
+        let (reports, rows) = run(&points, &SloSpec::interactive(8_000.0, 80.0));
         assert_eq!(rows.len(), 4);
         assert_eq!(
-            rows.iter()
-                .map(|r| r.shared_tier.as_str())
+            reports
+                .iter()
+                .map(|r| r.global_tier.as_ref().map_or("off", |g| g.pricing.as_str()))
                 .collect::<Vec<_>>(),
             ["off", "off", "InfiniBand-NDR", "InfiniBand-NDR"]
         );
-        assert_eq!(rows[0].routing, "prefix-affinity");
-        assert_eq!(rows[1].routing, "shared-tier-affinity");
+        assert_eq!(reports[0].routing, "prefix-affinity");
+        assert_eq!(reports[1].routing, "shared-tier-affinity");
         for row in &rows {
             assert_eq!(row.requests, 120);
             assert_eq!(row.replicas_used, 2);
         }
         // Private tiers cannot cross the fabric...
-        assert_eq!(rows[0].remote_fetches, 0);
-        assert_eq!(rows[1].remote_fetches, 0);
-        assert_eq!(rows[0].directory_entries, 0);
+        for report in &reports[..2] {
+            assert!(report.replicas.iter().all(|r| r.kv.remote_fetches == 0));
+        }
         // ...and the shared tier does, with honest wire accounting and
         // a fleet-level hit-rate win for the relaxing policy.
-        let shared = &rows[3];
-        assert!(shared.remote_fetches > 0, "fabric unused");
-        assert!(shared.remote_fetch_gb > 0.0);
-        assert!(shared.remote_fetch_time_s > 0.0);
-        assert!(shared.remote_fetch_energy_j > 0.0);
-        assert!(shared.directory_entries > 0);
+        let shared = reports[3].global_tier.as_ref().expect("shared tier on");
+        assert!(shared.fetches > 0, "fabric unused");
+        assert!(shared.bytes > 0.0);
+        assert!(reports[3]
+            .replicas
+            .iter()
+            .any(|r| r.kv.remote_fetch_time_s > 0.0));
+        assert!(shared.energy.value() > 0.0);
+        assert!(shared.entries > 0);
         assert!(
-            shared.cache_hit_rate > rows[0].cache_hit_rate,
+            rows[3].cache_hit_rate > rows[0].cache_hit_rate,
             "shared tier should lift the fleet hit rate: {} vs {}",
-            shared.cache_hit_rate,
+            rows[3].cache_hit_rate,
             rows[0].cache_hit_rate
         );
     }
@@ -1918,34 +1017,38 @@ mod tests {
     /// migration for every request.
     #[test]
     fn disaggregation_sweep_split_beats_colocated_p99_ttft() {
-        let rows = DisaggregationSweep {
-            model: ModelPreset::Llama65B,
-            colocated_design: DesignKind::PimOnlyPapi,
-            prefill_design: DesignKind::A100AttAcc,
-            decode_design: DesignKind::PimOnlyPapi,
-            replicas: 4,
-            prefill_replicas: 2,
-            dataset: DatasetKind::LongContext,
-            bursts: vec![(16, 10.0)],
-            num_requests: 48,
-            tuning: SessionTuning::default().with_max_batch(16),
-            slo: SloSpec::interactive(10_000.0, 120.0),
-            seed: 7,
-        }
-        .run();
+        let tuning = SessionTuning::default().with_max_batch(16);
+        let colocated = fleet(DesignKind::PimOnlyPapi, ModelPreset::Llama65B, 4, &tuning);
+        let split = colocated
+            .clone()
+            .with_roles([[ReplicaRole::Prefill; 2], [ReplicaRole::Decode; 2]].concat())
+            .with_prefill_design(DesignKind::A100AttAcc)
+            .with_migration(MigrationSpec::JoinShortestQueue);
+        let bursts = ArrivalProcess::Bursty {
+            burst_size: 16,
+            interval_sec: 10.0,
+        };
+        let workload = ServingWorkload::new(DatasetKind::LongContext, bursts, 48).with_seed(7);
+        let (reports, rows) = run(
+            &[colocated, split].map(|spec| (spec, workload.clone())),
+            &SloSpec::interactive(10_000.0, 120.0),
+        );
         assert_eq!(rows.len(), 2);
-        let colocated = &rows[0];
-        let split = &rows[1];
-        assert!(colocated.fleet.contains("colocated"));
-        assert!(split.fleet.contains("prefill"));
+        let (colocated, split) = (&rows[0], &rows[1]);
+        assert!(reports[0]
+            .roles
+            .iter()
+            .all(|&r| r == ReplicaRole::Colocated));
+        assert!(reports[1].roles.contains(&ReplicaRole::Prefill));
         assert_eq!(colocated.requests, 48);
         assert_eq!(split.requests, 48);
         // Conservation through migration: every request crossed the
         // fabric exactly once, and the payload was actually priced.
-        assert_eq!(split.migrations, 48);
-        assert!(split.migrated_gb > 0.0);
-        assert!(split.migration_p99_ms > 0.0);
-        assert_eq!(colocated.migrations, 0);
+        let migration = &reports[1].migration;
+        assert_eq!(migration.migrations, 48);
+        assert!(migration.bytes > 0.0);
+        assert!(migration.latency.expect("migrated").p99.as_millis() > 0.0);
+        assert_eq!(reports[0].migration.migrations, 0);
         // The headline: the split wins tail TTFT decisively (prefill
         // waves run on GPUs, decode never stalls behind them), and
         // does not give up goodput for it.

@@ -35,7 +35,9 @@
 //!   breakdowns, TTFT/TPOT percentiles, SLO goodput).
 //! - [`slo`] — latency objectives and admissible-batch analysis.
 //! - [`experiments`] — one function per paper figure (Fig. 2–12), plus
-//!   the serving load sweeps.
+//!   [`sweep`](experiments::sweep) over `(ClusterSpec, ServingWorkload)`
+//!   points for the serving and fleet comparisons, summarized by
+//!   [`SweepRow`](experiments::SweepRow).
 //!
 //! # Example
 //!

@@ -163,12 +163,14 @@ impl KvTierSpec {
 
     /// Range-checks a spec that arrived through serde.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `budget_blocks` is zero.
-    #[track_caller]
-    pub fn validate(&self) {
-        assert!(self.budget_blocks > 0, "tier budget must be positive");
+    /// Returns a message naming the knob if `budget_blocks` is zero.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.budget_blocks == 0 {
+            return Err("tier budget must be positive".to_owned());
+        }
+        Ok(())
     }
 }
 
@@ -253,33 +255,42 @@ impl SessionTuning {
     /// Re-checks every range invariant the builders enforce — the
     /// guard for tunings that arrived through serde (which bypasses
     /// the builder asserts) rather than the `with_*` methods.
-    /// [`ServingEngine::with_tuning`] calls this, so an out-of-range
-    /// deserialized config fails immediately with a named message
-    /// instead of wedging an episode later.
+    /// [`ServingEngine::with_tuning`] panics with this message and
+    /// [`ClusterEngine::new`](crate::cluster::ClusterEngine::new)
+    /// returns it as a `TopologyError`, so an out-of-range deserialized
+    /// config fails immediately instead of wedging an episode later.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max_batch`, `kv_block_size`, or `prefill_chunk` is
-    /// zero, or `kv_headroom` is outside `(0, 1]`.
-    #[track_caller]
-    pub fn validate(&self) {
-        assert!(self.max_batch > 0, "max_batch must be positive");
-        assert!(
-            self.kv_headroom > 0.0 && self.kv_headroom <= 1.0,
-            "kv headroom must be in (0, 1], got {}",
-            self.kv_headroom
-        );
-        assert!(self.kv_block_size > 0, "kv block size must be positive");
-        if let Some(chunk) = self.prefill_chunk {
-            assert!(chunk > 0, "prefill chunk must be positive");
+    /// Returns a message naming the knob if `max_batch`,
+    /// `kv_block_size`, or `prefill_chunk` is zero, `kv_headroom` is
+    /// outside `(0, 1]`, or a KV tier fails [`KvTierSpec::validate`] or
+    /// rides without prefix sharing.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_batch == 0 {
+            return Err("max_batch must be positive".to_owned());
+        }
+        if !(self.kv_headroom > 0.0 && self.kv_headroom <= 1.0) {
+            return Err(format!(
+                "kv headroom must be in (0, 1], got {}",
+                self.kv_headroom
+            ));
+        }
+        if self.kv_block_size == 0 {
+            return Err("kv block size must be positive".to_owned());
+        }
+        if self.prefill_chunk == Some(0) {
+            return Err("prefill chunk must be positive".to_owned());
         }
         if let Some(tier) = &self.kv_tier {
-            tier.validate();
-            assert!(
-                self.prefix_sharing,
-                "the KV capacity tier rides the prefix cache: enable prefix_sharing"
-            );
+            tier.validate()?;
+            if !self.prefix_sharing {
+                return Err(
+                    "the KV capacity tier rides the prefix cache: enable prefix_sharing".to_owned(),
+                );
+            }
         }
+        Ok(())
     }
 }
 
@@ -323,11 +334,13 @@ impl ServingEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the tuning fails [`SessionTuning::validate`] (e.g. it
-    /// was deserialized with an out-of-range knob).
+    /// Panics with the [`SessionTuning::validate`] message if the
+    /// tuning is out of range (e.g. it was deserialized that way).
     #[track_caller]
     pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
-        tuning.validate();
+        if let Err(msg) = tuning.validate() {
+            panic!("{msg}");
+        }
         self.admission = tuning.admission.build();
         self.tuning = tuning;
         self
@@ -462,7 +475,9 @@ impl ServingEngine {
     /// Panics if the model does not fit the design's weight pool, or if
     /// the attention pool cannot hold even one KV block.
     pub fn open_session(&self, workload: &ServingWorkload) -> ServingSession<'_> {
-        self.tuning.validate();
+        if let Err(msg) = self.tuning.validate() {
+            panic!("{msg}");
+        }
         if let Err(msg) = self.config.validate_capacity(0.0) {
             panic!("{msg}");
         }

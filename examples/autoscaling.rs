@@ -29,10 +29,9 @@
 //! cargo run --release --example autoscaling
 //! ```
 
-use papi::core::experiments::AutoscaleSweep;
+use papi::core::experiments::{sweep, SweepRow};
 use papi::core::{
-    AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterSpec, DesignKind, SessionTuning,
-    SloSpec,
+    AutoscalePolicySpec, AutoscaleSpec, ClusterSpec, DesignKind, SessionTuning, SloSpec,
 };
 use papi::llm::ModelPreset;
 use papi::workload::{
@@ -45,6 +44,18 @@ fn main() {
         .with_max_batch(8)
         .with_kv_block_size(16)
         .with_prefix_sharing(true);
+    // A prefix-affinity fleet of `dp` PIM-only replicas, fixed or elastic.
+    let fleet = |dp, autoscale| ClusterSpec {
+        autoscale,
+        ..ClusterSpec::new(
+            DesignKind::PimOnlyPapi,
+            ModelPreset::Llama65B.config(),
+            1,
+            dp,
+        )
+        .with_routing(PolicySpec::prefix_affinity())
+        .with_tuning(tuning.clone())
+    };
 
     // ----- Part 1: one compressed diurnal cycle, fixed vs autoscaled.
     println!(
@@ -77,18 +88,20 @@ fn main() {
     .with_initial_replicas(2)
     .with_spin_up(6.0)
     .with_decide_interval(2.5);
-    let rows = AutoscaleSweep {
-        model: ModelPreset::Llama65B,
-        design: DesignKind::PimOnlyPapi,
-        workload: diurnal,
-        tp_degree: 1,
-        dp_replicas: 6,
-        routing: PolicySpec::prefix_affinity(),
-        tuning: tuning.clone(),
-        slo,
-        autoscalers: vec![None, Some(autoscale)],
-    }
-    .run();
+    let reports = sweep(&[
+        (fleet(6, None), diurnal.clone()),
+        (fleet(6, Some(autoscale)), diurnal),
+    ]);
+    let rows: Vec<_> = reports.iter().map(|r| SweepRow::new(r, &slo)).collect();
+    // The fixed fleet rents all 6 replicas for the whole episode.
+    let hours: Vec<_> = reports
+        .iter()
+        .map(|r| {
+            r.fleet_cost
+                .as_ref()
+                .map_or(6.0 * r.makespan().value() / 3600.0, |c| c.provisioned_hours)
+        })
+        .collect();
 
     println!(
         "{:28} {:>9} {:>7} {:>9} {:>10} {:>7} {:>8} {:>10}",
@@ -101,30 +114,33 @@ fn main() {
         "events",
         "J/goodtok"
     );
-    for row in &rows {
+    for ((report, row), hours) in reports.iter().zip(&rows).zip(&hours) {
+        let cost = report.fleet_cost.as_ref();
         println!(
             "{:28} {:>7.2}r/s {:>6.0}% {:>7.0}ms {:>10.3} {:>7} {:>8} {:>10.2}",
-            row.provisioning,
+            cost.map_or("fixed", |c| c.policy.as_str()),
             row.goodput_rps,
             row.slo_attainment * 100.0,
             row.ttft_p99_ms,
-            row.provisioned_hours,
-            row.peak_active,
-            row.scale_events,
+            hours,
+            cost.map_or(6, |c| c.peak_active),
+            cost.map_or(0, |c| c.scale_events.len()),
             row.energy_per_good_token_j,
         );
     }
     let fixed = &rows[0];
     let elastic = &rows[1];
-    let hours_saved = 1.0 - elastic.provisioned_hours / fixed.provisioned_hours;
+    let (fixed_hours, elastic_hours) = (hours[0], hours[1]);
+    let elastic_cost = reports[1].fleet_cost.as_ref().expect("elastic cost report");
+    let hours_saved = 1.0 - elastic_hours / fixed_hours;
     let goodput_gap = 1.0 - elastic.goodput_rps / fixed.goodput_rps;
     println!(
         "\nAutoscaling rented {:.1}% fewer replica-hours ({:.3} vs {:.3}) and held\n\
          goodput within {:.1}% of the fixed-peak fleet ({:.2} vs {:.2} r/s), at\n\
          {:.2} vs {:.2} J per SLO-good token.",
         hours_saved * 100.0,
-        elastic.provisioned_hours,
-        fixed.provisioned_hours,
+        elastic_hours,
+        fixed_hours,
         goodput_gap.max(0.0) * 100.0,
         elastic.goodput_rps,
         fixed.goodput_rps,
@@ -142,9 +158,7 @@ fn main() {
     );
     assert!(
         hours_saved > 0.25,
-        "autoscaling must save at least 25% of replica-hours: {:.3} vs {:.3}",
-        elastic.provisioned_hours,
-        fixed.provisioned_hours
+        "autoscaling must save at least 25% of replica-hours: {elastic_hours:.3} vs {fixed_hours:.3}"
     );
     assert!(
         elastic.energy_per_good_token_j <= fixed.energy_per_good_token_j * 1.10,
@@ -153,7 +167,7 @@ fn main() {
         fixed.energy_per_good_token_j
     );
     assert!(
-        elastic.scale_events > 0,
+        !elastic_cost.scale_events.is_empty(),
         "the saving must come from scaling"
     );
 
@@ -174,28 +188,16 @@ fn main() {
         400,
     )
     .with_seed(31);
-    let fleet = |autoscale: Option<AutoscaleSpec>| {
-        let mut spec = ClusterSpec::new(
-            DesignKind::PimOnlyPapi,
-            ModelPreset::Llama65B.config(),
-            1,
-            4,
-        )
-        .with_routing(PolicySpec::prefix_affinity())
-        .with_tuning(tuning.clone());
-        if let Some(autoscale) = autoscale {
-            spec = spec.with_autoscale(autoscale);
-        }
-        ClusterEngine::new(spec).expect("valid fleet").run(&crowd)
-    };
-    let fixed_crowd = fleet(None);
-    let elastic_crowd = fleet(Some(
-        AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo)
-            .with_min_replicas(1)
-            .with_initial_replicas(1)
-            .with_spin_up(10.0)
-            .with_decide_interval(2.0),
-    ));
+    let elastic = AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo)
+        .with_min_replicas(1)
+        .with_initial_replicas(1)
+        .with_spin_up(10.0)
+        .with_decide_interval(2.0);
+    let crowds = [
+        (fleet(4, None), crowd.clone()),
+        (fleet(4, Some(elastic)), crowd),
+    ];
+    let [fixed_crowd, elastic_crowd]: [_; 2] = sweep(&crowds).try_into().expect("two reports");
     let cost = elastic_crowd
         .fleet_cost
         .as_ref()

@@ -14,10 +14,10 @@
 //! cargo run --release --example cluster_serving
 //! ```
 
-use papi::core::experiments::ClusterSweep;
-use papi::core::{DesignKind, SessionTuning, SloSpec};
+use papi::core::experiments::{sweep, SweepRow};
+use papi::core::{ClusterSpec, DesignKind, SessionTuning, SloSpec};
 use papi::llm::ModelPreset;
-use papi::workload::{DatasetKind, PolicySpec};
+use papi::workload::{DatasetKind, PolicySpec, ServingWorkload};
 
 fn main() {
     let shapes = [(4usize, 1usize), (2, 2), (1, 4)];
@@ -26,19 +26,21 @@ fn main() {
          per point, batch cap 32 per replica, join-shortest-queue routing,\n\
          SLO: TTFT ≤ 2 s, TPOT ≤ 60 ms\n"
     );
-    let rows = ClusterSweep {
-        model: ModelPreset::Llama65B,
-        design: DesignKind::PimOnlyPapi,
-        dataset: DatasetKind::GeneralQa,
-        rates: vec![0.5, 4.0, 16.0, 32.0, 64.0],
-        num_requests: 96,
-        shapes: shapes.to_vec(),
-        routing: PolicySpec::JoinShortestQueue,
-        tuning: SessionTuning::default().with_max_batch(32),
-        slo: SloSpec::interactive(2_000.0, 60.0),
-        seed: 42,
+    let slo = SloSpec::interactive(2_000.0, 60.0);
+    let (mut keys, mut points) = (Vec::new(), Vec::new());
+    for rate in [0.5, 4.0, 16.0, 32.0, 64.0] {
+        for (tp, dp) in shapes {
+            let model = ModelPreset::Llama65B.config();
+            let spec = ClusterSpec::new(DesignKind::PimOnlyPapi, model, tp, dp)
+                .with_routing(PolicySpec::JoinShortestQueue)
+                .with_tuning(SessionTuning::default().with_max_batch(32));
+            let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, rate, 96);
+            keys.push((rate, tp, dp));
+            points.push((spec, workload.with_seed(42)));
+        }
     }
-    .run();
+    let reports = sweep(&points);
+    let rows: Vec<_> = reports.iter().map(|r| SweepRow::new(r, &slo)).collect();
 
     println!(
         "{:>6} {:8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6}",
@@ -53,15 +55,16 @@ fn main() {
         "used"
     );
     let mut last_rate = f64::NAN;
-    for row in &rows {
-        if row.rate_per_sec != last_rate {
+    for (&(rate, tp, dp), row) in keys.iter().zip(&rows) {
+        if rate != last_rate {
             println!();
-            last_rate = row.rate_per_sec;
+            last_rate = rate;
         }
+        let shape = format!("{dp}x TP{tp}");
         println!(
             "{:>5.1}/s {:8} {:>7.0}ms {:>7.0}ms {:>7.1}ms {:>7.1}ms {:>6.2}r/s {:>7.0}% {:>3}/{}",
-            row.rate_per_sec,
-            row.shape,
+            rate,
+            shape,
             row.ttft_p50_ms,
             row.ttft_p99_ms,
             row.tpot_p50_ms,
@@ -69,20 +72,19 @@ fn main() {
             row.goodput_rps,
             row.slo_attainment * 100.0,
             row.replicas_used,
-            row.dp_replicas,
+            dp,
         );
     }
 
-    let at = |shape: &str, rate: f64| {
-        rows.iter()
-            .find(|r| r.shape == shape && r.rate_per_sec == rate)
-            .expect("swept point")
+    let at = |tp: usize, dp: usize, rate: f64| {
+        let idx = keys.iter().position(|&k| k == (rate, tp, dp));
+        &rows[idx.expect("swept point")]
     };
 
     let low = 0.5;
     let high = 64.0;
-    let tp4 = at("1x TP4", low);
-    let dp4 = at("4x TP1", low);
+    let tp4 = at(4, 1, low);
+    let dp4 = at(1, 4, low);
     println!(
         "\nLatency (single-request regime, {low}/s): TP wins.\n  \
          1x TP4 p50 TPOT {:.1} ms vs 4x TP1 {:.1} ms ({:.2}x faster per token)",
@@ -90,8 +92,8 @@ fn main() {
         dp4.tpot_p50_ms,
         dp4.tpot_p50_ms / tp4.tpot_p50_ms,
     );
-    let tp4_hot = at("1x TP4", high);
-    let dp4_hot = at("4x TP1", high);
+    let tp4_hot = at(4, 1, high);
+    let dp4_hot = at(1, 4, high);
     println!(
         "Throughput (saturating regime, {high}/s): DP wins.\n  \
          4x TP1 goodput {:.2} r/s vs 1x TP4 {:.2} r/s ({:.2}x the goodput)",

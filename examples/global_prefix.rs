@@ -26,11 +26,30 @@
 //! cargo run --release --example global_prefix
 //! ```
 
-use papi::core::experiments::{GlobalPrefixRow, GlobalPrefixSweep};
-use papi::core::{DesignKind, KvTierSpec, SessionTuning, SharedTierSpec, SloSpec};
+use papi::core::experiments::{sweep, SweepRow};
+use papi::core::{
+    ClusterReport, ClusterSpec, DesignKind, KvTierSpec, SessionTuning, SharedTierSpec, SloSpec,
+};
 use papi::interconnect::TierPricing;
 use papi::llm::ModelPreset;
-use papi::workload::{ConversationDataset, DatasetKind, PolicySpec};
+use papi::workload::{ConversationDataset, DatasetKind, PolicySpec, ServingWorkload};
+
+/// `"off"` for a private-tier fleet, else the fabric pricing label.
+fn shared_tier(report: &ClusterReport) -> &str {
+    report
+        .global_tier
+        .as_ref()
+        .map_or("off", |g| g.pricing.as_str())
+}
+
+/// Wire seconds the fleet's remote fetches paid.
+fn wire_s(report: &ClusterReport) -> f64 {
+    report
+        .replicas
+        .iter()
+        .map(|r| r.kv.remote_fetch_time_s)
+        .sum()
+}
 
 fn main() {
     println!(
@@ -39,34 +58,46 @@ fn main() {
          split 7/3 across the fleet, prefix sharing on, private spill tier of 60k\n\
          blocks per replica, 120 requests per point, SLO: TTFT <= 8 s, TPOT <= 80 ms\n"
     );
-    let rows = GlobalPrefixSweep {
-        model: ModelPreset::Gpt3_175B,
-        design: DesignKind::PimOnlyPapi,
-        conversations: ConversationDataset::multi_turn(DatasetKind::LongContext, 8192, 12),
-        rates: vec![0.1, 0.15, 0.2],
-        num_requests: 120,
-        tp_degree: 1,
-        dp_replicas: 2,
-        policies: vec![
-            PolicySpec::JoinShortestQueue,
-            PolicySpec::prefix_affinity(),
-            PolicySpec::adaptive_affinity(),
-            PolicySpec::shared_tier_affinity(),
-        ],
-        shared_tiers: vec![
-            None,
-            Some(SharedTierSpec::new()),
-            Some(SharedTierSpec::new().with_pricing(TierPricing::Free)),
-        ],
-        tuning: SessionTuning::default()
-            .with_max_batch(16)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true)
-            .with_kv_tier(KvTierSpec::new(60_000)),
-        slo: SloSpec::interactive(8_000.0, 80.0),
-        seed: 23,
+    let slo = SloSpec::interactive(8_000.0, 80.0);
+    let tuning = SessionTuning::default()
+        .with_max_batch(16)
+        .with_kv_block_size(16)
+        .with_prefix_sharing(true)
+        .with_kv_tier(KvTierSpec::new(60_000));
+    let model = ModelPreset::Gpt3_175B.config();
+    let fleet = ClusterSpec::new(DesignKind::PimOnlyPapi, model, 1, 2).with_tuning(tuning);
+    let shared_tiers = [
+        None,
+        Some(SharedTierSpec::new()),
+        Some(SharedTierSpec::new().with_pricing(TierPricing::Free)),
+    ];
+    let chat = ConversationDataset::multi_turn(DatasetKind::LongContext, 8192, 12);
+    // Rate-major, then shared-tier configuration, then policy.
+    let (mut rates, mut points) = (Vec::new(), Vec::new());
+    for rate in [0.1, 0.15, 0.2] {
+        let workload = ServingWorkload::poisson(chat, rate, 120).with_seed(23);
+        for shared_tier in &shared_tiers {
+            for routing in [
+                PolicySpec::JoinShortestQueue,
+                PolicySpec::prefix_affinity(),
+                PolicySpec::adaptive_affinity(),
+                PolicySpec::shared_tier_affinity(),
+            ] {
+                let spec = ClusterSpec {
+                    routing,
+                    shared_tier: shared_tier.clone(),
+                    ..fleet.clone()
+                };
+                rates.push(rate);
+                points.push((spec, workload.clone()));
+            }
+        }
     }
-    .run();
+    let reports = sweep(&points);
+    let rows: Vec<SweepRow> = reports
+        .iter()
+        .map(|report| SweepRow::new(report, &slo))
+        .collect();
 
     println!(
         "{:22} {:>14} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9}",
@@ -80,23 +111,24 @@ fn main() {
         "wire-GB",
         "wire-s"
     );
-    let mut last_tier = String::new();
-    for row in &rows {
-        if row.shared_tier != last_tier {
+    let mut last_tier = "";
+    for (report, row) in reports.iter().zip(&rows) {
+        if shared_tier(report) != last_tier {
             println!();
-            last_tier = row.shared_tier.clone();
+            last_tier = shared_tier(report);
         }
+        let global = report.global_tier.as_ref();
         println!(
             "{:22} {:>14} {:>7.1}% {:>7.2}r/s {:>7.0}ms {:>6.0}% {:>7} {:>9.1} {:>9.2}",
-            row.routing,
-            row.shared_tier,
+            report.routing,
+            shared_tier(report),
             row.cache_hit_rate * 100.0,
             row.goodput_rps,
             row.ttft_p99_ms,
             row.slo_attainment * 100.0,
-            row.remote_fetches,
-            row.remote_fetch_gb,
-            row.remote_fetch_time_s,
+            global.map_or(0, |g| g.fetches),
+            global.map_or(0.0, |g| g.bytes / 1e9),
+            wire_s(report),
         );
     }
 
@@ -104,14 +136,23 @@ fn main() {
     // replica thrashes its pool mid-episode, so spilled prefixes are
     // directory-resident while later turns are still arriving.
     let headline = 0.15;
-    let at = |routing: &str, tier: &str| -> &GlobalPrefixRow {
-        rows.iter()
-            .find(|r| r.rate_per_sec == headline && r.routing == routing && r.shared_tier == tier)
-            .expect("swept point")
+    let at = |routing: &str, tier: &str| {
+        let idx = (0..reports.len()).find(|&i| {
+            rates[i] == headline
+                && reports[i].routing == routing
+                && shared_tier(&reports[i]) == tier
+        });
+        idx.expect("swept point")
     };
-    let private = at("prefix-affinity", "off");
-    let shared = at("shared-tier-affinity", "InfiniBand-NDR");
-    let free = at("shared-tier-affinity", "free");
+    let private = &rows[at("prefix-affinity", "off")];
+    let shared_idx = at("shared-tier-affinity", "InfiniBand-NDR");
+    let shared = &rows[shared_idx];
+    let shared_wire_s = wire_s(&reports[shared_idx]);
+    let fabric = reports[shared_idx]
+        .global_tier
+        .as_ref()
+        .expect("shared tier");
+    let free = &rows[at("shared-tier-affinity", "free")];
 
     println!(
         "\nShared tier + shared-tier-affinity vs private-tier prefix-affinity:\n\
@@ -121,10 +162,10 @@ fn main() {
         shared.cache_hit_rate * 100.0,
         private.goodput_rps,
         shared.goodput_rps,
-        shared.remote_fetches,
-        shared.remote_fetch_gb,
-        shared.remote_fetch_time_s,
-        shared.remote_fetch_energy_j,
+        fabric.fetches,
+        fabric.bytes / 1e9,
+        shared_wire_s,
+        fabric.energy.value(),
     );
     println!(
         "Free-fabric ablation: goodput {:.2} r/s with zero wire cost — the gap to\n\
@@ -146,8 +187,8 @@ fn main() {
         shared.goodput_rps,
         private.goodput_rps
     );
-    assert!(shared.remote_fetches > 0, "the win must use the fabric");
-    assert!(shared.remote_fetch_gb > 0.0 && shared.remote_fetch_time_s > 0.0);
+    assert!(fabric.fetches > 0, "the win must use the fabric");
+    assert!(fabric.bytes > 0.0 && shared_wire_s > 0.0);
     assert!(
         free.goodput_rps >= shared.goodput_rps,
         "a free fabric can't be slower: {:.3} vs {:.3}",

@@ -13,10 +13,10 @@
 //! cargo run --release --example load_sweep
 //! ```
 
-use papi::core::experiments::LoadSweep;
-use papi::core::{DesignKind, SloSpec};
+use papi::core::experiments::{sweep, SweepRow};
+use papi::core::{ClusterSpec, DesignKind, SessionTuning, SloSpec};
 use papi::llm::ModelPreset;
-use papi::workload::DatasetKind;
+use papi::workload::{DatasetKind, ServingWorkload};
 
 fn main() {
     let designs = [
@@ -28,17 +28,20 @@ fn main() {
         "LLaMA-65B, general-qa, 128 Poisson requests per point, batch cap 64,\n\
          SLO: TTFT ≤ 2 s, TPOT ≤ 60 ms\n"
     );
-    let rows = LoadSweep {
-        model: ModelPreset::Llama65B,
-        dataset: DatasetKind::GeneralQa,
-        rates: vec![0.5, 2.0, 8.0, 16.0, 32.0, 64.0],
-        num_requests: 128,
-        designs: designs.to_vec(),
-        max_batch: 64,
-        slo: SloSpec::interactive(2_000.0, 60.0),
-        seed: 42,
+    let slo = SloSpec::interactive(2_000.0, 60.0);
+    let (mut keys, mut points) = (Vec::new(), Vec::new());
+    for rate in [0.5, 2.0, 8.0, 16.0, 32.0, 64.0] {
+        for design in designs {
+            // One node per point: a 1×TP1 fleet is the single-node engine.
+            let node = ClusterSpec::new(design, ModelPreset::Llama65B.config(), 1, 1)
+                .with_tuning(SessionTuning::default().with_max_batch(64));
+            let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, rate, 128);
+            keys.push((rate, design));
+            points.push((node, workload.with_seed(42)));
+        }
     }
-    .run();
+    let reports = sweep(&points);
+    let rows: Vec<_> = reports.iter().map(|r| SweepRow::new(r, &slo)).collect();
     println!(
         "{:>6} {:14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7}",
         "rate",
@@ -52,15 +55,15 @@ fn main() {
         "switch"
     );
     let mut last_rate = f64::NAN;
-    for row in &rows {
-        if row.rate_per_sec != last_rate {
+    for (&(rate, design), row) in keys.iter().zip(&rows) {
+        if rate != last_rate {
             println!();
-            last_rate = row.rate_per_sec;
+            last_rate = rate;
         }
         println!(
             "{:>5.1}/s {:14} {:>7.0}ms {:>7.0}ms {:>7.1}ms {:>7.1}ms {:>6.2}r/s {:>7.0}% {:>7}",
-            row.rate_per_sec,
-            row.design,
+            rate,
+            design.label(),
             row.ttft_p50_ms,
             row.ttft_p99_ms,
             row.tpot_p50_ms,
@@ -75,10 +78,11 @@ fn main() {
     // meeting the SLO for ≥ 90 % of requests.
     println!("\nSaturation (last rate with ≥ 90 % SLO attainment):");
     for design in designs {
-        let knee = rows
+        let knee = keys
             .iter()
-            .filter(|r| r.design == design.label() && r.slo_attainment >= 0.9)
-            .map(|r| r.rate_per_sec)
+            .zip(&rows)
+            .filter(|((_, d), r)| *d == design && r.slo_attainment >= 0.9)
+            .map(|((rate, _), _)| *rate)
             .fold(f64::NAN, f64::max);
         match knee.is_nan() {
             true => println!("  {:14} never meets the SLO at these loads", design.label()),

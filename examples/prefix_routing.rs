@@ -17,13 +17,13 @@
 //! cargo run --release --example prefix_routing
 //! ```
 
-use papi::core::experiments::RoutingSweep;
-use papi::core::{DesignKind, SessionTuning, SloSpec};
+use papi::core::experiments::{sweep, SweepRow};
+use papi::core::{ClusterSpec, DesignKind, SessionTuning, SloSpec};
 use papi::llm::ModelPreset;
-use papi::workload::{ConversationDataset, DatasetKind, PolicySpec};
+use papi::workload::{ConversationDataset, DatasetKind, PolicySpec, ServingWorkload};
 
 fn main() {
-    let policies = vec![
+    let policies = [
         PolicySpec::RoundRobin,
         PolicySpec::JoinShortestQueue,
         PolicySpec::KvPressureAware,
@@ -34,38 +34,40 @@ fn main() {
          x 4 turns, 512-token system prompt), prefix sharing on (16-token blocks),\n\
          60 requests per point, SLO: TTFT ≤ 4 s, TPOT ≤ 80 ms\n"
     );
-    let rows = RoutingSweep {
-        model: ModelPreset::Llama65B,
-        design: DesignKind::PimOnlyPapi,
-        conversations: ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
-        rates: vec![2.0, 6.0, 12.0],
-        num_requests: 60,
-        tp_degree: 1,
-        dp_replicas: 4,
-        policies,
-        tuning: SessionTuning::default()
-            .with_max_batch(16)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true),
-        slo: SloSpec::interactive(4_000.0, 80.0),
-        seed: 7,
+    let slo = SloSpec::interactive(4_000.0, 80.0);
+    let tuning = SessionTuning::default()
+        .with_max_batch(16)
+        .with_kv_block_size(16)
+        .with_prefix_sharing(true);
+    let model = ModelPreset::Llama65B.config();
+    let chat = ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4);
+    let (mut keys, mut points) = (Vec::new(), Vec::new());
+    for rate in [2.0, 6.0, 12.0] {
+        for policy in policies {
+            let fleet = ClusterSpec::new(DesignKind::PimOnlyPapi, model.clone(), 1, 4)
+                .with_routing(policy)
+                .with_tuning(tuning.clone());
+            keys.push((rate, policy));
+            points.push((fleet, ServingWorkload::poisson(chat, rate, 60).with_seed(7)));
+        }
     }
-    .run();
+    let reports = sweep(&points);
+    let rows: Vec<_> = reports.iter().map(|r| SweepRow::new(r, &slo)).collect();
 
     println!(
         "{:>6} {:20} {:>8} {:>9} {:>9} {:>9} {:>7} {:>6}",
         "rate", "policy", "hit-rate", "goodput", "ttft-p50", "ttft-p99", "attain", "used"
     );
     let mut last_rate = f64::NAN;
-    for row in &rows {
-        if row.rate_per_sec != last_rate {
+    for ((rate, policy), row) in keys.iter().zip(&rows) {
+        if *rate != last_rate {
             println!();
-            last_rate = row.rate_per_sec;
+            last_rate = *rate;
         }
         println!(
             "{:>5.1}/s {:20} {:>7.1}% {:>7.2}r/s {:>7.0}ms {:>7.0}ms {:>6.0}% {:>3}/4",
-            row.rate_per_sec,
-            row.routing,
+            rate,
+            policy.label(),
             row.cache_hit_rate * 100.0,
             row.goodput_rps,
             row.ttft_p50_ms,
@@ -75,14 +77,13 @@ fn main() {
         );
     }
 
-    let at = |routing: &str, rate: f64| {
-        rows.iter()
-            .find(|r| r.routing == routing && r.rate_per_sec == rate)
-            .expect("swept point")
+    let at = |policy: PolicySpec, rate: f64| {
+        let idx = keys.iter().position(|&k| k == (rate, policy));
+        &rows[idx.expect("swept point")]
     };
     let rate = 6.0;
-    let jsq = at("join-shortest-queue", rate);
-    let affinity = at("prefix-affinity", rate);
+    let jsq = at(PolicySpec::JoinShortestQueue, rate);
+    let affinity = at(PolicySpec::prefix_affinity(), rate);
     println!(
         "\nAt {rate}/s: prefix-affinity hits {:.1}% of prefill demand vs JSQ's {:.1}%\n\
          ({:.2}x the fleet hit rate), and serves {:.2}x the goodput from the same DRAM.",

@@ -3,12 +3,13 @@
 //! the cluster aggregation — driven through the `papi` facade.
 
 use papi::core::{
-    ClusterEngine, ClusterReport, ClusterSpec, DesignKind, ServingEngine, SessionTuning, SloSpec,
-    SystemConfig,
+    ClusterEngine, ClusterReport, ClusterSpec, DesignKind, KvTierSpec, ServingEngine,
+    SessionTuning, SloSpec, SystemConfig,
 };
 use papi::llm::ModelPreset;
 use papi::workload::{
-    DatasetKind, PolicySpec, ReplicaSnapshot, Request, Router, ServingRequest, ServingWorkload,
+    ConversationDataset, DatasetKind, PolicySpec, ReplicaSnapshot, Request, Router, ServingRequest,
+    ServingWorkload,
 };
 
 fn cluster(tp: usize, dp: usize, routing: PolicySpec, max_batch: u64) -> ClusterEngine {
@@ -25,24 +26,68 @@ fn cluster(tp: usize, dp: usize, routing: PolicySpec, max_batch: u64) -> Cluster
     .expect("valid fleet")
 }
 
-/// A 1×TP1 "fleet" is the single-node engine, bit for bit: same
-/// records, same clock, same energy, same placement series
-/// (equality-pinned like `slo_latency_matches_engine_pricing`).
+/// A 1×TP1 "fleet" is the single-node engine, bit for bit: the whole
+/// serialized replica report (records, clock, energy, placement and RLP
+/// series, KV counters) equals the engine's, across designs, the paged
+/// prefix cache and the KV tier (equality-pinned like
+/// `slo_latency_matches_engine_pricing`). Single-node sweeps rely on it.
 #[test]
 fn degenerate_cluster_reproduces_single_engine_exactly() {
-    let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 6.0, 40).with_seed(29);
-    for routing in [PolicySpec::RoundRobin, PolicySpec::JoinShortestQueue] {
-        let fleet = cluster(1, 1, routing, 16).run(&workload);
-        let single =
-            ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()))
-                .with_max_batch(16)
-                .run(&workload);
-        let replica = &fleet.replicas[0];
-        assert_eq!(replica.records, single.records, "{routing}");
-        assert_eq!(replica.makespan, single.makespan, "{routing}");
-        assert_eq!(replica.energy, single.energy, "{routing}");
-        assert_eq!(replica.placements, single.placements, "{routing}");
-        assert_eq!(replica.iterations, single.iterations, "{routing}");
+    let qa = ServingWorkload::poisson(DatasetKind::GeneralQa, 6.0, 40).with_seed(29);
+    let chat = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
+        4.0,
+        48,
+    )
+    .with_seed(7);
+    let thrash = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
+        1.0,
+        120,
+    )
+    .with_seed(23);
+    use DesignKind::{A100AttAcc, Papi, PimOnlyPapi};
+    use ModelPreset::{Gpt3_175B, Llama65B};
+    let batch = SessionTuning::default().with_max_batch(16);
+    let paged = batch
+        .clone()
+        .with_kv_block_size(16)
+        .with_prefix_sharing(true);
+    let tight = paged.clone().with_kv_headroom(0.05);
+    let tiered = paged.with_kv_tier(KvTierSpec::new(60_000));
+    let shapes = [
+        (Papi, Llama65B, &batch, &qa),
+        (A100AttAcc, Llama65B, &batch, &qa),
+        (PimOnlyPapi, Llama65B, &batch, &qa),
+        (PimOnlyPapi, Llama65B, &tight, &chat),
+        (PimOnlyPapi, Gpt3_175B, &tiered, &thrash),
+    ];
+    for (design, model, tuning, workload) in shapes {
+        let single = ServingEngine::new(SystemConfig::build(design, model.config()))
+            .with_tuning(tuning.clone())
+            .run(workload);
+        let single_json = serde_json::to_string(&single).expect("report serializes");
+        for routing in [PolicySpec::RoundRobin, PolicySpec::JoinShortestQueue] {
+            let fleet = ClusterEngine::new(
+                ClusterSpec::new(design, model.config(), 1, 1)
+                    .with_routing(routing)
+                    .with_tuning(tuning.clone()),
+            )
+            .expect("valid fleet")
+            .run(workload);
+            let replica = &fleet.replicas[0];
+            let label = format!("{design:?} {model:?} {routing}");
+            assert_eq!(replica.records, single.records, "{label}");
+            assert_eq!(replica.makespan, single.makespan, "{label}");
+            assert_eq!(replica.energy, single.energy, "{label}");
+            assert_eq!(replica.placements, single.placements, "{label}");
+            assert_eq!(replica.iterations, single.iterations, "{label}");
+            assert_eq!(
+                serde_json::to_string(replica).expect("report serializes"),
+                single_json,
+                "{label}"
+            );
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! fleet scale, and the adaptive affinity/balance hybrid's saturation
 //! behavior — driven through the `papi` facade.
 
-use papi::core::experiments::RoutingSweep;
+use papi::core::experiments::{sweep, SweepRow};
 use papi::core::{ClusterEngine, ClusterSpec, DesignKind, SessionTuning, SloSpec};
 use papi::llm::ModelPreset;
 use papi::workload::{
@@ -86,39 +86,40 @@ proptest! {
 /// pure affinity where it fails while matching it where it wins.
 #[test]
 fn adaptive_affinity_beats_pure_affinity_past_saturation() {
-    // The PR 4 `RoutingSweep` setup: 4 PIM-only replicas, multi-turn
+    // The prefix-routing setup: 4 PIM-only replicas, multi-turn
     // chat with prefix sharing, moderate (6/s) and saturating (12/s)
     // offered loads.
-    let rows = RoutingSweep {
-        model: ModelPreset::Llama65B,
-        design: DesignKind::PimOnlyPapi,
-        conversations: ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
-        rates: vec![6.0, 12.0],
-        num_requests: 64,
-        tp_degree: 1,
-        dp_replicas: 4,
-        policies: vec![
+    let slo = SloSpec::interactive(4_000.0, 80.0);
+    let model = ModelPreset::Llama65B.config();
+    let tuning = SessionTuning::default()
+        .with_max_batch(16)
+        .with_kv_block_size(16)
+        .with_prefix_sharing(true);
+    let chat = ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4);
+    let (mut keys, mut points) = (Vec::new(), Vec::new());
+    for rate in [6.0, 12.0] {
+        for policy in [
             PolicySpec::prefix_affinity(),
             PolicySpec::adaptive_affinity(),
-        ],
-        tuning: SessionTuning::default()
-            .with_max_batch(16)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true),
-        slo: SloSpec::interactive(4_000.0, 80.0),
-        seed: 7,
+        ] {
+            let fleet = ClusterSpec::new(DesignKind::PimOnlyPapi, model.clone(), 1, 4)
+                .with_routing(policy)
+                .with_tuning(tuning.clone());
+            keys.push((rate, policy));
+            points.push((fleet, ServingWorkload::poisson(chat, rate, 64).with_seed(7)));
+        }
     }
-    .run();
+    let reports = sweep(&points);
+    let rows: Vec<_> = reports.iter().map(|r| SweepRow::new(r, &slo)).collect();
     assert_eq!(rows.len(), 4);
-    let at = |routing: &str, rate: f64| {
-        rows.iter()
-            .find(|r| r.routing == routing && r.rate_per_sec == rate)
-            .expect("swept point")
+    let at = |policy: PolicySpec, rate: f64| {
+        let idx = keys.iter().position(|&k| k == (rate, policy));
+        &rows[idx.expect("swept point")]
     };
     // Past saturation the hybrid out-serves pure affinity: balancing
     // drains the hot queues stickiness builds.
-    let pure_hot = at("prefix-affinity", 12.0);
-    let hybrid_hot = at("adaptive-affinity", 12.0);
+    let pure_hot = at(PolicySpec::prefix_affinity(), 12.0);
+    let hybrid_hot = at(PolicySpec::adaptive_affinity(), 12.0);
     assert_eq!(pure_hot.requests, 64);
     assert_eq!(hybrid_hot.requests, 64);
     assert!(
@@ -129,8 +130,8 @@ fn adaptive_affinity_beats_pure_affinity_past_saturation() {
     );
     // At moderate load the hybrid still behaves like affinity — it
     // keeps most of the fleet-wide cache hit rate stickiness buys.
-    let pure_warm = at("prefix-affinity", 6.0);
-    let hybrid_warm = at("adaptive-affinity", 6.0);
+    let pure_warm = at(PolicySpec::prefix_affinity(), 6.0);
+    let hybrid_warm = at(PolicySpec::adaptive_affinity(), 6.0);
     assert!(
         hybrid_warm.cache_hit_rate > 0.5 * pure_warm.cache_hit_rate,
         "below saturation the hybrid should stay mostly sticky: {} vs {}",

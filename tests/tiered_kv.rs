@@ -228,5 +228,6 @@ fn tier_occupancy_reaches_the_replica_snapshot() {
 fn tier_without_prefix_sharing_is_rejected() {
     SessionTuning::new()
         .with_kv_tier(KvTierSpec::new(1_000))
-        .validate();
+        .validate()
+        .unwrap();
 }
