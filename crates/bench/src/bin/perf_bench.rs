@@ -163,7 +163,7 @@ fn main() {
         scenarios.push(time_scenario(&name, || {
             let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, rate, 96).with_seed(42);
             let report = ServingEngine::new(SystemConfig::build(DesignKind::Papi, model.config()))
-                .with_max_batch(32)
+                .with_tuning(SessionTuning::new().with_max_batch(32))
                 .run(&workload);
             ScenarioOutputs {
                 tokens: report.tokens,
@@ -194,10 +194,13 @@ fn main() {
         )
         .with_seed(42);
         let report = ServingEngine::new(SystemConfig::build(DesignKind::Papi, model.config()))
-            .with_max_batch(32)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true)
-            .with_prefill_chunk(512)
+            .with_tuning(
+                SessionTuning::new()
+                    .with_max_batch(32)
+                    .with_kv_block_size(16)
+                    .with_prefix_sharing(true)
+                    .with_prefill_chunk(512),
+            )
             .run(&workload);
         ScenarioOutputs {
             tokens: report.tokens,
@@ -231,10 +234,13 @@ fn main() {
             DesignKind::PimOnlyPapi,
             ModelPreset::Gpt3_175B.config(),
         ))
-        .with_max_batch(16)
-        .with_kv_block_size(16)
-        .with_prefix_sharing(true)
-        .with_kv_tier(KvTierSpec::new(60_000))
+        .with_tuning(
+            SessionTuning::new()
+                .with_max_batch(16)
+                .with_kv_block_size(16)
+                .with_prefix_sharing(true)
+                .with_kv_tier(KvTierSpec::new(60_000)),
+        )
         .run(&workload);
         // The saturation-scale SLO that separates fetch from recompute
         // on this workload (see `tests/tiered_kv.rs`).

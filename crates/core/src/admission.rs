@@ -1,51 +1,28 @@
-//! Pluggable admission control: who joins the running batch, and who
-//! gets preempted under KV pressure.
+//! Admission control: who joins the running batch.
 //!
-//! The serving engine owns the *mechanism* — block allocation, prefix
-//! forking, eviction of cold cached prefixes, the recompute-preemption
-//! bookkeeping — while an [`AdmissionPolicy`] makes the two *decisions*
-//! the mechanism needs:
+//! The serving session owns the *mechanism* — block allocation, prefix
+//! forking, eviction of cold cached prefixes, and recompute-style
+//! preemption (newest first, never below a batch of one) — while an
+//! [`AdmissionSpec`] makes the one *decision* that differs between
+//! rules: [`admit`](AdmissionSpec::admit), may the queue-front request
+//! join the running batch right now? The session consults it only
+//! while the batch is non-empty: an empty batch always admits, so no
+//! rule can deadlock an episode.
 //!
-//! 1. [`admit`](AdmissionPolicy::admit): may the queue-front request
-//!    join the running batch right now? (Consulted only while the batch
-//!    is non-empty: an empty batch always admits, so a policy can never
-//!    deadlock the engine.)
-//! 2. [`preempt_victim`](AdmissionPolicy::preempt_victim): when this
-//!    iteration's worst-case KV growth would overflow the physical pool
-//!    even after prefix eviction, which live request goes back to the
-//!    queue — or `None` to stop preempting.
-//!
-//! [`BlockGranular`] is the default (and reproduces the pre-trait
-//! engine bit for bit): it plans whole prompts against the
-//! block-granular committed budget, treating cached prefixes as
-//! reclaimable headroom. [`Fcfs`] is the classic token-counting
-//! baseline: it ignores paging — no block rounding, no eviction
-//! discount — so at block size 1 without sharing the two coincide, and
-//! under a paged pool `Fcfs` over-admits exactly where fragmentation
-//! bites. Declarative surfaces name built-ins through [`AdmissionSpec`]
-//! (a [`SessionTuning`](crate::serving::SessionTuning) field); custom
-//! implementations plug in via
-//! [`ServingEngine::with_admission_policy`](crate::serving::ServingEngine::with_admission_policy).
+//! [`AdmissionSpec::BlockGranular`] is the default: it plans whole
+//! prompts against the block-granular committed budget, treating cached
+//! prefixes as reclaimable headroom. [`AdmissionSpec::Fcfs`] is the
+//! classic token-counting baseline: it ignores paging — no block
+//! rounding, no eviction discount — so at block size 1 without sharing
+//! the two coincide, and under a paged pool `Fcfs` over-admits exactly
+//! where fragmentation bites. The rule is a
+//! [`SessionTuning`](crate::serving::SessionTuning) field.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// The queue-front request an admission decision is about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionCandidate {
-    /// Request identifier.
-    pub id: u64,
-    /// KV tokens admission must reserve now (the prompt, plus any
-    /// regenerated context after a preemption).
-    pub prefill_tokens: u64,
-    /// KV tokens the request will hold once complete (prefill plus the
-    /// output still to generate).
-    pub total_tokens: u64,
-}
 
 /// The session state an admission decision may inspect.
 #[derive(Debug, Clone, Copy)]
-pub struct AdmissionView<'a> {
+pub struct AdmissionView {
     /// Blocks committed to live sequences (pool occupancy minus what
     /// prefix-cache eviction could reclaim on demand).
     pub committed_blocks: u64,
@@ -56,14 +33,9 @@ pub struct AdmissionView<'a> {
     pub block_size: u64,
     /// Logical KV tokens resident across live requests.
     pub kv_tokens: u64,
-    /// Requests still waiting in the arrival queue.
-    pub queued: usize,
-    /// KV footprint (tokens) of each live request, admission order —
-    /// oldest first. `preempt_victim` indexes this slice.
-    pub live_kv: &'a [u64],
 }
 
-impl AdmissionView<'_> {
+impl AdmissionView {
     /// Blocks a request needing `tokens` KV tokens would allocate.
     pub fn blocks_for(&self, tokens: u64) -> u64 {
         tokens.div_ceil(self.block_size.max(1))
@@ -75,97 +47,44 @@ impl AdmissionView<'_> {
     }
 }
 
-/// Who joins the batch, and who yields under KV pressure.
-///
-/// Implementations are consulted once per candidate per scheduling
-/// round, and must be deterministic for reproducible episodes. They are
-/// shared across cloned engines (and rayon sweep points), hence
-/// `&self` and the `Send + Sync` bounds.
-pub trait AdmissionPolicy: core::fmt::Debug + Send + Sync {
-    /// Display label for reports.
-    fn label(&self) -> String;
-
-    /// Whether `candidate` may join the running batch given `view`.
-    /// Only consulted while the batch is non-empty — the engine always
-    /// admits into an empty batch so episodes cannot deadlock.
-    fn admit(&self, candidate: &AdmissionCandidate, view: &AdmissionView<'_>) -> bool;
-
-    /// Index into [`AdmissionView::live_kv`] of the request to preempt
-    /// when KV growth would overflow the pool; `None` keeps the batch
-    /// as is (the engine then proceeds and lets physical allocation
-    /// assert). Consulted repeatedly until growth fits or it returns
-    /// `None`.
-    fn preempt_victim(&self, view: &AdmissionView<'_>) -> Option<usize>;
-}
-
-/// The default policy (the pre-trait engine's inlined behavior): plan
-/// whole prompts against the block-granular committed budget — cached
-/// prefixes count as reclaimable headroom — and preempt newest-first,
-/// never below a batch of one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockGranular;
-
-impl AdmissionPolicy for BlockGranular {
-    fn label(&self) -> String {
-        "block-granular".to_owned()
-    }
-
-    fn admit(&self, candidate: &AdmissionCandidate, view: &AdmissionView<'_>) -> bool {
-        view.committed_blocks + view.blocks_for(candidate.prefill_tokens) <= view.budget_blocks
-    }
-
-    fn preempt_victim(&self, view: &AdmissionView<'_>) -> Option<usize> {
-        (view.live_kv.len() > 1).then(|| view.live_kv.len() - 1)
-    }
-}
-
-/// First-come-first-served token counting: the classic scalar baseline.
-/// Plans in exact tokens — no block rounding, and no credit for
-/// evictable cached prefixes — so under a paged pool it admits
-/// optimistically where fragmentation bites and conservatively where
-/// the prefix cache could have been reclaimed. Preempts newest-first,
-/// like [`BlockGranular`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Fcfs;
-
-impl AdmissionPolicy for Fcfs {
-    fn label(&self) -> String {
-        "fcfs".to_owned()
-    }
-
-    fn admit(&self, candidate: &AdmissionCandidate, view: &AdmissionView<'_>) -> bool {
-        view.kv_tokens + candidate.prefill_tokens <= view.budget_tokens()
-    }
-
-    fn preempt_victim(&self, view: &AdmissionView<'_>) -> Option<usize> {
-        (view.live_kv.len() > 1).then(|| view.live_kv.len() - 1)
-    }
-}
-
-/// Declarative name of a built-in admission policy — what
+/// Which built-in admission rule arbitrates batch entry — what
 /// [`SessionTuning`](crate::serving::SessionTuning) carries, so cluster
 /// specs and sweeps stay serializable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AdmissionSpec {
-    /// See [`BlockGranular`] (the default).
+    /// Plan whole prompts against the block-granular committed budget;
+    /// cached prefixes count as reclaimable headroom (the default).
     #[default]
     BlockGranular,
-    /// See [`Fcfs`].
+    /// First-come-first-served token counting: plan in exact tokens —
+    /// no block rounding, and no credit for evictable cached prefixes
+    /// — so under a paged pool it admits optimistically where
+    /// fragmentation bites and conservatively where the prefix cache
+    /// could have been reclaimed.
     Fcfs,
 }
 
 impl AdmissionSpec {
-    /// Instantiates the policy this spec names.
-    pub fn build(&self) -> Arc<dyn AdmissionPolicy> {
+    /// Whether a queue-front request reserving `prefill_tokens` KV
+    /// tokens (its prompt, plus any regenerated context after a
+    /// preemption) may join the running batch given `view`. The session
+    /// asks only while the batch is non-empty.
+    pub fn admit(&self, prefill_tokens: u64, view: &AdmissionView) -> bool {
         match self {
-            AdmissionSpec::BlockGranular => Arc::new(BlockGranular),
-            AdmissionSpec::Fcfs => Arc::new(Fcfs),
+            AdmissionSpec::BlockGranular => {
+                view.committed_blocks + view.blocks_for(prefill_tokens) <= view.budget_blocks
+            }
+            AdmissionSpec::Fcfs => view.kv_tokens + prefill_tokens <= view.budget_tokens(),
         }
     }
 
     /// Display label for reports and sweeps.
     pub fn label(&self) -> String {
-        self.build().label()
+        match self {
+            AdmissionSpec::BlockGranular => "block-granular",
+            AdmissionSpec::Fcfs => "fcfs",
+        }
+        .to_owned()
     }
 }
 
@@ -179,47 +98,26 @@ impl core::fmt::Display for AdmissionSpec {
 mod tests {
     use super::*;
 
-    fn view(live_kv: &[u64], committed: u64, budget: u64, block: u64) -> AdmissionView<'_> {
-        AdmissionView {
-            committed_blocks: committed,
-            budget_blocks: budget,
-            block_size: block,
-            kv_tokens: live_kv.iter().sum(),
-            queued: 3,
-            live_kv,
-        }
-    }
-
     #[test]
     fn block_granular_plans_in_blocks() {
-        let candidate = AdmissionCandidate {
-            id: 1,
-            prefill_tokens: 33,
-            total_tokens: 80,
-        };
         // 33 tokens = 3 blocks of 16; 60 committed + 3 > 62 budget.
-        let v = view(&[100, 100], 60, 62, 16);
-        assert!(!BlockGranular.admit(&candidate, &v));
+        let v = AdmissionView {
+            committed_blocks: 60,
+            budget_blocks: 62,
+            block_size: 16,
+            kv_tokens: 200,
+        };
+        assert!(!AdmissionSpec::BlockGranular.admit(33, &v));
         // A token-counting baseline would have said yes (992-token
         // budget, 200 + 33 tokens resident) — fragmentation is
         // invisible to it.
-        assert!(Fcfs.admit(&candidate, &v));
+        assert!(AdmissionSpec::Fcfs.admit(33, &v));
         // With two free blocks and a 32-token prompt, both admit.
-        let fits = AdmissionCandidate {
-            id: 2,
-            prefill_tokens: 32,
-            total_tokens: 64,
-        };
-        assert!(BlockGranular.admit(&fits, &v));
+        assert!(AdmissionSpec::BlockGranular.admit(32, &v));
     }
 
     #[test]
     fn fcfs_ignores_the_eviction_discount() {
-        let candidate = AdmissionCandidate {
-            id: 1,
-            prefill_tokens: 100,
-            total_tokens: 150,
-        };
         // Committed is low (a big evictable prefix cache), but resident
         // tokens already exceed the budget: FCFS refuses, the paged
         // planner admits.
@@ -228,26 +126,9 @@ mod tests {
             budget_blocks: 1_000,
             block_size: 1,
             kv_tokens: 950,
-            queued: 0,
-            live_kv: &[475, 475],
         };
-        assert!(!Fcfs.admit(&candidate, &v));
-        assert!(BlockGranular.admit(&candidate, &v));
-    }
-
-    #[test]
-    fn both_builtins_preempt_newest_and_spare_the_last() {
-        for policy in [
-            AdmissionSpec::BlockGranular.build(),
-            AdmissionSpec::Fcfs.build(),
-        ] {
-            assert_eq!(
-                policy.preempt_victim(&view(&[10, 20, 30], 60, 10, 1)),
-                Some(2)
-            );
-            assert_eq!(policy.preempt_victim(&view(&[10], 10, 5, 1)), None);
-            assert_eq!(policy.preempt_victim(&view(&[], 0, 5, 1)), None);
-        }
+        assert!(!AdmissionSpec::Fcfs.admit(100, &v));
+        assert!(AdmissionSpec::BlockGranular.admit(100, &v));
     }
 
     #[test]

@@ -1608,10 +1608,13 @@ mod tests {
         }
     }
 
-    /// A deserialized tuning that skipped the builder asserts is a
-    /// config error at the fleet boundary, not a panic inside `new`.
+    /// An out-of-range tuning fails `SessionTuning::validate` however
+    /// it was built — builders, struct literal or serde — and both
+    /// boundaries report that one message: `ServingEngine::with_tuning`
+    /// panics with it, `ClusterEngine::new` returns it.
     #[test]
     fn out_of_range_tunings_rejected() {
+        let config = SystemConfig::build(DesignKind::PimOnlyPapi, ModelPreset::Llama65B.config());
         let fleet = ClusterSpec::new(
             DesignKind::PimOnlyPapi,
             ModelPreset::Llama65B.config(),
@@ -1629,26 +1632,69 @@ mod tests {
             prefix_sharing: true,
             ..SessionTuning::default()
         };
-        for tuning in [
-            SessionTuning {
-                max_batch: 0,
-                ..SessionTuning::default()
-            },
-            SessionTuning {
-                kv_headroom: 1.5,
-                ..SessionTuning::default()
-            },
-            SessionTuning {
-                kv_tier: Some(tier(100)),
-                ..SessionTuning::default()
-            },
-            SessionTuning {
-                kv_tier: Some(tier(0)),
-                ..paged
-            },
-        ] {
-            let message = tuning.validate().expect_err("out of range");
-            let err = ClusterEngine::new(fleet.clone().with_tuning(tuning))
+        let built_paged = SessionTuning::new()
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true);
+        let cases = [
+            (
+                SessionTuning {
+                    max_batch: 0,
+                    ..SessionTuning::default()
+                },
+                SessionTuning::new().with_max_batch(0),
+            ),
+            (
+                SessionTuning {
+                    kv_headroom: 1.5,
+                    ..SessionTuning::default()
+                },
+                SessionTuning::new().with_kv_headroom(1.5),
+            ),
+            (
+                SessionTuning {
+                    kv_block_size: 0,
+                    ..SessionTuning::default()
+                },
+                SessionTuning::new().with_kv_block_size(0),
+            ),
+            (
+                SessionTuning {
+                    prefill_chunk: Some(0),
+                    ..SessionTuning::default()
+                },
+                SessionTuning::new().with_prefill_chunk(0),
+            ),
+            (
+                SessionTuning {
+                    kv_tier: Some(tier(100)),
+                    ..SessionTuning::default()
+                },
+                SessionTuning::new().with_kv_tier(KvTierSpec::new(100)),
+            ),
+            (
+                SessionTuning {
+                    kv_tier: Some(tier(0)),
+                    ..paged
+                },
+                built_paged.with_kv_tier(KvTierSpec::new(0)),
+            ),
+        ];
+        for (literal, built) in cases {
+            assert_eq!(built, literal, "the builders and the literal disagree");
+            let json = serde_json::to_string(&literal).expect("tuning serializes");
+            let deserialized: SessionTuning = serde_json::from_str(&json).expect("round trip");
+            assert_eq!(deserialized, literal, "serde disagrees with the literal");
+            let message = built.validate().expect_err("out of range");
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ServingEngine::new(config.clone()).with_tuning(built.clone())
+            }))
+            .expect_err("an out-of-range tuning must not configure an engine");
+            assert_eq!(
+                panic.downcast_ref::<String>(),
+                Some(&message),
+                "with_tuning must panic with the validate message"
+            );
+            let err = ClusterEngine::new(fleet.clone().with_tuning(built))
                 .expect_err("an out-of-range tuning must not build");
             assert_eq!(err.to_string(), format!("invalid topology: {message}"));
         }

@@ -71,9 +71,7 @@ pub mod pricer;
 pub mod serving;
 pub mod slo;
 
-pub use admission::{
-    AdmissionCandidate, AdmissionPolicy, AdmissionSpec, AdmissionView, BlockGranular, Fcfs,
-};
+pub use admission::{AdmissionSpec, AdmissionView};
 pub use autoscale::{
     AutoscalePolicy, AutoscalePolicySpec, AutoscaleSpec, AutoscaleView, FleetCostReport,
     KvPressureTarget, QueueDepthTarget, ScaleAction, ScaleEvent, SloBurnBudget,

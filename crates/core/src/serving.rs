@@ -16,25 +16,29 @@
 //! [`KvBlockPool`], admission and preemption are block-granular, and
 //! three opt-in extensions ride on the paging:
 //!
-//! - **prefix sharing** ([`ServingEngine::with_prefix_sharing`]):
+//! - **prefix sharing** ([`SessionTuning::prefix_sharing`]):
 //!   requests carrying a [`PrefixHint`] fork
 //!   cached full blocks of earlier contexts (shared system prompts,
 //!   conversation history) instead of re-prefilling them — saving both
 //!   prefill work and physical capacity;
-//! - **chunked prefill** ([`ServingEngine::with_prefill_chunk`]):
+//! - **chunked prefill** ([`SessionTuning::prefill_chunk`]):
 //!   prompts are prefilled in bounded-token chunks interleaved with
 //!   decode iterations (shortest-remaining-first), so one giant prompt
 //!   can no longer stall the whole batch for a monolithic wave;
-//! - **block sizing** ([`ServingEngine::with_kv_block_size`]): the
+//! - **block sizing** ([`SessionTuning::kv_block_size`]): the
 //!   paging granularity. Block size 1 with sharing and chunking off is
 //!   the scalar configuration — it reproduces the pre-paging engine's
 //!   `ServingReport` bit for bit (pinned by `tests/paged_equality.rs`).
+//!
+//! A session is configured only through [`SessionTuning`]:
+//! [`ServingEngine::new`] takes the scalar default and
+//! [`ServingEngine::with_tuning`] replaces it.
 //!
 //! The output is a [`ServingReport`]: per-request lifecycle records
 //! (queueing delay, TTFT, TPOT, end-to-end) with percentile summaries,
 //! SLO goodput, and the cache counters in [`KvCacheStats`].
 
-use crate::admission::{AdmissionCandidate, AdmissionPolicy, AdmissionSpec, AdmissionView};
+use crate::admission::{AdmissionSpec, AdmissionView};
 use crate::config::SystemConfig;
 use crate::metrics::{PhaseBreakdown, RequestRecord, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
@@ -127,14 +131,9 @@ pub struct KvTierSpec {
 impl KvTierSpec {
     /// A tier of `budget_blocks` blocks with the default policies
     /// (spill everything, fetch everything) over the default
-    /// host-DIMM pricing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget_blocks` is zero.
-    #[track_caller]
+    /// host-DIMM pricing. [`validate`](Self::validate) rejects a zero
+    /// budget.
     pub fn new(budget_blocks: u64) -> Self {
-        assert!(budget_blocks > 0, "tier budget must be positive");
         Self {
             budget_blocks,
             spill: SpillSpec::default(),
@@ -161,7 +160,7 @@ impl KvTierSpec {
         self
     }
 
-    /// Range-checks a spec that arrived through serde.
+    /// Range-checks the spec.
     ///
     /// # Errors
     ///
@@ -181,58 +180,38 @@ impl SessionTuning {
     }
 
     /// Caps the running batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    #[track_caller]
     pub fn with_max_batch(mut self, max_batch: u64) -> Self {
-        assert!(max_batch > 0, "max_batch must be positive");
         self.max_batch = max_batch;
         self
     }
 
     /// Sets the admission-planning fraction of the KV pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `headroom` is outside `(0, 1]`.
-    #[track_caller]
     pub fn with_kv_headroom(mut self, headroom: f64) -> Self {
-        assert!(
-            headroom > 0.0 && headroom <= 1.0,
-            "kv headroom must be in (0, 1], got {headroom}"
-        );
         self.kv_headroom = headroom;
         self
     }
 
-    /// Sets the KV paging granularity in tokens per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    #[track_caller]
+    /// Sets the KV paging granularity in tokens per block (1 is exact
+    /// scalar token accounting).
     pub fn with_kv_block_size(mut self, block_size: u64) -> Self {
-        assert!(block_size > 0, "kv block size must be positive");
         self.kv_block_size = block_size;
         self
     }
 
-    /// Enables copy-on-write prefix sharing.
+    /// Enables copy-on-write prefix sharing: requests whose
+    /// [`PrefixHint`]s name a cached context fork its full blocks
+    /// instead of re-prefilling them, and completed contexts are
+    /// published back into the cache.
     pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
         self.prefix_sharing = enabled;
         self
     }
 
-    /// Enables chunked prefill with a per-step token budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_tokens` is zero.
-    #[track_caller]
+    /// Enables chunked prefill: each step prefills at most
+    /// `chunk_tokens` prompt tokens (shortest-remaining-first across
+    /// the admitted-but-unprefilled requests), interleaved with decode
+    /// iterations.
     pub fn with_prefill_chunk(mut self, chunk_tokens: u64) -> Self {
-        assert!(chunk_tokens > 0, "prefill chunk must be positive");
         self.prefill_chunk = Some(chunk_tokens);
         self
     }
@@ -243,8 +222,11 @@ impl SessionTuning {
         self
     }
 
-    /// Configures the KV capacity tier (spill-to-host offload instead
-    /// of eviction). The tier rides the prefix cache, so
+    /// Configures the KV capacity tier: under pool pressure cold
+    /// prefixes spill into a host-DRAM/DIMM-PIM pool instead of being
+    /// evicted, and are fetched back — at a [`TierPricing`]-priced
+    /// transfer whose latency lands in TTFT — when a later request
+    /// re-lands on them. The tier rides the prefix cache, so
     /// `prefix_sharing` must also be on by the time the tuning is
     /// validated.
     pub fn with_kv_tier(mut self, tier: KvTierSpec) -> Self {
@@ -252,13 +234,12 @@ impl SessionTuning {
         self
     }
 
-    /// Re-checks every range invariant the builders enforce — the
-    /// guard for tunings that arrived through serde (which bypasses
-    /// the builder asserts) rather than the `with_*` methods.
+    /// Checks every range invariant — the one guard, whether the tuning
+    /// came from the `with_*` builders, a struct literal or serde.
     /// [`ServingEngine::with_tuning`] panics with this message and
     /// [`ClusterEngine::new`](crate::cluster::ClusterEngine::new)
-    /// returns it as a `TopologyError`, so an out-of-range deserialized
-    /// config fails immediately instead of wedging an episode later.
+    /// returns it as a `TopologyError`, so an out-of-range config fails
+    /// immediately instead of wedging an episode later.
     ///
     /// # Errors
     ///
@@ -299,20 +280,17 @@ impl SessionTuning {
 pub struct ServingEngine {
     config: SystemConfig,
     tuning: SessionTuning,
-    admission: Arc<dyn AdmissionPolicy>,
     max_iterations: u64,
 }
 
 impl ServingEngine {
-    /// Wraps a system configuration with default serving parameters
+    /// Wraps a system configuration with the default [`SessionTuning`]
     /// (scalar KV accounting: block size 1, no prefix sharing,
     /// monolithic prefill, block-granular admission).
     pub fn new(config: SystemConfig) -> Self {
-        let tuning = SessionTuning::default();
         Self {
             config,
-            admission: tuning.admission.build(),
-            tuning,
+            tuning: SessionTuning::default(),
             max_iterations: 10_000_000,
         }
     }
@@ -327,120 +305,20 @@ impl ServingEngine {
         &self.tuning
     }
 
-    /// Replaces the whole knob set (and rebuilds the admission policy
-    /// from `tuning.admission`, discarding any custom policy installed
-    /// via [`with_admission_policy`](Self::with_admission_policy)).
-    /// The `with_*` setters below are sugar over this.
+    /// Replaces the whole knob set — the one way to configure the
+    /// sessions this engine opens.
     ///
     /// # Panics
     ///
     /// Panics with the [`SessionTuning::validate`] message if the
-    /// tuning is out of range (e.g. it was deserialized that way).
+    /// tuning is out of range.
     #[track_caller]
     pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
         if let Err(msg) = tuning.validate() {
             panic!("{msg}");
         }
-        self.admission = tuning.admission.build();
         self.tuning = tuning;
         self
-    }
-
-    /// Caps the running batch (RLP never exceeds this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    #[track_caller]
-    pub fn with_max_batch(mut self, max_batch: u64) -> Self {
-        self.tuning = self.tuning.with_max_batch(max_batch);
-        self
-    }
-
-    /// Sets the admission-planning fraction of the KV pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `headroom` is outside `(0, 1]`.
-    #[track_caller]
-    pub fn with_kv_headroom(mut self, headroom: f64) -> Self {
-        self.tuning = self.tuning.with_kv_headroom(headroom);
-        self
-    }
-
-    /// Sets the KV paging granularity in tokens per block. Larger
-    /// blocks cut bookkeeping and enable useful sharing units; block
-    /// size 1 is exact scalar token accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    #[track_caller]
-    pub fn with_kv_block_size(mut self, block_size: u64) -> Self {
-        self.tuning = self.tuning.with_kv_block_size(block_size);
-        self
-    }
-
-    /// Enables copy-on-write prefix sharing: requests whose
-    /// [`PrefixHint`]s name a cached context fork
-    /// its full blocks instead of re-prefilling them, and completed
-    /// contexts are published back into the cache.
-    pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
-        self.tuning = self.tuning.with_prefix_sharing(enabled);
-        self
-    }
-
-    /// Enables chunked prefill: each step prefills at most
-    /// `chunk_tokens` prompt tokens (shortest-remaining-first across
-    /// the admitted-but-unprefilled requests), interleaved with decode
-    /// iterations, instead of pricing every admission wave as one
-    /// monolithic prefill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_tokens` is zero.
-    #[track_caller]
-    pub fn with_prefill_chunk(mut self, chunk_tokens: u64) -> Self {
-        self.tuning = self.tuning.with_prefill_chunk(chunk_tokens);
-        self
-    }
-
-    /// Selects a built-in admission policy.
-    pub fn with_admission(mut self, admission: AdmissionSpec) -> Self {
-        self.tuning.admission = admission;
-        self.admission = admission.build();
-        self
-    }
-
-    /// Configures the KV capacity tier: under pool pressure cold
-    /// prefixes *spill* into a host-DRAM/DIMM-PIM pool instead of
-    /// being evicted, and are fetched back — at a
-    /// [`TierPricing`]-priced transfer whose latency lands in TTFT —
-    /// when a later request re-lands on them. Requires
-    /// [`with_prefix_sharing`](Self::with_prefix_sharing) (validated
-    /// at session open).
-    pub fn with_kv_tier(mut self, tier: KvTierSpec) -> Self {
-        self.tuning.kv_tier = Some(tier);
-        self
-    }
-
-    /// Installs a custom [`AdmissionPolicy`] — the open seam the
-    /// built-in [`AdmissionSpec`]s are also driven through.
-    ///
-    /// A custom policy has no [`AdmissionSpec`] name, so
-    /// `tuning().admission` keeps reporting the last declarative spec;
-    /// [`admission`](Self::admission) is the source of truth for what
-    /// actually arbitrates. A later [`with_tuning`](Self::with_tuning)
-    /// or [`with_admission`](Self::with_admission) replaces the custom
-    /// policy with the spec it names.
-    pub fn with_admission_policy(mut self, policy: impl AdmissionPolicy + 'static) -> Self {
-        self.admission = Arc::new(policy);
-        self
-    }
-
-    /// The admission policy arbitrating batch entry and preemption.
-    pub fn admission(&self) -> &dyn AdmissionPolicy {
-        self.admission.as_ref()
     }
 
     /// Safety valve against runaway episodes (default: 10 M iterations).
@@ -475,9 +353,6 @@ impl ServingEngine {
     /// Panics if the model does not fit the design's weight pool, or if
     /// the attention pool cannot hold even one KV block.
     pub fn open_session(&self, workload: &ServingWorkload) -> ServingSession<'_> {
-        if let Err(msg) = self.tuning.validate() {
-            panic!("{msg}");
-        }
         if let Err(msg) = self.config.validate_capacity(0.0) {
             panic!("{msg}");
         }
@@ -623,8 +498,6 @@ struct GlobalTierState {
     view: Option<Arc<GlobalKvTier>>,
     fetch: Box<dyn FetchPolicy>,
     pricing: TierPricing,
-    /// Bytes one KV block carries across the fabric.
-    block_bytes: Bytes,
     /// Accepted local spills awaiting registration: `(key, tokens)`.
     publish_egress: Vec<(u64, u64)>,
     /// Remote fetches performed since the last drain.
@@ -640,7 +513,8 @@ struct TierState {
     spill: Box<dyn SpillPolicy>,
     fetch: Box<dyn FetchPolicy>,
     pricing: TierPricing,
-    /// Bytes one KV block carries across the tier boundary:
+    /// Bytes one KV block carries across the tier boundary — or the
+    /// fleet fabric, since the shared tier always rides this one:
     /// `kv_bytes_per_token × block_size`.
     block_bytes: Bytes,
 }
@@ -962,8 +836,6 @@ impl ServingSession<'_> {
             view: Some(view),
             fetch: fetch.build(),
             pricing,
-            block_bytes: self.engine.config.model.kv_bytes_per_token()
-                * self.pool.block_size() as f64,
             publish_egress: Vec::new(),
             fetch_egress: Vec::new(),
         });
@@ -1071,61 +943,82 @@ impl ServingSession<'_> {
         true
     }
 
-    /// On a prefix-cache fork miss, tries to restore the key's spilled
-    /// context from the capacity tier: re-materializes the usable
-    /// (block-aligned) overlap in the hot pool, republishes it into
-    /// the prefix cache so successor turns fork it for free, and
-    /// prices the transfer *on the serving critical path* — its
-    /// latency lands in the admitted request's TTFT (via the session
-    /// clock and prefill time), its energy in the report. Returns
-    /// `None` when there is no tier, no entry, no usable overlap, the
-    /// fetch policy declines, or the hot pool cannot make room — the
-    /// caller then re-prefills, exactly as without a tier.
-    fn try_tier_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
+    /// The block-aligned overlap of `stored` fetchable tokens with
+    /// `hint`'s reusable prefix — when the source's fetch policy (the
+    /// fleet-shared tier's if `fleet`, else the private tier's) judges
+    /// it worth the transfer and the hot pool can make room for it.
+    /// `None` sends the caller back to re-prefilling.
+    fn plan_fetch(&mut self, hint: PrefixHint, stored: u64, fleet: bool) -> Option<u64> {
         let block_size = self.pool.block_size();
-        let state = self.tier.as_mut()?;
-        let tier_tokens = state.tier.peek(hint.key)?;
-        let usable = tier_tokens.min(hint.reuse_tokens / block_size * block_size);
+        let usable = stored.min(hint.reuse_tokens / block_size * block_size);
         if usable == 0 {
             return None;
         }
         let candidate = FetchCandidate {
             key: hint.key,
-            tier_tokens,
+            tier_tokens: stored,
             reuse_tokens: hint.reuse_tokens,
             usable_tokens: usable,
         };
-        if !state.fetch.should_fetch(&candidate) {
+        let policy = if fleet {
+            &mut self.global.as_mut()?.fetch
+        } else {
+            &mut self.tier.as_mut()?.fetch
+        };
+        if !policy.should_fetch(&candidate) {
             return None;
         }
         // If the hot pool stays too tight, skip the fetch and re-prefill.
-        if !self.make_room(self.pool.blocks_for(usable)) {
-            return None;
-        }
-        // The relief above may itself have spilled into the tier and
-        // LRU-dropped the very entry being fetched — re-check.
-        let state = self.tier.as_mut().expect("tier presence checked above");
-        let fetched = state.tier.fetch(hint.key)?;
-        let usable = usable.min(fetched);
+        self.make_room(self.pool.blocks_for(usable))
+            .then_some(usable)
+    }
+
+    /// Re-materializes `tokens` fetched tokens under `key` in the hot
+    /// pool, republishes them into the prefix cache so successor turns
+    /// fork them for free (the transfer happens once, not per turn),
+    /// and prices the transfer over the source's link *on the serving
+    /// critical path*: its latency lands in the admitted request's TTFT
+    /// (via the session clock and prefill time), its energy in the
+    /// report.
+    fn land_fetch(&mut self, key: u64, tokens: u64, fleet: bool) -> (KvSeq, TierCost) {
         let mut seq = self.pool.new_seq();
         assert!(
-            self.pool.append(&mut seq, usable),
-            "tier fetch allocation failed despite the room check"
+            self.pool.append(&mut seq, tokens),
+            "prefix fetch allocation failed despite the room check"
         );
         if let Some(tree) = self.prefix_tree.as_mut() {
-            if tree.publish(hint.key, &seq, usable, &mut self.pool) {
+            if tree.publish(key, &seq, tokens, &mut self.pool) {
                 self.kv_stats.prefix_insertions += 1;
             }
         }
-        let state = self.tier.as_ref().expect("tier presence checked above");
-        let cost = state
-            .pricing
-            .cost(self.pool.blocks_for(usable), state.block_bytes);
+        let tier = self
+            .tier
+            .as_ref()
+            .expect("every fetch rides the private tier");
+        let pricing = match &self.global {
+            Some(global) if fleet => &global.pricing,
+            _ => &tier.pricing,
+        };
+        let cost = pricing.cost(self.pool.blocks_for(tokens), tier.block_bytes);
         self.clock += cost.time.value();
         self.prefill_time += cost.time;
         self.energy += cost.energy;
+        (seq, cost)
+    }
+
+    /// On a prefix-cache fork miss, tries to restore the key's spilled
+    /// context from the capacity tier. Returns `None` when there is no
+    /// tier or no entry, or [`plan_fetch`](Self::plan_fetch) declines.
+    fn try_tier_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
+        let stored = self.tier.as_ref()?.tier.peek(hint.key)?;
+        let usable = self.plan_fetch(hint, stored, false)?;
+        // Making room may itself have spilled into the tier and
+        // LRU-dropped the very entry being fetched — re-check.
+        let fetched = self.tier.as_mut()?.tier.fetch(hint.key)?;
+        let tokens = usable.min(fetched);
+        let (seq, cost) = self.land_fetch(hint.key, tokens, false);
         self.kv_stats.tier_fetches += 1;
-        self.kv_stats.tier_fetched_tokens += usable;
+        self.kv_stats.tier_fetched_tokens += tokens;
         self.kv_stats.tier_fetch_time_s += cost.time.value();
         self.kv_stats.tier_fetch_energy_j += cost.energy.value();
         Some(seq)
@@ -1133,91 +1026,48 @@ impl ServingSession<'_> {
 
     /// On a miss in both the prefix cache and the private capacity
     /// tier, consults the fleet-wide directory: if *another* replica
-    /// owns a spilled record under the key, re-materializes the usable
-    /// (block-aligned) overlap locally at inter-node fabric cost — a
-    /// copy-out, so the directory entry survives untouched. The wire
-    /// latency lands in the admitted request's TTFT and the energy in
-    /// this session's report; a [`RemoteFetchEvent`] queues for the
-    /// cluster engine's fleet-level attribution. Returns `None` when no
-    /// shared tier is enabled, the key is unregistered, this replica
-    /// owns the record (the local tier already ruled — it may have
-    /// LRU-dropped it, and no one else holds a copy), there is no
-    /// usable overlap, the fetch policy declines, or the hot pool
-    /// cannot make room.
+    /// owns a spilled record under the key, copies the usable overlap
+    /// out at inter-node fabric cost (the directory entry survives
+    /// untouched) and queues a [`RemoteFetchEvent`] for the cluster
+    /// engine's fleet-level attribution. Returns `None` when no shared
+    /// tier is enabled, the key is unregistered, this replica owns the
+    /// record (the local tier already ruled — it may have LRU-dropped
+    /// it, and no one else holds a copy), or
+    /// [`plan_fetch`](Self::plan_fetch) declines.
     fn try_global_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
-        let block_size = self.pool.block_size();
-        let state = self.global.as_mut()?;
+        let state = self.global.as_ref()?;
         let entry = state.view.as_deref()?.lookup(hint.key)?;
         if entry.owner == state.replica {
             return None;
         }
-        let usable = entry
-            .tokens
-            .min(hint.reuse_tokens / block_size * block_size);
-        if usable == 0 {
-            return None;
-        }
-        let candidate = FetchCandidate {
-            key: hint.key,
-            tier_tokens: entry.tokens,
-            reuse_tokens: hint.reuse_tokens,
-            usable_tokens: usable,
-        };
-        if !state.fetch.should_fetch(&candidate) {
-            return None;
-        }
-        // Exactly as a local tier fetch: too tight, re-prefill instead.
-        if !self.make_room(self.pool.blocks_for(usable)) {
-            return None;
-        }
-        let mut seq = self.pool.new_seq();
-        assert!(
-            self.pool.append(&mut seq, usable),
-            "global fetch allocation failed despite the room check"
-        );
-        // Republish locally so successor turns fork it for free — the
-        // remote copy crossed the fabric once, not per turn.
-        if let Some(tree) = self.prefix_tree.as_mut() {
-            if tree.publish(hint.key, &seq, usable, &mut self.pool) {
-                self.kv_stats.prefix_insertions += 1;
-            }
-        }
-        let state = self.global.as_mut().expect("shared tier checked above");
-        let cost = state
-            .pricing
-            .cost(usable.div_ceil(block_size), state.block_bytes);
-        state.fetch_egress.push(RemoteFetchEvent {
-            key: hint.key,
-            owner: entry.owner,
-            tokens: usable,
-            cost,
-        });
-        self.clock += cost.time.value();
-        self.prefill_time += cost.time;
-        self.energy += cost.energy;
+        let tokens = self.plan_fetch(hint, entry.tokens, true)?;
+        let (seq, cost) = self.land_fetch(hint.key, tokens, true);
+        self.global
+            .as_mut()
+            .expect("shared tier checked above")
+            .fetch_egress
+            .push(RemoteFetchEvent {
+                key: hint.key,
+                owner: entry.owner,
+                tokens,
+                cost,
+            });
         self.kv_stats.remote_fetches += 1;
-        self.kv_stats.remote_fetched_tokens += usable;
+        self.kv_stats.remote_fetched_tokens += tokens;
         self.kv_stats.remote_fetch_time_s += cost.time.value();
         self.kv_stats.remote_fetch_energy_j += cost.energy.value();
         Some(seq)
     }
 
-    /// Blocks committed to live work: in use minus what prefix-cache
-    /// eviction could reclaim on demand.
-    fn committed_blocks(&self) -> u64 {
-        self.pool.blocks_in_use() - self.evictable_blocks()
-    }
-
-    /// The state the admission policy sees, plus the live requests' KV
-    /// footprints it indexes when naming a preemption victim.
-    fn admission_view<'v>(&self, live_kv: &'v [u64]) -> AdmissionView<'v> {
+    /// The state admission decides on: blocks committed to live work
+    /// (in use minus what prefix-cache eviction could reclaim on
+    /// demand) against the headroom budget, and resident tokens.
+    fn admission_view(&self) -> AdmissionView {
         AdmissionView {
-            committed_blocks: self.committed_blocks(),
+            committed_blocks: self.pool.blocks_in_use() - self.evictable_blocks(),
             budget_blocks: self.admit_budget_blocks,
             block_size: self.pool.block_size(),
             kv_tokens: self.kv_tokens,
-            queued: self.queue.len(),
-            live_kv,
         }
     }
 
@@ -1238,11 +1088,19 @@ impl ServingSession<'_> {
         }
     }
 
-    fn live_kv(&self) -> Vec<u64> {
-        self.live
-            .iter()
-            .map(|&i| self.requests[i].kv_len())
-            .collect()
+    /// Takes live request `idx`'s sequence as it leaves the batch — by
+    /// export, preemption or completion — and drops its tokens from the
+    /// maintained resident counters. The caller hands the sequence back
+    /// to the pool.
+    fn detach_seq(&mut self, idx: usize) -> KvSeq {
+        let request = &self.requests[idx];
+        self.kv_tokens -= request.kv_len();
+        if request.state == RequestState::Prefilling {
+            self.prefilling_kv_tokens -= request.prefill_len();
+        }
+        self.seqs[idx]
+            .take()
+            .expect("live request holds a sequence")
     }
 
     /// Allocated-but-unwritten token slots across the live sequences,
@@ -1373,30 +1231,39 @@ impl ServingSession<'_> {
         self.round();
     }
 
-    /// The full round: ingest, admission, prefill, export, eviction and
-    /// preemption, then one decode iteration over the decode-ready
-    /// batch.
+    /// The full round, stage by stage: ingest arrivals, admit from the
+    /// queue, run the prefill wave, export completed prefills, relieve
+    /// KV pressure, then decode one iteration over the ready batch.
     fn round(&mut self) {
-        // --- ingest arrivals up to the current clock ---
         self.ingest();
-        // Idle system: jump to the next arrival (for a migrated entry,
-        // its delivery instant — the original arrival is in the past).
-        if self.live.is_empty() && self.queue.is_empty() {
-            let upcoming = self.available_s[self.next_arrival];
-            self.clock = self.clock.max(upcoming);
-            self.ingest();
-        }
+        self.admit();
+        let prefilled = self.prefill_wave();
+        let exported = self.export_prefilled();
+        self.relieve_pressure();
+        self.decode_ready(prefilled || exported);
+    }
 
-        // --- continuous-batching admission under KV pressure: the
-        //     engine owns the mechanism (allocation, forking, the
-        //     single-request capacity assert), the admission policy the
-        //     decision. An empty batch always admits, so no policy can
-        //     stall the episode. ---
-        // One footprint list per round, built lazily on the first policy
-        // consult (a round that admits nobody must not allocate) and
-        // extended as candidates join, so the per-candidate policy call
-        // allocates nothing.
-        let mut live_kv: Option<Vec<u64>> = None;
+    /// Queues every request available by the clock. An idle session
+    /// first jumps its clock to the next arrival (for a migrated entry,
+    /// its delivery instant — the original arrival is in the past).
+    fn ingest(&mut self) {
+        if self.live.is_empty() && self.queue.is_empty() {
+            self.clock = self.clock.max(self.available_s[self.next_arrival]);
+        }
+        while self.next_arrival < self.requests.len()
+            && self.available_s[self.next_arrival] <= self.clock
+        {
+            self.queue.push_back(self.next_arrival);
+            self.next_arrival += 1;
+        }
+    }
+
+    /// Continuous-batching admission under KV pressure: while the batch
+    /// has room, the queue front joins if the tuning's
+    /// [`AdmissionSpec`] agrees. The session owns the mechanism
+    /// (allocation, forking, the single-request capacity assert); an
+    /// empty batch always admits, so no rule can stall the episode.
+    fn admit(&mut self) {
         while (self.live.len() as u64) < self.engine.tuning.max_batch {
             let Some(&candidate) = self.queue.front() else {
                 break;
@@ -1410,128 +1277,115 @@ impl ServingSession<'_> {
                 self.requests[candidate].request.id,
                 total_need,
             );
-            // The policy plans against the full prompt (the built-ins
-            // ignore the cache discount) so the allocation below can
-            // never fail even if the cached prefix turns out to be
-            // pinned.
-            if !self.live.is_empty() {
-                if live_kv.is_none() {
-                    live_kv = Some(self.live_kv());
-                }
-                let footprints = live_kv.as_deref().expect("footprints just materialized");
-                let admission = AdmissionCandidate {
-                    id: self.requests[candidate].request.id,
-                    prefill_tokens: prefill_len,
-                    total_tokens: total_need,
-                };
-                if !self
+            // The rule plans against the full prompt (ignoring the cache
+            // discount) so the allocation in `place` can never fail even
+            // if the cached prefix turns out to be pinned.
+            if !self.live.is_empty()
+                && !self
                     .engine
+                    .tuning
                     .admission
-                    .admit(&admission, &self.admission_view(footprints))
-                {
-                    break;
-                }
+                    .admit(prefill_len, &self.admission_view())
+            {
+                break;
             }
             self.queue.pop_front();
-            if let Some(kv) = live_kv.as_mut() {
-                kv.push(self.requests[candidate].kv_len());
-            }
-
-            // Fork the cached prefix, if sharing is on and one exists
-            // — falling back to a (priced) capacity-tier fetch on a
-            // miss when a tier is configured. A migrated
-            // (prefill-paid) sequence skips the cache: its context
-            // arrives whole over the fabric and is re-materialized as
-            // private blocks.
-            let premigrated = self.premigrated[candidate];
-            let hint = self.requests[candidate].request.prefix;
-            let shareable = premigrated.is_none()
-                && self.prefix_tree.is_some()
-                && hint.is_some_and(|h| h.reuse_tokens > 0);
-            let mut fork: Option<KvSeq> = None;
-            if shareable {
-                let h = hint.expect("shareable implies a hint");
-                self.kv_stats.prefix_lookups += 1;
-                fork = self
-                    .prefix_tree
-                    .as_mut()
-                    .expect("shareable implies a tree")
-                    .fork(h.key, h.reuse_tokens, &mut self.pool);
-                if fork.is_none() {
-                    fork = self.try_tier_fetch(h);
-                }
-                if fork.is_none() {
-                    fork = self.try_global_fetch(h);
-                }
-                if let Some(forked) = &fork {
-                    self.kv_stats.prefix_hits += 1;
-                    self.kv_stats.cached_prompt_tokens += forked.tokens();
-                }
-            }
-            let mut seq = fork.unwrap_or_else(|| self.pool.new_seq());
-            // Reserve capacity for the whole (uncached) prompt now,
-            // evicting cold prefixes if the pool runs short; the
-            // prefill *work* is metered separately below.
-            let suffix = prefill_len - seq.tokens();
-            self.make_room(self.pool.growth_blocks(seq.tokens(), suffix));
-            match premigrated {
-                Some(export) => {
-                    // Prefill was paid at the source: re-materialize
-                    // the exported sequence at this pool's granularity;
-                    // the whole context is resident the moment its
-                    // blocks land and the request is decode-ready
-                    // without a wave.
-                    debug_assert_eq!(seq.tokens(), 0, "a migrated sequence forks no prefix");
-                    let imported = self.pool.import_seq(export).unwrap_or_else(|| {
-                        panic!(
-                            "{}: migration import failed despite the budget check",
-                            self.engine.config.design
-                        )
-                    });
-                    self.seqs[candidate] = Some(imported);
-                    self.prefilled[candidate] = prefill_len;
-                    self.requests[candidate].state = RequestState::Decoding;
-                }
-                None => {
-                    assert!(
-                        self.pool.append(&mut seq, suffix),
-                        "{}: admission allocation failed despite the budget check",
-                        self.engine.config.design,
-                    );
-                    self.seqs[candidate] = Some(seq);
-                    self.prefilled[candidate] = prefill_len - suffix;
-                    self.prefilling_kv_tokens += prefill_len;
-                    self.requests[candidate].state = RequestState::Prefilling;
-                }
-            }
-            self.kv_tokens += prefill_len;
-            self.admitted_s[candidate].get_or_insert(self.clock);
-            self.live.push(candidate);
+            self.place(candidate);
         }
+    }
 
-        // --- prefill work: monolithic (every admitted prompt at once)
-        //     or chunked (a bounded token budget per step, shortest
-        //     remaining first, interleaved with decode) ---
-        let mut wave = PromptStats::default();
-        let mut budget = self.engine.tuning.prefill_chunk.unwrap_or(u64::MAX);
-        // Decode-only rounds have nothing mid-prefill; the scan below is
-        // a handful of state reads and skips the list build.
-        let any_prefilling = self
+    /// Gives admitted request `idx` its KV sequence and joins it to the
+    /// batch: a forked or fetched cached prefix plus fresh blocks for
+    /// the rest of the prompt, or — for a migrated (prefill-paid)
+    /// sequence, whose context arrives whole over the fabric — its
+    /// imported blocks.
+    fn place(&mut self, idx: usize) {
+        let prefill_len = self.requests[idx].prefill_len();
+        let premigrated = self.premigrated[idx];
+        let fork = if premigrated.is_none() {
+            self.fork_prefix(idx)
+        } else {
+            None
+        };
+        let mut seq = fork.unwrap_or_else(|| self.pool.new_seq());
+        // Reserve capacity for the whole (uncached) prompt now, evicting
+        // cold prefixes if the pool runs short; the prefill *work* is
+        // metered by the wave.
+        let suffix = prefill_len - seq.tokens();
+        self.make_room(self.pool.growth_blocks(seq.tokens(), suffix));
+        match premigrated {
+            Some(export) => {
+                // Prefill was paid at the source: re-materialize the
+                // exported sequence at this pool's granularity; the
+                // whole context is resident the moment its blocks land
+                // and the request is decode-ready without a wave.
+                debug_assert_eq!(seq.tokens(), 0, "a migrated sequence forks no prefix");
+                let imported = self.pool.import_seq(export).unwrap_or_else(|| {
+                    panic!(
+                        "{}: migration import failed despite the budget check",
+                        self.engine.config.design
+                    )
+                });
+                self.seqs[idx] = Some(imported);
+                self.prefilled[idx] = prefill_len;
+                self.requests[idx].state = RequestState::Decoding;
+            }
+            None => {
+                assert!(
+                    self.pool.append(&mut seq, suffix),
+                    "{}: admission allocation failed despite the budget check",
+                    self.engine.config.design,
+                );
+                self.seqs[idx] = Some(seq);
+                self.prefilled[idx] = prefill_len - suffix;
+                self.prefilling_kv_tokens += prefill_len;
+                self.requests[idx].state = RequestState::Prefilling;
+            }
+        }
+        self.kv_tokens += prefill_len;
+        self.admitted_s[idx].get_or_insert(self.clock);
+        self.live.push(idx);
+    }
+
+    /// Forks request `idx`'s cached prefix when sharing is on and its
+    /// hint has one to reuse — falling back on a miss to a (priced)
+    /// capacity-tier fetch, then to a fleet-shared one.
+    fn fork_prefix(&mut self, idx: usize) -> Option<KvSeq> {
+        let hint = self.requests[idx]
+            .request
+            .prefix
+            .filter(|h| h.reuse_tokens > 0)?;
+        let tree = self.prefix_tree.as_mut()?;
+        self.kv_stats.prefix_lookups += 1;
+        let fork = tree
+            .fork(hint.key, hint.reuse_tokens, &mut self.pool)
+            .or_else(|| self.try_tier_fetch(hint))
+            .or_else(|| self.try_global_fetch(hint))?;
+        self.kv_stats.prefix_hits += 1;
+        self.kv_stats.cached_prompt_tokens += fork.tokens();
+        Some(fork)
+    }
+
+    /// Prefills the admitted prompts: monolithic (every one at once) or
+    /// chunked (a bounded token budget per step, shortest remaining
+    /// first, interleaved with decode). Returns whether a wave ran.
+    fn prefill_wave(&mut self) -> bool {
+        // Decode-only rounds have nothing mid-prefill, and collecting
+        // nothing allocates nothing.
+        let mut pending: Vec<usize> = self
             .live
             .iter()
-            .any(|&i| self.requests[i].state == RequestState::Prefilling);
-        let mut pending: Vec<usize> = if any_prefilling {
-            self.live
-                .iter()
-                .copied()
-                .filter(|&i| self.requests[i].state == RequestState::Prefilling)
-                .collect()
-        } else {
-            Vec::new()
-        };
+            .copied()
+            .filter(|&i| self.requests[i].state == RequestState::Prefilling)
+            .collect();
+        if pending.is_empty() {
+            return false;
+        }
         if self.engine.tuning.prefill_chunk.is_some() {
             pending.sort_by_key(|&i| (self.requests[i].prefill_len() - self.prefilled[i], i));
         }
+        let mut wave = PromptStats::default();
+        let mut budget = self.engine.tuning.prefill_chunk.unwrap_or(u64::MAX);
         for i in pending {
             let remaining = self.requests[i].prefill_len() - self.prefilled[i];
             let grant = remaining.min(budget);
@@ -1548,56 +1402,59 @@ impl ServingSession<'_> {
                 break;
             }
         }
-        if wave.tokens > 0 {
-            let cost = prefill_cost_for(&self.engine.config, wave);
-            self.clock += cost.time.value();
-            self.prefill_time += cost.time;
-            self.energy += cost.energy;
-            self.kv_stats.prefilled_tokens += wave.tokens;
-            self.kv_stats.prefill_chunks += 1;
+        if wave.tokens == 0 {
+            return false;
         }
+        let cost = prefill_cost_for(&self.engine.config, wave);
+        self.clock += cost.time.value();
+        self.prefill_time += cost.time;
+        self.energy += cost.energy;
+        self.kv_stats.prefilled_tokens += wave.tokens;
+        self.kv_stats.prefill_chunks += 1;
+        true
+    }
 
-        // --- prefill export (prefill-role replicas): every request
-        //     whose prompt is now fully resident leaves as a handoff —
-        //     its context is published into the local prefix cache (so
-        //     later turns of the same conversation still fork it at
-        //     admission), its blocks are exported from the pool, and
-        //     the transfer departs at the post-wave clock. ---
-        let mut exported_now = 0u64;
-        if self.export_prefills {
-            let mut pos = 0;
-            while pos < self.live.len() {
-                let idx = self.live[pos];
-                if self.requests[idx].state != RequestState::Decoding {
-                    pos += 1;
-                    continue;
-                }
-                let seq = self.seqs[idx]
-                    .take()
-                    .expect("exporting request holds a sequence");
-                self.publish_context(idx, &seq);
-                let kv_tokens = self.requests[idx].kv_len();
-                let kv = self.pool.export_seq(seq);
-                self.kv_tokens -= kv_tokens;
-                self.live.remove(pos);
-                self.exported += 1;
-                exported_now += 1;
-                self.egress.push(PrefillHandoff {
-                    request: self.requests[idx].clone(),
-                    admitted_s: self.admitted_s[idx].expect("exported request was admitted"),
-                    kv,
-                    ready_s: self.clock,
-                });
+    /// Prefill export (prefill-role sessions only): every request whose
+    /// prompt is now fully resident leaves as a handoff — its context
+    /// is published into the local prefix cache (so later turns of the
+    /// same conversation still fork it at admission), its blocks are
+    /// exported from the pool, and the transfer departs at the
+    /// post-wave clock. Returns whether any request left.
+    fn export_prefilled(&mut self) -> bool {
+        if !self.export_prefills {
+            return false;
+        }
+        let before = self.exported;
+        let mut pos = 0;
+        while pos < self.live.len() {
+            let idx = self.live[pos];
+            if self.requests[idx].state != RequestState::Decoding {
+                pos += 1;
+                continue;
             }
+            let seq = self.detach_seq(idx);
+            self.publish_context(idx, &seq);
+            let kv = self.pool.export_seq(seq);
+            self.live.remove(pos);
+            self.exported += 1;
+            self.egress.push(PrefillHandoff {
+                request: self.requests[idx].clone(),
+                admitted_s: self.admitted_s[idx].expect("exported request was admitted"),
+                kv,
+                ready_s: self.clock,
+            });
         }
+        self.exported > before
+    }
 
-        // --- KV-pressure relief: if this iteration's worst-case
-        //     growth would overflow the physical pool, first evict cold
-        //     cached prefixes, then push the newest requests back to
-        //     the queue (recompute-style). TLP is re-derived each
-        //     round: an adaptive policy *raises* speculation as the
-        //     batch shrinks, so the growth bound must track the
-        //     post-preemption batch. ---
+    /// KV-pressure relief: while this iteration's worst-case growth
+    /// would overflow the physical pool, evict a cold cached prefix, or
+    /// else push the newest request back to the queue (recompute-style)
+    /// — never below a batch of one; the decode then proceeds and lets
+    /// physical allocation assert. TLP is re-derived each pass: an
+    /// adaptive policy *raises* speculation as the batch shrinks, so
+    /// the growth bound must track the post-preemption batch.
+    fn relieve_pressure(&mut self) {
         loop {
             let decoding = self
                 .live
@@ -1620,28 +1477,12 @@ impl ServingSession<'_> {
             if self.relieve_prefix_cache().is_some() {
                 continue;
             }
-            let live_kv = self.live_kv();
-            let Some(victim_pos) = self
-                .engine
-                .admission
-                .preempt_victim(&self.admission_view(&live_kv))
-            else {
+            if self.live.len() <= 1 {
                 break;
-            };
-            assert!(
-                victim_pos < self.live.len(),
-                "admission policy named preemption victim {victim_pos} in a {}-request batch",
-                self.live.len()
-            );
-            let victim = self.live.remove(victim_pos);
-            let seq = self.seqs[victim]
-                .take()
-                .expect("live request holds a sequence");
-            self.pool.release_seq(seq);
-            self.kv_tokens -= self.requests[victim].kv_len();
-            if self.requests[victim].state == RequestState::Prefilling {
-                self.prefilling_kv_tokens -= self.requests[victim].prefill_len();
             }
+            let victim = self.live.pop().expect("the batch holds two or more");
+            let seq = self.detach_seq(victim);
+            self.pool.release_seq(seq);
             self.prefilled[victim] = 0;
             // A preempted migrated sequence forfeits its paid prefill:
             // re-admission recomputes the context locally.
@@ -1651,8 +1492,15 @@ impl ServingSession<'_> {
             self.preemptions += 1;
             self.queue.push_front(victim);
         }
+    }
 
-        // --- one decoding iteration over the decode-ready batch ---
+    /// One decoding iteration over the decode-ready batch. With nothing
+    /// ready — chunked prefill still working through the admitted
+    /// prompts, or a prefill-role step whose completions all just left
+    /// as handoffs — the round only folds the footprint into the peak
+    /// statistics: the wave advanced the clock, or an export shrank
+    /// the pending set, so the episode still makes `progressed`.
+    fn decode_ready(&mut self, progressed: bool) {
         let mut decoding = std::mem::take(&mut self.scratch_idx);
         decoding.clear();
         decoding.extend(
@@ -1662,21 +1510,13 @@ impl ServingSession<'_> {
                 .filter(|&i| self.requests[i].state == RequestState::Decoding),
         );
         if decoding.is_empty() {
-            // A pure prefill step (chunked prefill still working
-            // through the admitted prompts, or a prefill-role step
-            // whose completions all just left as handoffs). The wave
-            // advanced the clock — or an export shrank the pending set
-            // — so the episode always makes progress.
-            debug_assert!(
-                wave.tokens > 0 || exported_now > 0,
-                "a step must advance prefill, export, or decode"
-            );
+            debug_assert!(progressed, "a step must advance prefill, export, or decode");
             self.scratch_idx = decoding;
             let in_use = self.pool.blocks_in_use();
             self.track_kv_peaks(in_use, self.fragmentation_slack(in_use));
             return;
         }
-        // The guard above already cleared (or relieved) this iteration.
+        // Relief already cleared this iteration's growth guard.
         self.decode(decoding, 1, f64::INFINITY, false);
     }
 
@@ -1832,47 +1672,42 @@ impl ServingSession<'_> {
             "leap block count drifted"
         );
         if finished > 0 {
-            for &i in &decoding {
-                if self.requests[i].remaining() > 0 {
-                    continue;
-                }
-                self.requests[i].state = RequestState::Finished;
-                let seq = self.seqs[i]
-                    .take()
-                    .expect("finished request holds a sequence");
-                self.publish_context(i, &seq);
-                self.pool.release_seq(seq);
-                self.kv_tokens -= self.requests[i].kv_len();
-                let request = &self.requests[i];
-                self.records.push(RequestRecord {
-                    id: request.request.id,
-                    arrival: Time::new(request.arrival_s),
-                    admitted: Time::new(self.admitted_s[i].expect("finished request was admitted")),
-                    first_token: Time::new(
-                        self.first_token_s[i].expect("finished request emitted tokens"),
-                    ),
-                    finished: Time::new(self.clock),
-                    prompt_tokens: request.request.input_len,
-                    output_tokens: request.generated,
-                    preemptions: request.preemptions,
-                });
-            }
-            let requests = &self.requests;
-            self.live
-                .retain(|&i| requests[i].state != RequestState::Finished);
+            self.finish(&decoding);
         }
         self.scratch_lanes = lanes;
         self.scratch_idx = decoding;
         iterations
     }
 
-    fn ingest(&mut self) {
-        while self.next_arrival < self.requests.len()
-            && self.available_s[self.next_arrival] <= self.clock
-        {
-            self.queue.push_back(self.next_arrival);
-            self.next_arrival += 1;
+    /// Retires every request in `decoding` that has generated its
+    /// whole output: publishes its context into the prefix cache,
+    /// releases its blocks and records its lifecycle at the clock.
+    fn finish(&mut self, decoding: &[usize]) {
+        for &i in decoding {
+            if self.requests[i].remaining() > 0 {
+                continue;
+            }
+            let seq = self.detach_seq(i);
+            self.publish_context(i, &seq);
+            self.pool.release_seq(seq);
+            self.requests[i].state = RequestState::Finished;
+            let request = &self.requests[i];
+            self.records.push(RequestRecord {
+                id: request.request.id,
+                arrival: Time::new(request.arrival_s),
+                admitted: Time::new(self.admitted_s[i].expect("finished request was admitted")),
+                first_token: Time::new(
+                    self.first_token_s[i].expect("finished request emitted tokens"),
+                ),
+                finished: Time::new(self.clock),
+                prompt_tokens: request.request.input_len,
+                output_tokens: request.generated,
+                preemptions: request.preemptions,
+            });
         }
+        let requests = &self.requests;
+        self.live
+            .retain(|&i| requests[i].state != RequestState::Finished);
     }
 
     /// Closes the session into its report.
@@ -1907,7 +1742,7 @@ impl ServingSession<'_> {
 mod tests {
     use super::*;
     use papi_llm::ModelPreset;
-    use papi_workload::{ArrivalProcess, ConversationDataset, DatasetKind};
+    use papi_workload::{ArrivalProcess, ConversationDataset, DatasetKind, Request};
 
     fn small_workload(rate: f64, n: usize) -> ServingWorkload {
         ServingWorkload::poisson(DatasetKind::GeneralQa, rate, n).with_seed(11)
@@ -1916,7 +1751,7 @@ mod tests {
     #[test]
     fn every_request_completes_with_ordered_timestamps() {
         let engine = ServingEngine::new(SystemConfig::a100_attacc(ModelPreset::Llama65B.config()))
-            .with_max_batch(16);
+            .with_tuning(SessionTuning::new().with_max_batch(16));
         let workload = small_workload(4.0, 48);
         let report = engine.run(&workload);
         assert_eq!(report.records.len(), 48);
@@ -1936,7 +1771,7 @@ mod tests {
     fn serving_is_deterministic() {
         let engine =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()))
-                .with_max_batch(8);
+                .with_tuning(SessionTuning::new().with_max_batch(8));
         let workload = small_workload(2.0, 24);
         let a = engine.run(&workload);
         let b = engine.run(&workload);
@@ -1949,7 +1784,7 @@ mod tests {
     #[test]
     fn light_load_has_short_queues_heavy_load_long() {
         let engine = ServingEngine::new(SystemConfig::a100_attacc(ModelPreset::Llama65B.config()))
-            .with_max_batch(8);
+            .with_tuning(SessionTuning::new().with_max_batch(8));
         let light = engine.run(&small_workload(0.2, 32));
         let heavy = engine.run(&small_workload(50.0, 32));
         let q_light = light.queueing_summary().unwrap().p99;
@@ -1966,7 +1801,7 @@ mod tests {
         // then decays like a closed batch and the online scheduler must
         // migrate FC from the PU to FC-PIM at least once.
         let engine = ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
-            .with_max_batch(64);
+            .with_tuning(SessionTuning::new().with_max_batch(64));
         let workload =
             ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 64)
                 .with_seed(9);
@@ -1982,7 +1817,7 @@ mod tests {
     fn continuous_refill_holds_rlp_at_cap_while_queue_lasts() {
         let engine =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()))
-                .with_max_batch(8);
+                .with_tuning(SessionTuning::new().with_max_batch(8));
         let workload = ServingWorkload::new(DatasetKind::GeneralQa, ArrivalProcess::Immediate, 40)
             .with_seed(5);
         let report = engine.run(&workload);
@@ -1997,8 +1832,11 @@ mod tests {
         // batch cap; the engine must still finish every request.
         let engine =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config()))
-                .with_max_batch(64)
-                .with_kv_headroom(0.002);
+                .with_tuning(
+                    SessionTuning::new()
+                        .with_max_batch(64)
+                        .with_kv_headroom(0.002),
+                );
         let workload =
             ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 32)
                 .with_seed(3);
@@ -2022,7 +1860,7 @@ mod tests {
         );
         let roomy =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config()))
-                .with_max_batch(64)
+                .with_tuning(SessionTuning::new().with_max_batch(64))
                 .run(&workload);
         assert!(
             report.peak_kv_tokens * 2 < roomy.peak_kv_tokens,
@@ -2039,8 +1877,11 @@ mod tests {
         // so a stale bound would let KV growth overshoot the pool.
         let engine =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config()))
-                .with_max_batch(32)
-                .with_kv_headroom(0.002);
+                .with_tuning(
+                    SessionTuning::new()
+                        .with_max_batch(32)
+                        .with_kv_headroom(0.002),
+                );
         let workload =
             ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 32)
                 .with_seed(3)
@@ -2092,12 +1933,15 @@ mod tests {
         )
         .with_seed(7);
         let scalar = ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
-            .with_max_batch(8);
+            .with_tuning(SessionTuning::new().with_max_batch(8));
         let paged = ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
-            .with_max_batch(8)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true)
-            .with_prefill_chunk(256);
+            .with_tuning(
+                SessionTuning::new()
+                    .with_max_batch(8)
+                    .with_kv_block_size(16)
+                    .with_prefix_sharing(true)
+                    .with_prefill_chunk(256),
+            );
         for engine in [scalar, paged] {
             let mut session = engine.open_session(&workload);
             for request in workload.requests() {
@@ -2159,23 +2003,27 @@ mod tests {
         let shapes = [
             (
                 ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
-                    .with_max_batch(16),
+                    .with_tuning(SessionTuning::new().with_max_batch(16)),
                 adaptive,
             ),
             (
-                ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
-                    .with_max_batch(8)
-                    .with_kv_block_size(16)
-                    .with_prefix_sharing(true)
-                    .with_prefill_chunk(256)
-                    .with_kv_tier(KvTierSpec::new(64)),
+                ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config())).with_tuning(
+                    SessionTuning::new()
+                        .with_max_batch(8)
+                        .with_kv_block_size(16)
+                        .with_prefix_sharing(true)
+                        .with_prefill_chunk(256)
+                        .with_kv_tier(KvTierSpec::new(64)),
+                ),
                 conversations,
             ),
             (
-                ServingEngine::new(tight)
-                    .with_max_batch(32)
-                    .with_kv_headroom(1.0)
-                    .with_kv_block_size(16),
+                ServingEngine::new(tight).with_tuning(
+                    SessionTuning::new()
+                        .with_max_batch(32)
+                        .with_kv_headroom(1.0)
+                        .with_kv_block_size(16),
+                ),
                 ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 24)
                     .with_seed(3),
             ),
@@ -2228,6 +2076,31 @@ mod tests {
         }
     }
 
+    /// Relief preempts newest first but never below a batch of one: a
+    /// lone request sized to the whole pool, whose worst-case
+    /// speculative growth overflows it near the end, keeps decoding —
+    /// generation is clamped to what it still owes — instead of
+    /// bouncing back to the queue.
+    #[test]
+    fn relief_spares_the_last_request() {
+        let mut config = SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config());
+        config.attn_pim.1 = 1;
+        let engine =
+            ServingEngine::new(config).with_tuning(SessionTuning::new().with_kv_block_size(16));
+        let workload = ServingWorkload::new(DatasetKind::GeneralQa, ArrivalProcess::Immediate, 1)
+            .with_speculation(SpeculativeConfig::geometric(8, 1.0));
+        let mut session = engine.open_session(&workload);
+        let capacity = session.pool.total_blocks() * 16;
+        session.push(ServingRequest::new(Request::new(0, capacity - 61, 61), 0.0));
+        while session.step() == SessionStatus::Advanced {
+            assert_eq!(session.preemptions, 0, "the lone request was preempted");
+        }
+        let report = session.into_report();
+        assert_eq!(report.records.len(), 1);
+        assert_eq!(report.records[0].output_tokens, 61);
+        assert_eq!(report.peak_kv_tokens, capacity);
+    }
+
     /// Prefix sharing on a conversation workload: real hits, less
     /// prefill work, and every request still completes correctly.
     #[test]
@@ -2240,13 +2113,16 @@ mod tests {
         .with_seed(13);
         let scalar =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()))
-                .with_max_batch(16)
+                .with_tuning(SessionTuning::new().with_max_batch(16))
                 .run(&workload);
         let shared =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()))
-                .with_max_batch(16)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true)
+                .with_tuning(
+                    SessionTuning::new()
+                        .with_max_batch(16)
+                        .with_kv_block_size(16)
+                        .with_prefix_sharing(true),
+                )
                 .run(&workload);
         assert_eq!(scalar.records.len(), 48);
         assert_eq!(shared.records.len(), 48);
@@ -2287,7 +2163,9 @@ mod tests {
         let engine =
             || ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()));
         let monolithic = engine().run(&workload);
-        let chunked = engine().with_prefill_chunk(chunk).run(&workload);
+        let chunked = engine()
+            .with_tuning(SessionTuning::new().with_prefill_chunk(chunk))
+            .run(&workload);
         assert_eq!(chunked.tokens, monolithic.tokens);
         assert_eq!(chunked.iterations, monolithic.iterations);
         assert_eq!(chunked.records.len(), 1);
@@ -2313,8 +2191,11 @@ mod tests {
     fn paged_accounting_exposes_fragmentation() {
         let workload = small_workload(8.0, 32);
         let report = ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
-            .with_max_batch(8)
-            .with_kv_block_size(16)
+            .with_tuning(
+                SessionTuning::new()
+                    .with_max_batch(8)
+                    .with_kv_block_size(16),
+            )
             .run(&workload);
         assert_eq!(report.records.len(), 32);
         assert_eq!(report.kv.block_size, 16);

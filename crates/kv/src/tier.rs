@@ -19,7 +19,7 @@
 //! gone.
 //!
 //! Two policy seams decide the traffic, mirroring the serving control
-//! plane's `RoutePolicy`/`AdmissionPolicy` style: [`SpillPolicy`] (is
+//! plane's `RoutePolicy`/`MigrationPolicy` style: [`SpillPolicy`] (is
 //! this evicted prefix worth keeping?) and [`FetchPolicy`] (is this
 //! re-landed prefix worth the transfer, or should the engine just
 //! re-prefill?). Built-ins are named declaratively by the serde-able

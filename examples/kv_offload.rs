@@ -19,19 +19,28 @@
 //! cargo run --release --example kv_offload
 //! ```
 
-use papi::core::{DesignKind, KvTierSpec, ServingEngine, ServingReport, SloSpec, SystemConfig};
+use papi::core::{
+    DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning, SloSpec, SystemConfig,
+};
 use papi::interconnect::TierPricing;
 use papi::llm::ModelPreset;
 use papi::workload::{ConversationDataset, DatasetKind, ServingWorkload};
 
-fn engine() -> ServingEngine {
+/// The paged hot pool every run shares: 16-token blocks with prefix
+/// sharing, batches of 16.
+fn paged() -> SessionTuning {
+    SessionTuning::new()
+        .with_max_batch(16)
+        .with_kv_block_size(16)
+        .with_prefix_sharing(true)
+}
+
+fn engine(tuning: SessionTuning) -> ServingEngine {
     ServingEngine::new(SystemConfig::build(
         DesignKind::PimOnlyPapi,
         ModelPreset::Gpt3_175B.config(),
     ))
-    .with_max_batch(16)
-    .with_kv_block_size(16)
-    .with_prefix_sharing(true)
+    .with_tuning(tuning)
 }
 
 fn row(label: &str, report: &ServingReport, slo: &SloSpec) {
@@ -64,13 +73,11 @@ fn main() {
     // re-landing turns recompute their context or fetch it.
     let slo = SloSpec::interactive(600_000.0, 400.0);
 
-    let evict = engine().run(&workload);
-    let dimm = engine()
-        .with_kv_tier(KvTierSpec::new(60_000))
-        .run(&workload);
-    let free = engine()
-        .with_kv_tier(KvTierSpec::new(60_000).with_pricing(TierPricing::Free))
-        .run(&workload);
+    let evict = engine(paged()).run(&workload);
+    let dimm = engine(paged().with_kv_tier(KvTierSpec::new(60_000))).run(&workload);
+    let free =
+        engine(paged().with_kv_tier(KvTierSpec::new(60_000).with_pricing(TierPricing::Free)))
+            .run(&workload);
 
     row("evict", &evict, &slo);
     row("tier-dimm", &dimm, &slo);

@@ -18,14 +18,20 @@
 //! cargo run --release --example prefix_caching
 //! ```
 
-use papi::core::{DesignKind, ServingEngine, ServingReport, SloSpec, SystemConfig};
+use papi::core::{DesignKind, ServingEngine, ServingReport, SessionTuning, SloSpec, SystemConfig};
 use papi::llm::ModelPreset;
 use papi::workload::{ArrivalProcess, ConversationDataset, DatasetKind, ServingWorkload};
 
-fn engine(design: DesignKind, headroom: f64) -> ServingEngine {
-    ServingEngine::new(SystemConfig::build(design, ModelPreset::Llama65B.config()))
+/// Batches of 16, admission planning into `headroom` of the pool.
+fn tuning(headroom: f64) -> SessionTuning {
+    SessionTuning::new()
         .with_max_batch(16)
         .with_kv_headroom(headroom)
+}
+
+fn engine(design: DesignKind, tuning: SessionTuning) -> ServingEngine {
+    ServingEngine::new(SystemConfig::build(design, ModelPreset::Llama65B.config()))
+        .with_tuning(tuning)
 }
 
 fn row(label: &str, report: &ServingReport, slo: &SloSpec) {
@@ -53,11 +59,14 @@ fn main() {
     )
     .with_seed(7);
     let slo = SloSpec::interactive(4_000.0, 80.0);
-    let scalar = engine(DesignKind::PimOnlyPapi, 0.05).run(&chat);
-    let paged = engine(DesignKind::PimOnlyPapi, 0.05)
-        .with_kv_block_size(16)
-        .with_prefix_sharing(true)
-        .run(&chat);
+    let scalar = engine(DesignKind::PimOnlyPapi, tuning(0.05)).run(&chat);
+    let paged = engine(
+        DesignKind::PimOnlyPapi,
+        tuning(0.05)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true),
+    )
+    .run(&chat);
     row("scalar", &scalar, &slo);
     row("paged+prefix", &paged, &slo);
     let gain = paged.goodput(&slo) / scalar.goodput(&slo).max(1e-12);
@@ -87,10 +96,12 @@ fn main() {
         240,
     )
     .with_seed(17);
-    let monolithic = engine(DesignKind::PimOnlyPapi, 0.85).run(&bursts);
-    let chunked = engine(DesignKind::PimOnlyPapi, 0.85)
-        .with_prefill_chunk(512)
-        .run(&bursts);
+    let monolithic = engine(DesignKind::PimOnlyPapi, tuning(0.85)).run(&bursts);
+    let chunked = engine(
+        DesignKind::PimOnlyPapi,
+        tuning(0.85).with_prefill_chunk(512),
+    )
+    .run(&bursts);
     row("monolithic", &monolithic, &slo);
     row("chunked-512", &chunked, &slo);
     let mono_p99 = monolithic.ttft_summary().unwrap().p99;

@@ -7,7 +7,7 @@
 //! cargo run --release --example serving_comparison
 //! ```
 
-use papi::core::{DesignKind, ServingEngine, SloSpec, SystemConfig};
+use papi::core::{DesignKind, ServingEngine, SessionTuning, SloSpec, SystemConfig};
 use papi::llm::ModelPreset;
 use papi::workload::{DatasetKind, ServingWorkload};
 
@@ -40,8 +40,8 @@ fn main() {
             "switch"
         );
         for kind in designs {
-            let engine =
-                ServingEngine::new(SystemConfig::build(kind, model.clone())).with_max_batch(32);
+            let engine = ServingEngine::new(SystemConfig::build(kind, model.clone()))
+                .with_tuning(SessionTuning::new().with_max_batch(32));
             let report = engine.run(&workload);
             let ttft = report.ttft_summary().expect("episode served requests");
             let tpot = report.tpot_summary().expect("episode served requests");

@@ -212,9 +212,12 @@ fn shared_tier_off_engine_reproduces_the_tiered_kv_pin() {
         DesignKind::PimOnlyPapi,
         ModelPreset::Gpt3_175B.config(),
     ))
-    .with_max_batch(16)
-    .with_kv_block_size(16)
-    .with_prefix_sharing(true)
+    .with_tuning(
+        SessionTuning::new()
+            .with_max_batch(16)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true),
+    )
     .run(&workload);
     assert_eq!(report.makespan.value().to_bits(), 0x409274384afd44c3);
     assert_eq!(report.energy.value().to_bits(), 0x4123aa42ac3a0148);

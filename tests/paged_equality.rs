@@ -11,9 +11,14 @@
 //! admission order, preemption, pricing, or RNG consumption changes at
 //! least one of these numbers.
 
-use papi::core::{DesignKind, ServingEngine, ServingReport, SystemConfig};
+use papi::core::{
+    AdmissionSpec, DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning,
+    SystemConfig,
+};
 use papi::llm::ModelPreset;
-use papi::workload::{ArrivalProcess, DatasetKind, ServingWorkload};
+use papi::workload::{
+    ArrivalProcess, ConversationDataset, DatasetKind, ServingWorkload, SpeculativeConfig,
+};
 
 /// FNV-1a over the report's per-request records, placements, and RLP
 /// series (field order fixed; floats hashed by bit pattern).
@@ -149,14 +154,17 @@ fn scalar_configuration_reproduces_the_pre_refactor_reports_bit_for_bit() {
             DesignKind::A100AttAcc,
             ModelPreset::Llama65B.config(),
         ))
-        .with_max_batch(16)
+        .with_tuning(SessionTuning::new().with_max_batch(16))
         .run(&ServingWorkload::poisson(DatasetKind::GeneralQa, 4.0, 48).with_seed(11)),
         ServingEngine::new(SystemConfig::build(
             DesignKind::PimOnlyPapi,
             ModelPreset::Gpt3_175B.config(),
         ))
-        .with_max_batch(64)
-        .with_kv_headroom(0.002)
+        .with_tuning(
+            SessionTuning::new()
+                .with_max_batch(64)
+                .with_kv_headroom(0.002),
+        )
         .run(
             &ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 32)
                 .with_seed(3),
@@ -165,7 +173,7 @@ fn scalar_configuration_reproduces_the_pre_refactor_reports_bit_for_bit() {
             DesignKind::Papi,
             ModelPreset::Llama65B.config(),
         ))
-        .with_max_batch(64)
+        .with_tuning(SessionTuning::new().with_max_batch(64))
         .run(
             &ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 64)
                 .with_seed(9),
@@ -174,8 +182,11 @@ fn scalar_configuration_reproduces_the_pre_refactor_reports_bit_for_bit() {
             DesignKind::PimOnlyPapi,
             ModelPreset::Gpt3_175B.config(),
         ))
-        .with_max_batch(32)
-        .with_kv_headroom(0.002)
+        .with_tuning(
+            SessionTuning::new()
+                .with_max_batch(32)
+                .with_kv_headroom(0.002),
+        )
         .run(
             &ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 32)
                 .with_seed(3)
@@ -197,18 +208,114 @@ fn explicit_scalar_options_match_the_defaults() {
         DesignKind::Papi,
         ModelPreset::Llama65B.config(),
     ))
-    .with_max_batch(16)
+    .with_tuning(SessionTuning::new().with_max_batch(16))
     .run(&workload);
     let explicit = ServingEngine::new(SystemConfig::build(
         DesignKind::Papi,
         ModelPreset::Llama65B.config(),
     ))
-    .with_max_batch(16)
-    .with_kv_block_size(1)
-    .with_prefix_sharing(false)
+    .with_tuning(
+        SessionTuning::new()
+            .with_max_batch(16)
+            .with_kv_block_size(1)
+            .with_prefix_sharing(false),
+    )
     .run(&workload);
     assert_eq!(implicit.records, explicit.records);
     assert_eq!(implicit.makespan, explicit.makespan);
     assert_eq!(implicit.energy, explicit.energy);
     assert_eq!(fingerprint(&implicit), fingerprint(&explicit));
+}
+
+/// One serving shape that drives every stage of a session round on a
+/// tight pool: 16-token blocks with prefix sharing, chunked prefill, a
+/// small private capacity tier, geometric speculation under adaptive
+/// TLP, and a full-pool headroom small enough that decode growth
+/// preempts. Only the admission rule varies.
+fn staged_shape(admission: AdmissionSpec) -> ServingReport {
+    let mut config = SystemConfig::build(DesignKind::PimOnlyPapi, ModelPreset::Gpt3_175B.config());
+    config.attn_pim.1 = 1;
+    let workload = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 3),
+        6.0,
+        48,
+    )
+    .with_seed(17)
+    .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+    .with_adaptive_tlp(32, 8);
+    ServingEngine::new(config)
+        .with_tuning(
+            SessionTuning::new()
+                .with_max_batch(16)
+                .with_kv_headroom(0.97)
+                .with_kv_block_size(16)
+                .with_prefix_sharing(true)
+                .with_prefill_chunk(128)
+                .with_admission(admission)
+                .with_kv_tier(KvTierSpec::new(96)),
+        )
+        .run(&workload)
+}
+
+/// Pins the staged session round against reports captured from the
+/// single-function round it replaced, on a shape no other serving
+/// golden covers: eviction into a tier, tier fetches, chunked waves
+/// and preemption all happen, under each built-in admission rule.
+#[test]
+fn staged_rounds_reproduce_the_parent() {
+    let cases = [
+        (
+            AdmissionSpec::BlockGranular,
+            Golden {
+                name: "pim_only-gpt175b-staged-block-granular",
+                makespan_bits: 0x405b030c6815b0ac,
+                energy_bits: 0x40e619897bb96741,
+                prefill_bits: 0x4050c7e1ed4099dc,
+                iterations: 382,
+                tokens: 4006,
+                preemptions: 1,
+                peak_rlp: 8,
+                peak_kv_tokens: 3514,
+                fingerprint: 0x7079438f8cbe5f55,
+            },
+        ),
+        (
+            AdmissionSpec::Fcfs,
+            Golden {
+                name: "pim_only-gpt175b-staged-fcfs",
+                makespan_bits: 0x405b37d1ed5e2981,
+                energy_bits: 0x40e6311568c8b4ef,
+                prefill_bits: 0x4050f992a457c35b,
+                iterations: 382,
+                tokens: 4006,
+                preemptions: 2,
+                peak_rlp: 8,
+                peak_kv_tokens: 3575,
+                fingerprint: 0x49313c31284cd3a9,
+            },
+        ),
+    ];
+    let reports = cases.map(|(admission, golden)| (staged_shape(admission), golden));
+    for (report, golden) in &reports {
+        assert_eq!(report.records.len(), 48, "{}", golden.name);
+        assert!(report.preemptions > 0, "{}: never preempted", golden.name);
+        assert!(
+            report.kv.prefix_evictions > 0,
+            "{}: never evicted",
+            golden.name
+        );
+        assert!(report.kv.tier_spills > 0, "{}: never spilled", golden.name);
+        assert!(report.kv.tier_fetches > 0, "{}: never fetched", golden.name);
+        assert!(
+            report.kv.prefill_chunks > 0,
+            "{}: no prefill wave",
+            golden.name
+        );
+        assert_matches(report, golden);
+    }
+    assert_ne!(
+        fingerprint(&reports[0].0),
+        fingerprint(&reports[1].0),
+        "the two admission rules served the shape identically"
+    );
 }

@@ -2,13 +2,13 @@
 //! request-lifecycle invariants that must hold across the workload
 //! layer, the serving engine, and the metrics aggregation.
 
-use papi::core::{DesignKind, ServingEngine, SloSpec, SystemConfig};
+use papi::core::{DesignKind, ServingEngine, SessionTuning, SloSpec, SystemConfig};
 use papi::llm::ModelPreset;
 use papi::workload::{DatasetKind, ServingWorkload, WorkloadSpec};
 
 fn engine(kind: DesignKind, max_batch: u64) -> ServingEngine {
     ServingEngine::new(SystemConfig::build(kind, ModelPreset::Llama65B.config()))
-        .with_max_batch(max_batch)
+        .with_tuning(SessionTuning::new().with_max_batch(max_batch))
 }
 
 /// Closed-batch traces: RLP never exceeds the configured capacity and

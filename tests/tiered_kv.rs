@@ -58,14 +58,21 @@ fn thrashing_workload() -> ServingWorkload {
     .with_seed(23)
 }
 
-fn engine() -> ServingEngine {
+/// The paged hot pool every run shares: 16-token blocks with prefix
+/// sharing, batches of 16.
+fn paged() -> SessionTuning {
+    SessionTuning::new()
+        .with_max_batch(16)
+        .with_kv_block_size(16)
+        .with_prefix_sharing(true)
+}
+
+fn engine(tuning: SessionTuning) -> ServingEngine {
     ServingEngine::new(SystemConfig::build(
         DesignKind::PimOnlyPapi,
         ModelPreset::Gpt3_175B.config(),
     ))
-    .with_max_batch(16)
-    .with_kv_block_size(16)
-    .with_prefix_sharing(true)
+    .with_tuning(tuning)
 }
 
 struct Golden {
@@ -107,7 +114,7 @@ fn assert_matches_golden(report: &ServingReport, golden: &Golden) {
 
 #[test]
 fn tier_off_reproduces_the_pre_tier_engine_bit_for_bit() {
-    let report = engine().run(&thrashing_workload());
+    let report = engine(paged()).run(&thrashing_workload());
     // The pin only guards the eviction rewrite if eviction actually
     // ran: the scenario must genuinely thrash.
     assert!(
@@ -126,27 +133,17 @@ fn tier_off_reproduces_the_pre_tier_engine_bit_for_bit() {
 
 #[test]
 fn explicit_none_tier_is_the_default() {
-    let tuning = SessionTuning::new()
-        .with_max_batch(16)
-        .with_kv_block_size(16)
-        .with_prefix_sharing(true);
+    let tuning = paged();
     assert_eq!(tuning.kv_tier, None);
-    let report = ServingEngine::new(SystemConfig::build(
-        DesignKind::PimOnlyPapi,
-        ModelPreset::Gpt3_175B.config(),
-    ))
-    .with_tuning(tuning)
-    .run(&thrashing_workload());
+    let report = engine(tuning).run(&thrashing_workload());
     assert_matches_golden(&report, &TIER_OFF_GOLDEN);
 }
 
 #[test]
 fn spill_to_tier_beats_eviction_under_thrash() {
     let workload = thrashing_workload();
-    let evict = engine().run(&workload);
-    let tiered = engine()
-        .with_kv_tier(KvTierSpec::new(60_000))
-        .run(&workload);
+    let evict = engine(paged()).run(&workload);
+    let tiered = engine(paged().with_kv_tier(KvTierSpec::new(60_000))).run(&workload);
 
     // The tier kept the evicted prefixes and served them back.
     assert!(tiered.kv.tier_spills > 0, "no spills under thrash");
@@ -182,12 +179,10 @@ fn spill_to_tier_beats_eviction_under_thrash() {
 #[test]
 fn fetch_pricing_lands_in_ttft() {
     let workload = thrashing_workload();
-    let priced = engine()
-        .with_kv_tier(KvTierSpec::new(60_000))
-        .run(&workload);
-    let free = engine()
-        .with_kv_tier(KvTierSpec::new(60_000).with_pricing(TierPricing::Free))
-        .run(&workload);
+    let priced = engine(paged().with_kv_tier(KvTierSpec::new(60_000))).run(&workload);
+    let free =
+        engine(paged().with_kv_tier(KvTierSpec::new(60_000).with_pricing(TierPricing::Free)))
+            .run(&workload);
     // Same tier geometry: both serve the same fetch traffic, but only
     // the priced run pays for it — on the critical path.
     assert_eq!(priced.kv.tier_fetches, free.kv.tier_fetches);
@@ -207,7 +202,7 @@ fn fetch_pricing_lands_in_ttft() {
 #[test]
 fn tier_occupancy_reaches_the_replica_snapshot() {
     let workload = thrashing_workload();
-    let tiered_engine = engine().with_kv_tier(KvTierSpec::new(60_000));
+    let tiered_engine = engine(paged().with_kv_tier(KvTierSpec::new(60_000)));
     let mut session = tiered_engine.open_session(&workload);
     for request in workload.requests() {
         session.push(request);
