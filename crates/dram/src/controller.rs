@@ -6,6 +6,14 @@
 //! with an open-page row policy: row-buffer hits issue ahead of older
 //! misses, conflicts precharge, and refresh pre-empts everything.
 //!
+//! Age is an arrival stamp: [`Controller::enqueue`] numbers each request
+//! from a monotone counter, and each bank serves its queue in FIFO order,
+//! so a bank's age is the stamp of its queue head. The shared-bus
+//! scheduler picks the oldest head among the banks that can issue, and
+//! completing a request pops its bank's queue in O(1). A drain therefore
+//! costs O(banks) per cycle plus O(1) per command: linear in the
+//! requests queued, not in their square.
+//!
 //! Two bus models are supported:
 //!
 //! - [`BusModel::SharedDataBus`] — conventional host access: one command
@@ -58,6 +66,8 @@ pub struct ControllerStats {
 struct Pending {
     req: MemRequest,
     classified: bool,
+    /// Arrival stamp; FR-FCFS ages by it.
+    seq: u64,
 }
 
 /// Error returned when a drain exceeds its cycle budget.
@@ -105,8 +115,8 @@ pub struct Controller {
     bus: BusModel,
     banks: Vec<Bank>,
     queues: Vec<VecDeque<Pending>>,
-    /// Arrival order of bank indices; FR-FCFS ages by arrival.
-    arrival: VecDeque<usize>,
+    /// Stamp the next enqueued request receives.
+    next_seq: u64,
     outstanding: usize,
     now: Cycle,
     data_bus_free_at: Cycle,
@@ -139,7 +149,7 @@ impl Controller {
             bus,
             banks: (0..banks).map(|_| Bank::new()).collect(),
             queues: (0..banks).map(|_| VecDeque::new()).collect(),
-            arrival: VecDeque::new(),
+            next_seq: 0,
             outstanding: 0,
             now: 0,
             data_bus_free_at: 0,
@@ -206,8 +216,9 @@ impl Controller {
         self.queues[req.bank].push_back(Pending {
             req,
             classified: false,
+            seq: self.next_seq,
         });
-        self.arrival.push_back(req.bank);
+        self.next_seq += 1;
         self.outstanding += 1;
     }
 
@@ -308,10 +319,6 @@ impl Controller {
                 }
                 // Request completes.
                 self.queues[bank].pop_front();
-                // Drop one arrival token for this bank.
-                if let Some(pos) = self.arrival.iter().position(|&b| b == bank) {
-                    self.arrival.remove(pos);
-                }
                 self.outstanding -= 1;
                 self.stats.completed += 1;
                 self.stats.bytes_transferred += self.column_bytes;
@@ -402,37 +409,24 @@ impl Controller {
     /// Shared bus: one command per cycle. Row hits first (FR), then the
     /// oldest request's needed command (FCFS).
     fn tick_shared(&mut self) {
-        // Pass 1: row hits, oldest first.
-        let mut seen = vec![false; self.banks.len()];
-        for &bank in &self.arrival {
-            if seen[bank] {
-                continue;
-            }
-            seen[bank] = true;
-            if let Some(cmd @ (DramCommand::Read { .. } | DramCommand::Write { .. })) =
-                self.needed_command(bank)
-            {
-                if self.issuable(bank, &cmd) {
-                    self.issue(bank, cmd);
-                    return;
-                }
-            }
+        if let Some((bank, cmd)) = self
+            .oldest_issuable(true)
+            .or_else(|| self.oldest_issuable(false))
+        {
+            self.issue(bank, cmd);
         }
-        // Pass 2: oldest request's preparatory command.
-        seen.fill(false);
-        for i in 0..self.arrival.len() {
-            let bank = self.arrival[i];
-            if seen[bank] {
-                continue;
-            }
-            seen[bank] = true;
-            if let Some(cmd) = self.needed_command(bank) {
-                if self.issuable(bank, &cmd) {
-                    self.issue(bank, cmd);
-                    return;
-                }
-            }
-        }
+    }
+
+    /// The issuable command of the bank whose queue head arrived first,
+    /// counting only row hits when `hits_only` is set.
+    fn oldest_issuable(&self, hits_only: bool) -> Option<(usize, DramCommand)> {
+        (0..self.banks.len())
+            .filter_map(|bank| Some((bank, self.needed_command(bank)?)))
+            .filter(|(bank, cmd)| {
+                let hit = matches!(cmd, DramCommand::Read { .. } | DramCommand::Write { .. });
+                (hit || !hits_only) && self.issuable(*bank, cmd)
+            })
+            .min_by_key(|&(bank, _)| self.queues[bank][0].seq)
     }
 
     /// PIM mode: every bank has its own sequencer; shared constraints are

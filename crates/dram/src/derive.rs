@@ -7,6 +7,16 @@
 //! this module runs short micro-simulations on the cycle-level
 //! [`Controller`] and measures what actually comes out — so the
 //! end-to-end PAPI experiments are grounded in the DRAM timing model.
+//!
+//! # Cost
+//!
+//! A derivation queues its whole access pattern, then drains it cycle by
+//! cycle. The drain is linear in the requests queued (see
+//! [`crate::controller`]), so a derivation costs O(requests + cycles ·
+//! banks). `papi-pim`'s `PimDevice::new` runs
+//! `pim_streaming_bandwidth(device, 8, 32)` once per device: 8 × 32 × 64
+//! = 16,384 reads over 4.47 µs of simulated time. In a release build on
+//! a 2-vCPU x86-64 VM that takes 0.6–1.0 ms of host time.
 
 use crate::controller::{BusModel, Controller};
 use crate::device::HbmDevice;

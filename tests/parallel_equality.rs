@@ -205,8 +205,11 @@ proptest! {
     /// `GlobalTierReport` — across replica counts, routing policies,
     /// fabric pricings, and sync intervals. The workload is the
     /// long-context scatter shape (odd conversation count, so turns
-    /// change replicas). At 51 requests most cases spill nothing; the
-    /// shared-tier golden runs 153, where remote fetches do occur.
+    /// change replicas). The proptest runs 35 four-turn conversations
+    /// behind a 10,240-token system prompt, so the pool spills and
+    /// nearly every case fetches across replicas: on a grid of 8 seeds
+    /// × dp 2–4 × the three policies × both pricings at sync 0.05, each
+    /// of five seed blocks had 140 to 144 of 144 cases fetch.
     #[test]
     fn parallel_matches_sequential_shared_tier(
         seed in 0u64..1_000_000,
@@ -221,7 +224,8 @@ proptest! {
             _ => PolicySpec::prefix_affinity(),
         };
         let sync_s = [0.01, 0.05, 0.5][sync_pick];
-        let (spec, workload) = shared_tier_fleet(seed, 51, dp, policy, free_fabric, sync_s);
+        let (spec, workload) =
+            shared_tier_fleet(seed, FETCHING_CHATS, dp, policy, free_fabric, sync_s);
         assert_modes_agree(
             spec,
             &workload,
@@ -230,20 +234,43 @@ proptest! {
     }
 }
 
+/// The conversation shape a shared-tier fleet serves.
+#[derive(Debug, Clone, Copy)]
+struct ChatShape {
+    requests: usize,
+    system_prompt: u64,
+    turns: usize,
+}
+
+/// The shape `shared_tier_fleet_matches_its_golden` pins.
+const GOLDEN_CHATS: ChatShape = ChatShape {
+    requests: 153,
+    system_prompt: 4096,
+    turns: 3,
+};
+
+/// The shape the step-mode proptest runs: long enough prompts that
+/// remote fetches occur in nearly every case.
+const FETCHING_CHATS: ChatShape = ChatShape {
+    requests: 140,
+    system_prompt: 10_240,
+    turns: 4,
+};
+
 /// A PIM-only GPT-3 fleet with a fleet-shared tier, serving the
 /// thrash-prone long-context scatter shape.
 fn shared_tier_fleet(
     seed: u64,
-    requests: usize,
+    chats: ChatShape,
     dp: usize,
     policy: PolicySpec,
     free_fabric: bool,
     sync_s: f64,
 ) -> (ClusterSpec, ServingWorkload) {
     let workload = ServingWorkload::poisson(
-        ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
+        ConversationDataset::multi_turn(DatasetKind::LongContext, chats.system_prompt, chats.turns),
         4.0,
-        requests,
+        chats.requests,
     )
     .with_seed(seed);
     let spec = ClusterSpec::new(
@@ -471,7 +498,8 @@ fn disaggregated_fleets_match_their_goldens() {
 
 #[test]
 fn shared_tier_fleet_matches_its_golden() {
-    let (spec, workload) = shared_tier_fleet(23, 153, 2, PolicySpec::RoundRobin, false, 0.05);
+    let (spec, workload) =
+        shared_tier_fleet(23, GOLDEN_CHATS, 2, PolicySpec::RoundRobin, false, 0.05);
     let report = assert_golden(spec, &workload, 0x4d14_7955_a13c_4444, "shared-tier fleet");
     let tier = report.global_tier.expect("shared-tier report");
     assert!(tier.fetches > 0, "no cross-replica fetch");
