@@ -10,7 +10,7 @@
 //! prices through the exact same [`IterationPricer`].
 
 use crate::config::SystemConfig;
-use crate::metrics::{ExecutionReport, PhaseBreakdown};
+use crate::metrics::{ExecutionReport, PhaseBreakdown, RunLength};
 use crate::pricer::IterationPricer;
 use papi_types::Energy;
 use papi_workload::{DecodeTrace, WorkloadSpec};
@@ -77,7 +77,7 @@ impl DecodingSimulator {
         let mut pricer = IterationPricer::new(&self.config);
         let mut phases = PhaseBreakdown::default();
         let mut energy_parts = (Energy::ZERO, Energy::ZERO, Energy::ZERO, Energy::ZERO);
-        let mut placements = Vec::with_capacity(trace.len());
+        let mut placements = RunLength::default();
 
         for it in &trace.iterations {
             let placement = scheduler.decide(it.rlp, it.tlp);

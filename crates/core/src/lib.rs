@@ -83,7 +83,8 @@ pub use cluster::{
 pub use config::{DesignKind, SchedulerKind, SystemConfig, TpGroup};
 pub use engine::DecodingSimulator;
 pub use metrics::{
-    ExecutionReport, IterationCost, LatencySummary, PhaseBreakdown, RequestRecord, ServingReport,
+    ExecutionReport, IterationCost, LatencySummary, PhaseBreakdown, RequestRecord, RunLength,
+    ServingReport,
 };
 pub use papi_kv::KvCacheStats;
 pub use prefill::{prefill_cost, prefill_cost_for, PrefillCost, PromptStats};

@@ -81,6 +81,150 @@ impl PhaseBreakdown {
     }
 }
 
+/// A piecewise-constant series stored as `(value, count)` runs.
+///
+/// A report's per-iteration series (FC placement, RLP) change only when
+/// the batch does, so [`push`](Self::push) extends the last run when the
+/// value repeats, and memory grows with the changes, not the pushes.
+/// Runs are canonical: no zero counts and no two adjacent runs with
+/// equal values, so the derived `PartialEq` compares the sequences. In
+/// JSON the series is the expanded array, one element per push, as the
+/// `Vec` it stands for would print it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunLength<T> {
+    runs: Vec<(T, u64)>,
+    len: usize,
+}
+
+impl<T> Default for RunLength<T> {
+    fn default() -> Self {
+        Self {
+            runs: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: PartialEq> RunLength<T> {
+    /// Appends `value`, merging it into the last run when equal.
+    pub fn push(&mut self, value: T) {
+        self.len += 1;
+        match self.runs.last_mut() {
+            Some((last, count)) if *last == value => *count += 1,
+            _ => self.runs.push((value, 1)),
+        }
+    }
+}
+
+impl<T> RunLength<T> {
+    /// Elements pushed (the expanded length).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The canonical `(value, count)` runs, in push order.
+    pub fn runs(&self) -> &[(T, u64)] {
+        &self.runs
+    }
+
+    /// The expanded sequence, one element per push.
+    pub fn iter(&self) -> RunLengthIter<'_, T> {
+        RunLengthIter {
+            runs: self.runs.iter(),
+            current: None,
+            repeats: 0,
+        }
+    }
+
+    /// The first element pushed.
+    pub fn first(&self) -> Option<&T> {
+        self.runs.first().map(|(value, _)| value)
+    }
+
+    /// The last element pushed.
+    pub fn last(&self) -> Option<&T> {
+        self.runs.last().map(|(value, _)| value)
+    }
+}
+
+impl<T: PartialEq> FromIterator<T> for RunLength<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut series = Self::default();
+        for value in iter {
+            series.push(value);
+        }
+        series
+    }
+}
+
+impl<'a, T> IntoIterator for &'a RunLength<T> {
+    type Item = &'a T;
+    type IntoIter = RunLengthIter<'a, T>;
+
+    fn into_iter(self) -> RunLengthIter<'a, T> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`RunLength`]'s expanded sequence.
+#[derive(Debug, Clone)]
+pub struct RunLengthIter<'a, T> {
+    runs: std::slice::Iter<'a, (T, u64)>,
+    current: Option<&'a T>,
+    repeats: u64,
+}
+
+impl<'a, T> Iterator for RunLengthIter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        // Counts are never zero, so one fetch refills an exhausted run.
+        if self.repeats == 0 {
+            let (value, count) = self.runs.next()?;
+            self.current = Some(value);
+            self.repeats = *count;
+        }
+        self.repeats -= 1;
+        self.current
+    }
+}
+
+impl<T: Serialize> Serialize for RunLength<T> {
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        out.push('[');
+        let mut element = String::new();
+        for (value, count) in &self.runs {
+            element.clear();
+            value.write_json(&mut element)?;
+            for _ in 0..*count {
+                out.push_str(&element);
+                out.push(',');
+            }
+        }
+        if !self.runs.is_empty() {
+            out.pop(); // the trailing comma
+        }
+        out.push(']');
+        Ok(())
+    }
+}
+
+impl<T: Deserialize + PartialEq> Deserialize for RunLength<T> {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        value
+            .as_array()
+            .ok_or_else(|| serde::Error::msg("expected array"))?
+            .iter()
+            .map(T::from_value)
+            .collect()
+    }
+}
+
 /// The outcome of decoding one workload on one system.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionReport {
@@ -102,8 +246,9 @@ pub struct ExecutionReport {
     pub energy_parts: (Energy, Energy, Energy, Energy),
     /// Scheduler decision statistics.
     pub scheduler: SchedulerStats,
-    /// FC placement chosen at each iteration (the Fig. 5(d) series).
-    pub placements: Vec<Placement>,
+    /// FC placement chosen at each iteration (the Fig. 5(d) series):
+    /// run-length in memory, the per-iteration array in JSON.
+    pub placements: RunLength<Placement>,
     /// Prefill latency (zero unless the run included the prefill phase).
     pub prefill_time: Time,
     /// Prefill energy (zero unless the run included the prefill phase).
@@ -290,10 +435,12 @@ pub struct ServingReport {
     pub energy: Energy,
     /// Scheduler decision statistics.
     pub scheduler: SchedulerStats,
-    /// FC placement chosen at each iteration.
-    pub placements: Vec<Placement>,
-    /// Live RLP observed at each iteration.
-    pub rlp_series: Vec<u64>,
+    /// FC placement chosen at each iteration: run-length in memory,
+    /// the per-iteration array in JSON.
+    pub placements: RunLength<Placement>,
+    /// Live RLP observed at each iteration: run-length in memory, the
+    /// per-iteration array in JSON.
+    pub rlp_series: RunLength<u64>,
     /// Per-request lifecycle records, in completion order.
     pub records: Vec<RequestRecord>,
     /// Requests preempted back to the queue under KV pressure (total
@@ -432,7 +579,7 @@ mod tests {
                 Energy::ZERO,
             ),
             scheduler: SchedulerStats::default(),
-            placements: vec![],
+            placements: RunLength::default(),
             prefill_time: Time::ZERO,
             prefill_energy: Energy::ZERO,
         }
@@ -534,8 +681,8 @@ mod tests {
             prefill_time: Time::ZERO,
             energy: Energy::ZERO,
             scheduler: SchedulerStats::default(),
-            placements: vec![],
-            rlp_series: vec![],
+            placements: RunLength::default(),
+            rlp_series: RunLength::default(),
             records: vec![fast, slow_ttft, slow_tpot],
             preemptions: 0,
             peak_rlp: 3,

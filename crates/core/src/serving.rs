@@ -40,7 +40,7 @@
 
 use crate::admission::{AdmissionSpec, AdmissionView};
 use crate::config::SystemConfig;
-use crate::metrics::{PhaseBreakdown, RequestRecord, ServingReport};
+use crate::metrics::{PhaseBreakdown, RequestRecord, RunLength, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
 use crate::pricer::IterationPricer;
 use papi_interconnect::{TierCost, TierPricing};
@@ -416,8 +416,8 @@ impl ServingEngine {
             phases: PhaseBreakdown::default(),
             energy: Energy::ZERO,
             prefill_time: Time::ZERO,
-            placements: Vec::new(),
-            rlp_series: Vec::new(),
+            placements: RunLength::default(),
+            rlp_series: RunLength::default(),
             records: Vec::new(),
             iterations: 0,
             tokens: 0,
@@ -606,8 +606,8 @@ pub struct ServingSession<'a> {
     phases: PhaseBreakdown,
     energy: Energy,
     prefill_time: Time,
-    placements: Vec<Placement>,
-    rlp_series: Vec<u64>,
+    placements: RunLength<Placement>,
+    rlp_series: RunLength<u64>,
     records: Vec<RequestRecord>,
     iterations: u64,
     tokens: u64,
@@ -1821,8 +1821,8 @@ mod tests {
         let workload = ServingWorkload::new(DatasetKind::GeneralQa, ArrivalProcess::Immediate, 40)
             .with_seed(5);
         let report = engine.run(&workload);
-        let early = &report.rlp_series[..report.rlp_series.len() / 4];
-        assert!(early.iter().all(|&r| r == 8), "early RLP should hold at 8");
+        let mut early = report.rlp_series.iter().take(report.rlp_series.len() / 4);
+        assert!(early.all(|&r| r == 8), "early RLP should hold at 8");
         assert_eq!(report.peak_rlp, 8);
     }
 

@@ -2,12 +2,18 @@
 //! calibration quality, oracle proximity, and rescheduling behaviour.
 
 use papi::core::engine::{fc_latency_on_pim, fc_latency_on_pu};
-use papi::core::{DecodingSimulator, SystemConfig};
+use papi::core::{
+    ClusterEngine, ClusterSpec, DecodingSimulator, DesignKind, ExecutionReport, KvTierSpec,
+    ServingEngine, ServingReport, SessionTuning, SharedTierSpec, SystemConfig,
+};
 use papi::gpu::{GpuEnergyModel, GpuSpec, MultiGpu};
 use papi::llm::ModelPreset;
 use papi::pim::PimDevice;
 use papi::sched::{FcScheduler, OracleScheduler, Placement};
-use papi::workload::{DatasetKind, WorkloadSpec};
+use papi::workload::{
+    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload,
+    SpeculativeConfig, WorkloadSpec,
+};
 
 fn papi_gpus() -> MultiGpu {
     let mut gpus = MultiGpu::dgx6_a100();
@@ -110,7 +116,122 @@ fn scheduler_does_not_thrash() {
         .iter()
         .position(|p| *p == Placement::FcPim)
         .expect("decay must reach FC-PIM territory");
-    assert!(report.placements[first_pim..]
+    assert!(report
+        .placements
         .iter()
+        .skip(first_pim)
         .all(|p| *p == Placement::FcPim));
+}
+
+/// `decide` and the placement series' `push` are 1:1, so a report's
+/// placement runs are exactly its rescheduling events plus one.
+fn assert_placement_runs_match_switches(label: &str, runs: usize, switches: u64) {
+    assert_eq!(
+        runs as u64,
+        switches + 1,
+        "{label}: placement runs vs switches"
+    );
+}
+
+/// A serving report's RLP changes only when its decoding set gains a
+/// member (admission) or loses one (completion or preemption), so its
+/// RLP runs grow with requests, not with decode iterations.
+fn assert_serving_series_bounded(label: &str, report: &ServingReport) {
+    if report.placements.is_empty() {
+        assert!(report.rlp_series.is_empty(), "{label}");
+        return;
+    }
+    assert_placement_runs_match_switches(
+        label,
+        report.placements.runs().len(),
+        report.scheduler.switches,
+    );
+    let requests = report.records.len() as u64;
+    let bound = 2 * (requests + report.preemptions) + 1;
+    let runs = report.rlp_series.runs().len() as u64;
+    assert!(runs <= bound, "{label}: {runs} RLP runs > bound {bound}");
+}
+
+/// The Fig. 5(d) batch trace: one PU → FC-PIM switch, two placement
+/// runs over hundreds of iterations.
+#[test]
+fn batch_placement_runs_are_switches_plus_one() {
+    let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 64, 1).with_seed(3);
+    let model = ModelPreset::Llama65B.config();
+    let report: ExecutionReport = DecodingSimulator::new(SystemConfig::papi(model)).run(&workload);
+    assert!(report.scheduler.switches >= 1);
+    assert_placement_runs_match_switches(
+        "fig5d",
+        report.placements.runs().len(),
+        report.scheduler.switches,
+    );
+    assert!(report.placements.runs().len() * 10 < report.placements.len());
+}
+
+/// A chunked-prefill replica on a tight pool that preempts.
+#[test]
+fn chunked_preempting_replica_series_grow_with_requests() {
+    let mut config = SystemConfig::build(DesignKind::Papi, ModelPreset::Gpt3_175B.config());
+    config.attn_pim.1 = 1;
+    let workload = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 3),
+        6.0,
+        48,
+    )
+    .with_seed(17)
+    .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+    .with_adaptive_tlp(32, 8);
+    let report = ServingEngine::new(config)
+        .with_tuning(
+            SessionTuning::new()
+                .with_max_batch(16)
+                .with_kv_headroom(0.97)
+                .with_kv_block_size(16)
+                .with_prefix_sharing(true)
+                .with_prefill_chunk(128)
+                .with_kv_tier(KvTierSpec::new(96)),
+        )
+        .run(&workload);
+    assert!(report.preemptions > 0, "the shape must preempt");
+    assert!(report.kv.prefill_chunks > 0, "the shape must chunk");
+    assert!(report.scheduler.switches > 0, "the shape must reschedule");
+    assert_serving_series_bounded("chunked-preempting", &report);
+}
+
+/// A small disaggregated fleet (A100+AttAcc prefill, PAPI decode)
+/// sharing a fleet-wide KV tier.
+#[test]
+fn disaggregated_shared_tier_series_grow_with_requests() {
+    let mut roles = vec![ReplicaRole::Prefill; 2];
+    roles.extend([ReplicaRole::Decode; 2]);
+    let spec = ClusterSpec::new(DesignKind::Papi, ModelPreset::Llama65B.config(), 1, 4)
+        .with_roles(roles)
+        .with_prefill_design(DesignKind::A100AttAcc)
+        .with_routing(PolicySpec::shared_tier_affinity())
+        .with_tuning(
+            SessionTuning::default()
+                .with_max_batch(64)
+                .with_kv_block_size(16)
+                .with_prefix_sharing(true)
+                .with_kv_tier(KvTierSpec::new(6_000)),
+        )
+        .with_shared_tier(SharedTierSpec::new());
+    let workload = ServingWorkload::new(
+        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
+        ArrivalProcess::Bursty {
+            burst_size: 96,
+            interval_sec: 30.0,
+        },
+        192,
+    )
+    .with_speculation(SpeculativeConfig::fixed(4))
+    .with_seed(5);
+    let report = ClusterEngine::new(spec)
+        .expect("valid disaggregated fleet")
+        .run(&workload);
+    assert_eq!(report.requests(), 192);
+    assert!(report.replicas.iter().any(|r| r.scheduler.switches > 0));
+    for (idx, replica) in report.replicas.iter().enumerate() {
+        assert_serving_series_bounded(&format!("replica {idx}"), replica);
+    }
 }
