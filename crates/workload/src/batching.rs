@@ -2,7 +2,7 @@
 
 use crate::dataset::DatasetKind;
 use crate::request::Request;
-use crate::speculative::{SpeculativeConfig, TlpPolicy};
+use crate::speculative::{AcceptanceModel, SpeculativeConfig, TlpPolicy};
 use crate::trace::{DecodeTrace, IterationRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,6 +133,15 @@ impl WorkloadSpec {
     }
 
     /// Simulates the decode and returns the per-iteration trace.
+    ///
+    /// Under [`AcceptanceModel::Full`] the batch changes only when a
+    /// request finishes, and between two finishes every live request
+    /// banks exactly `tlp` tokens per iteration. The loop therefore
+    /// leaps from one finish to the next, writing the records in
+    /// between in closed form: the cost is O(records + requests ×
+    /// finish events) rather than O(records × requests). Geometric
+    /// acceptance steps one iteration at a time, drawing the RNG per
+    /// request per iteration.
     pub fn trace(&self) -> DecodeTrace {
         let all = self.requests();
         let mut queue: VecDeque<Request> = all.into();
@@ -154,33 +163,57 @@ impl WorkloadSpec {
             requests: 0,
             ..Default::default()
         };
+        let leaps = self.speculation.acceptance == AcceptanceModel::Full;
         let mut iterations = 0u64;
         while !live.is_empty() {
-            if let Some(max) = self.max_iterations {
-                if iterations >= max {
-                    // Account the still-running requests so validate()
-                    // remains meaningful on truncated traces.
-                    trace.requests += live.len() as u64;
-                    let record = IterationRecord {
-                        rlp: live.len() as u64,
-                        tlp: self.speculation.tlp(),
-                        total_kv_len: live.iter().map(LiveRequest::kv_len).sum(),
-                        max_kv_len: live.iter().map(LiveRequest::kv_len).max().unwrap_or(1),
-                        new_tokens: 0,
-                        finished: live.len() as u64,
-                    };
-                    trace.iterations.push(record);
-                    break;
-                }
-            }
-            iterations += 1;
             let rlp = live.len() as u64;
             let tlp = self.tlp_policy.length_at(rlp, self.speculation.length);
-            let total_kv: u64 = live.iter().map(LiveRequest::kv_len).sum();
-            let max_kv = live.iter().map(LiveRequest::kv_len).max().unwrap_or(1);
+            let mut total_kv = 0;
+            let mut max_kv = 0;
+            // Iterations every live request survives without finishing.
+            let mut quiet = u64::MAX;
+            for req in &live {
+                total_kv += req.kv_len();
+                max_kv = max_kv.max(req.kv_len());
+                quiet = quiet.min(req.remaining().saturating_sub(1) / tlp);
+            }
+            let budget = self.max_iterations.map_or(u64::MAX, |max| max - iterations);
+            let leap = if leaps { quiet.min(budget) } else { 0 };
+            // Every request grows by `tlp` per leapt iteration, so the
+            // longest KV cache stays the longest.
+            let in_flight = rlp * tlp;
+            trace.iterations.extend((0..leap).map(|j| IterationRecord {
+                rlp,
+                tlp,
+                total_kv_len: total_kv + j * in_flight,
+                max_kv_len: max_kv + j * tlp,
+                new_tokens: in_flight,
+                finished: 0,
+            }));
+            trace.total_tokens += leap * in_flight;
+            total_kv += leap * in_flight;
+            max_kv += leap * tlp;
+            iterations += leap;
+            if leap == budget {
+                // Account the still-running requests so validate()
+                // remains meaningful on truncated traces.
+                trace.requests += rlp;
+                trace.iterations.push(IterationRecord {
+                    rlp,
+                    tlp: self.speculation.tlp(),
+                    total_kv_len: total_kv,
+                    max_kv_len: max_kv,
+                    new_tokens: 0,
+                    finished: rlp,
+                });
+                break;
+            }
+            iterations += 1;
             let mut new_tokens = 0;
             let mut finished = 0;
             live.retain_mut(|req| {
+                // Bank the leap's tokens, then step one iteration.
+                req.generated += leap * tlp;
                 let banked = self
                     .speculation
                     .acceptance
@@ -214,6 +247,7 @@ impl WorkloadSpec {
                 }
             }
         }
+        trace.iterations.shrink_to_fit();
         trace.total_input_tokens = prefill_tokens;
         trace.sum_input_len_squared = prefill_sq;
         trace

@@ -95,9 +95,11 @@ impl DecodeTrace {
             / self.iterations.len() as f64
     }
 
-    /// Internal consistency check: token and finish counts add up,
-    /// RLP never exceeds the previous iteration's in static batching.
-    /// Used by tests and debug assertions in the simulator.
+    /// Internal consistency check: token and finish counts add up, and
+    /// each iteration has a live batch, consistent KV lengths, no more
+    /// finishes than live requests (`finished ≤ rlp`) and no more banked
+    /// tokens than were verified (`new_tokens ≤ rlp × tlp`). Used by
+    /// tests and debug assertions in the simulator.
     pub fn validate(&self) -> Result<(), String> {
         let tokens: u64 = self.iterations.iter().map(|it| it.new_tokens).sum();
         if tokens != self.total_tokens {
@@ -116,6 +118,19 @@ impl DecodeTrace {
             }
             if it.max_kv_len == 0 || it.total_kv_len < it.max_kv_len {
                 return Err(format!("iteration {i} has inconsistent KV lengths"));
+            }
+            if it.finished > it.rlp {
+                return Err(format!(
+                    "iteration {i} finishes {} of {} live requests",
+                    it.finished, it.rlp
+                ));
+            }
+            if it.new_tokens > it.tokens_in_flight() {
+                return Err(format!(
+                    "iteration {i} banks {} tokens but verifies {}",
+                    it.new_tokens,
+                    it.tokens_in_flight()
+                ));
             }
         }
         Ok(())
@@ -172,6 +187,22 @@ mod tests {
             sum_input_len_squared: 0,
         };
         assert!(trace.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_per_iteration_overruns() {
+        let overrun = |record: IterationRecord| DecodeTrace {
+            iterations: vec![record],
+            requests: record.finished,
+            total_tokens: record.new_tokens,
+            total_input_tokens: 0,
+            sum_input_len_squared: 0,
+        };
+        overrun(record(2, 2, 2)).validate().unwrap();
+        let err = overrun(record(2, 2, 3)).validate().unwrap_err();
+        assert!(err.contains("finishes 3 of 2"), "{err}");
+        let err = overrun(record(2, 3, 0)).validate().unwrap_err();
+        assert!(err.contains("banks 3 tokens but verifies 2"), "{err}");
     }
 
     #[test]
