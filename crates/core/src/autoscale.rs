@@ -35,11 +35,10 @@
 //! [`StepMode`](crate::cluster::StepMode)s decide on the same schedule
 //! and stay bit-for-bit equal with autoscaling on.
 
-use crate::cluster::{min_pending_clock, next_sync_tick, stamped_snapshot};
-use crate::metrics::{RequestRecord, ServingReport};
+use crate::cluster::{min_pending_clock, next_sync_tick, stamped_snapshot, ClusterReport};
+use crate::metrics::RequestRecord;
 use crate::serving::ServingSession;
 use crate::slo::SloSpec;
-use papi_types::Energy;
 use papi_workload::{HashRing, ReplicaRole, ReplicaSnapshot, ReplicaState, RingPoints};
 use serde::{Deserialize, Serialize};
 
@@ -73,14 +72,6 @@ impl AutoscaleView<'_> {
             .count()
     }
 
-    /// Replicas currently provisioned (anything but `Retired`).
-    pub fn provisioned_count(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|s| s.lifecycle.provisioned())
-            .count()
-    }
-
     /// Whether capacity is already on the way (any `Warming` replica) —
     /// the standard guard against scale-up thrash while a previous
     /// decision is still spinning up.
@@ -92,33 +83,29 @@ impl AutoscaleView<'_> {
 
     /// Mean queue depth per `Active` replica (0 with none active).
     pub fn mean_active_queue(&self) -> f64 {
-        let active: Vec<_> = self
-            .replicas
-            .iter()
-            .filter(|s| s.lifecycle.serves_traffic())
-            .collect();
-        if active.is_empty() {
-            return 0.0;
-        }
-        active.iter().map(|s| s.queued as f64).sum::<f64>() / active.len() as f64
+        mean(
+            self.replicas
+                .iter()
+                .filter(|s| s.lifecycle.serves_traffic())
+                .map(|s| s.queued as f64),
+        )
     }
 
     /// Mean KV-pool utilization across `Active` replicas, in `[0, 1]`.
     pub fn mean_active_kv_utilization(&self) -> f64 {
-        let active: Vec<_> = self
-            .replicas
-            .iter()
-            .filter(|s| s.lifecycle.serves_traffic() && s.kv_budget_blocks > 0)
-            .collect();
-        if active.is_empty() {
-            return 0.0;
-        }
-        active
-            .iter()
-            .map(|s| s.kv_blocks_in_use as f64 / s.kv_budget_blocks as f64)
-            .sum::<f64>()
-            / active.len() as f64
+        mean(
+            self.replicas
+                .iter()
+                .filter(|s| s.lifecycle.serves_traffic() && s.kv_budget_blocks > 0)
+                .map(|s| s.kv_blocks_in_use as f64 / s.kv_budget_blocks as f64),
+        )
     }
+}
+
+/// The mean of `values` in order (0 when empty).
+fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = values.fold((0.0, 0usize), |(sum, n), v| (sum + v, n + 1));
+    sum / n.max(1) as f64
 }
 
 /// One scaling decision over a replica index.
@@ -172,149 +159,42 @@ fn drain_candidate(view: &AutoscaleView<'_>) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Scale on queue depth: activate a replica when the mean `Active`
-/// queue exceeds `scale_up_depth`, drain one when it falls below
-/// `scale_down_depth`. The gap between the two thresholds is the
-/// hysteresis band that prevents flapping.
-#[derive(Debug, Clone)]
-pub struct QueueDepthTarget {
-    /// Mean queued-per-active-replica above which capacity is added.
-    pub scale_up_depth: f64,
-    /// Mean queued-per-active-replica below which capacity is removed.
-    pub scale_down_depth: f64,
-}
-
-impl AutoscalePolicy for QueueDepthTarget {
-    fn decide(&mut self, view: &AutoscaleView<'_>) -> Vec<ScaleAction> {
-        let depth = view.mean_active_queue();
-        if depth > self.scale_up_depth && !view.warming_in_flight() {
-            return activation_candidate(view)
-                .map(ScaleAction::Activate)
-                .into_iter()
-                .collect();
-        }
-        if depth < self.scale_down_depth && view.active_count() > view.min_replicas {
-            return drain_candidate(view)
-                .map(ScaleAction::Drain)
-                .into_iter()
-                .collect();
-        }
-        Vec::new()
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "queue-depth[up>{},down<{}]",
-            self.scale_up_depth, self.scale_down_depth
-        )
-    }
-}
-
-/// Scale on KV pressure: activate when mean `Active` pool utilization
-/// exceeds `scale_up_utilization`, drain below `scale_down_utilization`.
-#[derive(Debug, Clone)]
-pub struct KvPressureTarget {
-    /// Mean KV utilization above which capacity is added.
-    pub scale_up_utilization: f64,
-    /// Mean KV utilization below which capacity is removed.
-    pub scale_down_utilization: f64,
-}
-
-impl AutoscalePolicy for KvPressureTarget {
-    fn decide(&mut self, view: &AutoscaleView<'_>) -> Vec<ScaleAction> {
-        let utilization = view.mean_active_kv_utilization();
-        if utilization > self.scale_up_utilization && !view.warming_in_flight() {
-            return activation_candidate(view)
-                .map(ScaleAction::Activate)
-                .into_iter()
-                .collect();
-        }
-        if utilization < self.scale_down_utilization && view.active_count() > view.min_replicas {
-            return drain_candidate(view)
-                .map(ScaleAction::Drain)
-                .into_iter()
-                .collect();
-        }
-        Vec::new()
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "kv-pressure[up>{},down<{}]",
-            self.scale_up_utilization, self.scale_down_utilization
-        )
-    }
-}
-
-/// Scale on SLO burn: integrate the window's completions against an
-/// SLO; activate when windowed attainment drops below
-/// `target_attainment` (the budget is burning), drain when attainment
-/// holds above `target_attainment + headroom` *and* queues are nearly
-/// empty (capacity is provably idle). Windows with no completions hold.
-#[derive(Debug, Clone)]
-pub struct SloBurnBudget {
-    /// The objective whose attainment is tracked.
-    pub slo: SloSpec,
-    /// Windowed attainment below which capacity is added.
-    pub target_attainment: f64,
-    /// Extra attainment above target required before shrinking.
-    pub headroom: f64,
-}
-
-impl AutoscalePolicy for SloBurnBudget {
-    fn decide(&mut self, view: &AutoscaleView<'_>) -> Vec<ScaleAction> {
-        if view.recent.is_empty() {
-            return Vec::new();
-        }
-        let good = view.recent.iter().filter(|r| r.meets(&self.slo)).count();
-        let attainment = good as f64 / view.recent.len() as f64;
-        if attainment < self.target_attainment && !view.warming_in_flight() {
-            return activation_candidate(view)
-                .map(ScaleAction::Activate)
-                .into_iter()
-                .collect();
-        }
-        if attainment >= self.target_attainment + self.headroom
-            && view.mean_active_queue() < 1.0
-            && view.active_count() > view.min_replicas
-        {
-            return drain_candidate(view)
-                .map(ScaleAction::Drain)
-                .into_iter()
-                .collect();
-        }
-        Vec::new()
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "slo-burn[target={},headroom={}]",
-            self.target_attainment, self.headroom
-        )
-    }
-}
-
-/// Declarative names for the built-in [`AutoscalePolicy`]s — the
-/// serializable form sweeps and configs carry (custom policies drive
-/// the fleet through
+/// The built-in autoscaling policies. Each arm compares one fleet
+/// signal against a band: above the grow threshold it activates a
+/// replica (unless one is already warming), below the shrink threshold
+/// it drains one (never below the floor). The gap between the two
+/// thresholds is the hysteresis band that prevents flapping.
+///
+/// The spec is itself the policy — it implements [`AutoscalePolicy`]
+/// — and is the serializable form sweeps and configs carry (custom
+/// policies drive the fleet through
 /// [`ClusterEngine::run_elastic`](crate::cluster::ClusterEngine::run_elastic)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AutoscalePolicySpec {
-    /// [`QueueDepthTarget`].
+    /// Scale on queue depth: activate a replica when the mean `Active`
+    /// queue exceeds `scale_up_depth`, drain one when it falls below
+    /// `scale_down_depth`.
     QueueDepthTarget {
         /// Mean queued-per-active-replica above which capacity is added.
         scale_up_depth: f64,
         /// Mean queued-per-active-replica below which capacity is removed.
         scale_down_depth: f64,
     },
-    /// [`KvPressureTarget`].
+    /// Scale on KV pressure: activate when mean `Active` pool
+    /// utilization exceeds `scale_up_utilization`, drain below
+    /// `scale_down_utilization`.
     KvPressureTarget {
         /// Mean KV utilization above which capacity is added.
         scale_up_utilization: f64,
         /// Mean KV utilization below which capacity is removed.
         scale_down_utilization: f64,
     },
-    /// [`SloBurnBudget`].
+    /// Scale on SLO burn: integrate the window's completions against
+    /// `slo`; activate when windowed attainment drops below
+    /// `target_attainment` (the budget is burning), drain when
+    /// attainment holds at or above `target_attainment + headroom`
+    /// *and* the mean `Active` queue is below one request (capacity is
+    /// provably idle). Windows with no completions hold.
     SloBurnBudget {
         /// The objective whose windowed attainment is tracked.
         slo: SloSpec,
@@ -352,38 +232,118 @@ impl AutoscalePolicySpec {
         }
     }
 
-    /// Instantiates the named policy.
+    /// The spec as a boxed policy.
     pub fn build(&self) -> Box<dyn AutoscalePolicy> {
-        match *self {
+        Box::new(*self)
+    }
+
+    /// Checks the thresholds: each finite and non-negative,
+    /// utilizations and attainment at most 1, and the band not inverted
+    /// (a scale-up threshold below the scale-down one; equal is
+    /// allowed). SLO burn's band is its headroom.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |name: &str, value: f64, max: f64| {
+            if !value.is_finite() || value < 0.0 {
+                Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ))
+            } else if value > max {
+                Err(format!("{name} must be in [0, {max}], got {value}"))
+            } else {
+                Ok(())
+            }
+        };
+        let (up, down, max) = match *self {
             AutoscalePolicySpec::QueueDepthTarget {
                 scale_up_depth,
                 scale_down_depth,
-            } => Box::new(QueueDepthTarget {
-                scale_up_depth,
-                scale_down_depth,
-            }),
+            } => (scale_up_depth, scale_down_depth, f64::INFINITY),
             AutoscalePolicySpec::KvPressureTarget {
                 scale_up_utilization,
                 scale_down_utilization,
-            } => Box::new(KvPressureTarget {
+            } => (scale_up_utilization, scale_down_utilization, 1.0),
+            AutoscalePolicySpec::SloBurnBudget {
+                target_attainment,
+                headroom,
+                ..
+            } => {
+                check("target attainment", target_attainment, 1.0)?;
+                return check("headroom", headroom, f64::INFINITY);
+            }
+        };
+        check("scale-up threshold", up, max)?;
+        check("scale-down threshold", down, max)?;
+        if up < down {
+            return Err(format!(
+                "inverted band: scale-up threshold {up} is below scale-down threshold {down}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl AutoscalePolicy for AutoscalePolicySpec {
+    fn decide(&mut self, view: &AutoscaleView<'_>) -> Vec<ScaleAction> {
+        let (grow, shrink) = match *self {
+            AutoscalePolicySpec::QueueDepthTarget {
+                scale_up_depth,
+                scale_down_depth,
+            } => {
+                let depth = view.mean_active_queue();
+                (depth > scale_up_depth, depth < scale_down_depth)
+            }
+            AutoscalePolicySpec::KvPressureTarget {
                 scale_up_utilization,
                 scale_down_utilization,
-            }),
+            } => {
+                let utilization = view.mean_active_kv_utilization();
+                (
+                    utilization > scale_up_utilization,
+                    utilization < scale_down_utilization,
+                )
+            }
             AutoscalePolicySpec::SloBurnBudget {
                 slo,
                 target_attainment,
                 headroom,
-            } => Box::new(SloBurnBudget {
-                slo,
-                target_attainment,
-                headroom,
-            }),
-        }
+            } => {
+                if view.recent.is_empty() {
+                    return Vec::new();
+                }
+                let good = view.recent.iter().filter(|r| r.meets(&slo)).count();
+                let attainment = good as f64 / view.recent.len() as f64;
+                (
+                    attainment < target_attainment,
+                    attainment >= target_attainment + headroom && view.mean_active_queue() < 1.0,
+                )
+            }
+        };
+        let action = if grow && !view.warming_in_flight() {
+            activation_candidate(view).map(ScaleAction::Activate)
+        } else if shrink && view.active_count() > view.min_replicas {
+            drain_candidate(view).map(ScaleAction::Drain)
+        } else {
+            None
+        };
+        action.into_iter().collect()
     }
 
-    /// Display label (matches the built policy's).
-    pub fn label(&self) -> String {
-        self.build().label()
+    fn label(&self) -> String {
+        match *self {
+            AutoscalePolicySpec::QueueDepthTarget {
+                scale_up_depth,
+                scale_down_depth,
+            } => format!("queue-depth[up>{scale_up_depth},down<{scale_down_depth}]"),
+            AutoscalePolicySpec::KvPressureTarget {
+                scale_up_utilization,
+                scale_down_utilization,
+            } => format!("kv-pressure[up>{scale_up_utilization},down<{scale_down_utilization}]"),
+            AutoscalePolicySpec::SloBurnBudget {
+                target_attainment,
+                headroom,
+                ..
+            } => format!("slo-burn[target={target_attainment},headroom={headroom}]"),
+        }
     }
 }
 
@@ -527,7 +487,7 @@ impl FleetCostReport {
 /// step mode, so decisions — and reports — are bit-for-bit identical.
 #[derive(Debug)]
 pub(crate) struct AutoscaleControl<'a> {
-    policy: Box<dyn AutoscalePolicy + 'a>,
+    policy: &'a mut dyn AutoscalePolicy,
     slo: SloSpec,
     min_replicas: usize,
     spin_up_s: f64,
@@ -561,12 +521,12 @@ fn seconds_bucket(state: ReplicaState) -> Option<usize> {
 }
 
 impl<'a> AutoscaleControl<'a> {
-    /// Sets up the runtime for a `dp`-replica fleet, optionally with a
-    /// caller-supplied policy overriding the spec's built-in.
+    /// Sets up the runtime for a `dp`-replica fleet under `spec`'s
+    /// bounds and timings, with `policy` deciding.
     pub(crate) fn new(
         spec: &AutoscaleSpec,
         dp: usize,
-        policy: Option<Box<dyn AutoscalePolicy + 'a>>,
+        policy: &'a mut dyn AutoscalePolicy,
     ) -> Self {
         let initial = spec.initial_replicas.unwrap_or(dp);
         let lifecycle: Vec<ReplicaState> = (0..dp)
@@ -581,7 +541,7 @@ impl<'a> AutoscaleControl<'a> {
         let all: Vec<usize> = (0..dp).collect();
         let points = RingPoints::new(&all);
         Self {
-            policy: policy.unwrap_or_else(|| spec.policy.build()),
+            policy,
             slo: spec.slo,
             min_replicas: spec.min_replicas,
             spin_up_s: spec.spin_up_s,
@@ -756,17 +716,10 @@ impl<'a> AutoscaleControl<'a> {
     }
 
     /// Closes out the episode at `end_s` (the latest session clock) and
-    /// builds the cost report: remaining state-seconds accrue to every
-    /// still-provisioned replica, SLO-good work is tallied from the
-    /// per-replica reports, and fleet energy is divided over the good
-    /// tokens.
-    pub(crate) fn into_report(
-        mut self,
-        replicas: &[ServingReport],
-        end_s: f64,
-        fleet_energy: Energy,
-        dp: usize,
-    ) -> FleetCostReport {
+    /// builds the cost report from the finished fleet `report`:
+    /// remaining state-seconds accrue to every still-provisioned
+    /// replica, and fleet energy is divided over the SLO-good tokens.
+    pub(crate) fn into_report(mut self, report: &ClusterReport, end_s: f64) -> FleetCostReport {
         for idx in 0..self.lifecycle.len() {
             if let Some(bucket) = seconds_bucket(self.lifecycle[idx]) {
                 self.state_seconds[idx][bucket] += (end_s - self.state_since[idx]).max(0.0);
@@ -778,18 +731,9 @@ impl<'a> AutoscaleControl<'a> {
         let warming_hours = sum_bucket(0);
         let active_hours = sum_bucket(1);
         let draining_hours = sum_bucket(2);
-        let mut slo_good_requests = 0u64;
-        let mut slo_good_tokens = 0u64;
-        for report in replicas {
-            for record in &report.records {
-                if record.meets(&self.slo) {
-                    slo_good_requests += 1;
-                    slo_good_tokens += record.output_tokens;
-                }
-            }
-        }
+        let (slo_good_requests, slo_good_tokens) = report.slo_good(&self.slo);
         let energy_per_good_token_j = if slo_good_tokens > 0 {
-            fleet_energy.value() / slo_good_tokens as f64
+            report.energy().value() / slo_good_tokens as f64
         } else {
             0.0
         };
@@ -803,7 +747,7 @@ impl<'a> AutoscaleControl<'a> {
             active_hours,
             draining_hours,
             provisioned_hours: warming_hours + active_hours + draining_hours,
-            fixed_fleet_hours: dp as f64 * end_s / 3600.0,
+            fixed_fleet_hours: self.lifecycle.len() as f64 * end_s / 3600.0,
             scale_events: self.events,
             slo_good_requests,
             slo_good_tokens,
@@ -857,10 +801,7 @@ mod tests {
 
     #[test]
     fn queue_depth_scales_up_on_pressure_and_down_when_idle() {
-        let mut policy = QueueDepthTarget {
-            scale_up_depth: 4.0,
-            scale_down_depth: 1.0,
-        };
+        let mut policy = AutoscalePolicySpec::queue_depth();
         // Pressured: two active replicas averaging 6 queued, one
         // retired spare → activate the spare.
         let fleet = vec![
@@ -906,10 +847,7 @@ mod tests {
 
     #[test]
     fn kv_pressure_reads_pool_utilization() {
-        let mut policy = KvPressureTarget {
-            scale_up_utilization: 0.85,
-            scale_down_utilization: 0.40,
-        };
+        let mut policy = AutoscalePolicySpec::kv_pressure();
         let fleet = vec![
             snap(ReplicaState::Active, 0, 950),
             snap(ReplicaState::Retired, 0, 0),
@@ -931,11 +869,7 @@ mod tests {
     #[test]
     fn slo_burn_integrates_the_window() {
         let slo = SloSpec::interactive(1_000.0, 50.0);
-        let mut policy = SloBurnBudget {
-            slo,
-            target_attainment: 0.95,
-            headroom: 0.04,
-        };
+        let mut policy = AutoscalePolicySpec::slo_burn(slo);
         let fleet = vec![
             snap(ReplicaState::Active, 2, 0),
             snap(ReplicaState::Retired, 0, 0),
@@ -962,16 +896,34 @@ mod tests {
         assert_eq!(policy.decide(&view(&fleet, &[])), vec![]);
     }
 
+    /// The example's band, beside the three defaults.
+    const EXAMPLE_QUEUE_DEPTH: AutoscalePolicySpec = AutoscalePolicySpec::QueueDepthTarget {
+        scale_up_depth: 0.3,
+        scale_down_depth: 0.02,
+    };
+
     #[test]
     fn policy_specs_build_and_round_trip() {
         let slo = SloSpec::interactive(1_000.0, 50.0);
-        for spec in [
-            AutoscalePolicySpec::queue_depth(),
-            AutoscalePolicySpec::kv_pressure(),
-            AutoscalePolicySpec::slo_burn(slo),
+        // Labels are serialized into every autoscaled report, so they
+        // are pinned byte for byte.
+        for (spec, label) in [
+            (
+                AutoscalePolicySpec::queue_depth(),
+                "queue-depth[up>4,down<1]",
+            ),
+            (
+                AutoscalePolicySpec::kv_pressure(),
+                "kv-pressure[up>0.85,down<0.4]",
+            ),
+            (
+                AutoscalePolicySpec::slo_burn(slo),
+                "slo-burn[target=0.95,headroom=0.04]",
+            ),
+            (EXAMPLE_QUEUE_DEPTH, "queue-depth[up>0.3,down<0.02]"),
         ] {
-            let policy = spec.build();
-            assert_eq!(policy.label(), spec.label());
+            assert_eq!(spec.label(), label);
+            assert_eq!(spec.build().label(), label);
             let json = serde_json::to_string(&spec).unwrap();
             let back: AutoscalePolicySpec = serde_json::from_str(&json).unwrap();
             assert_eq!(spec, back);
@@ -984,6 +936,89 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: AutoscaleSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
+    }
+
+    #[test]
+    fn validate_rejects_malformed_bands() {
+        let slo = SloSpec::interactive(1_000.0, 50.0);
+        let queue = |up, down| AutoscalePolicySpec::QueueDepthTarget {
+            scale_up_depth: up,
+            scale_down_depth: down,
+        };
+        let kv = |up, down| AutoscalePolicySpec::KvPressureTarget {
+            scale_up_utilization: up,
+            scale_down_utilization: down,
+        };
+        let burn = |target_attainment, headroom| AutoscalePolicySpec::SloBurnBudget {
+            slo,
+            target_attainment,
+            headroom,
+        };
+        for (spec, message) in [
+            (
+                queue(f64::NAN, 1.0),
+                "scale-up threshold must be finite and non-negative, got NaN",
+            ),
+            (
+                queue(f64::INFINITY, 1.0),
+                "scale-up threshold must be finite and non-negative, got inf",
+            ),
+            (
+                queue(4.0, -1.0),
+                "scale-down threshold must be finite and non-negative, got -1",
+            ),
+            (
+                queue(1.0, 4.0),
+                "inverted band: scale-up threshold 1 is below scale-down threshold 4",
+            ),
+            (
+                kv(1.5, 0.4),
+                "scale-up threshold must be in [0, 1], got 1.5",
+            ),
+            (
+                kv(0.85, -0.1),
+                "scale-down threshold must be finite and non-negative, got -0.1",
+            ),
+            (
+                kv(0.4, 0.85),
+                "inverted band: scale-up threshold 0.4 is below scale-down threshold 0.85",
+            ),
+            (
+                burn(1.5, 0.04),
+                "target attainment must be in [0, 1], got 1.5",
+            ),
+            (
+                burn(-0.1, 0.04),
+                "target attainment must be finite and non-negative, got -0.1",
+            ),
+            (
+                burn(0.95, -0.04),
+                "headroom must be finite and non-negative, got -0.04",
+            ),
+            (
+                burn(0.95, f64::NAN),
+                "headroom must be finite and non-negative, got NaN",
+            ),
+        ] {
+            assert_eq!(spec.validate(), Err(message.to_owned()), "{spec:?}");
+        }
+        // The defaults, the example's band, the benchmark's and the
+        // KV-pressure golden's, and the edges: an empty band and the
+        // ends of [0, 1].
+        for spec in [
+            AutoscalePolicySpec::queue_depth(),
+            AutoscalePolicySpec::kv_pressure(),
+            AutoscalePolicySpec::slo_burn(slo),
+            EXAMPLE_QUEUE_DEPTH,
+            queue(0.25, 0.05),
+            kv(0.02, 0.005),
+            queue(2.0, 2.0),
+            kv(1.0, 0.0),
+            burn(1.0, 0.5),
+            burn(0.0, 0.0),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+        }
     }
 
     #[test]

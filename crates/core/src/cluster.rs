@@ -35,9 +35,7 @@
 //! pre-disaggregation engine bit for bit
 //! (`tests/routing_equality.rs`).
 
-use crate::autoscale::{
-    AutoscaleControl, AutoscalePolicy, AutoscaleSpec, AutoscaleView, FleetCostReport, ScaleAction,
-};
+use crate::autoscale::{AutoscaleControl, AutoscalePolicy, AutoscaleSpec, FleetCostReport};
 use crate::config::{DesignKind, SystemConfig};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport};
 use crate::serving::{PrefillHandoff, ServingEngine, ServingSession, SessionTuning};
@@ -437,12 +435,18 @@ impl ClusterEngine {
     /// published), names a routing policy whose threshold fails
     /// [`PolicySpec::validate`], carries a tuning that fails
     /// [`SessionTuning::validate`], or configures autoscaling on a
-    /// disaggregated or shared-tier fleet or with degenerate bounds
+    /// disaggregated or shared-tier fleet, with degenerate bounds
     /// (`1 <= min <= initial <= dp_replicas`, non-negative spin-up,
-    /// positive decision interval).
+    /// positive decision interval), or with a policy that fails
+    /// [`AutoscalePolicySpec::validate`].
+    ///
+    /// [`AutoscalePolicySpec::validate`]: crate::autoscale::AutoscalePolicySpec::validate
     pub fn new(spec: ClusterSpec) -> Result<Self, TopologyError> {
         spec.routing.validate().map_err(TopologyError::new)?;
         spec.tuning.validate().map_err(TopologyError::new)?;
+        if let Some(autoscale) = &spec.autoscale {
+            autoscale.policy.validate().map_err(TopologyError::new)?;
+        }
         if !spec.roles.is_empty() && spec.roles.len() != spec.dp_replicas {
             return Err(TopologyError::new(format!(
                 "{} roles assigned to a {}-replica fleet",
@@ -556,13 +560,6 @@ impl ClusterEngine {
         &self.topology
     }
 
-    /// The base replica engine configuration (replica 0's; roles may
-    /// give other replicas different hardware — see
-    /// [`replica_configs`](Self::replica_configs)).
-    pub fn replica_config(&self) -> &SystemConfig {
-        self.replicas[0].config()
-    }
-
     /// Every replica's engine configuration, in replica order.
     pub fn replica_configs(&self) -> impl Iterator<Item = &SystemConfig> {
         self.replicas.iter().map(ServingEngine::config)
@@ -642,11 +639,11 @@ impl ClusterEngine {
         policy: &mut dyn RoutePolicy,
         migration: &mut dyn MigrationPolicy,
     ) -> ClusterReport {
-        let autoscale = self
-            .spec
-            .autoscale
-            .as_ref()
-            .map(|spec| AutoscaleControl::new(spec, self.spec.dp_replicas, None));
+        // The spec's policy, copied so the control can borrow it.
+        let mut builtin = self.spec.autoscale.as_ref().map(|spec| (spec, spec.policy));
+        let autoscale = builtin
+            .as_mut()
+            .map(|(spec, policy)| AutoscaleControl::new(spec, self.spec.dp_replicas, policy));
         self.run_fleet(workload, policy, migration, autoscale)
     }
 
@@ -676,11 +673,7 @@ impl ClusterEngine {
             .autoscale
             .as_ref()
             .expect("run_elastic requires ClusterSpec::with_autoscale");
-        let control = AutoscaleControl::new(
-            spec,
-            self.spec.dp_replicas,
-            Some(Box::new(BorrowedAutoscaler(autoscaler))),
-        );
+        let control = AutoscaleControl::new(spec, self.spec.dp_replicas, autoscaler);
         let mut router = Router::new(self.spec.routing);
         let mut migration = self.spec.migration.build();
         self.run_fleet(workload, &mut router, migration.as_mut(), Some(control))
@@ -996,11 +989,7 @@ impl ClusterEngine {
         // provisioned replicas accrue replica-hours up to it.
         let end_s = sessions.iter().map(|s| s.clock()).fold(0.0, f64::max);
         let replicas: Vec<ServingReport> = sessions.into_iter().map(|s| s.into_report()).collect();
-        let fleet_cost = autoscale.map(|control| {
-            let fleet_energy = replicas.iter().fold(stats.energy, |acc, r| acc + r.energy);
-            control.into_report(&replicas, end_s, fleet_energy, self.spec.dp_replicas)
-        });
-        ClusterReport {
+        let mut report = ClusterReport {
             design: self.replicas[0].config().design.label().to_owned(),
             model: self.spec.model.name.clone(),
             tp_degree: self.spec.tp_degree,
@@ -1009,9 +998,11 @@ impl ClusterEngine {
             roles,
             migration: stats,
             global_tier: shared.map(SharedTierControl::into_report),
-            fleet_cost,
+            fleet_cost: None,
             replicas,
-        }
+        };
+        report.fleet_cost = autoscale.map(|control| control.into_report(&report, end_s));
+        report
     }
 }
 
@@ -1217,22 +1208,6 @@ impl SnapshotCache {
     }
 }
 
-/// Adapts a caller-borrowed autoscaler to the boxed policy
-/// [`AutoscaleControl`] owns — [`ClusterEngine::run_elastic`]'s
-/// equivalent of the router's borrowed-policy seam.
-#[derive(Debug)]
-struct BorrowedAutoscaler<'a>(&'a mut dyn AutoscalePolicy);
-
-impl AutoscalePolicy for BorrowedAutoscaler<'_> {
-    fn decide(&mut self, view: &AutoscaleView<'_>) -> Vec<ScaleAction> {
-        self.0.decide(view)
-    }
-
-    fn label(&self) -> String {
-        self.0.label()
-    }
-}
-
 /// A KV sequence on the wire between its prefill and decode replicas.
 #[derive(Debug, Clone)]
 struct InFlightMigration {
@@ -1396,13 +1371,23 @@ impl ClusterReport {
         LatencySummary::from_times(&times)
     }
 
+    /// Requests completed within `slo` fleet-wide, and their output
+    /// tokens.
+    pub fn slo_good(&self, slo: &SloSpec) -> (u64, u64) {
+        self.records()
+            .filter(|r| r.meets(slo))
+            .fold((0, 0), |(requests, tokens), r| {
+                (requests + 1, tokens + r.output_tokens)
+            })
+    }
+
     /// Fraction of completed requests meeting `slo`.
     pub fn slo_attainment(&self, slo: &SloSpec) -> f64 {
         let total = self.requests();
         if total == 0 {
             return 0.0;
         }
-        self.records().filter(|r| r.meets(slo)).count() as f64 / total as f64
+        self.slo_good(slo).0 as f64 / total as f64
     }
 
     /// Fleet SLO goodput: requests completed within `slo` per second of
@@ -1412,7 +1397,7 @@ impl ClusterReport {
         if secs == 0.0 {
             return 0.0;
         }
-        self.records().filter(|r| r.meets(slo)).count() as f64 / secs
+        self.slo_good(slo).0 as f64 / secs
     }
 
     /// Fleet output-token throughput over the makespan.
@@ -1451,6 +1436,7 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::{AutoscaleView, ScaleAction};
     use crate::serving::KvTierSpec;
     use papi_kv::SpillSpec;
     use papi_llm::ModelPreset;
@@ -1758,6 +1744,19 @@ mod tests {
         assert!(
             ClusterEngine::new(fleet(3).with_autoscale(spec.clone().with_spin_up(f64::NAN)))
                 .is_err()
+        );
+        // A malformed policy band is a config error, not a fleet that
+        // activates at every tick.
+        let burning = AutoscalePolicySpec::SloBurnBudget {
+            slo,
+            target_attainment: 1.5,
+            headroom: 0.04,
+        };
+        assert_eq!(
+            ClusterEngine::new(fleet(3).with_autoscale(AutoscaleSpec::new(burning, slo))).err(),
+            Some(TopologyError::new(
+                "target attainment must be in [0, 1], got 1.5"
+            ))
         );
         // A sane spec builds.
         assert!(ClusterEngine::new(

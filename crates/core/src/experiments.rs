@@ -552,11 +552,7 @@ impl SweepRow {
         let ttft = report.ttft_summary();
         let tpot = report.tpot_summary();
         let energy_j = report.energy().value();
-        let good_tokens: u64 = report
-            .records()
-            .filter(|r| r.meets(slo))
-            .map(|r| r.output_tokens)
-            .sum();
+        let (_, good_tokens) = report.slo_good(slo);
         Self {
             requests: report.requests(),
             ttft_p50_ms: ms(ttft, |s| s.p50),

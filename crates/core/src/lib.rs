@@ -74,7 +74,7 @@ pub mod slo;
 pub use admission::{AdmissionSpec, AdmissionView};
 pub use autoscale::{
     AutoscalePolicy, AutoscalePolicySpec, AutoscaleSpec, AutoscaleView, FleetCostReport,
-    KvPressureTarget, QueueDepthTarget, ScaleAction, ScaleEvent, SloBurnBudget,
+    ScaleAction, ScaleEvent,
 };
 pub use cluster::{
     ClusterEngine, ClusterReport, ClusterSpec, GlobalTierReport, MigrationReport, SharedTierSpec,

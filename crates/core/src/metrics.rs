@@ -497,15 +497,6 @@ impl ServingReport {
         self.records.iter().filter(|r| r.meets(slo)).count() as f64 / secs
     }
 
-    /// Raw request throughput over the makespan.
-    pub fn requests_per_second(&self) -> f64 {
-        let secs = self.makespan.as_secs();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.records.len() as f64 / secs
-    }
-
     /// Output-token throughput over the makespan.
     pub fn tokens_per_second(&self) -> f64 {
         let secs = self.makespan.as_secs();
@@ -691,6 +682,5 @@ mod tests {
         };
         assert!((report.slo_attainment(&slo) - 1.0 / 3.0).abs() < 1e-12);
         assert!((report.goodput(&slo) - 0.1).abs() < 1e-12);
-        assert!((report.requests_per_second() - 0.3).abs() < 1e-12);
     }
 }

@@ -143,12 +143,6 @@ impl ReplicaState {
         matches!(self, ReplicaState::Active)
     }
 
-    /// Whether the replica is provisioned (billed by the hour):
-    /// everything but `Retired`.
-    pub fn provisioned(&self) -> bool {
-        !matches!(self, ReplicaState::Retired)
-    }
-
     /// Display label for reports and sweeps.
     pub fn label(&self) -> &'static str {
         match self {
@@ -1779,10 +1773,6 @@ mod tests {
         assert!(!ReplicaState::Warming.serves_traffic());
         assert!(!ReplicaState::Draining.serves_traffic());
         assert!(!ReplicaState::Retired.serves_traffic());
-        assert!(ReplicaState::Warming.provisioned());
-        assert!(ReplicaState::Active.provisioned());
-        assert!(ReplicaState::Draining.provisioned());
-        assert!(!ReplicaState::Retired.provisioned());
         assert_eq!(ReplicaState::default(), ReplicaState::Active);
         assert_eq!(ReplicaState::Draining.to_string(), "draining");
     }

@@ -17,7 +17,10 @@
 //! the colocated routing goldens do not cover, against code the one
 //! loop does not share. The relaxing-affinity goldens were captured
 //! while each affinity policy was still its own type, so they pin the
-//! one `Router` rule against all three.
+//! one `Router` rule against all three. The KV-pressure and SLO-burn
+//! autoscaled goldens were captured while each autoscaling policy was
+//! its own type, so they pin the one `AutoscalePolicySpec` rule
+//! against both.
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
@@ -26,8 +29,8 @@ use papi::core::{
 use papi::interconnect::{MigrationPricing, TierPricing};
 use papi::llm::ModelPreset;
 use papi::workload::{
-    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, RouteContext,
-    RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
+    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ReplicaState,
+    RouteContext, RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
 };
 use proptest::prelude::*;
 
@@ -517,6 +520,44 @@ fn autoscaled_flash_crowd_matches_its_golden() {
     );
     let cost = report.fleet_cost.expect("elastic report");
     assert!(!cost.scale_events.is_empty(), "the fleet never scaled");
+}
+
+/// Asserts the elastic report both provisioned a replica and drained
+/// one, so a golden covers each half of its policy's band.
+fn assert_scaled_both_ways(report: &ClusterReport, label: &str) {
+    let cost = report.fleet_cost.as_ref().expect("elastic report");
+    for to in [ReplicaState::Warming, ReplicaState::Draining] {
+        assert!(
+            cost.scale_events.iter().any(|e| e.to == to),
+            "{label}: no replica went {to:?}"
+        );
+    }
+}
+
+/// The KV-pressure arm. A PIM-only Llama-65B pool stays below 5%
+/// utilization in this shape, so the band is set low enough for the
+/// fleet to grow and shrink.
+#[test]
+fn kv_pressure_autoscaled_fleet_matches_its_golden() {
+    let policy = AutoscalePolicySpec::KvPressureTarget {
+        scale_up_utilization: 0.02,
+        scale_down_utilization: 0.005,
+    };
+    let (spec, workload) = autoscaled_fleet(11, 4, policy, 2, 2.0, true);
+    let label = "kv-pressure autoscaled fleet";
+    let report = assert_golden(spec, &workload, 0xb664_199a_0c33_132a, label);
+    assert_scaled_both_ways(&report, label);
+}
+
+/// The SLO-burn arm with its default band: a burning window grows the
+/// fleet, and idle, comfortable windows shrink it.
+#[test]
+fn slo_burn_autoscaled_fleet_matches_its_golden() {
+    let policy = AutoscalePolicySpec::slo_burn(autoscale_slo());
+    let (spec, workload) = autoscaled_fleet(11, 4, policy, 4, 2.0, true);
+    let label = "slo-burn autoscaled fleet";
+    let report = assert_golden(spec, &workload, 0xe5f7_c5e8_878c_35ad, label);
+    assert_scaled_both_ways(&report, label);
 }
 
 proptest! {
