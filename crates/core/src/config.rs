@@ -306,6 +306,13 @@ impl SystemConfig {
         )
     }
 
+    /// Bytes the attention pool holds: the KV-cache capacity of every
+    /// Attn-PIM device together.
+    pub(crate) fn attn_pool_bytes(&self) -> f64 {
+        let (attn_device, attn_count) = &self.attn_pim;
+        attn_device.capacity().value() * *attn_count as f64
+    }
+
     /// Memory sanity: FC weight pool capacity versus model size, and the
     /// attention pool versus a KV demand in bytes.
     ///
@@ -335,14 +342,13 @@ impl SystemConfig {
                 ));
             }
         }
-        let (attn_device, attn_count) = &self.attn_pim;
-        let attn_pool = attn_device.capacity().value() * *attn_count as f64;
+        let attn_pool = self.attn_pool_bytes();
         if kv_demand_bytes > attn_pool {
             return Err(format!(
                 "{}: KV cache ({:.0} GB) exceeds the {}-device Attn-PIM pool ({:.0} GB)",
                 self.design,
                 kv_demand_bytes / 1e9,
-                attn_count,
+                self.attn_pim.1,
                 attn_pool / 1e9
             ));
         }

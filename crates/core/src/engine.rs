@@ -62,16 +62,17 @@ impl DecodingSimulator {
     /// impossible; size the batch with
     /// [`KvCachePlanner`](papi_llm::kvcache::KvCachePlanner) first).
     pub fn run_trace(&self, trace: &DecodeTrace) -> ExecutionReport {
-        let peak_kv_tokens = trace
-            .iterations
-            .iter()
-            .map(|it| it.total_kv_len)
-            .max()
-            .unwrap_or(0);
-        let kv_demand = peak_kv_tokens as f64 * self.config.model.kv_bytes_per_token().value();
-        if let Err(msg) = self.config.validate_capacity(kv_demand) {
-            panic!("{msg}");
-        }
+        let config = &self.config;
+        let kv_bytes_per_token = config.model.kv_bytes_per_token().value();
+        let validate = |kv_tokens: u64| {
+            if let Err(msg) = config.validate_capacity(kv_tokens as f64 * kv_bytes_per_token) {
+                panic!("{msg}");
+            }
+        };
+        // The weight pools up front; the KV demand as the walk reaches
+        // each iteration, so the trace is walked once.
+        validate(0);
+        let attn_pool = config.attn_pool_bytes();
 
         let mut scheduler = self.config.scheduler.build();
         let mut pricer = IterationPricer::new(&self.config);
@@ -80,6 +81,17 @@ impl DecodingSimulator {
         let mut placements = RunLength::default();
 
         for it in &trace.iterations {
+            if it.total_kv_len as f64 * kv_bytes_per_token > attn_pool {
+                // The message names the trace's peak demand.
+                validate(
+                    trace
+                        .iterations
+                        .iter()
+                        .map(|it| it.total_kv_len)
+                        .max()
+                        .unwrap_or(0),
+                );
+            }
             let placement = scheduler.decide(it.rlp, it.tlp);
             let cost = pricer.price_iteration(placement, it);
             phases.fc += cost.fc_time;
@@ -265,6 +277,36 @@ mod tests {
             sum_input_len_squared: 0,
         };
         let _ = sim.run_trace(&trace);
+    }
+
+    #[test]
+    fn kv_overflow_names_the_peak_demand() {
+        // The check runs inside the pricing walk, but the message still
+        // names the whole trace's peak, not the first overflowing
+        // iteration.
+        let config = SystemConfig::pim_only_papi(llama());
+        let record = |total_kv_len| IterationRecord {
+            rlp: 1000,
+            tlp: 1,
+            total_kv_len,
+            max_kv_len: total_kv_len / 1000,
+            new_tokens: 1000,
+            finished: 0,
+        };
+        let trace = papi_workload::DecodeTrace {
+            iterations: vec![record(1_000), record(400_000_000), record(800_000_000)],
+            requests: 1000,
+            total_tokens: 3000,
+            total_input_tokens: 0,
+            sum_input_len_squared: 0,
+        };
+        let expected = config
+            .validate_capacity(800_000_000.0 * llama().kv_bytes_per_token().value())
+            .expect_err("the peak overflows the pool");
+        let sim = DecodingSimulator::new(config);
+        let payload = std::panic::catch_unwind(|| sim.run_trace(&trace))
+            .expect_err("an overflowing trace panics");
+        assert_eq!(payload.downcast_ref::<String>(), Some(&expected));
     }
 
     #[test]

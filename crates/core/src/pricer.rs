@@ -262,7 +262,9 @@ type ShapeKey = (Placement, u64, u64);
 /// Stateful per-decode pricer. An iteration prices in two parts: a
 /// per-pricer table keyed by `(placement, rlp, tlp)` holds the FC and
 /// communication cost and the planned attention kernel, and only the
-/// attention kernel runs at each iteration's KV length. Decode batches
+/// attention kernel runs at each iteration's KV length. Planning checks
+/// every attention constant, so that per-iteration part is
+/// [`AttentionPlan::cost`]'s plain `f64` arithmetic. Decode batches
 /// hold their shape for many iterations, so the pricer keeps the last
 /// shape's row at hand and probes the table only when the shape
 /// changes.
@@ -310,6 +312,7 @@ impl<'a> IterationPricer<'a> {
     ///
     /// Panics if `placement` names a device pool the design does not
     /// have (a scheduler bug, not a workload condition).
+    #[inline]
     pub fn price_iteration(&mut self, placement: Placement, it: &IterationRecord) -> IterationCost {
         papi_perf::phase!("price");
         let kv_per_request = it.total_kv_len.div_ceil(it.rlp).max(1);
@@ -327,6 +330,7 @@ impl<'a> IterationPricer<'a> {
         cost
     }
 
+    #[inline]
     fn compute_iteration(
         &mut self,
         placement: Placement,
@@ -345,9 +349,9 @@ impl<'a> IterationPricer<'a> {
         let (_, shape) = self.last.as_ref().expect("the last shape was just set");
 
         let layers = self.config.model.layers as f64;
-        let attn = shape.attention.execute(kv_per_request);
-        let attn_time = attn.time * layers;
-        let attn_energy = attn.energy.total() * layers;
+        let (attn_time, attn_energy) = shape.attention.cost(kv_per_request);
+        let attn_time = attn_time * layers;
+        let attn_energy = attn_energy * layers;
         let iter_time = shape.fc_time + attn_time + shape.comm_time + self.other_time;
         IterationCost {
             placement,
@@ -447,6 +451,7 @@ mod tests {
     use super::*;
     use crate::config::DesignKind;
     use papi_llm::ModelPreset;
+    use papi_types::DataType;
 
     fn record(rlp: u64, tlp: u64, kv: u64) -> IterationRecord {
         IterationRecord {
@@ -459,8 +464,9 @@ mod tests {
         }
     }
 
-    /// The Fig. 8 designs, PAPI's PIM side, a TP-2 PAPI group, and a
-    /// second model.
+    /// The Fig. 8 designs, PAPI's PIM side, a TP-2 PAPI group, a
+    /// second model, and two models at other element sizes (FP32's 4
+    /// bytes and INT4's half byte enter every byte count).
     fn pin_configs() -> Vec<SystemConfig> {
         let llama = ModelPreset::Llama65B.config();
         let fabric = papi_interconnect::LinkSpec::infiniband_ndr();
@@ -472,14 +478,30 @@ mod tests {
             .collect();
         configs.push(SystemConfig::papi_with_alpha(llama, 24.0).with_tensor_parallel(2, fabric));
         configs.push(SystemConfig::attacc_only(ModelPreset::Opt30B.config()));
+        let with_dtype = |preset: ModelPreset, dtype| ModelConfig {
+            dtype,
+            ..preset.config()
+        };
+        configs.push(SystemConfig::a100_attacc(with_dtype(
+            ModelPreset::Gpt3_66B,
+            DataType::Fp32,
+        )));
+        configs.push(SystemConfig::pim_only_papi(with_dtype(
+            ModelPreset::Llama65B,
+            DataType::Int4,
+        )));
         configs
     }
 
     /// `(config, placement, rlp, tlp, total_kv_len, new_tokens, digest)`:
-    /// the digest folds the f64 bits of every cost field, captured
-    /// before pricing split into a shape table and planned attention.
+    /// the digest folds the f64 bits of every cost field. The first 13
+    /// were captured before pricing split into a shape table and planned
+    /// attention; the rest — a 2^31-token KV per request at RLP 64 and
+    /// TLP 8, whose integer products are the largest converted to `f64`,
+    /// and the FP32 and INT4 models — before attention priced in plain
+    /// `f64` arithmetic.
     #[rustfmt::skip]
-    const PIN: [(usize, Placement, u64, u64, u64, u64, u64); 13] = [
+    const PIN: [(usize, Placement, u64, u64, u64, u64, u64); 17] = [
         (3, Placement::FcPim, 4, 1, 2048, 4, 0x3cd6_d5c9_f7fb_2bfd),
         (3, Placement::Pu, 32, 4, 60_801, 97, 0xbf27_8317_8dea_9b9f),
         (3, Placement::FcPim, 1, 1, 1, 1, 0x1249_4b05_334e_cb76),
@@ -493,6 +515,10 @@ mod tests {
         (5, Placement::Pu, 48, 2, 15_984, 90, 0xdd61_789a_64f9_fa3c),
         (6, Placement::FcPim, 2, 3, 198, 6, 0x8992_5d11_17dc_467d),
         (6, Placement::FcPim, 2, 3, 197, 5, 0x8992_5d11_17dc_467d),
+        (0, Placement::Pu, 64, 8, 64 << 31, 512, 0x6c5f_31c7_cb07_a1d7),
+        (5, Placement::Pu, 64, 8, 64 * ((1 << 31) + 4_097), 509, 0x7823_3171_ae12_fcd4),
+        (7, Placement::Pu, 16, 2, 9_001, 32, 0x802c_9b3c_8d99_fb86),
+        (8, Placement::FcPim, 8, 4, 12_345, 30, 0x9f8f_eb1f_7a73_2a69),
     ];
 
     /// Prices pin `pin` and asserts its digest.

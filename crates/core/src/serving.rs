@@ -357,8 +357,7 @@ impl ServingEngine {
             panic!("{msg}");
         }
         let kv_bytes_per_token = self.config.model.kv_bytes_per_token().value();
-        let (attn_device, attn_count) = &self.config.attn_pim;
-        let pool_bytes = attn_device.capacity().value() * *attn_count as f64;
+        let pool_bytes = self.config.attn_pool_bytes();
         let admit_budget_tokens =
             (pool_bytes * self.tuning.kv_headroom / kv_bytes_per_token) as u64;
         let hard_budget_tokens = (pool_bytes / kv_bytes_per_token) as u64;

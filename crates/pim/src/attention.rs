@@ -8,12 +8,18 @@
 //! request share K and V, so the data-reuse level is `TLP` (this is why
 //! the paper's Fig. 2 shows attention arithmetic intensity tracking
 //! speculation length and ignoring batch size).
+//!
+//! A decode prices this kernel at every iteration, so the per-KV path is
+//! split from the per-shape one: an [`AttentionPlan`] gathers and checks
+//! the device and energy constants once per batch shape, and
+//! [`AttentionPlan::cost`] prices each KV length in plain `f64`
+//! arithmetic. [`execute_attention`] plans and executes in one call.
 
 use crate::device::PimDevice;
-use crate::energy::PimEnergyModel;
+use crate::energy::{PimEnergyBreakdown, PimEnergyModel};
 use crate::gemv::{Bottleneck, PimKernelResult};
 use crate::partition::plan_attention_heads;
-use papi_types::{Bytes, DataType, Flops, Time};
+use papi_types::{Bytes, DataType, Energy, Flops, Time};
 use serde::{Deserialize, Serialize};
 
 /// Shape of one multi-head attention kernel invocation (one decoder
@@ -99,15 +105,41 @@ impl AttentionSpec {
 /// the kernel that does not depend on the KV length. Heads are spread
 /// per the §6.4 mapping and the MAC rate is fixed by the reuse level
 /// (TLP), so a decode whose batch shape holds still re-plans nothing and
-/// only [`execute`](Self::execute)s at each new KV length.
+/// only prices each new KV length.
+///
+/// Planning checks every constant the per-KV formula reads — the MAC
+/// rate, vector rate and element size are finite and positive; the
+/// units per device and the DRAM, transfer and compute energies are
+/// finite and non-negative — so pricing a KV length is plain `f64`
+/// arithmetic. Every term is a product or quotient of those constants
+/// and non-negative integers, so it cannot be NaN or negative.
+/// [`cost`](Self::cost) returns the per-layer time and total energy a
+/// decode iteration needs; [`execute`](Self::execute) returns the same
+/// terms as a full [`PimKernelResult`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttentionPlan {
     shape: AttentionSpec,
     units_per_device: f64,
     mac_rate: f64,
     vector_rate: f64,
+    element_bytes: f64,
     dram_pj_per_byte: f64,
     energy_model: PimEnergyModel,
+}
+
+/// Picojoules to joules, as in [`Energy::from_picojoules`].
+const JOULES_PER_PJ: f64 = 1e-12;
+
+/// The per-KV terms of a planned kernel, in base units (seconds, bytes,
+/// joules).
+struct KvTerms {
+    gemv_time: f64,
+    softmax_time: f64,
+    fetch_bytes: f64,
+    macs: f64,
+    dram_access: f64,
+    transfer: f64,
+    compute: f64,
 }
 
 impl AttentionPlan {
@@ -116,7 +148,9 @@ impl AttentionPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `n_devices` or any dimension is zero.
+    /// Panics if `n_devices` or any dimension is zero, or if a device or
+    /// energy constant the kernel reads is out of range (see the type
+    /// docs).
     #[track_caller]
     pub fn new(
         device: &PimDevice,
@@ -128,7 +162,7 @@ impl AttentionPlan {
         dtype: DataType,
     ) -> Self {
         assert!(n_devices > 0, "need at least one PIM device");
-        // `execute` replaces the placeholder KV length of 1.
+        // The per-KV formula replaces the placeholder KV length of 1.
         let shape = AttentionSpec::new(requests, heads, head_dim, 1, queries, dtype);
         Self {
             shape,
@@ -136,9 +170,97 @@ impl AttentionPlan {
                 as f64,
             mac_rate: device.mac_rate(shape.reuse(), dtype),
             vector_rate: device.vector_op_rate(),
+            element_bytes: dtype.size().value(),
             dram_pj_per_byte: device.dram_access_pj_per_byte(),
             energy_model: device.energy_model,
         }
+        .checked()
+    }
+
+    /// Asserts the range of every constant [`terms`](Self::terms) reads.
+    #[track_caller]
+    fn checked(self) -> Self {
+        for (name, value) in [
+            ("MAC rate", self.mac_rate),
+            ("vector rate", self.vector_rate),
+            ("element size", self.element_bytes),
+        ] {
+            assert!(
+                value.is_finite() && value > 0.0,
+                "attention {name} must be finite and positive, got {value}"
+            );
+        }
+        for (name, value) in [
+            ("units per device", self.units_per_device),
+            ("DRAM energy per byte", self.dram_pj_per_byte),
+            (
+                "transfer energy per MAC",
+                self.energy_model.transfer_pj_per_mac,
+            ),
+            (
+                "compute energy per MAC",
+                self.energy_model.compute_pj_per_mac,
+            ),
+        ] {
+            assert!(
+                value.is_finite() && value >= 0.0,
+                "attention {name} must be finite and non-negative, got {value}"
+            );
+        }
+        self
+    }
+
+    /// The kernel's terms with every request attending over `kv_len`
+    /// cached tokens: the one per-KV formula.
+    #[track_caller]
+    #[inline]
+    fn terms(&self, kv_len: u64) -> KvTerms {
+        assert!(kv_len > 0, "attention dimensions must be positive");
+        let spec = AttentionSpec {
+            kv_len,
+            ..self.shape
+        };
+        // GEMV phase: busiest device streams its share of KV.
+        let macs_per_unit = (2 * spec.queries * kv_len * spec.head_dim) as f64;
+        let gemv_time = self.units_per_device * macs_per_unit / self.mac_rate;
+        // Softmax phase: runs on the same FPUs, so halved FPU counts
+        // (1P2B) pay double here too.
+        let softmax_per_unit = (spec.queries * kv_len) as f64 * 5.0;
+        let softmax_time = self.units_per_device * softmax_per_unit / self.vector_rate;
+        // `AttentionSpec::kv_bytes` without its checked constructor.
+        let fetch_bytes =
+            (2 * spec.requests * spec.heads * kv_len * spec.head_dim) as f64 * self.element_bytes;
+        let macs = spec.macs();
+        let softmax_ops = spec.softmax_ops();
+        let model = &self.energy_model;
+        KvTerms {
+            gemv_time,
+            softmax_time,
+            fetch_bytes,
+            macs,
+            dram_access: fetch_bytes * self.dram_pj_per_byte * JOULES_PER_PJ,
+            transfer: macs * model.transfer_pj_per_mac * JOULES_PER_PJ,
+            // Softmax ops cost compute energy like MACs.
+            compute: macs * model.compute_pj_per_mac * JOULES_PER_PJ
+                + softmax_ops * model.compute_pj_per_mac * JOULES_PER_PJ,
+        }
+    }
+
+    /// Per-layer time and total energy of the planned kernel at
+    /// `kv_len`: bit for bit [`execute`](Self::execute)'s `time` and
+    /// `energy.total()`, without building the breakdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kv_len` is zero.
+    #[track_caller]
+    #[inline]
+    pub fn cost(&self, kv_len: u64) -> (Time, Energy) {
+        let t = self.terms(kv_len);
+        (
+            Time::new(t.gemv_time + t.softmax_time),
+            Energy::new(t.dram_access + t.transfer + t.compute),
+        )
     }
 
     /// Executes the planned kernel with every request attending over
@@ -150,32 +272,16 @@ impl AttentionPlan {
     #[track_caller]
     #[inline]
     pub fn execute(&self, kv_len: u64) -> PimKernelResult {
-        assert!(kv_len > 0, "attention dimensions must be positive");
-        let spec = AttentionSpec {
-            kv_len,
-            ..self.shape
-        };
-        // GEMV phase: busiest device streams its share of KV.
-        let macs_per_unit = (2 * spec.queries * kv_len * spec.head_dim) as f64;
-        let gemv_time = Time::new(self.units_per_device * macs_per_unit / self.mac_rate);
-        // Softmax phase: runs on the same FPUs, so halved FPU counts
-        // (1P2B) pay double here too.
-        let softmax_per_unit = (spec.queries * kv_len) as f64 * 5.0;
-        let softmax_time = Time::new(self.units_per_device * softmax_per_unit / self.vector_rate);
-        let fetch_bytes = spec.kv_bytes();
-        let macs = spec.macs();
-        let mut energy = self
-            .energy_model
-            .breakdown(fetch_bytes, self.dram_pj_per_byte, macs);
-        // Softmax ops cost compute energy like MACs.
-        energy.compute += papi_types::Energy::from_picojoules(
-            spec.softmax_ops() * self.energy_model.compute_pj_per_mac,
-        );
+        let t = self.terms(kv_len);
         PimKernelResult {
-            time: gemv_time + softmax_time,
-            energy,
-            fetch_bytes,
-            macs,
+            time: Time::new(t.gemv_time) + Time::new(t.softmax_time),
+            energy: PimEnergyBreakdown {
+                dram_access: Energy::new(t.dram_access),
+                transfer: Energy::new(t.transfer),
+                compute: Energy::new(t.compute),
+            },
+            fetch_bytes: Bytes::new(t.fetch_bytes),
+            macs: t.macs,
             bottleneck: Bottleneck::WeightStream,
         }
     }
@@ -208,6 +314,8 @@ pub fn execute_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use papi_types::Frequency;
+    use proptest::prelude::*;
 
     fn llama_attention(requests: u64, queries: u64, kv_len: u64) -> AttentionSpec {
         // LLaMA-65B: 64 heads × 128 head_dim.
@@ -301,5 +409,211 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_kv_len_rejected() {
         AttentionSpec::new(1, 1, 1, 0, 1, DataType::Fp16);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn planned_zero_kv_len_rejected() {
+        let plan = AttentionPlan::new(&PimDevice::attn_pim(), 8, 1, 64, 128, 1, DataType::Fp16);
+        let _ = plan.cost(0);
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(what: &str, f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err(&format!("{what}: expected a panic"));
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("range checks panic with a formatted message")
+    }
+
+    /// One row per plan-time check: each doctored device or energy
+    /// model puts one constant out of that check's range, and planning
+    /// must refuse it.
+    #[test]
+    fn plan_rejects_out_of_range_constants() {
+        type Doctor = fn(&mut PimDevice);
+        let rows: [(&str, Doctor, &str); 12] = [
+            (
+                "no FPU lanes",
+                |d| d.fpu.lanes = 0,
+                "MAC rate must be finite and positive, got 0",
+            ),
+            (
+                "an infinite clock",
+                |d| d.fpu.clock = Frequency::new(f64::INFINITY),
+                "vector rate must be finite and positive, got inf",
+            ),
+            (
+                "no lanes at an infinite clock",
+                |d| {
+                    d.fpu.lanes = 0;
+                    d.fpu.clock = Frequency::new(f64::INFINITY);
+                },
+                "vector rate must be finite and positive, got NaN",
+            ),
+            (
+                "a NaN read energy",
+                |d| d.hbm.energy.read_pj_per_byte = f64::NAN,
+                "DRAM energy per byte must be finite and non-negative, got NaN",
+            ),
+            (
+                "a negative read energy",
+                |d| d.hbm.energy.read_pj_per_byte = -70.0,
+                "DRAM energy per byte must be finite and non-negative",
+            ),
+            (
+                "zero-byte rows",
+                |d| d.hbm.topology.row_bytes = 0,
+                "DRAM energy per byte must be finite and non-negative, got inf",
+            ),
+            (
+                "a NaN transfer energy",
+                |d| d.energy_model.transfer_pj_per_mac = f64::NAN,
+                "transfer energy per MAC must be finite and non-negative, got NaN",
+            ),
+            (
+                "an infinite transfer energy",
+                |d| d.energy_model.transfer_pj_per_mac = f64::INFINITY,
+                "transfer energy per MAC must be finite and non-negative, got inf",
+            ),
+            (
+                "a negative transfer energy",
+                |d| d.energy_model.transfer_pj_per_mac = -2.6,
+                "transfer energy per MAC must be finite and non-negative, got -2.6",
+            ),
+            (
+                "a NaN compute energy",
+                |d| d.energy_model.compute_pj_per_mac = f64::NAN,
+                "compute energy per MAC must be finite and non-negative, got NaN",
+            ),
+            (
+                "an infinite compute energy",
+                |d| d.energy_model.compute_pj_per_mac = f64::INFINITY,
+                "compute energy per MAC must be finite and non-negative, got inf",
+            ),
+            (
+                "a negative compute energy",
+                |d| d.energy_model.compute_pj_per_mac = -1.64,
+                "compute energy per MAC must be finite and non-negative, got -1.64",
+            ),
+        ];
+        let base = PimDevice::attn_pim();
+        for (what, doctor, expected) in rows {
+            let mut device = base.clone();
+            doctor(&mut device);
+            let message = panic_message(what, || {
+                AttentionPlan::new(&device, 8, 4, 64, 128, 2, DataType::Fp16);
+            });
+            assert!(message.contains(expected), "{what}: {message}");
+        }
+
+        // The element size comes from a `DataType` and the units per
+        // device from an integer head split, so no device reaches their
+        // checks; doctor the plan itself.
+        let plan = AttentionPlan::new(&base, 8, 4, 64, 128, 2, DataType::Fp16);
+        let rows = [
+            (
+                "a zero element size",
+                AttentionPlan {
+                    element_bytes: 0.0,
+                    ..plan
+                },
+                "element size must be finite and positive, got 0",
+            ),
+            (
+                "a NaN element size",
+                AttentionPlan {
+                    element_bytes: f64::NAN,
+                    ..plan
+                },
+                "element size must be finite and positive, got NaN",
+            ),
+            (
+                "negative units per device",
+                AttentionPlan {
+                    units_per_device: -1.0,
+                    ..plan
+                },
+                "units per device must be finite and non-negative, got -1",
+            ),
+            (
+                "infinite units per device",
+                AttentionPlan {
+                    units_per_device: f64::INFINITY,
+                    ..plan
+                },
+                "units per device must be finite and non-negative, got inf",
+            ),
+        ];
+        for (what, doctored, expected) in rows {
+            let message = panic_message(what, || {
+                doctored.checked();
+            });
+            assert!(message.contains(expected), "{what}: {message}");
+        }
+    }
+
+    /// The PIM device presets, built once: each derives its streaming
+    /// bandwidth from a cycle-level drain.
+    fn presets() -> &'static [PimDevice; 4] {
+        static PRESETS: std::sync::OnceLock<[PimDevice; 4]> = std::sync::OnceLock::new();
+        PRESETS.get_or_init(|| {
+            [
+                PimDevice::attacc(),
+                PimDevice::hbm_pim(),
+                PimDevice::attn_pim(),
+                PimDevice::fc_pim(),
+            ]
+        })
+    }
+
+    const DTYPES: [DataType; 5] = [
+        DataType::Fp16,
+        DataType::Bf16,
+        DataType::Fp32,
+        DataType::Int8,
+        DataType::Int4,
+    ];
+
+    /// `(heads, head_dim)` of the evaluated models: LLaMA-65B, GPT-3 66B
+    /// and GPT-3 175B.
+    const MODEL_HEADS: [(u64, u64); 3] = [(64, 128), (72, 128), (96, 128)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn cost_is_execute_bit_for_bit(
+            preset in 0usize..4,
+            dtype in 0usize..5,
+            n_devices in 1usize..129,
+            requests in 1u64..129,
+            model in 0usize..3,
+            queries in 1u64..9,
+            kv_bits in 0u32..25,
+            kv_raw in 0u64..1 << 24,
+        ) {
+            // KV lengths 1..=2^24, spread over every magnitude.
+            let kv_len = 1 + kv_raw % (1 << kv_bits);
+            let (heads, head_dim) = MODEL_HEADS[model];
+            let plan = AttentionPlan::new(
+                &presets()[preset],
+                n_devices,
+                requests,
+                heads,
+                head_dim,
+                queries,
+                DTYPES[dtype],
+            );
+            let (time, energy) = plan.cost(kv_len);
+            let executed = plan.execute(kv_len);
+            prop_assert_eq!(time.value().to_bits(), executed.time.value().to_bits());
+            prop_assert_eq!(
+                energy.value().to_bits(),
+                executed.energy.total().value().to_bits()
+            );
+        }
     }
 }

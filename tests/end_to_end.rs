@@ -165,3 +165,49 @@ fn all_models_all_designs_smoke() {
         }
     }
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Bit-level pin of the batch path: the serialized `ExecutionReport`
+/// (phases, `energy_parts`, scheduler stats, placements) of every cell
+/// of the seed-42 Fig. 8 grid — 3 models × speculation × batch, on the
+/// four Fig. 8 designs plus PIM-only PAPI — folded into one FNV-1a
+/// hash. Any change to the float order of a kernel, the pricer or the
+/// engine's accumulation moves it.
+#[test]
+fn fig8_grid_reports_match_their_golden() {
+    use papi::core::experiments::{BATCHES, SPECULATION_LENGTHS};
+    let designs = DesignKind::FIG8
+        .into_iter()
+        .chain([DesignKind::PimOnlyPapi])
+        .collect::<Vec<_>>();
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut reports = 0;
+    for model in ModelPreset::EVALUATED {
+        for speculation in SPECULATION_LENGTHS {
+            for batch in BATCHES {
+                let trace =
+                    WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, speculation)
+                        .with_seed(42)
+                        .trace();
+                for &kind in &designs {
+                    let report = DecodingSimulator::new(SystemConfig::build(kind, model.config()))
+                        .run_trace(&trace);
+                    let json = serde_json::to_string(&report).expect("report serializes");
+                    hash = fnv1a(hash, json.as_bytes());
+                    reports += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(reports, 27 * 5);
+    assert_eq!(
+        hash, 0xe124_b842_12bd_5f24,
+        "the Fig. 8 grid's batch reports drifted"
+    );
+}
