@@ -1,8 +1,7 @@
 //! `papi-bench` — the figure-regeneration harness.
 //!
 //! Each `fig*` binary in `src/bin/` regenerates one figure of the paper
-//! (run e.g. `cargo run -p papi-bench --bin fig08_end_to_end --release`);
-//! the Criterion benches in `benches/` measure the simulator itself.
+//! (run e.g. `cargo run -p papi-bench --bin fig08_end_to_end --release`).
 //! This library holds the shared table-formatting and sweep plumbing.
 
 #![warn(missing_docs)]

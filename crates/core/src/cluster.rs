@@ -43,7 +43,7 @@ use crate::slo::SloSpec;
 use papi_interconnect::{
     ClusterTopology, LinkSpec, MigrationCost, MigrationPricing, TierPricing, TopologyError,
 };
-use papi_kv::{FetchSpec, GlobalKvTier};
+use papi_kv::GlobalKvTier;
 use papi_llm::ModelConfig;
 use papi_types::{Energy, Time};
 use papi_workload::{
@@ -279,8 +279,6 @@ impl ClusterSpec {
 /// report's [`GlobalTierReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SharedTierSpec {
-    /// Which directory-resident prefixes are worth the fabric fetch.
-    pub fetch: FetchSpec,
     /// What a cross-replica fetch costs. `None` (the default) prices
     /// over the cluster's inter-node fabric;
     /// `Some(TierPricing::Free)` is the zero-cost ablation isolating
@@ -301,21 +299,14 @@ impl SharedTierSpec {
     /// above per-iteration granularity.
     pub const DEFAULT_SYNC_S: f64 = 0.05;
 
-    /// The default shared tier: fetch everything, priced over the
-    /// cluster's inter-node fabric, gossiping every
-    /// [`DEFAULT_SYNC_S`](Self::DEFAULT_SYNC_S) simulated seconds.
+    /// The default shared tier: priced over the cluster's inter-node
+    /// fabric, gossiping every [`DEFAULT_SYNC_S`](Self::DEFAULT_SYNC_S)
+    /// simulated seconds.
     pub fn new() -> Self {
         Self {
-            fetch: FetchSpec::default(),
             pricing: None,
             sync_s: Self::DEFAULT_SYNC_S,
         }
-    }
-
-    /// Selects which resident prefixes are worth fetching.
-    pub fn with_fetch(mut self, fetch: FetchSpec) -> Self {
-        self.fetch = fetch;
-        self
     }
 
     /// Overrides the fabric pricing (e.g. [`TierPricing::Free`] for
@@ -717,7 +708,7 @@ impl ClusterEngine {
             .unwrap_or_else(|| TierPricing::Link(self.spec.inter_node.clone()));
         let directory = Arc::new(GlobalKvTier::new(self.spec.tuning.kv_block_size));
         for (idx, session) in sessions.iter_mut().enumerate() {
-            session.enable_global_tier(idx, &spec.fetch, pricing.clone(), Arc::clone(&directory));
+            session.enable_global_tier(idx, pricing.clone(), Arc::clone(&directory));
         }
         Some(SharedTierControl {
             directory,
@@ -1438,7 +1429,6 @@ mod tests {
     use super::*;
     use crate::autoscale::{AutoscaleView, ScaleAction};
     use crate::serving::KvTierSpec;
-    use papi_kv::SpillSpec;
     use papi_llm::ModelPreset;
     use papi_workload::{ConversationDataset, DatasetKind};
 
@@ -1609,8 +1599,6 @@ mod tests {
         );
         let tier = |budget_blocks| KvTierSpec {
             budget_blocks,
-            spill: SpillSpec::default(),
-            fetch: FetchSpec::default(),
             pricing: TierPricing::default(),
         };
         let paged = SessionTuning {

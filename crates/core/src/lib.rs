@@ -14,8 +14,6 @@
 //! Every system exposes the same 90-HBM-device budget (30 for FC
 //! weights, 60 for attention KV), per the paper's §7.1 fairness setup.
 //!
-//! - [`admission`] — pluggable admission control: who joins the
-//!   running batch, and who yields under KV pressure.
 //! - [`config`] — system assembly and α calibration (plus
 //!   tensor-parallel sharding across nodes).
 //! - [`cluster`] — fleet simulation: TP groups replicated
@@ -59,7 +57,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod admission;
 pub mod autoscale;
 pub mod cluster;
 pub mod config;
@@ -71,7 +68,6 @@ pub mod pricer;
 pub mod serving;
 pub mod slo;
 
-pub use admission::{AdmissionSpec, AdmissionView};
 pub use autoscale::{
     AutoscalePolicy, AutoscalePolicySpec, AutoscaleSpec, AutoscaleView, FleetCostReport,
     ScaleAction, ScaleEvent,

@@ -38,15 +38,14 @@
 //! (queueing delay, TTFT, TPOT, end-to-end) with percentile summaries,
 //! SLO goodput, and the cache counters in [`KvCacheStats`].
 
-use crate::admission::{AdmissionSpec, AdmissionView};
 use crate::config::SystemConfig;
 use crate::metrics::{PhaseBreakdown, RequestRecord, RunLength, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
 use crate::pricer::IterationPricer;
 use papi_interconnect::{TierCost, TierPricing};
 use papi_kv::{
-    FetchCandidate, FetchPolicy, FetchSpec, GlobalKvTier, KvBlockPool, KvCacheStats, KvPoolStats,
-    KvSeq, KvSeqExport, KvTier, PrefixHint, PrefixTree, SpillCandidate, SpillPolicy, SpillSpec,
+    GlobalKvTier, KvBlockPool, KvCacheStats, KvPoolStats, KvSeq, KvSeqExport, KvTier, PrefixHint,
+    PrefixTree,
 };
 use papi_sched::{FcScheduler, Placement};
 use papi_types::{Bytes, Energy, Time};
@@ -86,9 +85,6 @@ pub struct SessionTuning {
     /// Per-step chunked-prefill token budget (`None` prices each
     /// admission wave monolithically).
     pub prefill_chunk: Option<u64>,
-    /// Which built-in admission policy arbitrates batch entry and
-    /// preemption.
-    pub admission: AdmissionSpec,
     /// KV capacity tier below the attention pool (`None` — the default
     /// — keeps plain eviction). Requires `prefix_sharing`.
     pub kv_tier: Option<KvTierSpec>,
@@ -102,7 +98,6 @@ impl Default for SessionTuning {
             kv_block_size: 1,
             prefix_sharing: false,
             prefill_chunk: None,
-            admission: AdmissionSpec::BlockGranular,
             kv_tier: None,
         }
     }
@@ -114,44 +109,26 @@ impl Default for SessionTuning {
 /// back from — at a priced transfer — when a request re-lands on them.
 ///
 /// The tier shares the hot pool's block size so budgets compare
-/// directly; its traffic is shaped by the [`SpillSpec`]/[`FetchSpec`]
-/// policy seams and priced by [`TierPricing`].
+/// directly. The session spills every evicted non-empty prefix into
+/// it and fetches back every re-landed one the hot pool can make room
+/// for; [`TierPricing`] prices the transfers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KvTierSpec {
     /// The tier's block budget (same block size as the hot pool).
     pub budget_blocks: u64,
-    /// Which evicted prefixes are worth keeping.
-    pub spill: SpillSpec,
-    /// Which re-landed prefixes are worth the fetch transfer.
-    pub fetch: FetchSpec,
     /// What crossing the tier boundary costs.
     pub pricing: TierPricing,
 }
 
 impl KvTierSpec {
-    /// A tier of `budget_blocks` blocks with the default policies
-    /// (spill everything, fetch everything) over the default
-    /// host-DIMM pricing. [`validate`](Self::validate) rejects a zero
+    /// A tier of `budget_blocks` blocks over the default host-DIMM
+    /// pricing. [`validate`](Self::validate) rejects a zero
     /// budget.
     pub fn new(budget_blocks: u64) -> Self {
         Self {
             budget_blocks,
-            spill: SpillSpec::default(),
-            fetch: FetchSpec::default(),
             pricing: TierPricing::default(),
         }
-    }
-
-    /// Selects a built-in spill policy.
-    pub fn with_spill(mut self, spill: SpillSpec) -> Self {
-        self.spill = spill;
-        self
-    }
-
-    /// Selects a built-in fetch policy.
-    pub fn with_fetch(mut self, fetch: FetchSpec) -> Self {
-        self.fetch = fetch;
-        self
     }
 
     /// Selects the tier-boundary pricing.
@@ -213,12 +190,6 @@ impl SessionTuning {
     /// iterations.
     pub fn with_prefill_chunk(mut self, chunk_tokens: u64) -> Self {
         self.prefill_chunk = Some(chunk_tokens);
-        self
-    }
-
-    /// Selects a built-in admission policy.
-    pub fn with_admission(mut self, admission: AdmissionSpec) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -371,8 +342,6 @@ impl ServingEngine {
         let pool = KvBlockPool::new(self.tuning.kv_block_size, total_blocks);
         let tier = self.tuning.kv_tier.as_ref().map(|spec| TierState {
             tier: KvTier::new(self.tuning.kv_block_size, spec.budget_blocks),
-            spill: spec.spill.build(),
-            fetch: spec.fetch.build(),
             pricing: spec.pricing.clone(),
             block_bytes: self.config.model.kv_bytes_per_token() * self.tuning.kv_block_size as f64,
         });
@@ -485,7 +454,7 @@ pub struct RemoteFetchEvent {
 /// The fleet-shared tier's per-session runtime state: a frozen view of
 /// the fleet-wide directory (re-installed only at control-plane
 /// barriers, so parallel and sequential fleet stepping observe the
-/// same snapshots), the fetch policy and fabric pricing for remote
+/// same snapshots), the fabric pricing for remote
 /// re-materializations, and the two egress queues the cluster engine
 /// drains at barriers in deterministic replica order.
 #[derive(Debug)]
@@ -495,7 +464,6 @@ struct GlobalTierState {
     replica: usize,
     /// Frozen directory snapshot (handed back during barriers).
     view: Option<Arc<GlobalKvTier>>,
-    fetch: Box<dyn FetchPolicy>,
     pricing: TierPricing,
     /// Accepted local spills awaiting registration: `(key, tokens)`.
     publish_egress: Vec<(u64, u64)>,
@@ -503,14 +471,12 @@ struct GlobalTierState {
     fetch_egress: Vec<RemoteFetchEvent>,
 }
 
-/// The capacity tier's runtime state: the tier itself, the built
-/// policy objects, and the pricing (with the per-block payload size
-/// precomputed from the model's KV geometry).
+/// The capacity tier's runtime state: the tier itself and the pricing
+/// (with the per-block payload size precomputed from the model's KV
+/// geometry).
 #[derive(Debug)]
 struct TierState {
     tier: KvTier,
-    spill: Box<dyn SpillPolicy>,
-    fetch: Box<dyn FetchPolicy>,
     pricing: TierPricing,
     /// Bytes one KV block carries across the tier boundary — or the
     /// fleet fabric, since the shared tier always rides this one:
@@ -822,7 +788,6 @@ impl ServingSession<'_> {
     pub fn enable_global_tier(
         &mut self,
         replica: usize,
-        fetch: &FetchSpec,
         pricing: TierPricing,
         view: Arc<GlobalKvTier>,
     ) {
@@ -833,7 +798,6 @@ impl ServingSession<'_> {
         self.global = Some(GlobalTierState {
             replica,
             view: Some(view),
-            fetch: fetch.build(),
             pricing,
             publish_egress: Vec::new(),
             fetch_egress: Vec::new(),
@@ -896,37 +860,30 @@ impl ServingSession<'_> {
     }
 
     /// Evicts the coldest cached prefix — spilling it into the
-    /// capacity tier (when one is configured and its policy agrees)
-    /// instead of forgetting it. Returns the blocks that became free,
-    /// or `None` when there is no cache or nothing left to evict.
+    /// capacity tier (when one is configured and the prefix holds
+    /// tokens) instead of forgetting it. Returns the blocks that became
+    /// free, or `None` when there is no cache or nothing left to evict.
     fn relieve_prefix_cache(&mut self) -> Option<u64> {
         let tree = self.prefix_tree.as_mut()?;
         let evicted = tree.evict_lru_entry(&mut self.pool)?;
         self.kv_stats.prefix_evictions += 1;
-        if let Some(state) = self.tier.as_mut() {
-            let candidate = SpillCandidate {
-                key: evicted.key,
-                tokens: evicted.tokens,
-                blocks: evicted.blocks,
-            };
-            if evicted.tokens > 0 && state.spill.should_spill(&candidate) {
-                let outcome = state.tier.spill(evicted.key, evicted.tokens);
-                if outcome.accepted {
-                    self.kv_stats.tier_spills += 1;
-                    self.kv_stats.tier_spilled_tokens += evicted.tokens;
-                    // Fleet-shared tier: an accepted spill queues for
-                    // registration in the fleet-wide directory at the
-                    // next control-plane barrier.
-                    if let Some(global) = self.global.as_mut() {
-                        global.publish_egress.push((evicted.key, evicted.tokens));
-                    }
+        if let Some(state) = self.tier.as_mut().filter(|_| evicted.tokens > 0) {
+            let outcome = state.tier.spill(evicted.key, evicted.tokens);
+            if outcome.accepted {
+                self.kv_stats.tier_spills += 1;
+                self.kv_stats.tier_spilled_tokens += evicted.tokens;
+                // Fleet-shared tier: an accepted spill queues for
+                // registration in the fleet-wide directory at the
+                // next control-plane barrier.
+                if let Some(global) = self.global.as_mut() {
+                    global.publish_egress.push((evicted.key, evicted.tokens));
                 }
-                self.kv_stats.tier_evictions += outcome.evicted_entries;
-                self.kv_stats.tier_peak_blocks = self
-                    .kv_stats
-                    .tier_peak_blocks
-                    .max(state.tier.blocks_in_use());
             }
+            self.kv_stats.tier_evictions += outcome.evicted_entries;
+            self.kv_stats.tier_peak_blocks = self
+                .kv_stats
+                .tier_peak_blocks
+                .max(state.tier.blocks_in_use());
         }
         Some(evicted.freed)
     }
@@ -943,28 +900,13 @@ impl ServingSession<'_> {
     }
 
     /// The block-aligned overlap of `stored` fetchable tokens with
-    /// `hint`'s reusable prefix — when the source's fetch policy (the
-    /// fleet-shared tier's if `fleet`, else the private tier's) judges
-    /// it worth the transfer and the hot pool can make room for it.
-    /// `None` sends the caller back to re-prefilling.
-    fn plan_fetch(&mut self, hint: PrefixHint, stored: u64, fleet: bool) -> Option<u64> {
+    /// `hint`'s reusable prefix — when it is non-empty and the hot pool
+    /// can make room for it. `None` sends the caller back to
+    /// re-prefilling.
+    fn plan_fetch(&mut self, hint: PrefixHint, stored: u64) -> Option<u64> {
         let block_size = self.pool.block_size();
         let usable = stored.min(hint.reuse_tokens / block_size * block_size);
         if usable == 0 {
-            return None;
-        }
-        let candidate = FetchCandidate {
-            key: hint.key,
-            tier_tokens: stored,
-            reuse_tokens: hint.reuse_tokens,
-            usable_tokens: usable,
-        };
-        let policy = if fleet {
-            &mut self.global.as_mut()?.fetch
-        } else {
-            &mut self.tier.as_mut()?.fetch
-        };
-        if !policy.should_fetch(&candidate) {
             return None;
         }
         // If the hot pool stays too tight, skip the fetch and re-prefill.
@@ -1010,7 +952,7 @@ impl ServingSession<'_> {
     /// tier or no entry, or [`plan_fetch`](Self::plan_fetch) declines.
     fn try_tier_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
         let stored = self.tier.as_ref()?.tier.peek(hint.key)?;
-        let usable = self.plan_fetch(hint, stored, false)?;
+        let usable = self.plan_fetch(hint, stored)?;
         // Making room may itself have spilled into the tier and
         // LRU-dropped the very entry being fetched — re-check.
         let fetched = self.tier.as_mut()?.tier.fetch(hint.key)?;
@@ -1039,7 +981,7 @@ impl ServingSession<'_> {
         if entry.owner == state.replica {
             return None;
         }
-        let tokens = self.plan_fetch(hint, entry.tokens, true)?;
+        let tokens = self.plan_fetch(hint, entry.tokens)?;
         let (seq, cost) = self.land_fetch(hint.key, tokens, true);
         self.global
             .as_mut()
@@ -1058,16 +1000,14 @@ impl ServingSession<'_> {
         Some(seq)
     }
 
-    /// The state admission decides on: blocks committed to live work
-    /// (in use minus what prefix-cache eviction could reclaim on
-    /// demand) against the headroom budget, and resident tokens.
-    fn admission_view(&self) -> AdmissionView {
-        AdmissionView {
-            committed_blocks: self.pool.blocks_in_use() - self.evictable_blocks(),
-            budget_blocks: self.admit_budget_blocks,
-            block_size: self.pool.block_size(),
-            kv_tokens: self.kv_tokens,
-        }
+    /// Whether a request reserving `prefill_tokens` KV tokens (its
+    /// prompt, plus any regenerated context after a preemption) fits
+    /// the headroom budget: the blocks committed to live work (in use
+    /// minus what prefix-cache eviction could reclaim on demand) plus
+    /// the whole prompt's blocks.
+    fn fits_admission_budget(&self, prefill_tokens: u64) -> bool {
+        let committed = self.pool.blocks_in_use() - self.evictable_blocks();
+        committed + self.pool.blocks_for(prefill_tokens) <= self.admit_budget_blocks
     }
 
     /// Publishes request `idx`'s context (its shareable leading tokens,
@@ -1258,10 +1198,10 @@ impl ServingSession<'_> {
     }
 
     /// Continuous-batching admission under KV pressure: while the batch
-    /// has room, the queue front joins if the tuning's
-    /// [`AdmissionSpec`] agrees. The session owns the mechanism
-    /// (allocation, forking, the single-request capacity assert); an
-    /// empty batch always admits, so no rule can stall the episode.
+    /// has room, the queue front joins if its whole prompt fits the
+    /// block-granular headroom budget, cached prefixes counting as
+    /// reclaimable. An empty batch always admits, so the budget can
+    /// never stall the episode.
     fn admit(&mut self) {
         while (self.live.len() as u64) < self.engine.tuning.max_batch {
             let Some(&candidate) = self.queue.front() else {
@@ -1276,16 +1216,10 @@ impl ServingSession<'_> {
                 self.requests[candidate].request.id,
                 total_need,
             );
-            // The rule plans against the full prompt (ignoring the cache
-            // discount) so the allocation in `place` can never fail even
-            // if the cached prefix turns out to be pinned.
-            if !self.live.is_empty()
-                && !self
-                    .engine
-                    .tuning
-                    .admission
-                    .admit(prefill_len, &self.admission_view())
-            {
+            // Plan against the full prompt (ignoring the cache discount)
+            // so the allocation in `place` can never fail even if the
+            // cached prefix turns out to be pinned.
+            if !self.live.is_empty() && !self.fits_admission_budget(prefill_len) {
                 break;
             }
             self.queue.pop_front();
@@ -2181,6 +2115,22 @@ mod tests {
         let drift = (chunked.prefill_time.value() - monolithic.prefill_time.value()).abs()
             / monolithic.prefill_time.value();
         assert!(drift < 0.05, "prefill time drifted {drift}");
+    }
+
+    #[test]
+    fn block_granular_plans_in_blocks() {
+        let engine = ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config()))
+            .with_tuning(SessionTuning::new().with_kv_block_size(16));
+        let workload = small_workload(4.0, 1);
+        let mut session = engine.open_session(&workload);
+        session.admit_budget_blocks = 62;
+        let mut seq = session.pool.new_seq();
+        assert!(session.pool.append(&mut seq, 60 * 16));
+        // 33 tokens = 3 blocks of 16; 60 committed + 3 > 62 budget,
+        // though 60 × 16 + 33 tokens would fit the 992-token budget.
+        assert!(!session.fits_admission_budget(33));
+        // With two free blocks and a 32-token prompt, it admits.
+        assert!(session.fits_admission_budget(32));
     }
 
     /// Block-granular admission really is coarser: at block size 16

@@ -11,7 +11,6 @@
 //!   HBM3 power budget, while 4P1B with reuse ≥ 4 fits inside it
 //!   (Fig. 7(c)).
 
-use crate::timing::Cycle;
 use papi_types::{Energy, Power, Time};
 use serde::{Deserialize, Serialize};
 
@@ -128,12 +127,6 @@ impl DramEnergyBreakdown {
     pub fn average_power(&self, elapsed: Time) -> Power {
         self.total() / elapsed
     }
-}
-
-/// Helper converting a cycle count at a given clock period to time.
-/// Re-exported here because energy reporting is where it is most used.
-pub fn cycles_at(t_ck: Time, cycles: Cycle) -> Time {
-    t_ck * cycles as f64
 }
 
 #[cfg(test)]

@@ -158,11 +158,6 @@ impl ClusterTopology {
     pub fn kv_shard_time(&self, bytes: Bytes) -> Time {
         self.inter_node.scatter_time(bytes, self.tp_degree)
     }
-
-    /// Wire energy of the KV-shard scatter.
-    pub fn kv_shard_energy(&self, bytes: Bytes) -> Energy {
-        self.inter_node.scatter_energy(bytes, self.tp_degree)
-    }
 }
 
 #[cfg(test)]

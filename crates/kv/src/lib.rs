@@ -33,7 +33,6 @@
 //!   hot blocks are freed but the tier remembers its logical length, so
 //!   a request that re-lands on the key can fetch it back (at a
 //!   transfer cost the serving layer prices) instead of re-prefilling.
-//!   The [`SpillPolicy`]/[`FetchPolicy`] seams decide the traffic.
 //! - [`GlobalKvTier`] — the *fleet-wide* directory over those private
 //!   tiers: every replica's spilled records registered under one
 //!   conversation-prefix key space (first-writer-wins owner,
@@ -83,7 +82,4 @@ pub mod tier;
 pub use global::{GlobalEntry, GlobalKvTier, GlobalTierStats, PublishOutcome};
 pub use pool::{BlockId, KvBlockPool, KvPoolStats, KvSeq, KvSeqExport};
 pub use prefix::{EvictedPrefix, KvCacheStats, PrefixHint, PrefixTree};
-pub use tier::{
-    FetchAll, FetchCandidate, FetchMinTokens, FetchPolicy, FetchSpec, KvTier, SpillAll,
-    SpillCandidate, SpillMinBlocks, SpillOutcome, SpillPolicy, SpillSpec, TierStats,
-};
+pub use tier::{KvTier, SpillOutcome, TierStats};

@@ -18,12 +18,9 @@
 //! therefore never occupies both tiers at once: it is hot, spilled, or
 //! gone.
 //!
-//! Two policy seams decide the traffic, mirroring the serving control
-//! plane's `RoutePolicy`/`MigrationPolicy` style: [`SpillPolicy`] (is
-//! this evicted prefix worth keeping?) and [`FetchPolicy`] (is this
-//! re-landed prefix worth the transfer, or should the engine just
-//! re-prefill?). Built-ins are named declaratively by the serde-able
-//! [`SpillSpec`]/[`FetchSpec`].
+//! The traffic follows one rule each way: the serving session spills
+//! every evicted non-empty prefix, and fetches back every re-landed
+//! one whose usable overlap the hot pool can make room for.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -57,7 +54,7 @@ pub struct TierStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillOutcome {
     /// Whether the prefix landed in the tier (`false`: it exceeded the
-    /// whole budget, or the policy of the caller declined upstream).
+    /// whole budget).
     pub accepted: bool,
     /// Tier-resident prefixes dropped (LRU) to make room — true data
     /// loss, unlike the spill itself.
@@ -224,159 +221,6 @@ impl KvTier {
     }
 }
 
-/// An evicted hot prefix a [`SpillPolicy`] rules on.
-#[derive(Debug, Clone, Copy)]
-pub struct SpillCandidate {
-    /// The prefix-cache key.
-    pub key: u64,
-    /// Logical tokens the prefix held.
-    pub tokens: u64,
-    /// Hot-pool blocks it occupied.
-    pub blocks: u64,
-}
-
-/// Decides whether an evicted prefix is worth keeping in the tier.
-///
-/// Consulted once per hot-cache eviction when a tier is configured;
-/// `false` means plain eviction (the pre-tier behaviour, and the right
-/// call for prefixes too small to ever repay a fetch).
-pub trait SpillPolicy: std::fmt::Debug + Send {
-    /// Whether to record `candidate` in the tier.
-    fn should_spill(&mut self, candidate: &SpillCandidate) -> bool;
-
-    /// Display label for reports and sweeps.
-    fn label(&self) -> String;
-}
-
-/// A tier-resident prefix a [`FetchPolicy`] rules on, at the moment a
-/// request re-lands on its key.
-#[derive(Debug, Clone, Copy)]
-pub struct FetchCandidate {
-    /// The prefix-cache key.
-    pub key: u64,
-    /// Tokens the tier holds under the key.
-    pub tier_tokens: u64,
-    /// Leading tokens the arriving request could reuse.
-    pub reuse_tokens: u64,
-    /// Tokens a fetch would actually restore (the overlap, in whole
-    /// blocks).
-    pub usable_tokens: u64,
-}
-
-/// Decides whether a re-landed prefix is worth fetching back from the
-/// tier, or whether the engine should just re-prefill.
-pub trait FetchPolicy: std::fmt::Debug + Send {
-    /// Whether to fetch `candidate` back into the hot pool.
-    fn should_fetch(&mut self, candidate: &FetchCandidate) -> bool;
-
-    /// Display label for reports and sweeps.
-    fn label(&self) -> String;
-}
-
-/// Spills every evicted prefix (the default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpillAll;
-
-impl SpillPolicy for SpillAll {
-    fn should_spill(&mut self, _candidate: &SpillCandidate) -> bool {
-        true
-    }
-
-    fn label(&self) -> String {
-        "spill-all".to_owned()
-    }
-}
-
-/// Spills only prefixes of at least `min_blocks` hot blocks — tiny
-/// prefixes are cheap to re-prefill and not worth tier churn.
-#[derive(Debug, Clone, Copy)]
-pub struct SpillMinBlocks {
-    /// Smallest prefix (in hot-pool blocks) worth spilling.
-    pub min_blocks: u64,
-}
-
-impl SpillPolicy for SpillMinBlocks {
-    fn should_spill(&mut self, candidate: &SpillCandidate) -> bool {
-        candidate.blocks >= self.min_blocks
-    }
-
-    fn label(&self) -> String {
-        format!("spill-min-blocks:{}", self.min_blocks)
-    }
-}
-
-/// Fetches every re-landed prefix (the default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FetchAll;
-
-impl FetchPolicy for FetchAll {
-    fn should_fetch(&mut self, _candidate: &FetchCandidate) -> bool {
-        true
-    }
-
-    fn label(&self) -> String {
-        "fetch-all".to_owned()
-    }
-}
-
-/// Fetches only when the request would reuse at least `min_tokens`
-/// restored tokens; below that, re-prefill beats the transfer.
-#[derive(Debug, Clone, Copy)]
-pub struct FetchMinTokens {
-    /// Smallest usable overlap (tokens) worth a fetch.
-    pub min_tokens: u64,
-}
-
-impl FetchPolicy for FetchMinTokens {
-    fn should_fetch(&mut self, candidate: &FetchCandidate) -> bool {
-        candidate.usable_tokens >= self.min_tokens
-    }
-
-    fn label(&self) -> String {
-        format!("fetch-min-tokens:{}", self.min_tokens)
-    }
-}
-
-/// Declarative, serde-able name for a built-in [`SpillPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SpillSpec {
-    /// [`SpillAll`] — the default.
-    #[default]
-    Always,
-    /// [`SpillMinBlocks`] with the given floor.
-    MinBlocks(u64),
-}
-
-impl SpillSpec {
-    /// Builds the named policy.
-    pub fn build(&self) -> Box<dyn SpillPolicy> {
-        match *self {
-            SpillSpec::Always => Box::new(SpillAll),
-            SpillSpec::MinBlocks(min_blocks) => Box::new(SpillMinBlocks { min_blocks }),
-        }
-    }
-}
-
-/// Declarative, serde-able name for a built-in [`FetchPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FetchSpec {
-    /// [`FetchAll`] — the default.
-    #[default]
-    Always,
-    /// [`FetchMinTokens`] with the given floor.
-    MinTokens(u64),
-}
-
-impl FetchSpec {
-    /// Builds the named policy.
-    pub fn build(&self) -> Box<dyn FetchPolicy> {
-        match *self {
-            FetchSpec::Always => Box::new(FetchAll),
-            FetchSpec::MinTokens(min_tokens) => Box::new(FetchMinTokens { min_tokens }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,33 +312,5 @@ mod tests {
         assert_eq!(stats.budget_blocks, 10);
         assert_eq!(stats.blocks_in_use, 3);
         assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn policy_built_ins_and_labels() {
-        let mut spill_all = SpillSpec::Always.build();
-        let mut spill_min = SpillSpec::MinBlocks(4).build();
-        let c = SpillCandidate {
-            key: 1,
-            tokens: 48,
-            blocks: 3,
-        };
-        assert!(spill_all.should_spill(&c));
-        assert!(!spill_min.should_spill(&c));
-        assert_eq!(spill_all.label(), "spill-all");
-        assert_eq!(spill_min.label(), "spill-min-blocks:4");
-
-        let mut fetch_all = FetchSpec::Always.build();
-        let mut fetch_min = FetchSpec::MinTokens(64).build();
-        let f = FetchCandidate {
-            key: 1,
-            tier_tokens: 48,
-            reuse_tokens: 100,
-            usable_tokens: 48,
-        };
-        assert!(fetch_all.should_fetch(&f));
-        assert!(!fetch_min.should_fetch(&f));
-        assert_eq!(fetch_all.label(), "fetch-all");
-        assert_eq!(fetch_min.label(), "fetch-min-tokens:64");
     }
 }

@@ -293,10 +293,6 @@ impl Energy {
     pub fn from_picojoules(pj: f64) -> Self {
         Self::new(pj * 1e-12)
     }
-    /// From nanojoules.
-    pub fn from_nanojoules(nj: f64) -> Self {
-        Self::new(nj * 1e-9)
-    }
     /// From millijoules.
     pub fn from_millijoules(mj: f64) -> Self {
         Self::new(mj * 1e-3)
@@ -316,10 +312,6 @@ impl Energy {
 }
 
 impl Power {
-    /// From milliwatts.
-    pub fn from_milliwatts(mw: f64) -> Self {
-        Self::new(mw * 1e-3)
-    }
     /// From watts.
     pub fn from_watts(w: f64) -> Self {
         Self::new(w)
@@ -327,10 +319,6 @@ impl Power {
     /// In watts.
     pub fn as_watts(self) -> f64 {
         self.0
-    }
-    /// In milliwatts.
-    pub fn as_milliwatts(self) -> f64 {
-        self.0 * 1e3
     }
 }
 
@@ -346,10 +334,6 @@ impl Area {
 }
 
 impl Flops {
-    /// From giga-FLOPs.
-    pub fn from_gflops(g: f64) -> Self {
-        Self::new(g * 1e9)
-    }
     /// From tera-FLOPs.
     pub fn from_tflops(t: f64) -> Self {
         Self::new(t * 1e12)
@@ -369,17 +353,9 @@ impl Frequency {
     pub fn from_mhz(mhz: f64) -> Self {
         Self::new(mhz * 1e6)
     }
-    /// From gigahertz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Self::new(ghz * 1e9)
-    }
     /// In megahertz.
     pub fn as_mhz(self) -> f64 {
         self.0 / 1e6
-    }
-    /// In gigahertz.
-    pub fn as_ghz(self) -> f64 {
-        self.0 / 1e9
     }
     /// The period of one cycle at this frequency.
     ///
@@ -417,10 +393,6 @@ impl Bandwidth {
 }
 
 impl FlopsRate {
-    /// From GFLOPS.
-    pub fn from_gflops(g: f64) -> Self {
-        Self::new(g * 1e9)
-    }
     /// From TFLOPS.
     pub fn from_tflops(t: f64) -> Self {
         Self::new(t * 1e12)
@@ -432,13 +404,6 @@ impl FlopsRate {
     /// In TFLOPS.
     pub fn as_tflops(self) -> f64 {
         self.0 / 1e12
-    }
-}
-
-impl ArithmeticIntensity {
-    /// From FLOPs per byte.
-    pub fn from_flops_per_byte(ai: f64) -> Self {
-        Self::new(ai)
     }
 }
 

@@ -12,8 +12,7 @@
 //! least one of these numbers.
 
 use papi::core::{
-    AdmissionSpec, DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning,
-    SystemConfig,
+    DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning, SystemConfig,
 };
 use papi::llm::ModelPreset;
 use papi::workload::{
@@ -230,9 +229,9 @@ fn explicit_scalar_options_match_the_defaults() {
 /// One serving shape that drives every stage of a session round on a
 /// tight pool: 16-token blocks with prefix sharing, chunked prefill, a
 /// small private capacity tier, geometric speculation under adaptive
-/// TLP, and a full-pool headroom small enough that decode growth
-/// preempts. Only the admission rule varies.
-fn staged_shape(admission: AdmissionSpec) -> ServingReport {
+/// TLP, and a pool small enough that decode growth preempts at every
+/// headroom. Only the admission headroom varies.
+fn staged_shape(headroom: f64) -> ServingReport {
     let mut config = SystemConfig::build(DesignKind::PimOnlyPapi, ModelPreset::Gpt3_175B.config());
     config.attn_pim.1 = 1;
     let workload = ServingWorkload::poisson(
@@ -247,75 +246,93 @@ fn staged_shape(admission: AdmissionSpec) -> ServingReport {
         .with_tuning(
             SessionTuning::new()
                 .with_max_batch(16)
-                .with_kv_headroom(0.97)
+                .with_kv_headroom(headroom)
                 .with_kv_block_size(16)
                 .with_prefix_sharing(true)
                 .with_prefill_chunk(128)
-                .with_admission(admission)
                 .with_kv_tier(KvTierSpec::new(96)),
         )
         .run(&workload)
 }
 
+/// Asserts the staged shape ran every stage — eviction into a tier,
+/// tier fetches, chunked waves and preemption — and matches `golden`.
+#[track_caller]
+fn assert_staged(headroom: f64, golden: &Golden) {
+    let report = staged_shape(headroom);
+    assert_eq!(report.records.len(), 48, "{}", golden.name);
+    assert!(report.preemptions > 0, "{}: never preempted", golden.name);
+    assert!(
+        report.kv.prefix_evictions > 0,
+        "{}: never evicted",
+        golden.name
+    );
+    assert!(report.kv.tier_spills > 0, "{}: never spilled", golden.name);
+    assert!(report.kv.tier_fetches > 0, "{}: never fetched", golden.name);
+    assert!(
+        report.kv.prefill_chunks > 0,
+        "{}: no prefill wave",
+        golden.name
+    );
+    assert_matches(&report, golden);
+}
+
 /// Pins the staged session round against reports captured from the
 /// single-function round it replaced, on a shape no other serving
-/// golden covers: eviction into a tier, tier fetches, chunked waves
-/// and preemption all happen, under each built-in admission rule.
+/// golden covers.
 #[test]
 fn staged_rounds_reproduce_the_parent() {
-    let cases = [
-        (
-            AdmissionSpec::BlockGranular,
-            Golden {
-                name: "pim_only-gpt175b-staged-block-granular",
-                makespan_bits: 0x405b030c6815b0ac,
-                energy_bits: 0x40e619897bb96741,
-                prefill_bits: 0x4050c7e1ed4099dc,
-                iterations: 382,
-                tokens: 4006,
-                preemptions: 1,
-                peak_rlp: 8,
-                peak_kv_tokens: 3514,
-                fingerprint: 0x7079438f8cbe5f55,
-            },
-        ),
-        (
-            AdmissionSpec::Fcfs,
-            Golden {
-                name: "pim_only-gpt175b-staged-fcfs",
-                makespan_bits: 0x405b37d1ed5e2981,
-                energy_bits: 0x40e6311568c8b4ef,
-                prefill_bits: 0x4050f992a457c35b,
-                iterations: 382,
-                tokens: 4006,
-                preemptions: 2,
-                peak_rlp: 8,
-                peak_kv_tokens: 3575,
-                fingerprint: 0x49313c31284cd3a9,
-            },
-        ),
-    ];
-    let reports = cases.map(|(admission, golden)| (staged_shape(admission), golden));
-    for (report, golden) in &reports {
-        assert_eq!(report.records.len(), 48, "{}", golden.name);
-        assert!(report.preemptions > 0, "{}: never preempted", golden.name);
-        assert!(
-            report.kv.prefix_evictions > 0,
-            "{}: never evicted",
-            golden.name
-        );
-        assert!(report.kv.tier_spills > 0, "{}: never spilled", golden.name);
-        assert!(report.kv.tier_fetches > 0, "{}: never fetched", golden.name);
-        assert!(
-            report.kv.prefill_chunks > 0,
-            "{}: no prefill wave",
-            golden.name
-        );
-        assert_matches(report, golden);
-    }
-    assert_ne!(
-        fingerprint(&reports[0].0),
-        fingerprint(&reports[1].0),
-        "the two admission rules served the shape identically"
+    assert_staged(
+        0.97,
+        &Golden {
+            name: "pim_only-gpt175b-staged-block-granular",
+            makespan_bits: 0x405b030c6815b0ac,
+            energy_bits: 0x40e619897bb96741,
+            prefill_bits: 0x4050c7e1ed4099dc,
+            iterations: 382,
+            tokens: 4006,
+            preemptions: 1,
+            peak_rlp: 8,
+            peak_kv_tokens: 3514,
+            fingerprint: 0x7079438f8cbe5f55,
+        },
+    );
+}
+
+/// The staged shape at headroom 0.99 and 1.0, where admission plans
+/// into (almost) the whole pool: the block-granular budget never
+/// overcommits, so every request finishes. Goldens captured at commit
+/// 39c2b59, before the admission rule was inlined into the session.
+#[test]
+fn near_full_headroom_admits_within_the_pool() {
+    assert_staged(
+        0.99,
+        &Golden {
+            name: "pim_only-gpt175b-staged-headroom-0.99",
+            makespan_bits: 0x405b8a67494e2afd,
+            energy_bits: 0x40e66dadda8aa0e5,
+            prefill_bits: 0x40514c280047c4d8,
+            iterations: 382,
+            tokens: 4006,
+            preemptions: 5,
+            peak_rlp: 8,
+            peak_kv_tokens: 3575,
+            fingerprint: 0x5fcb13f71260d91b,
+        },
+    );
+    assert_staged(
+        1.0,
+        &Golden {
+            name: "pim_only-gpt175b-staged-headroom-1.0",
+            makespan_bits: 0x405c0b9900d620dd,
+            energy_bits: 0x40e6b2316e943f07,
+            prefill_bits: 0x4051cd59b7cfbab7,
+            iterations: 382,
+            tokens: 4006,
+            preemptions: 12,
+            peak_rlp: 8,
+            peak_kv_tokens: 3575,
+            fingerprint: 0xbcc1fabc62c2a008,
+        },
     );
 }

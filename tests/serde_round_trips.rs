@@ -4,11 +4,10 @@
 //! fleet report with a shared tier and migrations does too.
 
 use papi::core::{
-    AdmissionSpec, AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec,
-    DesignKind, KvTierSpec, SessionTuning, SharedTierSpec, SloSpec,
+    AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
+    KvTierSpec, SessionTuning, SharedTierSpec, SloSpec,
 };
 use papi::interconnect::{LinkSpec, MigrationPricing, TierPricing};
-use papi::kv::{FetchSpec, SpillSpec};
 use papi::llm::ModelPreset;
 use papi::workload::{
     ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload, SpeculativeConfig,
@@ -29,15 +28,6 @@ fn round_trips<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) -> Str
 
 #[test]
 fn enum_specs_round_trip() {
-    for spec in [AdmissionSpec::default(), AdmissionSpec::Fcfs] {
-        round_trips(&spec);
-    }
-    for spec in [FetchSpec::default(), FetchSpec::MinTokens(512)] {
-        round_trips(&spec);
-    }
-    for spec in [SpillSpec::default(), SpillSpec::MinBlocks(3)] {
-        round_trips(&spec);
-    }
     for spec in [
         TierPricing::default(),
         TierPricing::Link(LinkSpec::cxl()),
@@ -99,12 +89,7 @@ fn struct_specs_round_trip() {
     round_trips(&SpeculativeConfig::geometric(8, 0.7));
 
     round_trips(&KvTierSpec::new(60_000));
-    round_trips(
-        &KvTierSpec::new(4_000)
-            .with_spill(SpillSpec::MinBlocks(2))
-            .with_fetch(FetchSpec::MinTokens(256))
-            .with_pricing(TierPricing::Link(LinkSpec::cxl())),
-    );
+    round_trips(&KvTierSpec::new(4_000).with_pricing(TierPricing::Link(LinkSpec::cxl())));
 
     round_trips(&SessionTuning::default());
     let tuning = SessionTuning::new()
@@ -113,14 +98,12 @@ fn struct_specs_round_trip() {
         .with_kv_block_size(32)
         .with_prefix_sharing(true)
         .with_prefill_chunk(2048)
-        .with_admission(AdmissionSpec::Fcfs)
         .with_kv_tier(KvTierSpec::new(400_000).with_pricing(TierPricing::Free));
     round_trips(&tuning);
 
     round_trips(&SharedTierSpec::default());
     round_trips(
         &SharedTierSpec::new()
-            .with_fetch(FetchSpec::MinTokens(64))
             .with_pricing(TierPricing::Free)
             .with_sync_interval(0.05),
     );
