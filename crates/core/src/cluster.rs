@@ -21,16 +21,16 @@
 //!
 //! Beyond identical replicas, the fleet can be **disaggregated**: each
 //! replica carries a [`ReplicaRole`] (`Colocated` / `Prefill` /
-//! `Decode`), optionally with a different hardware design per role —
-//! a GPU-heavy pool for compute-bound prefill, a PIM-heavy pool for
-//! memory-bound decode, the cluster-scale mirror of PAPI's intra-node
-//! phase-affinity argument. New arrivals route only to
-//! prefill-capable replicas; when a prefill-role replica finishes a
-//! prompt, the sequence's KV blocks are exported and *migrated* over
-//! the fabric (priced as [`Route::KvMigrate`](papi_interconnect::Route)
-//! traffic by the spec's [`MigrationPricing`]) to a decode-capable
-//! replica picked by a pluggable [`MigrationPolicy`] — JSQ over the
-//! decode pool by default. In-flight sequences occupy *neither* pool.
+//! `Decode`), and the prefill role may run a different hardware
+//! design — a GPU-heavy pool for compute-bound prefill beside the
+//! fleet's (typically PIM-heavy) design for memory-bound decode, the
+//! cluster-scale mirror of PAPI's intra-node phase-affinity argument.
+//! New arrivals route only to prefill-capable replicas; when a
+//! prefill-role replica finishes a prompt, the sequence's KV blocks
+//! are exported and *migrated* over the fabric (priced by the spec's
+//! [`MigrationPricing`]) to a decode-capable replica picked by a
+//! pluggable [`MigrationPolicy`] — JSQ over the decode pool by
+//! default. In-flight sequences occupy *neither* pool.
 //! An all-`Colocated` fleet never migrates and reproduces the
 //! pre-disaggregation engine bit for bit
 //! (`tests/routing_equality.rs`).
@@ -40,9 +40,7 @@ use crate::config::{DesignKind, SystemConfig};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport};
 use crate::serving::{PrefillHandoff, ServingEngine, ServingSession, SessionTuning};
 use crate::slo::SloSpec;
-use papi_interconnect::{
-    ClusterTopology, LinkSpec, MigrationCost, MigrationPricing, TierPricing, TopologyError,
-};
+use papi_interconnect::{LinkSpec, MigrationPricing, TierPricing, TopologyError, TransferCost};
 use papi_kv::GlobalKvTier;
 use papi_llm::ModelConfig;
 use papi_types::{Energy, Time};
@@ -117,10 +115,6 @@ pub struct ClusterSpec {
     /// replicates `design`) — typically a GPU-heavy system, since
     /// prefill is compute-bound.
     pub prefill_design: Option<DesignKind>,
-    /// Design override for [`ReplicaRole::Decode`] replicas (`None`
-    /// replicates `design`) — typically a PIM-heavy system, since
-    /// decode attention is memory-bound.
-    pub decode_design: Option<DesignKind>,
     /// How migrated prefill→decode handoffs pick their decode replica.
     pub migration: MigrationSpec,
     /// What link prices the KV-migration transfers (the inter-node
@@ -168,7 +162,6 @@ impl ClusterSpec {
             tuning: SessionTuning::default(),
             roles: Vec::new(),
             prefill_design: None,
-            decode_design: None,
             migration: MigrationSpec::default(),
             migration_pricing: MigrationPricing::default(),
             step_mode: StepMode::default(),
@@ -204,12 +197,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Overrides the hardware design of `Decode`-role replicas.
-    pub fn with_decode_design(mut self, design: DesignKind) -> Self {
-        self.decode_design = Some(design);
-        self
-    }
-
     /// Selects a built-in decode-side placement policy for migrated
     /// sequences (custom policies drive the fleet through
     /// [`ClusterEngine::run_with_policies`]).
@@ -239,9 +226,8 @@ impl ClusterSpec {
     /// The hardware design serving `role` in this fleet.
     pub fn design_for(&self, role: ReplicaRole) -> DesignKind {
         match role {
-            ReplicaRole::Colocated => self.design,
             ReplicaRole::Prefill => self.prefill_design.unwrap_or(self.design),
-            ReplicaRole::Decode => self.decode_design.unwrap_or(self.design),
+            ReplicaRole::Colocated | ReplicaRole::Decode => self.design,
         }
     }
 
@@ -272,8 +258,7 @@ impl ClusterSpec {
 /// Coherence is free because records are immutable logical token
 /// counts (first-writer-wins, extend-only, never invalidated); what
 /// the fleet pays is the *fabric*: each cross-replica
-/// re-materialization is priced as
-/// [`Route::KvFetch`](papi_interconnect::Route) traffic — transfer
+/// re-materialization is priced as a fabric transfer — transfer
 /// time lands in the fetching request's TTFT, wire energy in the
 /// replica's energy, and both are attributed fleet-wide in the
 /// report's [`GlobalTierReport`].
@@ -407,7 +392,6 @@ impl SharedTierControl {
 #[derive(Debug, Clone)]
 pub struct ClusterEngine {
     spec: ClusterSpec,
-    topology: ClusterTopology,
     replicas: Vec<ServingEngine>,
 }
 
@@ -504,13 +488,19 @@ impl ClusterEngine {
                 ));
             }
         }
+        if spec.tp_degree == 0 || spec.dp_replicas == 0 {
+            return Err(TopologyError::new(
+                "a cluster needs at least one node per group and one replica",
+            ));
+        }
+        let nodes = spec.tp_degree * spec.dp_replicas;
+        if !spec.inter_node.supports_devices(nodes) {
+            return Err(TopologyError::new(format!(
+                "{nodes} nodes exceed {}'s fan-out of {}",
+                spec.inter_node.name, spec.inter_node.max_devices
+            )));
+        }
         let base = SystemConfig::build(spec.design, spec.model.clone());
-        let topology = ClusterTopology::new(
-            base.topology.clone(),
-            spec.inter_node.clone(),
-            spec.tp_degree,
-            spec.dp_replicas,
-        )?;
         // One engine per replica; distinct designs built (and, for
         // PAPI, α-calibrated) exactly once each and cloned across the
         // fleet — the base design reuses the config built above, so a
@@ -534,21 +524,12 @@ impl ClusterEngine {
                     .clone()
             })
             .collect();
-        Ok(Self {
-            spec,
-            topology,
-            replicas,
-        })
+        Ok(Self { spec, replicas })
     }
 
     /// The fleet shape.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
-    }
-
-    /// The fleet wiring (per-node topology + inter-node fabric).
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topology
     }
 
     /// Every replica's engine configuration, in replica order.
@@ -566,7 +547,7 @@ impl ClusterEngine {
     /// Prices one handoff's KV transfer: the source replica's block
     /// footprint × its block bytes, over the link the spec's
     /// [`MigrationPricing`] names.
-    fn price_migration(&self, source: usize, handoff: &PrefillHandoff) -> MigrationCost {
+    fn price_migration(&self, source: usize, handoff: &PrefillHandoff) -> TransferCost {
         let block_size = self.replicas[source].tuning().kv_block_size;
         let block_bytes = self.spec.model.kv_bytes_per_token() * block_size as f64;
         self.spec
@@ -1209,7 +1190,7 @@ struct InFlightMigration {
     /// The sequence itself.
     handoff: PrefillHandoff,
     /// The priced transfer (recorded into the report at delivery).
-    cost: MigrationCost,
+    cost: TransferCost,
 }
 
 /// Fleet-wide accounting of prefill→decode KV migrations — all zeros
@@ -1540,20 +1521,38 @@ mod tests {
         }
     }
 
-    /// The fleet shape validates through the cluster topology.
+    /// A zero degree, or more nodes than the inter-node fabric has
+    /// ports, fails with its message: 1024-port InfiniBand takes
+    /// 4 × 256 nodes but neither 5 × 205 (one over) nor 4 × 257.
     #[test]
     fn degenerate_fleet_rejected() {
         let model = ModelPreset::Llama65B.config();
-        assert!(ClusterEngine::new(ClusterSpec::new(
-            DesignKind::PimOnlyPapi,
-            model.clone(),
-            0,
-            1
-        ))
-        .is_err());
-        assert!(
-            ClusterEngine::new(ClusterSpec::new(DesignKind::PimOnlyPapi, model, 1, 0)).is_err()
-        );
+        let fleet = |tp, dp| {
+            ClusterEngine::new(ClusterSpec::new(
+                DesignKind::PimOnlyPapi,
+                model.clone(),
+                tp,
+                dp,
+            ))
+        };
+        for (tp, dp) in [(0, 4), (4, 0)] {
+            let err = fleet(tp, dp).expect_err("a zero degree must not build");
+            assert_eq!(
+                err.to_string(),
+                "invalid topology: a cluster needs at least one node per group and one replica"
+            );
+        }
+        assert!(fleet(4, 256).is_ok());
+        for (tp, dp) in [(5, 205), (4, 257)] {
+            let err = fleet(tp, dp).expect_err("more nodes than the fabric has ports");
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "invalid topology: {} nodes exceed InfiniBand-NDR's fan-out of 1024",
+                    tp * dp
+                )
+            );
+        }
     }
 
     /// An out-of-range routing threshold fails at construction with the

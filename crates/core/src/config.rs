@@ -4,8 +4,9 @@ use papi_gpu::{GpuEnergyModel, GpuSpec, MultiGpu};
 use papi_interconnect::{LinkSpec, SystemTopology};
 use papi_llm::ModelConfig;
 use papi_pim::PimDevice;
+use papi_sched::calibrate_alpha;
 use papi_sched::calibration::Calibration;
-use papi_sched::{calibrate_alpha, FcScheduler, PapiScheduler, StaticScheduler};
+pub use papi_sched::SchedulerKind;
 use papi_types::Time;
 use serde::{Deserialize, Serialize};
 
@@ -48,31 +49,6 @@ impl DesignKind {
 impl core::fmt::Display for DesignKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Which FC-placement policy the system runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// PAPI's dynamic α-threshold policy.
-    PapiDynamic {
-        /// The calibrated memory-boundedness threshold.
-        alpha: f64,
-    },
-    /// FC always on the GPU (AttAcc-style static mapping).
-    FcOnGpu,
-    /// FC always on PIM (IANUS / PIM-only mapping).
-    FcOnPim,
-}
-
-impl SchedulerKind {
-    /// Instantiates a fresh stateful scheduler for one decode.
-    pub fn build(&self) -> Box<dyn FcScheduler> {
-        match *self {
-            SchedulerKind::PapiDynamic { alpha } => Box::new(PapiScheduler::new(alpha)),
-            SchedulerKind::FcOnGpu => Box::new(StaticScheduler::attacc()),
-            SchedulerKind::FcOnPim => Box::new(StaticScheduler::pim_only()),
-        }
     }
 }
 

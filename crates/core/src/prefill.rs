@@ -97,7 +97,7 @@ pub fn prefill_cost_for(config: &SystemConfig, prompts: PromptStats) -> PrefillC
     let kv_bytes = model.kv_bytes_per_token() * tokens as f64;
     // A tensor-parallel group scatters each prompt's KV blocks to the
     // shard that owns them: (tp-1)/tp of the write-out crosses the
-    // inter-node fabric (the Route::KvShard traffic class).
+    // inter-node fabric.
     let (shard_time, shard_energy) = match &config.tp {
         Some(tp) => (
             tp.fabric.scatter_time(kv_bytes, tp.degree),

@@ -377,9 +377,9 @@ impl<'a> IterationPricer<'a> {
 /// crosses NVLink only when the FC kernels run on FC-PIM. A
 /// tensor-parallel group additionally all-reduces its row-parallel
 /// FC outputs (attention projection + FFN down, `tokens × h` each)
-/// over the inter-node fabric every layer — the
-/// [`Route::TpAllReduce`] traffic class — regardless of where the
-/// FC kernels ran.
+/// over the inter-node fabric every layer
+/// ([`LinkSpec::all_reduce_time`](papi_interconnect::LinkSpec::all_reduce_time))
+/// regardless of where the FC kernels ran.
 fn shape_cost(config: &SystemConfig, (placement, rlp, tlp): ShapeKey) -> ShapeCost {
     let model = &config.model;
     let topo = &config.topology;

@@ -42,10 +42,9 @@ use crate::config::SystemConfig;
 use crate::metrics::{PhaseBreakdown, RequestRecord, RunLength, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
 use crate::pricer::IterationPricer;
-use papi_interconnect::{TierCost, TierPricing};
+use papi_interconnect::{TierPricing, TransferCost};
 use papi_kv::{
-    GlobalKvTier, KvBlockPool, KvCacheStats, KvPoolStats, KvSeq, KvSeqExport, KvTier, PrefixHint,
-    PrefixTree,
+    GlobalKvTier, KvBlockPool, KvCacheStats, KvSeq, KvSeqExport, KvTier, PrefixHint, PrefixTree,
 };
 use papi_sched::{FcScheduler, Placement};
 use papi_types::{Bytes, Energy, Time};
@@ -448,7 +447,7 @@ pub struct RemoteFetchEvent {
     /// Logical tokens restored across the fabric.
     pub tokens: u64,
     /// What the transfer cost on the wire.
-    pub cost: TierCost,
+    pub cost: TransferCost,
 }
 
 /// The fleet-shared tier's per-session runtime state: a frozen view of
@@ -521,7 +520,7 @@ pub struct ServingSession<'a> {
     /// remote records at inter-node fabric cost.
     global: Option<GlobalTierState>,
     kv_stats: KvCacheStats,
-    scheduler: Box<dyn FcScheduler>,
+    scheduler: FcScheduler,
     pricer: IterationPricer<'a>,
     rng: StdRng,
     requests: Vec<ServingRequest>,
@@ -713,11 +712,6 @@ impl ServingSession<'_> {
     /// maintained counter; equals the sum of live `kv_len`s).
     pub fn kv_resident_tokens(&self) -> u64 {
         self.kv_tokens
-    }
-
-    /// The paged pool's occupancy right now.
-    pub fn kv_pool_stats(&self) -> KvPoolStats {
-        self.pool.stats()
     }
 
     /// The admission-relevant state the cluster router consumes. The
@@ -921,7 +915,7 @@ impl ServingSession<'_> {
     /// critical path*: its latency lands in the admitted request's TTFT
     /// (via the session clock and prefill time), its energy in the
     /// report.
-    fn land_fetch(&mut self, key: u64, tokens: u64, fleet: bool) -> (KvSeq, TierCost) {
+    fn land_fetch(&mut self, key: u64, tokens: u64, fleet: bool) -> (KvSeq, TransferCost) {
         let mut seq = self.pool.new_seq();
         assert!(
             self.pool.append(&mut seq, tokens),

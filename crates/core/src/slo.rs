@@ -61,8 +61,7 @@ pub fn iteration_latency(config: &SystemConfig, rlp: u64, tlp: u64, kv_len: u64)
         new_tokens: rlp * tlp,
         finished: 0,
     };
-    let mut scheduler = config.scheduler.build();
-    let placement = scheduler.decide(rlp, tlp);
+    let placement = config.scheduler.build().decide(rlp, tlp);
     IterationPricer::new(config)
         .price_iteration(placement, &record)
         .total_time()

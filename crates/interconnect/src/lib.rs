@@ -11,31 +11,30 @@
 //!
 //! This crate provides the latency/bandwidth/energy link model
 //! ([`LinkSpec`]), and the [`SystemTopology`] that assigns a link to each
-//! route and validates device fan-out.
+//! intra-node [`Route`] and validates device fan-out.
 //!
-//! Beyond the paper's single node, [`ClusterTopology`] scales the same
-//! link model to a *fleet*: tensor-parallel groups of nodes joined by an
-//! inter-node fabric (InfiniBand/Ethernet presets), replicated
-//! data-parallel, with TP all-reduce, KV-shard, and prefill→decode KV
-//! migration traffic as dedicated [`Route`] classes (migration priced
-//! declaratively through [`MigrationPricing`]).
+//! Beyond the paper's single node, the same [`LinkSpec`] prices fleet
+//! traffic directly: its inter-node presets (InfiniBand NDR, 100 GbE)
+//! carry the tensor-parallel all-reduce and KV-shard collectives
+//! ([`LinkSpec::all_reduce_time`], [`LinkSpec::scatter_time`]) and the
+//! prefill→decode KV migrations of a disaggregated fleet
+//! ([`MigrationPricing`]).
 //!
 //! Below the attention pool, [`TierPricing`] prices the node-local KV
 //! *capacity tier* (host DIMMs per L3, CXL memory): what spilling a
 //! cold prefix out of the pool — and fetching it back on reuse — costs
-//! in latency, bandwidth, and energy.
+//! in latency, bandwidth, and energy. Both pricings return one
+//! [`TransferCost`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cluster;
 mod link;
 mod migration;
 mod tier;
 mod topology;
 
-pub use cluster::ClusterTopology;
-pub use link::LinkSpec;
-pub use migration::{MigrationCost, MigrationPricing};
-pub use tier::{TierCost, TierPricing};
+pub use link::{LinkSpec, TransferCost};
+pub use migration::MigrationPricing;
+pub use tier::TierPricing;
 pub use topology::{Route, SystemTopology, TopologyError};

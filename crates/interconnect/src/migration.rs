@@ -1,6 +1,6 @@
-//! Pricing for [`Route::KvMigrate`](crate::Route) traffic: the bulk KV
-//! handoff a disaggregated fleet pays when a prefill-role replica hands
-//! a decode-ready sequence to a decode-role replica.
+//! Pricing for KV migration traffic: the bulk KV handoff a
+//! disaggregated fleet pays when a prefill-role replica hands a
+//! decode-ready sequence to a decode-role replica.
 //!
 //! The payload is the sequence's whole paged KV cache —
 //! `kv_blocks × block_bytes` — moved in one message over whichever link
@@ -11,32 +11,11 @@
 //! with free migration must reproduce the non-disaggregated engine bit
 //! for bit).
 
-use crate::link::LinkSpec;
-use papi_types::{Bytes, Energy, Time};
+use crate::link::{LinkSpec, TransferCost};
+use papi_types::Bytes;
 use serde::{Deserialize, Serialize};
 
-/// The priced cost of one KV migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MigrationCost {
-    /// Payload moved: `kv_blocks × block_bytes`.
-    pub bytes: Bytes,
-    /// One-shot transfer latency (the sequence occupies neither pool
-    /// while this elapses).
-    pub time: Time,
-    /// Wire energy of the transfer.
-    pub energy: Energy,
-}
-
-impl MigrationCost {
-    /// A zero-cost migration (the `Free` pricing, or an empty payload).
-    pub const ZERO: MigrationCost = MigrationCost {
-        bytes: Bytes::ZERO,
-        time: Time::ZERO,
-        energy: Energy::ZERO,
-    };
-}
-
-/// Which link [`Route::KvMigrate`](crate::Route) traffic crosses.
+/// Which link KV migration traffic crosses.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum MigrationPricing {
     /// Ride the fleet's inter-node fabric (the link TP collectives
@@ -55,20 +34,11 @@ impl MigrationPricing {
     /// Prices moving `kv_blocks` blocks of `block_bytes` each, where
     /// `fabric` is the fleet's inter-node link (used by
     /// [`MigrationPricing::Fabric`]).
-    pub fn cost(&self, fabric: &LinkSpec, kv_blocks: u64, block_bytes: Bytes) -> MigrationCost {
-        let link = match self {
-            MigrationPricing::Fabric => fabric,
-            MigrationPricing::Link(link) => link,
-            MigrationPricing::Free => return MigrationCost::ZERO,
-        };
-        let bytes = block_bytes * kv_blocks as f64;
-        if bytes.is_zero() {
-            return MigrationCost::ZERO;
-        }
-        MigrationCost {
-            bytes,
-            time: link.transfer_time(bytes),
-            energy: link.transfer_energy(bytes),
+    pub fn cost(&self, fabric: &LinkSpec, kv_blocks: u64, block_bytes: Bytes) -> TransferCost {
+        match self {
+            MigrationPricing::Fabric => TransferCost::over(fabric, kv_blocks, block_bytes),
+            MigrationPricing::Link(link) => TransferCost::over(link, kv_blocks, block_bytes),
+            MigrationPricing::Free => TransferCost::ZERO,
         }
     }
 
@@ -122,11 +92,11 @@ mod tests {
         let fabric = LinkSpec::infiniband_ndr();
         assert_eq!(
             MigrationPricing::Free.cost(&fabric, 1_000, block_bytes()),
-            MigrationCost::ZERO
+            TransferCost::ZERO
         );
         assert_eq!(
             MigrationPricing::Fabric.cost(&fabric, 0, block_bytes()),
-            MigrationCost::ZERO
+            TransferCost::ZERO
         );
     }
 
@@ -135,7 +105,7 @@ mod tests {
         let fabric = LinkSpec::infiniband_ndr();
         let one = MigrationPricing::Fabric.cost(&fabric, 1, block_bytes());
         let ten = MigrationPricing::Fabric.cost(&fabric, 10, block_bytes());
-        let wire = |c: MigrationCost| c.time.value() - fabric.latency.value();
+        let wire = |c: TransferCost| c.time.value() - fabric.latency.value();
         assert!((wire(ten) - 10.0 * wire(one)).abs() < 1e-12);
         assert!((ten.energy.value() - 10.0 * one.energy.value()).abs() < 1e-12);
     }

@@ -17,30 +17,9 @@
 //! the serving critical path; a fetch sits squarely on it — its latency
 //! lands in the admitted request's TTFT.
 
-use crate::link::LinkSpec;
-use papi_types::{Bytes, Energy, Time};
+use crate::link::{LinkSpec, TransferCost};
+use papi_types::Bytes;
 use serde::{Deserialize, Serialize};
-
-/// The priced cost of moving one prefix across the tier boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierCost {
-    /// Payload moved: `kv_blocks × block_bytes`.
-    pub bytes: Bytes,
-    /// One-shot transfer latency (a fetch serializes this into the
-    /// admitted request's prefill path).
-    pub time: Time,
-    /// Wire/DRAM energy of the transfer.
-    pub energy: Energy,
-}
-
-impl TierCost {
-    /// A zero-cost crossing (the `Free` pricing, or an empty payload).
-    pub const ZERO: TierCost = TierCost {
-        bytes: Bytes::ZERO,
-        time: Time::ZERO,
-        energy: Energy::ZERO,
-    };
-}
 
 /// Which link KV tier traffic crosses.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -59,29 +38,15 @@ pub enum TierPricing {
 }
 
 impl TierPricing {
-    /// The link this pricing crosses, if any.
-    fn link(&self) -> Option<LinkSpec> {
-        match self {
-            TierPricing::HostDimm => Some(LinkSpec::ddr5_dimm()),
-            TierPricing::Link(link) => Some(link.clone()),
-            TierPricing::Free => None,
-        }
-    }
-
     /// Prices moving `kv_blocks` blocks of `block_bytes` each across
     /// the tier boundary (one direction — a fetch or a spill).
-    pub fn cost(&self, kv_blocks: u64, block_bytes: Bytes) -> TierCost {
-        let Some(link) = self.link() else {
-            return TierCost::ZERO;
-        };
-        let bytes = block_bytes * kv_blocks as f64;
-        if bytes.is_zero() {
-            return TierCost::ZERO;
-        }
-        TierCost {
-            bytes,
-            time: link.transfer_time(bytes),
-            energy: link.transfer_energy(bytes),
+    pub fn cost(&self, kv_blocks: u64, block_bytes: Bytes) -> TransferCost {
+        match self {
+            TierPricing::HostDimm => {
+                TransferCost::over(&LinkSpec::ddr5_dimm(), kv_blocks, block_bytes)
+            }
+            TierPricing::Link(link) => TransferCost::over(link, kv_blocks, block_bytes),
+            TierPricing::Free => TransferCost::ZERO,
         }
     }
 
@@ -127,8 +92,14 @@ mod tests {
 
     #[test]
     fn free_and_empty_crossings_cost_nothing() {
-        assert_eq!(TierPricing::Free.cost(1_000, block_bytes()), TierCost::ZERO);
-        assert_eq!(TierPricing::HostDimm.cost(0, block_bytes()), TierCost::ZERO);
+        assert_eq!(
+            TierPricing::Free.cost(1_000, block_bytes()),
+            TransferCost::ZERO
+        );
+        assert_eq!(
+            TierPricing::HostDimm.cost(0, block_bytes()),
+            TransferCost::ZERO
+        );
     }
 
     #[test]

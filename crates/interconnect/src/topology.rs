@@ -4,12 +4,7 @@ use crate::link::LinkSpec;
 use papi_types::{Bytes, Energy, Time};
 use serde::{Deserialize, Serialize};
 
-/// A class of traffic in the PAPI system.
-///
-/// The first three classes are *intra-node* (paper Fig. 5(a)); the last
-/// two are *cluster-scope* — they cross the inter-node fabric of a
-/// [`ClusterTopology`](crate::ClusterTopology) and only exist once a
-/// model is sharded tensor-parallel across nodes.
+/// A class of intra-node traffic in the PAPI system (paper Fig. 5(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Route {
     /// Processing units ↔ FC-PIM devices (weight/activation volume).
@@ -18,35 +13,6 @@ pub enum Route {
     PuToAttnPim,
     /// Host CPU ↔ processing units (commands, scheduling).
     HostToPu,
-    /// Per-layer activation all-reduce among the nodes of one
-    /// tensor-parallel group.
-    TpAllReduce,
-    /// KV-cache blocks scattered to the tensor-parallel shard that owns
-    /// them (prefill write-out, request migration).
-    KvShard,
-    /// A finished prefill's whole KV cache handed from a prefill-role
-    /// replica to a decode-role replica of a disaggregated fleet (bulk
-    /// one-shot transfer, priced by
-    /// [`MigrationPricing`](crate::MigrationPricing)).
-    KvMigrate,
-    /// A spilled prefix re-materialized from the replica that owns its
-    /// fleet-wide `GlobalKvTier` record onto the replica serving the
-    /// re-landed request (read-only copy-out over the inter-node
-    /// fabric, priced by [`TierPricing`](crate::TierPricing) composed
-    /// with the cluster's fabric [`LinkSpec`]).
-    KvFetch,
-}
-
-impl Route {
-    /// Whether this traffic crosses the inter-node fabric (and so needs
-    /// a [`ClusterTopology`](crate::ClusterTopology), not a single-node
-    /// [`SystemTopology`]).
-    pub fn is_cluster_scope(&self) -> bool {
-        matches!(
-            self,
-            Route::TpAllReduce | Route::KvShard | Route::KvMigrate | Route::KvFetch
-        )
-    }
 }
 
 /// Error returned when a topology cannot host the requested device
@@ -178,38 +144,20 @@ impl SystemTopology {
     }
 
     /// The link serving `route`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [cluster-scope](Route::is_cluster_scope) route: a
-    /// single node has no inter-node fabric — wire one with
-    /// [`ClusterTopology`](crate::ClusterTopology).
-    #[track_caller]
     pub fn link(&self, route: Route) -> &LinkSpec {
         match route {
             Route::PuToFcPim => &self.fc_pim_link,
             Route::PuToAttnPim => &self.attn_pim_link,
             Route::HostToPu => &self.host_link,
-            Route::TpAllReduce | Route::KvShard | Route::KvMigrate | Route::KvFetch => {
-                panic!("{route:?} is cluster-scope traffic; a single-node SystemTopology has no inter-node fabric")
-            }
         }
     }
 
     /// Devices attached on `route` (0 for the host route).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [cluster-scope](Route::is_cluster_scope) route.
-    #[track_caller]
     pub fn devices(&self, route: Route) -> usize {
         match route {
             Route::PuToFcPim => self.fc_pim_devices,
             Route::PuToAttnPim => self.attn_pim_devices,
             Route::HostToPu => 0,
-            Route::TpAllReduce | Route::KvShard | Route::KvMigrate | Route::KvFetch => {
-                panic!("{route:?} is cluster-scope traffic; a single-node SystemTopology has no inter-node fabric")
-            }
         }
     }
 
@@ -276,22 +224,6 @@ mod tests {
             four.transfer_time(Route::PuToFcPim, bulk).value()
                 < one.transfer_time(Route::PuToFcPim, bulk).value()
         );
-    }
-
-    #[test]
-    fn route_scope_classification() {
-        assert!(!Route::PuToFcPim.is_cluster_scope());
-        assert!(!Route::HostToPu.is_cluster_scope());
-        assert!(Route::TpAllReduce.is_cluster_scope());
-        assert!(Route::KvShard.is_cluster_scope());
-        assert!(Route::KvFetch.is_cluster_scope());
-    }
-
-    #[test]
-    #[should_panic(expected = "cluster-scope")]
-    fn single_node_topology_rejects_cluster_routes() {
-        let t = SystemTopology::papi_default(30, 60).unwrap();
-        let _ = t.link(Route::TpAllReduce);
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub struct EvictedPrefix {
     pub key: u64,
     /// Logical tokens the entry cached (full blocks × block size).
     pub tokens: u64,
-    /// Blocks the entry held references on.
-    pub blocks: u64,
     /// Blocks that actually became free (blocks still held by live
     /// sequences stay allocated).
     pub freed: u64,
@@ -256,11 +254,9 @@ impl PrefixTree {
         // Ties break on the key so eviction order is deterministic.
         let (_, victim) = self.lru.pop_first()?;
         let node = self.nodes.remove(&victim).expect("victim exists");
-        let blocks = node.seq.block_count();
         Some(EvictedPrefix {
             key: victim,
-            tokens: blocks * pool.block_size(),
-            blocks,
+            tokens: node.seq.block_count() * pool.block_size(),
             freed: pool.release_cached(node.seq),
         })
     }

@@ -10,9 +10,9 @@
 //!
 //! - [`estimator`] — Eq. (1) exact arithmetic intensity, the Eq. (2)
 //!   estimate, and the Fig. 6 accuracy comparison.
-//! - [`policy`] — the `FcScheduler` trait with the PAPI dynamic policy
-//!   and the paper's static baselines (AttAcc, IANUS, PIM-only), plus an
-//!   oracle upper bound.
+//! - [`policy`] — [`SchedulerKind`], the PAPI dynamic policy or one of
+//!   the paper's static baselines (AttAcc, IANUS, PIM-only), and the
+//!   [`FcScheduler`] it builds for one decode.
 //! - [`calibration`] — the §5.2.1 offline iterative evaluation that
 //!   picks `α` from measured PU/PIM latencies.
 
@@ -25,4 +25,4 @@ pub mod policy;
 
 pub use calibration::calibrate_alpha;
 pub use estimator::AiEstimator;
-pub use policy::{FcScheduler, OracleScheduler, PapiScheduler, Placement, StaticScheduler};
+pub use policy::{FcScheduler, Placement, SchedulerKind};

@@ -1,7 +1,7 @@
-//! FC-kernel placement policies.
+//! FC-kernel placement: the PAPI α-threshold rule and the paper's two
+//! static baselines.
 
 use crate::estimator::AiEstimator;
-use papi_types::Time;
 use serde::{Deserialize, Serialize};
 
 /// Where an FC kernel executes this iteration.
@@ -37,225 +37,86 @@ pub struct SchedulerStats {
     pub fc_pim_decisions: u64,
 }
 
-/// A policy deciding FC-kernel placement from the observed parallelism.
+/// Which FC-placement policy the system runs.
 ///
-/// Attention placement is not part of the trait: in every system the
+/// Attention placement is not part of the policy: in every system the
 /// paper evaluates, attention runs on whatever memory-side device holds
 /// the KV cache.
-///
-/// `Send` is a supertrait so boxed schedulers can live inside serving
-/// sessions that fan out across threads (the cluster engine's parallel
-/// step mode).
-pub trait FcScheduler: Send {
-    /// Decides the placement for an iteration at `(rlp, tlp)`.
-    fn decide(&mut self, rlp: u64, tlp: u64) -> Placement;
-
-    /// Human-readable policy name.
-    fn name(&self) -> &str;
-
-    /// Statistics so far.
-    fn stats(&self) -> SchedulerStats;
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum SchedulerKind {
+    /// PAPI's dynamic α-threshold policy (paper §5.2): estimate
+    /// `AI ≈ RLP × TLP` and place on the PU when it exceeds `alpha`.
+    PapiDynamic {
+        /// The calibrated memory-boundedness threshold (from
+        /// [`calibrate_alpha`](crate::calibrate_alpha)).
+        alpha: f64,
+    },
+    /// FC always on the GPU (AttAcc-style static mapping).
+    FcOnGpu,
+    /// FC always on PIM (IANUS / PIM-only mapping).
+    FcOnPim,
 }
 
-/// PAPI's dynamic parallelism-aware scheduler (paper §5.2): estimate
-/// `AI ≈ RLP × TLP`, compare with the calibrated threshold `α`, place on
-/// the PU when compute-bound.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PapiScheduler {
-    alpha: f64,
-    last: Option<Placement>,
-    stats: SchedulerStats,
-}
-
-impl PapiScheduler {
-    /// Creates the scheduler with threshold `alpha` (from
-    /// [`calibrate_alpha`](crate::calibrate_alpha)).
+impl SchedulerKind {
+    /// Instantiates a fresh stateful scheduler for one decode.
     ///
     /// # Panics
     ///
-    /// Panics if `alpha` is not positive and finite.
+    /// Panics if a [`PapiDynamic`](Self::PapiDynamic) `alpha` is not
+    /// positive and finite.
     #[track_caller]
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0,
-            "alpha must be positive and finite"
-        );
-        Self {
-            alpha,
+    pub fn build(&self) -> FcScheduler {
+        if let SchedulerKind::PapiDynamic { alpha } = *self {
+            assert!(
+                alpha.is_finite() && alpha > 0.0,
+                "alpha must be positive and finite"
+            );
+        }
+        FcScheduler {
+            kind: *self,
             last: None,
             stats: SchedulerStats::default(),
         }
     }
-
-    /// The memory-boundedness threshold.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
-impl FcScheduler for PapiScheduler {
-    fn decide(&mut self, rlp: u64, tlp: u64) -> Placement {
-        let placement = if AiEstimator::estimate(rlp, tlp) > self.alpha {
-            Placement::Pu
-        } else {
-            Placement::FcPim
-        };
-        self.stats.decisions += 1;
-        match placement {
-            Placement::Pu => self.stats.pu_decisions += 1,
-            Placement::FcPim => self.stats.fc_pim_decisions += 1,
-        }
-        if let Some(last) = self.last {
-            if last != placement {
-                self.stats.switches += 1;
-            }
-        }
-        self.last = Some(placement);
-        placement
-    }
-
-    fn name(&self) -> &str {
-        "papi-dynamic"
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
-}
-
-/// A static policy: the same placement forever, as in AttAcc (FC always
-/// on the GPU), IANUS (FC always on PIM), or a PIM-only system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StaticScheduler {
-    placement: Placement,
-    label: String,
-    stats: SchedulerStats,
-}
-
-impl StaticScheduler {
-    /// AttAcc's mapping: FC kernels always on the GPU.
-    pub fn attacc() -> Self {
-        Self {
-            placement: Placement::Pu,
-            label: "static-fc-on-gpu (AttAcc)".to_owned(),
-            stats: SchedulerStats::default(),
-        }
-    }
-
-    /// IANUS / PIM-only mapping: FC kernels always on PIM.
-    pub fn pim_only() -> Self {
-        Self {
-            placement: Placement::FcPim,
-            label: "static-fc-on-pim (IANUS/PIM-only)".to_owned(),
-            stats: SchedulerStats::default(),
-        }
-    }
-
-    /// An arbitrary fixed placement.
-    pub fn fixed(placement: Placement) -> Self {
-        Self {
-            placement,
-            label: format!("static-{placement}"),
-            stats: SchedulerStats::default(),
-        }
-    }
-}
-
-impl FcScheduler for StaticScheduler {
-    fn decide(&mut self, _rlp: u64, _tlp: u64) -> Placement {
-        self.stats.decisions += 1;
-        match self.placement {
-            Placement::Pu => self.stats.pu_decisions += 1,
-            Placement::FcPim => self.stats.fc_pim_decisions += 1,
-        }
-        self.placement
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
-}
-
-/// The oracle: given the *true* latency of both targets, always picks
-/// the faster one. An upper bound no online policy can beat — used to
-/// measure how much of the oracle's win the α-threshold captures.
-pub struct OracleScheduler<F, G>
-where
-    F: FnMut(u64) -> Time + Send,
-    G: FnMut(u64) -> Time + Send,
-{
-    pim_latency: F,
-    pu_latency: G,
+/// One decode's FC scheduler: the [`SchedulerKind`] rule plus the
+/// [`SchedulerStats`] it has accumulated.
+#[derive(Debug, Clone)]
+pub struct FcScheduler {
+    kind: SchedulerKind,
     last: Option<Placement>,
     stats: SchedulerStats,
 }
 
-impl<F, G> OracleScheduler<F, G>
-where
-    F: FnMut(u64) -> Time + Send,
-    G: FnMut(u64) -> Time + Send,
-{
-    /// Creates the oracle from latency callbacks taking the token count
-    /// `RLP × TLP`.
-    pub fn new(pim_latency: F, pu_latency: G) -> Self {
-        Self {
-            pim_latency,
-            pu_latency,
-            last: None,
-            stats: SchedulerStats::default(),
-        }
-    }
-}
-
-impl<F, G> core::fmt::Debug for OracleScheduler<F, G>
-where
-    F: FnMut(u64) -> Time + Send,
-    G: FnMut(u64) -> Time + Send,
-{
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("OracleScheduler")
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<F, G> FcScheduler for OracleScheduler<F, G>
-where
-    F: FnMut(u64) -> Time + Send,
-    G: FnMut(u64) -> Time + Send,
-{
-    fn decide(&mut self, rlp: u64, tlp: u64) -> Placement {
-        let tokens = rlp * tlp;
-        let pim = (self.pim_latency)(tokens);
-        let pu = (self.pu_latency)(tokens);
-        let placement = if pu.value() < pim.value() {
-            Placement::Pu
-        } else {
-            Placement::FcPim
+impl FcScheduler {
+    /// Decides the placement for an iteration at `(rlp, tlp)`.
+    pub fn decide(&mut self, rlp: u64, tlp: u64) -> Placement {
+        let placement = match self.kind {
+            SchedulerKind::PapiDynamic { alpha } => {
+                if AiEstimator::estimate(rlp, tlp) > alpha {
+                    Placement::Pu
+                } else {
+                    Placement::FcPim
+                }
+            }
+            SchedulerKind::FcOnGpu => Placement::Pu,
+            SchedulerKind::FcOnPim => Placement::FcPim,
         };
         self.stats.decisions += 1;
         match placement {
             Placement::Pu => self.stats.pu_decisions += 1,
             Placement::FcPim => self.stats.fc_pim_decisions += 1,
         }
-        if let Some(last) = self.last {
-            if last != placement {
-                self.stats.switches += 1;
-            }
+        if self.last.is_some_and(|last| last != placement) {
+            self.stats.switches += 1;
         }
         self.last = Some(placement);
         placement
     }
 
-    fn name(&self) -> &str {
-        "oracle"
-    }
-
-    fn stats(&self) -> SchedulerStats {
+    /// Statistics so far.
+    pub fn stats(&self) -> SchedulerStats {
         self.stats
     }
 }
@@ -264,9 +125,13 @@ where
 mod tests {
     use super::*;
 
+    fn papi(alpha: f64) -> FcScheduler {
+        SchedulerKind::PapiDynamic { alpha }.build()
+    }
+
     #[test]
     fn papi_scheduler_thresholds_on_tokens() {
-        let mut s = PapiScheduler::new(24.0);
+        let mut s = papi(24.0);
         assert_eq!(s.decide(4, 1), Placement::FcPim); // 4 ≤ 24
         assert_eq!(s.decide(16, 1), Placement::FcPim); // 16 ≤ 24
         assert_eq!(s.decide(16, 2), Placement::Pu); // 32 > 24
@@ -282,7 +147,7 @@ mod tests {
     fn papi_scheduler_reproduces_fig5d_rescheduling() {
         // Fig. 5(d): as requests finish, RLP decays 5→4→4→3→2 and the FC
         // kernel migrates PU → PIM once RLP×TLP crosses α.
-        let mut s = PapiScheduler::new(3.5);
+        let mut s = papi(3.5);
         let placements: Vec<Placement> = [5u64, 4, 4, 3, 2]
             .iter()
             .map(|&rlp| s.decide(rlp, 1))
@@ -302,34 +167,21 @@ mod tests {
 
     #[test]
     fn static_schedulers_never_switch() {
-        let mut attacc = StaticScheduler::attacc();
-        let mut pim = StaticScheduler::pim_only();
+        let mut attacc = SchedulerKind::FcOnGpu.build();
+        let mut pim = SchedulerKind::FcOnPim.build();
         for rlp in [1u64, 128, 2, 64] {
             assert_eq!(attacc.decide(rlp, 8), Placement::Pu);
             assert_eq!(pim.decide(rlp, 8), Placement::FcPim);
         }
         assert_eq!(attacc.stats().switches, 0);
         assert_eq!(pim.stats().switches, 0);
-        assert!(attacc.name().contains("AttAcc"));
-    }
-
-    #[test]
-    fn oracle_picks_argmin() {
-        // PIM latency grows with tokens; PU latency flat: oracle flips at
-        // the crossover.
-        let mut oracle = OracleScheduler::new(
-            |tokens| Time::from_micros(tokens as f64),
-            |_| Time::from_micros(10.0),
-        );
-        assert_eq!(oracle.decide(4, 1), Placement::FcPim);
-        assert_eq!(oracle.decide(16, 1), Placement::Pu);
-        assert_eq!(oracle.stats().switches, 1);
-        assert_eq!(oracle.name(), "oracle");
+        assert_eq!(attacc.stats().pu_decisions, 4);
+        assert_eq!(pim.stats().fc_pim_decisions, 4);
     }
 
     #[test]
     #[should_panic(expected = "alpha")]
     fn bad_alpha_rejected() {
-        PapiScheduler::new(0.0);
+        papi(0.0);
     }
 }

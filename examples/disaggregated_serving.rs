@@ -6,7 +6,7 @@
 //! co-located fleet makes every node serve both phases on the same
 //! hardware, while a role-split fleet routes arrivals to a GPU-heavy
 //! prefill pool and migrates each prompt's KV blocks over the fabric
-//! (a priced `Route::KvMigrate` transfer) to a PIM-heavy decode pool.
+//! (a transfer priced by `MigrationPricing`) to a PIM-heavy decode pool.
 //! Same node count, same per-node attention-pool DRAM (60 × 16 GB
 //! stacks either way): the split pays real migration bytes and
 //! latency, and buys back an order of magnitude of tail TTFT on

@@ -9,7 +9,7 @@ use papi::core::{
 use papi::gpu::{GpuEnergyModel, GpuSpec, MultiGpu};
 use papi::llm::ModelPreset;
 use papi::pim::PimDevice;
-use papi::sched::{FcScheduler, OracleScheduler, Placement};
+use papi::sched::Placement;
 use papi::workload::{
     ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload,
     SpeculativeConfig, WorkloadSpec,
@@ -32,13 +32,16 @@ fn alpha_threshold_agrees_with_oracle() {
     let gpus = papi_gpus();
     let energy = GpuEnergyModel::a100();
 
-    let mut oracle = OracleScheduler::new(
-        |tokens| fc_latency_on_pim(&model, &fc_pim, 30, tokens),
-        |tokens| fc_latency_on_pu(&model, &gpus, &energy, tokens),
-    );
     let mut disagreements = 0;
     for tokens in 1..=256u64 {
-        let oracle_says = oracle.decide(tokens, 1);
+        // The oracle: the argmin of the two true FC latencies.
+        let pim = fc_latency_on_pim(&model, &fc_pim, 30, tokens);
+        let pu = fc_latency_on_pu(&model, &gpus, &energy, tokens);
+        let oracle_says = if pu.value() < pim.value() {
+            Placement::Pu
+        } else {
+            Placement::FcPim
+        };
         let alpha_says = if tokens as f64 > calibration.alpha {
             Placement::Pu
         } else {
