@@ -27,8 +27,8 @@
 //! cluster-scale mirror of PAPI's intra-node phase-affinity argument.
 //! New arrivals route only to prefill-capable replicas; when a
 //! prefill-role replica finishes a prompt, the sequence's KV blocks
-//! are exported and *migrated* over the fabric (priced by the spec's
-//! [`MigrationPricing`]) to a decode-capable replica picked by a
+//! are exported and *migrated* over the inter-node fabric (priced as
+//! one [`TransferCost`]) to a decode-capable replica picked by a
 //! pluggable [`MigrationPolicy`] — JSQ over the decode pool by
 //! default. In-flight sequences occupy *neither* pool.
 //! An all-`Colocated` fleet never migrates and reproduces the
@@ -40,7 +40,7 @@ use crate::config::{DesignKind, SystemConfig};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport};
 use crate::serving::{PrefillHandoff, ServingEngine, ServingSession, SessionTuning};
 use crate::slo::SloSpec;
-use papi_interconnect::{LinkSpec, MigrationPricing, TierPricing, TopologyError, TransferCost};
+use papi_interconnect::{LinkSpec, TierPricing, TopologyError, TransferCost};
 use papi_kv::GlobalKvTier;
 use papi_llm::ModelConfig;
 use papi_types::{Energy, Time};
@@ -90,7 +90,7 @@ pub enum StepMode {
 /// [`ServingEngine`] consumes — so the fleet and single-node layers can
 /// never drift apart on what is tunable. Routing is declarative: a
 /// [`PolicySpec`] names a built-in [`RoutePolicy`]; custom policies
-/// drive the fleet through [`ClusterEngine::run_with_policy`].
+/// drive the fleet through [`ClusterEngine::run_with_policies`].
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// The per-node design replicated across the fleet.
@@ -101,7 +101,8 @@ pub struct ClusterSpec {
     pub tp_degree: usize,
     /// Data-parallel replicas (TP groups).
     pub dp_replicas: usize,
-    /// The inter-node fabric TP collectives cross.
+    /// The inter-node fabric TP collectives, KV migrations and
+    /// shared-tier fetches cross.
     pub inter_node: LinkSpec,
     /// How the router picks a replica per arriving request.
     pub routing: PolicySpec,
@@ -117,9 +118,6 @@ pub struct ClusterSpec {
     pub prefill_design: Option<DesignKind>,
     /// How migrated prefill→decode handoffs pick their decode replica.
     pub migration: MigrationSpec,
-    /// What link prices the KV-migration transfers (the inter-node
-    /// fabric by default; `Free` is the zero-cost ablation).
-    pub migration_pricing: MigrationPricing,
     /// How replicas advance between control-plane events. Both modes
     /// produce identical reports; `Parallel` is the default.
     pub step_mode: StepMode,
@@ -163,7 +161,6 @@ impl ClusterSpec {
             roles: Vec::new(),
             prefill_design: None,
             migration: MigrationSpec::default(),
-            migration_pricing: MigrationPricing::default(),
             step_mode: StepMode::default(),
             shared_tier: None,
             autoscale: None,
@@ -197,20 +194,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Selects a built-in decode-side placement policy for migrated
-    /// sequences (custom policies drive the fleet through
-    /// [`ClusterEngine::run_with_policies`]).
-    pub fn with_migration(mut self, migration: MigrationSpec) -> Self {
-        self.migration = migration;
-        self
-    }
-
-    /// Overrides how KV-migration transfers are priced.
-    pub fn with_migration_pricing(mut self, pricing: MigrationPricing) -> Self {
-        self.migration_pricing = pricing;
-        self
-    }
-
     /// Selects how replicas advance between control-plane events
     /// ([`StepMode::Parallel`] by default).
     pub fn with_step_mode(mut self, step_mode: StepMode) -> Self {
@@ -234,12 +217,6 @@ impl ClusterSpec {
     /// Overrides the routing policy.
     pub fn with_routing(mut self, routing: PolicySpec) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Overrides the inter-node fabric.
-    pub fn with_inter_node(mut self, inter_node: LinkSpec) -> Self {
-        self.inter_node = inter_node;
         self
     }
 
@@ -545,14 +522,11 @@ impl ClusterEngine {
     }
 
     /// Prices one handoff's KV transfer: the source replica's block
-    /// footprint × its block bytes, over the link the spec's
-    /// [`MigrationPricing`] names.
+    /// footprint × its block bytes, over the inter-node fabric.
     fn price_migration(&self, source: usize, handoff: &PrefillHandoff) -> TransferCost {
         let block_size = self.replicas[source].tuning().kv_block_size;
         let block_bytes = self.spec.model.kv_bytes_per_token() * block_size as f64;
-        self.spec
-            .migration_pricing
-            .cost(&self.spec.inter_node, handoff.kv.blocks, block_bytes)
+        TransferCost::over(&self.spec.inter_node, handoff.kv.blocks, block_bytes)
     }
 
     /// Serves one episode across the fleet with the spec's built-in
@@ -572,24 +546,6 @@ impl ClusterEngine {
         let mut router = Router::new(self.spec.routing);
         let mut migration = self.spec.migration.build();
         self.run_with_policies(workload, &mut router, migration.as_mut())
-    }
-
-    /// Serves one episode with a caller-supplied [`RoutePolicy`] — the
-    /// open seam for routing strategies the built-in [`PolicySpec`]s
-    /// don't cover. Migrated sequences (if the fleet disaggregates)
-    /// are placed by the spec's built-in [`MigrationSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as
-    /// [`run_with_policies`](Self::run_with_policies).
-    pub fn run_with_policy(
-        &self,
-        workload: &ServingWorkload,
-        policy: &mut dyn RoutePolicy,
-    ) -> ClusterReport {
-        let mut migration = self.spec.migration.build();
-        self.run_with_policies(workload, policy, migration.as_mut())
     }
 
     /// Serves one episode with caller-supplied routing *and*
@@ -771,7 +727,7 @@ impl ClusterEngine {
         let mut decisions = 0u64;
         let mut stats = MigrationReport {
             policy: migration.label(),
-            pricing: self.spec.migration_pricing.label(),
+            pricing: "fabric".to_owned(),
             ..MigrationReport::default()
         };
         let mut transfer_times: Vec<Time> = Vec::new();
@@ -1199,7 +1155,8 @@ struct InFlightMigration {
 pub struct MigrationReport {
     /// Label of the decode-placement policy.
     pub policy: String,
-    /// Label of the link migrations were priced over.
+    /// Label of the link migrations were priced over: `"fabric"`, the
+    /// inter-node fabric (`"none"` in a one-replica wrapper report).
     pub pricing: String,
     /// Sequences migrated (each counted at delivery).
     pub migrations: u64,
@@ -1733,16 +1690,15 @@ mod tests {
                 .is_err()
         );
         // A malformed policy band is a config error, not a fleet that
-        // activates at every tick.
-        let burning = AutoscalePolicySpec::SloBurnBudget {
-            slo,
-            target_attainment: 1.5,
-            headroom: 0.04,
+        // flaps at every tick.
+        let inverted = AutoscalePolicySpec::QueueDepthTarget {
+            scale_up_depth: 1.0,
+            scale_down_depth: 4.0,
         };
         assert_eq!(
-            ClusterEngine::new(fleet(3).with_autoscale(AutoscaleSpec::new(burning, slo))).err(),
+            ClusterEngine::new(fleet(3).with_autoscale(AutoscaleSpec::new(inverted, slo))).err(),
             Some(TopologyError::new(
-                "target attainment must be in [0, 1], got 1.5"
+                "inverted band: scale-up threshold 1 is below scale-down threshold 4"
             ))
         );
         // A sane spec builds.
@@ -1885,42 +1841,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 24);
-    }
-
-    /// Free-priced migration still migrates (counts increment) but
-    /// moves zero bytes in zero time — and finishes no later than the
-    /// fabric-priced fleet.
-    #[test]
-    fn free_migration_is_counted_but_unpriced() {
-        let w = workload(6.0, 16);
-        let spec = |pricing| {
-            ClusterSpec::new(
-                DesignKind::PimOnlyPapi,
-                ModelPreset::Llama65B.config(),
-                1,
-                2,
-            )
-            .with_roles(vec![ReplicaRole::Prefill, ReplicaRole::Decode])
-            .with_migration_pricing(pricing)
-            .with_tuning(batch(8))
-        };
-        let free = ClusterEngine::new(spec(papi_interconnect::MigrationPricing::Free))
-            .unwrap()
-            .run(&w);
-        let priced = ClusterEngine::new(spec(papi_interconnect::MigrationPricing::Fabric))
-            .unwrap()
-            .run(&w);
-        assert_eq!(free.migration.migrations, 16);
-        assert_eq!(free.migration.bytes, 0.0);
-        assert_eq!(free.migration.latency.unwrap().max.value(), 0.0);
-        assert_eq!(free.migration.pricing, "free");
-        assert!(priced.migration.bytes > 0.0);
-        assert!(
-            free.makespan().value() <= priced.makespan().value() + 1e-12,
-            "free migration cannot be slower: {} vs {}",
-            free.makespan(),
-            priced.makespan()
-        );
     }
 
     /// Mixed fleets work too: a colocated replica both takes arrivals

@@ -588,9 +588,7 @@ mod tests {
     use crate::serving::{KvTierSpec, SessionTuning};
     use papi_llm::Boundedness;
     use papi_types::geometric_mean;
-    use papi_workload::{
-        ArrivalProcess, ConversationDataset, MigrationSpec, PolicySpec, ReplicaRole,
-    };
+    use papi_workload::{ArrivalProcess, ConversationDataset, PolicySpec, ReplicaRole};
 
     #[test]
     fn fig2_shapes() {
@@ -1018,8 +1016,7 @@ mod tests {
         let split = colocated
             .clone()
             .with_roles([[ReplicaRole::Prefill; 2], [ReplicaRole::Decode; 2]].concat())
-            .with_prefill_design(DesignKind::A100AttAcc)
-            .with_migration(MigrationSpec::JoinShortestQueue);
+            .with_prefill_design(DesignKind::A100AttAcc);
         let bursts = ArrivalProcess::Bursty {
             burst_size: 16,
             interval_sec: 10.0,

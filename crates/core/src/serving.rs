@@ -733,9 +733,8 @@ impl ServingSession<'_> {
         }
     }
 
-    /// Per-request records completed so far (in completion order) —
-    /// the autoscale control plane reads these mid-run to judge SLO
-    /// burn without waiting for the episode report.
+    /// Per-request records completed so far (in completion order),
+    /// readable mid-run without waiting for the episode report.
     pub fn completed_records(&self) -> &[RequestRecord] {
         &self.records
     }

@@ -18,23 +18,21 @@
 //! carry the tensor-parallel all-reduce and KV-shard collectives
 //! ([`LinkSpec::all_reduce_time`], [`LinkSpec::scatter_time`]) and the
 //! prefill→decode KV migrations of a disaggregated fleet
-//! ([`MigrationPricing`]).
+//! ([`TransferCost::over`] the fabric).
 //!
 //! Below the attention pool, [`TierPricing`] prices the node-local KV
 //! *capacity tier* (host DIMMs per L3, CXL memory): what spilling a
 //! cold prefix out of the pool — and fetching it back on reuse — costs
-//! in latency, bandwidth, and energy. Both pricings return one
-//! [`TransferCost`].
+//! in latency, bandwidth, and energy. A migration and a tier fetch are
+//! both priced as one [`TransferCost`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod link;
-mod migration;
 mod tier;
 mod topology;
 
 pub use link::{LinkSpec, TransferCost};
-pub use migration::MigrationPricing;
 pub use tier::TierPricing;
 pub use topology::{Route, SystemTopology, TopologyError};

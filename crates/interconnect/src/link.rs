@@ -170,7 +170,7 @@ impl LinkSpec {
 
 /// The priced cost of one bulk KV transfer: a capacity-tier fetch
 /// ([`TierPricing`](crate::TierPricing)) or a prefill→decode migration
-/// ([`MigrationPricing`](crate::MigrationPricing)).
+/// over the fleet's inter-node fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransferCost {
     /// Payload moved: `kv_blocks × block_bytes`.
@@ -191,7 +191,7 @@ impl TransferCost {
 
     /// Moving `kv_blocks` blocks of `block_bytes` each over `link` in
     /// one message.
-    pub(crate) fn over(link: &LinkSpec, kv_blocks: u64, block_bytes: Bytes) -> Self {
+    pub fn over(link: &LinkSpec, kv_blocks: u64, block_bytes: Bytes) -> Self {
         let bytes = block_bytes * kv_blocks as f64;
         if bytes.is_zero() {
             return Self::ZERO;
@@ -291,6 +291,29 @@ mod tests {
         let e1 = l.transfer_energy(Bytes::from_mib(1.0));
         let e4 = l.transfer_energy(Bytes::from_mib(4.0));
         assert!((e4.value() - 4.0 * e1.value()).abs() < 1e-18);
+    }
+
+    #[test]
+    fn a_transfer_is_one_message_over_the_link() {
+        // 16-token blocks at ~2.5 MiB/token of KV — a realistic
+        // LLaMA-65B-class figure.
+        let block_bytes = Bytes::from_mib(40.0);
+        let fabric = LinkSpec::infiniband_ndr();
+        let cost = TransferCost::over(&fabric, 8, block_bytes);
+        let payload = block_bytes * 8.0;
+        assert_eq!(cost.bytes, payload);
+        assert_eq!(cost.time, fabric.transfer_time(payload));
+        assert_eq!(cost.energy, fabric.transfer_energy(payload));
+        assert_eq!(
+            TransferCost::over(&fabric, 0, block_bytes),
+            TransferCost::ZERO
+        );
+        // Linear in blocks once the latency floor is paid.
+        let one = TransferCost::over(&fabric, 1, block_bytes);
+        let ten = TransferCost::over(&fabric, 10, block_bytes);
+        let wire = |c: TransferCost| c.time.value() - fabric.latency.value();
+        assert!((wire(ten) - 10.0 * wire(one)).abs() < 1e-12);
+        assert!((ten.energy.value() - 10.0 * one.energy.value()).abs() < 1e-12);
     }
 
     proptest! {

@@ -5,12 +5,11 @@
 //! attention pool's DRAM: host DIMMs that hold KV state the hot pool
 //! cannot, reached over a memory-class link rather than an inter-node
 //! fabric. [`TierPricing`] is the declarative knob for what crossing
-//! that boundary costs — the tier-side twin of
-//! [`MigrationPricing`](crate::MigrationPricing), but node-local: there
-//! is no fleet fabric to ride, so the default is a DDR5 DIMM-class
-//! link and the alternatives are an explicit [`LinkSpec`] (CXL-attached
-//! memory, a PCIe staging path) or `Free` (the ablation knob equality
-//! pins build on).
+//! that boundary costs. Unlike a prefill→decode migration it is
+//! node-local: there is no fleet fabric to ride, so the default is a
+//! DDR5 DIMM-class link and the alternatives are an explicit
+//! [`LinkSpec`] (CXL-attached memory, a PCIe staging path) or `Free`
+//! (the ablation knob equality pins build on).
 //!
 //! Only *fetches* are priced. A spill replaces an eviction that would
 //! have discarded the blocks outright, and the write-back happens off

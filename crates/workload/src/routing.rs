@@ -1077,9 +1077,9 @@ pub trait MigrationPolicy: core::fmt::Debug {
     }
 }
 
-/// Declarative name of a built-in [`MigrationPolicy`] — what cluster
-/// specs and sweeps carry, mirroring [`PolicySpec`] for routing. The
-/// built-ins are stateless, so the spec is itself the policy.
+/// Declarative name of the built-in [`MigrationPolicy`] — what cluster
+/// specs carry, mirroring [`PolicySpec`] for routing. The built-in is
+/// stateless, so the spec is itself the policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MigrationSpec {
     /// Join the decode-capable replica with the fewest responsible
@@ -1087,10 +1087,6 @@ pub enum MigrationSpec {
     /// sequence while any has headroom (the default).
     #[default]
     JoinShortestQueue,
-    /// Place on the decode-capable replica with the lowest KV-budget
-    /// utilization (ties by load, then index): the placement that
-    /// tracks the decode pool's actual bottleneck, its KV capacity.
-    KvPressureAware,
 }
 
 impl MigrationSpec {
@@ -1103,7 +1099,6 @@ impl MigrationSpec {
     pub fn label(&self) -> String {
         match self {
             MigrationSpec::JoinShortestQueue => "decode-jsq".to_owned(),
-            MigrationSpec::KvPressureAware => "decode-kv-pressure".to_owned(),
         }
     }
 }
@@ -1119,9 +1114,6 @@ impl MigrationPolicy for MigrationSpec {
         let targets = ctx.decode_targets();
         match self {
             MigrationSpec::JoinShortestQueue => least_loaded(&targets, ctx.replicas, ctx.kv_tokens),
-            MigrationSpec::KvPressureAware => {
-                least_pressured(targets, ctx.replicas).expect("fleet is non-empty")
-            }
         }
     }
 
@@ -1136,9 +1128,8 @@ impl FromStr for MigrationSpec {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "decode-jsq" => Ok(MigrationSpec::JoinShortestQueue),
-            "decode-kv-pressure" => Ok(MigrationSpec::KvPressureAware),
             _ => Err(format!(
-                "unknown migration policy {s:?} (expected decode-jsq or decode-kv-pressure)"
+                "unknown migration policy {s:?} (expected decode-jsq)"
             )),
         }
     }
@@ -1719,8 +1710,8 @@ mod tests {
 
     #[test]
     fn migration_policies_place_only_on_decode_capable_replicas() {
-        // Replica 0 (prefill) is empty and would win both metrics; the
-        // migration built-ins must skip it.
+        // Replica 0 (prefill) is empty and would win on load; the
+        // migration built-in must skip it.
         let fleet = vec![
             role_snap(ReplicaRole::Prefill, 0, 0),
             role_snap(ReplicaRole::Decode, 2, 6_000),
@@ -1737,11 +1728,6 @@ mod tests {
             MigrationSpec::JoinShortestQueue.place(&ctx),
             1,
             "fewest responsible requests"
-        );
-        assert_eq!(
-            MigrationSpec::KvPressureAware.place(&ctx),
-            2,
-            "emptiest pool"
         );
         // JSQ skips a KV-saturated decode replica while another has
         // headroom.
@@ -1824,7 +1810,6 @@ mod tests {
             replicas: &fleet,
         };
         assert_eq!(MigrationSpec::JoinShortestQueue.place(&ctx), 1);
-        assert_eq!(MigrationSpec::KvPressureAware.place(&ctx), 1);
     }
 
     #[test]
@@ -1895,15 +1880,20 @@ mod tests {
 
     #[test]
     fn migration_spec_round_trips_and_builds() {
-        for spec in [
-            MigrationSpec::JoinShortestQueue,
-            MigrationSpec::KvPressureAware,
-        ] {
-            assert_eq!(spec.to_string().parse::<MigrationSpec>().unwrap(), spec);
-            assert_eq!(spec.build().label(), spec.label());
-        }
+        let spec = MigrationSpec::JoinShortestQueue;
+        assert_eq!(spec.to_string().parse::<MigrationSpec>().unwrap(), spec);
+        assert_eq!(spec.build().label(), spec.label());
         assert_eq!(MigrationSpec::default(), MigrationSpec::JoinShortestQueue);
-        assert!("teleport".parse::<MigrationSpec>().is_err());
+        // Any other spelling, the old `decode-kv-pressure` included, is
+        // an error, not a panic or a silent fallback to JSQ.
+        for removed in ["teleport", "decode-kv-pressure"] {
+            assert_eq!(
+                removed.parse::<MigrationSpec>(),
+                Err(format!(
+                    "unknown migration policy {removed:?} (expected decode-jsq)"
+                ))
+            );
+        }
     }
 
     #[test]

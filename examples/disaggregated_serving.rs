@@ -5,8 +5,9 @@
 //! attention is memory-bound — scales to the fleet: a homogeneous
 //! co-located fleet makes every node serve both phases on the same
 //! hardware, while a role-split fleet routes arrivals to a GPU-heavy
-//! prefill pool and migrates each prompt's KV blocks over the fabric
-//! (a transfer priced by `MigrationPricing`) to a PIM-heavy decode pool.
+//! prefill pool and migrates each prompt's KV blocks over the
+//! inter-node fabric (one priced `TransferCost` each) to a PIM-heavy
+//! decode pool, placed by join-shortest-queue.
 //! Same node count, same per-node attention-pool DRAM (60 × 16 GB
 //! stacks either way): the split pays real migration bytes and
 //! latency, and buys back an order of magnitude of tail TTFT on
@@ -20,7 +21,7 @@
 use papi::core::experiments::{sweep, SweepRow};
 use papi::core::{ClusterSpec, DesignKind, SessionTuning, SloSpec};
 use papi::llm::ModelPreset;
-use papi::workload::{ArrivalProcess, DatasetKind, MigrationSpec, ReplicaRole, ServingWorkload};
+use papi::workload::{ArrivalProcess, DatasetKind, ReplicaRole, ServingWorkload};
 
 fn main() {
     println!(
@@ -37,8 +38,7 @@ fn main() {
     let split = colocated
         .clone()
         .with_roles([[ReplicaRole::Prefill; 2], [ReplicaRole::Decode; 2]].concat())
-        .with_prefill_design(DesignKind::A100AttAcc)
-        .with_migration(MigrationSpec::JoinShortestQueue);
+        .with_prefill_design(DesignKind::A100AttAcc);
     let fleets = [
         ("4x PIM-only PAPI colocated", colocated),
         ("2x A100+AttAcc prefill + 2x PIM-only PAPI decode", split),

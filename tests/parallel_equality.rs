@@ -2,35 +2,32 @@
 //! one loop and differ only in how replicas that cannot move a
 //! window's bound reach it: `Sequential` steps the whole fleet one
 //! `step()` round at a time, minimum clock first, and re-snapshots
-//! every replica at every event; `Parallel` fans them out with rayon,
-//! leaping steady batches with `run_until`, and re-snapshots only
-//! replicas that changed. Every `ClusterReport` field, RNG consumption
-//! order included, must come out identical across colocated and
-//! disaggregated roles, every migration pricing, prefix-affinity
-//! routing, paged KV, the shared tier and autoscaling. Any divergence
-//! is a bug in the windowing, the snapshot cache or the decode leap,
-//! not noise.
+//! every replica at every event; `Parallel` runs each replica inline
+//! to the bound, leaping steady batches with `run_until`, and
+//! re-snapshots only replicas that changed. Every `ClusterReport`
+//! field, RNG consumption order included, must come out identical
+//! across colocated and disaggregated roles, PIM-only and GPU prefill
+//! pools, prefix-affinity routing, paged KV, the shared tier and
+//! autoscaling. Any divergence is a bug in the windowing, the snapshot
+//! cache or the decode leap, not noise.
 //!
-//! The whole-report goldens below were captured from the two-loop
+//! Most whole-report goldens below were captured from the two-loop
 //! engine, where the sequential mode was a separate loop. They pin
 //! disaggregated, shared-tier, autoscaled and KV-tight fleets, which
 //! the colocated routing goldens do not cover, against code the one
 //! loop does not share. The relaxing-affinity goldens were captured
 //! while each affinity policy was still its own type, so they pin the
-//! one `Router` rule against all three. The KV-pressure and SLO-burn
-//! autoscaled goldens were captured while each autoscaling policy was
-//! its own type, so they pin the one `AutoscalePolicySpec` rule
-//! against both.
+//! one `Router` rule against all three.
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
     KvTierSpec, SessionTuning, SharedTierSpec, SloSpec, StepMode,
 };
-use papi::interconnect::{MigrationPricing, TierPricing};
+use papi::interconnect::TierPricing;
 use papi::llm::ModelPreset;
 use papi::workload::{
-    ArrivalProcess, ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ReplicaState,
-    RouteContext, RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
+    ArrivalProcess, ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, ReplicaRole,
+    ReplicaState, RouteContext, RoutePolicy, Router, ServingWorkload, SpeculativeConfig,
 };
 use proptest::prelude::*;
 
@@ -95,28 +92,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random fleets: replica counts 1–16, random prefill/decode/
-    /// colocated role mixes, every migration pricing, both plain and
-    /// bursty multi-turn traffic.
+    /// colocated role mixes, PIM-only or GPU prefill pools, both plain
+    /// and bursty multi-turn traffic.
     #[test]
     fn parallel_matches_sequential(
         seed in 0u64..1_000_000,
         dp in 1usize..17,
         prefill_share in 0usize..3,
-        pricing_pick in 0usize..2,
+        gpu_prefill in proptest::bool::ANY,
         bursty in proptest::bool::ANY,
     ) {
         // A fleet needs at least one decode-capable replica; cap the
         // prefill pool below the fleet size.
         let prefill = prefill_share.min(dp.saturating_sub(1));
-        let pricing = match pricing_pick {
-            0 => MigrationPricing::Fabric,
-            _ => MigrationPricing::Free,
+        let (spec, workload) = disaggregated_fleet(seed, dp, prefill, bursty);
+        let spec = if gpu_prefill {
+            spec.with_prefill_design(DesignKind::A100AttAcc)
+        } else {
+            spec
         };
-        let (spec, workload) = disaggregated_fleet(seed, dp, prefill, pricing, bursty);
         assert_modes_agree(
             spec,
             &workload,
-            &format!("dp={dp} prefill={prefill} pricing={pricing_pick} bursty={bursty}"),
+            &format!("dp={dp} prefill={prefill} gpu_prefill={gpu_prefill} bursty={bursty}"),
         );
     }
 }
@@ -129,7 +127,6 @@ fn disaggregated_fleet(
     seed: u64,
     dp: usize,
     prefill: usize,
-    pricing: MigrationPricing,
     bursty: bool,
 ) -> (ClusterSpec, ServingWorkload) {
     let workload = if bursty {
@@ -162,7 +159,7 @@ fn disaggregated_fleet(
                 }
             })
             .collect();
-        spec = spec.with_roles(roles).with_migration_pricing(pricing);
+        spec = spec.with_roles(roles);
     }
     (spec, workload)
 }
@@ -311,22 +308,23 @@ proptest! {
     /// control-plane barrier machinery, and `Parallel` must still
     /// reproduce `Sequential` bit for bit —
     /// including the `FleetCostReport` (replica-hours, scale-event
-    /// log, energy per good token) — across fleet sizes, built-in
-    /// scaling policies, initial fleet fractions, decision intervals,
-    /// and both elastic arrival shapes.
+    /// log, energy per good token) — across fleet sizes, queue-depth
+    /// bands, initial fleet fractions, decision intervals, and both
+    /// elastic arrival shapes.
     #[test]
     fn parallel_matches_sequential_autoscaled(
         seed in 0u64..1_000_000,
         dp in 2usize..6,
-        policy_pick in 0usize..3,
+        band_pick in 0usize..3,
         initial in 1usize..4,
         decide_pick in 0usize..3,
         diurnal in proptest::bool::ANY,
     ) {
-        let policy = match policy_pick {
-            0 => AutoscalePolicySpec::queue_depth(),
-            1 => AutoscalePolicySpec::kv_pressure(),
-            _ => AutoscalePolicySpec::slo_burn(autoscale_slo()),
+        // The default band, the benchmark's and the example's.
+        let (up, down) = [(4.0, 1.0), (0.25, 0.05), (0.3, 0.02)][band_pick];
+        let policy = AutoscalePolicySpec::QueueDepthTarget {
+            scale_up_depth: up,
+            scale_down_depth: down,
         };
         let decide_s = [0.5, 2.0, 5.0][decide_pick];
         let initial = initial.min(dp);
@@ -335,16 +333,11 @@ proptest! {
             spec,
             &workload,
             &format!(
-                "autoscaled dp={dp} policy={policy_pick} initial={initial} \
+                "autoscaled dp={dp} band={band_pick} initial={initial} \
                  decide={decide_s} diurnal={diurnal}"
             ),
         );
     }
-}
-
-/// The SLO the autoscaled fleets are judged (and SLO-burn scaled) by.
-fn autoscale_slo() -> SloSpec {
-    SloSpec::interactive(2_000.0, 100.0)
 }
 
 /// An elastic PIM-only Llama-65B fleet under diurnal or flash-crowd
@@ -392,7 +385,7 @@ fn autoscaled_fleet(
             .with_prefix_sharing(true),
     )
     .with_autoscale(
-        AutoscaleSpec::new(policy, autoscale_slo())
+        AutoscaleSpec::new(policy, SloSpec::interactive(2_000.0, 100.0))
             .with_min_replicas(1)
             .with_initial_replicas(initial)
             .with_spin_up(3.0)
@@ -483,18 +476,17 @@ fn assert_golden(
     parallel
 }
 
-/// Fabric pricing, and the `Free` ablation: its exports from one
-/// prefill batch land at the same instant, so it also pins the
-/// export-order tie-break of the in-flight queue.
+/// Token-granular blocks, and 256-token blocks. Every prompt of the
+/// second fills one block, so the equal-size exports of one prefill
+/// batch land at the same instant: it also pins the export-order
+/// tie-break of the in-flight queue (reversing it moves the report).
 #[test]
 fn disaggregated_fleets_match_their_goldens() {
-    for (pricing, golden) in [
-        (MigrationPricing::Fabric, 0xd52f_7635_4fcf_c5bd),
-        (MigrationPricing::Free, 0xc341_c6b9_d12b_d725),
-    ] {
-        let label = format!("disaggregated {pricing:?} fleet");
-        let (spec, workload) = disaggregated_fleet(7, 6, 2, pricing, false);
-        let report = assert_golden(spec, &workload, golden, &label);
+    for (block, golden) in [(1, 0xd52f_7635_4fcf_c5bd), (256, 0x6b83_fb0e_0493_ce93)] {
+        let label = format!("disaggregated fleet, {block}-token blocks");
+        let (spec, workload) = disaggregated_fleet(7, 6, 2, false);
+        let tuning = spec.tuning.clone().with_kv_block_size(block);
+        let report = assert_golden(spec.with_tuning(tuning), &workload, golden, &label);
         assert!(report.migration.migrations > 0, "{label}: nothing migrated");
     }
 }
@@ -519,45 +511,12 @@ fn autoscaled_flash_crowd_matches_its_golden() {
         "autoscaled flash crowd",
     );
     let cost = report.fleet_cost.expect("elastic report");
-    assert!(!cost.scale_events.is_empty(), "the fleet never scaled");
-}
-
-/// Asserts the elastic report both provisioned a replica and drained
-/// one, so a golden covers each half of its policy's band.
-fn assert_scaled_both_ways(report: &ClusterReport, label: &str) {
-    let cost = report.fleet_cost.as_ref().expect("elastic report");
     for to in [ReplicaState::Warming, ReplicaState::Draining] {
         assert!(
             cost.scale_events.iter().any(|e| e.to == to),
-            "{label}: no replica went {to:?}"
+            "no replica went {to:?}"
         );
     }
-}
-
-/// The KV-pressure arm. A PIM-only Llama-65B pool stays below 5%
-/// utilization in this shape, so the band is set low enough for the
-/// fleet to grow and shrink.
-#[test]
-fn kv_pressure_autoscaled_fleet_matches_its_golden() {
-    let policy = AutoscalePolicySpec::KvPressureTarget {
-        scale_up_utilization: 0.02,
-        scale_down_utilization: 0.005,
-    };
-    let (spec, workload) = autoscaled_fleet(11, 4, policy, 2, 2.0, true);
-    let label = "kv-pressure autoscaled fleet";
-    let report = assert_golden(spec, &workload, 0xb664_199a_0c33_132a, label);
-    assert_scaled_both_ways(&report, label);
-}
-
-/// The SLO-burn arm with its default band: a burning window grows the
-/// fleet, and idle, comfortable windows shrink it.
-#[test]
-fn slo_burn_autoscaled_fleet_matches_its_golden() {
-    let policy = AutoscalePolicySpec::slo_burn(autoscale_slo());
-    let (spec, workload) = autoscaled_fleet(11, 4, policy, 4, 2.0, true);
-    let label = "slo-burn autoscaled fleet";
-    let report = assert_golden(spec, &workload, 0xe5f7_c5e8_878c_35ad, label);
-    assert_scaled_both_ways(&report, label);
 }
 
 proptest! {
@@ -653,7 +612,7 @@ fn spilling_affinity_fleet_matches_its_golden() {
         let mut policy = Router::new(spec.routing);
         let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
             .expect("valid fleet")
-            .run_with_policy(&workload, &mut policy);
+            .run_with_policies(&workload, &mut policy, &mut MigrationSpec::default());
         assert_eq!(
             report_hash(&report),
             0x8d61_f6f8_85d1_d0da,
@@ -704,14 +663,18 @@ fn wrapped_policies_keep_their_reports() {
         autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false),
         {
             let (spec, workload) =
-                autoscaled_fleet(9, 4, AutoscalePolicySpec::kv_pressure(), 1, 0.5, true);
+                autoscaled_fleet(9, 4, AutoscalePolicySpec::queue_depth(), 1, 0.5, true);
             (spec.with_routing(PolicySpec::RoundRobin), workload)
         },
     ];
     for (spec, workload) in fleets {
         let engine = ClusterEngine::new(spec.clone()).expect("valid fleet");
         let direct = engine.run(&workload);
-        let wrapped = engine.run_with_policy(&workload, &mut Wrapped(Router::new(spec.routing)));
+        let wrapped = engine.run_with_policies(
+            &workload,
+            &mut Wrapped(Router::new(spec.routing)),
+            &mut MigrationSpec::default(),
+        );
         assert_eq!(
             serde_json::to_string(&direct).expect("report serializes"),
             serde_json::to_string(&wrapped).expect("report serializes"),
@@ -783,7 +746,7 @@ fn relaxing_affinity_fleets_match_their_goldens() {
             let mut router = Router::new(policy);
             let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
                 .expect("valid fleet")
-                .run_with_policy(&workload, &mut router);
+                .run_with_policies(&workload, &mut router, &mut MigrationSpec::default());
             assert_eq!(
                 report_hash(&report),
                 golden,

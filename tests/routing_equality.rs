@@ -13,10 +13,10 @@
 //! refactor).
 
 use papi::core::{ClusterEngine, ClusterReport, ClusterSpec, DesignKind, SessionTuning};
-use papi::interconnect::MigrationPricing;
 use papi::llm::ModelPreset;
 use papi::workload::{
-    ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, Router, ServingWorkload,
+    ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, ReplicaRole, Router,
+    ServingWorkload,
 };
 
 /// FNV-1a over every replica's per-request records, placements, RLP
@@ -142,7 +142,7 @@ fn builtin_policies_reproduce_the_enum_router_reports_bit_for_bit() {
 }
 
 /// The same goldens hold when the built-in policy is driven explicitly
-/// through the open trait seam (`run_with_policy` with a `Router` as
+/// through the open trait seam (`run_with_policies` with a `Router` as
 /// the `dyn RoutePolicy`) — `run()` is not a privileged path.
 #[test]
 fn trait_driven_builtins_match_the_declarative_path() {
@@ -159,20 +159,21 @@ fn trait_driven_builtins_match_the_declarative_path() {
         )
         .expect("valid fleet");
         let mut router = Router::new(golden.routing);
-        let report = engine.run_with_policy(&workload, &mut router);
+        let report =
+            engine.run_with_policies(&workload, &mut router, &mut MigrationSpec::default());
         assert_matches(&report, golden);
         assert_eq!(router.decisions(), 60);
     }
 }
 
-/// The ISSUE-5 disaggregation pin: a fleet with every replica
-/// *explicitly* `Colocated` and migration explicitly priced as free
-/// runs the full role-aware engine — role-stamped snapshots, the
-/// migration clock, the event loop — and must still reproduce the PR 4
-/// goldens bit for bit. Disaggregation is pay-for-what-you-use: an
-/// all-colocated fleet never migrates, so nothing may drift.
+/// The disaggregation pin: a fleet with every replica *explicitly*
+/// `Colocated` runs the full role-aware engine — role-stamped
+/// snapshots, the migration clock, the event loop — and must still
+/// reproduce the routing goldens bit for bit. Disaggregation is
+/// pay-for-what-you-use: an all-colocated fleet never migrates, so
+/// nothing may drift.
 #[test]
-fn all_colocated_fleet_with_free_migration_reproduces_the_goldens() {
+fn all_colocated_fleet_reproduces_the_goldens() {
     let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 60).with_seed(17);
     for golden in &goldens() {
         let report = ClusterEngine::new(
@@ -184,7 +185,6 @@ fn all_colocated_fleet_with_free_migration_reproduces_the_goldens() {
             )
             .with_routing(golden.routing)
             .with_roles(vec![ReplicaRole::Colocated; 3])
-            .with_migration_pricing(MigrationPricing::Free)
             .with_tuning(SessionTuning::default().with_max_batch(8)),
         )
         .expect("valid fleet")

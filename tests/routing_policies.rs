@@ -7,7 +7,8 @@ use papi::core::experiments::{sweep, SweepRow};
 use papi::core::{ClusterEngine, ClusterSpec, DesignKind, SessionTuning, SloSpec};
 use papi::llm::ModelPreset;
 use papi::workload::{
-    ConversationDataset, DatasetKind, PolicySpec, RouteContext, RoutePolicy, ServingWorkload,
+    ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, RouteContext, RoutePolicy,
+    ServingWorkload,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -63,7 +64,8 @@ proptest! {
         let workload =
             ServingWorkload::poisson(DatasetKind::GeneralQa, 12.0, 24).with_seed(seed);
         let mut policy = ArbitraryPolicy { state: seed | 1 };
-        let report = fleet(dp).run_with_policy(&workload, &mut policy);
+        let report =
+            fleet(dp).run_with_policies(&workload, &mut policy, &mut MigrationSpec::default());
         prop_assert_eq!(report.routing.as_str(), "arbitrary");
         prop_assert_eq!(report.requests(), 24);
         prop_assert_eq!(report.routing_decisions, 24);

@@ -1,13 +1,14 @@
 //! Every declarative spec survives `to_string → from_str → to_string`
 //! byte for byte and parses back equal to the original, on its default
 //! (or canonical constructor) and on a non-default builder chain. A
-//! fleet report with a shared tier and migrations does too.
+//! fleet report with a shared tier and migrations does too. Spellings
+//! of removed variants parse to an error.
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
     KvTierSpec, SessionTuning, SharedTierSpec, SloSpec,
 };
-use papi::interconnect::{LinkSpec, MigrationPricing, TierPricing};
+use papi::interconnect::{LinkSpec, TierPricing};
 use papi::llm::ModelPreset;
 use papi::workload::{
     ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload, SpeculativeConfig,
@@ -36,13 +37,6 @@ fn enum_specs_round_trip() {
         round_trips(&spec);
     }
     for spec in [
-        MigrationPricing::default(),
-        MigrationPricing::Link(LinkSpec::pcie_gen5_x16()),
-        MigrationPricing::Free,
-    ] {
-        round_trips(&spec);
-    }
-    for spec in [
         PolicySpec::RoundRobin,
         PolicySpec::PrefixAffinity {
             spill_utilization: 0.85,
@@ -61,13 +55,28 @@ fn enum_specs_round_trip() {
     ] {
         round_trips(&spec);
     }
-    let slo = SloSpec::interactive(2_000.0, 100.0);
     for spec in [
         AutoscalePolicySpec::queue_depth(),
-        AutoscalePolicySpec::kv_pressure(),
-        AutoscalePolicySpec::slo_burn(slo),
+        AutoscalePolicySpec::QueueDepthTarget {
+            scale_up_depth: 0.3,
+            scale_down_depth: 0.02,
+        },
     ] {
         round_trips(&spec);
+    }
+    // JSON naming an arm the enum does not have (the old KV-pressure
+    // and SLO-burn policies) is an error, not a panic and not a silent
+    // queue-depth policy.
+    let slo = serde_json::to_string(&SloSpec::interactive(2_000.0, 100.0)).expect("serializes");
+    for removed in [
+        r#"{"KvPressureTarget":{"scale_up_utilization":0.85,"scale_down_utilization":0.4}}"#
+            .to_owned(),
+        format!(r#"{{"SloBurnBudget":{{"slo":{slo},"target_attainment":0.95,"headroom":0.04}}}}"#),
+    ] {
+        assert!(
+            serde_json::from_str::<AutoscalePolicySpec>(&removed).is_err(),
+            "{removed} parsed"
+        );
     }
 }
 
@@ -111,11 +120,17 @@ fn struct_specs_round_trip() {
     let slo = SloSpec::interactive(2_000.0, 100.0);
     round_trips(&AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo));
     round_trips(
-        &AutoscaleSpec::new(AutoscalePolicySpec::slo_burn(slo), slo)
-            .with_min_replicas(2)
-            .with_initial_replicas(4)
-            .with_spin_up(12.5)
-            .with_decide_interval(0.75),
+        &AutoscaleSpec::new(
+            AutoscalePolicySpec::QueueDepthTarget {
+                scale_up_depth: 6.0,
+                scale_down_depth: 0.5,
+            },
+            slo,
+        )
+        .with_min_replicas(2)
+        .with_initial_replicas(4)
+        .with_spin_up(12.5)
+        .with_decide_interval(0.75),
     );
 
     round_trips(&WorkloadSpec::static_batching(DatasetKind::GeneralQa, 4, 1));
