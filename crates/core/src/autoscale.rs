@@ -46,15 +46,11 @@ use serde::{Deserialize, Serialize};
 /// not).
 #[derive(Debug)]
 pub struct AutoscaleView<'a> {
-    /// The decision instant, seconds of simulated time.
-    pub now_s: f64,
     /// Every replica's snapshot, lifecycle- and role-stamped, indexed
     /// by replica.
     pub replicas: &'a [ReplicaSnapshot],
     /// The floor the engine enforces on the `Active` count.
     pub min_replicas: usize,
-    /// The provisioning ceiling (the fleet's `dp_replicas`).
-    pub max_replicas: usize,
 }
 
 impl AutoscaleView<'_> {
@@ -530,10 +526,8 @@ impl<'a> AutoscaleControl<'a> {
             .map(|(idx, s)| stamped_snapshot(s, roles[idx], self.lifecycle[idx]))
             .collect();
         let view = AutoscaleView {
-            now_s: now,
             replicas: &snapshots,
             min_replicas: self.min_replicas,
-            max_replicas: sessions.len(),
         };
         let actions = self.policy.decide(&view);
         for action in actions {
@@ -649,10 +643,8 @@ mod tests {
 
     fn view(replicas: &[ReplicaSnapshot]) -> AutoscaleView<'_> {
         AutoscaleView {
-            now_s: 100.0,
             replicas,
             min_replicas: 1,
-            max_replicas: replicas.len(),
         }
     }
 

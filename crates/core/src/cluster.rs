@@ -40,7 +40,7 @@ use crate::config::{DesignKind, SystemConfig};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport};
 use crate::serving::{PrefillHandoff, ServingEngine, ServingSession, SessionTuning};
 use crate::slo::SloSpec;
-use papi_interconnect::{LinkSpec, TierPricing, TopologyError, TransferCost};
+use papi_interconnect::{LinkSpec, TopologyError, TransferCost};
 use papi_kv::GlobalKvTier;
 use papi_llm::ModelConfig;
 use papi_types::{Energy, Time};
@@ -241,11 +241,6 @@ impl ClusterSpec {
 /// report's [`GlobalTierReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SharedTierSpec {
-    /// What a cross-replica fetch costs. `None` (the default) prices
-    /// over the cluster's inter-node fabric;
-    /// `Some(TierPricing::Free)` is the zero-cost ablation isolating
-    /// the sharing benefit from the wire.
-    pub pricing: Option<TierPricing>,
     /// Control-plane gossip period (seconds of simulated time): the
     /// fleet merges spill registrations and refreshes every replica's
     /// directory view at each tick, in addition to every arrival and
@@ -266,16 +261,8 @@ impl SharedTierSpec {
     /// simulated seconds.
     pub fn new() -> Self {
         Self {
-            pricing: None,
             sync_s: Self::DEFAULT_SYNC_S,
         }
-    }
-
-    /// Overrides the fabric pricing (e.g. [`TierPricing::Free`] for
-    /// the ablation).
-    pub fn with_pricing(mut self, pricing: TierPricing) -> Self {
-        self.pricing = Some(pricing);
-        self
     }
 
     /// Overrides the control-plane gossip period (seconds).
@@ -384,8 +371,7 @@ impl ClusterEngine {
     /// replica (arrivals or migrations would have nowhere to go),
     /// enables a shared tier without a private `tuning.kv_tier` (the
     /// directory registers spilled records — nothing would ever be
-    /// published), names a routing policy whose threshold fails
-    /// [`PolicySpec::validate`], carries a tuning that fails
+    /// published), carries a tuning that fails
     /// [`SessionTuning::validate`], or configures autoscaling on a
     /// disaggregated or shared-tier fleet, with degenerate bounds
     /// (`1 <= min <= initial <= dp_replicas`, non-negative spin-up,
@@ -394,7 +380,6 @@ impl ClusterEngine {
     ///
     /// [`AutoscalePolicySpec::validate`]: crate::autoscale::AutoscalePolicySpec::validate
     pub fn new(spec: ClusterSpec) -> Result<Self, TopologyError> {
-        spec.routing.validate().map_err(TopologyError::new)?;
         spec.tuning.validate().map_err(TopologyError::new)?;
         if let Some(autoscale) = &spec.autoscale {
             autoscale.policy.validate().map_err(TopologyError::new)?;
@@ -634,22 +619,18 @@ impl ClusterEngine {
     }
 
     /// Enables the fleet-shared tier on every session (when the spec
-    /// asks for one) and returns its control-plane state. Pricing
-    /// resolves to [`TierPricing::Link`] over the cluster's inter-node
-    /// fabric unless overridden.
+    /// asks for one) and returns its control-plane state. Remote
+    /// fetches are priced over the cluster's inter-node fabric.
     fn open_shared_tier(&self, sessions: &mut [ServingSession<'_>]) -> Option<SharedTierControl> {
         let spec = self.spec.shared_tier.as_ref()?;
-        let pricing = spec
-            .pricing
-            .clone()
-            .unwrap_or_else(|| TierPricing::Link(self.spec.inter_node.clone()));
+        let fabric = &self.spec.inter_node;
         let directory = Arc::new(GlobalKvTier::new(self.spec.tuning.kv_block_size));
         for (idx, session) in sessions.iter_mut().enumerate() {
-            session.enable_global_tier(idx, pricing.clone(), Arc::clone(&directory));
+            session.enable_global_tier(idx, fabric.clone(), Arc::clone(&directory));
         }
         Some(SharedTierControl {
             directory,
-            pricing: pricing.label(),
+            pricing: fabric.name.clone(),
             sync_s: spec.sync_s,
             next_sync: spec.sync_s,
             fetches: 0,
@@ -818,7 +799,7 @@ impl ClusterEngine {
                 FleetEvent::Deliver => {
                     let (pos, _) = delivery.expect("a delivery is in flight");
                     let migrated = in_flight.remove(pos);
-                    let snapshots = cache.observe(&sessions, Reads::Fleet);
+                    let snapshots = cache.observe(&sessions, Some(Reads::Fleet));
                     let target = {
                         papi_perf::phase!("migrate");
                         migration.place(&MigrationContext {
@@ -854,9 +835,10 @@ impl ClusterEngine {
                     // A lazy arrival asks the router what it reads, brings
                     // that up to the arrival, and asks again. A second
                     // answer that names anything new widens to the whole
-                    // fleet.
-                    let mut read = if lazy { Reads::Nothing } else { Reads::Fleet };
-                    while read != Reads::Fleet {
+                    // fleet. `None` is the starting state: only the stamps
+                    // are current.
+                    let mut read = if lazy { None } else { Some(Reads::Fleet) };
+                    while read != Some(Reads::Fleet) {
                         let snapshots = cache.observe(&sessions, read);
                         let next =
                             policy.reads(&route_context(&request, snapshots, directory, ring));
@@ -866,15 +848,12 @@ impl ClusterEngine {
                             policy.label(),
                             sessions.len()
                         );
-                        if next == Reads::Nothing || next == read {
+                        if read == Some(next) {
                             break;
                         }
-                        read = if read == Reads::Nothing {
-                            next
-                        } else {
-                            Reads::Fleet
-                        };
-                        advance(&mut sessions, &mut cache.dirty, at, read);
+                        let widened = if read.is_none() { next } else { Reads::Fleet };
+                        advance(&mut sessions, &mut cache.dirty, at, widened);
+                        read = Some(widened);
                     }
                     let target = {
                         let snapshots = cache.observe(&sessions, read);
@@ -1060,7 +1039,6 @@ fn named(read: Reads, replicas: usize) -> Range<usize> {
     match read {
         Reads::Fleet => 0..replicas,
         Reads::One(idx) => idx..idx + 1,
-        Reads::Nothing => 0..0,
     }
 }
 
@@ -1121,10 +1099,15 @@ impl SnapshotCache {
     }
 
     /// The fleet as a policy sees it: re-snapshots every dirty replica
-    /// `read` names, each of which must have reached the event.
-    fn observe(&mut self, sessions: &[ServingSession<'_>], read: Reads) -> &[ReplicaSnapshot] {
+    /// `read` names, each of which must have reached the event (`None`
+    /// names no replica: only the stamps are read).
+    fn observe(
+        &mut self,
+        sessions: &[ServingSession<'_>],
+        read: Option<Reads>,
+    ) -> &[ReplicaSnapshot] {
         papi_perf::phase!("snapshot");
-        for idx in named(read, sessions.len()) {
+        for idx in read.map_or(0..0, |read| named(read, sessions.len())) {
             if std::mem::take(&mut self.dirty[idx]) {
                 let ReplicaSnapshot {
                     role, lifecycle, ..
@@ -1177,8 +1160,7 @@ pub struct MigrationReport {
 /// [`ClusterReport::energy`] must not add `energy` again.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GlobalTierReport {
-    /// Label of the pricing remote fetches crossed (the inter-node
-    /// fabric unless overridden; `"free"` for the ablation).
+    /// Name of the inter-node fabric remote fetches crossed.
     pub pricing: String,
     /// Prefixes registered in the directory at episode end.
     pub entries: u64,
@@ -1384,9 +1366,9 @@ mod tests {
     fn request_count_equals_sum_of_replica_counts() {
         let w = workload(16.0, 60);
         for routing in [
-            PolicySpec::RoundRobin,
             PolicySpec::JoinShortestQueue,
-            PolicySpec::KvPressureAware,
+            PolicySpec::prefix_affinity(),
+            PolicySpec::shared_tier_affinity(),
         ] {
             let report = ClusterEngine::new(
                 ClusterSpec::new(
@@ -1512,34 +1494,6 @@ mod tests {
         }
     }
 
-    /// An out-of-range routing threshold fails at construction with the
-    /// [`PolicySpec::validate`] message, not later inside `run()`.
-    #[test]
-    fn out_of_range_routing_specs_rejected() {
-        let fleet = ClusterSpec::new(
-            DesignKind::PimOnlyPapi,
-            ModelPreset::Llama65B.config(),
-            1,
-            2,
-        );
-        for routing in [
-            PolicySpec::PrefixAffinity {
-                spill_utilization: 1.5,
-            },
-            PolicySpec::AdaptiveAffinity {
-                queue_pressure: f64::NAN,
-            },
-            PolicySpec::SharedTierAffinity {
-                queue_pressure: 0.0,
-            },
-        ] {
-            let message = routing.validate().expect_err("out of range");
-            let err = ClusterEngine::new(fleet.clone().with_routing(routing))
-                .expect_err("an out-of-range routing spec must not build");
-            assert_eq!(err.to_string(), format!("invalid topology: {message}"));
-        }
-    }
-
     /// An out-of-range tuning fails `SessionTuning::validate` however
     /// it was built — builders, struct literal or serde — and both
     /// boundaries report that one message: `ServingEngine::with_tuning`
@@ -1553,10 +1507,7 @@ mod tests {
             1,
             2,
         );
-        let tier = |budget_blocks| KvTierSpec {
-            budget_blocks,
-            pricing: TierPricing::default(),
-        };
+        let tier = |budget_blocks| KvTierSpec { budget_blocks };
         let paged = SessionTuning {
             kv_block_size: 16,
             prefix_sharing: true,
@@ -1637,7 +1588,7 @@ mod tests {
             design: "PAPI".into(),
             model: "m".into(),
             tp_degree: 1,
-            routing: PolicySpec::RoundRobin.label(),
+            routing: PolicySpec::JoinShortestQueue.label(),
             routing_decisions: 0,
             roles: vec![],
             migration: MigrationReport::default(),
@@ -1932,14 +1883,13 @@ mod tests {
         .with_seed(23)
     }
 
-    fn shared_tier_spec(shared: SharedTierSpec) -> ClusterSpec {
+    fn shared_tier_spec() -> ClusterSpec {
         ClusterSpec::new(
             DesignKind::PimOnlyPapi,
             ModelPreset::Gpt3_175B.config(),
             1,
             2,
         )
-        .with_routing(PolicySpec::RoundRobin)
         .with_tuning(
             SessionTuning::default()
                 .with_max_batch(16)
@@ -1947,7 +1897,7 @@ mod tests {
                 .with_prefix_sharing(true)
                 .with_kv_tier(crate::KvTierSpec::new(60_000)),
         )
-        .with_shared_tier(shared)
+        .with_shared_tier(SharedTierSpec::new())
     }
 
     /// The shared tier registers spilled records, so enabling it
@@ -1965,13 +1915,13 @@ mod tests {
         assert!(err.to_string().contains("kv_tier"), "{err}");
     }
 
-    /// Round-robin scatters a conversation's turns across replicas, so
-    /// a pressured fleet publishes spilled prefixes into the directory
-    /// and re-materializes them across the fabric — with the wire
-    /// traffic priced and attributed.
+    /// Join-shortest-queue moves a conversation's turns between
+    /// replicas as their queues shift, so a pressured fleet publishes
+    /// spilled prefixes into the directory and re-materializes them
+    /// across the fabric — with the wire traffic priced and attributed.
     #[test]
     fn shared_tier_publishes_and_fetches_across_replicas() {
-        let report = ClusterEngine::new(shared_tier_spec(SharedTierSpec::new()))
+        let report = ClusterEngine::new(shared_tier_spec())
             .unwrap()
             .run(&shared_tier_workload());
         let tier = report.global_tier.as_ref().expect("shared tier was on");
@@ -1997,21 +1947,32 @@ mod tests {
         assert_eq!(remote_tokens, tier.fetched_tokens);
     }
 
-    /// The `TierPricing::Free` ablation: fetches still count (the
-    /// sharing happens) but cross the fabric for free — zero bytes,
-    /// zero wire time, zero energy.
+    /// Remote fetches are priced over the cluster's inter-node fabric:
+    /// the same fleet over 100 GbE instead of InfiniBand NDR pays
+    /// slower transfers and more energy per byte, and its requests wait
+    /// longer for their first token.
     #[test]
-    fn free_shared_tier_is_counted_but_unpriced() {
-        let report = ClusterEngine::new(shared_tier_spec(
-            SharedTierSpec::new().with_pricing(TierPricing::Free),
-        ))
-        .unwrap()
-        .run(&shared_tier_workload());
-        let tier = report.global_tier.as_ref().expect("shared tier was on");
-        assert_eq!(tier.pricing, "free");
-        assert!(tier.fetches > 0, "ablation must still share: {tier:?}");
-        assert_eq!(tier.bytes, 0.0);
-        assert_eq!(tier.energy, Energy::ZERO);
-        assert_eq!(tier.latency.as_ref().unwrap().max.value(), 0.0);
+    fn shared_tier_fetches_are_priced_on_the_fabric() {
+        let run = |spec| {
+            ClusterEngine::new(spec)
+                .unwrap()
+                .run(&shared_tier_workload())
+        };
+        let fast = run(shared_tier_spec());
+        let slow = run(ClusterSpec {
+            inter_node: LinkSpec::ethernet_100g(),
+            ..shared_tier_spec()
+        });
+        let tier = |report: &ClusterReport| report.global_tier.clone().expect("shared tier was on");
+        let (fast_tier, slow_tier) = (tier(&fast), tier(&slow));
+        assert_eq!(fast_tier.pricing, "InfiniBand-NDR");
+        assert_eq!(slow_tier.pricing, "100GbE-RoCE");
+        assert!(fast_tier.fetches > 0 && slow_tier.fetches > 0);
+        let p50 = |tier: &GlobalTierReport| tier.latency.as_ref().expect("priced").p50.value();
+        assert!(p50(&slow_tier) > p50(&fast_tier));
+        let per_byte = |tier: &GlobalTierReport| tier.energy.value() / tier.bytes;
+        assert!(per_byte(&slow_tier) > per_byte(&fast_tier));
+        let ttft = |report: &ClusterReport| report.ttft_summary().expect("served").mean.value();
+        assert!(ttft(&slow) > ttft(&fast));
     }
 }

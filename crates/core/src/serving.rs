@@ -42,7 +42,7 @@ use crate::config::SystemConfig;
 use crate::metrics::{PhaseBreakdown, RequestRecord, RunLength, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
 use crate::pricer::IterationPricer;
-use papi_interconnect::{TierPricing, TransferCost};
+use papi_interconnect::{LinkSpec, TransferCost};
 use papi_kv::{
     GlobalKvTier, KvBlockPool, KvCacheStats, KvSeq, KvSeqExport, KvTier, PrefixHint, PrefixTree,
 };
@@ -110,30 +110,21 @@ impl Default for SessionTuning {
 /// The tier shares the hot pool's block size so budgets compare
 /// directly. The session spills every evicted non-empty prefix into
 /// it and fetches back every re-landed one the hot pool can make room
-/// for; [`TierPricing`] prices the transfers.
+/// for. Only fetches are priced, each as one transfer over a DDR5
+/// DIMM channel ([`LinkSpec::ddr5_dimm`]): a spill replaces an
+/// eviction and writes back off the critical path, while a fetch's
+/// latency lands in the admitted request's TTFT.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KvTierSpec {
     /// The tier's block budget (same block size as the hot pool).
     pub budget_blocks: u64,
-    /// What crossing the tier boundary costs.
-    pub pricing: TierPricing,
 }
 
 impl KvTierSpec {
-    /// A tier of `budget_blocks` blocks over the default host-DIMM
-    /// pricing. [`validate`](Self::validate) rejects a zero
-    /// budget.
+    /// A tier of `budget_blocks` blocks. [`validate`](Self::validate)
+    /// rejects a zero budget.
     pub fn new(budget_blocks: u64) -> Self {
-        Self {
-            budget_blocks,
-            pricing: TierPricing::default(),
-        }
-    }
-
-    /// Selects the tier-boundary pricing.
-    pub fn with_pricing(mut self, pricing: TierPricing) -> Self {
-        self.pricing = pricing;
-        self
+        Self { budget_blocks }
     }
 
     /// Range-checks the spec.
@@ -194,8 +185,8 @@ impl SessionTuning {
 
     /// Configures the KV capacity tier: under pool pressure cold
     /// prefixes spill into a host-DRAM/DIMM-PIM pool instead of being
-    /// evicted, and are fetched back — at a [`TierPricing`]-priced
-    /// transfer whose latency lands in TTFT — when a later request
+    /// evicted, and are fetched back — at a DIMM-channel transfer
+    /// whose latency lands in TTFT — when a later request
     /// re-lands on them. The tier rides the prefix cache, so
     /// `prefix_sharing` must also be on by the time the tuning is
     /// validated.
@@ -341,7 +332,7 @@ impl ServingEngine {
         let pool = KvBlockPool::new(self.tuning.kv_block_size, total_blocks);
         let tier = self.tuning.kv_tier.as_ref().map(|spec| TierState {
             tier: KvTier::new(self.tuning.kv_block_size, spec.budget_blocks),
-            pricing: spec.pricing.clone(),
+            link: LinkSpec::ddr5_dimm(),
             block_bytes: self.config.model.kv_bytes_per_token() * self.tuning.kv_block_size as f64,
         });
         ServingSession {
@@ -453,8 +444,7 @@ pub struct RemoteFetchEvent {
 /// The fleet-shared tier's per-session runtime state: a frozen view of
 /// the fleet-wide directory (re-installed only at control-plane
 /// barriers, so parallel and sequential fleet stepping observe the
-/// same snapshots), the fabric pricing for remote
-/// re-materializations, and the two egress queues the cluster engine
+/// same snapshots), the fabric remote re-materializations cross, and the two egress queues the cluster engine
 /// drains at barriers in deterministic replica order.
 #[derive(Debug)]
 struct GlobalTierState {
@@ -463,20 +453,22 @@ struct GlobalTierState {
     replica: usize,
     /// Frozen directory snapshot (handed back during barriers).
     view: Option<Arc<GlobalKvTier>>,
-    pricing: TierPricing,
+    /// The inter-node fabric a remote fetch is priced over.
+    link: LinkSpec,
     /// Accepted local spills awaiting registration: `(key, tokens)`.
     publish_egress: Vec<(u64, u64)>,
     /// Remote fetches performed since the last drain.
     fetch_egress: Vec<RemoteFetchEvent>,
 }
 
-/// The capacity tier's runtime state: the tier itself and the pricing
-/// (with the per-block payload size precomputed from the model's KV
-/// geometry).
+/// The capacity tier's runtime state: the tier itself and the DIMM
+/// channel its fetches cross (with the per-block payload size
+/// precomputed from the model's KV geometry).
 #[derive(Debug)]
 struct TierState {
     tier: KvTier,
-    pricing: TierPricing,
+    /// The DIMM channel ([`LinkSpec::ddr5_dimm`]), built once.
+    link: LinkSpec,
     /// Bytes one KV block carries across the tier boundary — or the
     /// fleet fabric, since the shared tier always rides this one:
     /// `kv_bytes_per_token × block_size`.
@@ -766,7 +758,7 @@ impl ServingSession<'_> {
     /// `replica`: accepted local spills queue for registration in the
     /// fleet-wide directory, and admission fork-misses that also miss
     /// the private tier consult `view` and re-materialize remote
-    /// records at `pricing` (the fabric) cost. The caller — the
+    /// records at the cost of a transfer over `link` (the fabric). The caller — the
     /// cluster engine — re-installs a fresh frozen view at every
     /// control-plane barrier via
     /// [`install_global_view`](Self::install_global_view) and drains
@@ -778,12 +770,7 @@ impl ServingSession<'_> {
     /// directory registers *spilled* records, so it rides
     /// [`KvTierSpec`] the same way the tier rides the prefix cache.
     #[track_caller]
-    pub fn enable_global_tier(
-        &mut self,
-        replica: usize,
-        pricing: TierPricing,
-        view: Arc<GlobalKvTier>,
-    ) {
+    pub fn enable_global_tier(&mut self, replica: usize, link: LinkSpec, view: Arc<GlobalKvTier>) {
         assert!(
             self.tier.is_some(),
             "the fleet-shared tier registers spilled records: configure kv_tier first"
@@ -791,7 +778,7 @@ impl ServingSession<'_> {
         self.global = Some(GlobalTierState {
             replica,
             view: Some(view),
-            pricing,
+            link,
             publish_egress: Vec::new(),
             fetch_egress: Vec::new(),
         });
@@ -929,11 +916,11 @@ impl ServingSession<'_> {
             .tier
             .as_ref()
             .expect("every fetch rides the private tier");
-        let pricing = match &self.global {
-            Some(global) if fleet => &global.pricing,
-            _ => &tier.pricing,
+        let link = match &self.global {
+            Some(global) if fleet => &global.link,
+            _ => &tier.link,
         };
-        let cost = pricing.cost(self.pool.blocks_for(tokens), tier.block_bytes);
+        let cost = TransferCost::over(link, self.pool.blocks_for(tokens), tier.block_bytes);
         self.clock += cost.time.value();
         self.prefill_time += cost.time;
         self.energy += cost.energy;

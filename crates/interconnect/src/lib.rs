@@ -20,19 +20,17 @@
 //! prefill→decode KV migrations of a disaggregated fleet
 //! ([`TransferCost::over`] the fabric).
 //!
-//! Below the attention pool, [`TierPricing`] prices the node-local KV
-//! *capacity tier* (host DIMMs per L3, CXL memory): what spilling a
-//! cold prefix out of the pool — and fetching it back on reuse — costs
-//! in latency, bandwidth, and energy. A migration and a tier fetch are
-//! both priced as one [`TransferCost`].
+//! Below the attention pool, the node-local KV *capacity tier* (host
+//! DIMMs per L3 and PIM-AI) sits behind one DDR5 channel
+//! ([`LinkSpec::ddr5_dimm`]): fetching a spilled prefix back on reuse
+//! costs a transfer over it. A migration, a tier fetch and a
+//! fleet-shared tier fetch are each priced as one [`TransferCost`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod link;
-mod tier;
 mod topology;
 
 pub use link::{LinkSpec, TransferCost};
-pub use tier::TierPricing;
 pub use topology::{Route, SystemTopology, TopologyError};

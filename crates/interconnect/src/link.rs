@@ -168,9 +168,9 @@ impl LinkSpec {
     }
 }
 
-/// The priced cost of one bulk KV transfer: a capacity-tier fetch
-/// ([`TierPricing`](crate::TierPricing)) or a prefill→decode migration
-/// over the fleet's inter-node fabric.
+/// The priced cost of one bulk KV transfer: a capacity-tier fetch over
+/// the DIMM channel, or a fleet-shared tier fetch or prefill→decode
+/// migration over the fleet's inter-node fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransferCost {
     /// Payload moved: `kv_blocks × block_bytes`.
@@ -182,7 +182,7 @@ pub struct TransferCost {
 }
 
 impl TransferCost {
-    /// A zero-cost transfer (a `Free` pricing, or an empty payload).
+    /// A zero-cost transfer (an empty payload).
     pub const ZERO: TransferCost = TransferCost {
         bytes: Bytes::ZERO,
         time: Time::ZERO,
@@ -314,6 +314,22 @@ mod tests {
         let wire = |c: TransferCost| c.time.value() - fabric.latency.value();
         assert!((wire(ten) - 10.0 * wire(one)).abs() < 1e-12);
         assert!((ten.energy.value() - 10.0 * one.energy.value()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_dimm_fetch_is_cheaper_than_the_fabric_on_latency_and_energy() {
+        // The point of a node-local tier: re-landing a prefix costs a
+        // DIMM read — ~13× lower link latency and 7× less energy per
+        // byte than riding the inter-node fabric. (Raw bandwidth is
+        // comparable: one DDR5 channel vs one NDR direction.)
+        let payload = Bytes::from_mib(40.0) * 64.0;
+        let dimm = LinkSpec::ddr5_dimm();
+        let fabric = LinkSpec::infiniband_ndr();
+        assert!(dimm.latency.value() < fabric.latency.value());
+        assert!(
+            dimm.transfer_energy(payload).value() < fabric.transfer_energy(payload).value(),
+            "a host-DIMM crossing must cost less energy than the fabric"
+        );
     }
 
     proptest! {

@@ -23,7 +23,7 @@
 //!
 //! Like everything in this crate, the directory is pure bookkeeping:
 //! the fabric transfer a remote fetch pays is priced by the serving
-//! layer (`TierPricing` over the cluster's inter-node `LinkSpec`, in
+//! layer (a `TransferCost` over the cluster's inter-node `LinkSpec`, in
 //! `papi-interconnect`).
 
 use std::collections::HashMap;

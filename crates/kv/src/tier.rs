@@ -68,8 +68,9 @@ pub struct SpillOutcome {
 /// Pure bookkeeping, like everything in this crate: the tier tracks
 /// *which* prefixes are spilled and how many blocks they occupy, not
 /// any cache contents. Transfer cost is priced by the serving layer
-/// (`TierPricing` in `papi-interconnect`) — the tier itself is
-/// price-free so it can be unit-tested as a data structure.
+/// (a `TransferCost` over the DDR5 DIMM `LinkSpec` of
+/// `papi-interconnect`) — the tier itself is price-free so it can be
+/// unit-tested as a data structure.
 #[derive(Debug, Clone)]
 pub struct KvTier {
     block_size: u64,

@@ -31,9 +31,9 @@
 //!   (now carrying a [`ReplicaRole`] for disaggregated fleets), the
 //!   open [`RoutePolicy`] trait a fleet router picks admission targets
 //!   through, the declarative [`PolicySpec`] naming the built-in
-//!   policies (round-robin, join-shortest-queue, KV-pressure-aware,
-//!   prefix-affinity, adaptive-affinity, shared-tier-affinity), the
-//!   [`Router`] that runs them, and the decode-side
+//!   policies (join-shortest-queue, prefix-affinity,
+//!   shared-tier-affinity), the [`Router`] that runs them, and the
+//!   decode-side
 //!   [`MigrationPolicy`] seam that places migrated prefill→decode
 //!   handoffs.
 //! - [`trace`] — per-iteration decode traces: the RLP/TLP/KV state the

@@ -9,13 +9,12 @@
 //! turns the context into a replica index.
 //!
 //! Routing is an open trait, not a closed enum: the built-in policies
-//! (`round-robin`, `join-shortest-queue`, `kv-pressure-aware`,
-//! `prefix-affinity`, `adaptive-affinity`, `shared-tier-affinity`) all
-//! run through one [`Router`], an ordinary `RoutePolicy`
+//! (`join-shortest-queue`, `prefix-affinity`, `shared-tier-affinity`)
+//! all run through one [`Router`], an ordinary `RoutePolicy`
 //! implementation, and user code can plug its own. Declarative
 //! surfaces (cluster specs, sweeps, JSON bins) name built-ins through
-//! the serde-able [`PolicySpec`], which also parses from strings
-//! (`"prefix-affinity:0.85".parse()`). Policies are deliberately
+//! the serde-able [`PolicySpec`], which also parses from its labels
+//! (`"prefix-affinity".parse()`). Policies are deliberately
 //! simulator-agnostic: they consume snapshots, not engines, so they
 //! unit-test without a cluster.
 //!
@@ -398,15 +397,13 @@ pub enum Reads {
     /// The snapshot of the replica with this index, plus the role and
     /// lifecycle stamps of every replica.
     One(usize),
-    /// No snapshot: only the role and lifecycle stamps.
-    Nothing,
 }
 
 /// How a fleet router picks the replica that admits each arriving
 /// request.
 ///
-/// Implementations may keep state across decisions (a cursor, a spill
-/// counter, learned load estimates); the cluster engine drives one
+/// Implementations may keep state across decisions (a spill counter,
+/// learned load estimates); the cluster engine drives one
 /// policy instance per episode, in arrival order. The returned index
 /// must be in range for `ctx.replicas` — the driver asserts it.
 pub trait RoutePolicy: core::fmt::Debug {
@@ -620,54 +617,27 @@ fn least_pressured(
 
 /// Declarative name of a built-in routing policy: what cluster specs,
 /// sweeps, and JSON bins carry, and what a [`Router`] runs.
-/// [`FromStr`] parses the same labels [`PolicySpec::label`] prints,
-/// plus `<affinity>:<threshold>` for a non-default threshold, so
+/// [`FromStr`] parses the same labels [`PolicySpec::label`] prints, so
 /// command-line and config surfaces stay declarative.
 ///
-/// The three affinity policies share one rule: hash the request's
-/// prefix key (its conversation id, or the fleet-wide
-/// shared-system-prompt key) to a *home* replica, so every turn of a
-/// conversation lands where its private prefix cache holds the
-/// accumulated context. The home keeps the request while it is not
-/// KV-saturated for the prompt and its budget utilization is below the
-/// spill point; otherwise the request spills to the least-pressured
-/// replica with headroom. Prefix-free requests balance like
-/// join-shortest-queue. The three differ only in when stickiness
-/// *relaxes* to join-shortest-queue before the home is consulted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The two affinity policies share one rule: hash the request's prefix
+/// key (its conversation id, or the fleet-wide shared-system-prompt
+/// key) to a *home* replica, so every turn of a conversation lands
+/// where its private prefix cache holds the accumulated context. The
+/// home keeps the request while it is not KV-saturated for the prompt
+/// and its budget utilization is below 1; otherwise the request spills
+/// to the least-pressured replica with headroom. Prefix-free requests
+/// balance like join-shortest-queue. The two differ only in when
+/// stickiness *relaxes* to join-shortest-queue before the home is
+/// consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PolicySpec {
-    /// Cycle through the arrival-capable replicas, ignoring state: the
-    /// classic stateless baseline.
-    RoundRobin,
     /// Fewest responsible requests (queued + live), skipping replicas
     /// whose KV budget cannot take the request while any has headroom.
     JoinShortestQueue,
-    /// Lowest KV-budget utilization, then shortest queue: the policy
-    /// that tracks the actual admission bottleneck (the paper's
-    /// KV-capacity pressure) rather than a proxy count.
-    KvPressureAware,
     /// Conversation-sticky routing with KV-pressure spill. Never
     /// relaxes.
-    PrefixAffinity {
-        /// KV-utilization fraction at which the home replica spills
-        /// (1.0 = spill only on hard saturation).
-        spill_utilization: f64,
-    },
-    /// Conversation-sticky below the queue-pressure threshold,
-    /// join-shortest-queue at or above it.
-    ///
-    /// Pure affinity has a known failure mode past saturation:
-    /// stickiness stacks conversations onto hot replicas whose queues
-    /// are already deep, and prefix-oblivious join-shortest-queue
-    /// re-wins goodput. This policy relaxes while the fleet-wide queue
-    /// pressure (mean queued requests per arrival-capable replica) is
-    /// at or above `queue_pressure`. The switch is per decision and
-    /// hysteresis-free, so bursts degrade and recover automatically.
-    AdaptiveAffinity {
-        /// Mean queued requests per arrival-capable replica at which
-        /// affinity yields to load balancing.
-        queue_pressure: f64,
-    },
+    PrefixAffinity,
     /// Conversation-sticky, relaxing to join-shortest-queue only for
     /// prefixes resident in the fleet-shared KV tier whose home replica
     /// is pressured.
@@ -677,113 +647,43 @@ pub enum PolicySpec {
     /// hop, so waiting behind the home's queue no longer protects
     /// anything. The policy relaxes when the prefix is
     /// [resident](RouteContext::shared_resident) and the home is
-    /// pressured: its queue has reached `queue_pressure`, or its
-    /// private capacity tier is full per
-    /// [`ReplicaSnapshot::tier_pressure`]. A pressured home whose
-    /// conversation is *not* in the directory stays sticky (moving it
-    /// would cold-start the prefix). Without a shared tier it routes
-    /// exactly like `prefix-affinity` at the default spill point.
-    SharedTierAffinity {
-        /// Home-replica queue depth at which stickiness yields for
-        /// tier-resident prefixes.
-        queue_pressure: f64,
-    },
+    /// pressured: two or more requests queue there, or its private
+    /// capacity tier is full per [`ReplicaSnapshot::tier_pressure`]. A
+    /// pressured home whose conversation is *not* in the directory
+    /// stays sticky (moving it would cold-start the prefix). Without a
+    /// shared tier it routes exactly like `prefix-affinity`.
+    SharedTierAffinity,
 }
 
+/// KV-budget utilization at which an affinity home spills: 1.0 spills
+/// only on hard saturation.
+const SPILL_UTILIZATION: f64 = 1.0;
+
+/// Home-replica queue depth at which shared-tier affinity relaxes for a
+/// tier-resident prefix. Below saturation, queues hover near zero; a
+/// backlog of a couple of requests means arrivals outpace service, and
+/// a remote fetch (microseconds of fabric time) beats the wait.
+const QUEUE_PRESSURE: f64 = 2.0;
+
 impl PolicySpec {
-    /// Default KV-utilization fraction at which a prefix-affinity home
-    /// spills (1.0 = spill only on hard saturation). The adaptive and
-    /// shared-tier affinities always spill here.
-    pub const DEFAULT_SPILL_UTILIZATION: f64 = 1.0;
-
-    /// Default queue-pressure threshold of the adaptive and shared-tier
-    /// affinities. Below saturation, queues hover near zero; a backlog
-    /// of a couple of requests means arrivals outpace service, and a
-    /// remote fetch (microseconds of fabric time) beats the wait.
-    pub const DEFAULT_QUEUE_PRESSURE: f64 = 2.0;
-
-    /// Prefix-affinity with the default spill point (hard saturation
-    /// only).
+    /// Prefix-affinity routing.
     pub fn prefix_affinity() -> Self {
-        PolicySpec::PrefixAffinity {
-            spill_utilization: Self::DEFAULT_SPILL_UTILIZATION,
-        }
+        PolicySpec::PrefixAffinity
     }
 
-    /// The affinity/balance hybrid at the default queue-pressure
-    /// threshold.
-    pub fn adaptive_affinity() -> Self {
-        PolicySpec::AdaptiveAffinity {
-            queue_pressure: Self::DEFAULT_QUEUE_PRESSURE,
-        }
-    }
-
-    /// Shared-tier-aware affinity at the default queue-pressure
-    /// threshold.
+    /// Shared-tier-aware affinity routing.
     pub fn shared_tier_affinity() -> Self {
-        PolicySpec::SharedTierAffinity {
-            queue_pressure: Self::DEFAULT_QUEUE_PRESSURE,
-        }
+        PolicySpec::SharedTierAffinity
     }
 
-    /// Checks the spec's threshold: a spill utilization must be in
-    /// `(0, 1]`, a queue pressure positive and finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message naming the out-of-range threshold.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            PolicySpec::PrefixAffinity { spill_utilization }
-                if !(spill_utilization > 0.0 && spill_utilization <= 1.0) =>
-            {
-                Err(format!(
-                    "spill utilization must be in (0, 1], got {spill_utilization}"
-                ))
-            }
-            PolicySpec::AdaptiveAffinity { queue_pressure }
-            | PolicySpec::SharedTierAffinity { queue_pressure }
-                if !(queue_pressure.is_finite() && queue_pressure > 0.0) =>
-            {
-                Err(format!(
-                    "queue pressure must be positive, got {queue_pressure}"
-                ))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Display label for reports and sweeps. Never validates (and so
-    /// never panics, even for an out-of-range deserialized spec); a
-    /// non-default threshold is part of the label, so `Display` →
-    /// [`FromStr`] round-trips losslessly and sweep rows over different
-    /// thresholds stay distinguishable.
+    /// Display label for reports and sweeps.
     pub fn label(&self) -> String {
-        let (name, threshold, default) = match *self {
-            PolicySpec::RoundRobin => return "round-robin".to_owned(),
-            PolicySpec::JoinShortestQueue => return "join-shortest-queue".to_owned(),
-            PolicySpec::KvPressureAware => return "kv-pressure-aware".to_owned(),
-            PolicySpec::PrefixAffinity { spill_utilization } => (
-                "prefix-affinity",
-                spill_utilization,
-                Self::DEFAULT_SPILL_UTILIZATION,
-            ),
-            PolicySpec::AdaptiveAffinity { queue_pressure } => (
-                "adaptive-affinity",
-                queue_pressure,
-                Self::DEFAULT_QUEUE_PRESSURE,
-            ),
-            PolicySpec::SharedTierAffinity { queue_pressure } => (
-                "shared-tier-affinity",
-                queue_pressure,
-                Self::DEFAULT_QUEUE_PRESSURE,
-            ),
-        };
-        if threshold == default {
-            name.to_owned()
-        } else {
-            format!("{name}:{threshold}")
+        match self {
+            PolicySpec::JoinShortestQueue => "join-shortest-queue",
+            PolicySpec::PrefixAffinity => "prefix-affinity",
+            PolicySpec::SharedTierAffinity => "shared-tier-affinity",
         }
+        .to_owned()
     }
 }
 
@@ -797,52 +697,28 @@ impl FromStr for PolicySpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (name, threshold) = match s.split_once(':') {
-            Some((name, threshold)) => (name, Some(threshold)),
-            None => (s, None),
-        };
-        let parse = |what: &str, default: f64| match threshold {
-            None => Ok(default),
-            Some(t) => t.parse().map_err(|_| format!("invalid {what} {t:?}")),
-        };
-        let spec = match (name, threshold) {
-            ("round-robin", None) => PolicySpec::RoundRobin,
-            ("join-shortest-queue", None) => PolicySpec::JoinShortestQueue,
-            ("kv-pressure-aware", None) => PolicySpec::KvPressureAware,
-            ("prefix-affinity", _) => PolicySpec::PrefixAffinity {
-                spill_utilization: parse("spill utilization", Self::DEFAULT_SPILL_UTILIZATION)?,
-            },
-            ("adaptive-affinity", _) => PolicySpec::AdaptiveAffinity {
-                queue_pressure: parse("queue pressure", Self::DEFAULT_QUEUE_PRESSURE)?,
-            },
-            ("shared-tier-affinity", _) => PolicySpec::SharedTierAffinity {
-                queue_pressure: parse("queue pressure", Self::DEFAULT_QUEUE_PRESSURE)?,
-            },
-            _ => {
-                return Err(format!(
-                    "unknown routing policy {s:?} (expected round-robin, join-shortest-queue, \
-                     kv-pressure-aware, prefix-affinity[:<spill>], adaptive-affinity[:<pressure>], \
-                     or shared-tier-affinity[:<pressure>])"
-                ))
-            }
-        };
-        spec.validate()?;
-        Ok(spec)
+        match s {
+            "join-shortest-queue" => Ok(PolicySpec::JoinShortestQueue),
+            "prefix-affinity" => Ok(PolicySpec::PrefixAffinity),
+            "shared-tier-affinity" => Ok(PolicySpec::SharedTierAffinity),
+            _ => Err(format!(
+                "unknown routing policy {s:?} (expected join-shortest-queue, prefix-affinity \
+                 or shared-tier-affinity)"
+            )),
+        }
     }
 }
 
 /// The built-in router: the policy a [`PolicySpec`] names, with its
-/// state — the round-robin cursor and the spill, relax, and decision
-/// counters. Resumable by construction: every routing-relevant bit
-/// round-trips through serde, so a serialized mid-run router resumes
-/// exactly where it stopped.
+/// state — the spill, relax, and decision counters. Resumable by
+/// construction: every routing-relevant bit round-trips through serde,
+/// so a serialized mid-run router resumes exactly where it stopped.
 ///
 /// `Router` implements [`RoutePolicy`], so the cluster engine drives
 /// built-ins and custom policies through the same trait seam.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Router {
     spec: PolicySpec,
-    cursor: usize,
     spills: u64,
     relaxed: u64,
     decisions: u64,
@@ -850,19 +726,9 @@ pub struct Router {
 
 impl Router {
     /// A fresh router running the policy `spec` names.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`PolicySpec::validate`] message if the spec's
-    /// threshold is out of range.
-    #[track_caller]
     pub fn new(spec: PolicySpec) -> Self {
-        if let Err(message) = spec.validate() {
-            panic!("{message}");
-        }
         Self {
             spec,
-            cursor: 0,
             spills: 0,
             relaxed: 0,
             decisions: 0,
@@ -880,8 +746,8 @@ impl Router {
     }
 
     /// Affinity requests routed away from their home replica because
-    /// it was saturated or past the spill point. A request that lands
-    /// back home (only the home had headroom) is no spill.
+    /// it was saturated or its budget fully committed. A request that
+    /// lands back home (only the home had headroom) is no spill.
     pub fn spills(&self) -> u64 {
         self.spills
     }
@@ -906,23 +772,16 @@ impl Router {
         RoutePolicy::route(self, &RouteContext::new(request, replicas))
     }
 
-    /// Whether an affinity policy relaxes to join-shortest-queue for
+    /// Whether shared-tier affinity relaxes to join-shortest-queue for
     /// this arrival, before its home is consulted.
     fn relaxes(&self, ctx: &RouteContext<'_>) -> bool {
-        match self.spec {
-            PolicySpec::AdaptiveAffinity { queue_pressure } => {
-                let targets = ctx.arrival_targets();
-                let queued: usize = targets.iter().map(|&i| ctx.replicas[i].queued).sum();
-                queued as f64 / targets.len() as f64 >= queue_pressure
-            }
-            PolicySpec::SharedTierAffinity { queue_pressure } => ctx.prefix().is_some_and(|hint| {
+        self.spec == PolicySpec::SharedTierAffinity
+            && ctx.prefix().is_some_and(|hint| {
                 ctx.shared_resident() && {
                     let home = &ctx.replicas[affinity_home(ctx, hint.key)];
-                    home.queued as f64 >= queue_pressure || home.tier_pressure() >= 1.0
+                    home.queued as f64 >= QUEUE_PRESSURE || home.tier_pressure() >= 1.0
                 }
-            }),
-            _ => false,
-        }
+            })
     }
 
     /// The affinity home of the request's prefix, and whether it keeps
@@ -931,14 +790,10 @@ impl Router {
     /// request.
     fn home(&self, ctx: &RouteContext<'_>) -> Option<(usize, bool)> {
         let hint = ctx.prefix()?;
-        let spill_utilization = match self.spec {
-            PolicySpec::PrefixAffinity { spill_utilization } => spill_utilization,
-            _ => PolicySpec::DEFAULT_SPILL_UTILIZATION,
-        };
         let home = affinity_home(ctx, hint.key);
         let snapshot = &ctx.replicas[home];
         let keeps = !snapshot.kv_saturated_for(ctx.incoming_kv_tokens())
-            && snapshot.kv_utilization() < spill_utilization;
+            && snapshot.kv_utilization() < SPILL_UTILIZATION;
         Some((home, keeps))
     }
 
@@ -983,39 +838,24 @@ impl RoutePolicy for Router {
         assert!(!ctx.replicas.is_empty(), "cannot route to an empty fleet");
         self.decisions += 1;
         match self.spec {
-            PolicySpec::RoundRobin => {
-                let targets = ctx.arrival_targets();
-                let pick = targets[self.cursor % targets.len()];
-                self.cursor = (self.cursor + 1) % targets.len();
-                pick
-            }
             PolicySpec::JoinShortestQueue => least_loaded(
                 &ctx.arrival_targets(),
                 ctx.replicas,
                 ctx.incoming_kv_tokens(),
             ),
-            PolicySpec::KvPressureAware => {
-                least_pressured(ctx.arrival_targets(), ctx.replicas).expect("fleet is non-empty")
-            }
-            _ => self.affinity(ctx),
+            PolicySpec::PrefixAffinity | PolicySpec::SharedTierAffinity => self.affinity(ctx),
         }
     }
 
-    /// Round robin reads no snapshot: its cursor and the stamps pick.
     /// Prefix affinity, and shared-tier affinity while it does not
     /// relax, read the home alone while it keeps the request. Every
     /// other decision reads the whole fleet.
     fn reads(&self, ctx: &RouteContext<'_>) -> Reads {
-        match self.spec {
-            PolicySpec::RoundRobin => Reads::Nothing,
-            PolicySpec::PrefixAffinity { .. } | PolicySpec::SharedTierAffinity { .. }
-                if !self.relaxes(ctx) =>
-            {
-                match self.home(ctx) {
-                    Some((home, true)) => Reads::One(home),
-                    _ => Reads::Fleet,
-                }
-            }
+        if self.spec == PolicySpec::JoinShortestQueue || self.relaxes(ctx) {
+            return Reads::Fleet;
+        }
+        match self.home(ctx) {
+            Some((home, true)) => Reads::One(home),
             _ => Reads::Fleet,
         }
     }
@@ -1174,15 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_deterministically() {
-        let mut r = Router::new(PolicySpec::RoundRobin);
-        let fleet = vec![snap(9, 9, 900, 1000); 3];
-        let picks: Vec<usize> = (0..7).map(|_| r.route(&req(10), &fleet)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(r.decisions(), 7);
-    }
-
-    #[test]
     fn jsq_picks_least_loaded() {
         let mut r = Router::new(PolicySpec::JoinShortestQueue);
         let fleet = vec![
@@ -1211,20 +1042,6 @@ mod tests {
             snap(4, 4, 9_990, 10_000),
         ];
         assert_eq!(r.route(&req(200), &all_full), 1);
-    }
-
-    #[test]
-    fn kv_aware_follows_the_emptiest_pool() {
-        let mut r = Router::new(PolicySpec::KvPressureAware);
-        let fleet = vec![
-            snap(0, 2, 8_000, 10_000),
-            snap(6, 9, 1_000, 10_000), // busiest queue, emptiest pool
-            snap(1, 1, 5_000, 10_000),
-        ];
-        assert_eq!(r.route(&req(100), &fleet), 1);
-        // Ties on utilization break by load, then index.
-        let tied = vec![snap(3, 0, 500, 1_000), snap(1, 0, 500, 1_000)];
-        assert_eq!(r.route(&req(100), &tied), 1);
     }
 
     #[test]
@@ -1278,91 +1095,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty fleet")]
     fn routing_to_nobody_is_a_bug() {
-        Router::new(PolicySpec::RoundRobin).route(&req(1), &[]);
+        Router::new(PolicySpec::JoinShortestQueue).route(&req(1), &[]);
     }
 
+    /// Every label parses back to its spec; the spellings of deleted
+    /// policies and thresholds are errors, not panics or fallbacks.
     #[test]
     fn labels_and_parsing_round_trip() {
-        for spec in [
-            PolicySpec::RoundRobin,
-            PolicySpec::JoinShortestQueue,
-            PolicySpec::KvPressureAware,
-            PolicySpec::prefix_affinity(),
+        for (spec, label) in [
+            (PolicySpec::JoinShortestQueue, "join-shortest-queue"),
+            (PolicySpec::prefix_affinity(), "prefix-affinity"),
+            (PolicySpec::shared_tier_affinity(), "shared-tier-affinity"),
         ] {
-            let parsed: PolicySpec = spec.to_string().parse().expect("label parses back");
-            assert_eq!(parsed.label(), spec.label());
+            assert_eq!(spec.to_string(), label);
+            assert_eq!(label.parse::<PolicySpec>(), Ok(spec));
+            assert_eq!(Router::new(spec).label(), label);
         }
-        assert_eq!(
-            "prefix-affinity:0.85".parse::<PolicySpec>().unwrap(),
-            PolicySpec::PrefixAffinity {
-                spill_utilization: 0.85
-            }
-        );
-        // Non-default thresholds survive the Display -> FromStr round
-        // trip (the label carries them).
-        let tuned = PolicySpec::PrefixAffinity {
-            spill_utilization: 0.85,
-        };
-        assert_eq!(tuned.to_string(), "prefix-affinity:0.85");
-        assert_eq!(tuned.to_string().parse::<PolicySpec>().unwrap(), tuned);
-        // Labelling never validates, so even an invalid hand-built spec
-        // formats instead of panicking.
-        assert_eq!(
-            PolicySpec::PrefixAffinity {
-                spill_utilization: 1.5
-            }
-            .label(),
-            "prefix-affinity:1.5"
-        );
-        assert!("prefix-affinity:1.5".parse::<PolicySpec>().is_err());
-        assert!("least-recently-fed".parse::<PolicySpec>().is_err());
-        assert_eq!(
-            PolicySpec::JoinShortestQueue.to_string(),
-            "join-shortest-queue"
-        );
-    }
-
-    /// One range check serves `FromStr`, `Router::new` and the cluster
-    /// engine: each rejects the same specs with the same message.
-    #[test]
-    fn validate_rejects_out_of_range_thresholds() {
-        for (spec, message) in [
-            (
-                PolicySpec::PrefixAffinity {
-                    spill_utilization: 1.5,
-                },
-                "spill utilization must be in (0, 1], got 1.5",
-            ),
-            (
-                PolicySpec::AdaptiveAffinity {
-                    queue_pressure: f64::NAN,
-                },
-                "queue pressure must be positive, got NaN",
-            ),
-            (
-                PolicySpec::SharedTierAffinity {
-                    queue_pressure: 0.0,
-                },
-                "queue pressure must be positive, got 0",
-            ),
+        for removed in [
+            "least-recently-fed",
+            "round-robin",
+            "kv-pressure-aware",
+            "adaptive-affinity",
+            "prefix-affinity:0.85",
+            "shared-tier-affinity:3",
         ] {
-            assert_eq!(spec.validate(), Err(message.to_owned()));
-            assert_eq!(spec.label().parse::<PolicySpec>(), Err(message.to_owned()));
-            let panic = std::panic::catch_unwind(|| Router::new(spec)).expect_err("must panic");
             assert_eq!(
-                panic.downcast_ref::<String>().map(String::as_str),
-                Some(message)
+                removed.parse::<PolicySpec>(),
+                Err(format!(
+                    "unknown routing policy {removed:?} (expected join-shortest-queue, \
+                     prefix-affinity or shared-tier-affinity)"
+                ))
             );
-        }
-        for spec in [
-            PolicySpec::RoundRobin,
-            PolicySpec::JoinShortestQueue,
-            PolicySpec::KvPressureAware,
-            PolicySpec::prefix_affinity(),
-            PolicySpec::adaptive_affinity(),
-            PolicySpec::shared_tier_affinity(),
-        ] {
-            assert_eq!(spec.validate(), Ok(()), "{spec}");
         }
     }
 
@@ -1390,10 +1153,9 @@ mod tests {
     }
 
     /// Affinity reads its home while the home keeps the turn, the whole
-    /// fleet once it would spill or for a prefix-free request; round
-    /// robin reads no snapshot. Shared-tier affinity reads like prefix
-    /// affinity until it relaxes; adaptive affinity always reads the
-    /// whole fleet, since its relax check sums every queue.
+    /// fleet once it would spill or for a prefix-free request.
+    /// Shared-tier affinity reads like prefix affinity until it relaxes;
+    /// join-shortest-queue always reads the whole fleet.
     #[test]
     fn reads_name_what_route_looks_at() {
         let key = 42;
@@ -1414,15 +1176,9 @@ mod tests {
             // The answer matches what route does with the same context.
             assert_eq!(Router::new(spec).route(&turn(key, 200), &roomy), home);
         }
-        for (spec, expected) in [
-            (PolicySpec::RoundRobin, Reads::Nothing),
-            (PolicySpec::JoinShortestQueue, Reads::Fleet),
-            (PolicySpec::KvPressureAware, Reads::Fleet),
-            (PolicySpec::adaptive_affinity(), Reads::Fleet),
-        ] {
-            assert_eq!(reads(spec, &roomy, &turn(key, 200)), expected, "{spec}");
-            assert_eq!(reads(spec, &saturated, &turn(key, 200)), expected, "{spec}");
-        }
+        let jsq = PolicySpec::JoinShortestQueue;
+        assert_eq!(reads(jsq, &roomy, &turn(key, 200)), Reads::Fleet);
+        assert_eq!(reads(jsq, &saturated, &turn(key, 200)), Reads::Fleet);
 
         // A resident prefix whose home is pressured relaxes shared-tier
         // affinity, which then reads the whole fleet; an idle home still
@@ -1466,35 +1222,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_affinity_soft_spill_threshold() {
-        let mut policy = Router::new(PolicySpec::PrefixAffinity {
-            spill_utilization: 0.5,
-        });
-        let key = 7;
-        let mut fleet = vec![snap(0, 0, 1_000, 10_000); 3];
-        let home = home_replica(key, fleet.len());
-        // 60% utilization: above the soft threshold even though the
-        // prompt would still fit.
-        fleet[home] = snap(0, 1, 6_000, 10_000);
-        let pick = policy.route(&turn(key, 10), &fleet);
-        assert_ne!(pick, home);
-        assert_eq!(policy.spills(), 1);
-    }
-
-    #[test]
     fn spill_never_relands_home_silently() {
-        let mut policy = Router::new(PolicySpec::PrefixAffinity {
-            spill_utilization: 0.5,
-        });
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
         let key = 7;
-        // Home is past the soft threshold, but every other replica is
-        // hard-saturated: the request stays home and that is NOT a
-        // spill.
+        // Every replica is saturated for the turn, the home least: the
+        // fallback keeps the request home and that is NOT a spill.
         let mut fleet = vec![snap(0, 0, 9_990, 10_000); 3];
         let home = home_replica(key, fleet.len());
-        fleet[home] = snap(0, 1, 6_000, 10_000);
+        fleet[home] = snap(0, 1, 9_900, 10_000);
         let pick = policy.route(&turn(key, 200), &fleet);
-        assert_eq!(pick, home, "only home has headroom");
+        assert_eq!(pick, home, "the home is the least pressured");
         assert_eq!(policy.spills(), 0, "staying home is not a spill");
         // Give another replica headroom: now the same request spills,
         // and the counter moves.
@@ -1535,11 +1272,8 @@ mod tests {
             role_snap(ReplicaRole::Colocated, 3, 4_000),
         ];
         for spec in [
-            PolicySpec::RoundRobin,
             PolicySpec::JoinShortestQueue,
-            PolicySpec::KvPressureAware,
             PolicySpec::prefix_affinity(),
-            PolicySpec::adaptive_affinity(),
             PolicySpec::shared_tier_affinity(),
         ] {
             let mut policy = Router::new(spec);
@@ -1552,19 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_over_the_prefill_capable_subset() {
-        let mut r = Router::new(PolicySpec::RoundRobin);
-        let fleet = vec![
-            role_snap(ReplicaRole::Prefill, 0, 0),
-            role_snap(ReplicaRole::Decode, 0, 0),
-            role_snap(ReplicaRole::Prefill, 0, 0),
-            role_snap(ReplicaRole::Decode, 0, 0),
-        ];
-        let picks: Vec<usize> = (0..5).map(|_| r.route(&req(10), &fleet)).collect();
-        assert_eq!(picks, vec![0, 2, 0, 2, 0]);
-    }
-
-    #[test]
     fn role_capabilities() {
         assert!(ReplicaRole::Colocated.accepts_arrivals());
         assert!(ReplicaRole::Colocated.can_decode());
@@ -1574,35 +1295,6 @@ mod tests {
         assert!(ReplicaRole::Decode.can_decode());
         assert_eq!(ReplicaRole::default(), ReplicaRole::Colocated);
         assert_eq!(ReplicaRole::Prefill.to_string(), "prefill");
-    }
-
-    #[test]
-    fn adaptive_affinity_sticks_below_pressure_and_balances_above() {
-        let mut policy = Router::new(PolicySpec::AdaptiveAffinity {
-            queue_pressure: 2.0,
-        });
-        let key = 42;
-        // Idle fleet: behaves exactly like prefix-affinity.
-        let idle = vec![snap(0, 2, 1_000, 10_000); 4];
-        let home = {
-            let mut pure = Router::new(PolicySpec::prefix_affinity());
-            pure.route(&turn(key, 100), &idle)
-        };
-        assert_eq!(policy.route(&turn(key, 100), &idle), home);
-        assert_eq!(policy.relaxed(), 0);
-
-        // Saturated fleet (mean queued ≥ 2): degrade to JSQ — the pick
-        // is the least-loaded replica even though home has KV headroom.
-        let mut hot = vec![snap(4, 8, 1_000, 10_000); 4];
-        let other = (home + 1) % 4;
-        hot[other] = snap(0, 1, 1_000, 10_000);
-        let pick = policy.route(&turn(key, 100), &hot);
-        assert_eq!(pick, other, "under pressure the hybrid must balance");
-        assert_eq!(policy.relaxed(), 1);
-
-        // Pressure drains: affinity resumes.
-        assert_eq!(policy.route(&turn(key, 100), &idle), home);
-        assert_eq!(policy.relaxed(), 1);
     }
 
     #[test]
@@ -1626,9 +1318,7 @@ mod tests {
         directory.publish(key, home, 256);
 
         // No directory attached: identical to prefix-affinity.
-        let mut policy = Router::new(PolicySpec::SharedTierAffinity {
-            queue_pressure: 2.0,
-        });
+        let mut policy = Router::new(PolicySpec::shared_tier_affinity());
         assert_eq!(policy.route(&turn(key, 100), &idle), home);
         assert_eq!(policy.relaxed(), 0);
 
@@ -1670,42 +1360,6 @@ mod tests {
         let pick = RoutePolicy::route(&mut policy, &ctx);
         assert_eq!(policy.relaxed(), 2, "full tier relaxes stickiness");
         assert!(pick < fleet_size);
-    }
-
-    #[test]
-    fn shared_tier_labels_and_parsing_round_trip() {
-        assert_eq!(
-            PolicySpec::shared_tier_affinity().label(),
-            "shared-tier-affinity"
-        );
-        assert_eq!(
-            "shared-tier-affinity".parse::<PolicySpec>().unwrap(),
-            PolicySpec::shared_tier_affinity()
-        );
-        let tuned = PolicySpec::SharedTierAffinity {
-            queue_pressure: 4.5,
-        };
-        assert_eq!(tuned.to_string(), "shared-tier-affinity:4.5");
-        assert_eq!(tuned.to_string().parse::<PolicySpec>().unwrap(), tuned);
-        assert!("shared-tier-affinity:-2".parse::<PolicySpec>().is_err());
-        assert!("shared-tier-affinity:soon".parse::<PolicySpec>().is_err());
-        assert_eq!(Router::new(tuned).label(), tuned.label());
-    }
-
-    #[test]
-    fn adaptive_labels_and_parsing_round_trip() {
-        assert_eq!(PolicySpec::adaptive_affinity().label(), "adaptive-affinity");
-        assert_eq!(
-            "adaptive-affinity".parse::<PolicySpec>().unwrap(),
-            PolicySpec::adaptive_affinity()
-        );
-        let tuned = PolicySpec::AdaptiveAffinity {
-            queue_pressure: 6.5,
-        };
-        assert_eq!(tuned.to_string(), "adaptive-affinity:6.5");
-        assert_eq!(tuned.to_string().parse::<PolicySpec>().unwrap(), tuned);
-        assert!("adaptive-affinity:-1".parse::<PolicySpec>().is_err());
-        assert!("adaptive-affinity:forever".parse::<PolicySpec>().is_err());
     }
 
     #[test]
@@ -1776,11 +1430,8 @@ mod tests {
             lifecycle_snap(ReplicaState::Retired, 0, 0),
         ];
         for spec in [
-            PolicySpec::RoundRobin,
             PolicySpec::JoinShortestQueue,
-            PolicySpec::KvPressureAware,
             PolicySpec::prefix_affinity(),
-            PolicySpec::adaptive_affinity(),
             PolicySpec::shared_tier_affinity(),
         ] {
             let mut policy = Router::new(spec);
@@ -1900,20 +1551,11 @@ mod tests {
     fn router_serde_round_trip_resumes_mid_run() {
         // Route a prefix of the decisions, snapshot, restore, and check
         // the restored router continues exactly like the original —
-        // cursor, spill counters, and decision count all survive.
+        // spill counters and decision count both survive.
         for spec in [
-            PolicySpec::RoundRobin,
             PolicySpec::JoinShortestQueue,
-            PolicySpec::KvPressureAware,
-            PolicySpec::PrefixAffinity {
-                spill_utilization: 0.75,
-            },
-            PolicySpec::AdaptiveAffinity {
-                queue_pressure: 3.0,
-            },
-            PolicySpec::SharedTierAffinity {
-                queue_pressure: 1.5,
-            },
+            PolicySpec::prefix_affinity(),
+            PolicySpec::shared_tier_affinity(),
         ] {
             let fleet: Vec<ReplicaSnapshot> = (0..5)
                 .map(|i| snap(i, i, 2_000 * i as u64, 10_000))

@@ -19,8 +19,7 @@
 //! plane: it routes like `prefix-affinity` until the arriving
 //! conversation's prefix is directory-resident *and* the home replica
 //! is pressured — then stickiness buys nothing the fabric can't, so it
-//! relaxes to join-shortest-queue. The `TierPricing::Free` ablation shows how
-//! much of the remaining gap is the wire itself.
+//! relaxes to join-shortest-queue.
 //!
 //! ```sh
 //! cargo run --release --example global_prefix
@@ -30,7 +29,6 @@ use papi::core::experiments::{sweep, SweepRow};
 use papi::core::{
     ClusterReport, ClusterSpec, DesignKind, KvTierSpec, SessionTuning, SharedTierSpec, SloSpec,
 };
-use papi::interconnect::TierPricing;
 use papi::llm::ModelPreset;
 use papi::workload::{ConversationDataset, DatasetKind, PolicySpec, ServingWorkload};
 
@@ -66,11 +64,7 @@ fn main() {
         .with_kv_tier(KvTierSpec::new(60_000));
     let model = ModelPreset::Gpt3_175B.config();
     let fleet = ClusterSpec::new(DesignKind::PimOnlyPapi, model, 1, 2).with_tuning(tuning);
-    let shared_tiers = [
-        None,
-        Some(SharedTierSpec::new()),
-        Some(SharedTierSpec::new().with_pricing(TierPricing::Free)),
-    ];
+    let shared_tiers = [None, Some(SharedTierSpec::new())];
     let chat = ConversationDataset::multi_turn(DatasetKind::LongContext, 8192, 12);
     // Rate-major, then shared-tier configuration, then policy.
     let (mut rates, mut points) = (Vec::new(), Vec::new());
@@ -80,7 +74,6 @@ fn main() {
             for routing in [
                 PolicySpec::JoinShortestQueue,
                 PolicySpec::prefix_affinity(),
-                PolicySpec::adaptive_affinity(),
                 PolicySpec::shared_tier_affinity(),
             ] {
                 let spec = ClusterSpec {
@@ -152,7 +145,6 @@ fn main() {
         .global_tier
         .as_ref()
         .expect("shared tier");
-    let free = &rows[at("shared-tier-affinity", "free")];
 
     println!(
         "\nShared tier + shared-tier-affinity vs private-tier prefix-affinity:\n\
@@ -166,11 +158,6 @@ fn main() {
         fabric.bytes / 1e9,
         shared_wire_s,
         fabric.energy.value(),
-    );
-    println!(
-        "Free-fabric ablation: goodput {:.2} r/s with zero wire cost — the gap to\n\
-         {:.2} r/s is what the fabric itself costs.",
-        free.goodput_rps, shared.goodput_rps,
     );
 
     // The acceptance headline: the shared tier must lift both fleet
@@ -189,11 +176,5 @@ fn main() {
     );
     assert!(fabric.fetches > 0, "the win must use the fabric");
     assert!(fabric.bytes > 0.0 && shared_wire_s > 0.0);
-    assert!(
-        free.goodput_rps >= shared.goodput_rps,
-        "a free fabric can't be slower: {:.3} vs {:.3}",
-        free.goodput_rps,
-        shared.goodput_rps
-    );
     println!("\nThe ROADMAP's fleet-wide prefix-sharing item is closed on this build.");
 }

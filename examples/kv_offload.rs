@@ -11,9 +11,8 @@
 //! re-prefilling — paying a transfer that lands, honestly, in that
 //! request's TTFT.
 //!
-//! Three runs on the same workload and hot pool: plain eviction, the
-//! tier at DIMM pricing, and the tier with free transfers (the
-//! ablation isolating capacity from transfer cost).
+//! Two runs on the same workload and hot pool: plain eviction, and the
+//! tier behind the DIMM channel.
 //!
 //! ```sh
 //! cargo run --release --example kv_offload
@@ -22,7 +21,6 @@
 use papi::core::{
     DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning, SloSpec, SystemConfig,
 };
-use papi::interconnect::TierPricing;
 use papi::llm::ModelPreset;
 use papi::workload::{ConversationDataset, DatasetKind, ServingWorkload};
 
@@ -75,13 +73,9 @@ fn main() {
 
     let evict = engine(paged()).run(&workload);
     let dimm = engine(paged().with_kv_tier(KvTierSpec::new(60_000))).run(&workload);
-    let free =
-        engine(paged().with_kv_tier(KvTierSpec::new(60_000).with_pricing(TierPricing::Free)))
-            .run(&workload);
 
     row("evict", &evict, &slo);
     row("tier-dimm", &dimm, &slo);
-    row("tier-free", &free, &slo);
 
     println!(
         "\n  -> the tier serves {:.1}x the SLO goodput: {} of {} evictions spilled, \
@@ -99,16 +93,6 @@ fn main() {
         evict.kv.prefilled_tokens,
         dimm.kv.prefilled_tokens,
     );
-    let dimm_p99 = dimm.ttft_summary().expect("non-empty").p99;
-    let free_p99 = free.ttft_summary().expect("non-empty").p99;
-    println!(
-        "  -> the DIMM transfer is visible: TTFT p99 {:.0} s priced vs {:.0} s free \
-         ({:.1} s of fetch time on the critical path, {:.1} J of transfer energy)",
-        dimm_p99.as_secs(),
-        free_p99.as_secs(),
-        dimm.kv.tier_fetch_time_s,
-        dimm.kv.tier_fetch_energy_j,
-    );
 
     // The claims this example exists to demonstrate.
     assert!(
@@ -118,10 +102,6 @@ fn main() {
         evict.goodput(&slo)
     );
     assert!(dimm.kv.tier_fetches > 0 && dimm.kv.tier_fetch_time_s > 0.0);
-    assert!(
-        dimm_p99.value() >= free_p99.value(),
-        "priced fetches must not beat free ones on TTFT"
-    );
     assert!(dimm.kv.hit_rate() > evict.kv.hit_rate());
 
     println!("\nSpill-to-host offload holds on this machine's build.");

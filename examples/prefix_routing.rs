@@ -23,12 +23,7 @@ use papi::llm::ModelPreset;
 use papi::workload::{ConversationDataset, DatasetKind, PolicySpec, ServingWorkload};
 
 fn main() {
-    let policies = [
-        PolicySpec::RoundRobin,
-        PolicySpec::JoinShortestQueue,
-        PolicySpec::KvPressureAware,
-        PolicySpec::prefix_affinity(),
-    ];
+    let policies = [PolicySpec::JoinShortestQueue, PolicySpec::prefix_affinity()];
     println!(
         "LLaMA-65B on 4 PIM-only PAPI replicas, multi-turn chat (15 conversations\n\
          x 4 turns, 512-token system prompt), prefix sharing on (16-token blocks),\n\

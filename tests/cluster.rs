@@ -67,7 +67,7 @@ fn degenerate_cluster_reproduces_single_engine_exactly() {
             .with_tuning(tuning.clone())
             .run(workload);
         let single_json = serde_json::to_string(&single).expect("report serializes");
-        for routing in [PolicySpec::RoundRobin, PolicySpec::JoinShortestQueue] {
+        for routing in [PolicySpec::JoinShortestQueue, PolicySpec::prefix_affinity()] {
             let fleet = ClusterEngine::new(
                 ClusterSpec::new(design, model.config(), 1, 1)
                     .with_routing(routing)
@@ -98,9 +98,9 @@ fn degenerate_cluster_reproduces_single_engine_exactly() {
 fn cluster_report_conserves_requests_and_tokens() {
     let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 24.0, 72).with_seed(5);
     for routing in [
-        PolicySpec::RoundRobin,
         PolicySpec::JoinShortestQueue,
-        PolicySpec::KvPressureAware,
+        PolicySpec::prefix_affinity(),
+        PolicySpec::shared_tier_affinity(),
     ] {
         let report: ClusterReport = cluster(1, 3, routing, 8).run(&workload);
         let replica_sum: u64 = report.replicas.iter().map(|r| r.records.len() as u64).sum();

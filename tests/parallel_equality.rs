@@ -13,17 +13,19 @@
 //!
 //! Most whole-report goldens below were captured from the two-loop
 //! engine, where the sequential mode was a separate loop. They pin
-//! disaggregated, shared-tier, autoscaled and KV-tight fleets, which
-//! the colocated routing goldens do not cover, against code the one
-//! loop does not share. The relaxing-affinity goldens were captured
-//! while each affinity policy was still its own type, so they pin the
-//! one `Router` rule against all three.
+//! disaggregated, autoscaled and KV-tight fleets, which the colocated
+//! routing goldens do not cover, against code the one loop does not
+//! share. The shared-tier-affinity goldens were captured while each
+//! affinity policy was still its own type, so they pin the one
+//! `Router` rule against it. The join-shortest-queue shared-tier fleet
+//! and the default-spill affinity fleet were captured on the last
+//! engine whose router still carried per-spec thresholds.
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
     KvTierSpec, SessionTuning, SharedTierSpec, SloSpec, StepMode,
 };
-use papi::interconnect::TierPricing;
+use papi::interconnect::LinkSpec;
 use papi::llm::ModelPreset;
 use papi::workload::{
     ArrivalProcess, ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, ReplicaRole,
@@ -203,33 +205,34 @@ proptest! {
     /// fetch traffic and control-plane sync ticks, and `Parallel` must
     /// still reproduce `Sequential` bit for bit — including the
     /// `GlobalTierReport` — across replica counts, routing policies,
-    /// fabric pricings, and sync intervals. The workload is the
-    /// long-context scatter shape (odd conversation count, so turns
-    /// change replicas). The proptest runs 35 four-turn conversations
+    /// fabrics, and sync intervals. The workload is the long-context
+    /// scatter shape. The proptest runs 35 four-turn conversations
     /// behind a 10,240-token system prompt, so the pool spills and
-    /// nearly every case fetches across replicas: on a grid of 8 seeds
-    /// × dp 2–4 × the three policies × both pricings at sync 0.05, each
-    /// of five seed blocks had 140 to 144 of 144 cases fetch.
+    /// every case fetches across replicas: on a grid of seeds 0–39 ×
+    /// dp 2–4 × the three policies × both fabrics at sync 0.05, all 720
+    /// cases fetched.
     #[test]
     fn parallel_matches_sequential_shared_tier(
         seed in 0u64..1_000_000,
         dp in 2usize..5,
         policy_pick in 0usize..3,
-        free_fabric in proptest::bool::ANY,
+        ethernet in proptest::bool::ANY,
         sync_pick in 0usize..3,
     ) {
-        let policy = match policy_pick {
-            0 => PolicySpec::RoundRobin,
-            1 => PolicySpec::shared_tier_affinity(),
-            _ => PolicySpec::prefix_affinity(),
-        };
+        let policy = [
+            PolicySpec::JoinShortestQueue,
+            PolicySpec::shared_tier_affinity(),
+            PolicySpec::prefix_affinity(),
+        ][policy_pick];
         let sync_s = [0.01, 0.05, 0.5][sync_pick];
-        let (spec, workload) =
-            shared_tier_fleet(seed, FETCHING_CHATS, dp, policy, free_fabric, sync_s);
+        let (mut spec, workload) = shared_tier_fleet(seed, FETCHING_CHATS, dp, policy, sync_s);
+        if ethernet {
+            spec.inter_node = LinkSpec::ethernet_100g();
+        }
         assert_modes_agree(
             spec,
             &workload,
-            &format!("shared-tier dp={dp} policy={policy_pick} free={free_fabric} sync={sync_s}"),
+            &format!("shared-tier dp={dp} policy={policy} ethernet={ethernet} sync={sync_s}"),
         );
     }
 }
@@ -257,14 +260,13 @@ const FETCHING_CHATS: ChatShape = ChatShape {
     turns: 4,
 };
 
-/// A PIM-only GPT-3 fleet with a fleet-shared tier, serving the
-/// thrash-prone long-context scatter shape.
+/// A PIM-only GPT-3 fleet with a fleet-shared tier over InfiniBand NDR,
+/// serving the thrash-prone long-context scatter shape.
 fn shared_tier_fleet(
     seed: u64,
     chats: ChatShape,
     dp: usize,
     policy: PolicySpec,
-    free_fabric: bool,
     sync_s: f64,
 ) -> (ClusterSpec, ServingWorkload) {
     let workload = ServingWorkload::poisson(
@@ -287,16 +289,7 @@ fn shared_tier_fleet(
             .with_prefix_sharing(true)
             .with_kv_tier(KvTierSpec::new(60_000)),
     )
-    .with_shared_tier({
-        // Default pricing rides the cluster's inter-node fabric;
-        // `Free` is the zero-cost ablation.
-        let shared = SharedTierSpec::new().with_sync_interval(sync_s);
-        if free_fabric {
-            shared.with_pricing(TierPricing::Free)
-        } else {
-            shared
-        }
-    });
+    .with_shared_tier(SharedTierSpec::new().with_sync_interval(sync_s));
     (spec, workload)
 }
 
@@ -491,11 +484,13 @@ fn disaggregated_fleets_match_their_goldens() {
     }
 }
 
+/// Join-shortest-queue moves turns between the two replicas as their
+/// queues shift, so spilled prefixes are fetched across the fabric.
 #[test]
 fn shared_tier_fleet_matches_its_golden() {
     let (spec, workload) =
-        shared_tier_fleet(23, GOLDEN_CHATS, 2, PolicySpec::RoundRobin, false, 0.05);
-    let report = assert_golden(spec, &workload, 0x4d14_7955_a13c_4444, "shared-tier fleet");
+        shared_tier_fleet(23, GOLDEN_CHATS, 2, PolicySpec::JoinShortestQueue, 0.05);
+    let report = assert_golden(spec, &workload, 0xd469_6e23_a22f_62f6, "shared-tier fleet");
     let tier = report.global_tier.expect("shared-tier report");
     assert!(tier.fetches > 0, "no cross-replica fetch");
 }
@@ -571,28 +566,23 @@ proptest! {
     }
 }
 
-/// The spill point of [`spilling_affinity_fleet`].
-const SPILL_UTILIZATION: f64 = 0.5;
-
-/// A KV-tight long-context fleet routed by prefix affinity: busy homes
-/// cross the spill point, so about one turn in five reads the whole
-/// fleet instead of its home, and pools still preempt.
+/// A KV-tight long-context pair routed by prefix affinity: busy homes
+/// saturate, so some turns read the whole fleet instead of their home
+/// and spill, and pools still preempt.
 fn spilling_affinity_fleet() -> (ClusterSpec, ServingWorkload) {
     let workload = ServingWorkload::poisson(
         ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
         8.0,
         96,
     )
-    .with_seed(11);
+    .with_seed(5);
     let spec = ClusterSpec::new(
         DesignKind::PimOnlyPapi,
         ModelPreset::Gpt3_175B.config(),
         1,
-        3,
+        2,
     )
-    .with_routing(PolicySpec::PrefixAffinity {
-        spill_utilization: SPILL_UTILIZATION,
-    })
+    .with_routing(PolicySpec::prefix_affinity())
     .with_tuning(
         SessionTuning::default()
             .with_max_batch(64)
@@ -615,7 +605,7 @@ fn spilling_affinity_fleet_matches_its_golden() {
             .run_with_policies(&workload, &mut policy, &mut MigrationSpec::default());
         assert_eq!(
             report_hash(&report),
-            0x8d61_f6f8_85d1_d0da,
+            0xb22d_339e_b9aa_8775,
             "spilling affinity fleet ({mode:?}) moved off its golden"
         );
         assert!(report.preemptions() > 0, "the fleet never ran out of KV");
@@ -623,23 +613,6 @@ fn spilling_affinity_fleet_matches_its_golden() {
     }
     assert!(spills[0] > 0, "no home ever spilled");
     assert_eq!(spills[0], spills[1]);
-}
-
-/// Round robin reads no snapshot, so under `Parallel` each arrival
-/// advances only its target, and decide ticks catch the rest up.
-#[test]
-fn round_robin_autoscaled_fleet_matches_its_golden() {
-    let (spec, workload) =
-        autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false);
-    let spec = spec.with_routing(PolicySpec::RoundRobin);
-    let report = assert_golden(
-        spec,
-        &workload,
-        0x3f05_f7c4_45ad_5682,
-        "round-robin autoscaled fleet",
-    );
-    let cost = report.fleet_cost.expect("elastic report");
-    assert!(!cost.scale_events.is_empty(), "the fleet never scaled");
 }
 
 /// A policy behind a wrapper that keeps the default `reads` makes
@@ -661,11 +634,7 @@ fn wrapped_policies_keep_their_reports() {
         spilling_affinity_fleet(),
         global_prefix_fleet(PolicySpec::shared_tier_affinity(), false),
         autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false),
-        {
-            let (spec, workload) =
-                autoscaled_fleet(9, 4, AutoscalePolicySpec::queue_depth(), 1, 0.5, true);
-            (spec.with_routing(PolicySpec::RoundRobin), workload)
-        },
+        autoscaled_fleet(9, 4, AutoscalePolicySpec::queue_depth(), 1, 0.5, true),
     ];
     for (spec, workload) in fleets {
         let engine = ClusterEngine::new(spec.clone()).expect("valid fleet");
@@ -714,30 +683,16 @@ fn global_prefix_fleet(policy: PolicySpec, shared: bool) -> (ClusterSpec, Servin
     (spec, workload)
 }
 
-/// The two affinities that relax, pinned on the `global_prefix` fleet
-/// with and without the shared tier. With it, shared-tier affinity
-/// relaxes for resident prefixes; without it, shared-tier affinity
-/// routes like prefix affinity and reads only the home. Adaptive
-/// affinity relaxes on fleet-wide queue pressure either way.
+/// The affinity that relaxes, pinned on the `global_prefix` fleet with
+/// and without the shared tier. With it, shared-tier affinity relaxes
+/// for resident prefixes; without it, it routes like prefix affinity
+/// and reads only the home.
 #[test]
 fn relaxing_affinity_fleets_match_their_goldens() {
-    for (policy, shared, golden) in [
-        (
-            PolicySpec::shared_tier_affinity(),
-            true,
-            0x9551_89a0_fc36_666a,
-        ),
-        (PolicySpec::adaptive_affinity(), true, 0xdb1d_7960_974f_aa24),
-        (
-            PolicySpec::shared_tier_affinity(),
-            false,
-            0x0be7_2aba_3d70_7faf,
-        ),
-        (
-            PolicySpec::adaptive_affinity(),
-            false,
-            0x9aee_e4d9_8271_d777,
-        ),
+    let policy = PolicySpec::shared_tier_affinity();
+    for (shared, golden) in [
+        (true, 0x9551_89a0_fc36_666a),
+        (false, 0x0be7_2aba_3d70_7faf),
     ] {
         let label = format!("{policy} fleet, shared tier {shared}");
         let (spec, workload) = global_prefix_fleet(policy, shared);
@@ -759,7 +714,6 @@ fn relaxing_affinity_fleets_match_their_goldens() {
         assert!(spills > 0, "{label}: no home ever spilled");
         // Without a directory no prefix is resident, so shared-tier
         // affinity never relaxes.
-        let relaxes = shared || policy == PolicySpec::adaptive_affinity();
-        assert_eq!(relaxed > 0, relaxes, "{label}: relaxed {relaxed} times");
+        assert_eq!(relaxed > 0, shared, "{label}: relaxed {relaxed} times");
     }
 }

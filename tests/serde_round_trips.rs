@@ -8,7 +8,7 @@ use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
     KvTierSpec, SessionTuning, SharedTierSpec, SloSpec,
 };
-use papi::interconnect::{LinkSpec, TierPricing};
+use papi::interconnect::LinkSpec;
 use papi::llm::ModelPreset;
 use papi::workload::{
     ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload, SpeculativeConfig,
@@ -30,21 +30,22 @@ fn round_trips<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) -> Str
 #[test]
 fn enum_specs_round_trip() {
     for spec in [
-        TierPricing::default(),
-        TierPricing::Link(LinkSpec::cxl()),
-        TierPricing::Free,
-    ] {
-        round_trips(&spec);
-    }
-    for spec in [
-        PolicySpec::RoundRobin,
-        PolicySpec::PrefixAffinity {
-            spill_utilization: 0.85,
-        },
-        PolicySpec::adaptive_affinity(),
+        PolicySpec::JoinShortestQueue,
+        PolicySpec::prefix_affinity(),
         PolicySpec::shared_tier_affinity(),
     ] {
         round_trips(&spec);
+    }
+    // The deleted routing arms and thresholds do not parse.
+    for removed in [
+        r#""RoundRobin""#,
+        r#"{"AdaptiveAffinity":{"queue_pressure":2.0}}"#,
+        r#"{"PrefixAffinity":{"spill_utilization":1.0}}"#,
+    ] {
+        assert!(
+            serde_json::from_str::<PolicySpec>(removed).is_err(),
+            "{removed} parsed"
+        );
     }
     for spec in [
         TlpPolicy::Fixed,
@@ -98,7 +99,6 @@ fn struct_specs_round_trip() {
     round_trips(&SpeculativeConfig::geometric(8, 0.7));
 
     round_trips(&KvTierSpec::new(60_000));
-    round_trips(&KvTierSpec::new(4_000).with_pricing(TierPricing::Link(LinkSpec::cxl())));
 
     round_trips(&SessionTuning::default());
     let tuning = SessionTuning::new()
@@ -107,15 +107,11 @@ fn struct_specs_round_trip() {
         .with_kv_block_size(32)
         .with_prefix_sharing(true)
         .with_prefill_chunk(2048)
-        .with_kv_tier(KvTierSpec::new(400_000).with_pricing(TierPricing::Free));
+        .with_kv_tier(KvTierSpec::new(400_000));
     round_trips(&tuning);
 
     round_trips(&SharedTierSpec::default());
-    round_trips(
-        &SharedTierSpec::new()
-            .with_pricing(TierPricing::Free)
-            .with_sync_interval(0.05),
-    );
+    round_trips(&SharedTierSpec::new().with_sync_interval(0.5));
 
     let slo = SloSpec::interactive(2_000.0, 100.0);
     round_trips(&AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo));

@@ -13,7 +13,6 @@
 use papi::core::{
     DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning, SloSpec, SystemConfig,
 };
-use papi::interconnect::TierPricing;
 use papi::llm::ModelPreset;
 use papi::workload::{ConversationDataset, DatasetKind, ServingWorkload};
 
@@ -176,27 +175,29 @@ fn spill_to_tier_beats_eviction_under_thrash() {
     );
 }
 
+/// A fetch crosses the DIMM channel on the critical path: its transfer
+/// time is charged to prefill time and advances the session clock
+/// before the fetching request is admitted, so every request behind it
+/// waits that long for its first token. The thrashing replica is never
+/// idle, so its makespan is exactly its prefill time (fetches included)
+/// plus its decode time; a fetch left off the clock would open a gap of
+/// the fetch time.
 #[test]
 fn fetch_pricing_lands_in_ttft() {
-    let workload = thrashing_workload();
-    let priced = engine(paged().with_kv_tier(KvTierSpec::new(60_000))).run(&workload);
-    let free =
-        engine(paged().with_kv_tier(KvTierSpec::new(60_000).with_pricing(TierPricing::Free)))
-            .run(&workload);
-    // Same tier geometry: both serve the same fetch traffic, but only
-    // the priced run pays for it — on the critical path.
-    assert_eq!(priced.kv.tier_fetches, free.kv.tier_fetches);
-    assert_eq!(priced.kv.tier_fetched_tokens, free.kv.tier_fetched_tokens);
-    assert_eq!(free.kv.tier_fetch_time_s, 0.0);
-    assert!(priced.kv.tier_fetch_time_s > 0.0);
-    let priced_p99 = priced.ttft_summary().expect("non-empty").p99;
-    let free_p99 = free.ttft_summary().expect("non-empty").p99;
+    let tiered = engine(paged().with_kv_tier(KvTierSpec::new(60_000))).run(&thrashing_workload());
+    let fetch_s = tiered.kv.tier_fetch_time_s;
+    assert!(tiered.kv.tier_fetches > 0);
     assert!(
-        priced_p99.value() > free_p99.value(),
-        "priced fetches must show up in TTFT p99 ({priced_p99} vs {free_p99})"
+        fetch_s > 0.01 * tiered.makespan.value(),
+        "fetches must cost a visible share of the episode ({fetch_s} s)"
     );
-    // The priced transfer time is part of prefill time, hence TTFT.
-    assert!(priced.prefill_time.value() > free.prefill_time.value());
+    assert!(tiered.prefill_time.value() > fetch_s);
+    let busy = tiered.prefill_time.value() + tiered.phases.total().value();
+    assert!(
+        (tiered.makespan.value() - busy).abs() < 1e-9 * busy,
+        "makespan {} must be the busy time {busy}: fetches ride the clock",
+        tiered.makespan
+    );
 }
 
 #[test]
