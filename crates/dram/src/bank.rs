@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub enum BankState {
     /// No row open; the bank may accept ACT or REF.
     Idle,
-    /// A row is open; the bank may accept RD/WR to it or PRE.
+    /// A row is open; the bank may accept RD to it or PRE.
     Active {
         /// The open row.
         row: u64,
@@ -47,8 +47,6 @@ pub struct BankStats {
     pub precharges: u64,
     /// RD commands issued.
     pub reads: u64,
-    /// WR commands issued.
-    pub writes: u64,
     /// Refresh operations applied.
     pub refreshes: u64,
 }
@@ -76,7 +74,6 @@ pub struct Bank {
     earliest_activate: Cycle,
     earliest_precharge: Cycle,
     earliest_read: Cycle,
-    earliest_write: Cycle,
     stats: BankStats,
 }
 
@@ -94,7 +91,6 @@ impl Bank {
             earliest_activate: 0,
             earliest_precharge: 0,
             earliest_read: 0,
-            earliest_write: 0,
             stats: BankStats::default(),
         }
     }
@@ -125,7 +121,6 @@ impl Bank {
             DramCommand::Activate { .. } | DramCommand::Refresh => self.earliest_activate,
             DramCommand::Precharge => self.earliest_precharge,
             DramCommand::Read { .. } => self.earliest_read,
-            DramCommand::Write { .. } => self.earliest_write,
         }
     }
 
@@ -140,7 +135,6 @@ impl Bank {
                 | (DramCommand::Refresh, BankState::Idle)
                 | (DramCommand::Precharge, BankState::Active { .. })
                 | (DramCommand::Read { .. }, BankState::Active { .. })
-                | (DramCommand::Write { .. }, BankState::Active { .. })
         )
     }
 
@@ -148,7 +142,7 @@ impl Bank {
     /// timing horizons.
     ///
     /// Returns the cycle at which the command's effect completes (data
-    /// beat for RD/WR, bank-ready for ACT/PRE/REF).
+    /// beat for RD, bank-ready for ACT/PRE/REF).
     ///
     /// # Errors
     ///
@@ -172,7 +166,6 @@ impl Bank {
             (DramCommand::Activate { row }, BankState::Idle) => {
                 self.state = BankState::Active { row };
                 self.earliest_read = self.earliest_read.max(now + timing.t_rcd);
-                self.earliest_write = self.earliest_write.max(now + timing.t_rcd);
                 self.earliest_precharge = self.earliest_precharge.max(now + timing.t_ras);
                 self.earliest_activate = self.earliest_activate.max(now + timing.t_rc);
                 self.stats.activates += 1;
@@ -186,18 +179,8 @@ impl Bank {
             }
             (DramCommand::Read { .. }, BankState::Active { .. }) => {
                 self.earliest_read = now + timing.t_ccd;
-                self.earliest_write = self.earliest_write.max(now + timing.t_ccd);
                 self.earliest_precharge = self.earliest_precharge.max(now + timing.t_rtp);
                 self.stats.reads += 1;
-                Ok(now + timing.t_cl + timing.t_bus)
-            }
-            (DramCommand::Write { .. }, BankState::Active { .. }) => {
-                self.earliest_write = now + timing.t_ccd;
-                self.earliest_read = self.earliest_read.max(now + timing.t_ccd);
-                self.earliest_precharge = self
-                    .earliest_precharge
-                    .max(now + timing.t_cl + timing.t_bus + timing.t_wr);
-                self.stats.writes += 1;
                 Ok(now + timing.t_cl + timing.t_bus)
             }
             (DramCommand::Refresh, BankState::Idle) => {
@@ -314,20 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn write_recovery_delays_precharge() {
-        let timing = t();
-        let mut bank = Bank::new();
-        bank.issue(DramCommand::Activate { row: 1 }, 0, &timing)
-            .unwrap();
-        let wr_at = timing.t_rcd;
-        bank.issue(DramCommand::Write { column: 0 }, wr_at, &timing)
-            .unwrap();
-        let pre_earliest = wr_at + timing.t_cl + timing.t_bus + timing.t_wr;
-        assert!(!bank.can_issue(&DramCommand::Precharge, pre_earliest - 1));
-        assert!(bank.can_issue(&DramCommand::Precharge, pre_earliest));
-    }
-
-    #[test]
     fn stats_count_commands() {
         let timing = t();
         let mut bank = Bank::new();
@@ -355,7 +324,7 @@ mod tests {
     // time horizons forward.
     proptest! {
         #[test]
-        fn issue_and_can_issue_agree(ops in proptest::collection::vec(0u8..5, 1..64)) {
+        fn issue_and_can_issue_agree(ops in proptest::collection::vec(0u8..4, 1..64)) {
             let timing = t();
             let mut bank = Bank::new();
             let mut now: Cycle = 0;
@@ -364,7 +333,6 @@ mod tests {
                     0 => DramCommand::Activate { row: 7 },
                     1 => DramCommand::Precharge,
                     2 => DramCommand::Read { column: 3 },
-                    3 => DramCommand::Write { column: 4 },
                     _ => DramCommand::Refresh,
                 };
                 let allowed = bank.can_issue(&cmd, now);

@@ -17,11 +17,6 @@ pub enum DramCommand {
         /// Column (in column-access units).
         column: u64,
     },
-    /// Write one column burst into the open row.
-    Write {
-        /// Column (in column-access units).
-        column: u64,
-    },
     /// All-bank refresh.
     Refresh,
 }
@@ -33,7 +28,6 @@ impl DramCommand {
             DramCommand::Activate { .. } => "ACT",
             DramCommand::Precharge => "PRE",
             DramCommand::Read { .. } => "RD",
-            DramCommand::Write { .. } => "WR",
             DramCommand::Refresh => "REF",
         }
     }
@@ -44,27 +38,15 @@ impl core::fmt::Display for DramCommand {
         match self {
             DramCommand::Activate { row } => write!(f, "ACT(row={row})"),
             DramCommand::Read { column } => write!(f, "RD(col={column})"),
-            DramCommand::Write { column } => write!(f, "WR(col={column})"),
             other => f.write_str(other.mnemonic()),
         }
     }
 }
 
-/// Whether a memory request reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RequestKind {
-    /// Read one column burst.
-    Read,
-    /// Write one column burst.
-    Write,
-}
-
-/// One column-granularity request for a [`Controller`](crate::Controller).
+/// One column-granularity read for a [`Controller`](crate::Controller).
 ///
-/// Requests address a bank directly by flat index: the controller models a
-/// set of banks behind one command sequencer (a pseudo-channel, or a whole
-/// PIM die in per-bank mode), and the address-mapping step has already
-/// happened in [`Topology::decode`](crate::Topology::decode).
+/// Requests address a bank directly by flat index within the controller's
+/// bank set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MemRequest {
     /// Flat bank index within the controller's bank set.
@@ -73,29 +55,12 @@ pub struct MemRequest {
     pub row: u64,
     /// Column within the row (column-access units).
     pub column: u64,
-    /// Read or write.
-    pub kind: RequestKind,
 }
 
 impl MemRequest {
-    /// Convenience constructor for a read request.
+    /// A read of `column` in `row` of `bank`.
     pub fn read(bank: usize, row: u64, column: u64) -> Self {
-        Self {
-            bank,
-            row,
-            column,
-            kind: RequestKind::Read,
-        }
-    }
-
-    /// Convenience constructor for a write request.
-    pub fn write(bank: usize, row: u64, column: u64) -> Self {
-        Self {
-            bank,
-            row,
-            column,
-            kind: RequestKind::Write,
-        }
+        Self { bank, row, column }
     }
 }
 
@@ -108,7 +73,6 @@ mod tests {
         assert_eq!(DramCommand::Activate { row: 3 }.mnemonic(), "ACT");
         assert_eq!(DramCommand::Precharge.mnemonic(), "PRE");
         assert_eq!(DramCommand::Read { column: 0 }.mnemonic(), "RD");
-        assert_eq!(DramCommand::Write { column: 0 }.mnemonic(), "WR");
         assert_eq!(DramCommand::Refresh.mnemonic(), "REF");
     }
 
@@ -122,9 +86,6 @@ mod tests {
     #[test]
     fn request_constructors() {
         let r = MemRequest::read(3, 10, 2);
-        assert_eq!(r.kind, RequestKind::Read);
-        assert_eq!(r.bank, 3);
-        let w = MemRequest::write(0, 0, 0);
-        assert_eq!(w.kind, RequestKind::Write);
+        assert_eq!((r.bank, r.row, r.column), (3, 10, 2));
     }
 }

@@ -1,47 +1,24 @@
-//! FR-FCFS memory controller.
+//! Per-bank PIM read-stream controller.
 //!
-//! One [`Controller`] models the command sequencer of a pseudo-channel (or
-//! of a whole PIM die in [`BusModel::PerBankPim`] mode) and the set of
-//! banks behind it. Scheduling is first-ready, first-come-first-served
-//! with an open-page row policy: row-buffer hits issue ahead of older
-//! misses, conflicts precharge, and refresh pre-empts everything.
+//! One [`Controller`] models a whole PIM die's command sequencing in
+//! near-bank mode: every bank streams into its own processing unit, so
+//! there is no shared data bus and each bank has its own sequencer. Only
+//! the activation window (tRRD/tFAW) and refresh are shared. This is what
+//! gives PIM its bandwidth advantage, and deriving *how much* is the
+//! whole point of [`crate::derive`].
 //!
-//! Age is an arrival stamp: [`Controller::enqueue`] numbers each request
-//! from a monotone counter, and each bank serves its queue in FIFO order,
-//! so a bank's age is the stamp of its queue head. The shared-bus
-//! scheduler picks the oldest head among the banks that can issue, and
-//! completing a request pops its bank's queue in O(1). A drain therefore
-//! costs O(banks) per cycle plus O(1) per command: linear in the
-//! requests queued, not in their square.
-//!
-//! Two bus models are supported:
-//!
-//! - [`BusModel::SharedDataBus`] — conventional host access: one command
-//!   per cycle, and read/write bursts serialize on the shared data bus.
-//!   This is how a GPU sees HBM.
-//! - [`BusModel::PerBankPim`] — near-bank PIM execution: every bank
-//!   streams into its own processing unit, so there is no shared data
-//!   bus; only the activation window (tRRD/tFAW) and refresh are shared.
-//!   This is what gives PIM its bandwidth advantage, and deriving *how
-//!   much* is the whole point of [`crate::derive`].
+//! Each bank serves its queue in FIFO order with an open-page row policy:
+//! a head request whose row is open reads, one on an idle bank activates,
+//! and one that conflicts precharges. Refresh pre-empts everything: when
+//! it falls due, every open bank precharges as soon as it may, and all
+//! banks refresh together. A drain costs O(banks) per cycle plus O(1) per
+//! command: linear in the requests queued.
 
 use crate::bank::{Bank, BankState};
-use crate::command::{DramCommand, MemRequest, RequestKind};
-use crate::energy::EnergyCounter;
+use crate::command::{DramCommand, MemRequest};
 use crate::timing::{Cycle, TimingParams};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// How read/write data leaves the banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BusModel {
-    /// Conventional shared data bus (one burst at a time, one command per
-    /// cycle across the whole controller).
-    SharedDataBus,
-    /// Near-bank PIM: each bank streams to its own consumer; no shared
-    /// data bus and per-bank command sequencing.
-    PerBankPim,
-}
 
 /// Aggregate statistics for a controller run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,8 +43,6 @@ pub struct ControllerStats {
 struct Pending {
     req: MemRequest,
     classified: bool,
-    /// Arrival stamp; FR-FCFS ages by it.
-    seq: u64,
 }
 
 /// Error returned when a drain exceeds its cycle budget.
@@ -96,9 +71,9 @@ impl std::error::Error for DrainTimeout {}
 /// # Example
 ///
 /// ```
-/// use papi_dram::{BusModel, Controller, MemRequest, TimingParams};
+/// use papi_dram::{Controller, TimingParams};
 ///
-/// let mut ctrl = Controller::new(TimingParams::hbm3(), 8, 32, BusModel::PerBankPim);
+/// let mut ctrl = Controller::new(TimingParams::hbm3(), 8, 32);
 /// // Stream two full rows on every bank.
 /// for bank in 0..8 {
 ///     for row in 0..2 {
@@ -112,21 +87,15 @@ impl std::error::Error for DrainTimeout {}
 #[derive(Debug, Clone)]
 pub struct Controller {
     timing: TimingParams,
-    bus: BusModel,
     banks: Vec<Bank>,
     queues: Vec<VecDeque<Pending>>,
-    /// Stamp the next enqueued request receives.
-    next_seq: u64,
     outstanding: usize,
     now: Cycle,
-    data_bus_free_at: Cycle,
     act_history: VecDeque<Cycle>,
     next_refresh_due: Cycle,
     refreshing_until: Option<Cycle>,
-    refresh_enabled: bool,
     column_bytes: u64,
     last_completion: Cycle,
-    energy: EnergyCounter,
     stats: ControllerStats,
 }
 
@@ -139,35 +108,24 @@ impl Controller {
     /// Panics if `banks == 0`, `column_bytes == 0`, or the timing set is
     /// internally inconsistent.
     #[track_caller]
-    pub fn new(timing: TimingParams, banks: usize, column_bytes: u64, bus: BusModel) -> Self {
+    pub fn new(timing: TimingParams, banks: usize, column_bytes: u64) -> Self {
         assert!(banks > 0, "controller needs at least one bank");
         assert!(column_bytes > 0, "column_bytes must be non-zero");
         timing.validate().expect("invalid timing parameters");
         let next_refresh_due = timing.t_refi;
         Self {
             timing,
-            bus,
             banks: (0..banks).map(|_| Bank::new()).collect(),
             queues: (0..banks).map(|_| VecDeque::new()).collect(),
-            next_seq: 0,
             outstanding: 0,
             now: 0,
-            data_bus_free_at: 0,
             act_history: VecDeque::new(),
             next_refresh_due,
             refreshing_until: None,
-            refresh_enabled: true,
             column_bytes,
             last_completion: 0,
-            energy: EnergyCounter::default(),
             stats: ControllerStats::default(),
         }
-    }
-
-    /// Disables periodic refresh (useful for isolating timing effects in
-    /// unit tests; real derivations keep it on).
-    pub fn set_refresh_enabled(&mut self, enabled: bool) {
-        self.refresh_enabled = enabled;
     }
 
     /// Number of banks behind this controller.
@@ -190,17 +148,12 @@ impl Controller {
         self.stats
     }
 
-    /// Energy event counters gathered so far.
-    pub fn energy(&self) -> EnergyCounter {
-        self.energy
-    }
-
     /// Requests not yet completed.
     pub fn outstanding(&self) -> usize {
         self.outstanding
     }
 
-    /// Adds a request to the controller's queues.
+    /// Adds a request to its bank's queue.
     ///
     /// # Panics
     ///
@@ -216,9 +169,7 @@ impl Controller {
         self.queues[req.bank].push_back(Pending {
             req,
             classified: false,
-            seq: self.next_seq,
         });
-        self.next_seq += 1;
         self.outstanding += 1;
     }
 
@@ -264,13 +215,8 @@ impl Controller {
         let head = self.queues[bank].front()?;
         Some(match self.banks[bank].state() {
             BankState::Idle => DramCommand::Activate { row: head.req.row },
-            BankState::Active { row } if row == head.req.row => match head.req.kind {
-                RequestKind::Read => DramCommand::Read {
-                    column: head.req.column,
-                },
-                RequestKind::Write => DramCommand::Write {
-                    column: head.req.column,
-                },
+            BankState::Active { row } if row == head.req.row => DramCommand::Read {
+                column: head.req.column,
             },
             BankState::Active { .. } => DramCommand::Precharge,
         })
@@ -285,7 +231,7 @@ impl Controller {
         }
         head.classified = true;
         match cmd {
-            DramCommand::Read { .. } | DramCommand::Write { .. } => self.stats.row_hits += 1,
+            DramCommand::Read { .. } => self.stats.row_hits += 1,
             DramCommand::Activate { .. } => self.stats.row_misses += 1,
             DramCommand::Precharge => self.stats.row_conflicts += 1,
             DramCommand::Refresh => {}
@@ -301,22 +247,8 @@ impl Controller {
             .expect("scheduler picked an illegal command; this is a bug");
         self.stats.commands_issued += 1;
         match cmd {
-            DramCommand::Activate { .. } => {
-                self.energy.activations += 1;
-                self.record_activate(self.now);
-            }
-            DramCommand::Read { .. } | DramCommand::Write { .. } => {
-                match cmd {
-                    DramCommand::Read { .. } => self.energy.read_bytes += self.column_bytes,
-                    _ => self.energy.write_bytes += self.column_bytes,
-                }
-                if self.bus == BusModel::SharedDataBus {
-                    self.energy.io_bytes += self.column_bytes;
-                    // Bursts pipeline behind CAS latency: two reads t_bus
-                    // apart occupy back-to-back bus slots, so occupancy is
-                    // tracked in command-issue coordinates.
-                    self.data_bus_free_at = self.now + self.timing.t_bus;
-                }
+            DramCommand::Activate { .. } => self.record_activate(self.now),
+            DramCommand::Read { .. } => {
                 // Request completes.
                 self.queues[bank].pop_front();
                 self.outstanding -= 1;
@@ -324,24 +256,15 @@ impl Controller {
                 self.stats.bytes_transferred += self.column_bytes;
                 self.last_completion = self.last_completion.max(completion);
             }
-            DramCommand::Precharge => {}
-            DramCommand::Refresh => {}
+            DramCommand::Precharge | DramCommand::Refresh => {}
         }
     }
 
-    /// Whether `cmd` may issue on `bank` right now, including shared
-    /// constraints (activation window, data bus).
+    /// Whether `cmd` may issue on `bank` right now, including the shared
+    /// activation window.
     fn issuable(&self, bank: usize, cmd: &DramCommand) -> bool {
-        if !self.banks[bank].can_issue(cmd, self.now) {
-            return false;
-        }
-        match cmd {
-            DramCommand::Activate { .. } => self.can_activate_shared(self.now),
-            DramCommand::Read { .. } | DramCommand::Write { .. } => {
-                self.bus == BusModel::PerBankPim || self.now >= self.data_bus_free_at
-            }
-            _ => true,
-        }
+        self.banks[bank].can_issue(cmd, self.now)
+            && (!matches!(cmd, DramCommand::Activate { .. }) || self.can_activate_shared(self.now))
     }
 
     /// Advances the refresh state machine. Returns `true` if refresh is in
@@ -353,20 +276,16 @@ impl Controller {
             }
             self.refreshing_until = None;
         }
-        if !self.refresh_enabled || self.now < self.next_refresh_due {
+        if self.now < self.next_refresh_due {
             return false;
         }
-        // Close any open banks first (one PRE per cycle on the shared bus,
-        // all at once in PIM mode).
+        // Close every open bank that may precharge now.
         let mut all_idle = true;
         for i in 0..self.banks.len() {
             if matches!(self.banks[i].state(), BankState::Active { .. }) {
                 all_idle = false;
                 if self.banks[i].can_issue(&DramCommand::Precharge, self.now) {
                     self.issue(i, DramCommand::Precharge);
-                    if self.bus == BusModel::SharedDataBus {
-                        break;
-                    }
                 }
             }
         }
@@ -379,11 +298,9 @@ impl Controller {
             .iter()
             .all(|b| b.can_issue(&DramCommand::Refresh, self.now))
         {
-            for i in 0..self.banks.len() {
-                self.banks[i]
-                    .issue(DramCommand::Refresh, self.now, &self.timing)
+            for bank in &mut self.banks {
+                bank.issue(DramCommand::Refresh, self.now, &self.timing)
                     .expect("refresh on idle bank must succeed");
-                self.energy.bank_refreshes += 1;
             }
             self.stats.refreshes += 1;
             self.stats.commands_issued += self.banks.len() as u64;
@@ -393,52 +310,19 @@ impl Controller {
         true
     }
 
-    /// Simulates one cycle.
+    /// Simulates one cycle: refresh if it is due, else every bank issues
+    /// its head request's next command if it may.
     pub fn tick(&mut self) {
-        if self.refresh_tick() {
-            self.now += 1;
-            return;
-        }
-        match self.bus {
-            BusModel::SharedDataBus => self.tick_shared(),
-            BusModel::PerBankPim => self.tick_pim(),
-        }
-        self.now += 1;
-    }
-
-    /// Shared bus: one command per cycle. Row hits first (FR), then the
-    /// oldest request's needed command (FCFS).
-    fn tick_shared(&mut self) {
-        if let Some((bank, cmd)) = self
-            .oldest_issuable(true)
-            .or_else(|| self.oldest_issuable(false))
-        {
-            self.issue(bank, cmd);
-        }
-    }
-
-    /// The issuable command of the bank whose queue head arrived first,
-    /// counting only row hits when `hits_only` is set.
-    fn oldest_issuable(&self, hits_only: bool) -> Option<(usize, DramCommand)> {
-        (0..self.banks.len())
-            .filter_map(|bank| Some((bank, self.needed_command(bank)?)))
-            .filter(|(bank, cmd)| {
-                let hit = matches!(cmd, DramCommand::Read { .. } | DramCommand::Write { .. });
-                (hit || !hits_only) && self.issuable(*bank, cmd)
-            })
-            .min_by_key(|&(bank, _)| self.queues[bank][0].seq)
-    }
-
-    /// PIM mode: every bank has its own sequencer; shared constraints are
-    /// the activation window and refresh.
-    fn tick_pim(&mut self) {
-        for bank in 0..self.banks.len() {
-            if let Some(cmd) = self.needed_command(bank) {
-                if self.issuable(bank, &cmd) {
-                    self.issue(bank, cmd);
+        if !self.refresh_tick() {
+            for bank in 0..self.banks.len() {
+                if let Some(cmd) = self.needed_command(bank) {
+                    if self.issuable(bank, &cmd) {
+                        self.issue(bank, cmd);
+                    }
                 }
             }
         }
+        self.now += 1;
     }
 
     /// Runs until every request has completed.
@@ -467,13 +351,13 @@ impl Controller {
 mod tests {
     use super::*;
 
-    fn streaming_controller(bus: BusModel, banks: usize) -> Controller {
-        Controller::new(TimingParams::hbm3(), banks, 32, bus)
+    fn streaming_controller(banks: usize) -> Controller {
+        Controller::new(TimingParams::hbm3(), banks, 32)
     }
 
     #[test]
     fn single_read_completes() {
-        let mut c = streaming_controller(BusModel::SharedDataBus, 4);
+        let mut c = streaming_controller(4);
         c.enqueue(MemRequest::read(2, 10, 0));
         let cycles = c.run_until_drained(10_000).unwrap();
         let t = TimingParams::hbm3();
@@ -484,8 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn row_hits_are_prioritized_and_counted() {
-        let mut c = streaming_controller(BusModel::SharedDataBus, 2);
+    fn row_hits_and_conflicts_are_counted() {
+        let mut c = streaming_controller(2);
         // Two to the same row (miss + hit), one conflict after.
         c.enqueue(MemRequest::read(0, 5, 0));
         c.enqueue(MemRequest::read(0, 5, 1));
@@ -499,33 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn pim_mode_outperforms_shared_bus_on_parallel_streams() {
-        let t = TimingParams::hbm3();
-        let rows = 4u64;
-        let cols = 64u64;
-        let mk = |bus| {
-            let mut c = Controller::new(t.clone(), 8, 32, bus);
-            for bank in 0..8 {
-                for row in 0..rows {
-                    c.enqueue_row_stream(bank, row, cols);
-                }
-            }
-            c.run_until_drained(10_000_000).unwrap()
-        };
-        let shared = mk(BusModel::SharedDataBus);
-        let pim = mk(BusModel::PerBankPim);
-        // 8 banks streaming near-bank should be several times faster than
-        // the same pattern serialized over one data bus.
-        assert!(
-            pim * 3 < shared,
-            "pim={pim} cycles vs shared={shared} cycles"
-        );
-    }
-
-    #[test]
     fn refresh_fires_and_blocks_progress() {
         let t = TimingParams::hbm3();
-        let mut c = Controller::new(t.clone(), 2, 32, BusModel::PerBankPim);
+        let mut c = Controller::new(t.clone(), 2, 32);
         // Enough work to cross a refresh interval.
         let rows = (2 * t.t_refi / (t.t_rcd + 64 * t.t_ccd)) + 2;
         for row in 0..rows {
@@ -533,49 +393,11 @@ mod tests {
         }
         c.run_until_drained(100_000_000).unwrap();
         assert!(c.stats().refreshes >= 1, "no refresh in a long run");
-        assert_eq!(c.energy().bank_refreshes, c.stats().refreshes * 2);
-    }
-
-    #[test]
-    fn refresh_can_be_disabled() {
-        let t = TimingParams::hbm3();
-        let mut c = Controller::new(t, 1, 32, BusModel::PerBankPim);
-        c.set_refresh_enabled(false);
-        for row in 0..400 {
-            c.enqueue_row_stream(0, row, 64);
-        }
-        c.run_until_drained(100_000_000).unwrap();
-        assert_eq!(c.stats().refreshes, 0);
-    }
-
-    #[test]
-    fn energy_counters_track_io_only_on_shared_bus() {
-        let run = |bus| {
-            let mut c = streaming_controller(bus, 2);
-            c.enqueue_row_stream(0, 0, 8);
-            c.run_until_drained(1_000_000).unwrap();
-            c.energy()
-        };
-        let shared = run(BusModel::SharedDataBus);
-        let pim = run(BusModel::PerBankPim);
-        assert_eq!(shared.io_bytes, 8 * 32);
-        assert_eq!(pim.io_bytes, 0);
-        assert_eq!(shared.read_bytes, pim.read_bytes);
-    }
-
-    #[test]
-    fn writes_complete_and_count() {
-        let mut c = streaming_controller(BusModel::SharedDataBus, 2);
-        c.enqueue(MemRequest::write(1, 3, 0));
-        c.enqueue(MemRequest::write(1, 3, 1));
-        c.run_until_drained(100_000).unwrap();
-        assert_eq!(c.stats().completed, 2);
-        assert_eq!(c.energy().write_bytes, 64);
     }
 
     #[test]
     fn drain_timeout_reports_outstanding() {
-        let mut c = streaming_controller(BusModel::SharedDataBus, 1);
+        let mut c = streaming_controller(1);
         for row in 0..64 {
             c.enqueue_row_stream(0, row, 64);
         }
@@ -587,7 +409,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn enqueue_bad_bank_panics() {
-        let mut c = streaming_controller(BusModel::SharedDataBus, 2);
+        let mut c = streaming_controller(2);
         c.enqueue(MemRequest::read(2, 0, 0));
     }
 
@@ -596,7 +418,7 @@ mod tests {
         // 8 banks all wanting to activate at once: with tFAW=16 and
         // tRRD=4, the 5th ACT must wait for the window.
         let t = TimingParams::hbm3();
-        let mut c = Controller::new(t.clone(), 8, 32, BusModel::PerBankPim);
+        let mut c = Controller::new(t.clone(), 8, 32);
         for bank in 0..8 {
             c.enqueue(MemRequest::read(bank, 0, 0));
         }
@@ -604,7 +426,7 @@ mod tests {
         for _ in 0..t.t_faw {
             c.tick();
         }
-        let acts = c.energy().activations;
+        let acts = c.stats().row_misses;
         assert!(
             acts <= 4,
             "tFAW violated: {acts} activations inside one window"
@@ -613,7 +435,7 @@ mod tests {
 
     #[test]
     fn completed_bytes_match_requests() {
-        let mut c = streaming_controller(BusModel::PerBankPim, 4);
+        let mut c = streaming_controller(4);
         for bank in 0..4 {
             c.enqueue_row_stream(bank, 0, 16);
         }
@@ -632,17 +454,11 @@ mod tests {
             /// and every request is classified exactly once.
             #[test]
             fn random_streams_always_drain(
-                reqs in proptest::collection::vec((0usize..4, 0u64..8, 0u64..16, proptest::bool::ANY), 1..128),
-                pim in proptest::bool::ANY,
+                reqs in proptest::collection::vec((0usize..4, 0u64..8, 0u64..16), 1..128),
             ) {
-                let bus = if pim { BusModel::PerBankPim } else { BusModel::SharedDataBus };
-                let mut c = Controller::new(TimingParams::hbm3(), 4, 32, bus);
-                for (bank, row, col, write) in &reqs {
-                    c.enqueue(if *write {
-                        MemRequest::write(*bank, *row, *col)
-                    } else {
-                        MemRequest::read(*bank, *row, *col)
-                    });
+                let mut c = Controller::new(TimingParams::hbm3(), 4, 32);
+                for &(bank, row, col) in &reqs {
+                    c.enqueue(MemRequest::read(bank, row, col));
                 }
                 let cycles = c.run_until_drained(50_000_000).unwrap();
                 let s = c.stats();
@@ -654,29 +470,11 @@ mod tests {
                 prop_assert!(cycles > 0);
             }
 
-            /// PIM mode never loses to the shared bus on the same stream.
-            #[test]
-            fn pim_never_slower_than_shared(
-                rows in 1u64..6,
-                banks in 1usize..8,
-            ) {
-                let run = |bus| {
-                    let mut c = Controller::new(TimingParams::hbm3(), banks, 32, bus);
-                    for bank in 0..banks {
-                        for row in 0..rows {
-                            c.enqueue_row_stream(bank, row, 32);
-                        }
-                    }
-                    c.run_until_drained(50_000_000).unwrap()
-                };
-                prop_assert!(run(BusModel::PerBankPim) <= run(BusModel::SharedDataBus));
-            }
-
             /// More banks never make a fixed-size PIM workload slower.
             #[test]
             fn more_banks_never_slower(banks in 1usize..8) {
                 let run = |n: usize| {
-                    let mut c = Controller::new(TimingParams::hbm3(), n, 32, BusModel::PerBankPim);
+                    let mut c = Controller::new(TimingParams::hbm3(), n, 32);
                     // Fixed 8 row-streams spread round-robin.
                     for i in 0..8u64 {
                         c.enqueue_row_stream(i as usize % n, i, 32);

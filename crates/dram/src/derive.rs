@@ -18,7 +18,7 @@
 //! = 16,384 reads over 4.47 µs of simulated time. In a release build on
 //! a 2-vCPU x86-64 VM that takes 0.6–1.0 ms of host time.
 
-use crate::controller::{BusModel, Controller};
+use crate::controller::Controller;
 use crate::device::HbmDevice;
 use papi_types::{Bandwidth, Time};
 use serde::{Deserialize, Serialize};
@@ -30,8 +30,7 @@ pub struct DerivedBandwidth {
     pub per_bank: Bandwidth,
     /// Sustained bandwidth of the simulated controller (all its banks).
     pub controller_aggregate: Bandwidth,
-    /// Extrapolated sustained bandwidth of the whole device (all banks /
-    /// all pseudo-channels).
+    /// Extrapolated sustained bandwidth of the whole device (all banks).
     pub device_aggregate: Bandwidth,
     /// Fraction of the theoretical peak achieved (0..1].
     pub efficiency: f64,
@@ -59,92 +58,12 @@ pub fn pim_streaming_bandwidth(
         "banks must be in 1..={}",
         device.topology.banks_per_pseudo_channel()
     );
-    let mut ctrl = Controller::new(
-        device.timing.clone(),
-        banks,
-        device.topology.column_bytes,
-        BusModel::PerBankPim,
-    );
-    stream_rows(
-        &mut ctrl,
-        banks,
-        rows_per_bank,
-        device.topology.columns_per_row(),
-    );
-    finish(device, ctrl, banks, device.topology.total_banks())
-}
-
-/// Derives the sustained *external* (shared data bus) bandwidth of one
-/// pseudo-channel under the same streaming pattern, extrapolated to the
-/// whole device. This approximates what a host accelerator can pull from
-/// the stack.
-#[track_caller]
-pub fn external_streaming_bandwidth(
-    device: &HbmDevice,
-    banks: usize,
-    rows_per_bank: u64,
-) -> DerivedBandwidth {
-    assert!(rows_per_bank > 0, "need at least one row to stream");
-    assert!(
-        banks > 0 && banks <= device.topology.banks_per_pseudo_channel(),
-        "banks must be in 1..={}",
-        device.topology.banks_per_pseudo_channel()
-    );
-    let mut ctrl = Controller::new(
-        device.timing.clone(),
-        banks,
-        device.topology.column_bytes,
-        BusModel::SharedDataBus,
-    );
-    stream_rows(
-        &mut ctrl,
-        banks,
-        rows_per_bank,
-        device.topology.columns_per_row(),
-    );
-    finish(
-        device,
-        ctrl,
-        banks,
-        // Extrapolate by pseudo-channel count: each has its own bus.
-        device.topology.total_pseudo_channels() * banks,
-    )
-}
-
-/// Derives bandwidth under a row-conflict-heavy pattern: every access goes
-/// to a different row of the same bank, defeating the row buffer. Used to
-/// sanity-check that the model punishes locality-free access.
-pub fn random_row_bandwidth(device: &HbmDevice, accesses: u64) -> DerivedBandwidth {
-    let mut ctrl = Controller::new(
-        device.timing.clone(),
-        1,
-        device.topology.column_bytes,
-        BusModel::PerBankPim,
-    );
-    for i in 0..accesses {
-        ctrl.enqueue(crate::MemRequest::read(
-            0,
-            i % device.topology.rows_per_bank,
-            0,
-        ));
-    }
-    finish(device, ctrl, 1, device.topology.total_banks())
-}
-
-fn stream_rows(ctrl: &mut Controller, banks: usize, rows: u64, columns: u64) {
+    let mut ctrl = Controller::new(device.timing.clone(), banks, device.topology.column_bytes);
     for bank in 0..banks {
-        for row in 0..rows {
-            ctrl.enqueue_row_stream(bank, row, columns);
+        for row in 0..rows_per_bank {
+            ctrl.enqueue_row_stream(bank, row, device.topology.columns_per_row());
         }
     }
-}
-
-fn finish(
-    device: &HbmDevice,
-    mut ctrl: Controller,
-    banks: usize,
-    device_scale: usize,
-) -> DerivedBandwidth {
     let cycles = ctrl
         .run_until_drained(500_000_000)
         .expect("micro-simulation failed to drain; timing deadlock bug");
@@ -152,7 +71,7 @@ fn finish(
     let bytes = ctrl.stats().bytes_transferred as f64;
     let aggregate = Bandwidth::new(bytes / elapsed.as_secs());
     let per_bank = aggregate / banks as f64;
-    let device_aggregate = per_bank * device_scale as f64;
+    let device_aggregate = per_bank * device.topology.total_banks() as f64;
     let efficiency = per_bank.value() / device.peak_bank_bandwidth().value();
     DerivedBandwidth {
         per_bank,
@@ -194,33 +113,6 @@ mod tests {
         assert!(
             (ratio - 0.75).abs() < 0.05,
             "FC-PIM/standard aggregate ratio {ratio} should be ~0.75"
-        );
-    }
-
-    #[test]
-    fn external_bandwidth_well_below_pim() {
-        let d = HbmDevice::hbm3_16gb();
-        let pim = pim_streaming_bandwidth(&d, 8, 16);
-        let ext = external_streaming_bandwidth(&d, 8, 16);
-        assert!(
-            pim.device_aggregate.value() > 2.0 * ext.device_aggregate.value(),
-            "near-bank aggregate must dwarf the external bus"
-        );
-        // External device bandwidth lands in the real HBM3 ballpark.
-        let gbs = ext.device_aggregate.as_gb_per_sec();
-        assert!(gbs > 350.0 && gbs < 700.0, "external {gbs} GB/s");
-    }
-
-    #[test]
-    fn random_rows_are_much_slower_than_streaming() {
-        let d = HbmDevice::hbm3_16gb();
-        let stream = pim_streaming_bandwidth(&d, 1, 16);
-        let random = random_row_bandwidth(&d, 256);
-        assert!(
-            stream.per_bank.value() > 5.0 * random.per_bank.value(),
-            "row-buffer locality must matter: stream {} vs random {}",
-            stream.per_bank,
-            random.per_bank
         );
     }
 

@@ -1,6 +1,5 @@
 //! Assembled HBM device presets.
 
-use crate::controller::{BusModel, Controller};
 use crate::energy::EnergyParams;
 use crate::organization::Topology;
 use crate::timing::TimingParams;
@@ -68,31 +67,6 @@ impl HbmDevice {
             / (self.timing.t_ck.as_secs() * self.timing.t_ccd as f64);
         Bandwidth::new(bytes_per_sec)
     }
-
-    /// Theoretical aggregate near-bank (PIM) streaming bandwidth: all
-    /// banks concurrently.
-    pub fn peak_pim_bandwidth(&self) -> Bandwidth {
-        self.peak_bank_bandwidth() * self.topology.total_banks() as f64
-    }
-
-    /// Theoretical external bandwidth (shared data bus, one burst per
-    /// `t_bus` per pseudo-channel).
-    pub fn peak_external_bandwidth(&self) -> Bandwidth {
-        let per_pc = self.topology.column_bytes as f64
-            / (self.timing.t_ck.as_secs() * self.timing.t_bus as f64);
-        Bandwidth::new(per_pc * self.topology.total_pseudo_channels() as f64)
-    }
-
-    /// Builds a cycle-level controller over one pseudo-channel of this
-    /// device.
-    pub fn pseudo_channel_controller(&self, bus: BusModel) -> Controller {
-        Controller::new(
-            self.timing.clone(),
-            self.topology.banks_per_pseudo_channel(),
-            self.topology.column_bytes,
-            bus,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -107,17 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_pim_bandwidth_dwarfs_external() {
-        let d = HbmDevice::hbm3_16gb();
-        let pim = d.peak_pim_bandwidth();
-        let ext = d.peak_external_bandwidth();
-        // 128 banks near-bank vs 16 pseudo-channel buses.
-        assert!(pim.value() > 3.0 * ext.value());
-        // External peak lands near the HBM3 datasheet (~665 GB/s).
-        assert!(ext.as_gb_per_sec() > 600.0 && ext.as_gb_per_sec() < 750.0);
-    }
-
-    #[test]
     fn fc_pim_loses_quarter_of_banks_and_capacity() {
         let std16 = HbmDevice::hbm3_16gb();
         let fc = HbmDevice::fc_pim_12gb();
@@ -126,12 +89,5 @@ mod tests {
             std16.topology.total_banks() * 3
         );
         assert!((fc.capacity().value() * 4.0 - std16.capacity().value() * 3.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn controller_has_pseudo_channel_banks() {
-        let d = HbmDevice::hbm3_16gb();
-        let c = d.pseudo_channel_controller(BusModel::PerBankPim);
-        assert_eq!(c.bank_count(), d.topology.banks_per_pseudo_channel());
     }
 }

@@ -1,23 +1,21 @@
-//! `papi-dram` — a cycle-level HBM3 DRAM timing and energy model.
+//! `papi-dram` — a cycle-level per-bank PIM stream model of an HBM3 die.
 //!
 //! The PAPI paper evaluates its designs on a simulator built on
 //! Ramulator 2.0 extended with the AttAcc PIM model. This crate is the
-//! equivalent substrate, written from scratch:
+//! part of that substrate the PIM devices rest on, written from scratch:
 //!
 //! - [`timing`] — JEDEC-style HBM3 timing parameters (tRCD, tRP, tRAS,
 //!   tCCD, tRRD, tFAW, tRFC, tREFI, …) expressed in integer command-clock
 //!   cycles, with internal-consistency validation.
 //! - [`organization`] — the channel → pseudo-channel → bank-group → bank
-//!   hierarchy, row/column geometry and linear-address mapping.
+//!   hierarchy and row/column geometry.
 //! - [`bank`] — a per-bank state machine that enforces every timing
-//!   constraint on ACT/PRE/RD/WR/REF command sequences.
-//! - [`controller`] — an FR-FCFS memory controller operating either with a
-//!   shared external data bus (conventional host access) or in *per-bank
-//!   PIM mode*, where each bank streams into its near-bank processing unit
-//!   and only activation-window constraints (tRRD/tFAW) and refresh are
-//!   shared.
-//! - [`energy`] — per-command energy accounting (activation, column
-//!   access, I/O, refresh, background power).
+//!   constraint on ACT/PRE/RD/REF command sequences.
+//! - [`controller`] — per-bank PIM read streams: each bank streams into
+//!   its near-bank processing unit, and only the activation window
+//!   (tRRD/tFAW) and refresh are shared.
+//! - [`energy`] — the activation, column-read and background energy
+//!   parameters the PIM energy and power models read.
 //! - [`device`] — assembled HBM3 stack presets (16 GB / 128-bank PIM
 //!   devices and the 12 GB / 96-bank FC-PIM die of the paper's Eq. (4)).
 //! - [`derive`](mod@crate::derive) — micro-simulations that *derive* the effective streaming
@@ -50,9 +48,9 @@ pub mod organization;
 pub mod timing;
 
 pub use bank::{Bank, BankState};
-pub use command::{DramCommand, MemRequest, RequestKind};
-pub use controller::{BusModel, Controller, ControllerStats};
+pub use command::{DramCommand, MemRequest};
+pub use controller::{Controller, ControllerStats};
 pub use device::HbmDevice;
-pub use energy::{DramEnergyBreakdown, EnergyCounter, EnergyParams};
-pub use organization::{Address, BankAddr, Topology};
+pub use energy::EnergyParams;
+pub use organization::Topology;
 pub use timing::{Cycle, TimingError, TimingParams};

@@ -1,5 +1,5 @@
 //! DRAM organization: the channel → pseudo-channel → bank-group → bank
-//! hierarchy, row/column geometry, and linear-address mapping.
+//! hierarchy and row/column geometry.
 
 use papi_types::Bytes;
 use serde::{Deserialize, Serialize};
@@ -78,11 +78,6 @@ impl Topology {
         self.bank_groups_per_pseudo_channel * self.banks_per_bank_group
     }
 
-    /// Total pseudo-channels in the stack.
-    pub fn total_pseudo_channels(&self) -> usize {
-        self.channels * self.pseudo_channels_per_channel
-    }
-
     /// Column accesses needed to stream one full row.
     pub fn columns_per_row(&self) -> u64 {
         self.row_bytes / self.column_bytes
@@ -115,96 +110,11 @@ impl Topology {
         }
         Ok(())
     }
-
-    /// Decodes a linear byte address into its bank/row/column coordinates
-    /// using a Ro–Ba–Bg–Co–Pc–Ch interleaving: channel and pseudo-channel
-    /// bits sit *below* the column bits, so consecutive column-granularity
-    /// addresses stride across channels for bandwidth while each row's
-    /// columns stay within one bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the device capacity.
-    #[track_caller]
-    pub fn decode(&self, addr: u64) -> Address {
-        let cap = self.capacity().value() as u64;
-        assert!(addr < cap, "address {addr:#x} beyond capacity {cap:#x}");
-        let mut a = addr / self.column_bytes;
-        let channel = (a % self.channels as u64) as usize;
-        a /= self.channels as u64;
-        let pseudo_channel = (a % self.pseudo_channels_per_channel as u64) as usize;
-        a /= self.pseudo_channels_per_channel as u64;
-        let col = a % self.columns_per_row();
-        a /= self.columns_per_row();
-        let bank_group = (a % self.bank_groups_per_pseudo_channel as u64) as usize;
-        a /= self.bank_groups_per_pseudo_channel as u64;
-        let bank = (a % self.banks_per_bank_group as u64) as usize;
-        a /= self.banks_per_bank_group as u64;
-        let row = a;
-        Address {
-            bank: BankAddr {
-                channel,
-                pseudo_channel,
-                bank_group,
-                bank,
-            },
-            row,
-            column: col,
-        }
-    }
-
-    /// Encodes bank/row/column coordinates back into a linear byte address
-    /// (inverse of [`Topology::decode`]).
-    pub fn encode(&self, address: &Address) -> u64 {
-        let mut a = address.row;
-        a = a * self.banks_per_bank_group as u64 + address.bank.bank as u64;
-        a = a * self.bank_groups_per_pseudo_channel as u64 + address.bank.bank_group as u64;
-        a = a * self.columns_per_row() + address.column;
-        a = a * self.pseudo_channels_per_channel as u64 + address.bank.pseudo_channel as u64;
-        a = a * self.channels as u64 + address.bank.channel as u64;
-        a * self.column_bytes
-    }
-}
-
-/// Coordinates of one bank within a stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct BankAddr {
-    /// Channel index.
-    pub channel: usize,
-    /// Pseudo-channel index within the channel.
-    pub pseudo_channel: usize,
-    /// Bank-group index within the pseudo-channel.
-    pub bank_group: usize,
-    /// Bank index within the bank group.
-    pub bank: usize,
-}
-
-impl BankAddr {
-    /// Flattens the coordinates into an index in `0..topology.total_banks()`.
-    pub fn flat_index(&self, topology: &Topology) -> usize {
-        ((self.channel * topology.pseudo_channels_per_channel + self.pseudo_channel)
-            * topology.bank_groups_per_pseudo_channel
-            + self.bank_group)
-            * topology.banks_per_bank_group
-            + self.bank
-    }
-}
-
-/// A fully decoded DRAM address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Address {
-    /// Which bank the address falls in.
-    pub bank: BankAddr,
-    /// Row within the bank.
-    pub row: u64,
-    /// Column (in column-access units) within the row.
-    pub column: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn standard_device_geometry() {
@@ -212,7 +122,6 @@ mod tests {
         t.validate().unwrap();
         assert_eq!(t.total_banks(), 128);
         assert_eq!(t.banks_per_pseudo_channel(), 8);
-        assert_eq!(t.total_pseudo_channels(), 16);
         assert_eq!(t.columns_per_row(), 64);
         assert!((t.capacity().as_gib() - 16.0).abs() < 1e-9);
     }
@@ -235,69 +144,5 @@ mod tests {
         let mut t = Topology::hbm3_16gb();
         t.channels = 0;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn sequential_addresses_interleave_channels() {
-        let t = Topology::hbm3_16gb();
-        let a0 = t.decode(0);
-        let a1 = t.decode(t.column_bytes);
-        assert_eq!(a0.bank.channel, 0);
-        assert_eq!(a1.bank.channel, 1);
-        assert_eq!(a0.row, a1.row);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond capacity")]
-    fn decode_out_of_range_panics() {
-        let t = Topology::hbm3_16gb();
-        let _ = t.decode(t.capacity().value() as u64);
-    }
-
-    #[test]
-    fn flat_index_is_dense_and_unique() {
-        let t = Topology::hbm3_16gb();
-        let mut seen = vec![false; t.total_banks()];
-        for ch in 0..t.channels {
-            for pc in 0..t.pseudo_channels_per_channel {
-                for bg in 0..t.bank_groups_per_pseudo_channel {
-                    for b in 0..t.banks_per_bank_group {
-                        let idx = BankAddr {
-                            channel: ch,
-                            pseudo_channel: pc,
-                            bank_group: bg,
-                            bank: b,
-                        }
-                        .flat_index(&t);
-                        assert!(!seen[idx], "duplicate flat index {idx}");
-                        seen[idx] = true;
-                    }
-                }
-            }
-        }
-        assert!(seen.into_iter().all(|s| s));
-    }
-
-    proptest! {
-        #[test]
-        fn decode_encode_roundtrip(raw in 0u64..(16u64 << 30)) {
-            let t = Topology::hbm3_16gb();
-            // Align to column granularity: decode ignores intra-column offset.
-            let addr = raw - raw % t.column_bytes;
-            let decoded = t.decode(addr);
-            prop_assert_eq!(t.encode(&decoded), addr);
-        }
-
-        #[test]
-        fn decode_fields_in_range(raw in 0u64..(12u64 << 30)) {
-            let t = Topology::fc_pim_12gb();
-            let d = t.decode(raw);
-            prop_assert!(d.bank.channel < t.channels);
-            prop_assert!(d.bank.pseudo_channel < t.pseudo_channels_per_channel);
-            prop_assert!(d.bank.bank_group < t.bank_groups_per_pseudo_channel);
-            prop_assert!(d.bank.bank < t.banks_per_bank_group);
-            prop_assert!(d.row < t.rows_per_bank);
-            prop_assert!(d.column < t.columns_per_row());
-        }
     }
 }

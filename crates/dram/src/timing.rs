@@ -50,7 +50,7 @@ impl std::error::Error for TimingError {}
 pub struct TimingParams {
     /// Command clock period.
     pub t_ck: Time,
-    /// ACT → internal RD/WR delay (row-to-column delay).
+    /// ACT → internal RD delay (row-to-column delay).
     pub t_rcd: Cycle,
     /// PRE → ACT delay (row precharge).
     pub t_rp: Cycle,
@@ -60,7 +60,8 @@ pub struct TimingParams {
     pub t_rc: Cycle,
     /// RD → RD same bank (column-to-column, streaming interval).
     pub t_ccd: Cycle,
-    /// Data-bus occupancy of one column burst in shared-bus mode.
+    /// The data beat of one column read after its CAS latency: a read
+    /// issued at cycle `c` completes at `c + t_cl + t_bus`.
     pub t_bus: Cycle,
     /// ACT → ACT different banks (activation-to-activation delay).
     pub t_rrd: Cycle,
@@ -68,8 +69,6 @@ pub struct TimingParams {
     pub t_faw: Cycle,
     /// RD → PRE delay (read-to-precharge).
     pub t_rtp: Cycle,
-    /// End of write burst → PRE delay (write recovery).
-    pub t_wr: Cycle,
     /// RD command → first data beat (CAS latency).
     pub t_cl: Cycle,
     /// Refresh cycle time (all banks busy during refresh).
@@ -92,11 +91,10 @@ impl TimingParams {
             t_ras: 38,    // ~28.5 ns
             t_rc: 57,     // ~42.8 ns
             t_ccd: 2,     // 1.5 ns  (666 MHz streaming)
-            t_bus: 1,     // one burst occupies the shared pseudo-channel bus for 0.75 ns
+            t_bus: 1,     // one 0.75 ns data beat after CAS
             t_rrd: 4,     // ~3 ns
             t_faw: 16,    // ~12 ns
             t_rtp: 8,     // ~6 ns
-            t_wr: 21,     // ~15.8 ns
             t_cl: 20,     // ~15 ns
             t_rfc: 347,   // ~260 ns
             t_refi: 5200, // ~3.9 us

@@ -624,9 +624,9 @@ fn least_pressured(
 /// key (its conversation id, or the fleet-wide shared-system-prompt
 /// key) to a *home* replica, so every turn of a conversation lands
 /// where its private prefix cache holds the accumulated context. The
-/// home keeps the request while it is not KV-saturated for the prompt
-/// and its budget utilization is below 1; otherwise the request spills
-/// to the least-pressured replica with headroom. Prefix-free requests
+/// home keeps the request while it is not KV-saturated for the prompt;
+/// otherwise the request spills to the least-pressured replica with
+/// headroom. Prefix-free requests
 /// balance like join-shortest-queue. The two differ only in when
 /// stickiness *relaxes* to join-shortest-queue before the home is
 /// consulted.
@@ -654,10 +654,6 @@ pub enum PolicySpec {
     /// shared tier it routes exactly like `prefix-affinity`.
     SharedTierAffinity,
 }
-
-/// KV-budget utilization at which an affinity home spills: 1.0 spills
-/// only on hard saturation.
-const SPILL_UTILIZATION: f64 = 1.0;
 
 /// Home-replica queue depth at which shared-tier affinity relaxes for a
 /// tier-resident prefix. Below saturation, queues hover near zero; a
@@ -746,8 +742,8 @@ impl Router {
     }
 
     /// Affinity requests routed away from their home replica because
-    /// it was saturated or its budget fully committed. A request that
-    /// lands back home (only the home had headroom) is no spill.
+    /// it was saturated for the prompt. A request the all-saturated
+    /// fallback lands back home is no spill.
     pub fn spills(&self) -> u64 {
         self.spills
     }
@@ -785,24 +781,20 @@ impl Router {
     }
 
     /// The affinity home of the request's prefix, and whether it keeps
-    /// the request: it is not saturated for the prompt and its
-    /// utilization is below the spill point. `None` for a prefix-free
-    /// request.
+    /// the request: it is not saturated for the prompt. `None` for a
+    /// prefix-free request.
     fn home(&self, ctx: &RouteContext<'_>) -> Option<(usize, bool)> {
         let hint = ctx.prefix()?;
         let home = affinity_home(ctx, hint.key);
-        let snapshot = &ctx.replicas[home];
-        let keeps = !snapshot.kv_saturated_for(ctx.incoming_kv_tokens())
-            && snapshot.kv_utilization() < SPILL_UTILIZATION;
+        let keeps = !ctx.replicas[home].kv_saturated_for(ctx.incoming_kv_tokens());
         Some((home, keeps))
     }
 
     /// The affinity rule. A relaxed decision, or a prefix-free request,
     /// balances like join-shortest-queue. Otherwise the request stays
     /// home while the home keeps it, and else spills to the
-    /// least-pressured other replica with headroom. If only the home
-    /// has headroom it keeps the request; an all-saturated fleet falls
-    /// back to the least-pressured replica overall.
+    /// least-pressured other replica with headroom; an all-saturated
+    /// fleet falls back to the least-pressured replica overall.
     fn affinity(&mut self, ctx: &RouteContext<'_>) -> usize {
         let incoming = ctx.incoming_kv_tokens();
         if self.relaxes(ctx) {
@@ -819,7 +811,6 @@ impl Router {
         let headroom = |i: &usize| !ctx.replicas[*i].kv_saturated_for(incoming);
         let others = targets.iter().copied().filter(|&i| i != home);
         let pick = least_pressured(others.filter(headroom), ctx.replicas)
-            .or_else(|| headroom(&home).then_some(home))
             .or_else(|| least_pressured(targets.iter().copied(), ctx.replicas))
             .expect("fleet is non-empty");
         if pick != home {
@@ -1239,6 +1230,31 @@ mod tests {
         fleet[other] = snap(0, 0, 1_000, 10_000);
         let pick = policy.route(&turn(key, 200), &fleet);
         assert_eq!(pick, other);
+        assert_eq!(policy.spills(), 1);
+    }
+
+    /// The home keeps a turn whose blocks fill its budget exactly and
+    /// spills one that needs a block more.
+    #[test]
+    fn home_keeps_a_turn_that_exactly_fills_its_budget() {
+        let key = 7;
+        let mut fleet = vec![snap(0, 0, 0, 100); 3];
+        for replica in &mut fleet {
+            replica.kv_block_size = 16;
+        }
+        let home = home_replica(key, fleet.len());
+        // 70 blocks in use, 10 of them evictable: 60 committed.
+        fleet[home].kv_blocks_in_use = 70;
+        fleet[home].kv_evictable_blocks = 10;
+        let mut policy = Router::new(PolicySpec::prefix_affinity());
+        // 60 committed + 40 blocks of 640 tokens = the 100-block budget.
+        assert_eq!(policy.route(&turn(key, 640), &fleet), home);
+        assert_eq!(policy.spills(), 0);
+        // 641 tokens need a 41st block: the turn spills to a replica
+        // with room.
+        let pick = policy.route(&turn(key, 641), &fleet);
+        assert_ne!(pick, home);
+        assert!(!fleet[pick].kv_saturated_for(641));
         assert_eq!(policy.spills(), 1);
     }
 

@@ -7,7 +7,7 @@
 //! This crate is a facade that re-exports the whole workspace:
 //!
 //! - [`types`] — quantity newtypes (time, energy, bandwidth, FLOPs, …)
-//! - [`dram`] — cycle-level HBM3 timing model and memory controller
+//! - [`dram`] — cycle-level per-bank PIM stream model of an HBM3 die
 //! - [`pim`] — near-bank PIM compute units (FC-PIM, Attn-PIM, AttAcc, HBM-PIM)
 //! - [`gpu`] — roofline model of computation-centric accelerators (A100)
 //! - [`interconnect`] — NVLink / PCIe / CXL link models
