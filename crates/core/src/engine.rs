@@ -11,22 +11,28 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{ExecutionReport, PhaseBreakdown, RunLength};
-use crate::pricer::IterationPricer;
+use crate::pricer::{IterationPricer, ShapeTable};
 use papi_types::Energy;
 use papi_workload::{DecodeTrace, WorkloadSpec};
+use std::sync::Arc;
 
 pub use crate::pricer::{fc_cost_on_pim, fc_cost_on_pu, fc_latency_on_pim, fc_latency_on_pu};
 
-/// Simulates LLM decoding on one [`SystemConfig`].
+/// Simulates LLM decoding on one [`SystemConfig`]. Every trace it
+/// runs prices through one shape table, shared by its clones.
 #[derive(Debug, Clone)]
 pub struct DecodingSimulator {
     config: SystemConfig,
+    rows: Arc<ShapeTable>,
 }
 
 impl DecodingSimulator {
     /// Wraps a system configuration.
     pub fn new(config: SystemConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            rows: Arc::default(),
+        }
     }
 
     /// The wrapped configuration.
@@ -75,7 +81,7 @@ impl DecodingSimulator {
         let attn_pool = config.attn_pool_bytes();
 
         let mut scheduler = self.config.scheduler.build();
-        let mut pricer = IterationPricer::new(&self.config);
+        let mut pricer = IterationPricer::with_rows(config, Arc::clone(&self.rows));
         let mut phases = PhaseBreakdown::default();
         let mut energy_parts = (Energy::ZERO, Energy::ZERO, Energy::ZERO, Energy::ZERO);
         let mut placements = RunLength::default();

@@ -9,7 +9,10 @@
 //! ([`DecodingSimulator`](crate::engine::DecodingSimulator)), the
 //! online serving path ([`ServingEngine`](crate::serving::ServingEngine)),
 //! and the SLO analysis ([`slo`](crate::slo)) all price through it, so
-//! a change to the hardware math moves every consumer at once.
+//! a change to the hardware math moves every consumer at once. Each
+//! engine owns one shape table and lends it to every pricer it
+//! opens, so a batch shape is priced once per engine, not once per
+//! trace or session.
 
 use crate::config::SystemConfig;
 use crate::metrics::IterationCost;
@@ -23,7 +26,7 @@ use papi_types::{Bytes, Energy, Power, Time};
 use papi_workload::IterationRecord;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Multiply-rotate hasher (Fx-style) for the pricing tables. Their keys
 /// are a handful of machine words, where the default SipHash's keyed
@@ -145,9 +148,9 @@ pub fn fc_cost_on_pu(
 pub type IterationKey = (Placement, u64, u64, u64);
 
 /// A full-iteration cost memo shareable across pricers of identical
-/// hardware. Nothing in the simulator installs one: each pricer's own
-/// shape table serves its repeat iterations. It stays as the memoized
-/// baseline the benchmark's traced pass times.
+/// hardware. Nothing in the simulator installs one: the shape table
+/// each engine lends its pricers serves their repeat iterations. It
+/// stays as the memoized baseline the benchmark's traced pass times.
 ///
 /// Hits return the memoized cost bit for bit — pricing is a pure
 /// function of the key. The memo is two-level. Lookups land first in a
@@ -259,19 +262,41 @@ struct ShapeCost {
 
 type ShapeKey = (Placement, u64, u64);
 
+/// One engine's shape rows: the [`ShapeCost`] of every
+/// `(placement, rlp, tlp)` its pricers have met. A row is a pure
+/// function of its key and the engine's fixed [`SystemConfig`], so
+/// every pricer of that config may share the table, and which of them
+/// fills a row first can never change a report.
+#[derive(Debug, Default)]
+pub(crate) struct ShapeTable {
+    rows: Mutex<FxMap<ShapeKey, ShapeCost>>,
+}
+
+impl ShapeTable {
+    /// The row of `key`, priced on `config` on a miss. `config` must be
+    /// the one every other row was priced on.
+    fn row(&self, config: &SystemConfig, key: ShapeKey) -> ShapeCost {
+        // A pricing panic leaves the map unchanged, so a poisoned lock
+        // still guards only complete rows.
+        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
+        *rows.entry(key).or_insert_with(|| shape_cost(config, key))
+    }
+}
+
 /// Stateful per-decode pricer. An iteration prices in two parts: a
-/// per-pricer table keyed by `(placement, rlp, tlp)` holds the FC and
+/// shape table keyed by `(placement, rlp, tlp)` holds the FC and
 /// communication cost and the planned attention kernel, and only the
 /// attention kernel runs at each iteration's KV length. Planning checks
 /// every attention constant, so that per-iteration part is
-/// [`AttentionPlan::cost`]'s plain `f64` arithmetic. Decode batches
-/// hold their shape for many iterations, so the pricer keeps the last
-/// shape's row at hand and probes the table only when the shape
-/// changes.
+/// [`AttentionPlan::cost`]'s plain `f64` arithmetic. The engines lend
+/// every pricer they open their own table, so a repeat shape is planned
+/// once per engine. Decode batches hold their shape for many
+/// iterations, so the pricer keeps the last shape's row at hand and
+/// reads the table only when the shape changes.
 #[derive(Debug, Clone)]
 pub struct IterationPricer<'a> {
     config: &'a SystemConfig,
-    shapes: FxMap<ShapeKey, ShapeCost>,
+    rows: Arc<ShapeTable>,
     /// The row of the shape priced last.
     last: Option<(ShapeKey, ShapeCost)>,
     other_time: Time,
@@ -282,6 +307,12 @@ pub struct IterationPricer<'a> {
 impl<'a> IterationPricer<'a> {
     /// Creates a pricer over `config` with an empty shape table.
     pub fn new(config: &'a SystemConfig) -> Self {
+        Self::with_rows(config, Arc::default())
+    }
+
+    /// Creates a pricer over `config` that reads and fills `rows`, a
+    /// table priced on `config` alone.
+    pub(crate) fn with_rows(config: &'a SystemConfig, rows: Arc<ShapeTable>) -> Self {
         let layers = config.model.layers as f64;
         let (attn_device, attn_count) = &config.attn_pim;
         let mut static_power = attn_device.hbm.energy.background * *attn_count as f64;
@@ -290,7 +321,7 @@ impl<'a> IterationPricer<'a> {
         }
         Self {
             config,
-            shapes: FxMap::default(),
+            rows,
             last: None,
             other_time: config.dispatch_per_layer * layers + config.dispatch_per_iteration,
             static_power,
@@ -339,12 +370,7 @@ impl<'a> IterationPricer<'a> {
     ) -> IterationCost {
         let key = (placement, it.rlp, it.tlp);
         if self.last.as_ref().is_none_or(|(last, _)| *last != key) {
-            let config = self.config;
-            let shape = *self
-                .shapes
-                .entry(key)
-                .or_insert_with(|| shape_cost(config, key));
-            self.last = Some((key, shape));
+            self.last = Some((key, self.rows.row(self.config, key)));
         }
         let (_, shape) = self.last.as_ref().expect("the last shape was just set");
 

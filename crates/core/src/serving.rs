@@ -41,7 +41,7 @@
 use crate::config::SystemConfig;
 use crate::metrics::{PhaseBreakdown, RequestRecord, RunLength, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
-use crate::pricer::IterationPricer;
+use crate::pricer::{IterationPricer, ShapeTable};
 use papi_interconnect::{LinkSpec, TransferCost};
 use papi_kv::{
     GlobalKvTier, KvBlockPool, KvCacheStats, KvSeq, KvSeqExport, KvTier, PrefixHint, PrefixTree,
@@ -237,9 +237,12 @@ impl SessionTuning {
 }
 
 /// Online continuous-batching simulator over one [`SystemConfig`].
+/// Every session it opens prices through one shape table, shared by
+/// its clones.
 #[derive(Debug, Clone)]
 pub struct ServingEngine {
     config: SystemConfig,
+    rows: Arc<ShapeTable>,
     tuning: SessionTuning,
     max_iterations: u64,
 }
@@ -251,6 +254,7 @@ impl ServingEngine {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             config,
+            rows: Arc::default(),
             tuning: SessionTuning::default(),
             max_iterations: 10_000_000,
         }
@@ -351,7 +355,7 @@ impl ServingEngine {
             global: None,
             pool,
             scheduler: self.config.scheduler.build(),
-            pricer: IterationPricer::new(&self.config),
+            pricer: IterationPricer::with_rows(&self.config, Arc::clone(&self.rows)),
             rng: StdRng::seed_from_u64(workload.seed.wrapping_mul(0x5851_f42d_4c95_7f2d)),
             requests: Vec::new(),
             seqs: Vec::new(),
@@ -1447,8 +1451,8 @@ impl ServingSession<'_> {
     ///
     /// What the batch does not change between iterations is hoisted:
     /// pool appends are deferred to one per sequence at the end (and
-    /// the pricer probes its shape table only when the placement
-    /// changes). Until then the guard and the peak
+    /// the pricer reads the shape table its engine lends it only when
+    /// the placement changes). Until then the guard and the peak
     /// statistics read running block counts that include the deferred
     /// tokens (and a copy-on-write tail's extra block), so every value
     /// matches what per-iteration appends would have produced.

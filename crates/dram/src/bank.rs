@@ -38,19 +38,6 @@ impl core::fmt::Display for BankError {
 
 impl std::error::Error for BankError {}
 
-/// Counters kept by each bank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BankStats {
-    /// ACT commands issued.
-    pub activates: u64,
-    /// PRE commands issued.
-    pub precharges: u64,
-    /// RD commands issued.
-    pub reads: u64,
-    /// Refresh operations applied.
-    pub refreshes: u64,
-}
-
 /// A single DRAM bank.
 ///
 /// # Example
@@ -74,7 +61,6 @@ pub struct Bank {
     earliest_activate: Cycle,
     earliest_precharge: Cycle,
     earliest_read: Cycle,
-    stats: BankStats,
 }
 
 impl Default for Bank {
@@ -91,26 +77,12 @@ impl Bank {
             earliest_activate: 0,
             earliest_precharge: 0,
             earliest_read: 0,
-            stats: BankStats::default(),
         }
     }
 
     /// Current open/closed state.
     pub fn state(&self) -> BankState {
         self.state
-    }
-
-    /// The open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        match self.state {
-            BankState::Active { row } => Some(row),
-            BankState::Idle => None,
-        }
-    }
-
-    /// Per-bank command counters.
-    pub fn stats(&self) -> BankStats {
-        self.stats
     }
 
     /// Earliest cycle at which `command` could issue given the timing
@@ -168,24 +140,20 @@ impl Bank {
                 self.earliest_read = self.earliest_read.max(now + timing.t_rcd);
                 self.earliest_precharge = self.earliest_precharge.max(now + timing.t_ras);
                 self.earliest_activate = self.earliest_activate.max(now + timing.t_rc);
-                self.stats.activates += 1;
                 Ok(now + timing.t_rcd)
             }
             (DramCommand::Precharge, BankState::Active { .. }) => {
                 self.state = BankState::Idle;
                 self.earliest_activate = self.earliest_activate.max(now + timing.t_rp);
-                self.stats.precharges += 1;
                 Ok(now + timing.t_rp)
             }
             (DramCommand::Read { .. }, BankState::Active { .. }) => {
                 self.earliest_read = now + timing.t_ccd;
                 self.earliest_precharge = self.earliest_precharge.max(now + timing.t_rtp);
-                self.stats.reads += 1;
                 Ok(now + timing.t_cl + timing.t_bus)
             }
             (DramCommand::Refresh, BankState::Idle) => {
                 self.earliest_activate = self.earliest_activate.max(now + timing.t_rfc);
-                self.stats.refreshes += 1;
                 Ok(now + timing.t_rfc)
             }
             (cmd, state) => Err(BankError {
@@ -266,7 +234,7 @@ mod tests {
             .is_err());
         bank.issue(DramCommand::Activate { row: 2 }, timing.t_rc, &timing)
             .unwrap();
-        assert_eq!(bank.open_row(), Some(2));
+        assert_eq!(bank.state(), BankState::Active { row: 2 });
     }
 
     #[test]
@@ -294,28 +262,6 @@ mod tests {
         bank.issue(DramCommand::Refresh, start, &timing).unwrap();
         assert!(!bank.can_issue(&DramCommand::Activate { row: 0 }, start + timing.t_rfc - 1));
         assert!(bank.can_issue(&DramCommand::Activate { row: 0 }, start + timing.t_rfc));
-    }
-
-    #[test]
-    fn stats_count_commands() {
-        let timing = t();
-        let mut bank = Bank::new();
-        bank.issue(DramCommand::Activate { row: 1 }, 0, &timing)
-            .unwrap();
-        bank.issue(DramCommand::Read { column: 0 }, timing.t_rcd, &timing)
-            .unwrap();
-        bank.issue(
-            DramCommand::Read { column: 1 },
-            timing.t_rcd + timing.t_ccd,
-            &timing,
-        )
-        .unwrap();
-        bank.issue(DramCommand::Precharge, timing.t_ras + timing.t_rtp, &timing)
-            .unwrap();
-        let s = bank.stats();
-        assert_eq!(s.activates, 1);
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.precharges, 1);
     }
 
     // Generates a random command sequence and verifies the bank never

@@ -128,29 +128,14 @@ impl Controller {
         }
     }
 
-    /// Number of banks behind this controller.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Current simulated cycle.
     pub fn now(&self) -> Cycle {
         self.now
     }
 
-    /// Cycle at which the last data beat completed.
-    pub fn last_completion(&self) -> Cycle {
-        self.last_completion
-    }
-
     /// Statistics gathered so far.
     pub fn stats(&self) -> ControllerStats {
         self.stats
-    }
-
-    /// Requests not yet completed.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
     }
 
     /// Adds a request to its bank's queue.

@@ -145,11 +145,6 @@ impl TimingParams {
     pub fn clock(&self) -> Frequency {
         Frequency::new(1.0 / self.t_ck.as_secs())
     }
-
-    /// The per-bank streaming frequency (one column access per `t_ccd`).
-    pub fn streaming_clock(&self) -> Frequency {
-        Frequency::new(1.0 / (self.t_ck.as_secs() * self.t_ccd as f64))
-    }
 }
 
 impl Default for TimingParams {
@@ -165,12 +160,6 @@ mod tests {
     #[test]
     fn hbm3_preset_is_valid() {
         TimingParams::hbm3().validate().unwrap();
-    }
-
-    #[test]
-    fn hbm3_streaming_rate_is_666mhz() {
-        let t = TimingParams::hbm3();
-        assert!((t.streaming_clock().as_mhz() - 666.7).abs() < 1.0);
     }
 
     #[test]

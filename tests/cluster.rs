@@ -9,7 +9,7 @@ use papi::core::{
 use papi::llm::ModelPreset;
 use papi::workload::{
     ConversationDataset, DatasetKind, PolicySpec, ReplicaSnapshot, Request, Router, ServingRequest,
-    ServingWorkload,
+    ServingWorkload, SpeculativeConfig,
 };
 
 fn cluster(tp: usize, dp: usize, routing: PolicySpec, max_batch: u64) -> ClusterEngine {
@@ -200,5 +200,53 @@ fn jsq_never_picks_a_saturated_replica_while_headroom_exists() {
                 "JSQ admitted to a saturated replica while {fleet:?} had headroom"
             );
         }
+    }
+}
+
+fn json(report: &impl serde::Serialize) -> String {
+    serde_json::to_string(report).expect("report serializes")
+}
+
+/// Engines price every session through one shape table that their
+/// clones share, so a reused engine must reproduce a fresh one byte for
+/// byte: one `ServingEngine` serves two workloads (TLP 1 and 2) in both
+/// orders, and one `ClusterEngine` (whose replicas are clones of one
+/// engine per design) runs twice.
+#[test]
+fn reused_engines_reproduce_fresh_reports() {
+    let qa = ServingWorkload::poisson(DatasetKind::GeneralQa, 6.0, 40).with_seed(29);
+    let chat = ServingWorkload::poisson(
+        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
+        4.0,
+        48,
+    )
+    .with_speculation(SpeculativeConfig::fixed(2))
+    .with_seed(7);
+    let engine = || {
+        ServingEngine::new(SystemConfig::papi(ModelPreset::Llama65B.config())).with_tuning(
+            SessionTuning::default()
+                .with_max_batch(16)
+                .with_kv_block_size(16)
+                .with_prefix_sharing(true),
+        )
+    };
+    let fresh = [&qa, &chat].map(|workload| json(&engine().run(workload)));
+    for order in [[0, 1], [1, 0]] {
+        let reused = engine();
+        for index in order {
+            let workload = [&qa, &chat][index];
+            assert_eq!(json(&reused.run(workload)), fresh[index], "order {order:?}");
+        }
+    }
+
+    let fleet = || cluster(1, 3, PolicySpec::JoinShortestQueue, 8);
+    let fresh = [&qa, &chat].map(|workload| json(&fleet().run(workload)));
+    let reused = fleet();
+    for (index, workload) in [&qa, &chat].into_iter().enumerate() {
+        assert_eq!(
+            json(&reused.run(workload)),
+            fresh[index],
+            "fleet run {index}"
+        );
     }
 }

@@ -1,16 +1,12 @@
 //! Cross-crate integration tests: the paper's headline claims, exercised
 //! through the public facade on moderately sized workloads.
 
-use papi::core::{DecodingSimulator, DesignKind, SystemConfig};
+use papi::core::{DecodingSimulator, DesignKind, ExecutionReport, SystemConfig};
 use papi::llm::ModelPreset;
 use papi::types::geometric_mean;
-use papi::workload::{DatasetKind, WorkloadSpec};
+use papi::workload::{DatasetKind, DecodeTrace, WorkloadSpec};
 
-fn run(
-    kind: DesignKind,
-    model: ModelPreset,
-    workload: &WorkloadSpec,
-) -> papi::core::ExecutionReport {
+fn run(kind: DesignKind, model: ModelPreset, workload: &WorkloadSpec) -> ExecutionReport {
     DecodingSimulator::new(SystemConfig::build(kind, model.config())).run(workload)
 }
 
@@ -173,6 +169,47 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
+/// The seed-42 Fig. 8 grid the batch pins below price: every
+/// (model, speculation, batch) cell as its model's index in
+/// `ModelPreset::EVALUATED` and its trace, in canonical order.
+fn fig8_cells() -> Vec<(usize, DecodeTrace)> {
+    use papi::core::experiments::{BATCHES, SPECULATION_LENGTHS};
+    let mut cells = Vec::new();
+    for model in 0..ModelPreset::EVALUATED.len() {
+        for speculation in SPECULATION_LENGTHS {
+            for batch in BATCHES {
+                let trace =
+                    WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, speculation)
+                        .with_seed(42)
+                        .trace();
+                cells.push((model, trace));
+            }
+        }
+    }
+    cells
+}
+
+/// The four Fig. 8 designs plus PIM-only PAPI, in pin order.
+fn fig8_designs() -> Vec<DesignKind> {
+    DesignKind::FIG8
+        .into_iter()
+        .chain([DesignKind::PimOnlyPapi])
+        .collect()
+}
+
+/// FNV-1a over every report's JSON, cell by cell in canonical order.
+fn fig8_hash(cells: &[Vec<ExecutionReport>]) -> u64 {
+    cells
+        .iter()
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, report| {
+            let json = serde_json::to_string(report).expect("report serializes");
+            fnv1a(hash, json.as_bytes())
+        })
+}
+
+const FIG8_GRID_GOLDEN: u64 = 0xe124_b842_12bd_5f24;
+
 /// Bit-level pin of the batch path: the serialized `ExecutionReport`
 /// (phases, `energy_parts`, scheduler stats, placements) of every cell
 /// of the seed-42 Fig. 8 grid — 3 models × speculation × batch, on the
@@ -181,33 +218,78 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// engine's accumulation moves it.
 #[test]
 fn fig8_grid_reports_match_their_golden() {
-    use papi::core::experiments::{BATCHES, SPECULATION_LENGTHS};
-    let designs = DesignKind::FIG8
-        .into_iter()
-        .chain([DesignKind::PimOnlyPapi])
-        .collect::<Vec<_>>();
-    let mut hash = 0xcbf2_9ce4_8422_2325;
-    let mut reports = 0;
-    for model in ModelPreset::EVALUATED {
-        for speculation in SPECULATION_LENGTHS {
-            for batch in BATCHES {
-                let trace =
-                    WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, speculation)
-                        .with_seed(42)
-                        .trace();
-                for &kind in &designs {
-                    let report = DecodingSimulator::new(SystemConfig::build(kind, model.config()))
-                        .run_trace(&trace);
-                    let json = serde_json::to_string(&report).expect("report serializes");
-                    hash = fnv1a(hash, json.as_bytes());
-                    reports += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(reports, 27 * 5);
+    let designs = fig8_designs();
+    let reports: Vec<Vec<_>> = fig8_cells()
+        .iter()
+        .map(|(model, trace)| {
+            let model = ModelPreset::EVALUATED[*model];
+            designs
+                .iter()
+                .map(|&kind| {
+                    DecodingSimulator::new(SystemConfig::build(kind, model.config()))
+                        .run_trace(trace)
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(reports.iter().flatten().count(), 27 * 5);
     assert_eq!(
-        hash, 0xe124_b842_12bd_5f24,
+        fig8_hash(&reports),
+        FIG8_GRID_GOLDEN,
         "the Fig. 8 grid's batch reports drifted"
     );
+}
+
+/// The same pin through one simulator per (model, design), whose shape
+/// table every cell reuses: the grid priced in reverse, then again from
+/// two threads that interleave the cells, reproduces the golden both
+/// times, whichever trace fills a shape row first.
+#[test]
+fn fig8_grid_reports_hold_on_reused_simulators() {
+    let designs = fig8_designs();
+    let simulators: Vec<Vec<_>> = ModelPreset::EVALUATED
+        .iter()
+        .map(|model| {
+            designs
+                .iter()
+                .map(|&kind| DecodingSimulator::new(SystemConfig::build(kind, model.config())))
+                .collect()
+        })
+        .collect();
+    let cells = fig8_cells();
+    let price = |cell: usize| -> Vec<ExecutionReport> {
+        let (model, trace) = &cells[cell];
+        simulators[*model]
+            .iter()
+            .map(|simulator| simulator.run_trace(trace))
+            .collect()
+    };
+
+    let mut reversed = vec![Vec::new(); cells.len()];
+    for cell in (0..cells.len()).rev() {
+        reversed[cell] = price(cell);
+    }
+    assert_eq!(fig8_hash(&reversed), FIG8_GRID_GOLDEN, "reverse order");
+
+    let count = cells.len();
+    let mut threaded = vec![Vec::new(); count];
+    std::thread::scope(|scope| {
+        let price = &price;
+        let halves: Vec<_> = (0..2)
+            .map(|first| {
+                scope.spawn(move || {
+                    (first..count)
+                        .step_by(2)
+                        .map(|cell| (cell, price(cell)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for half in halves {
+            for (cell, reports) in half.join().expect("pricing thread panicked") {
+                threaded[cell] = reports;
+            }
+        }
+    });
+    assert_eq!(fig8_hash(&threaded), FIG8_GRID_GOLDEN, "two threads");
 }
