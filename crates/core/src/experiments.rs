@@ -266,6 +266,14 @@ fn run_design(kind: DesignKind, model: ModelPreset, workload: &WorkloadSpec) -> 
     DecodingSimulator::new(SystemConfig::build(kind, model.config())).run(workload)
 }
 
+/// One simulator per entry of `designs` on `model`.
+fn simulators(model: ModelPreset, designs: &[DesignKind]) -> Vec<DecodingSimulator> {
+    designs
+        .iter()
+        .map(|&kind| DecodingSimulator::new(SystemConfig::build(kind, model.config())))
+        .collect()
+}
+
 /// Runs `designs` on one `(model, dataset, spec, batch)` cell and
 /// normalizes to the first entry (the paper normalizes to A100+AttAcc).
 pub fn end_to_end_cell(
@@ -276,24 +284,40 @@ pub fn end_to_end_cell(
     designs: &[DesignKind],
     seed: u64,
 ) -> Vec<EndToEndRow> {
-    let workload = WorkloadSpec::static_batching(dataset, batch, speculation).with_seed(seed);
-    let trace = workload.trace();
-    let reports: Vec<ExecutionReport> = designs
+    cell_rows(
+        &simulators(model, designs),
+        model,
+        dataset,
+        (speculation, batch),
+        seed,
+    )
+}
+
+/// [`end_to_end_cell`] on `simulators`, one per design of `model`.
+fn cell_rows(
+    simulators: &[DecodingSimulator],
+    model: ModelPreset,
+    dataset: DatasetKind,
+    (speculation, batch): (u64, u64),
+    seed: u64,
+) -> Vec<EndToEndRow> {
+    let trace = WorkloadSpec::static_batching(dataset, batch, speculation)
+        .with_seed(seed)
+        .trace();
+    let reports: Vec<ExecutionReport> = simulators
         .iter()
-        .map(|&kind| {
-            DecodingSimulator::new(SystemConfig::build(kind, model.config())).run_trace(&trace)
-        })
+        .map(|simulator| simulator.run_trace(&trace))
         .collect();
     let base = &reports[0];
-    designs
+    simulators
         .iter()
         .zip(&reports)
-        .map(|(&kind, report)| EndToEndRow {
+        .map(|(simulator, report)| EndToEndRow {
             model: model.to_string(),
             dataset: dataset.to_string(),
             speculation,
             batch,
-            design: kind.label().to_owned(),
+            design: simulator.config().design.label().to_owned(),
             speedup: report.speedup_over(base),
             energy_efficiency: report.energy_efficiency_over(base),
             latency_s: report.total_latency().as_secs(),
@@ -302,32 +326,44 @@ pub fn end_to_end_cell(
         .collect()
 }
 
-/// Fig. 8: the full creative-writing grid — 3 models × speculation
-/// {1, 2, 4} × batch {4, 16, 64} × 4 designs, normalized to A100+AttAcc.
+/// [`end_to_end_cell`] over `(speculation, batch)` `cells`, in order.
 ///
-/// Cells are independent simulator runs, so the grid fans out across
-/// cores; the row order (and every value) stays deterministic.
-pub fn fig8_end_to_end(seed: u64) -> Vec<EndToEndRow> {
-    let cells: Vec<(ModelPreset, u64, u64)> = ModelPreset::EVALUATED
-        .into_iter()
-        .flat_map(|model| {
-            SPECULATION_LENGTHS
-                .into_iter()
-                .flat_map(move |speculation| {
-                    BATCHES
-                        .into_iter()
-                        .map(move |batch| (model, speculation, batch))
-                })
-        })
-        .collect();
+/// Cells are independent traces, so they fan out across cores. They
+/// share one simulator per design, so a design prices each batch shape
+/// once per grid, not once per cell; the rows are the same either way.
+fn end_to_end_grid(
+    model: ModelPreset,
+    dataset: DatasetKind,
+    cells: &[(u64, u64)],
+    designs: &[DesignKind],
+    seed: u64,
+) -> Vec<EndToEndRow> {
+    let simulators = simulators(model, designs);
     cells
         .par_iter()
-        .flat_map_iter(|&(model, speculation, batch)| {
-            end_to_end_cell(
+        .flat_map_iter(|&cell| cell_rows(&simulators, model, dataset, cell, seed))
+        .collect()
+}
+
+/// Every `(speculation, batch)` pair of Figs. 8/9/11.
+fn standard_cells() -> Vec<(u64, u64)> {
+    SPECULATION_LENGTHS
+        .into_iter()
+        .flat_map(|speculation| BATCHES.into_iter().map(move |batch| (speculation, batch)))
+        .collect()
+}
+
+/// Fig. 8: the full creative-writing grid — 3 models × speculation
+/// {1, 2, 4} × batch {4, 16, 64} × 4 designs, normalized to A100+AttAcc.
+pub fn fig8_end_to_end(seed: u64) -> Vec<EndToEndRow> {
+    let cells = standard_cells();
+    ModelPreset::EVALUATED
+        .par_iter()
+        .flat_map_iter(|&model| {
+            end_to_end_grid(
                 model,
                 DatasetKind::CreativeWriting,
-                speculation,
-                batch,
+                &cells,
                 &DesignKind::FIG8,
                 seed,
             )
@@ -338,28 +374,17 @@ pub fn fig8_end_to_end(seed: u64) -> Vec<EndToEndRow> {
 /// Fig. 9: the general-qa grid for GPT-3 175B with the three designs the
 /// paper shows (A100+AttAcc, AttAcc-only, PAPI).
 pub fn fig9_general_qa(seed: u64) -> Vec<EndToEndRow> {
-    let designs = [
-        DesignKind::A100AttAcc,
-        DesignKind::AttAccOnly,
-        DesignKind::Papi,
-    ];
-    let cells: Vec<(u64, u64)> = SPECULATION_LENGTHS
-        .into_iter()
-        .flat_map(|speculation| BATCHES.into_iter().map(move |batch| (speculation, batch)))
-        .collect();
-    cells
-        .par_iter()
-        .flat_map_iter(|&(speculation, batch)| {
-            end_to_end_cell(
-                ModelPreset::Gpt3_175B,
-                DatasetKind::GeneralQa,
-                speculation,
-                batch,
-                &designs,
-                seed,
-            )
-        })
-        .collect()
+    end_to_end_grid(
+        ModelPreset::Gpt3_175B,
+        DatasetKind::GeneralQa,
+        &standard_cells(),
+        &[
+            DesignKind::A100AttAcc,
+            DesignKind::AttAccOnly,
+            DesignKind::Papi,
+        ],
+        seed,
+    )
 }
 
 /// Fig. 10(a): batch sweep 4→128 at speculation 1; Fig. 10(b):
@@ -371,34 +396,18 @@ pub fn fig10_sensitivity(seed: u64) -> (Vec<EndToEndRow>, Vec<EndToEndRow>) {
         DesignKind::AttAccOnly,
         DesignKind::Papi,
     ];
-    let batches = [4u64, 8, 16, 32, 64, 128];
-    let sweep_a: Vec<EndToEndRow> = batches
-        .par_iter()
-        .flat_map_iter(|&batch| {
-            end_to_end_cell(
-                ModelPreset::Llama65B,
-                DatasetKind::CreativeWriting,
-                1,
-                batch,
-                &designs,
-                seed,
-            )
-        })
-        .collect();
-    let sweep_b: Vec<EndToEndRow> = [1u64, 2, 4, 8]
-        .par_iter()
-        .flat_map_iter(|&speculation| {
-            end_to_end_cell(
-                ModelPreset::Llama65B,
-                DatasetKind::CreativeWriting,
-                speculation,
-                4,
-                &designs,
-                seed,
-            )
-        })
-        .collect();
-    (sweep_a, sweep_b)
+    let sweep = |cells: &[(u64, u64)]| {
+        end_to_end_grid(
+            ModelPreset::Llama65B,
+            DatasetKind::CreativeWriting,
+            cells,
+            &designs,
+            seed,
+        )
+    };
+    let batches = [4u64, 8, 16, 32, 64, 128].map(|batch| (1, batch));
+    let speculations = [1u64, 2, 4, 8].map(|speculation| (speculation, 4));
+    (sweep(&batches), sweep(&speculations))
 }
 
 /// Fig. 11: PIM-only PAPI vs AttAcc-only (decoding phase), speculation
@@ -406,24 +415,13 @@ pub fn fig10_sensitivity(seed: u64) -> (Vec<EndToEndRow>, Vec<EndToEndRow>) {
 /// returned rows are normalized to AttAcc-only, so `speedup` is directly
 /// the figure's bar height.
 pub fn fig11_pim_only(seed: u64) -> Vec<EndToEndRow> {
-    let designs = [DesignKind::AttAccOnly, DesignKind::PimOnlyPapi];
-    let cells: Vec<(u64, u64)> = SPECULATION_LENGTHS
-        .into_iter()
-        .flat_map(|speculation| BATCHES.into_iter().map(move |batch| (speculation, batch)))
-        .collect();
-    cells
-        .par_iter()
-        .flat_map_iter(|&(speculation, batch)| {
-            end_to_end_cell(
-                ModelPreset::Llama65B,
-                DatasetKind::CreativeWriting,
-                speculation,
-                batch,
-                &designs,
-                seed,
-            )
-        })
-        .collect()
+    end_to_end_grid(
+        ModelPreset::Llama65B,
+        DatasetKind::CreativeWriting,
+        &standard_cells(),
+        &[DesignKind::AttAccOnly, DesignKind::PimOnlyPapi],
+        seed,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -696,8 +694,9 @@ mod tests {
 
     #[test]
     fn parallel_grid_matches_serial_cells() {
-        // The rayon fan-out must not change a single value or the row
-        // order relative to running the cells one by one.
+        // The rayon fan-out over simulators the cells share must not
+        // change a single value or the row order relative to running
+        // each cell on fresh simulators, one by one.
         let parallel = fig11_pim_only(3);
         let mut serial = Vec::new();
         for speculation in SPECULATION_LENGTHS {

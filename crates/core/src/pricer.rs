@@ -12,7 +12,9 @@
 //! a change to the hardware math moves every consumer at once. Each
 //! engine owns one shape table and lends it to every pricer it
 //! opens, so a batch shape is priced once per engine, not once per
-//! trace or session.
+//! trace or session. That saves work only where one engine serves many
+//! traces or sessions; the figure grids in
+//! [`experiments`](crate::experiments) share one per design for that.
 
 use crate::config::SystemConfig;
 use crate::metrics::IterationCost;
@@ -26,7 +28,7 @@ use papi_types::{Bytes, Energy, Power, Time};
 use papi_workload::IterationRecord;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Multiply-rotate hasher (Fx-style) for the pricing tables. Their keys
 /// are a handful of machine words, where the default SipHash's keyed
@@ -276,10 +278,21 @@ impl ShapeTable {
     /// The row of `key`, priced on `config` on a miss. `config` must be
     /// the one every other row was priced on.
     fn row(&self, config: &SystemConfig, key: ShapeKey) -> ShapeCost {
-        // A pricing panic leaves the map unchanged, so a poisoned lock
-        // still guards only complete rows.
-        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
-        *rows.entry(key).or_insert_with(|| shape_cost(config, key))
+        let hit = self.lock().get(&key).copied();
+        if let Some(row) = hit {
+            return row;
+        }
+        // Priced outside the lock, so a miss never stalls the engine's
+        // other pricers. One that races to the same key prices the same
+        // row, and the first insert wins.
+        let row = shape_cost(config, key);
+        *self.lock().entry(key).or_insert(row)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FxMap<ShapeKey, ShapeCost>> {
+        // Only map reads and inserts run under the lock, so a poisoned
+        // lock still guards only complete rows.
+        self.rows.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -6,7 +6,11 @@ use papi::llm::ModelPreset;
 use papi::types::geometric_mean;
 use papi::workload::{DatasetKind, DecodeTrace, WorkloadSpec};
 
-fn run(kind: DesignKind, model: ModelPreset, workload: &WorkloadSpec) -> ExecutionReport {
+fn run(
+    kind: DesignKind,
+    model: ModelPreset,
+    workload: &WorkloadSpec,
+) -> papi::core::ExecutionReport {
     DecodingSimulator::new(SystemConfig::build(kind, model.config())).run(workload)
 }
 
