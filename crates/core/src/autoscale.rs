@@ -55,7 +55,7 @@ pub struct AutoscaleView<'a> {
 
 impl AutoscaleView<'_> {
     /// Replicas currently serving traffic.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.replicas
             .iter()
             .filter(|s| s.lifecycle.serves_traffic())
@@ -65,7 +65,7 @@ impl AutoscaleView<'_> {
     /// Whether capacity is already on the way (any `Warming` replica) —
     /// the standard guard against scale-up thrash while a previous
     /// decision is still spinning up.
-    pub fn warming_in_flight(&self) -> bool {
+    pub(crate) fn warming_in_flight(&self) -> bool {
         self.replicas
             .iter()
             .any(|s| s.lifecycle == ReplicaState::Warming)
@@ -73,7 +73,7 @@ impl AutoscaleView<'_> {
 
     /// Mean queue depth per `Active` replica, summed in replica order
     /// (0 with none active).
-    pub fn mean_active_queue(&self) -> f64 {
+    pub(crate) fn mean_active_queue(&self) -> f64 {
         let (sum, n) = self
             .replicas
             .iter()
@@ -174,7 +174,7 @@ impl AutoscalePolicySpec {
     /// Checks the thresholds: each finite and non-negative, and the
     /// band not inverted (a scale-up threshold below the scale-down
     /// one; equal is allowed).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let check = |name: &str, value: f64| {
             if !value.is_finite() || value < 0.0 {
                 Err(format!(
@@ -251,10 +251,10 @@ pub struct AutoscaleSpec {
 impl AutoscaleSpec {
     /// Default replica spin-up delay: 30 s of simulated time — model
     /// load plus cache warm-up on real fleets.
-    pub const DEFAULT_SPIN_UP_S: f64 = 30.0;
+    pub(crate) const DEFAULT_SPIN_UP_S: f64 = 30.0;
 
     /// Default decision interval: 10 s of simulated time.
-    pub const DEFAULT_DECIDE_INTERVAL_S: f64 = 10.0;
+    pub(crate) const DEFAULT_DECIDE_INTERVAL_S: f64 = 10.0;
 
     /// An autoscaler with the default knobs: floor of 1, whole fleet
     /// initially active, 30 s spin-up, 10 s decisions.
@@ -346,16 +346,6 @@ pub struct FleetCostReport {
     /// Fleet energy divided by SLO-good output tokens, joules per
     /// token (0 when no token met the SLO).
     pub energy_per_good_token_j: f64,
-}
-
-impl FleetCostReport {
-    /// Fraction of the fixed-peak rental the autoscaled fleet spent.
-    pub fn provisioned_fraction(&self) -> f64 {
-        if self.fixed_fleet_hours == 0.0 {
-            return 0.0;
-        }
-        self.provisioned_hours / self.fixed_fleet_hours
-    }
 }
 
 /// The engine-side autoscale runtime: lifecycle vector, warm-up
@@ -756,26 +746,5 @@ mod tests {
         ] {
             assert_eq!(spec.validate(), Ok(()), "{spec:?}");
         }
-    }
-
-    #[test]
-    fn cost_report_provisioned_fraction() {
-        let report = FleetCostReport {
-            policy: "queue-depth".into(),
-            decide_interval_s: 10.0,
-            spin_up_s: 30.0,
-            decisions: 100,
-            peak_active: 4,
-            warming_hours: 0.1,
-            active_hours: 2.0,
-            draining_hours: 0.4,
-            provisioned_hours: 2.5,
-            fixed_fleet_hours: 8.0,
-            scale_events: vec![],
-            slo_good_requests: 10,
-            slo_good_tokens: 500,
-            energy_per_good_token_j: 1.5,
-        };
-        assert!((report.provisioned_fraction() - 0.3125).abs() < 1e-12);
     }
 }

@@ -4,7 +4,7 @@
 //! The paper evaluates one node. The ROADMAP's production fleet needs
 //! *many*: a [`ClusterEngine`] owns `dp_replicas` serving engines —
 //! each a TP group of `tp_degree` nodes built by
-//! [`SystemConfig::with_tensor_parallel`] — and co-simulates them on a
+//! `SystemConfig::with_tensor_parallel` — and co-simulates them on a
 //! shared clock. Requests arrive once, globally; at each arrival the
 //! router (a [`RoutePolicy`] from `papi-workload`) inspects every
 //! replica's [`ReplicaSnapshot`] *as of
@@ -72,7 +72,7 @@ pub enum StepMode {
     /// and no windowing argument to trust.
     Sequential,
     /// Each replica runs to the bound with
-    /// [`ServingSession::run_until`], which leaps a steady batch through
+    /// `ServingSession::run_until`, which leaps a steady batch through
     /// many decode iterations per call. The replicas run inline, in
     /// replica order: no window on the benchmarked fleets carries
     /// enough work to repay spawning threads. An arrival in a
@@ -202,12 +202,12 @@ impl ClusterSpec {
     }
 
     /// The role of replica `idx` (`Colocated` when no roles were set).
-    pub fn role_of(&self, idx: usize) -> ReplicaRole {
+    pub(crate) fn role_of(&self, idx: usize) -> ReplicaRole {
         self.roles.get(idx).copied().unwrap_or_default()
     }
 
     /// The hardware design serving `role` in this fleet.
-    pub fn design_for(&self, role: ReplicaRole) -> DesignKind {
+    pub(crate) fn design_for(&self, role: ReplicaRole) -> DesignKind {
         match role {
             ReplicaRole::Prefill => self.prefill_design.unwrap_or(self.design),
             ReplicaRole::Colocated | ReplicaRole::Decode => self.design,
@@ -254,10 +254,10 @@ impl SharedTierSpec {
     /// Default control-plane gossip period: 50 ms of simulated time —
     /// far below the eviction→reuse gaps that make sharing pay, far
     /// above per-iteration granularity.
-    pub const DEFAULT_SYNC_S: f64 = 0.05;
+    pub(crate) const DEFAULT_SYNC_S: f64 = 0.05;
 
     /// The default shared tier: priced over the cluster's inter-node
-    /// fabric, gossiping every [`DEFAULT_SYNC_S`](Self::DEFAULT_SYNC_S)
+    /// fabric, gossiping every `DEFAULT_SYNC_S`
     /// simulated seconds.
     pub fn new() -> Self {
         Self {
@@ -376,9 +376,7 @@ impl ClusterEngine {
     /// disaggregated or shared-tier fleet, with degenerate bounds
     /// (`1 <= min <= initial <= dp_replicas`, non-negative spin-up,
     /// positive decision interval), or with a policy that fails
-    /// [`AutoscalePolicySpec::validate`].
-    ///
-    /// [`AutoscalePolicySpec::validate`]: crate::autoscale::AutoscalePolicySpec::validate
+    /// `AutoscalePolicySpec::validate`.
     pub fn new(spec: ClusterSpec) -> Result<Self, TopologyError> {
         spec.tuning.validate().map_err(TopologyError::new)?;
         if let Some(autoscale) = &spec.autoscale {
@@ -500,7 +498,7 @@ impl ClusterEngine {
     }
 
     /// The resolved role of every replica.
-    pub fn roles(&self) -> Vec<ReplicaRole> {
+    pub(crate) fn roles(&self) -> Vec<ReplicaRole> {
         (0..self.spec.dp_replicas)
             .map(|idx| self.spec.role_of(idx))
             .collect()
@@ -1284,7 +1282,7 @@ impl ClusterReport {
 
     /// Requests completed within `slo` fleet-wide, and their output
     /// tokens.
-    pub fn slo_good(&self, slo: &SloSpec) -> (u64, u64) {
+    pub(crate) fn slo_good(&self, slo: &SloSpec) -> (u64, u64) {
         self.records()
             .filter(|r| r.meets(slo))
             .fold((0, 0), |(requests, tokens), r| {
@@ -1312,7 +1310,7 @@ impl ClusterReport {
     }
 
     /// Fleet output-token throughput over the makespan.
-    pub fn tokens_per_second(&self) -> f64 {
+    pub(crate) fn tokens_per_second(&self) -> f64 {
         let secs = self.makespan().as_secs();
         if secs == 0.0 {
             return 0.0;

@@ -101,9 +101,9 @@ pub struct SystemConfig {
 }
 
 /// Devices holding FC weights (paper §7.1: 30 of the 90 HBM stacks).
-pub const FC_POOL_DEVICES: usize = 30;
+pub(crate) const FC_POOL_DEVICES: usize = 30;
 /// Devices holding attention KV caches (the other 60).
-pub const ATTN_POOL_DEVICES: usize = 60;
+pub(crate) const ATTN_POOL_DEVICES: usize = 60;
 
 impl SystemConfig {
     fn base(
@@ -167,7 +167,7 @@ impl SystemConfig {
 
     /// The A100+HBM-PIM baseline: FC always on 6 GPUs, attention on
     /// Samsung-style 1P2B devices.
-    pub fn a100_hbm_pim(model: ModelConfig) -> Self {
+    pub(crate) fn a100_hbm_pim(model: ModelConfig) -> Self {
         Self::base(
             DesignKind::A100HbmPim,
             model,
@@ -221,7 +221,7 @@ impl SystemConfig {
     ///
     /// Panics if `degree` is zero.
     #[track_caller]
-    pub fn with_tensor_parallel(mut self, degree: usize, fabric: LinkSpec) -> Self {
+    pub(crate) fn with_tensor_parallel(mut self, degree: usize, fabric: LinkSpec) -> Self {
         assert!(degree > 0, "a TP group needs at least one node");
         if degree == 1 {
             return self;

@@ -16,7 +16,7 @@ use papi_types::Energy;
 use papi_workload::{DecodeTrace, WorkloadSpec};
 use std::sync::Arc;
 
-pub use crate::pricer::{fc_cost_on_pim, fc_cost_on_pu, fc_latency_on_pim, fc_latency_on_pu};
+pub use crate::pricer::{fc_latency_on_pim, fc_latency_on_pu};
 
 /// Simulates LLM decoding on one [`SystemConfig`]. Every trace it
 /// runs prices through one shape table, shared by its clones.
@@ -254,7 +254,14 @@ mod tests {
             .with_seed(1)
             .trace();
         let r = DecodingSimulator::new(SystemConfig::pim_only_papi(llama())).run_trace(&trace);
-        let (fc, attn, comm, other) = r.phases.fractions();
+        let total = r.phases.total().value();
+        let [fc, attn, comm, other] = [
+            r.phases.fc,
+            r.phases.attention,
+            r.phases.communication,
+            r.phases.other,
+        ]
+        .map(|phase| phase.value() / total);
         assert!(fc > 0.5, "FC share {fc}");
         assert!(attn < 0.15, "attention share {attn}");
         assert!(

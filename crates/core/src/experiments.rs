@@ -220,7 +220,7 @@ pub fn fig7_energy_power() -> (PimEnergyBreakdown, PimEnergyBreakdown, Vec<Power
 
 /// The intermediate 2P1B configuration of Fig. 7(c) (96 banks per the
 /// Eq. (3) area solver).
-pub fn two_p1b_device() -> PimDevice {
+pub(crate) fn two_p1b_device() -> PimDevice {
     PimDevice::new(
         "2P1B",
         papi_dram::HbmDevice {

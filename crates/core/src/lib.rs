@@ -31,7 +31,7 @@
 //!   continuous batching, per-request latency).
 //! - [`metrics`] — execution and serving reports (latency/energy
 //!   breakdowns, TTFT/TPOT percentiles, SLO goodput).
-//! - [`slo`] — latency objectives and admissible-batch analysis.
+//! - [`slo`] — latency objectives (TTFT and TPOT budgets).
 //! - [`experiments`] — one function per paper figure (Fig. 2–12), plus
 //!   [`sweep`](experiments::sweep) over `(ClusterSpec, ServingWorkload)`
 //!   points for the serving and fleet comparisons, summarized by
@@ -85,8 +85,5 @@ pub use metrics::{
 pub use papi_kv::KvCacheStats;
 pub use prefill::{prefill_cost, prefill_cost_for, PrefillCost, PromptStats};
 pub use pricer::IterationPricer;
-pub use serving::{
-    KvTierSpec, PrefillHandoff, RemoteFetchEvent, ServingEngine, ServingSession, SessionStatus,
-    SessionTuning,
-};
+pub use serving::{KvTierSpec, ServingEngine, ServingSession, SessionStatus, SessionTuning};
 pub use slo::SloSpec;

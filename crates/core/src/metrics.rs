@@ -42,7 +42,7 @@ impl IterationCost {
     }
 
     /// Total iteration energy.
-    pub fn total_energy(&self) -> Energy {
+    pub(crate) fn total_energy(&self) -> Energy {
         self.fc_energy + self.attn_energy + self.comm_energy + self.static_energy
     }
 }
@@ -64,20 +64,6 @@ impl PhaseBreakdown {
     /// Sum of all phases.
     pub fn total(&self) -> Time {
         self.fc + self.attention + self.communication + self.other
-    }
-
-    /// Fractions `(fc, attention, communication, other)` of the total.
-    pub fn fractions(&self) -> (f64, f64, f64, f64) {
-        let total = self.total().value();
-        if total == 0.0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        (
-            self.fc.value() / total,
-            self.attention.value() / total,
-            self.communication.value() / total,
-            self.other.value() / total,
-        )
     }
 }
 
@@ -273,14 +259,6 @@ impl ExecutionReport {
         self.prefill_time + self.phases.total()
     }
 
-    /// Mean latency per generated token.
-    pub fn time_per_token(&self) -> Time {
-        if self.tokens == 0 {
-            return Time::ZERO;
-        }
-        self.total_latency() / self.tokens as f64
-    }
-
     /// Generation throughput.
     pub fn tokens_per_second(&self) -> f64 {
         let t = self.total_latency().as_secs();
@@ -390,7 +368,7 @@ impl LatencySummary {
     /// Percentiles use the nearest-rank method on the sorted sample —
     /// p99 of 100 observations is the 99th smallest, matching how
     /// serving papers report tail latency.
-    pub fn from_times(times: &[Time]) -> Option<Self> {
+    pub(crate) fn from_times(times: &[Time]) -> Option<Self> {
         if times.is_empty() {
             return None;
         }
@@ -496,15 +474,6 @@ impl ServingReport {
         }
         self.records.iter().filter(|r| r.meets(slo)).count() as f64 / secs
     }
-
-    /// Output-token throughput over the makespan.
-    pub fn tokens_per_second(&self) -> f64 {
-        let secs = self.makespan.as_secs();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.tokens as f64 / secs
-    }
 }
 
 #[cfg(test)]
@@ -531,24 +500,6 @@ mod tests {
         let c = cost(8.0, 16);
         assert!((c.total_time().as_millis() - 9.6).abs() < 1e-12);
         assert!((c.total_energy().as_millijoules() - 11.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_fractions_sum_to_one() {
-        let p = PhaseBreakdown {
-            fc: Time::from_millis(8.0),
-            attention: Time::from_millis(1.0),
-            communication: Time::from_millis(3.0),
-            other: Time::from_millis(0.5),
-        };
-        let (a, b, c, d) = p.fractions();
-        assert!((a + b + c + d - 1.0).abs() < 1e-12);
-        assert!(a > b && a > c && a > d, "FC should dominate");
-    }
-
-    #[test]
-    fn empty_breakdown_fractions_are_zero() {
-        assert_eq!(PhaseBreakdown::default().fractions(), (0.0, 0.0, 0.0, 0.0));
     }
 
     fn report(latency_ms: f64, energy_mj: f64, tokens: u64) -> ExecutionReport {
@@ -587,7 +538,6 @@ mod tests {
     #[test]
     fn per_token_metrics() {
         let r = report(100.0, 200.0, 50);
-        assert!((r.time_per_token().as_millis() - 2.0).abs() < 1e-12);
         assert!((r.energy_per_token().as_millijoules() - 4.0).abs() < 1e-12);
         assert!((r.tokens_per_second() - 500.0).abs() < 1e-9);
     }
@@ -595,7 +545,6 @@ mod tests {
     #[test]
     fn zero_token_report_is_safe() {
         let r = report(1.0, 1.0, 0);
-        assert_eq!(r.time_per_token(), Time::ZERO);
         assert_eq!(r.energy_per_token(), Energy::ZERO);
     }
 

@@ -55,7 +55,7 @@ impl PromptStats {
     /// discounting its cached prefix) telescopes to exactly the
     /// monolithic cost: total FC work and total attention FLOPs are
     /// conserved.
-    pub fn add_chunk(&mut self, context: u64, chunk: u64) {
+    pub(crate) fn add_chunk(&mut self, context: u64, chunk: u64) {
         self.tokens += chunk;
         self.sum_len_squared += chunk * chunk + 2 * chunk * context;
     }

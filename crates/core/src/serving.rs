@@ -59,10 +59,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Default cap on the running batch (the scheduler window).
-pub const DEFAULT_MAX_BATCH: u64 = 64;
+pub(crate) const DEFAULT_MAX_BATCH: u64 = 64;
 /// Default fraction of the Attn-PIM pool admission may plan into; the
 /// remainder absorbs KV growth between admission and completion.
-pub const DEFAULT_KV_HEADROOM: f64 = 0.85;
+pub(crate) const DEFAULT_KV_HEADROOM: f64 = 0.85;
+/// Safety valve against runaway episodes: a session panics past this
+/// many decode iterations.
+const MAX_ITERATIONS: u64 = 10_000_000;
 
 /// The session knobs every serving surface shares — one struct consumed
 /// by [`ServingEngine`] directly and by
@@ -121,7 +124,7 @@ pub struct KvTierSpec {
 }
 
 impl KvTierSpec {
-    /// A tier of `budget_blocks` blocks. [`validate`](Self::validate)
+    /// A tier of `budget_blocks` blocks. `validate`
     /// rejects a zero budget.
     pub fn new(budget_blocks: u64) -> Self {
         Self { budget_blocks }
@@ -132,7 +135,7 @@ impl KvTierSpec {
     /// # Errors
     ///
     /// Returns a message naming the knob if `budget_blocks` is zero.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.budget_blocks == 0 {
             return Err("tier budget must be positive".to_owned());
         }
@@ -206,7 +209,7 @@ impl SessionTuning {
     ///
     /// Returns a message naming the knob if `max_batch`,
     /// `kv_block_size`, or `prefill_chunk` is zero, `kv_headroom` is
-    /// outside `(0, 1]`, or a KV tier fails [`KvTierSpec::validate`] or
+    /// outside `(0, 1]`, or a KV tier fails `KvTierSpec::validate` or
     /// rides without prefix sharing.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_batch == 0 {
@@ -244,7 +247,6 @@ pub struct ServingEngine {
     config: SystemConfig,
     rows: Arc<ShapeTable>,
     tuning: SessionTuning,
-    max_iterations: u64,
 }
 
 impl ServingEngine {
@@ -256,7 +258,6 @@ impl ServingEngine {
             config,
             rows: Arc::default(),
             tuning: SessionTuning::default(),
-            max_iterations: 10_000_000,
         }
     }
 
@@ -266,7 +267,7 @@ impl ServingEngine {
     }
 
     /// The session knobs this engine runs with.
-    pub fn tuning(&self) -> &SessionTuning {
+    pub(crate) fn tuning(&self) -> &SessionTuning {
         &self.tuning
     }
 
@@ -283,12 +284,6 @@ impl ServingEngine {
             panic!("{msg}");
         }
         self.tuning = tuning;
-        self
-    }
-
-    /// Safety valve against runaway episodes (default: 10 M iterations).
-    pub fn with_max_iterations(mut self, max_iterations: u64) -> Self {
-        self.max_iterations = max_iterations;
         self
     }
 
@@ -401,7 +396,7 @@ impl ServingEngine {
 /// flight the sequence occupies *neither* pool — the source released
 /// its blocks at export, and the destination allocates at admission.
 #[derive(Debug, Clone)]
-pub struct PrefillHandoff {
+pub(crate) struct PrefillHandoff {
     /// The request, with its prompt fully prefilled and `generated`
     /// still zero.
     pub request: ServingRequest,
@@ -433,7 +428,7 @@ pub enum SessionStatus {
 /// fetching session (TTFT and session energy); the event exists so the
 /// fleet report can attribute the traffic without double-charging.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteFetchEvent {
+pub(crate) struct RemoteFetchEvent {
     /// The conversation-prefix key that was re-materialized.
     pub key: u64,
     /// Replica index the fleet-wide directory names as the record's
@@ -623,7 +618,7 @@ impl ServingSession<'_> {
     /// Panics if the handoff was delivered out of order relative to
     /// earlier pushes, or if it has already generated tokens.
     #[track_caller]
-    pub fn push_migrated(&mut self, handoff: PrefillHandoff, delivered_s: f64) {
+    pub(crate) fn push_migrated(&mut self, handoff: PrefillHandoff, delivered_s: f64) {
         let PrefillHandoff {
             mut request,
             admitted_s,
@@ -675,7 +670,7 @@ impl ServingSession<'_> {
     /// KV blocks are exported from the pool and the request leaves as
     /// a [`PrefillHandoff`] (collect with
     /// [`drain_egress`](Self::drain_egress)) instead of decoding here.
-    pub fn enable_prefill_export(&mut self) {
+    pub(crate) fn enable_prefill_export(&mut self) {
         self.export_prefills = true;
     }
 
@@ -683,14 +678,8 @@ impl ServingSession<'_> {
     /// order. Empty unless
     /// [`enable_prefill_export`](Self::enable_prefill_export) was
     /// called.
-    pub fn drain_egress(&mut self) -> Vec<PrefillHandoff> {
+    pub(crate) fn drain_egress(&mut self) -> Vec<PrefillHandoff> {
         std::mem::take(&mut self.egress)
-    }
-
-    /// Requests that left this session via prefill export (they are
-    /// recorded by the decode-side session instead).
-    pub fn exported(&self) -> u64 {
-        self.exported
     }
 
     /// The session's simulated wall-clock, seconds since episode start.
@@ -700,7 +689,7 @@ impl ServingSession<'_> {
 
     /// Whether any pushed request has not yet finished here or left
     /// via prefill export.
-    pub fn has_pending_work(&self) -> bool {
+    pub(crate) fn has_pending_work(&self) -> bool {
         (self.records.len() as u64 + self.exported) < self.requests.len() as u64
     }
 
@@ -741,7 +730,7 @@ impl ServingSession<'_> {
     /// re-provisioning — the autoscaler calls this when a `Retired`
     /// replica spins back up, so its first requests re-prefill from
     /// scratch.
-    pub fn flush_caches(&mut self) {
+    pub(crate) fn flush_caches(&mut self) {
         if let Some(tree) = self.prefix_tree.as_mut() {
             tree.clear(&mut self.pool);
         }
@@ -754,7 +743,7 @@ impl ServingSession<'_> {
     /// keeps the workload's stream (so a 1-replica cluster reproduces
     /// the single-engine episode bit for bit); later replicas decorrelate
     /// with their index.
-    pub fn reseed(&mut self, seed: u64) {
+    pub(crate) fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5851_f42d_4c95_7f2d));
     }
 
@@ -774,7 +763,12 @@ impl ServingSession<'_> {
     /// directory registers *spilled* records, so it rides
     /// [`KvTierSpec`] the same way the tier rides the prefix cache.
     #[track_caller]
-    pub fn enable_global_tier(&mut self, replica: usize, link: LinkSpec, view: Arc<GlobalKvTier>) {
+    pub(crate) fn enable_global_tier(
+        &mut self,
+        replica: usize,
+        link: LinkSpec,
+        view: Arc<GlobalKvTier>,
+    ) {
         assert!(
             self.tier.is_some(),
             "the fleet-shared tier registers spilled records: configure kv_tier first"
@@ -794,7 +788,7 @@ impl ServingSession<'_> {
     /// barriers only — between barriers every replica reads the same
     /// frozen view, which is what keeps parallel and sequential fleet
     /// stepping bit-for-bit equal.
-    pub fn install_global_view(&mut self, view: Arc<GlobalKvTier>) {
+    pub(crate) fn install_global_view(&mut self, view: Arc<GlobalKvTier>) {
         if let Some(state) = self.global.as_mut() {
             state.view = Some(view);
         }
@@ -803,7 +797,7 @@ impl ServingSession<'_> {
     /// Drops this session's reference to the frozen fleet-directory
     /// snapshot, so a barrier can merge into it in place; re-install a
     /// view before stepping again.
-    pub fn release_global_view(&mut self) {
+    pub(crate) fn release_global_view(&mut self) {
         if let Some(state) = self.global.as_mut() {
             state.view = None;
         }
@@ -821,7 +815,7 @@ impl ServingSession<'_> {
     /// Takes the `(key, tokens)` records this session's accepted spills
     /// queued for fleet-wide registration since the last drain. Empty
     /// unless the shared tier is enabled.
-    pub fn drain_global_publishes(&mut self) -> Vec<(u64, u64)> {
+    pub(crate) fn drain_global_publishes(&mut self) -> Vec<(u64, u64)> {
         self.global
             .as_mut()
             .map_or_else(Vec::new, |s| std::mem::take(&mut s.publish_egress))
@@ -831,7 +825,7 @@ impl ServingSession<'_> {
     /// last drain (their time and energy are already charged here; the
     /// events are for fleet-level attribution). Empty unless the shared
     /// tier is enabled.
-    pub fn drain_global_fetches(&mut self) -> Vec<RemoteFetchEvent> {
+    pub(crate) fn drain_global_fetches(&mut self) -> Vec<RemoteFetchEvent> {
         self.global
             .as_mut()
             .map_or_else(Vec::new, |s| std::mem::take(&mut s.fetch_egress))
@@ -1118,7 +1112,7 @@ impl ServingSession<'_> {
     /// reaches `bound` or the next arrival, or KV growth needs the full
     /// round's eviction and preemption. The parallel cluster loop uses
     /// this to burst replicas between control-plane events.
-    pub fn run_until(&mut self, bound: f64) {
+    pub(crate) fn run_until(&mut self, bound: f64) {
         while self.has_pending_work() && self.clock < bound {
             self.advance(u64::MAX, bound);
         }
@@ -1567,9 +1561,8 @@ impl ServingSession<'_> {
             iterations += 1;
             self.iterations += 1;
             assert!(
-                self.iterations <= self.engine.max_iterations,
-                "serving episode exceeded {} iterations — runaway workload?",
-                self.engine.max_iterations
+                self.iterations <= MAX_ITERATIONS,
+                "serving episode exceeded {MAX_ITERATIONS} iterations — runaway workload?"
             );
         }
 
@@ -1813,18 +1806,21 @@ mod tests {
     #[test]
     fn makespan_excludes_leading_idle() {
         // Two identical single-request episodes, one arriving at t = 0
-        // and one arriving 100 s in: the service time (and therefore
-        // the makespan) must match — the idle century doesn't count.
+        // and one arriving well after it (a seeded low-rate Poisson
+        // draw): the service time (and therefore the makespan) must
+        // match — the idle lead-in doesn't count.
         let engine =
             ServingEngine::new(SystemConfig::pim_only_papi(ModelPreset::Llama65B.config()));
         let at_zero =
             ServingWorkload::new(DatasetKind::GeneralQa, ArrivalProcess::Immediate, 1).with_seed(2);
         let delayed = ServingWorkload::new(
             DatasetKind::GeneralQa,
-            ArrivalProcess::Trace(vec![100.0]),
+            ArrivalProcess::Poisson { rate_per_sec: 0.01 },
             1,
         )
         .with_seed(2);
+        let arrival = delayed.requests()[0].arrival_s;
+        assert!(arrival > 10.0, "first arrival at {arrival} s");
         let a = engine.run(&at_zero);
         let b = engine.run(&delayed);
         assert!(
@@ -1833,8 +1829,8 @@ mod tests {
             a.makespan,
             b.makespan
         );
-        assert!(b.records[0].arrival.value() == 100.0);
-        assert!(b.tokens_per_second() > 0.0);
+        assert!(b.records[0].arrival.value() == arrival);
+        assert!(b.tokens > 0);
     }
 
     /// The maintained KV counters (the satellite dedupe of the triple

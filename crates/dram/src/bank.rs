@@ -1,19 +1,18 @@
 //! Per-bank DRAM state machine.
 //!
-//! Each [`Bank`] tracks its open row and the earliest cycle at which each
+//! Each `Bank` tracks its open row and the earliest cycle at which each
 //! command class may legally issue, updating those horizons as commands
-//! are accepted. The controller consults [`Bank::earliest`] to schedule
-//! and calls [`Bank::issue`]; issuing a command that violates a timing
+//! are accepted. The controller consults `Bank::earliest` to schedule
+//! and calls `Bank::issue`; issuing a command that violates a timing
 //! constraint or the state machine is an error, never silently accepted —
 //! this is the invariant the property tests hammer on.
 
 use crate::command::DramCommand;
 use crate::timing::{Cycle, TimingParams};
-use serde::{Deserialize, Serialize};
 
 /// Whether a bank has a row open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BankState {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BankState {
     /// No row open; the bank may accept ACT or REF.
     Idle,
     /// A row is open; the bank may accept RD to it or PRE.
@@ -25,7 +24,7 @@ pub enum BankState {
 
 /// Error returned when a command cannot legally issue.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankError {
+pub(crate) struct BankError {
     command: &'static str,
     reason: String,
 }
@@ -39,24 +38,8 @@ impl core::fmt::Display for BankError {
 impl std::error::Error for BankError {}
 
 /// A single DRAM bank.
-///
-/// # Example
-///
-/// ```
-/// use papi_dram::{Bank, BankState, DramCommand, TimingParams};
-///
-/// let t = TimingParams::hbm3();
-/// let mut bank = Bank::new();
-/// bank.issue(DramCommand::Activate { row: 42 }, 0, &t).unwrap();
-/// assert_eq!(bank.state(), BankState::Active { row: 42 });
-/// // Reading before tRCD has elapsed is rejected:
-/// assert!(bank.issue(DramCommand::Read { column: 0 }, 1, &t).is_err());
-/// assert!(bank
-///     .issue(DramCommand::Read { column: 0 }, t.t_rcd, &t)
-///     .is_ok());
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bank {
+#[derive(Debug, Clone)]
+pub(crate) struct Bank {
     state: BankState,
     earliest_activate: Cycle,
     earliest_precharge: Cycle,
@@ -71,7 +54,7 @@ impl Default for Bank {
 
 impl Bank {
     /// A fresh, idle bank with no pending constraints.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: BankState::Idle,
             earliest_activate: 0,
@@ -81,14 +64,14 @@ impl Bank {
     }
 
     /// Current open/closed state.
-    pub fn state(&self) -> BankState {
+    pub(crate) fn state(&self) -> BankState {
         self.state
     }
 
     /// Earliest cycle at which `command` could issue given the timing
     /// horizons alone (the state machine must *also* permit it; see
     /// [`Bank::can_issue`]).
-    pub fn earliest(&self, command: &DramCommand) -> Cycle {
+    pub(crate) fn earliest(&self, command: &DramCommand) -> Cycle {
         match command {
             DramCommand::Activate { .. } | DramCommand::Refresh => self.earliest_activate,
             DramCommand::Precharge => self.earliest_precharge,
@@ -97,7 +80,7 @@ impl Bank {
     }
 
     /// Whether `command` may issue at cycle `now`.
-    pub fn can_issue(&self, command: &DramCommand, now: Cycle) -> bool {
+    pub(crate) fn can_issue(&self, command: &DramCommand, now: Cycle) -> bool {
         if now < self.earliest(command) {
             return false;
         }
@@ -121,7 +104,7 @@ impl Bank {
     /// Returns [`BankError`] if the command violates the state machine
     /// (e.g. RD on an idle bank) or a timing constraint (`now` earlier
     /// than the command's horizon).
-    pub fn issue(
+    pub(crate) fn issue(
         &mut self,
         command: DramCommand,
         now: Cycle,

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// A DRAM command as issued on the command bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DramCommand {
+pub(crate) enum DramCommand {
     /// Open (activate) a row in a bank.
     Activate {
         /// Row to open.
@@ -23,7 +23,7 @@ pub enum DramCommand {
 
 impl DramCommand {
     /// Short mnemonic, matching Ramulator-style trace output.
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             DramCommand::Activate { .. } => "ACT",
             DramCommand::Precharge => "PRE",

@@ -71,13 +71,15 @@ impl std::error::Error for DrainTimeout {}
 /// # Example
 ///
 /// ```
-/// use papi_dram::{Controller, TimingParams};
+/// use papi_dram::{Controller, MemRequest, TimingParams};
 ///
 /// let mut ctrl = Controller::new(TimingParams::hbm3(), 8, 32);
 /// // Stream two full rows on every bank.
 /// for bank in 0..8 {
 ///     for row in 0..2 {
-///         ctrl.enqueue_row_stream(bank, row, 64);
+///         for column in 0..64 {
+///             ctrl.enqueue(MemRequest::read(bank, row, column));
+///         }
 ///     }
 /// }
 /// let cycles = ctrl.run_until_drained(1_000_000).unwrap();
@@ -160,7 +162,7 @@ impl Controller {
 
     /// Enqueues sequential reads covering `columns` columns of one row —
     /// the access pattern of a PIM GEMV streaming a weight row.
-    pub fn enqueue_row_stream(&mut self, bank: usize, row: u64, columns: u64) {
+    pub(crate) fn enqueue_row_stream(&mut self, bank: usize, row: u64, columns: u64) {
         for col in 0..columns {
             self.enqueue(MemRequest::read(bank, row, col));
         }

@@ -62,7 +62,7 @@ impl HbmDevice {
     /// Theoretical per-bank streaming bandwidth (one column access every
     /// `t_ccd`, ignoring row turnaround): ≈ 21.3 GB/s for the HBM3 preset,
     /// matching the paper's per-bank figure.
-    pub fn peak_bank_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn peak_bank_bandwidth(&self) -> Bandwidth {
         let bytes_per_sec = self.topology.column_bytes as f64
             / (self.timing.t_ck.as_secs() * self.timing.t_ccd as f64);
         Bandwidth::new(bytes_per_sec)

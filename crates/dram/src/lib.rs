@@ -47,10 +47,9 @@ pub mod energy;
 pub mod organization;
 pub mod timing;
 
-pub use bank::{Bank, BankState};
-pub use command::{DramCommand, MemRequest};
+pub use command::MemRequest;
 pub use controller::{Controller, ControllerStats};
 pub use device::HbmDevice;
 pub use energy::EnergyParams;
 pub use organization::Topology;
-pub use timing::{Cycle, TimingError, TimingParams};
+pub use timing::TimingParams;

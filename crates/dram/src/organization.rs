@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let t = Topology::hbm3_16gb();
 /// assert_eq!(t.total_banks(), 128);
-/// assert!((t.capacity().as_gib() - 16.0).abs() < 1e-9);
+/// assert_eq!(t.banks_per_pseudo_channel(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
@@ -79,36 +79,13 @@ impl Topology {
     }
 
     /// Column accesses needed to stream one full row.
-    pub fn columns_per_row(&self) -> u64 {
+    pub(crate) fn columns_per_row(&self) -> u64 {
         self.row_bytes / self.column_bytes
     }
 
     /// Total stack capacity.
-    pub fn capacity(&self) -> Bytes {
+    pub(crate) fn capacity(&self) -> Bytes {
         Bytes::from_u64(self.total_banks() as u64 * self.rows_per_bank * self.row_bytes)
-    }
-
-    /// Validates that the geometry is internally consistent (non-zero
-    /// dimensions, row size divisible by column size).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0
-            || self.pseudo_channels_per_channel == 0
-            || self.bank_groups_per_pseudo_channel == 0
-            || self.banks_per_bank_group == 0
-            || self.rows_per_bank == 0
-        {
-            return Err("all topology dimensions must be non-zero".to_owned());
-        }
-        if self.row_bytes == 0 || self.column_bytes == 0 {
-            return Err("row and column sizes must be non-zero".to_owned());
-        }
-        if !self.row_bytes.is_multiple_of(self.column_bytes) {
-            return Err(format!(
-                "row_bytes ({}) must be a multiple of column_bytes ({})",
-                self.row_bytes, self.column_bytes
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -119,7 +96,6 @@ mod tests {
     #[test]
     fn standard_device_geometry() {
         let t = Topology::hbm3_16gb();
-        t.validate().unwrap();
         assert_eq!(t.total_banks(), 128);
         assert_eq!(t.banks_per_pseudo_channel(), 8);
         assert_eq!(t.columns_per_row(), 64);
@@ -129,20 +105,9 @@ mod tests {
     #[test]
     fn fc_pim_device_geometry_matches_eq4() {
         let t = Topology::fc_pim_12gb();
-        t.validate().unwrap();
         // Eq. (4): m(4 × 0.1025 + 0.83) <= 121  =>  m <= 97, paper picks 96.
         assert_eq!(t.total_banks(), 96);
         assert!((t.capacity().as_gib() - 12.0).abs() < 1e-9);
         assert_eq!(t.bank_groups_per_pseudo_channel, 3);
-    }
-
-    #[test]
-    fn validation_rejects_bad_geometry() {
-        let mut t = Topology::hbm3_16gb();
-        t.row_bytes = 1000; // not a multiple of 32
-        assert!(t.validate().is_err());
-        let mut t = Topology::hbm3_16gb();
-        t.channels = 0;
-        assert!(t.validate().is_err());
     }
 }

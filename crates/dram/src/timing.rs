@@ -7,15 +7,15 @@
 //! cycle), matching AttAcc's near-bank processing rate of one 16-lane FP16
 //! MAC per 1.5 ns per bank.
 
-use papi_types::{Frequency, Time};
+use papi_types::Time;
 use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, measured in command-clock cycles.
-pub type Cycle = u64;
+pub(crate) type Cycle = u64;
 
 /// Validation error for an inconsistent [`TimingParams`] set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimingError {
+pub(crate) struct TimingError {
     message: String,
 }
 
@@ -43,7 +43,6 @@ impl std::error::Error for TimingError {}
 /// use papi_dram::TimingParams;
 ///
 /// let t = TimingParams::hbm3();
-/// t.validate().unwrap();
 /// assert_eq!(t.t_rc, t.t_ras + t.t_rp);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,7 +107,7 @@ impl TimingParams {
     /// Returns a [`TimingError`] describing the first violated relation
     /// (e.g. `t_rc != t_ras + t_rp`, zero clock period, or a refresh
     /// interval shorter than the refresh operation itself).
-    pub fn validate(&self) -> Result<(), TimingError> {
+    pub(crate) fn validate(&self) -> Result<(), TimingError> {
         if self.t_ck.is_zero() {
             return Err(TimingError::new("t_ck must be positive"));
         }
@@ -137,13 +136,8 @@ impl TimingParams {
     }
 
     /// Converts a cycle count into wall-clock time.
-    pub fn cycles_to_time(&self, cycles: Cycle) -> Time {
+    pub(crate) fn cycles_to_time(&self, cycles: Cycle) -> Time {
         self.t_ck * cycles as f64
-    }
-
-    /// The command-clock frequency.
-    pub fn clock(&self) -> Frequency {
-        Frequency::new(1.0 / self.t_ck.as_secs())
     }
 }
 
@@ -197,11 +191,5 @@ mod tests {
         let mut t = TimingParams::hbm3();
         t.t_faw = t.t_rrd - 1;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn clock_matches_period() {
-        let t = TimingParams::hbm3();
-        assert!((t.clock().period().as_nanos() - t.t_ck.as_nanos()).abs() < 1e-12);
     }
 }

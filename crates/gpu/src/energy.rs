@@ -39,7 +39,12 @@ impl GpuEnergyModel {
     /// the base board power of every active GPU for the duration. Idle
     /// accelerators are assumed power-gated (documented substitution —
     /// the paper's energy accounting likewise charges only active units).
-    pub fn kernel_energy(&self, gpus: &MultiGpu, kernel: &KernelProfile, time: Time) -> Energy {
+    pub(crate) fn kernel_energy(
+        &self,
+        gpus: &MultiGpu,
+        kernel: &KernelProfile,
+        time: Time,
+    ) -> Energy {
         let dynamic = Energy::from_picojoules(
             kernel.flops.value() * self.pj_per_flop
                 + kernel.bytes.value() * self.pj_per_byte

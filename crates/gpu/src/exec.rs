@@ -2,7 +2,7 @@
 
 use crate::energy::GpuEnergyModel;
 use crate::spec::MultiGpu;
-use papi_types::{ArithmeticIntensity, Bytes, Energy, Flops, Time};
+use papi_types::{Bytes, Energy, Flops, Time};
 use serde::{Deserialize, Serialize};
 
 /// The FLOP and byte counts of one kernel invocation.
@@ -31,17 +31,6 @@ impl KernelProfile {
     pub fn with_allreduce(mut self, bytes: Bytes) -> Self {
         self.allreduce_bytes = bytes;
         self
-    }
-
-    /// Arithmetic intensity of the kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    #[track_caller]
-    pub fn arithmetic_intensity(&self) -> ArithmeticIntensity {
-        assert!(!self.bytes.is_zero(), "kernel moves no bytes");
-        self.flops / self.bytes
     }
 }
 
@@ -161,19 +150,6 @@ mod tests {
         assert!((a.time.value() - b.time.value()).abs() < 1e-9);
     }
 
-    #[test]
-    fn arithmetic_intensity_accessor() {
-        let k = KernelProfile::new(Flops::new(100.0), Bytes::new(50.0));
-        assert!((k.arithmetic_intensity().value() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "no bytes")]
-    fn zero_byte_kernel_ai_panics() {
-        let k = KernelProfile::new(Flops::new(100.0), Bytes::ZERO);
-        let _ = k.arithmetic_intensity();
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -205,7 +181,7 @@ mod tests {
             fn boundedness_consistent_with_knee(f in 1e9..1e15f64, b in 1e6..1e12f64) {
                 let gpus = dgx();
                 let r = execute_kernel(&gpus, &em(), &KernelProfile::new(Flops::new(f), Bytes::new(b)));
-                let eff_knee = gpus.gpu.roofline_knee().value()
+                let eff_knee = (gpus.gpu.peak_flops / gpus.gpu.mem_bandwidth).value()
                     * gpus.gpu.compute_efficiency / gpus.gpu.memory_efficiency;
                 let ai = f / b;
                 if ai < eff_knee * 0.999 {

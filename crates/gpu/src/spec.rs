@@ -1,6 +1,6 @@
 //! GPU hardware specifications.
 
-use papi_types::{ArithmeticIntensity, Bandwidth, Bytes, FlopsRate, Power, Time};
+use papi_types::{Bandwidth, Bytes, FlopsRate, Power, Time};
 use serde::{Deserialize, Serialize};
 
 /// One computation-centric accelerator (GPU/TPU/NPU-class).
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let a100 = GpuSpec::a100();
 /// // The roofline knee: 312 TFLOPS / 1935 GB/s ≈ 161 FLOPs/byte.
-/// assert!((a100.roofline_knee().value() - 161.2).abs() < 0.5);
+/// assert!(((a100.peak_flops / a100.mem_bandwidth).value() - 161.2).abs() < 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuSpec {
@@ -63,22 +63,6 @@ impl GpuSpec {
             ..Self::a100()
         }
     }
-
-    /// The arithmetic intensity at which this device transitions from
-    /// memory-bound to compute-bound (FLOPs/byte).
-    pub fn roofline_knee(&self) -> ArithmeticIntensity {
-        self.peak_flops / self.mem_bandwidth
-    }
-
-    /// Attainable FLOPs rate at arithmetic intensity `ai` (the classic
-    /// roofline: `min(peak, ai × bandwidth)`), before efficiency factors.
-    pub fn attainable_flops(&self, ai: ArithmeticIntensity) -> FlopsRate {
-        FlopsRate::new(
-            self.peak_flops
-                .value()
-                .min(ai.value() * self.mem_bandwidth.value()),
-        )
-    }
 }
 
 /// A tensor-parallel group of identical GPUs (the paper's 6×A100 node).
@@ -105,16 +89,6 @@ impl MultiGpu {
         }
     }
 
-    /// Aggregate peak FLOPs.
-    pub fn peak_flops(&self) -> FlopsRate {
-        FlopsRate::new(self.gpu.peak_flops.value() * self.count as f64)
-    }
-
-    /// Aggregate memory bandwidth.
-    pub fn mem_bandwidth(&self) -> Bandwidth {
-        self.gpu.mem_bandwidth * self.count as f64
-    }
-
     /// Aggregate memory capacity.
     pub fn memory(&self) -> Bytes {
         self.gpu.memory * self.count as f64
@@ -123,7 +97,7 @@ impl MultiGpu {
     /// Ring all-reduce time for `bytes` of activations: `2 (n-1)/n ×
     /// bytes / bandwidth` plus the collective latency. Zero for a single
     /// GPU.
-    pub fn allreduce_time(&self, bytes: Bytes) -> Time {
+    pub(crate) fn allreduce_time(&self, bytes: Bytes) -> Time {
         if self.count <= 1 || bytes.is_zero() {
             return Time::ZERO;
         }
@@ -138,17 +112,9 @@ mod tests {
 
     #[test]
     fn a100_knee_matches_paper_numbers() {
-        let knee = GpuSpec::a100().roofline_knee();
-        assert!((knee.value() - 161.24).abs() < 0.1);
-    }
-
-    #[test]
-    fn attainable_flops_is_rooflike() {
         let a100 = GpuSpec::a100();
-        let low = a100.attainable_flops(ArithmeticIntensity::new(1.0));
-        assert!((low.value() - 1935e9).abs() < 1e6);
-        let high = a100.attainable_flops(ArithmeticIntensity::new(1000.0));
-        assert_eq!(high.value(), a100.peak_flops.value());
+        let knee = a100.peak_flops / a100.mem_bandwidth;
+        assert!((knee.value() - 161.24).abs() < 0.1);
     }
 
     #[test]
@@ -163,8 +129,6 @@ mod tests {
     #[test]
     fn dgx_aggregates() {
         let dgx = MultiGpu::dgx6_a100();
-        assert!((dgx.peak_flops().as_tflops() - 6.0 * 312.0).abs() < 1e-6);
-        assert!((dgx.mem_bandwidth().as_gb_per_sec() - 6.0 * 1935.0).abs() < 1e-6);
         assert!((dgx.memory().as_gib() - 480.0).abs() < 1e-9);
     }
 

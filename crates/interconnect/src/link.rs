@@ -13,9 +13,9 @@ use serde::{Deserialize, Serialize};
 /// use papi_types::Bytes;
 ///
 /// let nvlink = LinkSpec::nvlink();
-/// let pcie = LinkSpec::pcie_gen5_x16();
+/// let cxl = LinkSpec::cxl();
 /// let payload = Bytes::from_mib(64.0);
-/// assert!(nvlink.transfer_time(payload).value() < pcie.transfer_time(payload).value());
+/// assert!(nvlink.scatter_time(payload, 2).value() < cxl.scatter_time(payload, 2).value());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkSpec {
@@ -45,7 +45,7 @@ impl LinkSpec {
 
     /// PCIe Gen5 ×16: 64 GB/s per direction, up to 32 devices per bus
     /// (paper §6.3).
-    pub fn pcie_gen5_x16() -> Self {
+    pub(crate) fn pcie_gen5_x16() -> Self {
         Self {
             name: "PCIe-Gen5-x16".to_owned(),
             bandwidth: Bandwidth::from_gb_per_sec(64.0),
@@ -109,12 +109,12 @@ impl LinkSpec {
     }
 
     /// Time to move `bytes` in one message.
-    pub fn transfer_time(&self, bytes: Bytes) -> Time {
+    pub(crate) fn transfer_time(&self, bytes: Bytes) -> Time {
         self.latency + bytes / self.bandwidth
     }
 
     /// Energy to move `bytes`.
-    pub fn transfer_energy(&self, bytes: Bytes) -> Energy {
+    pub(crate) fn transfer_energy(&self, bytes: Bytes) -> Energy {
         Energy::from_picojoules(bytes.value() * self.pj_per_byte)
     }
 
@@ -183,7 +183,7 @@ pub struct TransferCost {
 
 impl TransferCost {
     /// A zero-cost transfer (an empty payload).
-    pub const ZERO: TransferCost = TransferCost {
+    pub(crate) const ZERO: TransferCost = TransferCost {
         bytes: Bytes::ZERO,
         time: Time::ZERO,
         energy: Energy::ZERO,

@@ -89,7 +89,7 @@ impl SystemTopology {
     /// Returns [`TopologyError`] if a device pool exceeds its fabric's
     /// fan-out. The FC-PIM pool is allowed to span multiple NVLink
     /// domains (one per GPU), so it is checked per 5-device group.
-    pub fn new(
+    pub(crate) fn new(
         fc_pim_link: LinkSpec,
         attn_pim_link: LinkSpec,
         host_link: LinkSpec,
@@ -144,20 +144,11 @@ impl SystemTopology {
     }
 
     /// The link serving `route`.
-    pub fn link(&self, route: Route) -> &LinkSpec {
+    pub(crate) fn link(&self, route: Route) -> &LinkSpec {
         match route {
             Route::PuToFcPim => &self.fc_pim_link,
             Route::PuToAttnPim => &self.attn_pim_link,
             Route::HostToPu => &self.host_link,
-        }
-    }
-
-    /// Devices attached on `route` (0 for the host route).
-    pub fn devices(&self, route: Route) -> usize {
-        match route {
-            Route::PuToFcPim => self.fc_pim_devices,
-            Route::PuToAttnPim => self.attn_pim_devices,
-            Route::HostToPu => 0,
         }
     }
 
@@ -179,8 +170,8 @@ mod tests {
     #[test]
     fn paper_configuration_is_valid() {
         let t = SystemTopology::papi_default(30, 60).unwrap();
-        assert_eq!(t.devices(Route::PuToFcPim), 30);
-        assert_eq!(t.devices(Route::PuToAttnPim), 60);
+        assert_eq!(t.fc_pim_devices, 30);
+        assert_eq!(t.attn_pim_devices, 60);
         assert_eq!(t.link(Route::PuToFcPim).name, "NVLink");
         assert_eq!(t.link(Route::PuToAttnPim).name, "CXL");
     }
@@ -216,8 +207,8 @@ mod tests {
             );
             assert_eq!(four.link(route).latency, one.link(route).latency);
         }
-        assert_eq!(four.devices(Route::PuToFcPim), 120);
-        assert_eq!(four.devices(Route::PuToAttnPim), 240);
+        assert_eq!(four.fc_pim_devices, 120);
+        assert_eq!(four.attn_pim_devices, 240);
         // Bulk transfers speed up; tiny ones stay latency-floored.
         let bulk = Bytes::from_mib(256.0);
         assert!(

@@ -96,16 +96,6 @@ impl GlobalKvTier {
         }
     }
 
-    /// Tokens per block.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Registered prefixes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -220,7 +210,7 @@ mod tests {
         assert!(dir.resident(3));
         assert_eq!(dir.lookup(3).map(|e| e.tokens), Some(40));
         assert_eq!(dir.lookup(3).map(|e| e.tokens), Some(40));
-        assert_eq!(dir.len(), 1);
+        assert_eq!(dir.entries.len(), 1);
     }
 
     #[test]

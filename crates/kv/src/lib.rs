@@ -82,4 +82,4 @@ pub mod tier;
 pub use global::{GlobalEntry, GlobalKvTier, GlobalTierStats, PublishOutcome};
 pub use pool::{BlockId, KvBlockPool, KvPoolStats, KvSeq, KvSeqExport};
 pub use prefix::{EvictedPrefix, KvCacheStats, PrefixHint, PrefixTree};
-pub use tier::{KvTier, SpillOutcome, TierStats};
+pub use tier::{KvTier, SpillOutcome};

@@ -48,7 +48,7 @@ impl KvSeq {
     }
 
     /// Token slots allocated (blocks × block size).
-    pub fn capacity(&self, block_size: u64) -> u64 {
+    pub(crate) fn capacity(&self, block_size: u64) -> u64 {
         self.blocks * block_size
     }
 
@@ -137,16 +137,6 @@ pub struct KvPoolStats {
     pub blocks_in_use: u64,
     /// Blocks available for allocation.
     pub free_blocks: u64,
-}
-
-impl KvPoolStats {
-    /// Fraction of the pool with at least one holder.
-    pub fn utilization(&self) -> f64 {
-        if self.total_blocks == 0 {
-            return 1.0;
-        }
-        self.blocks_in_use as f64 / self.total_blocks as f64
-    }
 }
 
 /// Holder state of the blocks from the previous run's `end` up to
@@ -743,13 +733,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_utilization() {
+    fn stats_count_used_and_free_blocks() {
         let mut pool = KvBlockPool::new(2, 4);
         let mut seq = pool.new_seq();
         assert!(pool.append(&mut seq, 3));
         let stats = pool.stats();
         assert_eq!(stats.blocks_in_use, 2);
         assert_eq!(stats.free_blocks, 2);
-        assert!((stats.utilization() - 0.5).abs() < 1e-12);
     }
 }

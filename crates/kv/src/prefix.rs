@@ -243,11 +243,11 @@ impl PrefixTree {
     /// references. Returns how many blocks actually became free (blocks
     /// still held by live sequences stay allocated), or `None` when the
     /// cache is empty.
-    pub fn evict_lru(&mut self, pool: &mut KvBlockPool) -> Option<u64> {
+    pub(crate) fn evict_lru(&mut self, pool: &mut KvBlockPool) -> Option<u64> {
         self.evict_lru_entry(pool).map(|e| e.freed)
     }
 
-    /// Like [`evict_lru`](Self::evict_lru), but also reports *what* was
+    /// Like `evict_lru`, but also reports *what* was
     /// evicted — the identity a capacity tier needs to remember the
     /// prefix instead of forgetting it.
     pub fn evict_lru_entry(&mut self, pool: &mut KvBlockPool) -> Option<EvictedPrefix> {

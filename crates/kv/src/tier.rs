@@ -2,7 +2,7 @@
 //!
 //! Under pool pressure the serving engine's only relief used to be
 //! discarding cold cached prefixes
-//! ([`PrefixTree::evict_lru`](crate::PrefixTree::evict_lru)) or
+//! (`PrefixTree::evict_lru`) or
 //! preempting live requests — both
 //! throw away paid prefill. A [`KvTier`] is the L3-style alternative: a
 //! second, larger block budget (host DRAM / DIMM-PIM) that *remembers*
@@ -22,7 +22,6 @@
 //! every evicted non-empty prefix, and fetches back every re-landed
 //! one whose usable overlap the hot pool can make room for.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// One spilled prefix: the logical record the tier keeps in place of
@@ -34,20 +33,6 @@ struct TierEntry {
     tokens: u64,
     /// Recency tick for the tier's own LRU.
     last_use: u64,
-}
-
-/// Occupancy snapshot of a [`KvTier`] at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierStats {
-    /// Tokens per block (the hot pool's granularity; the tier accounts
-    /// in the same units so budgets compare directly).
-    pub block_size: u64,
-    /// The tier's block budget.
-    pub budget_blocks: u64,
-    /// Blocks the spilled entries occupy right now.
-    pub blocks_in_use: u64,
-    /// Spilled prefixes resident.
-    pub entries: u64,
 }
 
 /// What a spill attempt did.
@@ -103,11 +88,6 @@ impl KvTier {
         }
     }
 
-    /// Tokens per block.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
     /// The tier's block budget.
     pub fn budget_blocks(&self) -> u64 {
         self.budget_blocks
@@ -119,7 +99,7 @@ impl KvTier {
     }
 
     /// Blocks still unoccupied.
-    pub fn free_blocks(&self) -> u64 {
+    pub(crate) fn free_blocks(&self) -> u64 {
         self.budget_blocks - self.blocks_in_use
     }
 
@@ -141,16 +121,6 @@ impl KvTier {
     /// Tokens the tier holds under `key`, without touching recency.
     pub fn peek(&self, key: u64) -> Option<u64> {
         self.entries.get(&key).map(|e| e.tokens)
-    }
-
-    /// Occupancy snapshot.
-    pub fn stats(&self) -> TierStats {
-        TierStats {
-            block_size: self.block_size,
-            budget_blocks: self.budget_blocks,
-            blocks_in_use: self.blocks_in_use,
-            entries: self.entries.len() as u64,
-        }
     }
 
     /// Records a prefix of `tokens` logical tokens under `key`,
@@ -305,13 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot() {
+    fn occupancy_after_a_spill() {
         let mut tier = KvTier::new(8, 10);
         assert!(tier.spill(3, 20).accepted);
-        let stats = tier.stats();
-        assert_eq!(stats.block_size, 8);
-        assert_eq!(stats.budget_blocks, 10);
-        assert_eq!(stats.blocks_in_use, 3);
-        assert_eq!(stats.entries, 1);
+        assert_eq!(tier.block_size, 8);
+        assert_eq!(tier.budget_blocks(), 10);
+        assert_eq!(tier.blocks_in_use(), 3);
+        assert_eq!(tier.len(), 1);
     }
 }

@@ -63,12 +63,6 @@ impl ModelConfig {
         self.layers * self.fc_weights_per_layer()
     }
 
-    /// Total parameter count (FC weights; embeddings excluded, as in the
-    /// paper's kernel-level accounting).
-    pub fn parameters(&self) -> u64 {
-        self.total_fc_weights()
-    }
-
     /// Bytes of model weights at the configured dtype.
     pub fn weight_bytes(&self) -> Bytes {
         self.total_fc_weights() as f64 * self.dtype.size()
@@ -96,14 +90,6 @@ pub enum ModelPreset {
 }
 
 impl ModelPreset {
-    /// All presets, in the paper's evaluation order.
-    pub const ALL: [ModelPreset; 4] = [
-        ModelPreset::Opt30B,
-        ModelPreset::Llama65B,
-        ModelPreset::Gpt3_66B,
-        ModelPreset::Gpt3_175B,
-    ];
-
     /// The three end-to-end evaluation models of Fig. 8.
     pub const EVALUATED: [ModelPreset; 3] = [
         ModelPreset::Llama65B,
@@ -167,7 +153,7 @@ mod tests {
     #[test]
     fn parameter_counts_match_model_names() {
         let check = |preset: ModelPreset, billions: f64, tolerance: f64| {
-            let p = preset.config().parameters() as f64 / 1e9;
+            let p = preset.config().total_fc_weights() as f64 / 1e9;
             assert!(
                 (p - billions).abs() < tolerance,
                 "{preset}: {p} B params, expected ~{billions} B"
@@ -187,7 +173,12 @@ mod tests {
 
     #[test]
     fn head_dims_are_exact() {
-        for preset in ModelPreset::ALL {
+        for preset in [
+            ModelPreset::Opt30B,
+            ModelPreset::Llama65B,
+            ModelPreset::Gpt3_66B,
+            ModelPreset::Gpt3_175B,
+        ] {
             let c = preset.config();
             assert_eq!(c.head_dim() * c.heads, c.hidden, "{preset}");
         }
@@ -205,12 +196,5 @@ mod tests {
         // the paper's §3.2 memory-capacity argument.
         let kv = ModelPreset::Gpt3_175B.config().kv_bytes_per_token();
         assert!((kv.as_mib() - 4.5).abs() < 0.2);
-    }
-
-    #[test]
-    fn evaluated_is_subset_of_all() {
-        for m in ModelPreset::EVALUATED {
-            assert!(ModelPreset::ALL.contains(&m));
-        }
     }
 }

@@ -28,7 +28,7 @@ impl Parallelism {
     /// Tokens decoded together this iteration: `RLP × TLP`, the FC
     /// kernel's data-reuse level and the paper's Eq. (2) arithmetic-
     /// intensity estimate.
-    pub fn tokens(&self) -> u64 {
+    pub(crate) fn tokens(&self) -> u64 {
         self.rlp * self.tlp
     }
 }
@@ -98,7 +98,7 @@ impl FcKernel {
     }
 
     /// Weight elements.
-    pub fn weights(&self) -> u64 {
+    pub(crate) fn weights(&self) -> u64 {
         self.out_features * self.in_features
     }
 
@@ -113,16 +113,11 @@ impl FcKernel {
         let elems = self.weights() + p.tokens() * self.in_features + p.tokens() * self.out_features;
         elems as f64 * model.dtype.size()
     }
-
-    /// Arithmetic intensity at parallelism `p`.
-    pub fn arithmetic_intensity(&self, model: &ModelConfig, p: Parallelism) -> ArithmeticIntensity {
-        self.flops(p) / self.bytes(model, p)
-    }
 }
 
 /// The multi-head attention kernel of one decoder layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttentionShape {
+pub(crate) struct AttentionShape {
     /// Requests attending (RLP).
     pub requests: u64,
     /// Queries per request (TLP).
@@ -138,7 +133,7 @@ impl AttentionShape {
     ///
     /// Panics if any field is zero.
     #[track_caller]
-    pub fn new(requests: u64, queries: u64, total_kv_len: u64) -> Self {
+    pub(crate) fn new(requests: u64, queries: u64, total_kv_len: u64) -> Self {
         assert!(
             requests > 0 && queries > 0 && total_kv_len > 0,
             "attention shape must be positive"
@@ -151,24 +146,19 @@ impl AttentionShape {
     }
 
     /// Uniform-KV constructor: every request has the same cache length.
-    pub fn uniform(requests: u64, queries: u64, kv_len: u64) -> Self {
+    pub(crate) fn uniform(requests: u64, queries: u64, kv_len: u64) -> Self {
         Self::new(requests, queries, requests * kv_len)
-    }
-
-    /// Average KV length per request.
-    pub fn mean_kv_len(&self) -> f64 {
-        self.total_kv_len as f64 / self.requests as f64
     }
 
     /// GEMV FLOPs: `Q·Kᵀ` and `P·V`, each `2 × kv × h` per query, summed
     /// over the batch (heads × head_dim = h).
-    pub fn flops(&self, model: &ModelConfig) -> Flops {
+    pub(crate) fn flops(&self, model: &ModelConfig) -> Flops {
         Flops::new(4.0 * self.queries as f64 * self.total_kv_len as f64 * model.hidden as f64)
     }
 
     /// Bytes moved: the K and V caches (the dominant term), plus query
     /// and score/context vectors.
-    pub fn bytes(&self, model: &ModelConfig) -> Bytes {
+    pub(crate) fn bytes(&self, model: &ModelConfig) -> Bytes {
         let kv = 2 * self.total_kv_len * model.hidden;
         let qp = 2 * self.requests * self.queries * model.hidden
             + self.queries * self.total_kv_len * model.heads;
@@ -177,7 +167,7 @@ impl AttentionShape {
 
     /// Arithmetic intensity — ≈ TLP, independent of batch size (the
     /// paper's key attention observation).
-    pub fn arithmetic_intensity(&self, model: &ModelConfig) -> ArithmeticIntensity {
+    pub(crate) fn arithmetic_intensity(&self, model: &ModelConfig) -> ArithmeticIntensity {
         self.flops(model) / self.bytes(model)
     }
 }
@@ -190,7 +180,12 @@ mod tests {
 
     #[test]
     fn layer_kernels_cover_all_weights() {
-        for preset in ModelPreset::ALL {
+        for preset in [
+            ModelPreset::Opt30B,
+            ModelPreset::Llama65B,
+            ModelPreset::Gpt3_66B,
+            ModelPreset::Gpt3_175B,
+        ] {
             let model = preset.config();
             let sum: u64 = FcKernel::layer_kernels(&model)
                 .iter()
@@ -223,7 +218,7 @@ mod tests {
         };
         for tokens in [4u64, 32, 128] {
             let p = Parallelism::new(tokens, 1);
-            let ai = proj.arithmetic_intensity(&model, p).value();
+            let ai = (proj.flops(p) / proj.bytes(&model, p)).value();
             let rel = (ai - tokens as f64).abs() / tokens as f64;
             assert!(rel < 0.05, "AI {ai} vs tokens {tokens}");
         }
@@ -242,7 +237,7 @@ mod tests {
         let p = Parallelism::new(16, 4);
         let b = p.tokens() as f64;
         let expected = (b * h * h * 2.0) / ((2.0 * b * h + h * h) * 2.0);
-        let got = proj.arithmetic_intensity(&model, p).value();
+        let got = (proj.flops(p) / proj.bytes(&model, p)).value();
         assert!((got - expected).abs() / expected < 1e-12);
     }
 
@@ -271,7 +266,7 @@ mod tests {
             out_features: model.hidden,
             in_features: model.hidden,
         };
-        let fc_ai = proj.arithmetic_intensity(&model, p).value();
+        let fc_ai = (proj.flops(p) / proj.bytes(&model, p)).value();
         assert!((fc_ai - 31.7).abs() < 1.0, "FC AI {fc_ai}, paper: 31.7");
         let attn_ai = AttentionShape::uniform(4, 8, 512)
             .arithmetic_intensity(&model)
@@ -286,7 +281,6 @@ mod tests {
     fn uniform_constructor() {
         let s = AttentionShape::uniform(4, 2, 100);
         assert_eq!(s.total_kv_len, 400);
-        assert!((s.mean_kv_len() - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -301,8 +295,11 @@ mod tests {
             let model = ModelPreset::Llama65B.config();
             let k = FcKernel { kind: FcKernelKind::Projection, out_features: model.hidden, in_features: model.hidden };
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let ai_lo = k.arithmetic_intensity(&model, Parallelism::new(lo, 1)).value();
-            let ai_hi = k.arithmetic_intensity(&model, Parallelism::new(hi, 1)).value();
+            let ai = |tokens| {
+                let p = Parallelism::new(tokens, 1);
+                (k.flops(p) / k.bytes(&model, p)).value()
+            };
+            let (ai_lo, ai_hi) = (ai(lo), ai(hi));
             prop_assert!(ai_lo <= ai_hi + 1e-9);
         }
 
@@ -311,7 +308,8 @@ mod tests {
             // Eq. (1) is strictly below the Eq. (2) estimate.
             let model = ModelPreset::Gpt3_66B.config();
             let k = FcKernel { kind: FcKernelKind::Projection, out_features: model.hidden, in_features: model.hidden };
-            let ai = k.arithmetic_intensity(&model, Parallelism::new(tokens, 1)).value();
+            let p = Parallelism::new(tokens, 1);
+            let ai = (k.flops(p) / k.bytes(&model, p)).value();
             prop_assert!(ai < tokens as f64);
         }
 

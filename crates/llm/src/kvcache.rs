@@ -23,7 +23,7 @@ impl KvCachePlanner {
 
     /// KV bytes required by one request whose total sequence (input +
     /// output) reaches `seq_len` tokens.
-    pub fn request_bytes(&self, seq_len: u64) -> Bytes {
+    pub(crate) fn request_bytes(&self, seq_len: u64) -> Bytes {
         self.kv_bytes_per_token * seq_len as f64
     }
 
@@ -44,12 +44,6 @@ impl KvCachePlanner {
         let available = (memory.value() - reserved).max(0.0);
         (available / self.request_bytes(seq_len).value()).floor() as u64
     }
-
-    /// The largest batch the memory admits — the §3.2 "Memory Capacity
-    /// Limits" bound on initial RLP.
-    pub fn max_initial_rlp(&self, memory: Bytes, input_len: u64, output_len: u64) -> u64 {
-        self.max_requests(memory, input_len + output_len, true)
-    }
 }
 
 #[cfg(test)]
@@ -67,8 +61,8 @@ mod tests {
     fn paper_memory_capacity_examples() {
         let planner = KvCachePlanner::new(&ModelPreset::Gpt3_175B.config());
         let memory = Bytes::new(640e9);
-        let short = planner.max_initial_rlp(memory, 128, 128);
-        let long = planner.max_initial_rlp(memory, 2048, 2048);
+        let short = planner.max_requests(memory, 128 + 128, true);
+        let long = planner.max_requests(memory, 2048 + 2048, true);
         assert!(
             short > 200 && short < 350,
             "short-sequence capacity {short}"

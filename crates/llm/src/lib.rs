@@ -25,5 +25,5 @@ pub mod moe;
 pub mod roofline;
 
 pub use config::{ModelConfig, ModelPreset};
-pub use kernels::{AttentionShape, FcKernel, FcKernelKind, Parallelism};
+pub use kernels::{FcKernel, FcKernelKind, Parallelism};
 pub use roofline::{Boundedness, RooflinePoint};

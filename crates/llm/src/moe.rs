@@ -44,7 +44,7 @@ impl MoeModel {
     ///
     /// Panics if `top_k` is zero or exceeds `experts`.
     #[track_caller]
-    pub fn new(base: ModelConfig, experts: u64, top_k: u64) -> Self {
+    pub(crate) fn new(base: ModelConfig, experts: u64, top_k: u64) -> Self {
         assert!(
             top_k > 0 && top_k <= experts,
             "top_k must be in 1..=experts"
@@ -82,7 +82,7 @@ impl MoeModel {
 
     /// Dense (attention-side) FC weight elements per layer: QKV + output
     /// projection, shared by every token.
-    pub fn dense_weights_per_layer(&self) -> u64 {
+    pub(crate) fn dense_weights_per_layer(&self) -> u64 {
         4 * self.base.hidden * self.base.hidden
     }
 
@@ -94,11 +94,6 @@ impl MoeModel {
     /// Parameters active for a single token (dense + `top_k` experts).
     pub fn active_parameters(&self) -> u64 {
         self.base.layers * (self.dense_weights_per_layer() + self.top_k * self.expert_weights())
-    }
-
-    /// Memory footprint of all weights.
-    pub fn weight_bytes(&self) -> Bytes {
-        self.total_parameters() as f64 * self.base.dtype.size()
     }
 
     /// Expected number of *distinct* experts hit when `tokens` tokens
@@ -124,16 +119,6 @@ impl MoeModel {
         self.expected_distinct_experts(tokens)
             * self.expert_weights() as f64
             * self.base.dtype.size()
-    }
-
-    /// The dense model an MoE replaces for quality comparisons: same
-    /// backbone with every expert fused into one giant FFN.
-    pub fn dense_equivalent(&self) -> ModelConfig {
-        ModelConfig {
-            name: format!("{}-dense-equivalent", self.base.name),
-            ffn_dim: self.base.ffn_dim * self.experts,
-            ..self.base.clone()
-        }
     }
 }
 
@@ -176,16 +161,6 @@ mod tests {
             let fetched = m.ffn_fetch_bytes_per_layer(tokens).value();
             assert!(fetched <= all * (1.0 + 1e-9));
         }
-    }
-
-    #[test]
-    fn dense_equivalent_has_fused_ffn() {
-        let m = MoeModel::mixtral_like();
-        let dense = m.dense_equivalent();
-        assert_eq!(dense.ffn_dim, m.base.ffn_dim * m.experts);
-        // The dense equivalent's per-layer FFN weights equal all experts.
-        let dense_ffn = 3 * dense.hidden * dense.ffn_dim;
-        assert_eq!(dense_ffn, m.experts * m.expert_weights());
     }
 
     #[test]

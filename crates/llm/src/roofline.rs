@@ -16,7 +16,7 @@ pub enum Boundedness {
 
 impl Boundedness {
     /// Classifies an arithmetic intensity against a machine's knee.
-    pub fn classify(ai: ArithmeticIntensity, peak: FlopsRate, bandwidth: Bandwidth) -> Self {
+    pub(crate) fn classify(ai: ArithmeticIntensity, peak: FlopsRate, bandwidth: Bandwidth) -> Self {
         let knee = peak / bandwidth;
         if ai.value() < knee.value() {
             Boundedness::MemoryBound

@@ -48,7 +48,7 @@ impl AreaParams {
 
     /// The raw Eq. (3) bound: the largest `m` with
     /// `m (n × A_FPU + A_bank) ≤ A_max`.
-    pub fn max_banks_unrounded(&self, config: PimConfig) -> usize {
+    pub(crate) fn max_banks_unrounded(&self, config: PimConfig) -> usize {
         let per_bank = config.fpus_per_bank() * self.fpu.as_mm2() + self.bank.as_mm2();
         (self.die_limit.as_mm2() / per_bank).floor() as usize
     }
@@ -60,17 +60,6 @@ impl AreaParams {
     pub fn bank_count(&self, config: PimConfig) -> usize {
         let max = self.max_banks_unrounded(config).min(self.baseline_banks);
         max - max % self.bank_granularity
-    }
-
-    /// Total die area consumed by `banks` banks under `config`.
-    pub fn die_area(&self, config: PimConfig, banks: usize) -> Area {
-        let per_bank = config.fpus_per_bank() * self.fpu.as_mm2() + self.bank.as_mm2();
-        Area::from_mm2(per_bank * banks as f64)
-    }
-
-    /// Whether a `(config, banks)` pair fits the die.
-    pub fn fits(&self, config: PimConfig, banks: usize) -> bool {
-        self.die_area(config, banks).value() <= self.die_limit.value() + 1e-9
     }
 }
 
@@ -119,10 +108,15 @@ mod tests {
             PimConfig::ATTACC_1P1B,
             PimConfig::ATTN_PIM_1P2B,
         ] {
+            // Eq. (3)'s die area of `banks` banks under `cfg`.
+            let fits = |banks: usize| {
+                let per_bank = cfg.fpus_per_bank() * a.fpu.as_mm2() + a.bank.as_mm2();
+                per_bank * banks as f64 <= a.die_limit.value() + 1e-9
+            };
             let banks = a.bank_count(cfg);
-            assert!(a.fits(cfg, banks), "{cfg} with {banks} banks overflows");
+            assert!(fits(banks), "{cfg} with {banks} banks overflows");
             assert!(
-                !a.fits(cfg, a.max_banks_unrounded(cfg) + 1),
+                !fits(a.max_banks_unrounded(cfg) + 1),
                 "{cfg} bound is not tight"
             );
         }

@@ -19,7 +19,7 @@ use crate::device::PimDevice;
 use crate::energy::{PimEnergyBreakdown, PimEnergyModel};
 use crate::gemv::{Bottleneck, PimKernelResult};
 use crate::partition::plan_attention_heads;
-use papi_types::{Bytes, DataType, Energy, Flops, Time};
+use papi_types::{Bytes, DataType, Energy, Time};
 use serde::{Deserialize, Serialize};
 
 /// Shape of one multi-head attention kernel invocation (one decoder
@@ -69,34 +69,23 @@ impl AttentionSpec {
         }
     }
 
-    /// KV-cache bytes read (K and V, every request and head).
-    #[inline]
-    pub fn kv_bytes(&self) -> Bytes {
-        (2 * self.requests * self.heads * self.kv_len * self.head_dim) as f64 * self.dtype.size()
-    }
-
     /// Multiply-accumulates of the score + context GEMVs.
     #[inline]
-    pub fn macs(&self) -> f64 {
+    pub(crate) fn macs(&self) -> f64 {
         // Q·Kᵀ: kv_len × head_dim per query; P·V: the same.
         (2 * self.requests * self.heads * self.queries * self.kv_len * self.head_dim) as f64
-    }
-
-    /// FLOPs (2 per MAC) of the GEMV portions.
-    pub fn flops(&self) -> Flops {
-        Flops::new(2.0 * self.macs())
     }
 
     /// Softmax scalar operations (exp, running max/sum, scale ≈ 5 ops per
     /// score element).
     #[inline]
-    pub fn softmax_ops(&self) -> f64 {
+    pub(crate) fn softmax_ops(&self) -> f64 {
         (self.requests * self.heads * self.queries * self.kv_len) as f64 * 5.0
     }
 
     /// The kernel's data-reuse level: TLP (K/V shared across a request's
     /// speculative queries only).
-    pub fn reuse(&self) -> u64 {
+    pub(crate) fn reuse(&self) -> u64 {
         self.queries
     }
 }
@@ -114,7 +103,7 @@ impl AttentionSpec {
 /// arithmetic. Every term is a product or quotient of those constants
 /// and non-negative integers, so it cannot be NaN or negative.
 /// [`cost`](Self::cost) returns the per-layer time and total energy a
-/// decode iteration needs; [`execute`](Self::execute) returns the same
+/// decode iteration needs; `execute` returns the same
 /// terms as a full [`PimKernelResult`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttentionPlan {
@@ -227,7 +216,7 @@ impl AttentionPlan {
         // (1P2B) pay double here too.
         let softmax_per_unit = (spec.queries * kv_len) as f64 * 5.0;
         let softmax_time = self.units_per_device * softmax_per_unit / self.vector_rate;
-        // `AttentionSpec::kv_bytes` without its checked constructor.
+        // KV-cache bytes read (K and V, every request and head).
         let fetch_bytes =
             (2 * spec.requests * spec.heads * kv_len * spec.head_dim) as f64 * self.element_bytes;
         let macs = spec.macs();
@@ -247,7 +236,7 @@ impl AttentionPlan {
     }
 
     /// Per-layer time and total energy of the planned kernel at
-    /// `kv_len`: bit for bit [`execute`](Self::execute)'s `time` and
+    /// `kv_len`: bit for bit `execute`'s `time` and
     /// `energy.total()`, without building the breakdown.
     ///
     /// # Panics
@@ -271,7 +260,7 @@ impl AttentionPlan {
     /// Panics if `kv_len` is zero.
     #[track_caller]
     #[inline]
-    pub fn execute(&self, kv_len: u64) -> PimKernelResult {
+    pub(crate) fn execute(&self, kv_len: u64) -> PimKernelResult {
         let t = self.terms(kv_len);
         PimKernelResult {
             time: Time::new(t.gemv_time) + Time::new(t.softmax_time),
@@ -325,25 +314,9 @@ mod tests {
     #[test]
     fn spec_arithmetic() {
         let s = AttentionSpec::new(2, 4, 8, 100, 3, DataType::Fp16);
-        assert_eq!(s.kv_bytes().value(), (2 * 2 * 4 * 100 * 8) as f64 * 2.0);
         assert_eq!(s.macs(), (2 * 2 * 4 * 3 * 100 * 8) as f64);
         assert_eq!(s.softmax_ops(), (2 * 4 * 3 * 100) as f64 * 5.0);
         assert_eq!(s.reuse(), 3);
-    }
-
-    #[test]
-    fn arithmetic_intensity_tracks_queries_not_batch() {
-        // The paper's key attention observation (Fig. 2): AI ≈ TLP,
-        // independent of batch size.
-        let ai = |requests, queries| {
-            let s = llama_attention(requests, queries, 512);
-            s.flops().value() / s.kv_bytes().value()
-        };
-        assert!((ai(4, 1) - ai(64, 1)).abs() < 1e-9);
-        let ratio = ai(4, 8) / ai(4, 1);
-        assert!((ratio - 8.0).abs() < 1e-9);
-        // Absolute scale: AI(TLP=8) ≈ 8 FLOPs/byte at FP16 (paper: ~7).
-        assert!((ai(4, 8) - 8.0).abs() < 0.5);
     }
 
     #[test]
@@ -397,7 +370,8 @@ mod tests {
         let spec = llama_attention(4, 2, 512);
         let r = execute_attention(&PimDevice::attn_pim(), 60, &spec);
         let gemv_only = PimDevice::attn_pim().energy_model.breakdown(
-            spec.kv_bytes(),
+            (2 * spec.requests * spec.heads * spec.kv_len * spec.head_dim) as f64
+                * spec.dtype.size(),
             PimDevice::attn_pim().dram_access_pj_per_byte(),
             spec.macs(),
         );

@@ -9,11 +9,9 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use papi_pim::PimConfig;
 ///
-/// let fc = PimConfig::FC_PIM_4P1B;
-/// assert_eq!(fc.label(), "4P1B");
-/// assert!((fc.fpus_per_bank() - 4.0).abs() < 1e-12);
-/// let attn = PimConfig::ATTN_PIM_1P2B;
-/// assert!((attn.fpus_per_bank() - 0.5).abs() < 1e-12);
+/// assert_eq!(PimConfig::new(4, 1).label(), "4P1B");
+/// assert_eq!(PimConfig::PIM_2P1B.label(), "2P1B");
+/// assert_eq!(PimConfig::new(1, 2).banks(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PimConfig {
@@ -23,13 +21,13 @@ pub struct PimConfig {
 
 impl PimConfig {
     /// PAPI's FC-PIM: 4 FPUs per bank (compute-dense).
-    pub const FC_PIM_4P1B: Self = Self { fpus: 4, banks: 1 };
+    pub(crate) const FC_PIM_4P1B: Self = Self { fpus: 4, banks: 1 };
     /// Intermediate configuration evaluated in Fig. 7(c).
     pub const PIM_2P1B: Self = Self { fpus: 2, banks: 1 };
     /// AttAcc: 1 FPU per bank.
-    pub const ATTACC_1P1B: Self = Self { fpus: 1, banks: 1 };
+    pub(crate) const ATTACC_1P1B: Self = Self { fpus: 1, banks: 1 };
     /// Samsung HBM-PIM and PAPI's Attn-PIM: 1 FPU per 2 banks.
-    pub const ATTN_PIM_1P2B: Self = Self { fpus: 1, banks: 2 };
+    pub(crate) const ATTN_PIM_1P2B: Self = Self { fpus: 1, banks: 2 };
 
     /// Creates an arbitrary `xPyB` configuration.
     ///
@@ -42,23 +40,18 @@ impl PimConfig {
         Self { fpus, banks }
     }
 
-    /// FPUs in the ratio (the `x` of `xPyB`).
-    pub fn fpus(&self) -> u32 {
-        self.fpus
-    }
-
     /// Banks in the ratio (the `y` of `xPyB`).
     pub fn banks(&self) -> u32 {
         self.banks
     }
 
     /// FPUs per bank as a ratio (0.5 for 1P2B, 4.0 for 4P1B).
-    pub fn fpus_per_bank(&self) -> f64 {
+    pub(crate) fn fpus_per_bank(&self) -> f64 {
         self.fpus as f64 / self.banks as f64
     }
 
     /// Banks served by one FPU (2.0 for 1P2B, 0.25 for 4P1B).
-    pub fn banks_per_fpu(&self) -> f64 {
+    pub(crate) fn banks_per_fpu(&self) -> f64 {
         self.banks as f64 / self.fpus as f64
     }
 
@@ -69,7 +62,7 @@ impl PimConfig {
     /// Panics if `total_banks` is not a multiple of the bank group size
     /// `y` (the configuration could not tile the die).
     #[track_caller]
-    pub fn total_fpus(&self, total_banks: usize) -> usize {
+    pub(crate) fn total_fpus(&self, total_banks: usize) -> usize {
         assert!(
             total_banks.is_multiple_of(self.banks as usize),
             "{total_banks} banks do not tile under {self}"

@@ -122,12 +122,12 @@ impl PimDevice {
     }
 
     /// Banks on this die.
-    pub fn banks(&self) -> usize {
+    pub(crate) fn banks(&self) -> usize {
         self.banks
     }
 
     /// Total FPUs on this die.
-    pub fn total_fpus(&self) -> usize {
+    pub(crate) fn total_fpus(&self) -> usize {
         self.config.total_fpus(self.banks)
     }
 
@@ -141,17 +141,11 @@ impl PimDevice {
         FlopsRate::new(self.total_fpus() as f64 * self.fpu.flops_rate().value())
     }
 
-    /// Sustained streaming bandwidth of one bank, derived from the DRAM
-    /// timing model (~15–16 GB/s against a 21.3 GB/s peak).
-    pub fn per_bank_stream(&self) -> Bandwidth {
-        self.per_bank_stream
-    }
-
     /// Number of parallel weight streams one bank runs at data-reuse
     /// level `reuse` under the batched-broadcast dataflow: enough streams
     /// to keep all `n` FPU groups fed, `ceil(n / reuse)`, capped to `n`.
     /// Devices with shared FPUs (1P2B) always run one stream per FPU.
-    pub fn streams_per_bank(&self, reuse: u64) -> f64 {
+    pub(crate) fn streams_per_bank(&self, reuse: u64) -> f64 {
         let n = self.config.fpus_per_bank();
         if n <= 1.0 {
             return n; // one stream per FPU, shared across its banks
@@ -168,7 +162,7 @@ impl PimDevice {
     /// banks) ping-ponging across its banks hides row turnaround, so the
     /// FPU sustains `min(f_mac, m × s_w) ` weights/s and reuse never
     /// starves it.
-    pub fn mac_rate(&self, reuse: u64, dtype: DataType) -> f64 {
+    pub(crate) fn mac_rate(&self, reuse: u64, dtype: DataType) -> f64 {
         let reuse = reuse.max(1) as f64;
         let f_mac = self.fpu.mac_rate();
         let s_w = self.per_bank_stream.value() / dtype.size().value(); // weights/s per stream
@@ -183,21 +177,16 @@ impl PimDevice {
         }
     }
 
-    /// Achievable FLOPs rate at `reuse` (2 FLOPs per MAC).
-    pub fn flops_rate(&self, reuse: u64, dtype: DataType) -> FlopsRate {
-        FlopsRate::new(2.0 * self.mac_rate(reuse, dtype))
-    }
-
     /// Weight bytes fetched from DRAM per second at `reuse` (each weight
     /// is fetched once and used `reuse` times).
-    pub fn weight_fetch_bandwidth(&self, reuse: u64, dtype: DataType) -> Bandwidth {
+    pub(crate) fn weight_fetch_bandwidth(&self, reuse: u64, dtype: DataType) -> Bandwidth {
         let reuse_f = reuse.max(1) as f64;
         Bandwidth::new(self.mac_rate(reuse, dtype) / reuse_f * dtype.size().value())
     }
 
     /// Vector-operation rate for softmax/normalization work (one op per
     /// FPU lane per cycle).
-    pub fn vector_op_rate(&self) -> f64 {
+    pub(crate) fn vector_op_rate(&self) -> f64 {
         self.total_fpus() as f64 * self.fpu.mac_rate()
     }
 

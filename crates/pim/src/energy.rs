@@ -94,25 +94,6 @@ impl PimEnergyBreakdown {
             self.compute.value() / total,
         )
     }
-
-    /// Component-wise sum.
-    pub fn merged(&self, other: &PimEnergyBreakdown) -> PimEnergyBreakdown {
-        PimEnergyBreakdown {
-            dram_access: self.dram_access + other.dram_access,
-            transfer: self.transfer + other.transfer,
-            compute: self.compute + other.compute,
-        }
-    }
-
-    /// Scales every component (e.g. to replicate one layer's kernel
-    /// across all decoder layers).
-    pub fn scaled(&self, factor: f64) -> PimEnergyBreakdown {
-        PimEnergyBreakdown {
-            dram_access: self.dram_access * factor,
-            transfer: self.transfer * factor,
-            compute: self.compute * factor,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,14 +141,5 @@ mod tests {
         let b = PimEnergyBreakdown::default();
         assert_eq!(b.fractions(), (0.0, 0.0, 0.0));
         assert_eq!(b.total(), Energy::ZERO);
-    }
-
-    #[test]
-    fn merge_and_scale() {
-        let m = PimEnergyModel::paper();
-        let b = m.breakdown(Bytes::new(100.0), DRAM_PJ_PER_BYTE, 50.0);
-        let doubled = b.merged(&b);
-        let scaled = b.scaled(2.0);
-        assert!((doubled.total().value() - scaled.total().value()).abs() < 1e-24);
     }
 }

@@ -1,6 +1,6 @@
 //! The near-bank floating-point unit.
 
-use papi_types::{Area, Bandwidth, DataType, FlopsRate, Frequency};
+use papi_types::{Area, FlopsRate, Frequency};
 use serde::{Deserialize, Serialize};
 
 /// One near-bank FPU: a SIMD multiply-accumulate unit fed directly from
@@ -13,11 +13,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use papi_pim::FpuSpec;
-/// use papi_types::DataType;
 ///
 /// let fpu = FpuSpec::attacc();
-/// assert!((fpu.mac_rate() / 1e9 - 10.67).abs() < 0.05);
-/// assert!((fpu.stream_bandwidth(DataType::Fp16).as_gb_per_sec() - 21.3).abs() < 0.1);
+/// // 16 lanes at 666 MHz: 10.67 GMAC/s.
+/// assert!((fpu.lanes as f64 * fpu.clock.value() / 1e9 - 10.67).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FpuSpec {
@@ -48,19 +47,13 @@ impl FpuSpec {
     }
 
     /// Multiply-accumulates per second (lanes × clock).
-    pub fn mac_rate(&self) -> f64 {
+    pub(crate) fn mac_rate(&self) -> f64 {
         self.lanes as f64 * self.clock.value()
     }
 
     /// FLOPs per second (2 FLOPs per MAC).
-    pub fn flops_rate(&self) -> FlopsRate {
+    pub(crate) fn flops_rate(&self) -> FlopsRate {
         FlopsRate::new(2.0 * self.mac_rate())
-    }
-
-    /// Weight-stream consumption rate when every lane reads a fresh
-    /// element each cycle.
-    pub fn stream_bandwidth(&self, dtype: DataType) -> Bandwidth {
-        Bandwidth::new(self.mac_rate() * dtype.size().value())
     }
 }
 
@@ -79,14 +72,6 @@ mod tests {
         let f = FpuSpec::attacc();
         // 16 lanes × 666.67 MHz = 10.67 GMAC/s = 21.3 GFLOPS.
         assert!((f.flops_rate().as_gflops() - 21.33).abs() < 0.1);
-    }
-
-    #[test]
-    fn stream_bandwidth_scales_with_dtype() {
-        let f = FpuSpec::attacc();
-        let fp16 = f.stream_bandwidth(DataType::Fp16);
-        let fp32 = f.stream_bandwidth(DataType::Fp32);
-        assert!((fp32.value() / fp16.value() - 2.0).abs() < 1e-12);
     }
 
     #[test]

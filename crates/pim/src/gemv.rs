@@ -4,12 +4,12 @@
 //! `tokens = RLP × TLP` activation vectors. On PIM the weights stream
 //! from the banks into the near-bank FPUs; the token count is the
 //! data-reuse level, which sets both the achievable MAC rate (see
-//! [`PimDevice::mac_rate`]) and the energy split.
+//! `PimDevice::mac_rate`) and the energy split.
 
 use crate::device::PimDevice;
 use crate::energy::PimEnergyBreakdown;
 use crate::partition::plan_weight_partition;
-use papi_types::{Bytes, DataType, Flops, Time};
+use papi_types::{Bytes, DataType, Time};
 use serde::{Deserialize, Serialize};
 
 /// Shape of one FC kernel invocation.
@@ -47,33 +47,18 @@ impl GemvSpec {
     }
 
     /// Number of weights.
-    pub fn weights(&self) -> u64 {
+    pub(crate) fn weights(&self) -> u64 {
         self.out_features * self.in_features
     }
 
     /// Bytes of weights.
-    pub fn weight_bytes(&self) -> Bytes {
+    pub(crate) fn weight_bytes(&self) -> Bytes {
         self.weights() as f64 * self.dtype.size()
     }
 
     /// Multiply-accumulates performed.
-    pub fn macs(&self) -> f64 {
+    pub(crate) fn macs(&self) -> f64 {
         self.weights() as f64 * self.tokens as f64
-    }
-
-    /// FLOPs performed (2 per MAC).
-    pub fn flops(&self) -> Flops {
-        Flops::new(2.0 * self.macs())
-    }
-
-    /// Activation bytes entering the kernel.
-    pub fn input_bytes(&self) -> Bytes {
-        (self.tokens * self.in_features) as f64 * self.dtype.size()
-    }
-
-    /// Result bytes leaving the kernel.
-    pub fn output_bytes(&self) -> Bytes {
-        (self.tokens * self.out_features) as f64 * self.dtype.size()
     }
 }
 
@@ -99,24 +84,6 @@ pub struct PimKernelResult {
     pub macs: f64,
     /// What limited execution.
     pub bottleneck: Bottleneck,
-}
-
-impl PimKernelResult {
-    /// Combines two kernel results executed back-to-back (times add,
-    /// energies add; the bottleneck of the longer phase wins).
-    pub fn then(&self, next: &PimKernelResult) -> PimKernelResult {
-        PimKernelResult {
-            time: self.time + next.time,
-            energy: self.energy.merged(&next.energy),
-            fetch_bytes: self.fetch_bytes + next.fetch_bytes,
-            macs: self.macs + next.macs,
-            bottleneck: if self.time.value() >= next.time.value() {
-                self.bottleneck
-            } else {
-                next.bottleneck
-            },
-        }
-    }
 }
 
 /// Executes one FC kernel spread over `n_devices` identical PIM devices.
@@ -183,9 +150,6 @@ mod tests {
         assert_eq!(s.weights(), 20_000);
         assert_eq!(s.weight_bytes().value(), 40_000.0);
         assert_eq!(s.macs(), 80_000.0);
-        assert_eq!(s.flops().value(), 160_000.0);
-        assert_eq!(s.input_bytes().value(), 1600.0);
-        assert_eq!(s.output_bytes().value(), 800.0);
     }
 
     #[test]
@@ -265,17 +229,6 @@ mod tests {
         let (d64, ..) = execute_gemv(&fc, 30, &llama_fc_spec(64)).energy.fractions();
         assert!(d1 > 0.9, "no-reuse dram share {d1}");
         assert!(d64 < 0.4, "reuse-64 dram share {d64}");
-    }
-
-    #[test]
-    fn then_combines_results() {
-        let fc = PimDevice::fc_pim();
-        let a = execute_gemv(&fc, 30, &llama_fc_spec(4));
-        let b = execute_gemv(&fc, 30, &llama_fc_spec(64));
-        let c = a.then(&b);
-        assert!((c.time.value() - (a.time.value() + b.time.value())).abs() < 1e-18);
-        assert_eq!(c.bottleneck, b.bottleneck);
-        assert!((c.macs - (a.macs + b.macs)).abs() < 1.0);
     }
 
     mod properties {

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// How a weight matrix spreads over devices and banks.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TilePlan {
+pub(crate) struct TilePlan {
     /// Devices sharing the matrix.
     pub devices: usize,
     /// Output rows handled by the busiest device.
@@ -32,13 +32,6 @@ pub struct TilePlan {
     pub bank_imbalance: f64,
 }
 
-impl TilePlan {
-    /// Combined latency multiplier of both imbalance levels.
-    pub fn imbalance(&self) -> f64 {
-        self.device_imbalance * self.bank_imbalance
-    }
-}
-
 /// Plans the distribution of an `out_rows × in_cols` weight matrix over
 /// `devices` dies with `banks_per_device` banks each. Rows split across
 /// devices; each device's `rows × in_cols` tile then splits 2D across
@@ -49,7 +42,7 @@ impl TilePlan {
 ///
 /// Panics if any argument is zero.
 #[track_caller]
-pub fn plan_weight_partition(
+pub(crate) fn plan_weight_partition(
     out_rows: u64,
     in_cols: u64,
     devices: usize,
@@ -80,7 +73,7 @@ pub fn plan_weight_partition(
 
 /// Assignment of `(request, head)` attention units over devices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HeadPlan {
+pub(crate) struct HeadPlan {
     /// Total (request, head) units.
     pub units: u64,
     /// Units on the busiest device.
@@ -96,7 +89,7 @@ pub struct HeadPlan {
 ///
 /// Panics if any argument is zero.
 #[track_caller]
-pub fn plan_attention_heads(requests: u64, heads: u64, devices: usize) -> HeadPlan {
+pub(crate) fn plan_attention_heads(requests: u64, heads: u64, devices: usize) -> HeadPlan {
     assert!(requests > 0 && heads > 0, "attention needs work");
     assert!(devices > 0, "attention needs devices");
     let units = requests * heads;
@@ -119,7 +112,7 @@ mod tests {
         let plan = plan_weight_partition(12288, 12288, 32, 96);
         assert_eq!(plan.rows_per_device, 384);
         assert_eq!(plan.elems_per_bank, 384 * 12288 / 96);
-        assert!((plan.imbalance() - 1.0).abs() < 1e-12);
+        assert!((plan.device_imbalance * plan.bank_imbalance - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -128,7 +121,7 @@ mod tests {
         let plan = plan_weight_partition(100, 64, 3, 10);
         assert_eq!(plan.rows_per_device, 34);
         assert!(plan.device_imbalance > 1.0);
-        assert!(plan.imbalance() >= plan.device_imbalance);
+        assert!(plan.bank_imbalance >= 1.0);
     }
 
     #[test]

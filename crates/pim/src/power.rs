@@ -4,7 +4,7 @@
 //! pJ/byte`, the FPU side draws `mac_rate × (transfer + compute) pJ`,
 //! plus the stack's background power. Because the number of parallel
 //! weight streams per bank falls as data reuse rises (see
-//! [`PimDevice::streams_per_bank`]), power falls steeply with reuse:
+//! `PimDevice::streams_per_bank`), power falls steeply with reuse:
 //! 4P1B drops from ~390 W at reuse 1 to under the 116 W HBM3 budget at
 //! reuse ≥ 4, which is exactly the paper's argument for why batching and
 //! speculative decoding *enable* compute-dense PIM.

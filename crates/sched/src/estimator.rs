@@ -11,9 +11,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use papi_sched::AiEstimator;
 ///
-/// // Eq. (2): the estimate is simply RLP × TLP.
-/// assert_eq!(AiEstimator::estimate(16, 4), 64.0);
-/// // Eq. (1) for GPT-3 175B's hidden dimension is close below it:
+/// // Eq. (1) for GPT-3 175B's hidden dimension sits just below the
+/// // Eq. (2) estimate RLP × TLP = 64:
 /// let exact = AiEstimator::exact(12288, 16, 4);
 /// assert!(exact < 64.0 && exact > 60.0);
 /// ```
@@ -35,14 +34,8 @@ impl AiEstimator {
 
     /// Eq. (2): the runtime estimate `RLP × TLP` — two register reads
     /// and one multiply, the whole cost of the hardware predictor.
-    pub fn estimate(rlp: u64, tlp: u64) -> f64 {
+    pub(crate) fn estimate(rlp: u64, tlp: u64) -> f64 {
         (rlp * tlp) as f64
-    }
-
-    /// Relative error of the estimate versus Eq. (1).
-    pub fn relative_error(h: u64, rlp: u64, tlp: u64) -> f64 {
-        let exact = Self::exact(h, rlp, tlp);
-        (Self::estimate(rlp, tlp) - exact) / exact
     }
 }
 
@@ -65,7 +58,7 @@ impl AiComparison {
     /// Builds the comparison for `model` at one parallelism point,
     /// aggregating all FC kernels of a layer (as the profiler the paper
     /// measures with would).
-    pub fn for_model(model: &ModelConfig, rlp: u64, tlp: u64) -> Self {
+    pub(crate) fn for_model(model: &ModelConfig, rlp: u64, tlp: u64) -> Self {
         let p = Parallelism::new(rlp, tlp);
         let kernels = FcKernel::layer_kernels(model);
         let flops: f64 = kernels.iter().map(|k| k.flops(p).value()).sum();
@@ -96,12 +89,18 @@ mod tests {
     use papi_llm::ModelPreset;
     use proptest::prelude::*;
 
+    /// Relative error of the Eq. (2) estimate versus Eq. (1).
+    fn relative_error(h: u64, rlp: u64, tlp: u64) -> f64 {
+        let exact = AiEstimator::exact(h, rlp, tlp);
+        (AiEstimator::estimate(rlp, tlp) - exact) / exact
+    }
+
     #[test]
     fn estimate_tracks_exact_for_large_h() {
         // §5.1: for GPT-3-scale hidden dims the estimate is within a few
         // percent until parallelism gets very large.
         for (rlp, tlp) in [(4u64, 2u64), (16, 4), (32, 8)] {
-            let err = AiEstimator::relative_error(12288, rlp, tlp);
+            let err = relative_error(12288, rlp, tlp);
             assert!(
                 err.abs() < 0.05,
                 "rlp={rlp} tlp={tlp}: relative error {err}"
@@ -114,7 +113,7 @@ mod tests {
         // Fig. 6's caveat: at RLP = 128 the estimate is slightly larger
         // than the measured AI — harmless because both sides of the
         // comparison are deep in compute-bound territory.
-        let err = AiEstimator::relative_error(9216, 128, 8);
+        let err = relative_error(9216, 128, 8);
         assert!(
             err > 0.05 && err < 0.40,
             "error at extreme parallelism {err}"
@@ -155,8 +154,8 @@ mod tests {
 
         #[test]
         fn error_shrinks_with_h(rlp in 1u64..128, tlp in 1u64..8) {
-            let small = AiEstimator::relative_error(2048, rlp, tlp);
-            let large = AiEstimator::relative_error(16384, rlp, tlp);
+            let small = relative_error(2048, rlp, tlp);
+            let large = relative_error(16384, rlp, tlp);
             prop_assert!(large <= small + 1e-12);
         }
     }

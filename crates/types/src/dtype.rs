@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use papi_types::DataType;
 ///
-/// assert_eq!(DataType::Fp16.size_bytes(), 2);
 /// assert_eq!(DataType::Fp16.size().value(), 2.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -35,7 +34,7 @@ pub enum DataType {
 impl DataType {
     /// Size of one element in whole bytes (INT4 rounds up to 1 for
     /// addressing purposes; use [`DataType::size`] for exact arithmetic).
-    pub const fn size_bytes(self) -> u64 {
+    pub(crate) const fn size_bytes(self) -> u64 {
         match self {
             DataType::Fp32 => 4,
             DataType::Fp16 | DataType::Bf16 => 2,
@@ -49,16 +48,6 @@ impl DataType {
         match self {
             DataType::Int4 => Bytes::new(0.5),
             other => Bytes::from_u64(other.size_bytes()),
-        }
-    }
-
-    /// Bits per element.
-    pub fn bits(self) -> u32 {
-        match self {
-            DataType::Fp32 => 32,
-            DataType::Fp16 | DataType::Bf16 => 16,
-            DataType::Int8 => 8,
-            DataType::Int4 => 4,
         }
     }
 }
@@ -81,15 +70,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sizes_are_consistent_with_bits() {
-        for dt in [
-            DataType::Fp32,
-            DataType::Fp16,
-            DataType::Bf16,
-            DataType::Int8,
-            DataType::Int4,
+    fn sizes_match_the_element_widths() {
+        for (dt, bytes) in [
+            (DataType::Fp32, 4.0),
+            (DataType::Fp16, 2.0),
+            (DataType::Bf16, 2.0),
+            (DataType::Int8, 1.0),
+            (DataType::Int4, 0.5),
         ] {
-            assert!((dt.size().bits() - dt.bits() as f64).abs() < 1e-12);
+            assert_eq!(dt.size().value(), bytes);
         }
     }
 

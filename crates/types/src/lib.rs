@@ -20,7 +20,7 @@
 //! assert!(ai.value() > 14.0 && ai.value() < 15.0);
 //!
 //! let bw = Bytes::from_gib(1.0) / Time::from_millis(1.0);
-//! assert!(bw.as_gib_per_sec() > 999.0);
+//! assert!(bw.as_gb_per_sec() > 1073.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -31,37 +31,7 @@ mod stats;
 mod units;
 
 pub use dtype::DataType;
-pub use stats::{geometric_mean, harmonic_mean, RunningStats};
+pub use stats::geometric_mean;
 pub use units::{
     Area, ArithmeticIntensity, Bandwidth, Bytes, Energy, Flops, FlopsRate, Frequency, Power, Time,
 };
-
-/// Error produced when constructing a quantity from an invalid raw value.
-///
-/// All quantity constructors reject NaN; most also reject negative values
-/// because negative time/energy/area has no physical meaning in the
-/// simulator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidQuantityError {
-    kind: &'static str,
-    reason: &'static str,
-}
-
-impl InvalidQuantityError {
-    pub(crate) fn new(kind: &'static str, reason: &'static str) -> Self {
-        Self { kind, reason }
-    }
-
-    /// The quantity type that rejected the value (e.g. `"Time"`).
-    pub fn kind(&self) -> &'static str {
-        self.kind
-    }
-}
-
-impl core::fmt::Display for InvalidQuantityError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "invalid {} value: {}", self.kind, self.reason)
-    }
-}
-
-impl std::error::Error for InvalidQuantityError {}

@@ -1,7 +1,5 @@
 //! Small statistics helpers used by the experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometric mean of a slice of positive values.
 ///
 /// Used for averaging speedups across benchmark configurations, exactly as
@@ -24,133 +22,6 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Harmonic mean of a slice of positive values.
-///
-/// The right mean for averaging rates (e.g. tokens/second across requests).
-/// Returns `None` for an empty slice or if any value is non-positive.
-pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|&v| v <= 0.0 || !v.is_finite()) {
-        return None;
-    }
-    let recip_sum: f64 = values.iter().map(|v| 1.0 / v).sum();
-    Some(values.len() as f64 / recip_sum)
-}
-
-/// Single-pass running mean / min / max / variance accumulator
-/// (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use papi_types::RunningStats;
-/// let mut s = RunningStats::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    #[track_caller]
-    pub fn push(&mut self, value: f64) {
-        assert!(!value.is_nan(), "RunningStats observation must not be NaN");
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0.0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,68 +36,6 @@ mod tests {
         assert!(geometric_mean(&[1.0, -2.0]).is_none());
     }
 
-    #[test]
-    fn harmonic_mean_of_rates() {
-        let h = harmonic_mean(&[1.0, 1.0]).unwrap();
-        assert!((h - 1.0).abs() < 1e-12);
-        let h = harmonic_mean(&[40.0, 60.0]).unwrap();
-        assert!((h - 48.0).abs() < 1e-12);
-        assert!(harmonic_mean(&[]).is_none());
-    }
-
-    #[test]
-    fn running_stats_basic() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(v);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data = [1.0, 5.5, -2.0, 8.0, 3.25, 0.0, 9.5];
-        let mut all = RunningStats::new();
-        for v in data {
-            all.push(v);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for v in &data[..3] {
-            a.push(*v);
-        }
-        for v in &data[3..] {
-            b.push(*v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 3.0);
-    }
-
     proptest! {
         #[test]
         fn geo_mean_between_min_and_max(values in proptest::collection::vec(0.001..1e6f64, 1..32)) {
@@ -234,23 +43,6 @@ mod tests {
             let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(g >= min * 0.999999 && g <= max * 1.000001);
-        }
-
-        #[test]
-        fn harmonic_le_geometric(values in proptest::collection::vec(0.001..1e6f64, 1..32)) {
-            let h = harmonic_mean(&values).unwrap();
-            let g = geometric_mean(&values).unwrap();
-            prop_assert!(h <= g * 1.000001);
-        }
-
-        #[test]
-        fn running_stats_mean_matches_naive(values in proptest::collection::vec(-1e6..1e6f64, 1..64)) {
-            let mut s = RunningStats::new();
-            for &v in &values {
-                s.push(v);
-            }
-            let naive = values.iter().sum::<f64>() / values.len() as f64;
-            prop_assert!((s.mean() - naive).abs() < 1e-6 * naive.abs().max(1.0));
         }
     }
 }

@@ -16,7 +16,6 @@ use crate::conversation::ConversationDataset;
 use crate::dataset::DatasetKind;
 use crate::request::Request;
 use crate::speculative::{SpeculativeConfig, TlpPolicy};
-use papi_types::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -30,17 +29,9 @@ pub enum ArrivalProcess {
         /// Mean arrivals per second.
         rate_per_sec: f64,
     },
-    /// Evenly spaced arrivals, one every `interval_sec`.
-    Uniform {
-        /// Gap between consecutive arrivals, in seconds.
-        interval_sec: f64,
-    },
     /// Every request is present at t = 0 (the closed-batch limit; with
     /// a batch cap this reproduces queue-fed continuous batching).
     Immediate,
-    /// Explicit arrival offsets in seconds (a replayed trace file).
-    /// Requests beyond the trace's length reuse its last gap.
-    Trace(Vec<f64>),
     /// Synchronized bursts: `burst_size` requests land together every
     /// `interval_sec` — the thundering-herd pattern (webhook fan-out,
     /// batch-job fan-in) that stresses admission and prefill the
@@ -114,10 +105,9 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics if a rate/interval is not positive and finite, or if a
-    /// trace is empty, unsorted, or negative while `n > 0`.
+    /// Panics if a rate/interval is not positive and finite.
     #[track_caller]
-    pub fn arrival_times(&self, seed: u64, n: usize) -> Vec<f64> {
+    pub(crate) fn arrival_times(&self, seed: u64, n: usize) -> Vec<f64> {
         match self {
             ArrivalProcess::Poisson { rate_per_sec } => {
                 assert!(
@@ -134,33 +124,7 @@ impl ArrivalProcess {
                     })
                     .collect()
             }
-            ArrivalProcess::Uniform { interval_sec } => {
-                assert!(
-                    interval_sec.is_finite() && *interval_sec > 0.0,
-                    "arrival interval must be positive, got {interval_sec}"
-                );
-                (0..n).map(|i| i as f64 * interval_sec).collect()
-            }
             ArrivalProcess::Immediate => vec![0.0; n],
-            ArrivalProcess::Trace(times) => {
-                assert!(n == 0 || !times.is_empty(), "empty arrival trace");
-                assert!(
-                    times.windows(2).all(|w| w[0] <= w[1])
-                        && times.first().is_none_or(|&t| t >= 0.0),
-                    "arrival trace must be sorted and non-negative"
-                );
-                let last_gap = if times.len() >= 2 {
-                    times[times.len() - 1] - times[times.len() - 2]
-                } else {
-                    0.0
-                };
-                (0..n)
-                    .map(|i| match times.get(i) {
-                        Some(&t) => t,
-                        None => times[times.len() - 1] + last_gap * (i - times.len() + 1) as f64,
-                    })
-                    .collect()
-            }
             ArrivalProcess::Bursty {
                 burst_size,
                 interval_sec,
@@ -267,7 +231,7 @@ pub enum RequestSource {
 
 impl RequestSource {
     /// Generates `n` requests with a seeded RNG (fully reproducible).
-    pub fn generate(&self, seed: u64, n: usize) -> Vec<Request> {
+    pub(crate) fn generate(&self, seed: u64, n: usize) -> Vec<Request> {
         match self {
             RequestSource::Dataset(kind) => kind.generate(seed, n),
             RequestSource::Conversations(dataset) => dataset.generate(seed, n),
@@ -275,7 +239,7 @@ impl RequestSource {
     }
 
     /// Display label for reports and sweeps.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             RequestSource::Dataset(kind) => kind.to_string(),
             RequestSource::Conversations(dataset) => dataset.label(),
@@ -357,11 +321,6 @@ impl ServingRequest {
     /// preemption rebuilds the whole context).
     pub fn prefill_len(&self) -> u64 {
         self.kv_len()
-    }
-
-    /// Arrival time as a typed quantity.
-    pub fn arrival(&self) -> Time {
-        Time::new(self.arrival_s)
     }
 }
 
@@ -493,17 +452,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_and_immediate_shapes() {
-        let u = ArrivalProcess::Uniform { interval_sec: 0.25 }.arrival_times(0, 5);
-        assert_eq!(u, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
+    fn immediate_arrivals_land_at_zero() {
         let i = ArrivalProcess::Immediate.arrival_times(0, 3);
         assert_eq!(i, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn trace_extends_past_its_end_with_last_gap() {
-        let t = ArrivalProcess::Trace(vec![0.0, 1.0, 3.0]).arrival_times(0, 5);
-        assert_eq!(t, vec![0.0, 1.0, 3.0, 5.0, 7.0]);
     }
 
     #[test]
@@ -609,12 +560,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_trace_rejected() {
-        ArrivalProcess::Trace(vec![1.0, 0.5]).arrival_times(0, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         ArrivalProcess::Poisson { rate_per_sec: 0.0 }.arrival_times(0, 1);
@@ -630,7 +575,7 @@ mod tests {
         assert_eq!(r.remaining(), 25);
         assert_eq!(r.kv_len(), 115);
         assert_eq!(r.prefill_len(), 115);
-        assert_eq!(r.arrival().value(), 2.5);
+        assert_eq!(r.arrival_s, 2.5);
     }
 
     #[test]

@@ -40,16 +40,6 @@ pub struct ConversationDataset {
 }
 
 impl ConversationDataset {
-    /// A shared-system-prompt population: independent single-turn
-    /// requests all carrying the same `system_prompt_tokens` prefix.
-    pub fn shared_system_prompt(base: DatasetKind, system_prompt_tokens: u64) -> Self {
-        Self {
-            base,
-            system_prompt_tokens,
-            turns: 1,
-        }
-    }
-
     /// A multi-turn chat population.
     ///
     /// # Panics
@@ -71,7 +61,7 @@ impl ConversationDataset {
     /// then turn 1, … — so under any monotone arrival process a
     /// conversation's turn *k + 1* arrives well after turn *k* (the
     /// open-loop stand-in for think time between turns).
-    pub fn generate(&self, seed: u64, n: usize) -> Vec<Request> {
+    pub(crate) fn generate(&self, seed: u64, n: usize) -> Vec<Request> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51ed_270e_ca11_b0a7);
         let dist = self.base.distribution();
         let conversations = n.div_ceil(self.turns).max(1);
@@ -127,7 +117,7 @@ impl ConversationDataset {
     }
 
     /// Display label for reports and sweeps.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         if self.turns == 1 {
             format!("{}+sys{}", self.base, self.system_prompt_tokens)
         } else {
@@ -151,7 +141,7 @@ mod tests {
 
     #[test]
     fn shared_system_prompt_stamps_one_key() {
-        let ds = ConversationDataset::shared_system_prompt(DatasetKind::GeneralQa, 256);
+        let ds = ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 1);
         let requests = ds.generate(7, 40);
         assert_eq!(requests.len(), 40);
         for r in &requests {
@@ -206,14 +196,14 @@ mod tests {
 
     #[test]
     fn zero_system_single_turn_has_no_prefix() {
-        let ds = ConversationDataset::shared_system_prompt(DatasetKind::GeneralQa, 0);
+        let ds = ConversationDataset::multi_turn(DatasetKind::GeneralQa, 0, 1);
         assert!(ds.generate(1, 8).iter().all(|r| r.prefix.is_none()));
     }
 
     #[test]
     fn labels() {
         assert_eq!(
-            ConversationDataset::shared_system_prompt(DatasetKind::GeneralQa, 512).label(),
+            ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 1).label(),
             "general-qa+sys512"
         );
         assert_eq!(

@@ -36,7 +36,7 @@ pub enum DatasetKind {
 
 impl DatasetKind {
     /// The length distribution for this category.
-    pub fn distribution(self) -> LengthDistribution {
+    pub(crate) fn distribution(self) -> LengthDistribution {
         match self {
             DatasetKind::CreativeWriting => LengthDistribution {
                 input_log_mean: (90.0f64).ln(),
@@ -66,7 +66,7 @@ impl DatasetKind {
     }
 
     /// Generates `n` requests with a seeded RNG (fully reproducible).
-    pub fn generate(self, seed: u64, n: usize) -> Vec<Request> {
+    pub(crate) fn generate(self, seed: u64, n: usize) -> Vec<Request> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let dist = self.distribution();
         (0..n)
@@ -92,7 +92,7 @@ impl core::fmt::Display for DatasetKind {
 /// Log-normal input/output token-length distribution, clamped to
 /// `[min_len, max_len]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LengthDistribution {
+pub(crate) struct LengthDistribution {
     /// Mean of ln(input length).
     pub input_log_mean: f64,
     /// Std-dev of ln(input length).
@@ -118,12 +118,12 @@ impl LengthDistribution {
     }
 
     /// Samples an input (prompt) length.
-    pub fn sample_input(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_input(&self, rng: &mut impl Rng) -> u64 {
         self.sample_lognormal(rng, self.input_log_mean, self.input_log_std)
     }
 
     /// Samples an output (generation) length.
-    pub fn sample_output(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample_output(&self, rng: &mut impl Rng) -> u64 {
         self.sample_lognormal(rng, self.output_log_mean, self.output_log_std)
     }
 }

@@ -19,14 +19,9 @@
 //! - [`speculative`] — speculation length (TLP) and token-acceptance
 //!   models.
 //! - [`batching`] — static batching and mixed continuous batching.
-//! - [`arrival`] — open-loop arrival processes (Poisson, uniform,
-//!   multi-hour diurnal, flash-crowd, replayed traces) and the online
-//!   request lifecycle
+//! - [`arrival`] — open-loop arrival processes (Poisson, bursty,
+//!   multi-hour diurnal, flash-crowd) and the online request lifecycle
 //!   (`Queued → Prefilling → Decoding → Finished`).
-//! - [`replay`] — the JSONL production-trace format
-//!   ([`TraceReplay`]): validated arrival logs with optional
-//!   per-request shape/prefix overrides, lowered onto
-//!   [`ArrivalProcess::Trace`].
 //! - [`routing`] — cluster-level request routing: replica snapshots
 //!   (now carrying a [`ReplicaRole`] for disaggregated fleets), the
 //!   open [`RoutePolicy`] trait a fleet router picks admission targets
@@ -46,7 +41,6 @@ pub mod arrival;
 pub mod batching;
 pub mod conversation;
 pub mod dataset;
-pub mod replay;
 pub mod request;
 pub mod routing;
 pub mod speculative;
@@ -56,7 +50,6 @@ pub use arrival::{ArrivalProcess, RequestSource, RequestState, ServingRequest, S
 pub use batching::{BatchingPolicy, WorkloadSpec};
 pub use conversation::ConversationDataset;
 pub use dataset::DatasetKind;
-pub use replay::{ReplayError, TraceRecord, TraceReplay};
 pub use request::Request;
 pub use routing::{
     HashRing, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, Reads, ReplicaRole,

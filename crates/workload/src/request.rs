@@ -52,7 +52,7 @@ impl Request {
     /// Panics if the hint claims more reusable tokens than the prompt
     /// holds, or more publishable tokens than the final context will.
     #[track_caller]
-    pub fn with_prefix(mut self, prefix: PrefixHint) -> Self {
+    pub(crate) fn with_prefix(mut self, prefix: PrefixHint) -> Self {
         assert!(
             prefix.reuse_tokens <= self.input_len,
             "prefix reuse {} exceeds the {}-token prompt",
@@ -71,7 +71,7 @@ impl Request {
 
     /// Total sequence length once complete (KV-cache footprint in
     /// tokens).
-    pub fn total_len(&self) -> u64 {
+    pub(crate) fn total_len(&self) -> u64 {
         self.input_len + self.output_len
     }
 }

@@ -40,7 +40,7 @@
 //!             .iter()
 //!             .enumerate()
 //!             .skip(1)
-//!             .min_by_key(|(i, s)| (s.load(), *i))
+//!             .min_by_key(|(i, s)| (s.queued + s.live, *i))
 //!             .map_or(0, |(i, _)| i)
 //!     }
 //!
@@ -92,7 +92,7 @@ impl ReplicaRole {
     }
 
     /// Display label for reports and sweeps.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ReplicaRole::Colocated => "colocated",
             ReplicaRole::Prefill => "prefill",
@@ -207,30 +207,30 @@ pub struct ReplicaSnapshot {
 impl ReplicaSnapshot {
     /// Whether the replica takes new arrivals: its role accepts them
     /// and its lifecycle serves traffic. Read from the stamps alone.
-    pub fn takes_arrivals(&self) -> bool {
+    pub(crate) fn takes_arrivals(&self) -> bool {
         self.role.accepts_arrivals() && self.lifecycle.serves_traffic()
     }
 
     /// Total requests the replica is responsible for right now.
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queued + self.live
     }
 
     /// Blocks irrevocably committed to live sequences (in use minus
     /// what prefix-cache eviction could hand back).
-    pub fn kv_committed_blocks(&self) -> u64 {
+    pub(crate) fn kv_committed_blocks(&self) -> u64 {
         self.kv_blocks_in_use
             .saturating_sub(self.kv_evictable_blocks)
     }
 
     /// Blocks a request needing `tokens` KV tokens would allocate here.
-    pub fn blocks_for(&self, tokens: u64) -> u64 {
+    pub(crate) fn blocks_for(&self, tokens: u64) -> u64 {
         tokens.div_ceil(self.kv_block_size.max(1))
     }
 
     /// Fraction of the admission budget committed (1 when the budget is
     /// zero — a degenerate replica is "full").
-    pub fn kv_utilization(&self) -> f64 {
+    pub(crate) fn kv_utilization(&self) -> f64 {
         if self.kv_budget_blocks == 0 {
             return 1.0;
         }
@@ -250,7 +250,7 @@ impl ReplicaSnapshot {
     /// full tier (1.0) means the replica's next spill evicts a cold
     /// record outright — stickiness can no longer count on the local
     /// hierarchy retaining a conversation's context.
-    pub fn tier_pressure(&self) -> f64 {
+    pub(crate) fn tier_pressure(&self) -> f64 {
         if self.kv_tier_budget_blocks == 0 {
             return 0.0;
         }
@@ -265,10 +265,9 @@ impl ReplicaSnapshot {
 ///
 /// Snapshots expose the full KV hierarchy: hot-pool occupancy
 /// (`kv_blocks_in_use` / `kv_budget_blocks`) *and* the capacity tier
-/// (`kv_tier_blocks_in_use` / `kv_tier_budget_blocks`, folded into
-/// [`ReplicaSnapshot::tier_pressure`]), so policies can react to a
-/// replica whose spill tier is churning, not just one whose hot pool is
-/// full.
+/// (`kv_tier_blocks_in_use` / `kv_tier_budget_blocks`), so policies can
+/// react to a replica whose spill tier is churning, not just one whose
+/// hot pool is full.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteContext<'a> {
     /// The request being placed — `ctx.request.request` is the static
@@ -323,14 +322,14 @@ impl RouteContext<'_> {
     /// KV tokens the chosen replica must cover at admission (the
     /// request's prompt, plus any regenerated context after a
     /// preemption).
-    pub fn incoming_kv_tokens(&self) -> u64 {
+    pub(crate) fn incoming_kv_tokens(&self) -> u64 {
         self.request.prefill_len()
     }
 
     /// The request's shareable-prefix hint, if it carries one (the
     /// conversation or shared-system-prompt key prefix-affinity
     /// policies steer by).
-    pub fn prefix(&self) -> Option<PrefixHint> {
+    pub(crate) fn prefix(&self) -> Option<PrefixHint> {
         self.request.request.prefix
     }
 
@@ -338,7 +337,7 @@ impl RouteContext<'_> {
     /// fleet-wide shared tier — i.e. *any* replica could re-materialize
     /// its context over the fabric. `false` without a directory or a
     /// prefix hint.
-    pub fn shared_resident(&self) -> bool {
+    pub(crate) fn shared_resident(&self) -> bool {
         match (self.shared_prefixes, self.prefix()) {
             (Some(directory), Some(hint)) => directory.resident(hint.key),
             _ => false,
@@ -354,7 +353,7 @@ impl RouteContext<'_> {
     /// then to *every* index — a policy must stay total even over a
     /// malformed fleet (the cluster engine validates shape
     /// separately).
-    pub fn arrival_targets(&self) -> Vec<usize> {
+    pub(crate) fn arrival_targets(&self) -> Vec<usize> {
         targets(self.replicas, ReplicaRole::accepts_arrivals)
     }
 }
@@ -458,7 +457,7 @@ fn home_replica(key: u64, replicas: usize) -> usize {
 /// *every* conversation whenever `N` changes — one scale event and the
 /// whole fleet's prefix caches go cold at once. The ring fixes the
 /// blast radius: each member replica owns
-/// [`VNODES`](Self::VNODES) pseudo-random points on a `u64` circle,
+/// `VNODES` pseudo-random points on a `u64` circle,
 /// and a key homes to the owner of the first point at or after its
 /// hash (wrapping). Adding or removing one replica moves only the
 /// arcs adjacent to that replica's points — ~K/N of the keys — while
@@ -480,18 +479,13 @@ impl HashRing {
     /// and single-event remap fractions concentrate near their ideal
     /// 1/N. [`RingPoints`] makes a rebuild one filtering pass over the
     /// fleet's points, with no hashing or sorting.
-    pub const VNODES: usize = 64;
+    pub(crate) const VNODES: usize = 64;
 
     /// The ring over `members` (replica indices; order is irrelevant,
     /// duplicates collapse). An empty member set builds an empty ring —
     /// [`home`](Self::home) then returns `None`.
     pub fn new(members: &[usize]) -> Self {
         RingPoints::new(members).ring(|_| true)
-    }
-
-    /// Whether the ring has no members.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// The home member for `key`: the owner of the first ring point at
@@ -504,14 +498,6 @@ impl HashRing {
         let idx = self.points.partition_point(|&(point, _)| point < hash);
         let (_, member) = self.points[if idx == self.points.len() { 0 } else { idx }];
         Some(member)
-    }
-
-    /// The distinct members on the ring, ascending.
-    pub fn members(&self) -> Vec<usize> {
-        let mut members: Vec<usize> = self.points.iter().map(|&(_, m)| m).collect();
-        members.sort_unstable();
-        members.dedup();
-        members
     }
 }
 
@@ -646,9 +632,10 @@ pub enum PolicySpec {
     /// directory, *any* replica can re-materialize it at one fabric
     /// hop, so waiting behind the home's queue no longer protects
     /// anything. The policy relaxes when the prefix is
-    /// [resident](RouteContext::shared_resident) and the home is
+    /// resident and the home is
     /// pressured: two or more requests queue there, or its private
-    /// capacity tier is full per [`ReplicaSnapshot::tier_pressure`]. A
+    /// capacity tier is full (`kv_tier_blocks_in_use` has reached a
+    /// nonzero `kv_tier_budget_blocks`). A
     /// pressured home whose conversation is *not* in the directory
     /// stays sticky (moving it would cold-start the prefix). Without a
     /// shared tier it routes exactly like `prefix-affinity`.
@@ -729,11 +716,6 @@ impl Router {
             relaxed: 0,
             decisions: 0,
         }
-    }
-
-    /// The configured policy spec.
-    pub fn policy(&self) -> PolicySpec {
-        self.spec
     }
 
     /// Routing decisions made so far.
@@ -927,7 +909,7 @@ impl MigrationSpec {
     }
 
     /// Display label for reports and sweeps.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             MigrationSpec::JoinShortestQueue => "decode-jsq".to_owned(),
         }
@@ -1194,7 +1176,7 @@ mod tests {
         };
         assert_eq!(points.ring(|_| true).points, vec![(5, 0), (9, 1)]);
         assert_eq!(points.ring(|m| m == 1).points, vec![(5, 1), (9, 1)]);
-        assert!(points.ring(|_| false).is_empty());
+        assert!(points.ring(|_| false).points.is_empty());
     }
 
     #[test]
@@ -1483,7 +1465,6 @@ mod tests {
     fn ring_is_deterministic_and_covers_members() {
         let ring = HashRing::new(&[0, 1, 2, 3]);
         assert_eq!(ring, HashRing::new(&[3, 2, 1, 0]), "order-independent");
-        assert_eq!(ring.members(), vec![0, 1, 2, 3]);
         // Every key homes to a member, identically across calls.
         for key in 0..256u64 {
             let home = ring.home(key).unwrap();
@@ -1494,7 +1475,7 @@ mod tests {
         let homes: std::collections::BTreeSet<usize> =
             (0..512u64).map(|k| ring.home(k).unwrap()).collect();
         assert_eq!(homes.len(), 4, "512 keys must touch all 4 members");
-        assert!(HashRing::new(&[]).is_empty());
+        assert!(HashRing::new(&[]).points.is_empty());
         assert_eq!(HashRing::new(&[]).home(7), None);
     }
 
