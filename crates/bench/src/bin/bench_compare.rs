@@ -81,7 +81,7 @@ struct ScenarioResult {
     /// Fleet energy per SLO-good output token, J; `None` or zero both
     /// mean "not a cost-gated scenario".
     energy_per_good_token_j: Option<f64>,
-    /// Parallel-over-sequential wall-clock ratio for scenarios timing
+    /// Lazy-over-sequential wall-clock ratio for scenarios timing
     /// both cluster step modes; `None` elsewhere (and in old reports).
     speedup_vs_sequential: Option<f64>,
 }

@@ -70,7 +70,7 @@ struct ScenarioResult {
     /// (`null` elsewhere). Deterministic; gated against growth like
     /// `replica_hours`.
     energy_per_good_token_j: Option<f64>,
-    /// Parallel-over-sequential wall-clock ratio, for scenarios that
+    /// Lazy-over-sequential wall-clock ratio, for scenarios that
     /// time both cluster step modes (`null` elsewhere).
     speedup_vs_sequential: Option<f64>,
 }
@@ -497,25 +497,25 @@ fn main() {
         // Warm both paths, then interleave timed runs so machine-load
         // drift hits both modes equally.
         let (_, seq_report) = run_mode(StepMode::Sequential);
-        let (_, par_report) = run_mode(StepMode::Parallel);
+        let (_, lazy_report) = run_mode(StepMode::Lazy);
         assert_eq!(
             serde_json::to_string(&seq_report).expect("report serializes"),
-            serde_json::to_string(&par_report).expect("report serializes"),
-            "parallel fleet stepping diverged from the sequential reference"
+            serde_json::to_string(&lazy_report).expect("report serializes"),
+            "lazy fleet stepping diverged from the sequential reference"
         );
-        let (mut seq_best, mut par_best) = (f64::INFINITY, f64::INFINITY);
+        let (mut seq_best, mut lazy_best) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..3 {
             seq_best = seq_best.min(run_mode(StepMode::Sequential).0);
-            par_best = par_best.min(run_mode(StepMode::Parallel).0);
+            lazy_best = lazy_best.min(run_mode(StepMode::Lazy).0);
         }
         ScenarioResult {
             scenario: "cluster_fleet_64".to_owned(),
-            wall_ms: par_best * 1e3,
-            tokens: par_report.tokens(),
-            tokens_per_sec: par_report.tokens() as f64 / par_best.max(1e-12),
-            iterations: par_report.replicas.iter().map(|r| r.iterations).sum(),
-            cache_hit_rate: par_report.cache_hit_rate(),
-            ttft_p99_ms: par_report
+            wall_ms: lazy_best * 1e3,
+            tokens: lazy_report.tokens(),
+            tokens_per_sec: lazy_report.tokens() as f64 / lazy_best.max(1e-12),
+            iterations: lazy_report.replicas.iter().map(|r| r.iterations).sum(),
+            cache_hit_rate: lazy_report.cache_hit_rate(),
+            ttft_p99_ms: lazy_report
                 .ttft_summary()
                 .expect("non-empty episode")
                 .p99
@@ -524,7 +524,7 @@ fn main() {
             tier_fetch_time_s: None,
             replica_hours: None,
             energy_per_good_token_j: None,
-            speedup_vs_sequential: Some(seq_best / par_best),
+            speedup_vs_sequential: Some(seq_best / lazy_best),
         }
     });
 

@@ -37,10 +37,10 @@
 
 use crate::autoscale::{AutoscaleControl, AutoscalePolicy, AutoscaleSpec, FleetCostReport};
 use crate::config::{DesignKind, SystemConfig};
+use crate::interconnect::{LinkSpec, TransferCost};
 use crate::metrics::{LatencySummary, RequestRecord, ServingReport};
 use crate::serving::{PrefillHandoff, ServingEngine, ServingSession, SessionTuning};
 use crate::slo::SloSpec;
-use papi_interconnect::{LinkSpec, TopologyError, TransferCost};
 use papi_kv::GlobalKvTier;
 use papi_llm::ModelConfig;
 use papi_types::{Energy, Time};
@@ -80,7 +80,7 @@ pub enum StepMode {
     /// [reads](RoutePolicy::reads); the rest lag until an event reads
     /// them.
     #[default]
-    Parallel,
+    Lazy,
 }
 
 /// The shape of a PAPI fleet: one design sharded `tp_degree`-way per
@@ -119,7 +119,7 @@ pub struct ClusterSpec {
     /// How migrated prefill→decode handoffs pick their decode replica.
     pub migration: MigrationSpec,
     /// How replicas advance between control-plane events. Both modes
-    /// produce identical reports; `Parallel` is the default.
+    /// produce identical reports; `Lazy` is the default.
     pub step_mode: StepMode,
     /// The fleet-shared prefix tier: one directory registering every
     /// replica's spilled records, so a conversation that re-lands on
@@ -195,7 +195,7 @@ impl ClusterSpec {
     }
 
     /// Selects how replicas advance between control-plane events
-    /// ([`StepMode::Parallel`] by default).
+    /// ([`StepMode::Lazy`] by default).
     pub fn with_step_mode(mut self, step_mode: StepMode) -> Self {
         self.step_mode = step_mode;
         self
@@ -358,6 +358,25 @@ pub struct ClusterEngine {
     spec: ClusterSpec,
     replicas: Vec<ServingEngine>,
 }
+
+/// Error returned by [`ClusterEngine::new`] when a fleet shape cannot
+/// be hosted or is misconfigured.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopologyError(String);
+
+impl TopologyError {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
+        Self(message.into())
+    }
+}
+
+impl core::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "invalid topology: {}", self.0)
+    }
+}
+
+impl std::error::Error for TopologyError {}
 
 impl ClusterEngine {
     /// Builds the fleet `spec` describes.
@@ -658,7 +677,7 @@ impl ClusterEngine {
     /// exporters' scan, which then covers the whole fleet. Exports queue
     /// in export order, which breaks delivery ties.
     ///
-    /// Under `Parallel`, an arrival in a private-tier fleet goes
+    /// Under `Lazy`, an arrival in a private-tier fleet goes
     /// further: it advances only the replicas the router
     /// [reads](RoutePolicy::reads), and the rest lag behind. This stays
     /// exact because [`ServingSession::run_until`] is a step loop, so
@@ -699,7 +718,7 @@ impl ClusterEngine {
         // Whether arrivals may leave unread replicas behind. A shared
         // tier's barriers merge every replica's publishes, so its fleet
         // reads everything at every event.
-        let lazy_reads = self.spec.step_mode == StepMode::Parallel && shared.is_none();
+        let lazy_reads = self.spec.step_mode == StepMode::Lazy && shared.is_none();
         let arrivals = workload.requests();
         let mut next_arrival = 0usize;
         let mut in_flight: Vec<InFlightMigration> = Vec::new();

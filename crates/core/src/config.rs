@@ -1,12 +1,12 @@
 //! System assembly: the five designs of the paper's evaluation.
 
+use crate::interconnect::LinkSpec;
 use papi_gpu::{GpuEnergyModel, GpuSpec, MultiGpu};
-use papi_interconnect::{LinkSpec, SystemTopology};
 use papi_llm::ModelConfig;
 use papi_pim::PimDevice;
 use papi_sched::calibrate_alpha;
 use papi_sched::calibration::Calibration;
-pub use papi_sched::SchedulerKind;
+use papi_sched::SchedulerKind;
 use papi_types::Time;
 use serde::{Deserialize, Serialize};
 
@@ -85,8 +85,10 @@ pub struct SystemConfig {
     pub fc_pim: Option<(PimDevice, usize)>,
     /// The PIM pool holding attention KV caches (device preset + count).
     pub attn_pim: (PimDevice, usize),
-    /// Interconnect wiring.
-    pub topology: SystemTopology,
+    /// The PU ↔ FC-PIM link (NVLink), crossed by FC activations on FC-PIM.
+    pub fc_pim_link: LinkSpec,
+    /// The PU ↔ Attn-PIM link (CXL): Q vectors out, context vectors back.
+    pub attn_pim_link: LinkSpec,
     /// FC placement policy.
     pub scheduler: SchedulerKind,
     /// Host dispatch overhead charged per decoder layer per iteration
@@ -121,8 +123,8 @@ impl SystemConfig {
             gpu_energy: GpuEnergyModel::a100(),
             fc_pim,
             attn_pim,
-            topology: SystemTopology::papi_default(FC_POOL_DEVICES, ATTN_POOL_DEVICES)
-                .expect("paper topology is valid"),
+            fc_pim_link: LinkSpec::nvlink(),
+            attn_pim_link: LinkSpec::cxl(),
             scheduler,
             dispatch_per_layer: Time::from_micros(1.5),
             dispatch_per_iteration: Time::from_micros(100.0),
@@ -234,8 +236,10 @@ impl SystemConfig {
         }
         self.attn_pim.1 *= degree;
         // Each node owns its own intra-node links: the group's pooled
-        // traffic sees `degree ×` every route's bandwidth.
-        self.topology = self.topology.clone().aggregated(degree);
+        // traffic sees `degree ×` each link's bandwidth, same latency.
+        for link in [&mut self.fc_pim_link, &mut self.attn_pim_link] {
+            link.bandwidth = link.bandwidth * degree as f64;
+        }
         self.tp = Some(TpGroup { degree, fabric });
         if let SchedulerKind::PapiDynamic { .. } = self.scheduler {
             if let (Some((fc_device, fc_count)), Some(gpus)) = (&self.fc_pim, &self.gpus) {
@@ -276,8 +280,8 @@ impl SystemConfig {
         gpus.gpu = GpuSpec::a100_papi_60gb();
         let gpu_energy = GpuEnergyModel::a100();
         calibrate_alpha(
-            |tokens| crate::engine::fc_latency_on_pim(model, &fc_pim, FC_POOL_DEVICES, tokens),
-            |tokens| crate::engine::fc_latency_on_pu(model, &gpus, &gpu_energy, tokens),
+            |tokens| crate::pricer::fc_latency_on_pim(model, &fc_pim, FC_POOL_DEVICES, tokens),
+            |tokens| crate::pricer::fc_latency_on_pu(model, &gpus, &gpu_energy, tokens),
             512,
         )
     }
@@ -336,6 +340,7 @@ impl SystemConfig {
 mod tests {
     use super::*;
     use papi_llm::ModelPreset;
+    use papi_types::Bytes;
 
     #[test]
     fn paper_pool_sizing_fits_gpt3_175b() {
@@ -403,6 +408,35 @@ mod tests {
             let cfg = SystemConfig::build(kind, model.clone());
             assert_eq!(cfg.design, kind);
         }
+    }
+
+    #[test]
+    fn tensor_parallel_scales_link_bandwidth_not_latency() {
+        let one = SystemConfig::a100_attacc(ModelPreset::Llama65B.config());
+        let fabric = LinkSpec::infiniband_ndr();
+        let four = one.clone().with_tensor_parallel(4, fabric.clone());
+        for (single, group) in [
+            (&one.fc_pim_link, &four.fc_pim_link),
+            (&one.attn_pim_link, &four.attn_pim_link),
+        ] {
+            assert_eq!(group.bandwidth.value(), 4.0 * single.bandwidth.value());
+            assert_eq!(group.latency, single.latency);
+            let bulk = Bytes::from_mib(256.0);
+            assert!(group.transfer_time(bulk).value() < single.transfer_time(bulk).value());
+        }
+        let same = one.clone().with_tensor_parallel(1, fabric);
+        assert_eq!(same.fc_pim_link, one.fc_pim_link);
+        assert_eq!(same.attn_pim_link, one.attn_pim_link);
+        assert!(same.tp.is_none());
+    }
+
+    #[test]
+    fn bulk_transfers_are_fastest_over_the_fc_pim_link() {
+        let papi = SystemConfig::papi_with_alpha(ModelPreset::Llama65B.config(), 24.0);
+        let bulk = Bytes::from_mib(256.0);
+        let (fc, attn) = (&papi.fc_pim_link, &papi.attn_pim_link);
+        assert_eq!((fc.name.as_str(), attn.name.as_str()), ("NVLink", "CXL"));
+        assert!(fc.transfer_time(bulk).value() < attn.transfer_time(bulk).value());
     }
 
     #[test]

@@ -16,8 +16,6 @@ use papi_types::Energy;
 use papi_workload::{DecodeTrace, WorkloadSpec};
 use std::sync::Arc;
 
-pub use crate::pricer::{fc_latency_on_pim, fc_latency_on_pu};
-
 /// Simulates LLM decoding on one [`SystemConfig`]. Every trace it
 /// runs prices through one shape table, shared by its clones.
 #[derive(Debug, Clone)]
@@ -132,6 +130,7 @@ impl DecodingSimulator {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::pricer::{fc_latency_on_pim, fc_latency_on_pu};
     use papi_gpu::{GpuEnergyModel, MultiGpu};
     use papi_llm::{ModelConfig, ModelPreset};
     use papi_pim::PimDevice;

@@ -8,13 +8,12 @@
 //! [`SweepRow`], which reads one point's headline numbers off its
 //! report.
 
-use crate::cluster::{ClusterEngine, ClusterReport, ClusterSpec};
+use crate::cluster::{ClusterEngine, ClusterReport, ClusterSpec, TopologyError};
 use crate::config::{DesignKind, SystemConfig};
 use crate::engine::DecodingSimulator;
 use crate::metrics::{ExecutionReport, LatencySummary};
 use crate::slo::SloSpec;
 use papi_gpu::{GpuEnergyModel, GpuSpec, MultiGpu};
-use papi_interconnect::TopologyError;
 use papi_llm::{ModelPreset, RooflinePoint};
 use papi_pim::power::power_draw;
 use papi_pim::{PimConfig, PimDevice, PimEnergyBreakdown, PimEnergyModel};
@@ -129,14 +128,14 @@ pub fn fig4_fc_latency() -> Vec<FcLatencyRow> {
     for speculation in [2u64, 8] {
         for batch in [1u64, 4, 16, 64] {
             let tokens = batch * speculation;
-            let gpu_t = crate::engine::fc_latency_on_pu(&model, &gpus, &gpu_energy, tokens);
-            let hbm_t = crate::engine::fc_latency_on_pim(
+            let gpu_t = crate::pricer::fc_latency_on_pu(&model, &gpus, &gpu_energy, tokens);
+            let hbm_t = crate::pricer::fc_latency_on_pim(
                 &model,
                 &hbm_pim,
                 crate::config::FC_POOL_DEVICES,
                 tokens,
             );
-            let attacc_t = crate::engine::fc_latency_on_pim(
+            let attacc_t = crate::pricer::fc_latency_on_pim(
                 &model,
                 &attacc,
                 crate::config::FC_POOL_DEVICES,

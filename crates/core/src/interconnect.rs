@@ -1,4 +1,27 @@
-//! Point-to-point link model.
+//! Link models for the PAPI system and the fleets built from it.
+//!
+//! The paper's node (§6.3, Fig. 5(a)) prices two intra-node legs, each
+//! a [`LinkSpec`] on [`SystemConfig`](crate::config::SystemConfig):
+//!
+//! - **PU ↔ FC-PIM**: FC activation traffic over NVLink
+//!   ([`LinkSpec::nvlink`]), paid only when FC runs on FC-PIM;
+//! - **PU ↔ Attn-PIM**: Q-vector/context traffic to the disaggregated
+//!   attention pool over CXL ([`LinkSpec::cxl`]), which scales to
+//!   thousands of devices.
+//!
+//! Host ↔ PU traffic (commands, batch assembly) is priced as host
+//! dispatch time (`dispatch_per_layer`, `dispatch_per_iteration`), not
+//! as a link.
+//!
+//! Beyond the single node, the same [`LinkSpec`] prices fleet traffic:
+//! its inter-node presets (InfiniBand NDR, 100 GbE) carry the
+//! tensor-parallel all-reduce and KV-shard collectives
+//! (`LinkSpec::all_reduce_time`, `LinkSpec::scatter_time`) and the
+//! prefill→decode KV migrations of a disaggregated fleet. Below the
+//! attention pool, the node-local KV capacity tier sits behind one
+//! DDR5 channel (`LinkSpec::ddr5_dimm`). A migration, a tier fetch
+//! and a fleet-shared tier fetch are each priced as one
+//! [`TransferCost`].
 
 use papi_types::{Bandwidth, Bytes, Energy, Time};
 use serde::{Deserialize, Serialize};
@@ -9,13 +32,13 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use papi_interconnect::LinkSpec;
+/// use papi_core::interconnect::{LinkSpec, TransferCost};
 /// use papi_types::Bytes;
 ///
-/// let nvlink = LinkSpec::nvlink();
-/// let cxl = LinkSpec::cxl();
-/// let payload = Bytes::from_mib(64.0);
-/// assert!(nvlink.scatter_time(payload, 2).value() < cxl.scatter_time(payload, 2).value());
+/// let block = Bytes::from_mib(64.0);
+/// let over_nvlink = TransferCost::over(&LinkSpec::nvlink(), 1, block);
+/// let over_cxl = TransferCost::over(&LinkSpec::cxl(), 1, block);
+/// assert!(over_nvlink.time.value() < over_cxl.time.value());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkSpec {
@@ -43,20 +66,8 @@ impl LinkSpec {
         }
     }
 
-    /// PCIe Gen5 ×16: 64 GB/s per direction, up to 32 devices per bus
-    /// (paper §6.3).
-    pub(crate) fn pcie_gen5_x16() -> Self {
-        Self {
-            name: "PCIe-Gen5-x16".to_owned(),
-            bandwidth: Bandwidth::from_gb_per_sec(64.0),
-            latency: Time::from_micros(2.5),
-            pj_per_byte: 20.0,
-            max_devices: 32,
-        }
-    }
-
-    /// CXL 2.0 over PCIe Gen5 phy: same bandwidth class, lower protocol
-    /// latency, scales to 4096 devices (paper §6.3).
+    /// CXL 2.0 over a PCIe Gen5 ×16 phy: 64 GB/s per direction, low
+    /// protocol latency, scales to 4096 devices (paper §6.3).
     pub fn cxl() -> Self {
         Self {
             name: "CXL".to_owned(),
@@ -71,7 +82,7 @@ impl LinkSpec {
     /// KV capacity tier sits behind (L3's DIMM-PIM tier and PIM-AI's
     /// DIMM devices both live here): 38.4 GB/s per channel, sub-µs
     /// access, DRAM-cheap energy per byte, a socket's worth of DIMMs.
-    pub fn ddr5_dimm() -> Self {
+    pub(crate) fn ddr5_dimm() -> Self {
         Self {
             name: "DDR5-DIMM".to_owned(),
             bandwidth: Bandwidth::from_gb_per_sec(38.4),
@@ -86,7 +97,7 @@ impl LinkSpec {
     /// latency through one switch hop, switch-scale fan-out. The paper
     /// models a single node; this preset is how the cluster layer wires
     /// nodes together.
-    pub fn infiniband_ndr() -> Self {
+    pub(crate) fn infiniband_ndr() -> Self {
         Self {
             name: "InfiniBand-NDR".to_owned(),
             bandwidth: Bandwidth::from_gb_per_sec(50.0),
@@ -123,7 +134,7 @@ impl LinkSpec {
     /// the message latency paid once (the ring pipelines its steps —
     /// the same model as `MultiGpu::allreduce_time` intra-node). Zero
     /// for a single participant or no payload.
-    pub fn all_reduce_time(&self, bytes: Bytes, participants: usize) -> Time {
+    pub(crate) fn all_reduce_time(&self, bytes: Bytes, participants: usize) -> Time {
         if participants <= 1 || bytes.is_zero() {
             return Time::ZERO;
         }
@@ -134,7 +145,7 @@ impl LinkSpec {
 
     /// Total wire energy of a ring all-reduce: every endpoint forwards
     /// `2 (p-1)/p × bytes`, so the fleet moves `2 (p-1) × bytes`.
-    pub fn all_reduce_energy(&self, bytes: Bytes, participants: usize) -> Energy {
+    pub(crate) fn all_reduce_energy(&self, bytes: Bytes, participants: usize) -> Energy {
         if participants <= 1 {
             return Energy::ZERO;
         }
@@ -144,7 +155,7 @@ impl LinkSpec {
     /// Time to scatter `bytes` evenly over `parts` endpoints where one
     /// part stays local: `(parts-1)/parts` of the payload crosses the
     /// wire. Zero for a single part.
-    pub fn scatter_time(&self, bytes: Bytes, parts: usize) -> Time {
+    pub(crate) fn scatter_time(&self, bytes: Bytes, parts: usize) -> Time {
         if parts <= 1 || bytes.is_zero() {
             return Time::ZERO;
         }
@@ -153,7 +164,7 @@ impl LinkSpec {
     }
 
     /// Wire energy of the [`scatter_time`](Self::scatter_time) transfer.
-    pub fn scatter_energy(&self, bytes: Bytes, parts: usize) -> Energy {
+    pub(crate) fn scatter_energy(&self, bytes: Bytes, parts: usize) -> Energy {
         if parts <= 1 {
             return Energy::ZERO;
         }
@@ -163,7 +174,7 @@ impl LinkSpec {
     }
 
     /// Whether `devices` endpoints fit on one instance of this fabric.
-    pub fn supports_devices(&self, devices: usize) -> bool {
+    pub(crate) fn supports_devices(&self, devices: usize) -> bool {
         devices <= self.max_devices
     }
 }
@@ -212,26 +223,28 @@ mod tests {
     #[test]
     fn presets_ordering() {
         let nv = LinkSpec::nvlink();
-        let pcie = LinkSpec::pcie_gen5_x16();
         let cxl = LinkSpec::cxl();
-        assert!(nv.bandwidth.value() > pcie.bandwidth.value());
-        assert!(cxl.latency.value() < pcie.latency.value());
-        assert!(cxl.max_devices > pcie.max_devices);
+        let dimm = LinkSpec::ddr5_dimm();
+        assert!(nv.bandwidth.value() > cxl.bandwidth.value());
+        assert!(cxl.latency.value() < nv.latency.value());
+        assert!(dimm.latency.value() < cxl.latency.value());
+        assert!(cxl.max_devices > nv.max_devices);
     }
 
     #[test]
     fn transfer_time_has_latency_floor() {
-        let l = LinkSpec::pcie_gen5_x16();
+        let l = LinkSpec::cxl();
         let t = l.transfer_time(Bytes::new(1.0));
         assert!((t.value() - l.latency.value()).abs() < 1e-9);
     }
 
     #[test]
     fn fan_out_limits() {
-        assert!(LinkSpec::pcie_gen5_x16().supports_devices(32));
-        assert!(!LinkSpec::pcie_gen5_x16().supports_devices(33));
+        assert!(LinkSpec::nvlink().supports_devices(18));
+        assert!(!LinkSpec::nvlink().supports_devices(19));
         assert!(LinkSpec::cxl().supports_devices(60));
         assert!(LinkSpec::cxl().supports_devices(4096));
+        assert!(!LinkSpec::cxl().supports_devices(4097));
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub mod cluster;
 pub mod config;
 pub mod engine;
 pub mod experiments;
+pub mod interconnect;
 pub mod metrics;
 pub mod prefill;
 pub mod pricer;
@@ -76,13 +77,14 @@ pub use cluster::{
     ClusterEngine, ClusterReport, ClusterSpec, GlobalTierReport, MigrationReport, SharedTierSpec,
     StepMode,
 };
-pub use config::{DesignKind, SchedulerKind, SystemConfig, TpGroup};
+pub use config::{DesignKind, SystemConfig, TpGroup};
 pub use engine::DecodingSimulator;
 pub use metrics::{
     ExecutionReport, IterationCost, LatencySummary, PhaseBreakdown, RequestRecord, RunLength,
     ServingReport,
 };
 pub use papi_kv::KvCacheStats;
+pub use papi_sched::SchedulerKind;
 pub use prefill::{prefill_cost, prefill_cost_for, PrefillCost, PromptStats};
 pub use pricer::IterationPricer;
 pub use serving::{KvTierSpec, ServingEngine, ServingSession, SessionStatus, SessionTuning};

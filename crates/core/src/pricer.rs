@@ -19,7 +19,6 @@
 use crate::config::SystemConfig;
 use crate::metrics::IterationCost;
 use papi_gpu::{execute_kernel, GpuEnergyModel, KernelProfile, MultiGpu};
-use papi_interconnect::Route;
 use papi_llm::{FcKernel, FcKernelKind, ModelConfig, Parallelism};
 use papi_pim::gemv::execute_gemv;
 use papi_pim::{AttentionPlan, GemvSpec, PimDevice};
@@ -417,11 +416,10 @@ impl<'a> IterationPricer<'a> {
 /// tensor-parallel group additionally all-reduces its row-parallel
 /// FC outputs (attention projection + FFN down, `tokens × h` each)
 /// over the inter-node fabric every layer
-/// ([`LinkSpec::all_reduce_time`](papi_interconnect::LinkSpec::all_reduce_time))
+/// (`LinkSpec::all_reduce_time`)
 /// regardless of where the FC kernels ran.
 fn shape_cost(config: &SystemConfig, (placement, rlp, tlp): ShapeKey) -> ShapeCost {
     let model = &config.model;
-    let topo = &config.topology;
     let layers = model.layers as f64;
     let tokens = rlp * tlp;
     let dsize = model.dtype.size();
@@ -443,21 +441,18 @@ fn shape_cost(config: &SystemConfig, (placement, rlp, tlp): ShapeKey) -> ShapeCo
         }
     };
 
-    let q_bytes = tokens as f64 * model.hidden as f64 * dsize.value();
-    let attn_leg = topo.transfer_time(Route::PuToAttnPim, Bytes::new(q_bytes));
-    let mut comm_time = attn_leg * 2.0 * layers;
-    let mut comm_energy =
-        topo.transfer_energy(Route::PuToAttnPim, Bytes::new(q_bytes)) * 2.0 * layers;
+    let (fc_link, attn_link) = (&config.fc_pim_link, &config.attn_pim_link);
+    let q_bytes = Bytes::new(tokens as f64 * model.hidden as f64 * dsize.value());
+    let mut comm_time = attn_link.transfer_time(q_bytes) * 2.0 * layers;
+    let mut comm_energy = attn_link.transfer_energy(q_bytes) * 2.0 * layers;
     if placement == Placement::FcPim {
         for kernel in FcKernel::layer_kernels(model) {
             let in_bytes = Bytes::new(tokens as f64 * kernel.in_features as f64 * dsize.value());
             let out_bytes = Bytes::new(tokens as f64 * kernel.out_features as f64 * dsize.value());
-            comm_time += (topo.transfer_time(Route::PuToFcPim, in_bytes)
-                + topo.transfer_time(Route::PuToFcPim, out_bytes))
-                * layers;
-            comm_energy += (topo.transfer_energy(Route::PuToFcPim, in_bytes)
-                + topo.transfer_energy(Route::PuToFcPim, out_bytes))
-                * layers;
+            comm_time +=
+                (fc_link.transfer_time(in_bytes) + fc_link.transfer_time(out_bytes)) * layers;
+            comm_energy +=
+                (fc_link.transfer_energy(in_bytes) + fc_link.transfer_energy(out_bytes)) * layers;
         }
     }
     if let Some(tp) = &config.tp {
@@ -508,7 +503,7 @@ mod tests {
     /// bytes and INT4's half byte enter every byte count).
     fn pin_configs() -> Vec<SystemConfig> {
         let llama = ModelPreset::Llama65B.config();
-        let fabric = papi_interconnect::LinkSpec::infiniband_ndr();
+        let fabric = crate::interconnect::LinkSpec::infiniband_ndr();
         let designs = DesignKind::FIG8
             .into_iter()
             .chain([DesignKind::PimOnlyPapi]);

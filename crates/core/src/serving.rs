@@ -39,10 +39,10 @@
 //! SLO goodput, and the cache counters in [`KvCacheStats`].
 
 use crate::config::SystemConfig;
+use crate::interconnect::{LinkSpec, TransferCost};
 use crate::metrics::{PhaseBreakdown, RequestRecord, RunLength, ServingReport};
 use crate::prefill::{prefill_cost_for, PromptStats};
 use crate::pricer::{IterationPricer, ShapeTable};
-use papi_interconnect::{LinkSpec, TransferCost};
 use papi_kv::{
     GlobalKvTier, KvBlockPool, KvCacheStats, KvSeq, KvSeqExport, KvTier, PrefixHint, PrefixTree,
 };
@@ -114,7 +114,7 @@ impl Default for SessionTuning {
 /// directly. The session spills every evicted non-empty prefix into
 /// it and fetches back every re-landed one the hot pool can make room
 /// for. Only fetches are priced, each as one transfer over a DDR5
-/// DIMM channel ([`LinkSpec::ddr5_dimm`]): a spill replaces an
+/// DIMM channel (`LinkSpec::ddr5_dimm`): a spill replaces an
 /// eviction and writes back off the critical path, while a fetch's
 /// latency lands in the admitted request's TTFT.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

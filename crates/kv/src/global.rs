@@ -24,7 +24,7 @@
 //! Like everything in this crate, the directory is pure bookkeeping:
 //! the fabric transfer a remote fetch pays is priced by the serving
 //! layer (a `TransferCost` over the cluster's inter-node `LinkSpec`, in
-//! `papi-interconnect`).
+//! `papi_core::interconnect`).
 
 use std::collections::HashMap;
 

@@ -54,7 +54,7 @@ pub struct SpillOutcome {
 /// *which* prefixes are spilled and how many blocks they occupy, not
 /// any cache contents. Transfer cost is priced by the serving layer
 /// (a `TransferCost` over the DDR5 DIMM `LinkSpec` of
-/// `papi-interconnect`) — the tier itself is price-free so it can be
+/// `papi_core::interconnect`) — the tier itself is price-free so it can be
 /// unit-tested as a data structure.
 #[derive(Debug, Clone)]
 pub struct KvTier {

@@ -10,7 +10,7 @@
 //! - [`dram`] — cycle-level per-bank PIM stream model of an HBM3 die
 //! - [`pim`] — near-bank PIM compute units (FC-PIM, Attn-PIM, AttAcc, HBM-PIM)
 //! - [`gpu`] — roofline model of computation-centric accelerators (A100)
-//! - [`interconnect`] — NVLink / PCIe / CXL link models
+//! - [`interconnect`] — NVLink / CXL / DIMM / inter-node link models (a `papi-core` module)
 //! - [`llm`] — transformer kernel FLOP/byte math and model presets
 //! - [`kv`] — paged KV cache: refcounted block pool, prefix sharing
 //! - [`workload`] — serving workloads: datasets, batching, speculative decoding
@@ -40,9 +40,9 @@
 //! ```
 
 pub use papi_core as core;
+pub use papi_core::interconnect;
 pub use papi_dram as dram;
 pub use papi_gpu as gpu;
-pub use papi_interconnect as interconnect;
 pub use papi_kv as kv;
 pub use papi_llm as llm;
 pub use papi_pim as pim;

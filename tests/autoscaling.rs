@@ -103,7 +103,7 @@ proptest! {
                 .with_step_mode(if sequential {
                     StepMode::Sequential
                 } else {
-                    StepMode::Parallel
+                    StepMode::Lazy
                 })
                 .with_autoscale(
                     AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo)

@@ -74,10 +74,10 @@ fn facade_composes_all_layers() {
         papi::sched::AiEstimator::exact(papi::llm::ModelPreset::Gpt3_175B.config().hidden, 16, 2);
     assert!(ai > 0.0 && ai < 32.0);
     // interconnect
-    let topo = papi::interconnect::SystemTopology::papi_default(30, 60).unwrap();
-    let t = topo.transfer_time(
-        papi::interconnect::Route::PuToAttnPim,
+    let cost = papi::interconnect::TransferCost::over(
+        &papi::interconnect::LinkSpec::cxl(),
+        1,
         papi::types::Bytes::from_kib(256.0),
     );
-    assert!(t.as_micros() > 1.0);
+    assert!(cost.time.as_micros() > 1.0);
 }

@@ -2,7 +2,7 @@
 //! one loop and differ only in how replicas that cannot move a
 //! window's bound reach it: `Sequential` steps the whole fleet one
 //! `step()` round at a time, minimum clock first, and re-snapshots
-//! every replica at every event; `Parallel` runs each replica inline
+//! every replica at every event; `Lazy` runs each replica inline
 //! to the bound, leaping steady batches with `run_until`, and
 //! re-snapshots only replicas that changed. Every `ClusterReport`
 //! field, RNG consumption order included, must come out identical
@@ -77,15 +77,15 @@ fn assert_modes_agree(spec: ClusterSpec, workload: &ServingWorkload, label: &str
             .run(workload)
     };
     let sequential = run(StepMode::Sequential);
-    let parallel = run(StepMode::Parallel);
+    let lazy = run(StepMode::Lazy);
     assert_eq!(
         fingerprint(&sequential),
-        fingerprint(&parallel),
-        "{label}: parallel stepping diverged from the sequential reference"
+        fingerprint(&lazy),
+        "{label}: lazy stepping diverged from the sequential reference"
     );
     assert_eq!(
         serde_json::to_string(&sequential).expect("report serializes"),
-        serde_json::to_string(&parallel).expect("report serializes"),
+        serde_json::to_string(&lazy).expect("report serializes"),
         "{label}: reports fingerprint-equal but serialize differently"
     );
 }
@@ -170,7 +170,7 @@ fn disaggregated_fleet(
 /// `cluster_fleet_64` perf scenario uses (shrunk to a 16-replica fleet
 /// so the suite stays fast): the configuration where decode leaps —
 /// `run_until` running a steady batch to its next event in one call —
-/// do nearly all of `Parallel`'s stepping.
+/// do nearly all of `Lazy`'s stepping.
 #[test]
 fn parallel_matches_sequential_prefix_affinity_fleet() {
     let workload = ServingWorkload::new(
@@ -202,7 +202,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Shared-tier fleets: the global directory adds cross-replica
-    /// fetch traffic and control-plane sync ticks, and `Parallel` must
+    /// fetch traffic and control-plane sync ticks, and `Lazy` must
     /// still reproduce `Sequential` bit for bit — including the
     /// `GlobalTierReport` — across replica counts, routing policies,
     /// fabrics, and sync intervals. The workload is the long-context
@@ -298,7 +298,7 @@ proptest! {
 
     /// Autoscaled fleets: lifecycle transitions, decision ticks,
     /// warm-up promotions, and ring-affinity routing all ride the
-    /// control-plane barrier machinery, and `Parallel` must still
+    /// control-plane barrier machinery, and `Lazy` must still
     /// reproduce `Sequential` bit for bit —
     /// including the `FleetCostReport` (replica-hours, scale-event
     /// log, energy per good token) — across fleet sizes, queue-depth
@@ -455,18 +455,18 @@ fn assert_golden(
             .run(workload)
     };
     let sequential = run(StepMode::Sequential);
-    let parallel = run(StepMode::Parallel);
+    let lazy = run(StepMode::Lazy);
     assert_eq!(
         report_hash(&sequential),
         golden,
         "{label}: the sequential report moved off its golden"
     );
     assert_eq!(
-        report_hash(&parallel),
+        report_hash(&lazy),
         golden,
-        "{label}: the parallel report moved off its golden"
+        "{label}: the lazy report moved off its golden"
     );
-    parallel
+    lazy
 }
 
 /// Token-granular blocks, and 256-token blocks. Every prompt of the
@@ -517,7 +517,7 @@ fn autoscaled_flash_crowd_matches_its_golden() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Decode-leap boundaries. `Parallel` advances replicas with
+    /// Decode-leap boundaries. `Lazy` advances replicas with
     /// `run_until`, which runs a steady batch through many iterations
     /// per call; `Sequential` steps one round at a time. Every
     /// place a leap can end must give the same reports:
@@ -598,7 +598,7 @@ fn spilling_affinity_fleet() -> (ClusterSpec, ServingWorkload) {
 fn spilling_affinity_fleet_matches_its_golden() {
     let (spec, workload) = spilling_affinity_fleet();
     let mut spills = Vec::new();
-    for mode in [StepMode::Sequential, StepMode::Parallel] {
+    for mode in [StepMode::Sequential, StepMode::Lazy] {
         let mut policy = Router::new(spec.routing);
         let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
             .expect("valid fleet")
@@ -697,7 +697,7 @@ fn relaxing_affinity_fleets_match_their_goldens() {
         let label = format!("{policy} fleet, shared tier {shared}");
         let (spec, workload) = global_prefix_fleet(policy, shared);
         let mut counts = Vec::new();
-        for mode in [StepMode::Sequential, StepMode::Parallel] {
+        for mode in [StepMode::Sequential, StepMode::Lazy] {
             let mut router = Router::new(policy);
             let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
                 .expect("valid fleet")

@@ -1,7 +1,7 @@
 //! Integration tests for the dynamic scheduler against the whole stack:
 //! calibration quality, oracle proximity, and rescheduling behaviour.
 
-use papi::core::engine::{fc_latency_on_pim, fc_latency_on_pu};
+use papi::core::pricer::{fc_latency_on_pim, fc_latency_on_pu};
 use papi::core::{
     ClusterEngine, ClusterSpec, DecodingSimulator, DesignKind, ExecutionReport, KvTierSpec,
     ServingEngine, ServingReport, SessionTuning, SharedTierSpec, SystemConfig,
