@@ -359,31 +359,32 @@ pub struct ClusterEngine {
     replicas: Vec<ServingEngine>,
 }
 
-/// Error returned by [`ClusterEngine::new`] when a fleet shape cannot
-/// be hosted or is misconfigured.
+/// Error returned by [`ClusterEngine::new`] when a fleet spec cannot be
+/// hosted or is misconfigured: its shape, roles, shared tier, session
+/// tuning or autoscale settings.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyError(String);
+pub struct FleetSpecError(String);
 
-impl TopologyError {
+impl FleetSpecError {
     pub(crate) fn new(message: impl Into<String>) -> Self {
         Self(message.into())
     }
 }
 
-impl core::fmt::Display for TopologyError {
+impl core::fmt::Display for FleetSpecError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "invalid topology: {}", self.0)
+        write!(f, "invalid fleet spec: {}", self.0)
     }
 }
 
-impl std::error::Error for TopologyError {}
+impl std::error::Error for FleetSpecError {}
 
 impl ClusterEngine {
     /// Builds the fleet `spec` describes.
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] if the fleet shape is degenerate,
+    /// Returns [`FleetSpecError`] if the fleet shape is degenerate,
     /// exceeds the inter-node fabric's fan-out, carries a role vector
     /// whose length disagrees with `dp_replicas`, disaggregates
     /// without at least one prefill-capable *and* one decode-capable
@@ -396,13 +397,13 @@ impl ClusterEngine {
     /// (`1 <= min <= initial <= dp_replicas`, non-negative spin-up,
     /// positive decision interval), or with a policy that fails
     /// `AutoscalePolicySpec::validate`.
-    pub fn new(spec: ClusterSpec) -> Result<Self, TopologyError> {
-        spec.tuning.validate().map_err(TopologyError::new)?;
+    pub fn new(spec: ClusterSpec) -> Result<Self, FleetSpecError> {
+        spec.tuning.validate().map_err(FleetSpecError::new)?;
         if let Some(autoscale) = &spec.autoscale {
-            autoscale.policy.validate().map_err(TopologyError::new)?;
+            autoscale.policy.validate().map_err(FleetSpecError::new)?;
         }
         if !spec.roles.is_empty() && spec.roles.len() != spec.dp_replicas {
-            return Err(TopologyError::new(format!(
+            return Err(FleetSpecError::new(format!(
                 "{} roles assigned to a {}-replica fleet",
                 spec.roles.len(),
                 spec.dp_replicas
@@ -410,37 +411,37 @@ impl ClusterEngine {
         }
         if !spec.roles.is_empty() {
             if !spec.roles.iter().any(ReplicaRole::accepts_arrivals) {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "no prefill-capable replica: every arrival would be unroutable",
                 ));
             }
             if !spec.roles.iter().any(ReplicaRole::can_decode) {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "no decode-capable replica: every migration would be unplaceable",
                 ));
             }
         }
         if let Some(shared) = &spec.shared_tier {
             if spec.tuning.kv_tier.is_none() {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "a fleet-shared tier registers spilled records: configure tuning.kv_tier first",
                 ));
             }
             if !shared.sync_s.is_finite() || shared.sync_s <= 0.0 {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "the shared tier's control-plane sync interval must be positive and finite",
                 ));
             }
         }
         if let Some(autoscale) = &spec.autoscale {
             if !spec.roles.is_empty() {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "autoscaling requires an all-Colocated fleet: draining a prefill or \
                      decode pool can strand the other role's traffic",
                 ));
             }
             if spec.shared_tier.is_some() {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "autoscaling does not yet compose with the fleet-shared tier: a retired \
                      replica's flushed records would go stale in the fleet directory",
                 ));
@@ -450,31 +451,31 @@ impl ClusterEngine {
                 || autoscale.min_replicas > initial
                 || initial > spec.dp_replicas
             {
-                return Err(TopologyError::new(format!(
+                return Err(FleetSpecError::new(format!(
                     "autoscale bounds must satisfy 1 <= min ({}) <= initial ({initial}) <= \
                      dp_replicas ({})",
                     autoscale.min_replicas, spec.dp_replicas
                 )));
             }
             if !autoscale.spin_up_s.is_finite() || autoscale.spin_up_s < 0.0 {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "the autoscale spin-up delay must be non-negative and finite",
                 ));
             }
             if !autoscale.decide_interval_s.is_finite() || autoscale.decide_interval_s <= 0.0 {
-                return Err(TopologyError::new(
+                return Err(FleetSpecError::new(
                     "the autoscale decision interval must be positive and finite",
                 ));
             }
         }
         if spec.tp_degree == 0 || spec.dp_replicas == 0 {
-            return Err(TopologyError::new(
+            return Err(FleetSpecError::new(
                 "a cluster needs at least one node per group and one replica",
             ));
         }
         let nodes = spec.tp_degree * spec.dp_replicas;
         if !spec.inter_node.supports_devices(nodes) {
-            return Err(TopologyError::new(format!(
+            return Err(FleetSpecError::new(format!(
                 "{nodes} nodes exceed {}'s fan-out of {}",
                 spec.inter_node.name, spec.inter_node.max_devices
             )));
@@ -1495,7 +1496,7 @@ mod tests {
             let err = fleet(tp, dp).expect_err("a zero degree must not build");
             assert_eq!(
                 err.to_string(),
-                "invalid topology: a cluster needs at least one node per group and one replica"
+                "invalid fleet spec: a cluster needs at least one node per group and one replica"
             );
         }
         assert!(fleet(4, 256).is_ok());
@@ -1504,7 +1505,7 @@ mod tests {
             assert_eq!(
                 err.to_string(),
                 format!(
-                    "invalid topology: {} nodes exceed InfiniBand-NDR's fan-out of 1024",
+                    "invalid fleet spec: {} nodes exceed InfiniBand-NDR's fan-out of 1024",
                     tp * dp
                 )
             );
@@ -1594,7 +1595,7 @@ mod tests {
             );
             let err = ClusterEngine::new(fleet.clone().with_tuning(built))
                 .expect_err("an out-of-range tuning must not build");
-            assert_eq!(err.to_string(), format!("invalid topology: {message}"));
+            assert_eq!(err.to_string(), format!("invalid fleet spec: {message}"));
         }
     }
 
@@ -1665,7 +1666,7 @@ mod tests {
         };
         assert_eq!(
             ClusterEngine::new(fleet(3).with_autoscale(AutoscaleSpec::new(inverted, slo))).err(),
-            Some(TopologyError::new(
+            Some(FleetSpecError::new(
                 "inverted band: scale-up threshold 1 is below scale-down threshold 4"
             ))
         );

@@ -243,15 +243,8 @@ impl SystemConfig {
         self.tp = Some(TpGroup { degree, fabric });
         if let SchedulerKind::PapiDynamic { .. } = self.scheduler {
             if let (Some((fc_device, fc_count)), Some(gpus)) = (&self.fc_pim, &self.gpus) {
-                let calibration = calibrate_alpha(
-                    |tokens| {
-                        crate::pricer::fc_latency_on_pim(&self.model, fc_device, *fc_count, tokens)
-                    },
-                    |tokens| {
-                        crate::pricer::fc_latency_on_pu(&self.model, gpus, &self.gpu_energy, tokens)
-                    },
-                    512,
-                );
+                let calibration =
+                    calibrate_fc(&self.model, fc_device, *fc_count, gpus, &self.gpu_energy);
                 self.scheduler = SchedulerKind::PapiDynamic {
                     alpha: calibration.alpha,
                 };
@@ -278,11 +271,12 @@ impl SystemConfig {
         let fc_pim = PimDevice::fc_pim();
         let mut gpus = MultiGpu::dgx6_a100();
         gpus.gpu = GpuSpec::a100_papi_60gb();
-        let gpu_energy = GpuEnergyModel::a100();
-        calibrate_alpha(
-            |tokens| crate::pricer::fc_latency_on_pim(model, &fc_pim, FC_POOL_DEVICES, tokens),
-            |tokens| crate::pricer::fc_latency_on_pu(model, &gpus, &gpu_energy, tokens),
-            512,
+        calibrate_fc(
+            model,
+            &fc_pim,
+            FC_POOL_DEVICES,
+            &gpus,
+            &GpuEnergyModel::a100(),
         )
     }
 
@@ -334,6 +328,23 @@ impl SystemConfig {
         }
         Ok(())
     }
+}
+
+/// The α crossover of `model`'s FC layers between `fc_count` FC-PIM
+/// devices and `gpus`, priced by the engine's own latency models over
+/// token counts up to 512.
+fn calibrate_fc(
+    model: &ModelConfig,
+    fc_device: &PimDevice,
+    fc_count: usize,
+    gpus: &MultiGpu,
+    gpu_energy: &GpuEnergyModel,
+) -> Calibration {
+    calibrate_alpha(
+        |tokens| crate::pricer::fc_latency_on_pim(model, fc_device, fc_count, tokens),
+        |tokens| crate::pricer::fc_latency_on_pu(model, gpus, gpu_energy, tokens),
+        512,
+    )
 }
 
 #[cfg(test)]

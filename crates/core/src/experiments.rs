@@ -8,7 +8,7 @@
 //! [`SweepRow`], which reads one point's headline numbers off its
 //! report.
 
-use crate::cluster::{ClusterEngine, ClusterReport, ClusterSpec, TopologyError};
+use crate::cluster::{ClusterEngine, ClusterReport, ClusterSpec, FleetSpecError};
 use crate::config::{DesignKind, SystemConfig};
 use crate::engine::DecodingSimulator;
 use crate::metrics::{ExecutionReport, LatencySummary};
@@ -485,10 +485,10 @@ pub fn fig12_breakdown(seed: u64) -> Vec<BreakdownRow> {
 ///
 /// # Panics
 ///
-/// Panics with the point's index and the [`TopologyError`] message if
+/// Panics with the point's index and the [`FleetSpecError`] message if
 /// [`ClusterEngine::new`] rejects a point's spec.
 pub fn sweep(points: &[(ClusterSpec, ServingWorkload)]) -> Vec<ClusterReport> {
-    let reports: Vec<Result<ClusterReport, TopologyError>> = points
+    let reports: Vec<Result<ClusterReport, FleetSpecError>> = points
         .par_iter()
         .map(|(spec, workload)| ClusterEngine::new(spec.clone()).map(|fleet| fleet.run(workload)))
         .collect();
@@ -766,7 +766,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep point 1: invalid topology")]
+    #[should_panic(expected = "sweep point 1: invalid fleet spec")]
     fn sweep_names_the_rejected_point() {
         let pair = fleet(
             DesignKind::PimOnlyPapi,

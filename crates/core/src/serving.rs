@@ -202,7 +202,7 @@ impl SessionTuning {
     /// came from the `with_*` builders, a struct literal or serde.
     /// [`ServingEngine::with_tuning`] panics with this message and
     /// [`ClusterEngine::new`](crate::cluster::ClusterEngine::new)
-    /// returns it as a `TopologyError`, so an out-of-range config fails
+    /// returns it as a `FleetSpecError`, so an out-of-range config fails
     /// immediately instead of wedging an episode later.
     ///
     /// # Errors

@@ -240,16 +240,11 @@ impl PrefixTree {
     }
 
     /// Evicts the least-recently-used entry, releasing its block
-    /// references. Returns how many blocks actually became free (blocks
-    /// still held by live sequences stay allocated), or `None` when the
-    /// cache is empty.
-    pub(crate) fn evict_lru(&mut self, pool: &mut KvBlockPool) -> Option<u64> {
-        self.evict_lru_entry(pool).map(|e| e.freed)
-    }
-
-    /// Like `evict_lru`, but also reports *what* was
-    /// evicted — the identity a capacity tier needs to remember the
-    /// prefix instead of forgetting it.
+    /// references, and reports *what* was evicted — the identity a
+    /// capacity tier needs to remember the prefix instead of forgetting
+    /// it — and how many blocks actually became free (blocks still held
+    /// by live sequences stay allocated). `None` when the cache is
+    /// empty.
     pub fn evict_lru_entry(&mut self, pool: &mut KvBlockPool) -> Option<EvictedPrefix> {
         // Ties break on the key so eviction order is deterministic.
         let (_, victim) = self.lru.pop_first()?;
@@ -263,7 +258,7 @@ impl PrefixTree {
 
     /// Releases every cached entry back to the pool.
     pub fn clear(&mut self, pool: &mut KvBlockPool) {
-        while self.evict_lru(pool).is_some() {}
+        while self.evict_lru_entry(pool).is_some() {}
     }
 }
 
@@ -338,7 +333,7 @@ mod tests {
             pool.release_seq(s);
             true
         }));
-        assert_eq!(tree.evict_lru(&mut pool), Some(2));
+        assert_eq!(tree.evict_lru_entry(&mut pool).map(|e| e.freed), Some(2));
         assert_eq!(tree.peek(2, 64, &pool), 0);
         assert!(tree.peek(1, 64, &pool) > 0 && tree.peek(3, 64, &pool) > 0);
         tree.clear(&mut pool);
@@ -355,7 +350,7 @@ mod tests {
         let live = tree.fork(9, 64, &mut pool).expect("hit");
         pool.release_seq(seq);
         assert_eq!(tree.evictable_blocks(&pool), 0); // live fork holds them
-        assert_eq!(tree.evict_lru(&mut pool), Some(0));
+        assert_eq!(tree.evict_lru_entry(&mut pool).map(|e| e.freed), Some(0));
         assert_eq!(pool.blocks_in_use(), 2);
         assert_eq!(pool.release_seq(live), 2);
     }

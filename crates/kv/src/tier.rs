@@ -2,8 +2,8 @@
 //!
 //! Under pool pressure the serving engine's only relief used to be
 //! discarding cold cached prefixes
-//! (`PrefixTree::evict_lru`) or
-//! preempting live requests — both
+//! ([`PrefixTree::evict_lru_entry`](crate::PrefixTree::evict_lru_entry))
+//! or preempting live requests — both
 //! throw away paid prefill. A [`KvTier`] is the L3-style alternative: a
 //! second, larger block budget (host DRAM / DIMM-PIM) that *remembers*
 //! evicted prefixes as logical records, so a request that re-lands on

@@ -2,6 +2,8 @@
 //! hold across the workload router, the steppable serving sessions, and
 //! the cluster aggregation — driven through the `papi` facade.
 
+mod common;
+
 use papi::core::{
     ClusterEngine, ClusterReport, ClusterSpec, DesignKind, KvTierSpec, ServingEngine,
     SessionTuning, SloSpec, SystemConfig,
@@ -66,7 +68,6 @@ fn degenerate_cluster_reproduces_single_engine_exactly() {
         let single = ServingEngine::new(SystemConfig::build(design, model.config()))
             .with_tuning(tuning.clone())
             .run(workload);
-        let single_json = serde_json::to_string(&single).expect("report serializes");
         for routing in [PolicySpec::JoinShortestQueue, PolicySpec::prefix_affinity()] {
             let fleet = ClusterEngine::new(
                 ClusterSpec::new(design, model.config(), 1, 1)
@@ -75,17 +76,10 @@ fn degenerate_cluster_reproduces_single_engine_exactly() {
             )
             .expect("valid fleet")
             .run(workload);
-            let replica = &fleet.replicas[0];
-            let label = format!("{design:?} {model:?} {routing}");
-            assert_eq!(replica.records, single.records, "{label}");
-            assert_eq!(replica.makespan, single.makespan, "{label}");
-            assert_eq!(replica.energy, single.energy, "{label}");
-            assert_eq!(replica.placements, single.placements, "{label}");
-            assert_eq!(replica.iterations, single.iterations, "{label}");
-            assert_eq!(
-                serde_json::to_string(replica).expect("report serializes"),
-                single_json,
-                "{label}"
+            common::assert_same(
+                &format!("{design:?} {model:?} {routing}"),
+                &single,
+                &fleet.replicas[0],
             );
         }
     }
@@ -203,10 +197,6 @@ fn jsq_never_picks_a_saturated_replica_while_headroom_exists() {
     }
 }
 
-fn json(report: &impl serde::Serialize) -> String {
-    serde_json::to_string(report).expect("report serializes")
-}
-
 /// Engines price every session through one shape table that their
 /// clones share, so a reused engine must reproduce a fresh one byte for
 /// byte: one `ServingEngine` serves two workloads (TLP 1 and 2) in both
@@ -230,23 +220,27 @@ fn reused_engines_reproduce_fresh_reports() {
                 .with_prefix_sharing(true),
         )
     };
-    let fresh = [&qa, &chat].map(|workload| json(&engine().run(workload)));
+    let fresh = [&qa, &chat].map(|workload| engine().run(workload));
     for order in [[0, 1], [1, 0]] {
         let reused = engine();
         for index in order {
             let workload = [&qa, &chat][index];
-            assert_eq!(json(&reused.run(workload)), fresh[index], "order {order:?}");
+            common::assert_same(
+                &format!("order {order:?}"),
+                &fresh[index],
+                &reused.run(workload),
+            );
         }
     }
 
     let fleet = || cluster(1, 3, PolicySpec::JoinShortestQueue, 8);
-    let fresh = [&qa, &chat].map(|workload| json(&fleet().run(workload)));
+    let fresh = [&qa, &chat].map(|workload| fleet().run(workload));
     let reused = fleet();
     for (index, workload) in [&qa, &chat].into_iter().enumerate() {
-        assert_eq!(
-            json(&reused.run(workload)),
-            fresh[index],
-            "fleet run {index}"
+        common::assert_same(
+            &format!("fleet run {index}"),
+            &fresh[index],
+            &reused.run(workload),
         );
     }
 }

@@ -1,5 +1,10 @@
 //! Cross-crate integration tests: the paper's headline claims, exercised
-//! through the public facade on moderately sized workloads.
+//! through the public facade on moderately sized workloads, and the
+//! batch path's bit pin: every report of the seed-42 Fig. 8 grid in
+//! the golden file `tests/golden/fig8-grid.golden`, captured at 0a0ce34
+//! while the FNV-1a hash of the grid's JSON it replaces still passed.
+
+mod common;
 
 use papi::core::{DecodingSimulator, DesignKind, ExecutionReport, SystemConfig};
 use papi::llm::ModelPreset;
@@ -166,13 +171,6 @@ fn all_models_all_designs_smoke() {
     }
 }
 
-/// FNV-1a over a byte stream.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The seed-42 Fig. 8 grid the batch pins below price: every
 /// (model, speculation, batch) cell as its model's index in
 /// `ModelPreset::EVALUATED` and its trace, in canonical order.
@@ -201,25 +199,15 @@ fn fig8_designs() -> Vec<DesignKind> {
         .collect()
 }
 
-/// FNV-1a over every report's JSON, cell by cell in canonical order.
-fn fig8_hash(cells: &[Vec<ExecutionReport>]) -> u64 {
-    cells
-        .iter()
-        .flatten()
-        .fold(0xcbf2_9ce4_8422_2325, |hash, report| {
-            let json = serde_json::to_string(report).expect("report serializes");
-            fnv1a(hash, json.as_bytes())
-        })
-}
-
-const FIG8_GRID_GOLDEN: u64 = 0xe124_b842_12bd_5f24;
+/// The Fig. 8 grid's golden file, which both batch pins below read.
+const FIG8_GRID_GOLDEN: &str = "fig8-grid";
 
 /// Bit-level pin of the batch path: the serialized `ExecutionReport`
 /// (phases, `energy_parts`, scheduler stats, placements) of every cell
 /// of the seed-42 Fig. 8 grid — 3 models × speculation × batch, on the
-/// four Fig. 8 designs plus PIM-only PAPI — folded into one FNV-1a
-/// hash. Any change to the float order of a kernel, the pricer or the
-/// engine's accumulation moves it.
+/// four Fig. 8 designs plus PIM-only PAPI — in one golden file. Any
+/// change to the float order of a kernel, the pricer or the engine's
+/// accumulation moves it, and the failure names the cells that moved.
 #[test]
 fn fig8_grid_reports_match_their_golden() {
     let designs = fig8_designs();
@@ -237,11 +225,7 @@ fn fig8_grid_reports_match_their_golden() {
         })
         .collect();
     assert_eq!(reports.iter().flatten().count(), 27 * 5);
-    assert_eq!(
-        fig8_hash(&reports),
-        FIG8_GRID_GOLDEN,
-        "the Fig. 8 grid's batch reports drifted"
-    );
+    common::assert_golden(FIG8_GRID_GOLDEN, &reports);
 }
 
 /// The same pin through one simulator per (model, design), whose shape
@@ -273,7 +257,7 @@ fn fig8_grid_reports_hold_on_reused_simulators() {
     for cell in (0..cells.len()).rev() {
         reversed[cell] = price(cell);
     }
-    assert_eq!(fig8_hash(&reversed), FIG8_GRID_GOLDEN, "reverse order");
+    common::assert_golden(FIG8_GRID_GOLDEN, &reversed);
 
     let count = cells.len();
     let mut threaded = vec![Vec::new(); count];
@@ -295,5 +279,5 @@ fn fig8_grid_reports_hold_on_reused_simulators() {
             }
         }
     });
-    assert_eq!(fig8_hash(&threaded), FIG8_GRID_GOLDEN, "two threads");
+    common::assert_golden(FIG8_GRID_GOLDEN, &threaded);
 }

@@ -1,18 +1,21 @@
 //! The fleet-shared tier's conservation law and equality pins.
 //!
-//! The global directory (PR 8) threads through the serving engine's
-//! fork-miss path and the cluster engine's barriers. With the shared
-//! tier *off* (the default), every one of those changes must be
-//! invisible: this file re-asserts the PR 7 tiered-KV pin and the
-//! routing-equality fleet goldens against the default (shared-tier-off)
-//! specs. With the tier *on*, accounting must conserve tokens: a spill
-//! → remote fetch → republish round trip leaves pool refcounts and
-//! directory occupancy exactly where they started, which the proptest
-//! here drives over random prefix populations.
+//! The global directory threads through the serving engine's fork-miss
+//! path and the cluster engine's barriers. With the shared tier *off*
+//! (the default), every one of those changes must be invisible: this
+//! file re-asserts the tiered-KV golden and the two routing-equality
+//! fleet goldens against the default (shared-tier-off) specs, reading
+//! the same golden files `tests/tiered_kv.rs` and
+//! `tests/routing_equality.rs` pin. With the tier *on*, accounting must
+//! conserve tokens: a spill → remote fetch → republish round trip
+//! leaves pool refcounts and directory occupancy exactly where they
+//! started, which the proptest here drives over random prefix
+//! populations.
+
+mod common;
 
 use papi::core::{
-    ClusterEngine, ClusterReport, ClusterSpec, DesignKind, ServingEngine, ServingReport,
-    SessionTuning, SystemConfig,
+    ClusterEngine, ClusterSpec, DesignKind, ServingEngine, SessionTuning, SystemConfig,
 };
 use papi::kv::{GlobalKvTier, KvBlockPool, KvTier, PublishOutcome};
 use papi::llm::ModelPreset;
@@ -134,70 +137,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Equality pins: shared-tier-off reproduces PR 7 bit for bit.
+// Equality pins: shared-tier-off reproduces the private tier bit for bit.
 // ---------------------------------------------------------------------
 
-/// FNV-1a over every schedule-determining field of a serving report —
-/// identical to `tests/tiered_kv.rs`, so both pins fail the same way.
-fn serving_fingerprint(report: &ServingReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for r in &report.records {
-        mix(r.id);
-        mix(r.arrival.value().to_bits());
-        mix(r.admitted.value().to_bits());
-        mix(r.first_token.value().to_bits());
-        mix(r.finished.value().to_bits());
-        mix(r.prompt_tokens);
-        mix(r.output_tokens);
-        mix(r.preemptions);
-    }
-    for p in &report.placements {
-        mix(*p as u64);
-    }
-    for r in &report.rlp_series {
-        mix(*r);
-    }
-    h
-}
-
-/// FNV-1a over every replica's records, placements, RLP series,
-/// makespan, and energy — identical to `tests/routing_equality.rs`.
-fn cluster_fingerprint(report: &ClusterReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for replica in &report.replicas {
-        mix(replica.records.len() as u64);
-        for r in &replica.records {
-            mix(r.id);
-            mix(r.arrival.value().to_bits());
-            mix(r.admitted.value().to_bits());
-            mix(r.first_token.value().to_bits());
-            mix(r.finished.value().to_bits());
-            mix(r.prompt_tokens);
-            mix(r.output_tokens);
-            mix(r.preemptions);
-        }
-        for p in &replica.placements {
-            mix(*p as u64);
-        }
-        for r in &replica.rlp_series {
-            mix(*r);
-        }
-        mix(replica.makespan.value().to_bits());
-        mix(replica.energy.value().to_bits());
-    }
-    h
-}
-
-/// The PR 7 tiered-KV pin (`tests/tiered_kv.rs`, captured at PR 6
-/// HEAD) still holds with the global-tier plumbing compiled into the
+/// The tiered-KV golden (`tests/tiered_kv.rs`, first pinned before the
+/// tier existed) still holds with the global-tier plumbing compiled into the
 /// engine and disabled: the `ServingSession::global` slot defaults to
 /// `None` and every remote-fetch branch is dead.
 #[test]
@@ -219,12 +163,7 @@ fn shared_tier_off_engine_reproduces_the_tiered_kv_pin() {
             .with_prefix_sharing(true),
     )
     .run(&workload);
-    assert_eq!(report.makespan.value().to_bits(), 0x409274384afd44c3);
-    assert_eq!(report.energy.value().to_bits(), 0x4123aa42ac3a0148);
-    assert_eq!(report.prefill_time.value().to_bits(), 0x4091c55f218460bc);
-    assert_eq!(report.iterations, 1499);
-    assert_eq!(report.tokens, 19753);
-    assert_eq!(serving_fingerprint(&report), 0x0c68159526a36a65);
+    common::assert_golden("serving-pim_only-gpt175b-tier-off-thrash", &report);
     // And the remote-fetch counters stay identically zero.
     assert_eq!(report.kv.remote_fetches, 0);
     assert_eq!(report.kv.remote_fetched_tokens, 0);
@@ -255,11 +194,7 @@ fn shared_tier_off_fleets_reproduce_the_routing_pins() {
         report.global_tier.is_none(),
         "a default fleet must not report a shared tier"
     );
-    assert_eq!(
-        cluster_fingerprint(&report),
-        0xaa50d4cc4e42604f,
-        "shared-tier-off fleet drifted from the PR 7 pin"
-    );
+    common::assert_golden("fleet-jsq-scalar", &report);
 }
 
 /// The paged prefix-sharing conversation fleet — the shape closest to
@@ -292,5 +227,5 @@ fn shared_tier_off_paged_fleet_reproduces_the_conversation_pin() {
     .expect("valid fleet")
     .run(&workload);
     assert!(report.global_tier.is_none());
-    assert_eq!(cluster_fingerprint(&report), 0xdd83989553bd960f);
+    common::assert_golden("fleet-jsq-paged-conversation", &report);
 }

@@ -11,7 +11,11 @@
 //! autoscaling. Any divergence is a bug in the windowing, the snapshot
 //! cache or the decode leap, not noise.
 //!
-//! Most whole-report goldens below were captured from the two-loop
+//! Both comparisons, mode against mode and mode against golden, flatten
+//! the whole serialized report (`tests/common/mod.rs`) and fail with the
+//! paths that moved. The golden files sit under `tests/golden/`; they
+//! were captured at 0a0ce34 while the report hashes they replace still
+//! passed. Most of those hashes were captured from the two-loop
 //! engine, where the sequential mode was a separate loop. They pin
 //! disaggregated, autoscaled and KV-tight fleets, which the colocated
 //! routing goldens do not cover, against code the one loop does not
@@ -20,6 +24,8 @@
 //! `Router` rule against it. The join-shortest-queue shared-tier fleet
 //! and the default-spill affinity fleet were captured on the last
 //! engine whose router still carried per-spec thresholds.
+
+mod common;
 
 use papi::core::{
     AutoscalePolicySpec, AutoscaleSpec, ClusterEngine, ClusterReport, ClusterSpec, DesignKind,
@@ -33,60 +39,18 @@ use papi::workload::{
 };
 use proptest::prelude::*;
 
-/// FNV-1a over every replica's per-request records, placements, RLP
-/// series, makespan, and energy (field order fixed; floats hashed by
-/// bit pattern) — the same fingerprint `tests/routing_equality.rs`
-/// pins goldens with.
-fn fingerprint(report: &ClusterReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for replica in &report.replicas {
-        mix(replica.records.len() as u64);
-        for r in &replica.records {
-            mix(r.id);
-            mix(r.arrival.value().to_bits());
-            mix(r.admitted.value().to_bits());
-            mix(r.first_token.value().to_bits());
-            mix(r.finished.value().to_bits());
-            mix(r.prompt_tokens);
-            mix(r.output_tokens);
-            mix(r.preemptions);
-        }
-        for p in &replica.placements {
-            mix(*p as u64);
-        }
-        for r in &replica.rlp_series {
-            mix(*r);
-        }
-        mix(replica.makespan.value().to_bits());
-        mix(replica.energy.value().to_bits());
-    }
-    h
-}
-
-/// Runs `spec` under both step modes and asserts the reports match —
-/// first by fingerprint (the focused diagnostic), then byte for byte
-/// over the serialized report (the exhaustive check).
+/// Runs `spec` under both step modes and asserts the reports match,
+/// naming the paths where the lazy one diverged.
 fn assert_modes_agree(spec: ClusterSpec, workload: &ServingWorkload, label: &str) {
     let run = |mode: StepMode| {
         ClusterEngine::new(spec.clone().with_step_mode(mode))
             .expect("valid fleet")
             .run(workload)
     };
-    let sequential = run(StepMode::Sequential);
-    let lazy = run(StepMode::Lazy);
-    assert_eq!(
-        fingerprint(&sequential),
-        fingerprint(&lazy),
-        "{label}: lazy stepping diverged from the sequential reference"
-    );
-    assert_eq!(
-        serde_json::to_string(&sequential).expect("report serializes"),
-        serde_json::to_string(&lazy).expect("report serializes"),
-        "{label}: reports fingerprint-equal but serialize differently"
+    common::assert_same(
+        &format!("{label}: lazy against sequential"),
+        &run(StepMode::Sequential),
+        &run(StepMode::Lazy),
     );
 }
 
@@ -423,49 +387,24 @@ fn kv_tight_fleet(seed: u64, dp: usize) -> (ClusterSpec, ServingWorkload) {
 #[test]
 fn kv_tight_fleet_preempts_identically_in_both_modes() {
     let (spec, workload) = kv_tight_fleet(3, 2);
-    let report = assert_golden(spec, &workload, 0x4a44_b6fd_01d9_0ffd, "kv-tight fleet");
+    let report = run_pinned(spec, &workload, "fleet-kv-tight");
     assert!(
         report.replicas.iter().any(|r| r.preemptions > 0),
         "the KV-tight fleet never preempted"
     );
 }
 
-/// FNV-1a over the serialized report: every field, including the
-/// `MigrationReport`, `GlobalTierReport` and `FleetCostReport`.
-fn report_hash(report: &ClusterReport) -> u64 {
-    serde_json::to_string(report)
-        .expect("report serializes")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-}
-
-/// Runs `spec` under both step modes, asserts each report hashes to
-/// `golden`, and returns the report for shape checks.
-fn assert_golden(
-    spec: ClusterSpec,
-    workload: &ServingWorkload,
-    golden: u64,
-    label: &str,
-) -> ClusterReport {
+/// Runs `spec` under both step modes, asserts each report matches
+/// `golden`, and returns the lazy report for shape checks.
+fn run_pinned(spec: ClusterSpec, workload: &ServingWorkload, golden: &str) -> ClusterReport {
     let run = |mode: StepMode| {
         ClusterEngine::new(spec.clone().with_step_mode(mode))
             .expect("valid fleet")
             .run(workload)
     };
-    let sequential = run(StepMode::Sequential);
+    common::assert_golden(golden, &run(StepMode::Sequential));
     let lazy = run(StepMode::Lazy);
-    assert_eq!(
-        report_hash(&sequential),
-        golden,
-        "{label}: the sequential report moved off its golden"
-    );
-    assert_eq!(
-        report_hash(&lazy),
-        golden,
-        "{label}: the lazy report moved off its golden"
-    );
+    common::assert_golden(golden, &lazy);
     lazy
 }
 
@@ -475,12 +414,12 @@ fn assert_golden(
 /// tie-break of the in-flight queue (reversing it moves the report).
 #[test]
 fn disaggregated_fleets_match_their_goldens() {
-    for (block, golden) in [(1, 0xd52f_7635_4fcf_c5bd), (256, 0x6b83_fb0e_0493_ce93)] {
-        let label = format!("disaggregated fleet, {block}-token blocks");
+    for block in [1, 256] {
+        let name = format!("fleet-disaggregated-{block}-token-blocks");
         let (spec, workload) = disaggregated_fleet(7, 6, 2, false);
         let tuning = spec.tuning.clone().with_kv_block_size(block);
-        let report = assert_golden(spec.with_tuning(tuning), &workload, golden, &label);
-        assert!(report.migration.migrations > 0, "{label}: nothing migrated");
+        let report = run_pinned(spec.with_tuning(tuning), &workload, &name);
+        assert!(report.migration.migrations > 0, "{name}: nothing migrated");
     }
 }
 
@@ -490,7 +429,7 @@ fn disaggregated_fleets_match_their_goldens() {
 fn shared_tier_fleet_matches_its_golden() {
     let (spec, workload) =
         shared_tier_fleet(23, GOLDEN_CHATS, 2, PolicySpec::JoinShortestQueue, 0.05);
-    let report = assert_golden(spec, &workload, 0xd469_6e23_a22f_62f6, "shared-tier fleet");
+    let report = run_pinned(spec, &workload, "fleet-shared-tier-jsq");
     let tier = report.global_tier.expect("shared-tier report");
     assert!(tier.fetches > 0, "no cross-replica fetch");
 }
@@ -499,12 +438,7 @@ fn shared_tier_fleet_matches_its_golden() {
 fn autoscaled_flash_crowd_matches_its_golden() {
     let (spec, workload) =
         autoscaled_fleet(5, 4, AutoscalePolicySpec::queue_depth(), 2, 2.0, false);
-    let report = assert_golden(
-        spec,
-        &workload,
-        0xd8f1_969e_f303_eb21,
-        "autoscaled flash crowd",
-    );
+    let report = run_pinned(spec, &workload, "fleet-autoscaled-flash-crowd");
     let cost = report.fleet_cost.expect("elastic report");
     for to in [ReplicaState::Warming, ReplicaState::Draining] {
         assert!(
@@ -603,11 +537,7 @@ fn spilling_affinity_fleet_matches_its_golden() {
         let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
             .expect("valid fleet")
             .run_with_policies(&workload, &mut policy, &mut MigrationSpec::default());
-        assert_eq!(
-            report_hash(&report),
-            0xb22d_339e_b9aa_8775,
-            "spilling affinity fleet ({mode:?}) moved off its golden"
-        );
+        common::assert_golden("fleet-spilling-affinity", &report);
         assert!(report.preemptions() > 0, "the fleet never ran out of KV");
         spills.push(policy.spills());
     }
@@ -644,11 +574,10 @@ fn wrapped_policies_keep_their_reports() {
             &mut Wrapped(Router::new(spec.routing)),
             &mut MigrationSpec::default(),
         );
-        assert_eq!(
-            serde_json::to_string(&direct).expect("report serializes"),
-            serde_json::to_string(&wrapped).expect("report serializes"),
-            "{}: narrower reads changed the report",
-            spec.routing
+        common::assert_same(
+            &format!("{}: wrapped against direct", spec.routing),
+            &direct,
+            &wrapped,
         );
     }
 }
@@ -691,8 +620,8 @@ fn global_prefix_fleet(policy: PolicySpec, shared: bool) -> (ClusterSpec, Servin
 fn relaxing_affinity_fleets_match_their_goldens() {
     let policy = PolicySpec::shared_tier_affinity();
     for (shared, golden) in [
-        (true, 0x9551_89a0_fc36_666a),
-        (false, 0x0be7_2aba_3d70_7faf),
+        (true, "fleet-relaxing-affinity-shared-tier"),
+        (false, "fleet-relaxing-affinity-private-tiers"),
     ] {
         let label = format!("{policy} fleet, shared tier {shared}");
         let (spec, workload) = global_prefix_fleet(policy, shared);
@@ -702,11 +631,7 @@ fn relaxing_affinity_fleets_match_their_goldens() {
             let report = ClusterEngine::new(spec.clone().with_step_mode(mode))
                 .expect("valid fleet")
                 .run_with_policies(&workload, &mut router, &mut MigrationSpec::default());
-            assert_eq!(
-                report_hash(&report),
-                golden,
-                "{label} ({mode:?}) moved off its golden"
-            );
+            common::assert_golden(golden, &report);
             counts.push((router.spills(), router.relaxed()));
         }
         assert_eq!(counts[0], counts[1], "{label}: step modes routed apart");

@@ -3,14 +3,17 @@
 //! `RoutePolicy` API, must reproduce the closed-enum router's
 //! `ClusterReport`s bit for bit.
 //!
-//! The golden values below were captured from the cluster engine at
-//! commit deb9aba (the last `RoutingPolicy`-enum implementation):
-//! fleet request/token totals, makespan and energy as `f64::to_bits`,
-//! and an FNV fingerprint over every replica's records, placements, RLP
-//! series, makespan, and energy. Any drift in routing order, admission,
-//! preemption, pricing, or RNG consumption changes at least one of
-//! these numbers (like `tests/paged_equality.rs` does for the paging
-//! refactor).
+//! The reports were first pinned at commit deb9aba (the last
+//! `RoutingPolicy`-enum implementation). Each whole report now sits in
+//! a golden file under `tests/golden/` (see `tests/common/mod.rs`),
+//! captured at 0a0ce34 while those pins still passed: every replica's
+//! records, placements, RLP series, makespan and energy, and the
+//! fleet's routing, migration, tier and autoscale fields. Any drift in
+//! routing order, admission, preemption, pricing, or RNG consumption
+//! fails with the paths that moved (as `tests/paged_equality.rs` does
+//! for the paging refactor).
+
+mod common;
 
 use papi::core::{ClusterEngine, ClusterReport, ClusterSpec, DesignKind, SessionTuning};
 use papi::llm::ModelPreset;
@@ -18,73 +21,6 @@ use papi::workload::{
     ConversationDataset, DatasetKind, MigrationSpec, PolicySpec, ReplicaRole, Router,
     ServingWorkload,
 };
-
-/// FNV-1a over every replica's per-request records, placements, RLP
-/// series, makespan, and energy (field order fixed; floats hashed by
-/// bit pattern).
-fn fingerprint(report: &ClusterReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for replica in &report.replicas {
-        mix(replica.records.len() as u64);
-        for r in &replica.records {
-            mix(r.id);
-            mix(r.arrival.value().to_bits());
-            mix(r.admitted.value().to_bits());
-            mix(r.first_token.value().to_bits());
-            mix(r.finished.value().to_bits());
-            mix(r.prompt_tokens);
-            mix(r.output_tokens);
-            mix(r.preemptions);
-        }
-        for p in &replica.placements {
-            mix(*p as u64);
-        }
-        for r in &replica.rlp_series {
-            mix(*r);
-        }
-        mix(replica.makespan.value().to_bits());
-        mix(replica.energy.value().to_bits());
-    }
-    h
-}
-
-struct Golden {
-    routing: PolicySpec,
-    label: &'static str,
-    requests: u64,
-    tokens: u64,
-    makespan_bits: u64,
-    energy_bits: u64,
-    fingerprint: u64,
-}
-
-fn assert_matches(report: &ClusterReport, golden: &Golden) {
-    assert_eq!(report.routing, golden.label, "{}", golden.label);
-    assert_eq!(report.requests(), golden.requests, "{}", golden.label);
-    assert_eq!(report.tokens(), golden.tokens, "{}", golden.label);
-    assert_eq!(
-        report.makespan().value().to_bits(),
-        golden.makespan_bits,
-        "{}: fleet makespan drifted from the enum-router engine",
-        golden.label
-    );
-    assert_eq!(
-        report.energy().value().to_bits(),
-        golden.energy_bits,
-        "{}: fleet energy drifted",
-        golden.label
-    );
-    assert_eq!(
-        fingerprint(report),
-        golden.fingerprint,
-        "{}: replica record/placement/RLP fingerprint drifted",
-        golden.label
-    );
-}
 
 fn scalar_fleet(routing: PolicySpec) -> ClusterReport {
     let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 60).with_seed(17);
@@ -102,20 +38,14 @@ fn scalar_fleet(routing: PolicySpec) -> ClusterReport {
     .run(&workload)
 }
 
-/// The scalar fleet under join-shortest-queue.
-const JSQ: Golden = Golden {
-    routing: PolicySpec::JoinShortestQueue,
-    label: "join-shortest-queue",
-    requests: 60,
-    tokens: 4673,
-    makespan_bits: 0x400cc023211cc405,
-    energy_bits: 0x40d19d81f0da2acc,
-    fingerprint: 0xaa50d4cc4e42604f,
-};
+/// The scalar fleet's golden, shared with `tests/global_tier.rs`.
+const JSQ_GOLDEN: &str = "fleet-jsq-scalar";
 
 #[test]
 fn builtin_policies_reproduce_the_enum_router_reports_bit_for_bit() {
-    assert_matches(&scalar_fleet(JSQ.routing), &JSQ);
+    let report = scalar_fleet(PolicySpec::JoinShortestQueue);
+    assert_eq!(report.routing, "join-shortest-queue");
+    common::assert_golden(JSQ_GOLDEN, &report);
 }
 
 /// The same goldens hold when the built-in policy is driven explicitly
@@ -134,9 +64,9 @@ fn trait_driven_builtins_match_the_declarative_path() {
         .with_tuning(SessionTuning::default().with_max_batch(8)),
     )
     .expect("valid fleet");
-    let mut router = Router::new(JSQ.routing);
+    let mut router = Router::new(PolicySpec::JoinShortestQueue);
     let report = engine.run_with_policies(&workload, &mut router, &mut MigrationSpec::default());
-    assert_matches(&report, &JSQ);
+    common::assert_golden(JSQ_GOLDEN, &report);
     assert_eq!(router.decisions(), 60);
 }
 
@@ -156,13 +86,13 @@ fn all_colocated_fleet_reproduces_the_goldens() {
             1,
             3,
         )
-        .with_routing(JSQ.routing)
+        .with_routing(PolicySpec::JoinShortestQueue)
         .with_roles(vec![ReplicaRole::Colocated; 3])
         .with_tuning(SessionTuning::default().with_max_batch(8)),
     )
     .expect("valid fleet")
     .run(&workload);
-    assert_matches(&report, &JSQ);
+    common::assert_golden(JSQ_GOLDEN, &report);
     assert_eq!(report.roles, vec![ReplicaRole::Colocated; 3]);
     assert_eq!(report.migration.migrations, 0);
     assert_eq!(report.migration.bytes, 0.0);
@@ -199,16 +129,5 @@ fn paged_conversation_fleet_reproduces_bit_for_bit() {
     )
     .expect("valid fleet")
     .run(&workload);
-    assert_matches(
-        &report,
-        &Golden {
-            routing: PolicySpec::JoinShortestQueue,
-            label: "join-shortest-queue",
-            requests: 64,
-            tokens: 5783,
-            makespan_bits: 0x4027428c40f7e427,
-            energy_bits: 0x40e6ec3608763e7b,
-            fingerprint: 0xdd83989553bd960f,
-        },
-    );
+    common::assert_golden("fleet-jsq-paged-conversation", &report);
 }

@@ -1,53 +1,26 @@
 //! The tiered-KV equality pin and behavior contract.
 //!
-//! The capacity tier (PR 7) reroutes the engine's eviction path
-//! through `relieve_prefix_cache` and probes the tier at admission
-//! fork-misses. With the tier *off* (the default), every one of those
-//! changes must be invisible: this file pins a saturated long-context
-//! scenario — 58 prefix evictions, pool at 100% — to the exact
-//! fingerprints the pre-tier engine produced, and then checks the
-//! tier-on behavior the feature exists for: spills instead of
+//! The capacity tier reroutes the engine's eviction path through
+//! `relieve_prefix_cache` and probes the tier at admission fork-misses.
+//! With the tier *off* (the default), every one of those changes must
+//! be invisible: this file pins a saturated long-context scenario — 58
+//! prefix evictions, pool at 100% — to the whole report the pre-tier
+//! engine produced (first pinned at `adb9013`; the golden file was
+//! captured at 0a0ce34 while that pin still passed), and then checks
+//! the tier-on behavior the feature exists for: spills instead of
 //! discards, priced fetches that land in TTFT, materially higher SLO
 //! goodput under thrash.
 
-use papi::core::{
-    DesignKind, KvTierSpec, ServingEngine, ServingReport, SessionTuning, SloSpec, SystemConfig,
-};
+mod common;
+
+use papi::core::{DesignKind, KvTierSpec, ServingEngine, SessionTuning, SloSpec, SystemConfig};
 use papi::llm::ModelPreset;
 use papi::workload::{ConversationDataset, DatasetKind, ServingWorkload};
-
-/// FNV-1a over every schedule-determining field of the report — the
-/// same mix as `tests/paged_equality.rs`, so the two pins fail the
-/// same way on drift.
-fn fingerprint(report: &ServingReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for r in &report.records {
-        mix(r.id);
-        mix(r.arrival.value().to_bits());
-        mix(r.admitted.value().to_bits());
-        mix(r.first_token.value().to_bits());
-        mix(r.finished.value().to_bits());
-        mix(r.prompt_tokens);
-        mix(r.output_tokens);
-        mix(r.preemptions);
-    }
-    for p in &report.placements {
-        mix(*p as u64);
-    }
-    for r in &report.rlp_series {
-        mix(*r);
-    }
-    h
-}
 
 /// A long-context multi-turn workload that saturates the PIM-only
 /// pool: conversations resend ~4k-token contexts over 3 turns faster
 /// than the cache can hold them, so the prefix cache thrashes (58 LRU
-/// evictions at PR 6 HEAD).
+/// evictions before the tier existed).
 fn thrashing_workload() -> ServingWorkload {
     ServingWorkload::poisson(
         ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
@@ -74,42 +47,8 @@ fn engine(tuning: SessionTuning) -> ServingEngine {
     .with_tuning(tuning)
 }
 
-struct Golden {
-    makespan_bits: u64,
-    energy_bits: u64,
-    prefill_bits: u64,
-    iterations: u64,
-    tokens: u64,
-    preemptions: u64,
-    peak_rlp: u64,
-    peak_kv_tokens: u64,
-    fingerprint: u64,
-}
-
-/// Captured at PR 6 HEAD (`adb9013`), before the tier existed.
-const TIER_OFF_GOLDEN: Golden = Golden {
-    makespan_bits: 0x409274384afd44c3,
-    energy_bits: 0x4123aa42ac3a0148,
-    prefill_bits: 0x4091c55f218460bc,
-    iterations: 1499,
-    tokens: 19753,
-    preemptions: 0,
-    peak_rlp: 16,
-    peak_kv_tokens: 143830,
-    fingerprint: 0x0c68159526a36a65,
-};
-
-fn assert_matches_golden(report: &ServingReport, golden: &Golden) {
-    assert_eq!(report.makespan.value().to_bits(), golden.makespan_bits);
-    assert_eq!(report.energy.value().to_bits(), golden.energy_bits);
-    assert_eq!(report.prefill_time.value().to_bits(), golden.prefill_bits);
-    assert_eq!(report.iterations, golden.iterations);
-    assert_eq!(report.tokens, golden.tokens);
-    assert_eq!(report.preemptions, golden.preemptions);
-    assert_eq!(report.peak_rlp, golden.peak_rlp);
-    assert_eq!(report.peak_kv_tokens, golden.peak_kv_tokens);
-    assert_eq!(fingerprint(report), golden.fingerprint);
-}
+/// The pre-tier engine's report, shared with `tests/global_tier.rs`.
+const TIER_OFF_GOLDEN: &str = "serving-pim_only-gpt175b-tier-off-thrash";
 
 #[test]
 fn tier_off_reproduces_the_pre_tier_engine_bit_for_bit() {
@@ -122,7 +61,7 @@ fn tier_off_reproduces_the_pre_tier_engine_bit_for_bit() {
         report.kv.prefix_evictions
     );
     assert_eq!(report.kv.total_blocks, report.kv.peak_blocks_in_use);
-    assert_matches_golden(&report, &TIER_OFF_GOLDEN);
+    common::assert_golden(TIER_OFF_GOLDEN, &report);
     // And the tier counters stay identically zero.
     assert_eq!(report.kv.tier_budget_blocks, 0);
     assert_eq!(report.kv.tier_spills, 0);
@@ -135,7 +74,7 @@ fn explicit_none_tier_is_the_default() {
     let tuning = paged();
     assert_eq!(tuning.kv_tier, None);
     let report = engine(tuning).run(&thrashing_workload());
-    assert_matches_golden(&report, &TIER_OFF_GOLDEN);
+    common::assert_golden(TIER_OFF_GOLDEN, &report);
 }
 
 #[test]
