@@ -54,6 +54,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// The most nodes (`tp_degree × dp_replicas`) one fleet may span: the
+/// fan-out of both inter-node fabric presets.
+const MAX_FLEET_NODES: usize = 1024;
+
 /// How [`ClusterEngine::run_with_policies`] advances replicas between
 /// control-plane events.
 ///
@@ -474,10 +478,10 @@ impl ClusterEngine {
             ));
         }
         let nodes = spec.tp_degree * spec.dp_replicas;
-        if !spec.inter_node.supports_devices(nodes) {
+        if nodes > MAX_FLEET_NODES {
             return Err(FleetSpecError::new(format!(
-                "{nodes} nodes exceed {}'s fan-out of {}",
-                spec.inter_node.name, spec.inter_node.max_devices
+                "{nodes} nodes exceed {}'s fan-out of {MAX_FLEET_NODES}",
+                spec.inter_node.name
             )));
         }
         let base = SystemConfig::build(spec.design, spec.model.clone());
@@ -610,10 +614,9 @@ impl ClusterEngine {
         self.run_fleet(workload, &mut router, migration.as_mut(), Some(control))
     }
 
-    /// Opens one session per replica: replica 0 keeps the workload's
-    /// acceptance stream (a 1-replica cluster is bit-identical to the
-    /// single engine), later replicas decorrelate by index, and
-    /// prefill-role replicas export their completed prompts.
+    /// Opens one session per replica, each exactly as the single engine
+    /// opens it (a 1-replica cluster is bit-identical to the single
+    /// engine); prefill-role replicas export their completed prompts.
     fn open_sessions(
         &self,
         workload: &ServingWorkload,
@@ -624,10 +627,6 @@ impl ClusterEngine {
             .enumerate()
             .map(|(idx, engine)| {
                 let mut session = engine.open_session(workload);
-                if idx > 0 {
-                    session
-                        .reseed(workload.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                }
                 if roles[idx] == ReplicaRole::Prefill {
                     session.enable_prefill_export();
                 }

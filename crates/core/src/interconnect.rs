@@ -26,8 +26,7 @@
 use papi_types::{Bandwidth, Bytes, Energy, Time};
 use serde::{Deserialize, Serialize};
 
-/// One interconnect link: latency + bandwidth + per-byte energy, with a
-/// device fan-out limit.
+/// One interconnect link: latency + bandwidth + per-byte energy.
 ///
 /// # Example
 ///
@@ -50,8 +49,6 @@ pub struct LinkSpec {
     pub latency: Time,
     /// Energy per byte moved, in picojoules.
     pub pj_per_byte: f64,
-    /// Maximum devices attachable to one instance of this fabric.
-    pub max_devices: usize,
 }
 
 impl LinkSpec {
@@ -62,7 +59,6 @@ impl LinkSpec {
             bandwidth: Bandwidth::from_gb_per_sec(300.0),
             latency: Time::from_micros(2.0),
             pj_per_byte: 10.0,
-            max_devices: 18,
         }
     }
 
@@ -74,7 +70,6 @@ impl LinkSpec {
             bandwidth: Bandwidth::from_gb_per_sec(64.0),
             latency: Time::from_micros(1.5),
             pj_per_byte: 18.0,
-            max_devices: 4096,
         }
     }
 
@@ -88,7 +83,6 @@ impl LinkSpec {
             bandwidth: Bandwidth::from_gb_per_sec(38.4),
             latency: Time::from_micros(0.15),
             pj_per_byte: 5.0,
-            max_devices: 16,
         }
     }
 
@@ -103,7 +97,6 @@ impl LinkSpec {
             bandwidth: Bandwidth::from_gb_per_sec(50.0),
             latency: Time::from_micros(2.0),
             pj_per_byte: 35.0,
-            max_devices: 1024,
         }
     }
 
@@ -115,7 +108,6 @@ impl LinkSpec {
             bandwidth: Bandwidth::from_gb_per_sec(12.5),
             latency: Time::from_micros(8.0),
             pj_per_byte: 50.0,
-            max_devices: 1024,
         }
     }
 
@@ -172,11 +164,6 @@ impl LinkSpec {
             bytes.value() * (parts as f64 - 1.0) / parts as f64,
         ))
     }
-
-    /// Whether `devices` endpoints fit on one instance of this fabric.
-    pub(crate) fn supports_devices(&self, devices: usize) -> bool {
-        devices <= self.max_devices
-    }
 }
 
 /// The priced cost of one bulk KV transfer: a capacity-tier fetch over
@@ -228,7 +215,6 @@ mod tests {
         assert!(nv.bandwidth.value() > cxl.bandwidth.value());
         assert!(cxl.latency.value() < nv.latency.value());
         assert!(dimm.latency.value() < cxl.latency.value());
-        assert!(cxl.max_devices > nv.max_devices);
     }
 
     #[test]
@@ -236,15 +222,6 @@ mod tests {
         let l = LinkSpec::cxl();
         let t = l.transfer_time(Bytes::new(1.0));
         assert!((t.value() - l.latency.value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fan_out_limits() {
-        assert!(LinkSpec::nvlink().supports_devices(18));
-        assert!(!LinkSpec::nvlink().supports_devices(19));
-        assert!(LinkSpec::cxl().supports_devices(60));
-        assert!(LinkSpec::cxl().supports_devices(4096));
-        assert!(!LinkSpec::cxl().supports_devices(4097));
     }
 
     #[test]

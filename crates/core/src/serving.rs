@@ -52,8 +52,6 @@ use papi_workload::{
     IterationRecord, ReplicaSnapshot, RequestState, ServingRequest, ServingWorkload,
     SpeculativeConfig, TlpPolicy,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -351,7 +349,6 @@ impl ServingEngine {
             pool,
             scheduler: self.config.scheduler.build(),
             pricer: IterationPricer::with_rows(&self.config, Arc::clone(&self.rows)),
-            rng: StdRng::seed_from_u64(workload.seed.wrapping_mul(0x5851_f42d_4c95_7f2d)),
             requests: Vec::new(),
             seqs: Vec::new(),
             prefilled: Vec::new(),
@@ -513,7 +510,6 @@ pub struct ServingSession<'a> {
     kv_stats: KvCacheStats,
     scheduler: FcScheduler,
     pricer: IterationPricer<'a>,
-    rng: StdRng,
     requests: Vec<ServingRequest>,
     /// One KV sequence per request index, `Some` while admitted.
     seqs: Vec<Option<KvSeq>>,
@@ -737,14 +733,6 @@ impl ServingSession<'_> {
         if let Some(tier) = self.tier.as_mut() {
             tier.tier.clear();
         }
-    }
-
-    /// Re-seeds the acceptance-sampling stream. Replica 0 of a cluster
-    /// keeps the workload's stream (so a 1-replica cluster reproduces
-    /// the single-engine episode bit for bit); later replicas decorrelate
-    /// with their index.
-    pub(crate) fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5851_f42d_4c95_7f2d));
     }
 
     /// Joins this session to a fleet-shared prefix tier as replica
@@ -1432,16 +1420,16 @@ impl ServingSession<'_> {
     }
 
     /// Runs decode iterations over `decoding` back to back — a decode
-    /// leap — and returns how many ran. Each iteration samples
-    /// acceptance per request in `decoding` order, asks the scheduler
-    /// for a placement, prices the batch at that iteration's KV length
-    /// and advances the clock, exactly as consecutive steps would; the
-    /// leap ends after `limit` iterations, after the first iteration in
-    /// which a request finishes, once the clock reaches `stop_s`, or
-    /// before an iteration whose worst-case KV growth would overflow
-    /// the pool (the full round owns eviction and preemption). With
-    /// `guarded` off, the caller has already run that guard for the
-    /// first iteration.
+    /// leap — and returns how many ran. Each iteration banks `tlp`
+    /// tokens per request (capped at what remains) in `decoding` order,
+    /// asks the scheduler for a placement, prices the batch at that
+    /// iteration's KV length and advances the clock, exactly as
+    /// consecutive steps would; the leap ends after `limit` iterations,
+    /// after the first iteration in which a request finishes, once the
+    /// clock reaches `stop_s`, or before an iteration whose worst-case
+    /// KV growth would overflow the pool (the full round owns eviction
+    /// and preemption). With `guarded` off, the caller has already run
+    /// that guard for the first iteration.
     ///
     /// What the batch does not change between iterations is hoisted:
     /// pool appends are deferred to one per sequence at the end (and
@@ -1498,33 +1486,29 @@ impl ServingSession<'_> {
             let mut first_timers: Vec<usize> = Vec::new();
             for (lane, &i) in lanes.iter_mut().zip(&decoding) {
                 let request = &mut self.requests[i];
-                let banked = self
-                    .speculation
-                    .acceptance
-                    .sample(tlp, &mut self.rng)
-                    .min(request.remaining());
-                if request.generated == 0 && banked > 0 {
+                // A decoding request still owes a token and `tlp >= 1`,
+                // so every lane banks at least one.
+                let banked = tlp.min(request.remaining());
+                if request.generated == 0 {
                     first_timers.push(i);
                 }
                 request.generated += banked;
-                if banked > 0 {
-                    // What `append` would allocate: the copied tail on
-                    // the first write, then blocks past the tail's slack.
-                    in_use += u64::from(std::mem::take(&mut lane.copy_on_write));
-                    let before = lane.slack;
-                    if banked <= lane.slack {
-                        lane.slack -= banked;
-                    } else {
-                        let over = banked - lane.slack;
-                        let grown = over.div_ceil(block_size);
-                        in_use += grown;
-                        lane.slack = grown * block_size - over;
-                    }
-                    if let Some(total) = slack.as_mut() {
-                        *total = *total + lane.slack - before;
-                    }
-                    lane.banked += banked;
+                // What `append` would allocate: the copied tail on the
+                // first write, then blocks past the tail's slack.
+                in_use += u64::from(std::mem::take(&mut lane.copy_on_write));
+                let before = lane.slack;
+                if banked <= lane.slack {
+                    lane.slack -= banked;
+                } else {
+                    let over = banked - lane.slack;
+                    let grown = over.div_ceil(block_size);
+                    in_use += grown;
+                    lane.slack = grown * block_size - over;
                 }
+                if let Some(total) = slack.as_mut() {
+                    *total = *total + lane.slack - before;
+                }
+                lane.banked += banked;
                 new_tokens += banked;
                 if request.remaining() == 0 {
                     finished += 1;
@@ -1909,7 +1893,7 @@ mod tests {
         )
         .with_seed(7);
         let adaptive = small_workload(6.0, 40)
-            .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+            .with_speculation(SpeculativeConfig::fixed(4))
             .with_adaptive_tlp(32, 8);
         let mut tight = SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config());
         tight.attn_pim.1 = 1;
@@ -2001,7 +1985,7 @@ mod tests {
         let engine =
             ServingEngine::new(config).with_tuning(SessionTuning::new().with_kv_block_size(16));
         let workload = ServingWorkload::new(DatasetKind::GeneralQa, ArrivalProcess::Immediate, 1)
-            .with_speculation(SpeculativeConfig::geometric(8, 1.0));
+            .with_speculation(SpeculativeConfig::fixed(8));
         let mut session = engine.open_session(&workload);
         let capacity = session.pool.total_blocks() * 16;
         session.push(ServingRequest::new(Request::new(0, capacity - 61, 61), 0.0));

@@ -350,7 +350,7 @@ pub struct ServingWorkload {
     pub speculation: SpeculativeConfig,
     /// Runtime speculation-length policy.
     pub tlp_policy: TlpPolicy,
-    /// RNG seed for dataset generation, arrivals, and acceptance.
+    /// RNG seed for dataset generation and arrivals.
     pub seed: u64,
 }
 

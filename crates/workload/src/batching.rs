@@ -2,10 +2,8 @@
 
 use crate::dataset::DatasetKind;
 use crate::request::Request;
-use crate::speculative::{AcceptanceModel, SpeculativeConfig, TlpPolicy};
+use crate::speculative::{SpeculativeConfig, TlpPolicy};
 use crate::trace::{DecodeTrace, IterationRecord};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -48,7 +46,7 @@ pub struct WorkloadSpec {
     pub tlp_policy: TlpPolicy,
     /// Batching policy.
     pub policy: BatchingPolicy,
-    /// RNG seed for dataset generation and acceptance sampling.
+    /// RNG seed for dataset generation.
     pub seed: u64,
     /// Extra queued requests available for continuous refill (beyond the
     /// initial batch).
@@ -134,14 +132,12 @@ impl WorkloadSpec {
 
     /// Simulates the decode and returns the per-iteration trace.
     ///
-    /// Under [`AcceptanceModel::Full`] the batch changes only when a
-    /// request finishes, and between two finishes every live request
-    /// banks exactly `tlp` tokens per iteration. The loop therefore
-    /// leaps from one finish to the next, writing the records in
-    /// between in closed form: the cost is O(records + requests ×
-    /// finish events) rather than O(records × requests). Geometric
-    /// acceptance steps one iteration at a time, drawing the RNG per
-    /// request per iteration.
+    /// Every live request banks `tlp` tokens per iteration (its last
+    /// iteration banks what remains), so the batch changes only when a
+    /// request finishes. The loop therefore leaps from one finish to
+    /// the next, writing the records in between in closed form: the
+    /// cost is O(records + requests × finish events) rather than
+    /// O(records × requests).
     pub fn trace(&self) -> DecodeTrace {
         let all = self.requests();
         let mut queue: VecDeque<Request> = all.into();
@@ -158,12 +154,10 @@ impl WorkloadSpec {
                 admit(r, &mut live);
             }
         }
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(0x5851_f42d_4c95_7f2d));
         let mut trace = DecodeTrace {
             requests: 0,
             ..Default::default()
         };
-        let leaps = self.speculation.acceptance == AcceptanceModel::Full;
         let mut iterations = 0u64;
         while !live.is_empty() {
             let rlp = live.len() as u64;
@@ -178,7 +172,7 @@ impl WorkloadSpec {
                 quiet = quiet.min(req.remaining().saturating_sub(1) / tlp);
             }
             let budget = self.max_iterations.map_or(u64::MAX, |max| max - iterations);
-            let leap = if leaps { quiet.min(budget) } else { 0 };
+            let leap = quiet.min(budget);
             // Every request grows by `tlp` per leapt iteration, so the
             // longest KV cache stays the longest.
             let in_flight = rlp * tlp;
@@ -214,11 +208,7 @@ impl WorkloadSpec {
             live.retain_mut(|req| {
                 // Bank the leap's tokens, then step one iteration.
                 req.generated += leap * tlp;
-                let banked = self
-                    .speculation
-                    .acceptance
-                    .sample(tlp, &mut rng)
-                    .min(req.remaining());
+                let banked = tlp.min(req.remaining());
                 req.generated += banked;
                 new_tokens += banked;
                 if req.remaining() == 0 {
@@ -280,7 +270,6 @@ impl LiveRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speculative::SpeculativeConfig;
 
     #[test]
     fn static_rlp_is_monotone_nonincreasing() {
@@ -341,18 +330,6 @@ mod tests {
             cont_tput > static_tput,
             "continuous {cont_tput} tokens/iter should beat static {static_tput}"
         );
-    }
-
-    #[test]
-    fn geometric_acceptance_still_consistent() {
-        let spec = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 4)
-            .with_speculation(SpeculativeConfig::geometric(4, 0.7));
-        let trace = spec.trace();
-        trace.validate().unwrap();
-        // Stochastic acceptance means more iterations than full
-        // acceptance would need.
-        let full = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 4).trace();
-        assert!(trace.len() >= full.len());
     }
 
     #[test]

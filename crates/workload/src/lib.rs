@@ -16,8 +16,10 @@
 //! - [`conversation`] — prefix-structured populations: shared system
 //!   prompts and multi-turn conversations, stamped with the
 //!   [`PrefixHint`](papi_kv::PrefixHint)s the paged KV cache keys on.
-//! - [`speculative`] — speculation length (TLP) and token-acceptance
-//!   models.
+//! - [`speculative`] — speculation length (TLP), fixed or co-optimized
+//!   with the live batch. Every verified token is banked, so the only
+//!   randomness is the generated workload: datasets, conversations and
+//!   arrivals.
 //! - [`batching`] — static batching and mixed continuous batching.
 //! - [`arrival`] — open-loop arrival processes (Poisson, bursty,
 //!   multi-hour diurnal, flash-crowd) and the online request lifecycle
@@ -55,5 +57,5 @@ pub use routing::{
     HashRing, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, Reads, ReplicaRole,
     ReplicaSnapshot, ReplicaState, RingPoints, RouteContext, RoutePolicy, Router,
 };
-pub use speculative::{AcceptanceModel, SpeculativeConfig, TlpPolicy};
+pub use speculative::{SpeculativeConfig, TlpPolicy};
 pub use trace::{DecodeTrace, IterationRecord};

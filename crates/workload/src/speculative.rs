@@ -1,47 +1,10 @@
-//! Speculative decoding: token-level parallelism and acceptance.
+//! Speculative decoding: token-level parallelism (TLP).
+//!
+//! The hardware verifies `length` tokens per request each iteration, and
+//! every one of them is banked: the paper models TLP as an exogenous
+//! knob, not acceptance, so decoding is deterministic.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// How many draft tokens survive verification each iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AcceptanceModel {
-    /// Every speculated token is accepted — the parallelism-accounting
-    /// mode the paper's timing experiments use (TLP is an exogenous
-    /// knob).
-    Full,
-    /// Each draft token is accepted independently with probability `p`;
-    /// generation stops at the first rejection, which is replaced by the
-    /// verifier's own token (so at least one token always lands). An
-    /// extension beyond the paper's evaluation.
-    Geometric {
-        /// Per-token acceptance probability in `(0, 1]`.
-        p: f64,
-    },
-}
-
-impl AcceptanceModel {
-    /// Samples accepted tokens for one request at a given speculation
-    /// `length` (at least 1, at most `length`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length` is zero.
-    #[track_caller]
-    pub fn sample(&self, length: u64, rng: &mut impl Rng) -> u64 {
-        assert!(length > 0, "speculation length must be at least 1");
-        match *self {
-            AcceptanceModel::Full => length,
-            AcceptanceModel::Geometric { p } => {
-                let mut accepted = 0;
-                while accepted < length - 1 && rng.gen_bool(p) {
-                    accepted += 1;
-                }
-                accepted + 1 // the verifier always contributes one token
-            }
-        }
-    }
-}
 
 /// How the serving system picks the speculation length each iteration.
 ///
@@ -93,16 +56,14 @@ impl TlpPolicy {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpeculativeConfig {
-    /// Speculation length: tokens verified in parallel per request per
+    /// Speculation length: tokens verified and banked per request per
     /// iteration (TLP). 1 = plain serial decoding.
     pub length: u64,
-    /// Acceptance behaviour.
-    pub acceptance: AcceptanceModel,
 }
 
 impl SpeculativeConfig {
-    /// Fixed speculation length with full acceptance (the paper's
-    /// evaluation setting; `length = 1` disables speculation).
+    /// Fixed speculation length (the paper's evaluation setting;
+    /// `length = 1` disables speculation).
     ///
     /// # Panics
     ///
@@ -110,107 +71,19 @@ impl SpeculativeConfig {
     #[track_caller]
     pub fn fixed(length: u64) -> Self {
         assert!(length > 0, "speculation length must be at least 1");
-        Self {
-            length,
-            acceptance: AcceptanceModel::Full,
-        }
-    }
-
-    /// Probabilistic acceptance with per-token probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length` is zero or `p` is outside `(0, 1]`.
-    #[track_caller]
-    pub fn geometric(length: u64, p: f64) -> Self {
-        assert!(length > 0, "speculation length must be at least 1");
-        assert!(
-            p > 0.0 && p <= 1.0,
-            "acceptance probability must be in (0,1]"
-        );
-        Self {
-            length,
-            acceptance: AcceptanceModel::Geometric { p },
-        }
+        Self { length }
     }
 
     /// The token-level parallelism this configuration exercises: the
-    /// hardware verifies `length` tokens per request regardless of how
-    /// many are ultimately accepted.
+    /// tokens each request verifies, and banks, per iteration.
     pub fn tlp(&self) -> u64 {
         self.length
-    }
-
-    /// Samples how many tokens one request banks this iteration (at
-    /// least 1, at most `length`).
-    pub fn sample_accepted(&self, rng: &mut impl Rng) -> u64 {
-        self.acceptance.sample(self.length, rng)
-    }
-
-    /// Expected tokens accepted per iteration.
-    pub fn expected_accepted(&self) -> f64 {
-        match self.acceptance {
-            AcceptanceModel::Full => self.length as f64,
-            AcceptanceModel::Geometric { p } => {
-                // 1 + p + p² + … up to length-1 draft positions.
-                let n = (self.length - 1) as i32;
-                if (p - 1.0).abs() < 1e-12 {
-                    self.length as f64
-                } else {
-                    (1.0 - p.powi(n + 1)) / (1.0 - p)
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn full_acceptance_banks_length() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let spec = SpeculativeConfig::fixed(4);
-        for _ in 0..10 {
-            assert_eq!(spec.sample_accepted(&mut rng), 4);
-        }
-        assert_eq!(spec.expected_accepted(), 4.0);
-    }
-
-    #[test]
-    fn geometric_accepted_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let spec = SpeculativeConfig::geometric(8, 0.7);
-        for _ in 0..1000 {
-            let a = spec.sample_accepted(&mut rng);
-            assert!((1..=8).contains(&a));
-        }
-    }
-
-    #[test]
-    fn geometric_mean_matches_expectation() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let spec = SpeculativeConfig::geometric(8, 0.8);
-        let n = 200_000;
-        let sum: u64 = (0..n).map(|_| spec.sample_accepted(&mut rng)).sum();
-        let mean = sum as f64 / n as f64;
-        let expected = spec.expected_accepted();
-        assert!(
-            (mean - expected).abs() < 0.02,
-            "sampled {mean} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn p_equal_one_behaves_like_full() {
-        let spec = SpeculativeConfig::geometric(5, 1.0);
-        assert_eq!(spec.expected_accepted(), 5.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(spec.sample_accepted(&mut rng), 5);
-    }
 
     #[test]
     #[should_panic(expected = "at least 1")]
@@ -237,11 +110,5 @@ mod tests {
     fn fixed_policy_keeps_base_length() {
         assert_eq!(TlpPolicy::Fixed.length_at(3, 4), 4);
         assert_eq!(TlpPolicy::Fixed.length_at(1000, 4), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bad_probability_rejected() {
-        SpeculativeConfig::geometric(4, 1.5);
     }
 }

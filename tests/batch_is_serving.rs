@@ -164,8 +164,6 @@ proptest! {
         queue in 1usize..33,
         continuous in proptest::bool::ANY,
         length in 1u64..5,
-        geometric in proptest::bool::ANY,
-        acceptance in 0.3..1.0f64,
         adaptive in proptest::bool::ANY,
         target in 8u64..65,
         design in 0usize..5,
@@ -176,11 +174,7 @@ proptest! {
             batch,
             queue,
             continuous,
-            speculation: if geometric {
-                SpeculativeConfig::geometric(length, acceptance)
-            } else {
-                SpeculativeConfig::fixed(length)
-            },
+            speculation: SpeculativeConfig::fixed(length),
             adaptive: adaptive.then_some((target, 8)),
             seed,
         };

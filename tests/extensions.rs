@@ -113,33 +113,3 @@ fn reports_round_trip_through_serde() {
     let back: papi::workload::DecodeTrace = serde_json::from_str(&json).expect("trace back");
     assert_eq!(back, trace);
 }
-
-/// The `AcceptanceModel::Geometric` sampler matches its truncated-
-/// geometric closed form: with per-token acceptance probability `p` and
-/// speculation length `L`, the accepted count is `1 + X` where `X`
-/// counts leading successes among `L-1` draft positions, so
-/// `E = Σ_{k=0}^{L-1} p^k = (1 - p^L) / (1 - p)`. Seeded, so the
-/// statistical tolerance is exact-repeatable.
-#[test]
-fn geometric_acceptance_mean_matches_closed_form() {
-    use papi::workload::SpeculativeConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let n = 120_000;
-    for (length, p) in [(4u64, 0.5f64), (8, 0.7), (8, 0.9), (2, 0.3), (16, 0.95)] {
-        let spec = SpeculativeConfig::geometric(length, p);
-        let mut rng = StdRng::seed_from_u64(0x00AC_CE97 ^ length ^ (p * 1e6) as u64);
-        let sum: u64 = (0..n).map(|_| spec.sample_accepted(&mut rng)).sum();
-        let mean = sum as f64 / n as f64;
-        // Closed form computed here, independently of the library's own
-        // `expected_accepted`.
-        let closed_form = (1.0 - p.powi(length as i32)) / (1.0 - p);
-        assert!(
-            (mean - closed_form).abs() < 0.02,
-            "L={length} p={p}: sampled mean {mean:.4} vs closed form {closed_form:.4}"
-        );
-        // And the library's expectation agrees with the closed form.
-        assert!((spec.expected_accepted() - closed_form).abs() < 1e-12);
-    }
-}

@@ -107,7 +107,7 @@ fn explicit_scalar_options_match_the_defaults() {
 
 /// One serving shape that drives every stage of a session round on a
 /// tight pool: 16-token blocks with prefix sharing, chunked prefill, a
-/// small private capacity tier, geometric speculation under adaptive
+/// small private capacity tier, speculation length 4 under adaptive
 /// TLP, and a pool small enough that decode growth preempts at every
 /// headroom. Only the admission headroom varies. Asserts the run
 /// reached every stage — eviction into a tier, tier fetches, chunked
@@ -122,7 +122,7 @@ fn staged_shape(headroom: f64) -> ServingReport {
         48,
     )
     .with_seed(17)
-    .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+    .with_speculation(SpeculativeConfig::fixed(4))
     .with_adaptive_tlp(32, 8);
     let report = ServingEngine::new(config)
         .with_tuning(

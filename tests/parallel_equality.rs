@@ -455,9 +455,9 @@ proptest! {
     /// `run_until`, which runs a steady batch through many iterations
     /// per call; `Sequential` steps one round at a time. Every
     /// place a leap can end must give the same reports:
-    /// - geometric acceptance with adaptive TLP on PAPI, where each
-    ///   iteration draws acceptance and the scheduler switches
-    ///   placement as the batch drains;
+    /// - speculation length 4 under adaptive TLP on PAPI, where the
+    ///   speculation length follows the batch and the scheduler
+    ///   switches placement as the batch drains;
     /// - a KV-tight pool, where the growth guard fails mid-window and
     ///   the full round preempts;
     /// - 16-token blocks with prefix sharing and a small private tier,
@@ -474,7 +474,7 @@ proptest! {
                     .with_tuning(SessionTuning::default().with_max_batch(16)),
                 ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 48)
                     .with_seed(seed)
-                    .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+                    .with_speculation(SpeculativeConfig::fixed(4))
                     .with_adaptive_tlp(32, 8),
             ),
             1 => kv_tight_fleet(seed, dp),

@@ -178,11 +178,11 @@ fn chunked_preempting_replica_series_grow_with_requests() {
     config.attn_pim.1 = 1;
     let workload = ServingWorkload::poisson(
         ConversationDataset::multi_turn(DatasetKind::GeneralQa, 256, 3),
-        6.0,
+        8.0,
         48,
     )
     .with_seed(17)
-    .with_speculation(SpeculativeConfig::geometric(4, 0.6))
+    .with_speculation(SpeculativeConfig::fixed(4))
     .with_adaptive_tlp(32, 8);
     let report = ServingEngine::new(config)
         .with_tuning(

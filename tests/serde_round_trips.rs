@@ -87,7 +87,6 @@ fn struct_specs_round_trip() {
     let custom = LinkSpec {
         name: "rack \"B\"\tfabric".to_owned(),
         pj_per_byte: 0.1,
-        max_devices: 3,
         ..LinkSpec::cxl()
     };
     assert!(round_trips(&custom).contains(r#""rack \"B\"\tfabric""#));
@@ -96,7 +95,6 @@ fn struct_specs_round_trip() {
     round_trips(&SloSpec::interactive(10_000.0, 0.125));
 
     round_trips(&SpeculativeConfig::fixed(1));
-    round_trips(&SpeculativeConfig::geometric(8, 0.7));
 
     round_trips(&KvTierSpec::new(60_000));
 
@@ -133,7 +131,7 @@ fn struct_specs_round_trip() {
     round_trips(
         &WorkloadSpec::continuous_batching(DatasetKind::CreativeWriting, 32, 4, 64)
             .with_seed(9)
-            .with_speculation(SpeculativeConfig::geometric(6, 0.8))
+            .with_speculation(SpeculativeConfig::fixed(6))
             .with_adaptive_tlp(128, 8)
             .with_max_iterations(500),
     );

@@ -1,19 +1,16 @@
-//! Model test for `WorkloadSpec::trace`: under full acceptance the
-//! generator leaps from one finish to the next in closed form, and every
-//! trace it writes must equal the one a plain per-iteration stepping
-//! loop writes for the same spec, record for record.
+//! Model test for `WorkloadSpec::trace`: the generator leaps from one
+//! finish to the next in closed form, and every trace it writes must
+//! equal the one a plain per-iteration stepping loop writes for the same
+//! spec, record for record.
 
 use papi::workload::{
-    BatchingPolicy, DatasetKind, DecodeTrace, IterationRecord, Request, SpeculativeConfig,
-    WorkloadSpec,
+    BatchingPolicy, DatasetKind, DecodeTrace, IterationRecord, Request, WorkloadSpec,
 };
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// The reference generator: every iteration visits every live request,
-/// sampling its accepted tokens, then refills the batch under continuous
+/// banking up to `tlp` tokens each, then refills the batch under continuous
 /// batching. A truncated trace ends with one record that retires the
 /// still-running requests.
 fn stepped_trace(spec: &WorkloadSpec) -> DecodeTrace {
@@ -33,7 +30,6 @@ fn stepped_trace(spec: &WorkloadSpec) -> DecodeTrace {
     let mut iterations = Vec::new();
     let (mut requests, mut total_tokens) = (0, 0);
     let kv_len = |(request, generated): &(Request, u64)| request.input_len + generated;
-    let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0x5851_f42d_4c95_7f2d));
     while !live.is_empty() {
         let rlp = live.len() as u64;
         let total_kv_len = live.iter().map(kv_len).sum();
@@ -54,11 +50,7 @@ fn stepped_trace(spec: &WorkloadSpec) -> DecodeTrace {
         let (mut new_tokens, mut finished) = (0, 0);
         live.retain_mut(|(request, generated)| {
             let remaining = request.output_len - *generated;
-            let banked = spec
-                .speculation
-                .acceptance
-                .sample(tlp, &mut rng)
-                .min(remaining);
+            let banked = tlp.min(remaining);
             *generated += banked;
             new_tokens += banked;
             finished += u64::from(banked == remaining);
@@ -117,11 +109,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Random specs over every generator axis: dataset, batch, length,
-    /// acceptance, TLP policy, batching policy, truncation and seed.
+    /// TLP policy, batching policy, truncation and seed.
     #[test]
     fn leaping_trace_matches_the_stepping_model(
         shape in (0usize..3, 1u64..65, 1u64..7, 0u64..u64::MAX),
-        acceptance in (proptest::bool::ANY, 0.05..1.0f64),
         adaptive in (proptest::bool::ANY, 1u64..129, 1u64..9),
         continuous in (proptest::bool::ANY, 0usize..65),
         truncate in (proptest::bool::ANY, 0u64..301),
@@ -133,9 +124,6 @@ proptest! {
             WorkloadSpec::static_batching(DATASETS[dataset], batch, length)
         }
         .with_seed(seed);
-        if acceptance.0 {
-            spec = spec.with_speculation(SpeculativeConfig::geometric(length, acceptance.1));
-        }
         if adaptive.0 {
             spec = spec.with_adaptive_tlp(adaptive.1, adaptive.2);
         }
