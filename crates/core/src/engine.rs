@@ -3,11 +3,12 @@
 //! One [`DecodingSimulator`] prices every iteration of a pre-generated
 //! [`DecodeTrace`] — the paper-figure path, where the workload is a
 //! closed batch and only the total latency/energy matter. All hardware
-//! math lives in [`crate::pricer`]; this engine just walks the trace,
-//! asks the scheduler for a placement, and aggregates the per-iteration
-//! costs. The online serving counterpart (arrivals, queueing,
-//! per-request latency) is [`crate::serving::ServingEngine`], which
-//! prices through the exact same [`IterationPricer`].
+//! math lives in [`crate::pricer`]; this engine just walks the trace
+//! one run of constant `(rlp, tlp)` at a time, asks the scheduler for
+//! the run's placement, and aggregates the per-iteration costs. The
+//! online serving counterpart (arrivals, queueing, per-request latency)
+//! is [`crate::serving::ServingEngine`], which prices through the exact
+//! same [`IterationPricer`].
 
 use crate::config::SystemConfig;
 use crate::metrics::{ExecutionReport, PhaseBreakdown, RunLength};
@@ -74,7 +75,7 @@ impl DecodingSimulator {
             }
         };
         // The weight pools up front; the KV demand as the walk reaches
-        // each iteration, so the trace is walked once.
+        // each run, before pricing it.
         validate(0);
         let attn_pool = config.attn_pool_bytes();
 
@@ -84,8 +85,13 @@ impl DecodingSimulator {
         let mut energy_parts = (Energy::ZERO, Energy::ZERO, Energy::ZERO, Energy::ZERO);
         let mut placements = RunLength::default();
 
-        for it in &trace.iterations {
-            if it.total_kv_len as f64 * kv_bytes_per_token > attn_pool {
+        for run in trace
+            .iterations
+            .chunk_by(|a, b| (a.rlp, a.tlp) == (b.rlp, b.tlp))
+        {
+            let (rlp, tlp) = (run[0].rlp, run[0].tlp);
+            let run_peak = run.iter().map(|it| it.total_kv_len).max().unwrap_or(0);
+            if run_peak as f64 * kv_bytes_per_token > attn_pool {
                 // The message names the trace's peak demand.
                 validate(
                     trace
@@ -96,17 +102,31 @@ impl DecodingSimulator {
                         .unwrap_or(0),
                 );
             }
-            let placement = scheduler.decide(it.rlp, it.tlp);
-            let cost = pricer.price_iteration(placement, it);
-            phases.fc += cost.fc_time;
-            phases.attention += cost.attn_time;
-            phases.communication += cost.comm_time;
-            phases.other += cost.other_time;
-            energy_parts.0 += cost.fc_energy;
-            energy_parts.1 += cost.attn_energy;
-            energy_parts.2 += cost.comm_energy;
-            energy_parts.3 += cost.static_energy;
-            placements.push(placement);
+            let placement = scheduler.placement(rlp, tlp);
+            // The run's pricing, timed once as one call per iteration.
+            papi_perf::phase!("price", run.len() as u64);
+            // The next record's `total_kv_len` if it continues the run
+            // on the `rlp × tlp` grid, and its per-request KV length.
+            let mut next: Option<(u64, u64)> = None;
+            for it in run {
+                let kv_per_request = match next {
+                    Some((total, kv)) if total == it.total_kv_len => kv,
+                    _ => it.total_kv_len.div_ceil(rlp),
+                };
+                next = Some((it.total_kv_len + rlp * tlp, kv_per_request + tlp));
+                let cost =
+                    pricer.price_at(placement, rlp, tlp, kv_per_request.max(1), it.new_tokens);
+                phases.fc += cost.fc_time;
+                phases.attention += cost.attn_time;
+                phases.communication += cost.comm_time;
+                phases.other += cost.other_time;
+                energy_parts.0 += cost.fc_energy;
+                energy_parts.1 += cost.attn_energy;
+                energy_parts.2 += cost.comm_energy;
+                energy_parts.3 += cost.static_energy;
+            }
+            scheduler.record(placement, run.len() as u64);
+            placements.push_n(placement, run.len() as u64);
         }
 
         ExecutionReport {

@@ -70,12 +70,12 @@ impl PhaseBreakdown {
 /// A piecewise-constant series stored as `(value, count)` runs.
 ///
 /// A report's per-iteration series (FC placement, RLP) change only when
-/// the batch does, so [`push`](Self::push) extends the last run when the
-/// value repeats, and memory grows with the changes, not the pushes.
-/// Runs are canonical: no zero counts and no two adjacent runs with
-/// equal values, so the derived `PartialEq` compares the sequences. In
-/// JSON the series is the expanded array, one element per push, as the
-/// `Vec` it stands for would print it.
+/// the batch does, so [`push`](Self::push) and [`push_n`](Self::push_n)
+/// extend the last run when the value repeats, and memory grows with
+/// the changes, not the pushes. Runs are canonical: no zero counts and
+/// no two adjacent runs with equal values, so the derived `PartialEq`
+/// compares the sequences. In JSON the series is the expanded array,
+/// one element per push, as the `Vec` it stands for would print it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunLength<T> {
     runs: Vec<(T, u64)>,
@@ -94,10 +94,19 @@ impl<T> Default for RunLength<T> {
 impl<T: PartialEq> RunLength<T> {
     /// Appends `value`, merging it into the last run when equal.
     pub fn push(&mut self, value: T) {
-        self.len += 1;
+        self.push_n(value, 1);
+    }
+
+    /// Appends `n` copies of `value` at once, merging them into the
+    /// last run when equal. `n = 0` appends nothing.
+    pub fn push_n(&mut self, value: T, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.len += n as usize;
         match self.runs.last_mut() {
-            Some((last, count)) if *last == value => *count += 1,
-            _ => self.runs.push((value, 1)),
+            Some((last, count)) if *last == value => *count += n,
+            _ => self.runs.push((value, n)),
         }
     }
 }

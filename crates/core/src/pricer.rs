@@ -302,15 +302,18 @@ impl ShapeTable {
 /// every attention constant, so that per-iteration part is
 /// [`AttentionPlan::cost`]'s plain `f64` arithmetic. The engines lend
 /// every pricer they open their own table, so a repeat shape is planned
-/// once per engine. Decode batches hold their shape for many
-/// iterations, so the pricer keeps the last shape's row at hand and
-/// reads the table only when the shape changes.
+/// once per engine. Both decode loops price a run of constant
+/// `(rlp, tlp)` back to back, so the pricer keeps the run's row at hand
+/// and reads the table only when the shape changes; within the run the
+/// loop carries the per-request KV length forward by `tlp` instead of
+/// dividing the batch's.
 #[derive(Debug, Clone)]
 pub struct IterationPricer<'a> {
     config: &'a SystemConfig,
     rows: Arc<ShapeTable>,
     /// The row of the shape priced last.
     last: Option<(ShapeKey, ShapeCost)>,
+    layers: f64,
     other_time: Time,
     static_power: Power,
     shared: Option<Arc<SharedIterationCache>>,
@@ -335,13 +338,15 @@ impl<'a> IterationPricer<'a> {
             config,
             rows,
             last: None,
+            layers,
             other_time: config.dispatch_per_layer * layers + config.dispatch_per_iteration,
             static_power,
             shared: None,
         }
     }
 
-    /// Installs a full-iteration memo shared with other pricers. The
+    /// Installs a full-iteration memo shared with other pricers, which
+    /// [`price_iteration`](Self::price_iteration) consults. The
     /// caller is responsible for sharing a cache only between pricers
     /// of identical [`SystemConfig`]s — the key does not re-encode the
     /// hardware.
@@ -366,30 +371,36 @@ impl<'a> IterationPricer<'a> {
                 ..hit
             };
         }
-        let cost = self.compute_iteration(placement, it, kv_per_request);
+        let cost = self.price_at(placement, it.rlp, it.tlp, kv_per_request, it.new_tokens);
         if let Some(shared) = self.shared.as_deref() {
             shared.insert(key, cost);
         }
         cost
     }
 
+    /// Prices one iteration of shape `(rlp, tlp)` whose attention
+    /// kernels see `kv_per_request` tokens of context per request
+    /// (`total_kv_len.div_ceil(rlp).max(1)`, which a decode loop can
+    /// carry forward through a run instead of dividing). The caller
+    /// times it as a `"price"` phase.
     #[inline]
-    fn compute_iteration(
+    pub(crate) fn price_at(
         &mut self,
         placement: Placement,
-        it: &IterationRecord,
+        rlp: u64,
+        tlp: u64,
         kv_per_request: u64,
+        new_tokens: u64,
     ) -> IterationCost {
-        let key = (placement, it.rlp, it.tlp);
-        if self.last.as_ref().is_none_or(|(last, _)| *last != key) {
-            self.last = Some((key, self.rows.row(self.config, key)));
+        let shape = (placement, rlp, tlp);
+        if self.last.as_ref().is_none_or(|(last, _)| *last != shape) {
+            self.last = Some((shape, self.rows.row(self.config, shape)));
         }
         let (_, shape) = self.last.as_ref().expect("the last shape was just set");
 
-        let layers = self.config.model.layers as f64;
         let (attn_time, attn_energy) = shape.attention.cost(kv_per_request);
-        let attn_time = attn_time * layers;
-        let attn_energy = attn_energy * layers;
+        let attn_time = attn_time * self.layers;
+        let attn_energy = attn_energy * self.layers;
         let iter_time = shape.fc_time + attn_time + shape.comm_time + self.other_time;
         IterationCost {
             placement,
@@ -401,7 +412,7 @@ impl<'a> IterationPricer<'a> {
             attn_energy,
             comm_energy: shape.comm_energy,
             static_energy: self.static_power * iter_time,
-            new_tokens: it.new_tokens,
+            new_tokens,
         }
     }
 }

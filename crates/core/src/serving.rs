@@ -5,11 +5,12 @@
 //! regime the paper actually targets (§3.2, §5.2): requests arrive at
 //! unknown times, join a queue, are admitted into the running batch by
 //! continuous batching under KV-capacity pressure, prefill interleaves
-//! with decode, and the online [`FcScheduler`] re-decides the FC
-//! placement *every iteration* from the parallelism it observes right
-//! then. Simulated wall-clock time advances by the priced cost of each
-//! step — through the same [`IterationPricer`] the batch path uses, so
-//! the two paths can never drift apart on hardware math.
+//! with decode, and the online [`FcScheduler`] places the FC kernels
+//! for every iteration from the parallelism it observes right then,
+//! deciding anew whenever the batch shape changes. Simulated wall-clock
+//! time advances by the priced cost of each step — through the same
+//! [`IterationPricer`] the batch path uses, so the two paths can never
+//! drift apart on hardware math.
 //!
 //! KV capacity is managed by the paged subsystem in `papi-kv`: every
 //! live request holds a [`KvSeq`] of refcounted blocks in a
@@ -49,8 +50,7 @@ use papi_kv::{
 use papi_sched::{FcScheduler, Placement};
 use papi_types::{Bytes, Energy, Time};
 use papi_workload::{
-    IterationRecord, ReplicaSnapshot, RequestState, ServingRequest, ServingWorkload,
-    SpeculativeConfig, TlpPolicy,
+    ReplicaSnapshot, RequestState, ServingRequest, ServingWorkload, SpeculativeConfig, TlpPolicy,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -1422,19 +1422,19 @@ impl ServingSession<'_> {
     /// Runs decode iterations over `decoding` back to back — a decode
     /// leap — and returns how many ran. Each iteration banks `tlp`
     /// tokens per request (capped at what remains) in `decoding` order,
-    /// asks the scheduler for a placement, prices the batch at that
-    /// iteration's KV length and advances the clock, exactly as
-    /// consecutive steps would; the leap ends after `limit` iterations,
-    /// after the first iteration in which a request finishes, once the
-    /// clock reaches `stop_s`, or before an iteration whose worst-case
-    /// KV growth would overflow the pool (the full round owns eviction
-    /// and preemption). With `guarded` off, the caller has already run
-    /// that guard for the first iteration.
+    /// prices the batch at that iteration's KV length and advances the
+    /// clock, exactly as consecutive steps would; the leap ends after
+    /// `limit` iterations, after the first iteration in which a request
+    /// finishes, once the clock reaches `stop_s`, or before an
+    /// iteration whose worst-case KV growth would overflow the pool
+    /// (the full round owns eviction and preemption). With `guarded`
+    /// off, the caller has already run that guard for the first
+    /// iteration.
     ///
-    /// What the batch does not change between iterations is hoisted:
-    /// pool appends are deferred to one per sequence at the end (and
-    /// the pricer reads the shape table its engine lends it only when
-    /// the placement changes). Until then the guard and the peak
+    /// A leap is one run of constant `(rlp, tlp)`, so what depends on
+    /// the shape alone — placement, the report series, the KV length's
+    /// division — is done once per leap. Pool appends are deferred to
+    /// one per sequence at the end. Until then the guard and the peak
     /// statistics read running block counts that include the deferred
     /// tokens (and a copy-on-write tail's extra block), so every value
     /// matches what per-iteration appends would have produced.
@@ -1451,7 +1451,10 @@ impl ServingSession<'_> {
         // Blocks in use only grow during a leap, so a slack that cannot
         // raise the peak fragmentation now never will before it ends.
         let mut slack = self.fragmentation_slack(in_use);
-        let mut max_kv_len = 0;
+        // Iterations before the first finish: through them every lane
+        // banks exactly `tlp`, so the per-request KV length is carried
+        // forward, and the leap ends with the iteration after them.
+        let mut quiet = u64::MAX;
         let mut lanes = std::mem::take(&mut self.scratch_lanes);
         lanes.clear();
         for &i in &decoding {
@@ -1464,11 +1467,12 @@ impl ServingSession<'_> {
                 slack: seq.slack(block_size),
                 copy_on_write: self.pool.tail_shared(seq),
             });
-            max_kv_len = max_kv_len.max(self.requests[i].kv_len());
+            quiet = quiet.min((self.requests[i].remaining() - 1) / tlp);
         }
+        let placement = self.scheduler.placement(rlp, tlp);
+        let mut kv_per_request = (self.kv_tokens - self.prefilling_kv_tokens).div_ceil(rlp);
         let mut iterations = 0;
-        let mut finished = 0;
-        while iterations < limit && finished == 0 && self.clock < stop_s {
+        while iterations < limit && iterations <= quiet && self.clock < stop_s {
             if (guarded || iterations > 0) && in_use + worst_growth > total_blocks {
                 let growth: u64 = decoding
                     .iter()
@@ -1478,10 +1482,11 @@ impl ServingSession<'_> {
                     break;
                 }
             }
-            self.peak_rlp = self.peak_rlp.max(rlp);
-            let placement = self.scheduler.decide(rlp, tlp);
-            let total_kv_len = self.kv_tokens - self.prefilling_kv_tokens;
-            let iteration_max_kv = max_kv_len;
+            debug_assert_eq!(
+                kv_per_request,
+                (self.kv_tokens - self.prefilling_kv_tokens).div_ceil(rlp),
+                "carried KV length drifted"
+            );
             let mut new_tokens = 0u64;
             let mut first_timers: Vec<usize> = Vec::new();
             for (lane, &i) in lanes.iter_mut().zip(&decoding) {
@@ -1510,34 +1515,25 @@ impl ServingSession<'_> {
                 }
                 lane.banked += banked;
                 new_tokens += banked;
-                if request.remaining() == 0 {
-                    finished += 1;
-                }
-                max_kv_len = max_kv_len.max(request.kv_len());
             }
             self.kv_tokens += new_tokens;
 
-            let record = IterationRecord {
-                rlp,
-                tlp,
-                total_kv_len,
-                max_kv_len: iteration_max_kv,
-                new_tokens,
-                finished,
+            let cost = {
+                papi_perf::phase!("price");
+                self.pricer
+                    .price_at(placement, rlp, tlp, kv_per_request.max(1), new_tokens)
             };
-            let cost = self.pricer.price_iteration(placement, &record);
+            kv_per_request += tlp;
             self.clock += cost.total_time().value();
             self.phases.fc += cost.fc_time;
             self.phases.attention += cost.attn_time;
             self.phases.communication += cost.comm_time;
             self.phases.other += cost.other_time;
             self.energy += cost.total_energy();
-            self.placements.push(placement);
-            self.rlp_series.push(rlp);
             self.tokens += new_tokens;
-            // The resident footprint peaks at iteration end, once this
-            // iteration's banked tokens have landed in the cache.
-            self.track_kv_peaks(in_use, slack);
+            if slack.is_some() {
+                self.track_kv_peaks(in_use, slack);
+            }
             // Tokens become visible when the iteration completes.
             for &i in &first_timers {
                 self.first_token_s[i] = Some(self.clock);
@@ -1548,6 +1544,17 @@ impl ServingSession<'_> {
                 self.iterations <= MAX_ITERATIONS,
                 "serving episode exceeded {MAX_ITERATIONS} iterations — runaway workload?"
             );
+        }
+        if iterations > 0 {
+            self.peak_rlp = self.peak_rlp.max(rlp);
+            self.scheduler.record(placement, iterations);
+            self.placements.push_n(placement, iterations);
+            self.rlp_series.push_n(rlp, iterations);
+            if slack.is_none() {
+                // Resident tokens and blocks in use only grow during a
+                // leap, so their peaks are the leap's end state.
+                self.track_kv_peaks(in_use, None);
+            }
         }
 
         // Land the leap's tokens: one append per sequence.
@@ -1565,7 +1572,7 @@ impl ServingSession<'_> {
             in_use,
             "leap block count drifted"
         );
-        if finished > 0 {
+        if iterations > quiet {
             self.finish(&decoding);
         }
         self.scratch_lanes = lanes;

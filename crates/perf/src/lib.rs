@@ -73,6 +73,7 @@ type ThreadTotals = Arc<Mutex<HashMap<&'static str, Totals>>>;
 
 struct Frame {
     name: &'static str,
+    calls: u64,
     start: Instant,
     /// Inclusive time of already-closed children, subtracted from this
     /// frame's inclusive time to get its self time.
@@ -107,10 +108,11 @@ pub struct PhaseGuard {
 }
 
 impl PhaseGuard {
-    /// Opens a phase named `name` (a no-op unless profiling is
-    /// [enabled](enable)).
+    /// Opens a phase that counts as `calls` calls of `name` (a no-op
+    /// unless profiling is [enabled](enable)). A loop that runs the
+    /// phase's work back to back can time it once, as all its calls.
     #[inline]
-    pub fn enter(name: &'static str) -> Self {
+    pub fn enter(name: &'static str, calls: u64) -> Self {
         if !enabled() {
             return Self { active: false };
         }
@@ -123,6 +125,7 @@ impl PhaseGuard {
             }
             state.stack.push(Frame {
                 name,
+                calls,
                 start: Instant::now(),
                 child_s: 0.0,
             });
@@ -152,7 +155,7 @@ impl Drop for PhaseGuard {
                 .entry(frame.name)
                 .or_default()
                 .add(Totals {
-                    count: 1,
+                    count: frame.calls,
                     total_s: inclusive,
                     self_s: (inclusive - frame.child_s).max(0.0),
                 });
@@ -172,11 +175,15 @@ impl Drop for PhaseGuard {
 /// ```
 ///
 /// Expands to a [`PhaseGuard`] binding, so nothing is measured (and no
-/// timer is constructed) unless profiling is enabled.
+/// timer is constructed) unless profiling is enabled. A second argument,
+/// `phase!("price", n)`, times the scope once as `n` calls.
 #[macro_export]
 macro_rules! phase {
     ($name:expr) => {
-        let _papi_perf_phase = $crate::PhaseGuard::enter($name);
+        $crate::phase!($name, 1);
+    };
+    ($name:expr, $calls:expr) => {
+        let _papi_perf_phase = $crate::PhaseGuard::enter($name, $calls);
     };
 }
 
@@ -265,9 +272,13 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
+        {
+            phase!("batched", 5); // a loop timed once, as all its calls
+        }
         let profile = report();
         disable();
 
+        assert_eq!(profile.phase("batched").expect("batched").count, 5);
         let outer = profile.phase("outer").expect("outer recorded");
         let inner = profile.phase("inner").expect("inner recorded");
         assert_eq!(outer.count, 1);

@@ -90,9 +90,10 @@ pub struct FcScheduler {
 }
 
 impl FcScheduler {
-    /// Decides the placement for an iteration at `(rlp, tlp)`.
-    pub fn decide(&mut self, rlp: u64, tlp: u64) -> Placement {
-        let placement = match self.kind {
+    /// The rule's placement for an iteration at `(rlp, tlp)`: a pure
+    /// function of the shape, so a decode asks it once per run.
+    pub fn placement(&self, rlp: u64, tlp: u64) -> Placement {
+        match self.kind {
             SchedulerKind::PapiDynamic { alpha } => {
                 if AiEstimator::estimate(rlp, tlp) > alpha {
                     Placement::Pu
@@ -102,16 +103,31 @@ impl FcScheduler {
             }
             SchedulerKind::FcOnGpu => Placement::Pu,
             SchedulerKind::FcOnPim => Placement::FcPim,
-        };
-        self.stats.decisions += 1;
+        }
+    }
+
+    /// Counts `n` consecutive iterations placed at `placement`, exactly
+    /// as `n` calls to [`decide`](Self::decide) that returned it would.
+    /// `n = 0` records nothing.
+    pub fn record(&mut self, placement: Placement, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.stats.decisions += n;
         match placement {
-            Placement::Pu => self.stats.pu_decisions += 1,
-            Placement::FcPim => self.stats.fc_pim_decisions += 1,
+            Placement::Pu => self.stats.pu_decisions += n,
+            Placement::FcPim => self.stats.fc_pim_decisions += n,
         }
         if self.last.is_some_and(|last| last != placement) {
             self.stats.switches += 1;
         }
         self.last = Some(placement);
+    }
+
+    /// Decides and records one iteration's placement at `(rlp, tlp)`.
+    pub fn decide(&mut self, rlp: u64, tlp: u64) -> Placement {
+        let placement = self.placement(rlp, tlp);
+        self.record(placement, 1);
         placement
     }
 
@@ -177,6 +193,32 @@ mod tests {
         assert_eq!(pim.stats().switches, 0);
         assert_eq!(attacc.stats().pu_decisions, 4);
         assert_eq!(pim.stats().fc_pim_decisions, 4);
+    }
+
+    proptest::proptest! {
+        /// Recording a run of `n` is `n` decisions: the same stats and
+        /// last placement after every run, `n = 0` (one run in six)
+        /// included. Shapes cross α = 24 both ways.
+        #[test]
+        fn recording_a_run_is_deciding_each_iteration(
+            runs in proptest::collection::vec((1u64..40, 1u64..5, 0u64..6), 0..24),
+        ) {
+            for kind in [
+                SchedulerKind::PapiDynamic { alpha: 24.0 },
+                SchedulerKind::FcOnGpu,
+                SchedulerKind::FcOnPim,
+            ] {
+                let (mut by_run, mut each) = (kind.build(), kind.build());
+                for &(rlp, tlp, n) in &runs {
+                    by_run.record(by_run.placement(rlp, tlp), n);
+                    for _ in 0..n {
+                        each.decide(rlp, tlp);
+                    }
+                    proptest::prop_assert_eq!(by_run.stats(), each.stats());
+                    proptest::prop_assert_eq!(by_run.last, each.last);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Model test for `RunLength`, the run-length series a report keeps
 //! its per-iteration FC placements and RLP in: every observable must
-//! match a plain `Vec` holding the same pushes, its runs must stay
-//! canonical, and its JSON must be the `Vec`'s JSON byte for byte.
+//! match a plain `Vec` holding the same pushes (one at a time or `n` at
+//! once), its runs must stay canonical, and its JSON must be the
+//! `Vec`'s JSON byte for byte.
 
 use papi::core::RunLength;
 use papi::sched::Placement;
@@ -36,12 +37,25 @@ where
     for value in model {
         series.push(value.clone());
     }
+    check_against_series(&series, model);
+
+    // Collecting builds the same series as pushing.
+    let collected: RunLength<T> = model.iter().cloned().collect();
+    assert_eq!(collected, series);
+    series
+}
+
+/// Checks every observable of `series` against `model`.
+fn check_against_series<T>(series: &RunLength<T>, model: &[T])
+where
+    T: PartialEq + Debug + Serialize + Deserialize,
+{
     assert_eq!(series.len(), model.len());
     assert_eq!(series.is_empty(), model.is_empty());
     assert_eq!(series.first(), model.first());
     assert_eq!(series.last(), model.last());
     assert!(series.iter().eq(model.iter()));
-    assert!((&series).into_iter().eq(model.iter()));
+    assert!(series.into_iter().eq(model.iter()));
 
     // Canonical: no zero counts, no equal neighbours, counts sum to len.
     let runs = series.runs();
@@ -52,16 +66,11 @@ where
     let changes = model.windows(2).filter(|w| w[0] != w[1]).count();
     assert_eq!(runs.len(), if model.is_empty() { 0 } else { changes + 1 });
 
-    // Collecting builds the same series as pushing.
-    let collected: RunLength<T> = model.iter().cloned().collect();
-    assert_eq!(collected, series);
-
     // JSON is the expanded array, byte for byte, and parses back.
-    let json = serde_json::to_string(&series).expect("serialize series");
+    let json = serde_json::to_string(series).expect("serialize series");
     assert_eq!(json, serde_json::to_string(model).expect("serialize vec"));
     let back: RunLength<T> = serde_json::from_str(&json).expect("parse series");
-    assert_eq!(back, series);
-    series
+    assert_eq!(&back, series);
 }
 
 proptest! {
@@ -89,6 +98,23 @@ proptest! {
         let alternating: Vec<Placement> =
             picks.iter().enumerate().map(|(i, _)| placement((i % 2) as u8)).collect();
         check_against_model(&alternating);
+    }
+
+    /// Segments appended with `push_n`, zero-length ones among them,
+    /// build the series that pushing their expansion one element at a
+    /// time builds; equal neighbours merge into one run.
+    #[test]
+    fn push_n_matches_its_vec_model(
+        segments in proptest::collection::vec((0u64..3, 0usize..50), 0..16),
+    ) {
+        let model = expand(&segments);
+        let expected = check_against_model(&model);
+        let mut series = RunLength::default();
+        for &(value, n) in &segments {
+            series.push_n(value, n as u64);
+        }
+        check_against_series(&series, &model);
+        prop_assert_eq!(series, expected);
     }
 
     /// `==` holds exactly when the model sequences are equal. The

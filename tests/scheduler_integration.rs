@@ -126,8 +126,11 @@ fn scheduler_does_not_thrash() {
         .all(|p| *p == Placement::FcPim));
 }
 
-/// `decide` and the placement series' `push` are 1:1, so a report's
-/// placement runs are exactly its rescheduling events plus one.
+/// Both decode loops record each run of one placement in the scheduler
+/// and in the placement series together (`record` and `push_n` with the
+/// same count), and the scheduler counts a switch exactly where the
+/// series starts a new run, so a report's placement runs are exactly
+/// its rescheduling events plus one.
 fn assert_placement_runs_match_switches(label: &str, runs: usize, switches: u64) {
     assert_eq!(
         runs as u64,
