@@ -5,10 +5,11 @@
 //! closed batch and only the total latency/energy matter. All hardware
 //! math lives in [`crate::pricer`]; this engine just walks the trace
 //! one run of constant `(rlp, tlp)` at a time, asks the scheduler for
-//! the run's placement, and aggregates the per-iteration costs. The
-//! online serving counterpart (arrivals, queueing, per-request latency)
-//! is [`crate::serving::ServingEngine`], which prices through the exact
-//! same [`IterationPricer`].
+//! the run's placement, and prices each stretch stepping by `rlp × tlp`
+//! in one call at its summed KV length. The online serving counterpart
+//! (arrivals, queueing, per-request latency) is
+//! [`crate::serving::ServingEngine`], which prices through the same
+//! [`IterationPricer`].
 
 use crate::config::SystemConfig;
 use crate::metrics::{ExecutionReport, PhaseBreakdown, RunLength};
@@ -85,13 +86,18 @@ impl DecodingSimulator {
         let mut energy_parts = (Energy::ZERO, Energy::ZERO, Energy::ZERO, Energy::ZERO);
         let mut placements = RunLength::default();
 
+        let mut stretches = Vec::new();
         for run in trace
             .iterations
             .chunk_by(|a, b| (a.rlp, a.tlp) == (b.rlp, b.tlp))
         {
             let (rlp, tlp) = (run[0].rlp, run[0].tlp);
-            let run_peak = run.iter().map(|it| it.total_kv_len).max().unwrap_or(0);
-            if run_peak as f64 * kv_bytes_per_token > attn_pool {
+            // Its stretches step `total_kv_len` by exactly `rlp × tlp`,
+            // so each one's last record holds its KV peak.
+            stretches.clear();
+            stretches.extend(run.chunk_by(|a, b| b.total_kv_len == a.total_kv_len + rlp * tlp));
+            let run_peak = stretches.iter().map(|s| s[s.len() - 1].total_kv_len).max();
+            if run_peak.unwrap_or(0) as f64 * kv_bytes_per_token > attn_pool {
                 // The message names the trace's peak demand.
                 validate(
                     trace
@@ -105,25 +111,18 @@ impl DecodingSimulator {
             let placement = scheduler.placement(rlp, tlp);
             // The run's pricing, timed once as one call per iteration.
             papi_perf::phase!("price", run.len() as u64);
-            // The next record's `total_kv_len` if it continues the run
-            // on the `rlp × tlp` grid, and its per-request KV length.
-            let mut next: Option<(u64, u64)> = None;
-            for it in run {
-                let kv_per_request = match next {
-                    Some((total, kv)) if total == it.total_kv_len => kv,
-                    _ => it.total_kv_len.div_ceil(rlp),
-                };
-                next = Some((it.total_kv_len + rlp * tlp, kv_per_request + tlp));
-                let cost =
-                    pricer.price_at(placement, rlp, tlp, kv_per_request.max(1), it.new_tokens);
-                phases.fc += cost.fc_time;
-                phases.attention += cost.attn_time;
-                phases.communication += cost.comm_time;
-                phases.other += cost.other_time;
-                energy_parts.0 += cost.fc_energy;
-                energy_parts.1 += cost.attn_energy;
-                energy_parts.2 += cost.comm_energy;
-                energy_parts.3 += cost.static_energy;
+            for stretch in &stretches {
+                let (kv0, n) = (stretch[0].total_kv_len.div_ceil(rlp), stretch.len() as u64);
+                pricer.price_stretch(placement, rlp, tlp, kv0, n, |cost| {
+                    phases.fc += cost.fc_time;
+                    phases.attention += cost.attn_time;
+                    phases.communication += cost.comm_time;
+                    phases.other += cost.other_time;
+                    energy_parts.0 += cost.fc_energy;
+                    energy_parts.1 += cost.attn_energy;
+                    energy_parts.2 += cost.comm_energy;
+                    energy_parts.3 += cost.static_energy;
+                });
             }
             scheduler.record(placement, run.len() as u64);
             placements.push_n(placement, run.len() as u64);

@@ -1,10 +1,11 @@
 //! The hardware cost model, extracted from the decoding engine.
 //!
-//! An [`IterationPricer`] prices one decoding iteration of a
-//! [`SystemConfig`]: the FC kernels on their assigned device (GPU
-//! tensor cores or FC-PIM), the attention kernels on the memory-side
-//! pool holding the KV cache, the interconnect legs, and the host
-//! dispatch overhead. It is the *single* pricing implementation in the
+//! An [`IterationPricer`] prices decoding iterations (one, or many of
+//! one batch shape at once) of a [`SystemConfig`]: the FC kernels on
+//! their assigned device (GPU tensor cores or FC-PIM), the attention
+//! kernels on the memory-side pool holding the KV cache, the
+//! interconnect legs, and the host dispatch overhead. It is the
+//! *single* pricing implementation in the
 //! workspace — the batch-mode paper-figure path
 //! ([`DecodingSimulator`](crate::engine::DecodingSimulator)) and the
 //! online serving path ([`ServingEngine`](crate::serving::ServingEngine))
@@ -298,15 +299,14 @@ impl ShapeTable {
 /// Stateful per-decode pricer. An iteration prices in two parts: a
 /// shape table keyed by `(placement, rlp, tlp)` holds the FC and
 /// communication cost and the planned attention kernel, and only the
-/// attention kernel runs at each iteration's KV length. Planning checks
-/// every attention constant, so that per-iteration part is
-/// [`AttentionPlan::cost`]'s plain `f64` arithmetic. The engines lend
-/// every pricer they open their own table, so a repeat shape is planned
-/// once per engine. Both decode loops price a run of constant
-/// `(rlp, tlp)` back to back, so the pricer keeps the run's row at hand
-/// and reads the table only when the shape changes; within the run the
-/// loop carries the per-request KV length forward by `tlp` instead of
-/// dividing the batch's.
+/// attention kernel runs at a KV length. Planning checks every
+/// attention constant, so that part is [`AttentionPlan::cost`]'s plain
+/// `f64` arithmetic, linear in the KV length: one call at a summed
+/// length prices many iterations of one shape. The engines lend every
+/// pricer they open their own table, so a repeat shape is planned once
+/// per engine. Both decode loops price a run of constant `(rlp, tlp)`
+/// back to back, so the pricer keeps the run's row at hand and reads
+/// the table only when the shape changes.
 #[derive(Debug, Clone)]
 pub struct IterationPricer<'a> {
     config: &'a SystemConfig,
@@ -371,49 +371,87 @@ impl<'a> IterationPricer<'a> {
                 ..hit
             };
         }
-        let cost = self.price_at(placement, it.rlp, it.tlp, kv_per_request, it.new_tokens);
+        let cost = IterationCost {
+            new_tokens: it.new_tokens,
+            ..self.price_run(placement, it.rlp, it.tlp, kv_per_request, 1)
+        };
         if let Some(shared) = self.shared.as_deref() {
             shared.insert(key, cost);
         }
         cost
     }
 
-    /// Prices one iteration of shape `(rlp, tlp)` whose attention
-    /// kernels see `kv_per_request` tokens of context per request
-    /// (`total_kv_len.div_ceil(rlp).max(1)`, which a decode loop can
-    /// carry forward through a run instead of dividing). The caller
-    /// times it as a `"price"` phase.
+    /// The summed cost of `n` iterations of shape `(rlp, tlp)` whose
+    /// per-request KV lengths sum to `kv_sum` (`new_tokens` is 0): the
+    /// KV-independent terms times `n`, attention at the sum. At `n = 1`
+    /// it is one iteration's price, bit for bit. The caller times it as
+    /// a `"price"` phase.
     #[inline]
-    pub(crate) fn price_at(
+    pub(crate) fn price_run(
         &mut self,
         placement: Placement,
         rlp: u64,
         tlp: u64,
-        kv_per_request: u64,
-        new_tokens: u64,
+        kv_sum: u64,
+        n: u64,
     ) -> IterationCost {
-        let shape = (placement, rlp, tlp);
-        if self.last.as_ref().is_none_or(|(last, _)| *last != shape) {
-            self.last = Some((shape, self.rows.row(self.config, shape)));
-        }
-        let (_, shape) = self.last.as_ref().expect("the last shape was just set");
-
-        let (attn_time, attn_energy) = shape.attention.cost(kv_per_request);
-        let attn_time = attn_time * self.layers;
-        let attn_energy = attn_energy * self.layers;
-        let iter_time = shape.fc_time + attn_time + shape.comm_time + self.other_time;
+        let (layers, other_time, static_power) = (self.layers, self.other_time, self.static_power);
+        let shape = self.shape(placement, rlp, tlp);
+        let n = n as f64;
+        let (attn_time, attn_energy) = shape.attention.cost(kv_sum);
+        let attn_time = attn_time * layers;
+        let attn_energy = attn_energy * layers;
+        let (fc_time, comm_time, other_time) =
+            (shape.fc_time * n, shape.comm_time * n, other_time * n);
+        let iter_time = fc_time + attn_time + comm_time + other_time;
         IterationCost {
             placement,
-            fc_time: shape.fc_time,
+            fc_time,
             attn_time,
-            comm_time: shape.comm_time,
-            other_time: self.other_time,
-            fc_energy: shape.fc_energy,
+            comm_time,
+            other_time,
+            fc_energy: shape.fc_energy * n,
             attn_energy,
-            comm_energy: shape.comm_energy,
-            static_energy: self.static_power * iter_time,
-            new_tokens,
+            comm_energy: shape.comm_energy * n,
+            static_energy: static_power * iter_time,
+            new_tokens: 0,
         }
+    }
+
+    /// Prices `left` iterations from a per-request KV length of `kv0`,
+    /// `tlp` more each, handing `add` the cost of each part: one call of
+    /// [`price_run`](Self::price_run), halved while it would overflow.
+    pub(crate) fn price_stretch(
+        &mut self,
+        placement: Placement,
+        rlp: u64,
+        tlp: u64,
+        mut kv0: u64,
+        mut left: u64,
+        mut add: impl FnMut(IterationCost),
+    ) {
+        let max = u128::from(self.shape(placement, rlp, tlp).attention.max_kv_len());
+        while left > 0 {
+            // `n·kv0 + tlp·n(n−1)/2`; an empty first context prices at 1.
+            let (k, t) = (u128::from(kv0), u128::from(tlp));
+            let kv_sum = |n: u128| n * k + t * (n * (n - 1) / 2) + u128::from(k == 0);
+            let mut n = left;
+            while n > 1 && kv_sum(n.into()) > max {
+                n /= 2;
+            }
+            add(self.price_run(placement, rlp, tlp, kv_sum(n.into()) as u64, n));
+            (kv0, left) = (kv0 + n * tlp, left - n);
+        }
+    }
+
+    /// The row of `(placement, rlp, tlp)`, kept at hand for the next call.
+    #[inline]
+    fn shape(&mut self, placement: Placement, rlp: u64, tlp: u64) -> &ShapeCost {
+        let key = (placement, rlp, tlp);
+        if self.last.as_ref().is_none_or(|(last, _)| *last != key) {
+            self.last = Some((key, self.rows.row(self.config, key)));
+        }
+        &self.last.as_ref().expect("the last shape was just set").1
     }
 }
 
@@ -578,8 +616,73 @@ mod tests {
             finished: 0,
         };
         let cost = pricer.price_iteration(placement, &it);
+        assert_eq!(
+            cost_digest(&cost),
+            digest,
+            "pin {pin} ({how}) drifted: {cost:?}"
+        );
+        assert_eq!((cost.placement, cost.new_tokens), (placement, new_tokens));
+    }
+
+    /// Folds the f64 bits of every cost field.
+    fn cost_digest(cost: &IterationCost) -> u64 {
         let mut hasher = FxHasher::default();
-        for value in [
+        for value in fields(cost) {
+            std::hash::Hasher::write_u64(&mut hasher, value.to_bits());
+        }
+        std::hash::Hasher::finish(&hasher)
+    }
+
+    /// A run of one is one iteration: `price_run` at one record's KV
+    /// length reproduces every pin bit for bit.
+    #[test]
+    fn a_run_of_one_is_the_pinned_iteration() {
+        let configs = pin_configs();
+        for (pin, &(config, placement, rlp, tlp, total_kv_len, _, digest)) in PIN.iter().enumerate()
+        {
+            let kv = total_kv_len.div_ceil(rlp).max(1);
+            let cost = IterationPricer::new(&configs[config]).price_run(placement, rlp, tlp, kv, 1);
+            assert_eq!(cost_digest(&cost), digest, "pin {pin}: {cost:?}");
+        }
+    }
+
+    /// A stretch at pin 13's shape (2^31 tokens of context per request
+    /// at RLP 64 and TLP 8) whose summed attention products overflow a
+    /// `u64` splits into parts that each fit, and prices as the
+    /// iterations priced one by one do, within 1e-12 relative.
+    #[test]
+    fn an_overflowing_stretch_splits_and_prices_as_its_iterations() {
+        let (config, placement, rlp, tlp, total_kv_len, ..) = PIN[13];
+        let config = &pin_configs()[config];
+        let (kv0, n) = (total_kv_len / rlp, 1_500);
+        let mut pricer = IterationPricer::new(config);
+        let max = pricer.shape(placement, rlp, tlp).attention.max_kv_len();
+        assert!(n * kv0 > max, "the stretch must overflow");
+
+        let mut parts = Vec::new();
+        pricer.price_stretch(placement, rlp, tlp, kv0, n, |cost| parts.push(cost));
+        assert!(parts.len() > 1, "the stretch was priced in one call");
+        let mut oracle = [0.0; 8];
+        for i in 0..n {
+            let it = record(rlp, tlp, kv0 + i * tlp);
+            let cost = pricer.price_iteration(placement, &it);
+            for (sum, value) in oracle.iter_mut().zip(fields(&cost)) {
+                *sum += value;
+            }
+        }
+        for (field, want) in oracle.into_iter().enumerate() {
+            let got: f64 = parts.iter().map(|cost| fields(cost)[field]).sum();
+            let deviation = (got - want).abs() / want;
+            assert!(
+                deviation <= 1e-12,
+                "field {field}: {got} vs {want} ({deviation:e})"
+            );
+        }
+    }
+
+    /// Every cost field in base units.
+    fn fields(cost: &IterationCost) -> [f64; 8] {
+        [
             cost.fc_time.value(),
             cost.attn_time.value(),
             cost.comm_time.value(),
@@ -588,12 +691,7 @@ mod tests {
             cost.attn_energy.value(),
             cost.comm_energy.value(),
             cost.static_energy.value(),
-        ] {
-            std::hash::Hasher::write_u64(&mut hasher, value.to_bits());
-        }
-        let got = std::hash::Hasher::finish(&hasher);
-        assert_eq!(got, digest, "pin {pin} ({how}) drifted: {cost:?}");
-        assert_eq!((cost.placement, cost.new_tokens), (placement, new_tokens));
+        ]
     }
 
     #[test]

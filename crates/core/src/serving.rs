@@ -1521,7 +1521,7 @@ impl ServingSession<'_> {
             let cost = {
                 papi_perf::phase!("price");
                 self.pricer
-                    .price_at(placement, rlp, tlp, kv_per_request.max(1), new_tokens)
+                    .price_run(placement, rlp, tlp, kv_per_request.max(1), 1)
             };
             kv_per_request += tlp;
             self.clock += cost.total_time().value();

@@ -12,8 +12,9 @@
 //! A decode prices this kernel at every iteration, so the per-KV path is
 //! split from the per-shape one: an [`AttentionPlan`] gathers and checks
 //! the device and energy constants once per batch shape, and
-//! [`AttentionPlan::cost`] prices each KV length in plain `f64`
-//! arithmetic. [`execute_attention`] plans and executes in one call.
+//! [`AttentionPlan::cost`] prices a KV length (or a sum of them: it is
+//! linear) in plain `f64` arithmetic. [`execute_attention`] plans and
+//! executes in one call.
 
 use crate::device::PimDevice;
 use crate::energy::{PimEnergyBreakdown, PimEnergyModel};
@@ -239,6 +240,10 @@ impl AttentionPlan {
     /// `kv_len`: bit for bit `execute`'s `time` and
     /// `energy.total()`, without building the breakdown.
     ///
+    /// Every term is an integer product linear in `kv_len`, so
+    /// `cost(a + b)` is `cost(a) + cost(b)` up to rounding, up to
+    /// [`max_kv_len`](Self::max_kv_len).
+    ///
     /// # Panics
     ///
     /// Panics if `kv_len` is zero.
@@ -250,6 +255,12 @@ impl AttentionPlan {
             Time::new(t.gemv_time + t.softmax_time),
             Energy::new(t.dram_access + t.transfer + t.compute),
         )
+    }
+
+    /// The largest `kv_len` whose integer products in `cost` fit a `u64`.
+    pub fn max_kv_len(&self) -> u64 {
+        let s = &self.shape;
+        u64::MAX / (2 * s.requests * s.heads * s.queries * s.head_dim)
     }
 
     /// Executes the planned kernel with every request attending over
@@ -588,6 +599,44 @@ mod tests {
                 energy.value().to_bits(),
                 executed.energy.total().value().to_bits()
             );
+        }
+
+        /// One call at a summed KV length prices the addends' sum: every
+        /// term is linear in the KV length, so the two differ only by
+        /// rounding, a few ulps of the total.
+        #[test]
+        fn cost_is_linear_in_the_kv_length(
+            preset in 0usize..4,
+            dtype in 0usize..5,
+            n_devices in 1usize..129,
+            requests in 1u64..129,
+            model in 0usize..3,
+            queries in 1u64..9,
+            a in 1u64..1 << 24,
+            b in 1u64..1 << 24,
+        ) {
+            let (heads, head_dim) = MODEL_HEADS[model];
+            let plan = AttentionPlan::new(
+                &presets()[preset],
+                n_devices,
+                requests,
+                heads,
+                head_dim,
+                queries,
+                DTYPES[dtype],
+            );
+            let ((ta, ea), (tb, eb)) = (plan.cost(a), plan.cost(b));
+            let (t, e) = plan.cost(a + b);
+            for (whole, parts) in [
+                (t.value(), ta.value() + tb.value()),
+                (e.value(), ea.value() + eb.value()),
+            ] {
+                prop_assert!(
+                    (whole - parts).abs() <= 8.0 * f64::EPSILON * whole,
+                    "cost({}) = {whole}, cost({a}) + cost({b}) = {parts}",
+                    a + b
+                );
+            }
         }
     }
 }

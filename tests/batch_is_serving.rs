@@ -3,15 +3,24 @@
 //! `ServingEngine` session that serves the same requests, all present at
 //! t = 0, under a batch cap of the same size: the same iterations and
 //! tokens, the same RLP and placement series, the same scheduler
-//! statistics, the same four decode phases and the same prefilled
-//! tokens, bit for bit.
+//! statistics and the same prefilled tokens, exactly.
 //!
-//! Two fields are compared less widely, on purpose:
+//! The session is checked twice: stepped one iteration at a time by
+//! `ServingEngine::run`, and in `run_until` leaps through a one-replica
+//! `ClusterEngine`. A leap carries the per-request KV length forward
+//! over many iterations, which a single step never does.
 //!
+//! Three fields are compared differently, on purpose:
+//!
+//! - The four decode phases are compared bit for bit against
+//!   `common::per_iteration`, the trace priced one record at a time, as
+//!   the session prices each iteration. The batch engine prices a
+//!   stretch of records in one closed-form call, so its phase sums
+//!   round differently (`tests/run_pricing.rs` holds it to that oracle
+//!   within 1e-12).
 //! - `energy` is not compared. The batch engine sums four energy parts
 //!   over the whole run, the session adds each iteration's total, and
-//!   the two summation orders round differently (up to 4.7e-14
-//!   relative on the Fig. 8 grid).
+//!   the two summation orders round differently.
 //! - `prefill_time` is compared between the paths for static batches
 //!   only. The batch path prices every prompt of the trace as one
 //!   prefill pass; the session prices each admission wave, and a
@@ -20,9 +29,11 @@
 //!   instead: the first `batch` prompts, then after each iteration as
 //!   many queued prompts as it finished requests.
 
+mod common;
+
 use papi::core::{
-    prefill_cost_for, DecodingSimulator, DesignKind, ExecutionReport, PromptStats, RunLength,
-    ServingEngine, ServingReport, SessionTuning, SystemConfig,
+    prefill_cost_for, ClusterEngine, ClusterSpec, DecodingSimulator, DesignKind, ExecutionReport,
+    PromptStats, RunLength, ServingEngine, ServingReport, SessionTuning, SystemConfig,
 };
 use papi::llm::ModelPreset;
 use papi::types::Time;
@@ -123,6 +134,7 @@ fn assert_batch_is_serving(
     waves: Time,
     continuous: bool,
     b: &ExecutionReport,
+    oracle: &ExecutionReport,
     s: &ServingReport,
 ) {
     let rlp: RunLength<u64> = trace.iterations.iter().map(|it| it.rlp).collect();
@@ -135,15 +147,16 @@ fn assert_batch_is_serving(
         trace.total_input_tokens, s.kv.prefilled_tokens,
         "{label}: prefilled tokens"
     );
+    let phases = &oracle.phases;
     let mut times = vec![
-        ("fc", b.phases.fc, s.phases.fc),
-        ("attention", b.phases.attention, s.phases.attention),
+        ("fc", phases.fc, s.phases.fc),
+        ("attention", phases.attention, s.phases.attention),
         (
             "communication",
-            b.phases.communication,
+            phases.communication,
             s.phases.communication,
         ),
-        ("other", b.phases.other, s.phases.other),
+        ("other", phases.other, s.phases.other),
         ("per-wave prefill", waves, s.prefill_time),
     ];
     if !continuous {
@@ -183,17 +196,30 @@ proptest! {
 
         let workload = shape.batch_workload();
         let batch_report = DecodingSimulator::new(config.clone()).run_end_to_end(&workload);
+        let tuning = SessionTuning::new().with_max_batch(batch);
         let serving_report = ServingEngine::new(config.clone())
-            .with_tuning(SessionTuning::new().with_max_batch(batch))
+            .with_tuning(tuning.clone())
             .run(&shape.serving_workload());
+        let fleet_report = ClusterEngine::new(
+            ClusterSpec::new(config.design, ModelPreset::Llama65B.config(), 1, 1)
+                .with_tuning(tuning),
+        )
+        .expect("valid fleet")
+        .run(&shape.serving_workload());
         let trace = workload.trace();
-        assert_batch_is_serving(
-            &label,
-            &trace,
-            per_wave_prefill(config, &workload, &trace),
-            continuous,
-            &batch_report,
-            &serving_report,
-        );
+        let oracle = common::per_iteration(config, &trace);
+        let waves = per_wave_prefill(config, &workload, &trace);
+        let sessions = [("stepped", &serving_report), ("leaping", &fleet_report.replicas[0])];
+        for (session, report) in sessions {
+            assert_batch_is_serving(
+                &format!("{label} {session}"),
+                &trace,
+                waves,
+                continuous,
+                &batch_report,
+                &oracle,
+                report,
+            );
+        }
     }
 }

@@ -14,6 +14,9 @@
 // Each test binary that includes this module uses part of it.
 #![allow(dead_code)]
 
+use papi::core::{ExecutionReport, IterationPricer, PhaseBreakdown, RunLength, SystemConfig};
+use papi::types::{Energy, Time};
+use papi::workload::DecodeTrace;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -178,4 +181,89 @@ pub fn assert_same<T: Serialize + ?Sized>(label: &str, left: &T, right: &T) {
         moved.len(),
         list(&moved)
     );
+}
+
+/// Asserts `right` flattens like `left` with every float within `rel`
+/// relative of it and every other leaf (integers, labels, series
+/// digests) equal, naming the paths that moved. Returns the largest
+/// relative float deviation.
+#[track_caller]
+pub fn assert_close<T: Serialize + ?Sized>(label: &str, left: &T, right: &T, rel: f64) -> f64 {
+    let (left, right) = (flatten(left), flatten(right));
+    let (left, right) = (split(&left), split(&right));
+    assert!(
+        left.iter()
+            .map(|line| line.0)
+            .eq(right.iter().map(|line| line.0)),
+        "{label}: the reports' paths differ"
+    );
+    let mut worst = 0.0_f64;
+    let mut moved = Vec::new();
+    for (&(path, old), &(_, new)) in left.iter().zip(&right) {
+        let deviation = match (float(old), float(new)) {
+            (Some(a), Some(b)) if a == b => 0.0,
+            (Some(a), Some(b)) => (a - b).abs() / a.abs().max(b.abs()),
+            _ if old == new => 0.0,
+            _ => f64::INFINITY,
+        };
+        worst = worst.max(deviation);
+        if deviation > rel {
+            moved.push(format!("{path}: {old} → {new} ({deviation:e})"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "{label}: {} paths differ by more than {rel:e}:\n{}",
+        moved.len(),
+        list(&moved)
+    );
+    worst
+}
+
+/// A leaf's float value: floats print with a `.` or an exponent,
+/// integers and quoted labels without.
+fn float(text: &str) -> Option<f64> {
+    let is_float = !text.starts_with('"') && text.contains(['.', 'e']);
+    is_float.then(|| text.parse().ok()).flatten()
+}
+
+/// The batch engine's reference: every record of `trace` decided and
+/// priced on its own by `price_iteration`, summed field by field in
+/// record order. A serving session prices each decode iteration the
+/// same way, so its decode phases equal this bit for bit; the batch
+/// engine prices a stretch of records in one call, so its sums round
+/// differently.
+pub fn per_iteration(config: &SystemConfig, trace: &DecodeTrace) -> ExecutionReport {
+    let mut scheduler = config.scheduler.build();
+    let mut pricer = IterationPricer::new(config);
+    let mut phases = PhaseBreakdown::default();
+    let mut energy_parts = (Energy::ZERO, Energy::ZERO, Energy::ZERO, Energy::ZERO);
+    let mut placements = RunLength::default();
+    for it in &trace.iterations {
+        let placement = scheduler.decide(it.rlp, it.tlp);
+        let cost = pricer.price_iteration(placement, it);
+        phases.fc += cost.fc_time;
+        phases.attention += cost.attn_time;
+        phases.communication += cost.comm_time;
+        phases.other += cost.other_time;
+        energy_parts.0 += cost.fc_energy;
+        energy_parts.1 += cost.attn_energy;
+        energy_parts.2 += cost.comm_energy;
+        energy_parts.3 += cost.static_energy;
+        placements.push(placement);
+    }
+    ExecutionReport {
+        design: config.design.label().to_owned(),
+        model: config.model.name.clone(),
+        iterations: trace.len() as u64,
+        tokens: trace.total_tokens,
+        requests: trace.requests,
+        phases,
+        energy: energy_parts.0 + energy_parts.1 + energy_parts.2 + energy_parts.3,
+        energy_parts,
+        scheduler: scheduler.stats(),
+        placements,
+        prefill_time: Time::ZERO,
+        prefill_energy: Energy::ZERO,
+    }
 }
