@@ -7,12 +7,14 @@
 use papi_bench::{f2, print_table};
 use papi_core::{DecodingSimulator, DesignKind, SystemConfig};
 use papi_llm::ModelPreset;
-use papi_workload::{DatasetKind, WorkloadSpec};
+use papi_workload::{DatasetKind, SpeculativeConfig, WorkloadSpec};
 
 fn main() {
     let model = ModelPreset::Llama65B.config();
     let fixed = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 32, 2).with_seed(42);
-    let adaptive = fixed.clone().with_adaptive_tlp(64, 8);
+    let adaptive = fixed
+        .clone()
+        .with_speculation(SpeculativeConfig::adaptive(64, 8));
 
     println!("== dynamic-TLP ablation — LLaMA-65B, batch 32 ==\n");
     let mut rows = Vec::new();

@@ -160,10 +160,8 @@ mod tests {
         ModelPreset::Llama65B.config()
     }
 
-    fn short_workload(batch: u64, spec: u64) -> WorkloadSpec {
-        WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, spec)
-            .with_seed(3)
-            .with_max_iterations(48)
+    fn workload(batch: u64, spec: u64) -> WorkloadSpec {
+        WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, spec).with_seed(3)
     }
 
     #[test]
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn papi_beats_a100_attacc_on_low_batch() {
-        let w = short_workload(4, 1);
+        let w = workload(4, 1);
         let papi = DecodingSimulator::new(SystemConfig::papi(llama())).run(&w);
         let base = DecodingSimulator::new(SystemConfig::a100_attacc(llama())).run(&w);
         let speedup = papi.speedup_over(&base);
@@ -219,7 +217,7 @@ mod tests {
     fn papi_matches_gpu_baseline_at_high_parallelism() {
         // With RLP × TLP far above α, PAPI schedules FC on the GPUs and
         // converges to A100+AttAcc (§7.3's TLP observation).
-        let w = short_workload(64, 4);
+        let w = workload(64, 4);
         let papi = DecodingSimulator::new(SystemConfig::papi(llama())).run(&w);
         let base = DecodingSimulator::new(SystemConfig::a100_attacc(llama())).run(&w);
         let speedup = papi.speedup_over(&base);
@@ -231,7 +229,9 @@ mod tests {
 
     #[test]
     fn attacc_only_collapses_at_high_batch() {
-        let w = short_workload(64, 2);
+        // A refill queue four batches deep holds RLP at the batch size.
+        let w = WorkloadSpec::continuous_batching(DatasetKind::CreativeWriting, 64, 2, 256)
+            .with_seed(3);
         let attacc = DecodingSimulator::new(SystemConfig::attacc_only(llama())).run(&w);
         let base = DecodingSimulator::new(SystemConfig::a100_attacc(llama())).run(&w);
         let slowdown = base.speedup_over(&attacc);
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn energy_parts_sum_to_total() {
-        let w = short_workload(16, 2);
+        let w = workload(16, 2);
         let r = DecodingSimulator::new(SystemConfig::pim_only_papi(llama())).run(&w);
         let sum = r.energy_parts.0 + r.energy_parts.1 + r.energy_parts.2 + r.energy_parts.3;
         assert!((sum.value() - r.energy.value()).abs() < 1e-12 * r.energy.value().max(1.0));
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn deterministic_reports() {
-        let w = short_workload(8, 2);
+        let w = workload(8, 2);
         let sim = DecodingSimulator::new(SystemConfig::pim_only_papi(llama()));
         let a = sim.run(&w);
         let b = sim.run(&w);

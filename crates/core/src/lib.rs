@@ -45,8 +45,7 @@
 //! use papi_workload::{DatasetKind, WorkloadSpec};
 //!
 //! let model = ModelPreset::Llama65B.config();
-//! let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 8, 1)
-//!     .with_max_iterations(32);
+//! let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 8, 1);
 //! let papi = DecodingSimulator::new(SystemConfig::papi(model.clone()));
 //! let baseline = DecodingSimulator::new(SystemConfig::a100_attacc(model));
 //! let (r_papi, r_base) = (papi.run(&workload), baseline.run(&workload));

@@ -50,7 +50,7 @@ use papi_kv::{
 use papi_sched::{FcScheduler, Placement};
 use papi_types::{Bytes, Energy, Time};
 use papi_workload::{
-    ReplicaSnapshot, RequestState, ServingRequest, ServingWorkload, SpeculativeConfig, TlpPolicy,
+    ReplicaSnapshot, RequestState, ServingRequest, ServingWorkload, SpeculativeConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -335,7 +335,6 @@ impl ServingEngine {
         ServingSession {
             engine: self,
             speculation: workload.speculation,
-            tlp_policy: workload.tlp_policy,
             admit_budget_blocks: admit_budget_tokens / self.tuning.kv_block_size,
             prefix_tree: self.tuning.prefix_sharing.then(PrefixTree::new),
             kv_stats: KvCacheStats {
@@ -494,7 +493,6 @@ struct DecodeLane {
 pub struct ServingSession<'a> {
     engine: &'a ServingEngine,
     speculation: SpeculativeConfig,
-    tlp_policy: TlpPolicy,
     admit_budget_blocks: u64,
     pool: KvBlockPool,
     prefix_tree: Option<PrefixTree>,
@@ -1363,7 +1361,7 @@ impl ServingSession<'_> {
             if decoding == 0 {
                 break;
             }
-            let tlp = self.tlp_policy.length_at(decoding, self.speculation.length);
+            let tlp = self.speculation.tlp_at(decoding);
             let growth: u64 = self
                 .live
                 .iter()
@@ -1440,7 +1438,7 @@ impl ServingSession<'_> {
     /// matches what per-iteration appends would have produced.
     fn decode(&mut self, decoding: Vec<usize>, limit: u64, stop_s: f64, guarded: bool) -> u64 {
         let rlp = decoding.len() as u64;
-        let tlp = self.tlp_policy.length_at(rlp, self.speculation.length);
+        let tlp = self.speculation.tlp_at(rlp);
         let block_size = self.pool.block_size();
         let total_blocks = self.pool.total_blocks();
         // Growing by `tlp` tokens takes a sequence at most
@@ -1786,7 +1784,7 @@ mod tests {
         let workload =
             ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 32)
                 .with_seed(3)
-                .with_adaptive_tlp(64, 8);
+                .with_speculation(SpeculativeConfig::adaptive(64, 8));
         let report = engine.run(&workload);
         assert_eq!(report.records.len(), 32);
         let model = ModelPreset::Gpt3_175B.config();
@@ -1899,9 +1897,7 @@ mod tests {
             36,
         )
         .with_seed(7);
-        let adaptive = small_workload(6.0, 40)
-            .with_speculation(SpeculativeConfig::fixed(4))
-            .with_adaptive_tlp(32, 8);
+        let adaptive = small_workload(6.0, 40).with_speculation(SpeculativeConfig::adaptive(32, 8));
         let mut tight = SystemConfig::pim_only_papi(ModelPreset::Gpt3_175B.config());
         tight.attn_pim.1 = 1;
         let shapes = [

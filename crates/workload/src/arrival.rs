@@ -15,7 +15,7 @@
 use crate::conversation::ConversationDataset;
 use crate::dataset::DatasetKind;
 use crate::request::Request;
-use crate::speculative::{SpeculativeConfig, TlpPolicy};
+use crate::speculative::SpeculativeConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -346,10 +346,9 @@ pub struct ServingWorkload {
     pub arrivals: ArrivalProcess,
     /// Number of requests in the episode.
     pub num_requests: usize,
-    /// Speculative-decoding configuration (TLP).
+    /// Speculative-decoding configuration (TLP, fixed or co-optimized
+    /// with the live batch).
     pub speculation: SpeculativeConfig,
-    /// Runtime speculation-length policy.
-    pub tlp_policy: TlpPolicy,
     /// RNG seed for dataset generation and arrivals.
     pub seed: u64,
 }
@@ -380,7 +379,6 @@ impl ServingWorkload {
             arrivals,
             num_requests,
             speculation: SpeculativeConfig::fixed(1),
-            tlp_policy: TlpPolicy::Fixed,
             seed: 0xC0FFEE,
         }
     }
@@ -391,18 +389,11 @@ impl ServingWorkload {
         self
     }
 
-    /// Overrides the speculation configuration.
+    /// Overrides the speculation configuration
+    /// ([`SpeculativeConfig::adaptive`] co-optimizes it with the live
+    /// batch).
     pub fn with_speculation(mut self, speculation: SpeculativeConfig) -> Self {
         self.speculation = speculation;
-        self
-    }
-
-    /// Enables batch-co-optimized dynamic speculation length.
-    pub fn with_adaptive_tlp(mut self, target_tokens: u64, max_length: u64) -> Self {
-        self.tlp_policy = TlpPolicy::Adaptive {
-            target_tokens,
-            max_length,
-        };
         self
     }
 

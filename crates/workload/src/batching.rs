@@ -1,27 +1,21 @@
-//! Batching policies and the workload → trace simulation.
+//! Static and continuous batching, and the workload → trace simulation.
 
 use crate::dataset::DatasetKind;
 use crate::request::Request;
-use crate::speculative::{SpeculativeConfig, TlpPolicy};
+use crate::speculative::SpeculativeConfig;
 use crate::trace::{DecodeTrace, IterationRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// How the serving system forms batches (paper §2.2.1 / §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchingPolicy {
-    /// Batch-level scheduling: no new request joins until the whole
-    /// batch completes. Runtime RLP decays as requests finish (Fig. 3).
-    /// This is the paper's evaluation setting.
-    Static,
-    /// Token-level scheduling: a finished request's slot is refilled
-    /// from the arrival queue at the next iteration, keeping RLP near
-    /// the maximum while demand lasts.
-    MixedContinuous,
-}
-
-/// A complete workload description: dataset, batch, speculation,
-/// batching policy and reproducibility seed.
+/// A complete workload description: dataset, batch, refill queue,
+/// speculation and reproducibility seed.
+///
+/// Batching (paper §2.2.1 / §3.2) is set by `queue_depth` alone: a
+/// finished request's slot is refilled from the queue at the next
+/// iteration, so `queue_depth = 0` is static batching (no request joins
+/// until the whole batch completes, and runtime RLP decays as requests
+/// finish, Fig. 3) and a deep queue is mixed continuous batching (RLP
+/// holds near the batch size while demand lasts).
 ///
 /// # Example
 ///
@@ -40,25 +34,19 @@ pub struct WorkloadSpec {
     pub dataset: DatasetKind,
     /// Initial RLP (batch size).
     pub initial_rlp: u64,
-    /// Speculative-decoding configuration (TLP).
+    /// Speculative-decoding configuration (TLP, fixed or co-optimized
+    /// with the live batch).
     pub speculation: SpeculativeConfig,
-    /// Runtime speculation-length policy (fixed or batch-co-optimized).
-    pub tlp_policy: TlpPolicy,
-    /// Batching policy.
-    pub policy: BatchingPolicy,
     /// RNG seed for dataset generation.
     pub seed: u64,
     /// Extra queued requests available for continuous refill (beyond the
-    /// initial batch).
+    /// initial batch); 0 is static batching.
     pub queue_depth: usize,
-    /// Optional cap on simulated iterations (for quick tests and
-    /// benches).
-    pub max_iterations: Option<u64>,
 }
 
 impl WorkloadSpec {
-    /// The paper's evaluation setting: static batching with a fixed
-    /// speculation length.
+    /// The paper's evaluation setting: static batching (no refill queue)
+    /// with a fixed speculation length.
     ///
     /// # Panics
     ///
@@ -70,11 +58,8 @@ impl WorkloadSpec {
             dataset,
             initial_rlp: batch,
             speculation: SpeculativeConfig::fixed(speculation_len),
-            tlp_policy: TlpPolicy::Fixed,
-            policy: BatchingPolicy::Static,
             seed: 0xC0FFEE,
             queue_depth: 0,
-            max_iterations: None,
         }
     }
 
@@ -87,7 +72,6 @@ impl WorkloadSpec {
         queue_depth: usize,
     ) -> Self {
         Self {
-            policy: BatchingPolicy::MixedContinuous,
             queue_depth,
             ..Self::static_batching(dataset, batch, speculation_len)
         }
@@ -99,27 +83,11 @@ impl WorkloadSpec {
         self
     }
 
-    /// Overrides the speculation configuration.
+    /// Overrides the speculation configuration
+    /// ([`SpeculativeConfig::adaptive`] co-optimizes it with the live
+    /// batch).
     pub fn with_speculation(mut self, speculation: SpeculativeConfig) -> Self {
         self.speculation = speculation;
-        self
-    }
-
-    /// Enables batch-co-optimized dynamic speculation length (§3.2's
-    /// runtime-TLP scenario): the controller targets
-    /// `RLP × TLP ≈ target_tokens`, raising speculation as the batch
-    /// drains, up to `max_length`.
-    pub fn with_adaptive_tlp(mut self, target_tokens: u64, max_length: u64) -> Self {
-        self.tlp_policy = TlpPolicy::Adaptive {
-            target_tokens,
-            max_length,
-        };
-        self
-    }
-
-    /// Caps the number of simulated iterations.
-    pub fn with_max_iterations(mut self, max: u64) -> Self {
-        self.max_iterations = Some(max);
         self
     }
 
@@ -139,40 +107,32 @@ impl WorkloadSpec {
     /// cost is O(records + requests × finish events) rather than
     /// O(records × requests).
     pub fn trace(&self) -> DecodeTrace {
-        let all = self.requests();
-        let mut queue: VecDeque<Request> = all.into();
+        let mut queue: VecDeque<Request> = self.requests().into();
         let mut live: Vec<LiveRequest> = Vec::with_capacity(self.initial_rlp as usize);
-        let mut prefill_tokens = 0u64;
-        let mut prefill_sq = 0u64;
-        let mut admit = |r: Request, live: &mut Vec<LiveRequest>| {
-            prefill_tokens += r.input_len;
-            prefill_sq += r.input_len * r.input_len;
-            live.push(LiveRequest::admit(r));
-        };
-        for _ in 0..self.initial_rlp {
-            if let Some(r) = queue.pop_front() {
-                admit(r, &mut live);
+        let mut trace = DecodeTrace::default();
+        loop {
+            // Fill the free slots from the queue: the whole batch at
+            // first, then each finished request's slot.
+            while (live.len() as u64) < self.initial_rlp {
+                let Some(r) = queue.pop_front() else { break };
+                trace.total_input_tokens += r.input_len;
+                trace.sum_input_len_squared += r.input_len * r.input_len;
+                live.push(LiveRequest::admit(r));
             }
-        }
-        let mut trace = DecodeTrace {
-            requests: 0,
-            ..Default::default()
-        };
-        let mut iterations = 0u64;
-        while !live.is_empty() {
+            if live.is_empty() {
+                break;
+            }
             let rlp = live.len() as u64;
-            let tlp = self.tlp_policy.length_at(rlp, self.speculation.length);
+            let tlp = self.speculation.tlp_at(rlp);
             let mut total_kv = 0;
             let mut max_kv = 0;
             // Iterations every live request survives without finishing.
-            let mut quiet = u64::MAX;
+            let mut leap = u64::MAX;
             for req in &live {
                 total_kv += req.kv_len();
                 max_kv = max_kv.max(req.kv_len());
-                quiet = quiet.min(req.remaining().saturating_sub(1) / tlp);
+                leap = leap.min(req.remaining().saturating_sub(1) / tlp);
             }
-            let budget = self.max_iterations.map_or(u64::MAX, |max| max - iterations);
-            let leap = quiet.min(budget);
             // Every request grows by `tlp` per leapt iteration, so the
             // longest KV cache stays the longest.
             let in_flight = rlp * tlp;
@@ -187,22 +147,6 @@ impl WorkloadSpec {
             trace.total_tokens += leap * in_flight;
             total_kv += leap * in_flight;
             max_kv += leap * tlp;
-            iterations += leap;
-            if leap == budget {
-                // Account the still-running requests so validate()
-                // remains meaningful on truncated traces.
-                trace.requests += rlp;
-                trace.iterations.push(IterationRecord {
-                    rlp,
-                    tlp: self.speculation.tlp(),
-                    total_kv_len: total_kv,
-                    max_kv_len: max_kv,
-                    new_tokens: 0,
-                    finished: rlp,
-                });
-                break;
-            }
-            iterations += 1;
             let mut new_tokens = 0;
             let mut finished = 0;
             live.retain_mut(|req| {
@@ -228,18 +172,8 @@ impl WorkloadSpec {
             });
             trace.total_tokens += new_tokens;
             trace.requests += finished;
-            if self.policy == BatchingPolicy::MixedContinuous {
-                while (live.len() as u64) < self.initial_rlp {
-                    match queue.pop_front() {
-                        Some(r) => admit(r, &mut live),
-                        None => break,
-                    }
-                }
-            }
         }
         trace.iterations.shrink_to_fit();
-        trace.total_input_tokens = prefill_tokens;
-        trace.sum_input_len_squared = prefill_sq;
         trace
     }
 }
@@ -333,15 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn max_iterations_truncates_but_stays_valid() {
-        let spec = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 16, 1)
-            .with_max_iterations(10);
-        let trace = spec.trace();
-        trace.validate().unwrap();
-        assert!(trace.len() <= 11);
-    }
-
-    #[test]
     fn prefill_totals_cover_admitted_requests() {
         let spec = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 1);
         let reqs = spec.requests();
@@ -371,7 +296,9 @@ mod tests {
     #[test]
     fn adaptive_tlp_holds_tokens_in_flight_as_rlp_decays() {
         let fixed = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 32, 2).with_seed(7);
-        let adaptive = fixed.clone().with_adaptive_tlp(64, 8);
+        let adaptive = fixed
+            .clone()
+            .with_speculation(SpeculativeConfig::adaptive(64, 8));
         let (tf, ta) = (fixed.trace(), adaptive.trace());
         tf.validate().unwrap();
         ta.validate().unwrap();
@@ -398,7 +325,7 @@ mod tests {
     #[test]
     fn adaptive_tlp_varies_within_bounds() {
         let spec = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 16, 1)
-            .with_adaptive_tlp(32, 6)
+            .with_speculation(SpeculativeConfig::adaptive(32, 6))
             .with_seed(3);
         let trace = spec.trace();
         assert!(trace.iterations.iter().all(|it| (1..=6).contains(&it.tlp)));

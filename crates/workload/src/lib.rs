@@ -16,11 +16,14 @@
 //! - [`conversation`] — prefix-structured populations: shared system
 //!   prompts and multi-turn conversations, stamped with the
 //!   [`PrefixHint`](papi_kv::PrefixHint)s the paged KV cache keys on.
-//! - [`speculative`] — speculation length (TLP), fixed or co-optimized
-//!   with the live batch. Every verified token is banked, so the only
-//!   randomness is the generated workload: datasets, conversations and
-//!   arrivals.
-//! - [`batching`] — static batching and mixed continuous batching.
+//! - [`speculative`] — speculation length (TLP): fixed
+//!   ([`SpeculativeConfig::fixed`]) or co-optimized with the live batch
+//!   ([`SpeculativeConfig::adaptive`]). Every verified token is banked,
+//!   so the only randomness is the generated workload: datasets,
+//!   conversations and arrivals.
+//! - [`batching`] — static and mixed continuous batching, set by one
+//!   refill queue: [`WorkloadSpec::queue_depth`] `= 0` is static
+//!   batching.
 //! - [`arrival`] — open-loop arrival processes (Poisson, bursty,
 //!   multi-hour diurnal, flash-crowd) and the online request lifecycle
 //!   (`Queued → Prefilling → Decoding → Finished`).
@@ -49,7 +52,7 @@ pub mod speculative;
 pub mod trace;
 
 pub use arrival::{ArrivalProcess, RequestSource, RequestState, ServingRequest, ServingWorkload};
-pub use batching::{BatchingPolicy, WorkloadSpec};
+pub use batching::WorkloadSpec;
 pub use conversation::ConversationDataset;
 pub use dataset::DatasetKind;
 pub use request::Request;
@@ -57,5 +60,5 @@ pub use routing::{
     HashRing, MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, Reads, ReplicaRole,
     ReplicaSnapshot, ReplicaState, RingPoints, RouteContext, RoutePolicy, Router,
 };
-pub use speculative::{SpeculativeConfig, TlpPolicy};
+pub use speculative::SpeculativeConfig;
 pub use trace::{DecodeTrace, IterationRecord};

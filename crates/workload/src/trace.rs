@@ -97,9 +97,9 @@ impl DecodeTrace {
 
     /// Internal consistency check: token and finish counts add up, and
     /// each iteration has a live batch, consistent KV lengths, no more
-    /// finishes than live requests (`finished ≤ rlp`) and no more banked
-    /// tokens than were verified (`new_tokens ≤ rlp × tlp`). Used by
-    /// tests and debug assertions in the simulator.
+    /// finishes than live requests (`finished ≤ rlp`), at least one
+    /// banked token per live request (`new_tokens ≥ rlp`) and no more
+    /// banked tokens than were verified (`new_tokens ≤ rlp × tlp`).
     pub fn validate(&self) -> Result<(), String> {
         let tokens: u64 = self.iterations.iter().map(|it| it.new_tokens).sum();
         if tokens != self.total_tokens {
@@ -123,6 +123,12 @@ impl DecodeTrace {
                 return Err(format!(
                     "iteration {i} finishes {} of {} live requests",
                     it.finished, it.rlp
+                ));
+            }
+            if it.new_tokens < it.rlp {
+                return Err(format!(
+                    "iteration {i} banks {} tokens for {} live requests",
+                    it.new_tokens, it.rlp
                 ));
             }
             if it.new_tokens > it.tokens_in_flight() {
@@ -203,6 +209,30 @@ mod tests {
         assert!(err.contains("finishes 3 of 2"), "{err}");
         let err = overrun(record(2, 3, 0)).validate().unwrap_err();
         assert!(err.contains("banks 3 tokens but verifies 2"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_request_that_banks_nothing() {
+        // Every live request banks at least one token per iteration, so
+        // a zero-token record (or one short of the batch) is corrupt.
+        let stalled = |new_tokens: u64| DecodeTrace {
+            iterations: vec![IterationRecord {
+                tlp: 4,
+                ..record(2, new_tokens, 0)
+            }],
+            requests: 0,
+            total_tokens: new_tokens,
+            total_input_tokens: 0,
+            sum_input_len_squared: 0,
+        };
+        stalled(2).validate().unwrap();
+        for new_tokens in [0, 1] {
+            let err = stalled(new_tokens).validate().unwrap_err();
+            assert!(
+                err.contains(&format!("banks {new_tokens} tokens for 2 live requests")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! use papi::workload::{DatasetKind, WorkloadSpec};
 //!
 //! let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 16, 1)
-//!     .with_seed(7)
-//!     .with_max_iterations(64);
+//!     .with_seed(7);
 //! let papi = DecodingSimulator::new(
 //!     SystemConfig::papi(ModelPreset::Llama65B.config()),
 //! );

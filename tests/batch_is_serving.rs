@@ -62,46 +62,32 @@ fn designs() -> &'static [SystemConfig] {
     })
 }
 
-/// One workload, described once and handed to both paths.
+/// One workload, described once and handed to both paths. `queue = 0`
+/// is a static batch.
 #[derive(Debug, Clone)]
 struct Shape {
     dataset: DatasetKind,
     batch: u64,
     queue: usize,
-    continuous: bool,
     speculation: SpeculativeConfig,
-    adaptive: Option<(u64, u64)>,
     seed: u64,
 }
 
 impl Shape {
     fn batch_workload(&self) -> WorkloadSpec {
-        let spec = if self.continuous {
-            WorkloadSpec::continuous_batching(self.dataset, self.batch, 1, self.queue)
-        } else {
-            WorkloadSpec::static_batching(self.dataset, self.batch, 1)
-        }
-        .with_speculation(self.speculation)
-        .with_seed(self.seed);
-        match self.adaptive {
-            Some((target, max_length)) => spec.with_adaptive_tlp(target, max_length),
-            None => spec,
-        }
+        WorkloadSpec::continuous_batching(self.dataset, self.batch, 1, self.queue)
+            .with_speculation(self.speculation)
+            .with_seed(self.seed)
     }
 
     fn serving_workload(&self) -> ServingWorkload {
-        let queue = if self.continuous { self.queue } else { 0 };
-        let workload = ServingWorkload::new(
+        ServingWorkload::new(
             self.dataset,
             ArrivalProcess::Immediate,
-            self.batch as usize + queue,
+            self.batch as usize + self.queue,
         )
         .with_speculation(self.speculation)
-        .with_seed(self.seed);
-        match self.adaptive {
-            Some((target, max_length)) => workload.with_adaptive_tlp(target, max_length),
-            None => workload,
-        }
+        .with_seed(self.seed)
     }
 }
 
@@ -185,10 +171,12 @@ proptest! {
         let shape = Shape {
             dataset: DATASETS[dataset],
             batch,
-            queue,
-            continuous,
-            speculation: SpeculativeConfig::fixed(length),
-            adaptive: adaptive.then_some((target, 8)),
+            queue: if continuous { queue } else { 0 },
+            speculation: if adaptive {
+                SpeculativeConfig::adaptive(target, 8)
+            } else {
+                SpeculativeConfig::fixed(length)
+            },
             seed,
         };
         let config = &designs()[design];
@@ -215,7 +203,7 @@ proptest! {
                 &format!("{label} {session}"),
                 &trace,
                 waves,
-                continuous,
+                shape.queue > 0,
                 &batch_report,
                 &oracle,
                 report,

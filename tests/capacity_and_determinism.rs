@@ -43,9 +43,8 @@ fn long_sequences_shrink_admissible_batch() {
 #[test]
 fn whole_stack_is_deterministic() {
     let mk_report = |seed: u64| {
-        let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 8, 2)
-            .with_seed(seed)
-            .with_max_iterations(64);
+        let workload =
+            WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 8, 2).with_seed(seed);
         DecodingSimulator::new(SystemConfig::build(
             DesignKind::PimOnlyPapi,
             ModelPreset::Llama65B.config(),

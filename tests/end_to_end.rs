@@ -29,8 +29,7 @@ fn papi_wins_the_creative_writing_grid() {
     for batch in [4u64, 16, 64] {
         for spec in [1u64, 2] {
             let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, spec)
-                .with_seed(31)
-                .with_max_iterations(96);
+                .with_seed(31);
             let trace = workload.trace();
             let papi = DecodingSimulator::new(SystemConfig::build(
                 DesignKind::Papi,
@@ -95,9 +94,8 @@ fn papi_energy_efficiency() {
 fn papi_advantage_shrinks_with_tlp() {
     let model = ModelPreset::Llama65B;
     let speedup_at = |spec: u64| {
-        let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 4, spec)
-            .with_seed(13)
-            .with_max_iterations(64);
+        let workload =
+            WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 4, spec).with_seed(13);
         let papi = run(DesignKind::Papi, model, &workload);
         let gpu = run(DesignKind::A100AttAcc, model, &workload);
         papi.speedup_over(&gpu)
@@ -117,9 +115,14 @@ fn papi_advantage_shrinks_with_tlp() {
 fn attacc_only_crossover_with_batch() {
     let model = ModelPreset::Llama65B;
     let ratio_at = |batch: u64| {
-        let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, batch, 1)
-            .with_seed(21)
-            .with_max_iterations(48);
+        // A refill queue four batches deep holds RLP at the batch size.
+        let workload = WorkloadSpec::continuous_batching(
+            DatasetKind::CreativeWriting,
+            batch,
+            1,
+            4 * batch as usize,
+        )
+        .with_seed(21);
         let attacc = run(DesignKind::AttAccOnly, model, &workload);
         let gpu = run(DesignKind::A100AttAcc, model, &workload);
         attacc.speedup_over(&gpu)
@@ -136,9 +139,7 @@ fn attacc_only_crossover_with_batch() {
 /// within a few percent of each other (paper §7.2, observation 3).
 #[test]
 fn attacc_and_hbm_pim_baselines_nearly_tie() {
-    let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 16, 2)
-        .with_seed(2)
-        .with_max_iterations(96);
+    let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 16, 2).with_seed(2);
     let a = run(DesignKind::A100AttAcc, ModelPreset::Gpt3_66B, &workload);
     let b = run(DesignKind::A100HbmPim, ModelPreset::Gpt3_66B, &workload);
     let ratio = a.total_latency().value() / b.total_latency().value();
@@ -153,9 +154,7 @@ fn attacc_and_hbm_pim_baselines_nearly_tie() {
 #[test]
 fn all_models_all_designs_smoke() {
     for model in ModelPreset::EVALUATED {
-        let workload = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 1)
-            .with_seed(1)
-            .with_max_iterations(16);
+        let workload = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 1).with_seed(1);
         for kind in [
             DesignKind::Papi,
             DesignKind::A100AttAcc,

@@ -6,7 +6,7 @@ use papi::core::{DecodingSimulator, DesignKind, SystemConfig};
 use papi::llm::moe::MoeModel;
 use papi::llm::{ModelConfig, ModelPreset};
 use papi::types::DataType;
-use papi::workload::{DatasetKind, WorkloadSpec};
+use papi::workload::{DatasetKind, SpeculativeConfig, WorkloadSpec};
 
 /// Charging prefill wrecks PIM-only designs but barely moves designs
 /// that own GPUs — the §7.4 rationale, quantified end to end.
@@ -38,7 +38,9 @@ fn prefill_collapses_pim_only_end_to_end() {
 fn adaptive_tlp_improves_tail_throughput() {
     let model = ModelPreset::Llama65B.config();
     let fixed = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 32, 2).with_seed(6);
-    let adaptive = fixed.clone().with_adaptive_tlp(64, 8);
+    let adaptive = fixed
+        .clone()
+        .with_speculation(SpeculativeConfig::adaptive(64, 8));
     let sim = DecodingSimulator::new(SystemConfig::papi(model));
     let r_fixed = sim.run(&fixed);
     let r_adaptive = sim.run(&adaptive);
@@ -64,9 +66,7 @@ fn int8_weights_speed_up_memory_bound_decode() {
     };
     assert!(int8.weight_bytes().value() < 0.51 * fp16.weight_bytes().value());
 
-    let workload = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 1)
-        .with_seed(2)
-        .with_max_iterations(32);
+    let workload = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 1).with_seed(2);
     let r16 = DecodingSimulator::new(SystemConfig::a100_attacc(fp16)).run(&workload);
     let r8 = DecodingSimulator::new(SystemConfig::a100_attacc(int8)).run(&workload);
     let speedup = r16.total_latency().value() / r8.total_latency().value();
@@ -94,9 +94,7 @@ fn moe_reuse_extends_pim_win_region() {
 /// for sweep tooling).
 #[test]
 fn reports_round_trip_through_serde() {
-    let workload = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 4, 1)
-        .with_seed(1)
-        .with_max_iterations(8);
+    let workload = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 4, 1).with_seed(1);
     let report = DecodingSimulator::new(SystemConfig::build(
         DesignKind::PimOnlyPapi,
         ModelPreset::Llama65B.config(),

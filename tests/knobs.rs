@@ -2,10 +2,10 @@
 //!
 //! [`LIVE`] has one row per knob a front door moves: the six session
 //! tuning fields, the queue-depth band, the four autoscaler fields, the
-//! speculation length and the batch path's adaptive TLP. Each row names
-//! a non-test file that moves the knob (the test fails once that file
-//! no longer names it) and a report field. Moving the knob off its
-//! default on a small built-in shape must change that field.
+//! speculation length and its batch-co-optimized (adaptive) form. Each
+//! row names a non-test file that moves the knob (the test fails once
+//! that file no longer names it) and a report field. Moving the knob
+//! off its default on a small built-in shape must change that field.
 //!
 //! [`TEST_ONLY`] lists the knobs only tests move, each with its reason
 //! to stay. A knob an example starts to move belongs in [`LIVE`]; one
@@ -186,12 +186,14 @@ const LIVE: &[Live] = &[
         |m| serve(SessionTuning::new(), if m { 4 } else { 1 }),
     ),
     (
-        "WorkloadSpec::with_adaptive_tlp",
+        "SpeculativeConfig::adaptive",
         "crates/bench/src/bin/ablation_dynamic_tlp.rs",
         "iterations",
         |m| {
             let fixed = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 32, 2);
-            let workload = apply(m, fixed, |w| w.with_adaptive_tlp(64, 8));
+            let workload = apply(m, fixed, |w| {
+                w.with_speculation(SpeculativeConfig::adaptive(64, 8))
+            });
             let config = SystemConfig::papi(ModelPreset::Llama65B.config());
             common::flatten(&DecodingSimulator::new(config).run(&workload))
         },
@@ -212,18 +214,6 @@ const TEST_ONLY: &[(&str, &str, &str, &str)] = &[
         "crates/core/src/cluster.rs",
         "with_sync_interval",
         "perfbench reads the field",
-    ),
-    (
-        "WorkloadSpec::max_iterations",
-        "crates/workload/src/batching.rs",
-        "with_max_iterations",
-        "truncation holds RLP at the batch size; attacc_only_crossover_with_batch needs it",
-    ),
-    (
-        "ServingWorkload::tlp_policy",
-        "crates/workload/src/arrival.rs",
-        "with_adaptive_tlp",
-        "the paper's runtime TLP (its section 3.2) on the online path",
     ),
     (
         "ClusterSpec::inter_node",

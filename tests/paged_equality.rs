@@ -65,7 +65,7 @@ fn scalar_configuration_reproduces_the_pre_refactor_reports_bit_for_bit() {
         .run(
             &ServingWorkload::new(DatasetKind::CreativeWriting, ArrivalProcess::Immediate, 32)
                 .with_seed(3)
-                .with_adaptive_tlp(64, 8),
+                .with_speculation(SpeculativeConfig::adaptive(64, 8)),
         ),
     ];
 
@@ -122,8 +122,7 @@ fn staged_shape(headroom: f64) -> ServingReport {
         48,
     )
     .with_seed(17)
-    .with_speculation(SpeculativeConfig::fixed(4))
-    .with_adaptive_tlp(32, 8);
+    .with_speculation(SpeculativeConfig::adaptive(32, 8));
     let report = ServingEngine::new(config)
         .with_tuning(
             SessionTuning::new()

@@ -366,7 +366,7 @@ fn kv_tight_fleet(seed: u64, dp: usize) -> (ClusterSpec, ServingWorkload) {
         64 * dp,
     )
     .with_seed(seed)
-    .with_adaptive_tlp(64, 4);
+    .with_speculation(SpeculativeConfig::adaptive(64, 4));
     let spec = ClusterSpec::new(
         DesignKind::PimOnlyPapi,
         ModelPreset::Gpt3_175B.config(),
@@ -474,8 +474,7 @@ proptest! {
                     .with_tuning(SessionTuning::default().with_max_batch(16)),
                 ServingWorkload::poisson(DatasetKind::GeneralQa, 16.0, 48)
                     .with_seed(seed)
-                    .with_speculation(SpeculativeConfig::fixed(4))
-                    .with_adaptive_tlp(32, 8),
+                    .with_speculation(SpeculativeConfig::adaptive(32, 8)),
             ),
             1 => kv_tight_fleet(seed, dp),
             _ => (

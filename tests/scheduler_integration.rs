@@ -63,9 +63,7 @@ fn alpha_threshold_agrees_with_oracle() {
 fn miscalibrated_alpha_hurts() {
     let model = ModelPreset::Llama65B.config();
     let good_alpha = SystemConfig::calibrate(&model).alpha;
-    let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 64, 1)
-        .with_seed(7)
-        .with_max_iterations(200);
+    let workload = WorkloadSpec::static_batching(DatasetKind::CreativeWriting, 64, 1).with_seed(7);
     let trace = workload.trace();
 
     let tuned = DecodingSimulator::new(SystemConfig::papi_with_alpha(model.clone(), good_alpha))
@@ -185,8 +183,7 @@ fn chunked_preempting_replica_series_grow_with_requests() {
         48,
     )
     .with_seed(17)
-    .with_speculation(SpeculativeConfig::fixed(4))
-    .with_adaptive_tlp(32, 8);
+    .with_speculation(SpeculativeConfig::adaptive(32, 8));
     let report = ServingEngine::new(config)
         .with_tuning(
             SessionTuning::new()

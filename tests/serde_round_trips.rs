@@ -12,7 +12,7 @@ use papi::interconnect::LinkSpec;
 use papi::llm::ModelPreset;
 use papi::workload::{
     ConversationDataset, DatasetKind, PolicySpec, ReplicaRole, ServingWorkload, SpeculativeConfig,
-    TlpPolicy, WorkloadSpec,
+    WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
@@ -46,15 +46,6 @@ fn enum_specs_round_trip() {
             serde_json::from_str::<PolicySpec>(removed).is_err(),
             "{removed} parsed"
         );
-    }
-    for spec in [
-        TlpPolicy::Fixed,
-        TlpPolicy::Adaptive {
-            target_tokens: 64,
-            max_length: 8,
-        },
-    ] {
-        round_trips(&spec);
     }
     for spec in [
         AutoscalePolicySpec::queue_depth(),
@@ -95,6 +86,7 @@ fn struct_specs_round_trip() {
     round_trips(&SloSpec::interactive(10_000.0, 0.125));
 
     round_trips(&SpeculativeConfig::fixed(1));
+    round_trips(&SpeculativeConfig::adaptive(64, 8));
 
     round_trips(&KvTierSpec::new(60_000));
 
@@ -131,9 +123,7 @@ fn struct_specs_round_trip() {
     round_trips(
         &WorkloadSpec::continuous_batching(DatasetKind::CreativeWriting, 32, 4, 64)
             .with_seed(9)
-            .with_speculation(SpeculativeConfig::fixed(6))
-            .with_adaptive_tlp(128, 8)
-            .with_max_iterations(500),
+            .with_speculation(SpeculativeConfig::adaptive(128, 8)),
     );
 }
 

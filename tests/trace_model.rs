@@ -4,15 +4,14 @@
 //! spec, record for record.
 
 use papi::workload::{
-    BatchingPolicy, DatasetKind, DecodeTrace, IterationRecord, Request, WorkloadSpec,
+    DatasetKind, DecodeTrace, IterationRecord, Request, SpeculativeConfig, WorkloadSpec,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
 /// The reference generator: every iteration visits every live request,
-/// banking up to `tlp` tokens each, then refills the batch under continuous
-/// batching. A truncated trace ends with one record that retires the
-/// still-running requests.
+/// banking up to `tlp` tokens each, then refills the batch from the queue
+/// (empty under static batching).
 fn stepped_trace(spec: &WorkloadSpec) -> DecodeTrace {
     let mut queue: VecDeque<Request> = spec.requests().into();
     let mut live: Vec<(Request, u64)> = Vec::new();
@@ -34,19 +33,7 @@ fn stepped_trace(spec: &WorkloadSpec) -> DecodeTrace {
         let rlp = live.len() as u64;
         let total_kv_len = live.iter().map(kv_len).sum();
         let max_kv_len = live.iter().map(kv_len).max().unwrap();
-        if spec.max_iterations == Some(iterations.len() as u64) {
-            requests += rlp;
-            iterations.push(IterationRecord {
-                rlp,
-                tlp: spec.speculation.tlp(),
-                total_kv_len,
-                max_kv_len,
-                new_tokens: 0,
-                finished: rlp,
-            });
-            break;
-        }
-        let tlp = spec.tlp_policy.length_at(rlp, spec.speculation.length);
+        let tlp = spec.speculation.tlp_at(rlp);
         let (mut new_tokens, mut finished) = (0, 0);
         live.retain_mut(|(request, generated)| {
             let remaining = request.output_len - *generated;
@@ -66,12 +53,10 @@ fn stepped_trace(spec: &WorkloadSpec) -> DecodeTrace {
         });
         total_tokens += new_tokens;
         requests += finished;
-        if spec.policy == BatchingPolicy::MixedContinuous {
-            while (live.len() as u64) < spec.initial_rlp {
-                match queue.pop_front() {
-                    Some(request) => admit(request, &mut live),
-                    None => break,
-                }
+        while (live.len() as u64) < spec.initial_rlp {
+            match queue.pop_front() {
+                Some(request) => admit(request, &mut live),
+                None => break,
             }
         }
     }
@@ -92,7 +77,7 @@ fn check(spec: &WorkloadSpec) {
     trace
         .validate()
         .unwrap_or_else(|err| panic!("{err}: {spec:?}"));
-    if spec.policy == BatchingPolicy::Static {
+    if spec.queue_depth == 0 {
         for pair in trace.iterations.windows(2) {
             assert_eq!(pair[1].rlp, pair[0].rlp - pair[0].finished, "{spec:?}");
         }
@@ -109,44 +94,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Random specs over every generator axis: dataset, batch, length,
-    /// TLP policy, batching policy, truncation and seed.
+    /// adaptive speculation, refill queue (static when empty) and seed.
     #[test]
     fn leaping_trace_matches_the_stepping_model(
         shape in (0usize..3, 1u64..65, 1u64..7, 0u64..u64::MAX),
         adaptive in (proptest::bool::ANY, 1u64..129, 1u64..9),
         continuous in (proptest::bool::ANY, 0usize..65),
-        truncate in (proptest::bool::ANY, 0u64..301),
     ) {
         let (dataset, batch, length, seed) = shape;
-        let mut spec = if continuous.0 {
-            WorkloadSpec::continuous_batching(DATASETS[dataset], batch, length, continuous.1)
+        let queue = if continuous.0 { continuous.1 } else { 0 };
+        let speculation = if adaptive.0 {
+            SpeculativeConfig::adaptive(adaptive.1, adaptive.2)
         } else {
-            WorkloadSpec::static_batching(DATASETS[dataset], batch, length)
-        }
-        .with_seed(seed);
-        if adaptive.0 {
-            spec = spec.with_adaptive_tlp(adaptive.1, adaptive.2);
-        }
-        if truncate.0 {
-            spec = spec.with_max_iterations(truncate.1);
-        }
+            SpeculativeConfig::fixed(length)
+        };
+        let spec = WorkloadSpec::continuous_batching(DATASETS[dataset], batch, length, queue)
+            .with_speculation(speculation)
+            .with_seed(seed);
         check(&spec);
-    }
-}
-
-/// Truncation on, just before and just after a finish: the leap must
-/// stop at the cap whether or not the cap lands inside a quiet stretch.
-#[test]
-fn truncation_around_the_first_finish_matches_the_model() {
-    let spec = WorkloadSpec::static_batching(DatasetKind::GeneralQa, 8, 3).with_seed(11);
-    let first_finish = spec
-        .trace()
-        .iterations
-        .iter()
-        .position(|it| it.finished > 0)
-        .unwrap() as u64;
-    assert!(first_finish > 1, "the batch needs a quiet stretch");
-    for cap in first_finish - 1..=first_finish + 1 {
-        check(&spec.clone().with_max_iterations(cap));
     }
 }
